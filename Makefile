@@ -1,4 +1,4 @@
-.PHONY: all check test lint bench bench-churn bench-hotpath bench-parallel bench-faults bench-recovery bench-shard bench-telemetry bench-verify clean
+.PHONY: all check test lint bench bench-e2e bench-churn bench-hotpath bench-parallel bench-faults bench-recovery bench-shard bench-telemetry bench-verify clean
 
 all:
 	dune build
@@ -17,6 +17,12 @@ lint:
 
 bench:
 	dune exec bench/main.exe -- all
+
+# The repository's end-to-end benchmark (perfbench/, declared by
+# BENCHMARK.json): every workload for the full 60 s, with its correctness
+# gates; prints every end-to-end metric and exits nonzero on a gate failure.
+bench-e2e:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 60
 
 # Churn microbenchmark for the incremental encoding engine; writes
 # BENCH_churn.json (events/sec, fast-path hit rate, p99 re-encode time).

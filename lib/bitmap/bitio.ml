@@ -1,45 +1,27 @@
-module Writer = struct
-  type t = {
-    buf : Buffer.t;
-    mutable cur : int; (* partial byte, bits fill from MSB *)
-    mutable used : int; (* bits used in [cur], 0..7 *)
-    mutable total : int;
-  }
+(* Bitmaps travel byte-wide. Bitmap bit [8j + k] is stream bit [k] of
+   chunk [j] (bit 0 first, as if written one bit at a time), while
+   [Bitmap.get_byte] puts bit [8j] in the least significant position and
+   the stream is MSB-first — so a chunk crosses between the two orders
+   through an 8-bit reversal. *)
+module Chunk = struct
+  let reversed =
+    String.init 256 (fun b ->
+        let r = ref 0 in
+        for k = 0 to 7 do
+          if b land (1 lsl k) <> 0 then r := !r lor (1 lsl (7 - k))
+        done;
+        Char.chr !r)
 
-  let create () = { buf = Buffer.create 64; cur = 0; used = 0; total = 0 }
+  (* elmo-lint: zero-alloc *)
+  let reverse b = Char.code (String.unsafe_get reversed b)
 
-  let bit t b =
-    if b then t.cur <- t.cur lor (1 lsl (7 - t.used));
-    t.used <- t.used + 1;
-    t.total <- t.total + 1;
-    if t.used = 8 then begin
-      Buffer.add_char t.buf (Char.chr t.cur);
-      t.cur <- 0;
-      t.used <- 0
-    end
+  (* Chunk [j] of a bitmap as stream bits: the chunk's bits sit at the top
+     of an 8-bit value (first bit in bit 7), zero below. *)
+  (* elmo-lint: zero-alloc *)
+  let get bm j = reverse (Bitmap.get_byte bm j)
 
-  let bits t value n =
-    if n < 0 || n > 62 then invalid_arg "Bitio.Writer.bits: width out of range";
-    if n < 62 && (value < 0 || value lsr n <> 0) then
-      invalid_arg "Bitio.Writer.bits: value does not fit";
-    for i = n - 1 downto 0 do
-      bit t (value land (1 lsl i) <> 0)
-    done
-
-  let bitmap t bm =
-    for i = 0 to Bitmap.width bm - 1 do
-      bit t (Bitmap.get bm i)
-    done
-
-  let align_byte t = while t.used <> 0 do bit t false done
-
-  let bit_length t = t.total
-
-  let to_bytes t =
-    let copy = { buf = Buffer.create 8; cur = t.cur; used = t.used; total = 0 } in
-    Buffer.add_buffer copy.buf t.buf;
-    align_byte copy;
-    Buffer.to_bytes copy.buf
+  (* elmo-lint: zero-alloc *)
+  let width w j = if w - (8 * j) < 8 then w - (8 * j) else 8
 end
 
 module Sink = struct
@@ -67,28 +49,40 @@ module Sink = struct
     t.total <- 0
 
   (* elmo-lint: zero-alloc *)
-  let flush t =
+  let flush t v =
     if t.byte >= Bytes.length t.data then
       (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
       invalid_arg "Bitio.Sink: output buffer too small";
-    Bytes.unsafe_set t.data t.byte (Char.unsafe_chr t.cur);
-    t.byte <- t.byte + 1;
-    t.cur <- 0;
-    t.used <- 0
+    Bytes.unsafe_set t.data t.byte (Char.unsafe_chr v);
+    t.byte <- t.byte + 1
 
+  (* Appends the top [n] bits (1..8) of the 8-bit value [x], whose lower
+     [8 - n] bits are zero: a 16-bit window holds the partial byte followed
+     by [x], and its high byte is complete once [used + n >= 8]. *)
   (* elmo-lint: zero-alloc *)
-  let bit t b =
-    if b then t.cur <- t.cur lor (1 lsl (7 - t.used));
-    t.used <- t.used + 1;
-    t.total <- t.total + 1;
-    if t.used = 8 then flush t
-
-  (* elmo-lint: zero-alloc *)
-  let rec bits_loop t value i =
-    if i >= 0 then begin
-      bit t (value land (1 lsl i) <> 0);
-      bits_loop t value (i - 1)
+  let put_top t x n =
+    let w = (t.cur lsl 8) lor (x lsl (8 - t.used)) in
+    t.total <- t.total + n;
+    if t.used + n >= 8 then begin
+      flush t (w lsr 8);
+      t.cur <- w land 0xff;
+      t.used <- t.used + n - 8
     end
+    else begin
+      t.cur <- w lsr 8;
+      t.used <- t.used + n
+    end
+
+  (* elmo-lint: zero-alloc *)
+  let bit t b = put_top t (if b then 0x80 else 0) 1
+
+  (* elmo-lint: zero-alloc *)
+  let rec bits_loop t value n =
+    if n > 8 then begin
+      put_top t ((value lsr (n - 8)) land 0xff) 8;
+      bits_loop t value (n - 8)
+    end
+    else if n > 0 then put_top t ((value lsl (8 - n)) land 0xff) n
 
   (* elmo-lint: zero-alloc *)
   let bits t value n =
@@ -98,19 +92,17 @@ module Sink = struct
     if n < 62 && (value < 0 || value lsr n <> 0) then
       (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
       invalid_arg "Bitio.Sink.bits: value does not fit";
-    bits_loop t value (n - 1)
+    bits_loop t value n
 
   (* elmo-lint: zero-alloc *)
   let bitmap t bm =
-    for i = 0 to Bitmap.width bm - 1 do
-      bit t (Bitmap.get bm i)
+    let width = Bitmap.width bm in
+    for j = 0 to ((width + 7) / 8) - 1 do
+      put_top t (Chunk.get bm j) (Chunk.width width j)
     done
 
   (* elmo-lint: zero-alloc *)
-  let align_byte t =
-    while t.used <> 0 do
-      bit t false
-    done
+  let align_byte t = if t.used <> 0 then put_top t 0 (8 - t.used)
 
   (* elmo-lint: zero-alloc *)
   let bit_length t = t.total
@@ -124,6 +116,51 @@ module Sink = struct
     t.byte
 end
 
+(* A growable {!Sink}: each write first makes room for the bytes it can
+   complete, then runs the sink's kernel. *)
+module Writer = struct
+  type t = { mutable s : Sink.t }
+
+  let create () = { s = Sink.of_bytes (Bytes.create 64) }
+
+  let reserve t n =
+    let s = t.s in
+    if s.Sink.byte + n > Bytes.length s.Sink.data then begin
+      let data = Bytes.create ((2 * Bytes.length s.Sink.data) + n) in
+      Bytes.blit s.Sink.data 0 data 0 s.Sink.byte;
+      t.s <- { s with Sink.data }
+    end
+
+  let bit t b =
+    reserve t 1;
+    Sink.bit t.s b
+
+  let bits t value n =
+    if n < 0 || n > 62 then invalid_arg "Bitio.Writer.bits: width out of range";
+    if n < 62 && (value < 0 || value lsr n <> 0) then
+      invalid_arg "Bitio.Writer.bits: value does not fit";
+    reserve t 8;
+    Sink.bits t.s value n
+
+  let bitmap t bm =
+    reserve t ((Bitmap.width bm + 7) / 8);
+    Sink.bitmap t.s bm
+
+  let align_byte t =
+    reserve t 1;
+    Sink.align_byte t.s
+
+  let bit_length t = Sink.bit_length t.s
+
+  let to_bytes t =
+    let s = t.s in
+    let n = s.Sink.byte in
+    let b = Bytes.create (if s.Sink.used = 0 then n else n + 1) in
+    Bytes.blit s.Sink.data 0 b 0 n;
+    if s.Sink.used <> 0 then Bytes.unsafe_set b n (Char.unsafe_chr s.Sink.cur);
+    b
+end
+
 module Reader = struct
   type t = { data : bytes; mutable pos : int }
 
@@ -131,25 +168,38 @@ module Reader = struct
 
   let of_bytes data = { data; pos = 0 }
 
-  let bit t =
+  (* The next [n] bits (1..8) as an [n]-bit integer, first bit highest:
+     a 16-bit window over the current byte and the next one. *)
+  (* elmo-lint: zero-alloc *)
+  let take t n =
+    let len = Bytes.length t.data in
+    if t.pos + n > len * 8 then raise Truncated;
     let byte = t.pos / 8 in
-    if byte >= Bytes.length t.data then raise Truncated;
-    let b = Char.code (Bytes.get t.data byte) land (1 lsl (7 - (t.pos mod 8))) <> 0 in
-    t.pos <- t.pos + 1;
-    b
+    let hi = Char.code (Bytes.unsafe_get t.data byte) in
+    let lo = if byte + 1 < len then Char.code (Bytes.unsafe_get t.data (byte + 1)) else 0 in
+    let w = (hi lsl 8) lor lo in
+    let v = (w lsr (16 - (t.pos mod 8) - n)) land ((1 lsl n) - 1) in
+    t.pos <- t.pos + n;
+    v
+
+  (* elmo-lint: zero-alloc *)
+  let bit t = take t 1 = 1
+
+  (* elmo-lint: zero-alloc *)
+  let rec bits_loop t acc n =
+    if n > 8 then bits_loop t ((acc lsl 8) lor take t 8) (n - 8)
+    else if n > 0 then (acc lsl n) lor take t n
+    else acc
 
   let bits t n =
     if n < 0 || n > 62 then invalid_arg "Bitio.Reader.bits: width out of range";
-    let acc = ref 0 in
-    for _ = 1 to n do
-      acc := (!acc lsl 1) lor (if bit t then 1 else 0)
-    done;
-    !acc
+    bits_loop t 0 n
 
   let bitmap t width =
     let bm = Bitmap.create width in
-    for i = 0 to width - 1 do
-      if bit t then Bitmap.set bm i
+    for j = 0 to ((width + 7) / 8) - 1 do
+      let n = Chunk.width width j in
+      Bitmap.or_byte bm j (Chunk.reverse (take t n lsl (8 - n)))
     done;
     bm
 

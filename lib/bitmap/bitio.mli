@@ -3,7 +3,13 @@
     Elmo headers are not byte-aligned: a p-rule is a bitmap (width = port
     count of the layer), a next-rule flag, and n-bit switch identifiers
     (§3.1, Figure 2). Writer appends most-significant-bit-first fields;
-    Reader consumes them in the same order. *)
+    Reader consumes them in the same order.
+
+    The bit order on the wire is the same as writing one bit at a time
+    (a bitmap's bit 0 first), but the work moves 8 bits per step: bitmaps
+    travel a byte at a time ({!Bitmap.get_byte}/{!Bitmap.or_byte} through
+    an 8-bit reversal table) at any bit alignment, and [bits] fields are
+    split into whole bytes plus a remainder. *)
 
 module Writer : sig
   type t
@@ -17,7 +23,7 @@ module Writer : sig
       in [n] bits. *)
 
   val bitmap : t -> Bitmap.t -> unit
-  (** Appends bitmap bits in index order (bit 0 first). *)
+  (** Appends bitmap bits in index order (bit 0 first), a byte per step. *)
 
   val align_byte : t -> unit
   (** Pads with zero bits to the next byte boundary. *)
@@ -74,7 +80,8 @@ module Reader : sig
   val bit : t -> bool
   val bits : t -> int -> int
   val bitmap : t -> int -> Bitmap.t
-  (** [bitmap r width] reads [width] bits written by {!Writer.bitmap}. *)
+  (** [bitmap r width] reads [width] bits written by {!Writer.bitmap}, a
+      byte per step. Raises [Truncated] if the input ends inside them. *)
 
   val align_byte : t -> unit
   val pos : t -> int

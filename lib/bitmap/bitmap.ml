@@ -173,24 +173,47 @@ let union_all width ts =
   List.iter (fun t -> union_into ~dst:out t) ts;
   out
 
-(* Byte [j] of the wire form holds bits [8j .. 8j+7]; with 63-bit words a
-   byte can straddle two words, so splice the high part in whenever the
-   in-word offset leaves fewer than 8 bits. Trailing bits of the last word
-   are zero by invariant, so the final byte needs no special casing. *)
-let to_bytes t =
-  let nbytes = (t.width + 7) / 8 in
-  let nwords = Array.length t.words in
-  let b = Bytes.create nbytes in
-  for j = 0 to nbytes - 1 do
-    let pos = 8 * j in
+(* Byte [j] of the wire form holds bits [8j .. 8j+7], bit [8j] in the low
+   position. With 63-bit words a byte can straddle two words, so the high
+   part is spliced from (or into) the next word whenever the in-word offset
+   leaves fewer than 8 bits. These two accessors are the only place that
+   knows about the straddle; [to_bytes]/[of_bytes] and the bit-stream
+   codec (Bitio) go through them. A byte index is valid iff its first bit
+   is, so the bounds check is [check_index] on that bit. *)
+
+(* elmo-lint: zero-alloc *)
+let get_byte t j =
+  check_index t (8 * j);
+  let pos = 8 * j in
+  let wi = pos / word_bits and off = pos mod word_bits in
+  let v = Array.unsafe_get t.words wi lsr off in
+  let v =
+    if off > word_bits - 8 && wi + 1 < Array.length t.words then
+      v lor (Array.unsafe_get t.words (wi + 1) lsl (word_bits - off))
+    else v
+  in
+  v land 0xff
+
+(* Bits at or past [width] are masked off, keeping the invariant that a
+   bitmap's trailing word bits stay zero. *)
+(* elmo-lint: zero-alloc *)
+let or_byte t j v =
+  check_index t (8 * j);
+  let pos = 8 * j in
+  let live = t.width - pos in
+  let v = if live < 8 then v land ((1 lsl live) - 1) else v land 0xff in
+  if v <> 0 then begin
     let wi = pos / word_bits and off = pos mod word_bits in
-    let v = t.words.(wi) lsr off in
-    let v =
-      if off > word_bits - 8 && wi + 1 < nwords then
-        v lor (t.words.(wi + 1) lsl (word_bits - off))
-      else v
-    in
-    Bytes.unsafe_set b j (Char.unsafe_chr (v land 0xff))
+    Array.unsafe_set t.words wi (Array.unsafe_get t.words wi lor (v lsl off));
+    if off > word_bits - 8 && wi + 1 < Array.length t.words then
+      Array.unsafe_set t.words (wi + 1)
+        (Array.unsafe_get t.words (wi + 1) lor (v lsr (word_bits - off)))
+  end
+
+let to_bytes t =
+  let b = Bytes.create ((t.width + 7) / 8) in
+  for j = 0 to Bytes.length b - 1 do
+    Bytes.unsafe_set b j (Char.unsafe_chr (get_byte t j))
   done;
   b
 
@@ -198,24 +221,9 @@ let of_bytes width b =
   let nbytes = (width + 7) / 8 in
   if Bytes.length b < nbytes then invalid_arg "Bitmap.of_bytes: too short";
   let t = create width in
-  let nwords = Array.length t.words in
   for j = 0 to nbytes - 1 do
-    let v = Char.code (Bytes.unsafe_get b j) in
-    if v <> 0 then begin
-      let pos = 8 * j in
-      let wi = pos / word_bits and off = pos mod word_bits in
-      t.words.(wi) <- t.words.(wi) lor (v lsl off);
-      if off > word_bits - 8 && wi + 1 < nwords then
-        t.words.(wi + 1) <- t.words.(wi + 1) lor (v lsr (word_bits - off))
-    end
+    or_byte t j (Char.code (Bytes.unsafe_get b j))
   done;
-  (* Padding bits of the last byte must not survive (invariant: bits past
-     [width] stay zero). *)
-  let r = width mod word_bits in
-  if r <> 0 then begin
-    let last = (width - 1) / word_bits in
-    t.words.(last) <- t.words.(last) land ((1 lsl r) - 1)
-  end;
   t
 
 let to_string t = String.init t.width (fun i -> if get t i then '1' else '0')

@@ -68,6 +68,17 @@ val union_all : int -> t list -> t
 (** [union_all width ts] ORs all bitmaps ([create width] if the list is
     empty). *)
 
+val get_byte : t -> int -> int
+(** [get_byte t j] is byte [j] of {!to_bytes}: bits [8j .. 8j+7], bit [8j]
+    in the least significant position. Allocation-free. Raises
+    [Invalid_argument] unless [0 <= j < ceil (width / 8)]. *)
+
+val or_byte : t -> int -> int -> unit
+(** [or_byte t j v] ORs the low 8 bits of [v] into bits [8j .. 8j+7] (bit
+    [8j] from the least significant bit of [v]); bits at or past the width
+    are dropped. Allocation-free. Raises [Invalid_argument] unless
+    [0 <= j < ceil (width / 8)]. *)
+
 val to_bytes : t -> bytes
 (** Little-endian packed bits, [ceil (width / 8)] bytes; for wire encoding. *)
 

@@ -2,44 +2,6 @@ let layer_widths topo = function
   | `Spine -> (Topology.spine_downstream_width topo, Topology.spine_id_bits topo)
   | `Leaf -> (Topology.leaf_downstream_width topo, Topology.leaf_id_bits topo)
 
-let write_uprule w ~down_width ~up_width (u : Prule.uprule) =
-  if Bitmap.width u.Prule.down <> down_width || Bitmap.width u.Prule.up <> up_width
-  then invalid_arg "Header_codec: upstream rule width mismatch"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-  Bitio.Writer.bitmap w u.Prule.down;
-  Bitio.Writer.bitmap w u.Prule.up;
-  Bitio.Writer.bit w u.Prule.multipath
-
-let write_section topo w layer rules default =
-  let width, id_bits = layer_widths topo layer in
-  List.iter
-    (fun (r : Prule.prule) ->
-      if r.Prule.switches = [] then
-        invalid_arg "Header_codec: p-rule with no switch identifiers"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-      if Bitmap.width r.Prule.bitmap <> width then
-        invalid_arg "Header_codec: p-rule bitmap width mismatch"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-      Bitio.Writer.bit w true;
-      Bitio.Writer.bitmap w r.Prule.bitmap;
-      let rec ids = function
-        | [] -> ()
-        | [ id ] ->
-            Bitio.Writer.bits w id id_bits;
-            Bitio.Writer.bit w false
-        | id :: rest ->
-            Bitio.Writer.bits w id id_bits;
-            Bitio.Writer.bit w true;
-            ids rest
-      in
-      ids r.Prule.switches)
-    rules;
-  Bitio.Writer.bit w false;
-  match default with
-  | None -> Bitio.Writer.bit w false
-  | Some bm ->
-      if Bitmap.width bm <> width then
-        invalid_arg "Header_codec: default bitmap width mismatch"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-      Bitio.Writer.bit w true;
-      Bitio.Writer.bitmap w bm
-
 let read_uprule r ~down_width ~up_width =
   let down = Bitio.Reader.bitmap r down_width in
   let up = Bitio.Reader.bitmap r up_width in
@@ -86,35 +48,6 @@ let has_core = function
 
 let has_d_spine = function After_d_spine -> false | _ -> true
 
-let encode_stage topo stage (h : Prule.header) =
-  let w = Bitio.Writer.create () in
-  if has_u_leaf stage then
-    write_uprule w
-      ~down_width:(Topology.leaf_downstream_width topo)
-      ~up_width:(Topology.leaf_upstream_width topo)
-      h.Prule.u_leaf;
-  if has_u_spine stage then begin
-    match h.Prule.u_spine with
-    | None -> Bitio.Writer.bit w false
-    | Some u ->
-        Bitio.Writer.bit w true;
-        write_uprule w
-          ~down_width:(Topology.spine_downstream_width topo)
-          ~up_width:(Topology.spine_upstream_width topo)
-          u
-  end;
-  if has_core stage then begin
-    match h.Prule.core with
-    | None -> Bitio.Writer.bit w false
-    | Some bm ->
-        Bitio.Writer.bit w true;
-        Bitio.Writer.bitmap w bm
-  end;
-  if has_d_spine stage then
-    write_section topo w `Spine h.Prule.d_spine h.Prule.d_spine_default;
-  write_section topo w `Leaf h.Prule.d_leaf h.Prule.d_leaf_default;
-  Bitio.Writer.to_bytes w
-
 let empty_uprule topo =
   {
     Prule.down = Bitmap.create (Topology.leaf_downstream_width topo);
@@ -122,8 +55,7 @@ let empty_uprule topo =
     multipath = false;
   }
 
-let decode_stage topo stage data =
-  let r = Bitio.Reader.of_bytes data in
+let read_stage topo stage r =
   let u_leaf =
     if has_u_leaf stage then
       read_uprule r
@@ -158,8 +90,13 @@ let stage_bits topo stage h =
   | After_core -> Prule.remaining_bits_after topo h `Core
   | After_d_spine -> Prule.remaining_bits_after topo h `D_spine
 
-let encode topo h = encode_stage topo Full h
+let decode_stage topo stage data = read_stage topo stage (Bitio.Reader.of_bytes data)
 let decode topo data = decode_stage topo Full data
+
+let header_length topo data =
+  let r = Bitio.Reader.of_bytes data in
+  ignore (read_stage topo Full r : Prule.header);
+  (Bitio.Reader.pos r + 7) / 8
 
 (* {1 Hostile-input decoding}
 
@@ -270,13 +207,14 @@ let decode_checked topo data =
   | exception Reject e -> Error e
   | exception Bitio.Reader.Truncated -> Error Truncated
 
-(* {1 Caller-buffer encoding (zero-alloc)}
+(* {1 Encoding}
 
-   The ROADMAP wire-codec surface: the same bit layout as [encode], written
-   through a caller-provided {!Bitio.Sink} with no heap allocation on the
-   success path. The write logic is duplicated rather than abstracted over
-   the writer — a shared higher-order writer would capture the sink in
-   closures, which allocate. *)
+   Every encoder writes through a {!Bitio.Sink} with the zero-alloc kernels
+   below: [encode_into] into the caller's buffer, [encode]/[encode_stage]
+   into a fresh buffer of exactly [stage_bits] bits (rounded up to bytes),
+   so the header is written once and never copied. The size accounting
+   ({!Prule}) is total; a malformed rule is reported by the writer, with
+   its own message, before the buffer could overflow. *)
 
 (* elmo-lint: zero-alloc *)
 let rec write_ids_into s id_bits ids =
@@ -334,70 +272,93 @@ let write_uprule_into s ~down_width ~up_width (u : Prule.uprule) =
   Bitio.Sink.bit s u.Prule.multipath
 
 (* elmo-lint: zero-alloc *)
-let encode_into topo (h : Prule.header) s =
-  write_uprule_into s
-    ~down_width:(Topology.leaf_downstream_width topo)
-    ~up_width:(Topology.leaf_upstream_width topo)
-    h.Prule.u_leaf;
-  (match h.Prule.u_spine with
+let write_u_spine_into topo s (u_spine : Prule.uprule option) =
+  match u_spine with
   | None -> Bitio.Sink.bit s false
   | Some u ->
       Bitio.Sink.bit s true;
       write_uprule_into s
         ~down_width:(Topology.spine_downstream_width topo)
         ~up_width:(Topology.spine_upstream_width topo)
-        u);
-  (match h.Prule.core with
+        u
+
+(* elmo-lint: zero-alloc *)
+let write_core_into s core =
+  match core with
   | None -> Bitio.Sink.bit s false
   | Some bm ->
       Bitio.Sink.bit s true;
-      Bitio.Sink.bitmap s bm);
-  write_section_into s
-    (Topology.spine_downstream_width topo)
-    (Topology.spine_id_bits topo)
-    h.Prule.d_spine h.Prule.d_spine_default;
+      Bitio.Sink.bitmap s bm
+
+(* The sections remaining at [stage], outermost first. *)
+(* elmo-lint: zero-alloc *)
+let write_stage_into topo stage (h : Prule.header) s =
+  if has_u_leaf stage then
+    write_uprule_into s
+      ~down_width:(Topology.leaf_downstream_width topo)
+      ~up_width:(Topology.leaf_upstream_width topo)
+      h.Prule.u_leaf;
+  if has_u_spine stage then write_u_spine_into topo s h.Prule.u_spine;
+  if has_core stage then write_core_into s h.Prule.core;
+  if has_d_spine stage then
+    write_section_into s
+      (Topology.spine_downstream_width topo)
+      (Topology.spine_id_bits topo)
+      h.Prule.d_spine h.Prule.d_spine_default;
   write_section_into s
     (Topology.leaf_downstream_width topo)
     (Topology.leaf_id_bits topo)
-    h.Prule.d_leaf h.Prule.d_leaf_default;
+    h.Prule.d_leaf h.Prule.d_leaf_default
+
+(* elmo-lint: zero-alloc *)
+let encode_into topo h s =
+  write_stage_into topo Full h s;
   Bitio.Sink.finish s
+
+(* A fresh buffer of exactly [bits] bits, filled by [write]. *)
+let sink_bytes bits write =
+  let b = Bytes.create ((bits + 7) / 8) in
+  let s = Bitio.Sink.of_bytes b in
+  write s;
+  ignore (Bitio.Sink.finish s : int);
+  b
+
+let encode_stage topo stage h =
+  sink_bytes (stage_bits topo stage h) (write_stage_into topo stage h)
+
+let encode topo h = encode_stage topo Full h
 
 let encode_parts topo (h : Prule.header) =
   (* One byte-aligned buffer per section/rule - the unit of a "write call"
-     in the per-rule encapsulation path (§4.2). *)
-  let parts = ref [] in
-  let emit f =
-    let w = Bitio.Writer.create () in
-    f w;
-    parts := Bitio.Writer.to_bytes w :: !parts
+     in the per-rule encapsulation path (§4.2). Built in wire order, so a
+     malformed header fails on its first defect as [encode] does. *)
+  let leaf_down = Topology.leaf_downstream_width topo in
+  let leaf_up = Topology.leaf_upstream_width topo in
+  let section layer rules default =
+    let width, id_bits = layer_widths topo layer in
+    let part rules default =
+      sink_bytes (Prule.section_bits topo layer rules default) (fun s ->
+          write_section_into s width id_bits rules default)
+    in
+    let rule_parts = List.map (fun r -> part [ r ] None) rules in
+    rule_parts @ [ part [] default ]
   in
-  emit (fun w ->
-      write_uprule w
-        ~down_width:(Topology.leaf_downstream_width topo)
-        ~up_width:(Topology.leaf_upstream_width topo)
-        h.Prule.u_leaf);
-  emit (fun w ->
-      match h.Prule.u_spine with
-      | None -> Bitio.Writer.bit w false
-      | Some u ->
-          Bitio.Writer.bit w true;
-          write_uprule w
-            ~down_width:(Topology.spine_downstream_width topo)
-            ~up_width:(Topology.spine_upstream_width topo)
-            u);
-  emit (fun w ->
-      match h.Prule.core with
-      | None -> Bitio.Writer.bit w false
-      | Some bm ->
-          Bitio.Writer.bit w true;
-          Bitio.Writer.bitmap w bm);
-  let emit_section layer rules default =
-    List.iter (fun r -> emit (fun w -> write_section topo w layer [ r ] None)) rules;
-    emit (fun w -> write_section topo w layer [] default)
+  let u_leaf =
+    sink_bytes (Prule.uprule_bits ~down_width:leaf_down ~up_width:leaf_up) (fun s ->
+        write_uprule_into s ~down_width:leaf_down ~up_width:leaf_up h.Prule.u_leaf)
   in
-  emit_section `Spine h.Prule.d_spine h.Prule.d_spine_default;
-  emit_section `Leaf h.Prule.d_leaf h.Prule.d_leaf_default;
-  List.rev !parts
+  (* A section's size is the difference between the stages either side of it. *)
+  let u_spine =
+    sink_bytes (stage_bits topo After_u_leaf h - stage_bits topo After_u_spine h)
+      (fun s -> write_u_spine_into topo s h.Prule.u_spine)
+  in
+  let core =
+    sink_bytes (stage_bits topo After_u_spine h - stage_bits topo After_core h)
+      (fun s -> write_core_into s h.Prule.core)
+  in
+  let d_spine = section `Spine h.Prule.d_spine h.Prule.d_spine_default in
+  let d_leaf = section `Leaf h.Prule.d_leaf h.Prule.d_leaf_default in
+  (u_leaf :: u_spine :: core :: d_spine) @ d_leaf
 
 let encode_per_rule_writes topo h =
   Bytes.concat Bytes.empty (encode_parts topo h)

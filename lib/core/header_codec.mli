@@ -13,12 +13,20 @@
     lossless: [decode topo (encode topo h) = h]. *)
 
 val encode : Topology.t -> Prule.header -> bytes
-(** Raises [Invalid_argument] if a p-rule has an empty switch list or a
-    bitmap of the wrong width for its layer. *)
+(** Writes the header once, through the allocation-free kernels of
+    {!encode_into}, into a buffer of exactly {!stage_bits} bits rounded up
+    to whole bytes. Raises [Invalid_argument] if a p-rule has an empty
+    switch list or a bitmap of the wrong width for its layer. *)
 
 val decode : Topology.t -> bytes -> Prule.header
 (** Raises [Bitio.Reader.Truncated] on short input. Trailing padding bits
     are ignored. *)
+
+val header_length : Topology.t -> bytes -> int
+(** [header_length topo data] parses one full header from the front of
+    [data], which may go on with a payload, and returns its length in bytes
+    (its bits rounded up to a byte, as {!encode} pads). Raises
+    [Bitio.Reader.Truncated] if [data] ends inside the header. *)
 
 (** {1 Hostile-input decoding} *)
 
@@ -77,7 +85,8 @@ val decode_stage : Topology.t -> stage -> bytes -> Prule.header
 
 val stage_bits : Topology.t -> stage -> Prule.header -> int
 (** Exact bit length of [encode_stage] without materializing; agrees with
-    {!Prule.remaining_bits_after} for popped stages. *)
+    {!Prule.header_bits} and {!Prule.remaining_bits_after}. It does not
+    validate the header: the encoders report malformed rules. *)
 
 val encode_parts : Topology.t -> Prule.header -> bytes list
 (** The header split into separately byte-aligned parts, one per section or

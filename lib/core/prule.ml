@@ -27,19 +27,22 @@ let layer_widths topo = function
    flag. A section ends with a 0 marker and a 1-bit default-rule presence
    flag (plus the default bitmap when present). *)
 
+let rule_bits ~width ~id_bits nswitches = 1 + width + (nswitches * (id_bits + 1))
+
 let prule_bits topo layer ~nswitches =
   if nswitches <= 0 then invalid_arg "Prule.prule_bits: empty switch list"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
   let width, id_bits = layer_widths topo layer in
-  1 + width + (nswitches * (id_bits + 1))
+  rule_bits ~width ~id_bits nswitches
 
 let default_rule_bits topo layer =
   let width, _ = layer_widths topo layer in
   1 + width
 
 let section_bits topo layer rules default =
-  let rule_bits =
+  let width, id_bits = layer_widths topo layer in
+  let rules_bits =
     List.fold_left
-      (fun acc r -> acc + prule_bits topo layer ~nswitches:(List.length r.switches))
+      (fun acc r -> acc + rule_bits ~width ~id_bits (List.length r.switches))
       0 rules
   in
   let default_bits =
@@ -47,7 +50,7 @@ let section_bits topo layer rules default =
     | Some _ -> default_rule_bits topo layer
     | None -> 1 (* just the absent flag *)
   in
-  rule_bits + 1 (* section terminator *) + default_bits
+  rules_bits + 1 (* section terminator *) + default_bits
 
 let u_leaf_bits topo =
   uprule_bits

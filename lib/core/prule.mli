@@ -52,7 +52,9 @@ val default_rule_bits : Topology.t -> [ `Spine | `Leaf ] -> int
 
 val section_bits :
   Topology.t -> [ `Spine | `Leaf ] -> prule list -> Bitmap.t option -> int
-(** Whole downstream section: rules, terminator, default. *)
+(** Whole downstream section: rules, terminator, default. Total: a rule
+    with no switch identifiers counts its marker and bitmap, so the sizes
+    below never raise and the codec reports a malformed rule itself. *)
 
 val header_bits : Topology.t -> header -> int
 val header_bytes : Topology.t -> header -> int

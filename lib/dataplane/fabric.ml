@@ -270,6 +270,19 @@ let match_rule ~legacy rules id table group default =
         | Some bm -> Some bm
         | None -> default)
 
+(* One stage of a packet's header: the bytes on the wire past that point and
+   the header a switch parses from them, each computed by the first switch
+   that needs it. Every copy of a packet at a given stage carries the same
+   bytes, so within one packet neither is ever redone; across packets
+   nothing is kept. *)
+type stage_wire = { wire : bytes Lazy.t; parsed : Prule.header Lazy.t }
+
+let stage_wire topo header stage =
+  let wire = lazy (Header_codec.encode_stage topo stage header) in
+  { wire; parsed = lazy (Header_codec.decode_stage topo stage (Lazy.force wire)) }
+
+let wire_bytes sw = Bytes.length (Lazy.force sw.wire)
+
 let inject t ~sender ~group ~header ~payload =
   let topo = t.topo in
   let acc =
@@ -284,13 +297,17 @@ let inject t ~sender ~group ~header ~payload =
     }
   in
   let hash = Ecmp.flow_hash ~group ~sender in
-  let encode stage = Header_codec.encode_stage topo stage header in
+  let full = stage_wire topo header Header_codec.Full in
+  let after_u_leaf = stage_wire topo header Header_codec.After_u_leaf in
+  let after_u_spine = stage_wire topo header Header_codec.After_u_spine in
+  let after_core = stage_wire topo header Header_codec.After_core in
+  let after_d_spine = stage_wire topo header Header_codec.After_d_spine in
   let sl = Topology.leaf_of_host topo sender in
   let sp = Topology.pod_of_leaf topo sl in
 
   (* Downstream leaf: parse the (already popped) header and forward. *)
-  let at_leaf_down leaf bytes =
-    let h = Header_codec.decode_stage topo Header_codec.After_d_spine bytes in
+  let at_leaf_down leaf =
+    let h = Lazy.force after_d_spine.parsed in
     let fb =
       match_rule ~legacy:t.leaf_legacy.(leaf) h.Prule.d_leaf leaf
         t.leaf_tables.(leaf) group h.Prule.d_leaf_default
@@ -305,8 +322,8 @@ let inject t ~sender ~group ~header ~payload =
           bm
   in
   (* Downstream spine (physical [s]) in pod [p]. *)
-  let at_spine_down s p bytes =
-    let h = Header_codec.decode_stage topo Header_codec.After_core bytes in
+  let at_spine_down s p =
+    let h = Lazy.force after_core.parsed in
     let fb =
       match_rule ~legacy:t.spine_legacy.(s) h.Prule.d_spine p
         t.spine_tables.(s) group h.Prule.d_spine_default
@@ -314,59 +331,55 @@ let inject t ~sender ~group ~header ~payload =
     match fb with
     | None -> ()
     | Some bm ->
-        let to_leaf = encode Header_codec.After_d_spine in
+        let to_leaf = wire_bytes after_d_spine in
         let plane = s mod topo.Topology.spines_per_pod in
         Bitmap.iter
           (fun port ->
             let leaf = (p * topo.Topology.leaves_per_pod) + port in
-            hop acc ~src:(Spine_node s) ~dst:(Leaf_node leaf)
-              (Bytes.length to_leaf);
-            if link_ok t ~leaf ~plane then at_leaf_down leaf to_leaf
+            hop acc ~src:(Spine_node s) ~dst:(Leaf_node leaf) to_leaf;
+            if link_ok t ~leaf ~plane then at_leaf_down leaf
             else acc.lost <- acc.lost + 1)
           bm
   in
-  let at_core c bytes =
+  let at_core c =
     if not t.core_up.(c) then acc.lost <- acc.lost + 1
     else begin
-      let h = Header_codec.decode_stage topo Header_codec.After_u_spine bytes in
+      let h = Lazy.force after_u_spine.parsed in
       match h.Prule.core with
       | None -> ()
       | Some bm ->
           let plane = c / topo.Topology.cores_per_plane in
-          let to_spine = encode Header_codec.After_core in
+          let to_spine = wire_bytes after_core in
           Bitmap.iter
             (fun p ->
               let s = (p * topo.Topology.spines_per_pod) + plane in
-              hop acc ~src:(Core_node c) ~dst:(Spine_node s)
-                (Bytes.length to_spine);
-              if t.spine_up.(s) then at_spine_down s p to_spine
+              hop acc ~src:(Core_node c) ~dst:(Spine_node s) to_spine;
+              if t.spine_up.(s) then at_spine_down s p
               else acc.lost <- acc.lost + 1)
             bm
     end
   in
   (* Sender-pod spine (physical [s]): upstream processing. *)
-  let at_spine_up s bytes =
+  let at_spine_up s =
     if not t.spine_up.(s) then acc.lost <- acc.lost + 1
     else begin
-      let h = Header_codec.decode_stage topo Header_codec.After_u_leaf bytes in
+      let h = Lazy.force after_u_leaf.parsed in
       match h.Prule.u_spine with
       | None -> ()
       | Some u ->
-          let to_leaf = encode Header_codec.After_d_spine in
+          let to_leaf = wire_bytes after_d_spine in
           let plane = s mod topo.Topology.spines_per_pod in
           Bitmap.iter
             (fun port ->
               let leaf = (sp * topo.Topology.leaves_per_pod) + port in
-              hop acc ~src:(Spine_node s) ~dst:(Leaf_node leaf)
-                (Bytes.length to_leaf);
-              if link_ok t ~leaf ~plane then at_leaf_down leaf to_leaf
+              hop acc ~src:(Spine_node s) ~dst:(Leaf_node leaf) to_leaf;
+              if link_ok t ~leaf ~plane then at_leaf_down leaf
               else acc.lost <- acc.lost + 1)
             u.Prule.down;
-          let plane = s mod topo.Topology.spines_per_pod in
-          let to_core = encode Header_codec.After_u_spine in
+          let to_core = wire_bytes after_u_spine in
           let send_core c =
-            hop acc ~src:(Spine_node s) ~dst:(Core_node c) (Bytes.length to_core);
-            at_core c to_core
+            hop acc ~src:(Spine_node s) ~dst:(Core_node c) to_core;
+            at_core c
           in
           if u.Prule.multipath then begin
             if topo.Topology.cores_per_plane > 0 then
@@ -379,19 +392,18 @@ let inject t ~sender ~group ~header ~payload =
     end
   in
   (* Sender leaf: upstream processing of the full header. *)
-  let at_leaf_up bytes =
-    let h = Header_codec.decode_stage topo Header_codec.Full bytes in
-    let u = h.Prule.u_leaf in
+  let at_leaf_up () =
+    let u = (Lazy.force full.parsed).Prule.u_leaf in
     Bitmap.iter
       (fun port ->
         deliver acc ~src:(Leaf_node sl)
           ((sl * topo.Topology.hosts_per_leaf) + port))
       u.Prule.down;
-    let to_spine = encode Header_codec.After_u_leaf in
+    let to_spine = wire_bytes after_u_leaf in
     let send_spine s =
-      hop acc ~src:(Leaf_node sl) ~dst:(Spine_node s) (Bytes.length to_spine);
+      hop acc ~src:(Leaf_node sl) ~dst:(Spine_node s) to_spine;
       if link_ok t ~leaf:sl ~plane:(s mod topo.Topology.spines_per_pod) then
-        at_spine_up s to_spine
+        at_spine_up s
       else acc.lost <- acc.lost + 1
     in
     if u.Prule.multipath then
@@ -401,9 +413,8 @@ let inject t ~sender ~group ~header ~payload =
         (fun port -> send_spine ((sp * topo.Topology.spines_per_pod) + port))
         u.Prule.up
   in
-  let full = encode Header_codec.Full in
-  hop acc ~src:(Host_node sender) ~dst:(Leaf_node sl) (Bytes.length full);
-  at_leaf_up full;
+  hop acc ~src:(Host_node sender) ~dst:(Leaf_node sl) (wire_bytes full);
+  at_leaf_up ();
   (match t.telemetry with
   | None -> ()
   | Some tel ->

@@ -162,7 +162,14 @@ val inject :
 (** Sends one packet from [sender]'s hypervisor with the given Elmo header.
     ECMP hashing is deterministic in [(group, sender)]. [payload] sizes the
     report and the telemetry byte counts; forwarding decisions never read
-    it. *)
+    it.
+
+    Every switch forwards on a header parsed from the wire bytes of its
+    stage (the sections still on the packet when it arrives), never on
+    [header] itself. All copies at one stage carry the same bytes, so per
+    packet each stage is encoded at most once, by the first switch that
+    emits it, and parsed at most once, by the first switch that receives
+    it; nothing is kept from one packet to the next. *)
 
 val deliveries_correct :
   report -> tree:Tree.t -> sender:int -> bool

@@ -1,7 +1,8 @@
 type rules = {
   header : Prule.header;
   blob : bytes;  (* pre-serialized header, written in one call *)
-  parts : bytes list;  (* per-rule write units, for the unoptimized path *)
+  parts : bytes list Lazy.t;
+      (* per-rule write units, built on first use by the unoptimized path *)
 }
 
 type bucket = {
@@ -41,7 +42,7 @@ let install_sender t ~group header =
     {
       header;
       blob = Header_codec.encode topo header;
-      parts = Header_codec.encode_parts topo header;
+      parts = lazy (Header_codec.encode_parts topo header);
     }
 
 let remove_sender t ~group = Hashtbl.remove t.senders group
@@ -102,14 +103,15 @@ let encap_per_rule t ~group ~payload =
   match Hashtbl.find_opt t.senders group with
   | None -> None
   | Some r ->
-      let hl = List.fold_left (fun acc p -> acc + Bytes.length p) 0 r.parts in
+      let parts = Lazy.force r.parts in
+      let hl = List.fold_left (fun acc p -> acc + Bytes.length p) 0 parts in
       let packet = Bytes.create (hl + Bytes.length payload) in
       let pos = ref 0 in
       List.iter
         (fun part ->
           Bytes.blit part 0 packet !pos (Bytes.length part);
           pos := !pos + Bytes.length part)
-        r.parts;
+        parts;
       Bytes.blit payload 0 packet !pos (Bytes.length payload);
       Some packet
 
@@ -143,17 +145,17 @@ let decap_vxlan t packet =
       | None -> None
       | Some vms ->
           (* The network leaf strips the Elmo stack before the host (4.1);
-             packets built locally by encap_vxlan still carry it, so strip
-             symmetrically using the sender rule's known header length. *)
-          let header_len =
-            match Hashtbl.find_opt t.senders group with
-            | Some r -> Bytes.length r.blob
-            | None -> 0
-          in
-          let payload =
-            Bytes.sub inner header_len (Bytes.length inner - header_len)
-          in
-          Some (group, vms, payload))
+             packets built by encap_vxlan still carry it. Its length is
+             parsed from the packet: this host's own rules, if any, may
+             hold a header of another size. *)
+          let topo = Fabric.topology t.fabric in
+          match Header_codec.header_length topo inner with
+          | exception Bitio.Reader.Truncated -> None
+          | header_len ->
+              let payload =
+                Bytes.sub inner header_len (Bytes.length inner - header_len)
+              in
+              Some (group, vms, payload))
 
 let send t ~group ~payload =
   match Hashtbl.find_opt t.senders group with

@@ -21,7 +21,9 @@ val host : t -> int
 (** {1 Controller-facing API} *)
 
 val install_sender : t -> group:int -> Prule.header -> unit
-(** Installs/replaces the encap flow rule (pre-serializes the header). *)
+(** Installs/replaces the encap flow rule. Pre-serializes the header into
+    the single-write blob {!encap} copies; the per-rule parts of
+    {!encap_per_rule} are built on its first use for the rule, not here. *)
 
 val remove_sender : t -> group:int -> unit
 
@@ -72,12 +74,16 @@ val decap_vxlan : t -> bytes -> (int * int * bytes) option
 (** Receive path: parses the outer stack of a packet built by
     {!encap_vxlan}; returns [(group, local_vm_copies, inner_payload)] where
     the payload has the Elmo header already stripped (the leaf egress
-    removed it in the fabric; here we strip our own copy symmetrically).
-    [None] if the packet is not valid VXLAN or this host has no receiver
-    rule for the group (discarded, §2). *)
+    removed it in the fabric; here the header's length is parsed from the
+    packet's own bytes, so it does not matter which rules, if any, this
+    host holds as a sender). [None] if the packet is not valid VXLAN, this
+    host has no receiver rule for the group (discarded, §2), or the packet
+    ends inside the Elmo header. *)
 
 val encap_per_rule : t -> group:int -> payload:bytes -> bytes option
-(** Same packet, but built with one write call per p-rule part. *)
+(** Same packet, but built with one write call per p-rule part. The parts
+    are serialized on the first call for an installed rule and reused
+    until it is replaced. *)
 
 val send : t -> group:int -> payload:int -> Fabric.report option
 (** Encapsulates and injects into the fabric. *)

@@ -117,8 +117,144 @@ let prop_length =
       List.iter (write_field w) fields;
       Bytes.length (Bitio.Writer.to_bytes w) = (Bitio.Writer.bit_length w + 7) / 8)
 
+(* {1 Byte-wide bitmaps at every alignment}
+
+   Bitmaps move through the codec a byte at a time. The oracle here is
+   independent of Bitio: the expected wire bytes are packed by hand from
+   the stream's bits (prefix bits, then bitmap bit 0 first, then a trailer),
+   MSB first. Widths straddle the bitmap's 63-bit words. *)
+
+let offsets = [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+let widths = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 62; 63; 64; 125; 126; 127; 189 ]
+
+(* Empty, full, alternating and two seeded random fills of [width] bits. *)
+let fills rand width =
+  let random () = List.filter (fun _ -> Random.State.bool rand) (List.init width Fun.id) in
+  [
+    [];
+    List.init width Fun.id;
+    List.filter (fun i -> i mod 2 = 0) (List.init width Fun.id);
+    random ();
+    random ();
+  ]
+
+let pack_bits bits =
+  let n = List.length bits in
+  let b = Bytes.make ((n + 7) / 8) '\000' in
+  List.iteri
+    (fun i bit ->
+      if bit then
+        Bytes.set b (i / 8)
+          (Char.chr (Char.code (Bytes.get b (i / 8)) lor (0x80 lsr (i mod 8)))))
+    bits;
+  b
+
+(* [offset] prefix bits 1,0,1,..., the bitmap, then a 3-bit trailer 101. *)
+let stream_bits offset width set =
+  List.init offset (fun i -> i mod 2 = 0)
+  @ List.init width (fun i -> List.mem i set)
+  @ [ true; false; true ]
+
+let prefix_value offset =
+  List.fold_left (fun acc i -> (acc lsl 1) lor if i mod 2 = 0 then 1 else 0) 0
+    (List.init offset Fun.id)
+
+let each_case f =
+  let rand = Random.State.make [| 8 |] in
+  List.iter
+    (fun offset ->
+      List.iter
+        (fun width -> List.iter (fun set -> f offset width set) (fills rand width))
+        widths)
+    offsets
+
+let case_name offset width = Printf.sprintf "offset %d width %d" offset width
+
+let test_bitmap_every_offset () =
+  each_case (fun offset width set ->
+      let name = case_name offset width in
+      let bm = Bitmap.of_list width set in
+      let expected = pack_bits (stream_bits offset width set) in
+      let w = Bitio.Writer.create () in
+      Bitio.Writer.bits w (prefix_value offset) offset;
+      Bitio.Writer.bitmap w bm;
+      Bitio.Writer.bits w 0b101 3;
+      Alcotest.(check bytes) (name ^ ": writer bytes") expected (Bitio.Writer.to_bytes w);
+      Alcotest.(check int) (name ^ ": writer bits") (offset + width + 3)
+        (Bitio.Writer.bit_length w);
+      let buf = Bytes.make (Bytes.length expected + 2) '\255' in
+      let s = Bitio.Sink.of_bytes ~pos:1 buf in
+      Bitio.Sink.bits s (prefix_value offset) offset;
+      Bitio.Sink.bitmap s bm;
+      Bitio.Sink.bits s 0b101 3;
+      Alcotest.(check int) (name ^ ": sink end") (1 + Bytes.length expected)
+        (Bitio.Sink.finish s);
+      Alcotest.(check bytes) (name ^ ": sink bytes") expected
+        (Bytes.sub buf 1 (Bytes.length expected));
+      Alcotest.(check char) (name ^ ": sink stays in its range") '\255'
+        (Bytes.get buf (Bytes.length buf - 1));
+      let r = Bitio.Reader.of_bytes expected in
+      Alcotest.(check int) (name ^ ": prefix") (prefix_value offset)
+        (Bitio.Reader.bits r offset);
+      Alcotest.(check (list int)) (name ^ ": bitmap") set
+        (Bitmap.to_list (Bitio.Reader.bitmap r width));
+      Alcotest.(check int) (name ^ ": trailer") 0b101 (Bitio.Reader.bits r 3))
+
+(* Word-wide [bits] fields at every alignment, up to the 62-bit limit. *)
+let test_bits_every_offset () =
+  let rand = Random.State.make [| 62 |] in
+  List.iter
+    (fun offset ->
+      List.iter
+        (fun n ->
+          let v = Random.State.bits rand land ((1 lsl n) - 1) in
+          let v = if n = 62 then v lor (1 lsl 61) else v in
+          let expected =
+            pack_bits
+              (List.init offset (fun i -> i mod 2 = 0)
+              @ List.init n (fun i -> v land (1 lsl (n - 1 - i)) <> 0))
+          in
+          let w = Bitio.Writer.create () in
+          Bitio.Writer.bits w (prefix_value offset) offset;
+          Bitio.Writer.bits w v n;
+          let name = Printf.sprintf "offset %d bits %d" offset n in
+          Alcotest.(check bytes) name expected (Bitio.Writer.to_bytes w);
+          let s = Bitio.Sink.of_bytes (Bytes.create (Bytes.length expected)) in
+          Bitio.Sink.bits s (prefix_value offset) offset;
+          Bitio.Sink.bits s v n;
+          ignore (Bitio.Sink.finish s : int);
+          let r = Bitio.Reader.of_bytes expected in
+          ignore (Bitio.Reader.bits r offset : int);
+          Alcotest.(check int) (name ^ ": read back") v (Bitio.Reader.bits r n))
+        [ 1; 7; 8; 9; 15; 16; 17; 31; 32; 33; 61; 62 ])
+    offsets
+
+(* Input that ends inside a bitmap field raises [Truncated] (the hostile
+   decoder maps it to [Error Truncated]), even when only the last bit is
+   missing. *)
+let test_bitmap_truncated () =
+  each_case (fun offset width set ->
+      let bits = stream_bits offset width set in
+      let full = offset + width in
+      List.iter
+        (fun keep ->
+          (* Whole bytes only: keep the prefix but fewer than [full] stream
+             bits. *)
+          if offset <= keep * 8 && keep * 8 < full then begin
+            let b = Bytes.sub (pack_bits bits) 0 keep in
+            let r = Bitio.Reader.of_bytes b in
+            ignore (Bitio.Reader.bits r offset : int);
+            Alcotest.check_raises
+              (Printf.sprintf "%s kept %d bytes" (case_name offset width) keep)
+              Bitio.Reader.Truncated (fun () -> ignore (Bitio.Reader.bitmap r width))
+          end)
+        [ (offset + 7) / 8; (full - 1) / 8 ])
+
 let tests =
   [
+    Alcotest.test_case "bitmap at every offset" `Quick test_bitmap_every_offset;
+    Alcotest.test_case "bits at every offset" `Quick test_bits_every_offset;
+    Alcotest.test_case "bitmap cut short raises" `Quick test_bitmap_truncated;
     Alcotest.test_case "simple roundtrip" `Quick test_simple_roundtrip;
     Alcotest.test_case "bitmap roundtrip" `Quick test_bitmap_roundtrip;
     Alcotest.test_case "alignment" `Quick test_align;

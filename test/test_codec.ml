@@ -212,9 +212,31 @@ let prop_decode_stage_never_crashes =
       | (_ : Prule.header) -> true
       | exception Bitio.Reader.Truncated -> true)
 
+(* A header cut anywhere inside it is rejected, never raised: every strict
+   byte prefix of a structurally valid encoding decodes (checked) to
+   [Error Truncated]. Run on a fabric whose leaf bitmaps straddle a 63-bit
+   bitmap word, so cuts land inside wide bitmap fields. *)
+let prop_prefix_truncated =
+  let wide =
+    Topology.create ~pods:3 ~leaves_per_pod:20 ~spines_per_pod:2
+      ~hosts_per_leaf:70 ~cores_per_plane:1
+  in
+  QCheck.Test.make ~name:"checked decode of a cut header is Truncated" ~count:200
+    (arb_header wide) (fun h ->
+      let b = Header_codec.encode wide h in
+      match Header_codec.decode_checked wide b with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok _ ->
+          List.for_all
+            (fun keep ->
+              Header_codec.decode_checked wide (Bytes.sub b 0 keep)
+              = Error Header_codec.Truncated)
+            (List.init (Bytes.length b) Fun.id))
+
 let tests =
   tests
   @ [
+      QCheck_alcotest.to_alcotest prop_prefix_truncated;
       QCheck_alcotest.to_alcotest prop_decode_never_crashes;
       QCheck_alcotest.to_alcotest prop_decode_stage_never_crashes;
     ]

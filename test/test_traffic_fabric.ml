@@ -316,3 +316,84 @@ let tests =
       Alcotest.test_case "trace matches report" `Quick test_trace_matches_report;
       Alcotest.test_case "trace header monotone" `Quick test_trace_header_monotone;
     ]
+
+(* Golden digest over [Fabric.inject]: seeded random headers (from the codec
+   property generator), senders, s-rules, failed spines/cores/links and
+   legacy switches, each packet's full report hashed. The digest was
+   recorded against the per-switch re-encoding forwarding loop; any change
+   to forwarding, drops, byte accounting, trace order or telemetry shows
+   up here as a different hash. *)
+let golden_topos =
+  [|
+    topo;
+    Topology.create ~pods:6 ~leaves_per_pod:10 ~spines_per_pod:3
+      ~hosts_per_leaf:12 ~cores_per_plane:4;
+    (* Leaf bitmaps wider than one 63-bit bitmap word. *)
+    Topology.create ~pods:3 ~leaves_per_pod:20 ~spines_per_pod:2
+      ~hosts_per_leaf:70 ~cores_per_plane:1;
+  |]
+
+let golden_case rand buf i =
+  let open QCheck.Gen in
+  let t = golden_topos.(i mod Array.length golden_topos) in
+  let pick n = int_range 0 (n - 1) rand in
+  let header = Test_codec.gen_header t rand in
+  let sender = pick (Topology.num_hosts t) in
+  let group = 1 + pick 4 in
+  let fabric = Fabric.create t in
+  let random_bitmap width =
+    Bitmap.of_list width (list_size (int_range 0 (min width 6)) (int_range 0 (width - 1)) rand)
+  in
+  for _ = 1 to pick 4 do
+    Fabric.install_leaf_srule fabric ~leaf:(pick (Topology.num_leaves t)) ~group
+      (random_bitmap (Topology.leaf_downstream_width t))
+  done;
+  for _ = 1 to pick 3 do
+    Fabric.install_pod_srule fabric ~pod:(pick t.Topology.pods) ~group
+      (random_bitmap (Topology.spine_downstream_width t))
+  done;
+  let faults n f = for _ = 1 to pick (n + 1) do f () done in
+  faults 2 (fun () -> Fabric.fail_spine fabric (pick (Topology.num_spines t)));
+  if Topology.num_cores t > 0 then
+    faults 2 (fun () -> Fabric.fail_core fabric (pick (Topology.num_cores t)));
+  faults 3 (fun () ->
+      Fabric.fail_link fabric ~leaf:(pick (Topology.num_leaves t))
+        ~plane:(pick t.Topology.spines_per_pod));
+  faults 2 (fun () -> Fabric.set_leaf_legacy fabric (pick (Topology.num_leaves t)) true);
+  faults 1 (fun () -> Fabric.set_spine_legacy fabric (pick (Topology.num_spines t)) true);
+  let tel_hops = ref 0 and tel_bytes = ref 0 in
+  if bool rand then
+    Fabric.set_telemetry fabric
+      (Some
+         {
+           Fabric.tel_hop = (fun ~payload:_ _ -> incr tel_hops);
+           tel_packet = (fun ~group:_ ~sender:_ ~bytes -> tel_bytes := !tel_bytes + bytes);
+         });
+  let r = Fabric.inject fabric ~sender ~group ~header ~payload:(64 + pick 1500) in
+  let pr fmt = Printf.bprintf buf fmt in
+  pr "#%d d=" i;
+  List.iter (fun (h, n) -> pr "%d:%d," h n) r.Fabric.delivered;
+  pr " tx=%d hb=%d lost=%d tel=%d/%d tr=" r.Fabric.transmissions r.Fabric.header_bytes
+    r.Fabric.lost !tel_hops !tel_bytes;
+  List.iter
+    (fun h ->
+      Printf.bprintf buf "%s>%s:%d;"
+        (Format.asprintf "%a" Fabric.pp_node h.Fabric.hop_from)
+        (Format.asprintf "%a" Fabric.pp_node h.Fabric.hop_to)
+        h.Fabric.hop_header_bytes)
+    r.Fabric.trace;
+  pr "\n"
+
+let golden_inject_digest = "f12b5e415feca2001475317d37266719"
+
+let test_inject_golden () =
+  let rand = Random.State.make [| 2019 |] in
+  let buf = Buffer.create (1 lsl 16) in
+  for i = 0 to 499 do
+    golden_case rand buf i
+  done;
+  Alcotest.(check string) "inject report digest" golden_inject_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let tests =
+  tests @ [ Alcotest.test_case "inject golden digest" `Quick test_inject_golden ]

@@ -62,10 +62,7 @@ let test_hypervisor_vxlan_path () =
   let sender_hv = Hypervisor.create fabric ~host:0 in
   Hypervisor.install_sender sender_hv ~group:33
     (Encoding.header_for_sender enc ~sender:0);
-  (* The receiving hypervisor of host 9 has one member VM. Give it the same
-     sender rule so it knows the header length to strip in loopback mode. *)
-  Hypervisor.install_sender sender_hv ~group:33
-    (Encoding.header_for_sender enc ~sender:0);
+  (* Loopback: the sending host is also a receiver with two member VMs. *)
   Hypervisor.install_receiver sender_hv ~group:33 ~vms:2;
   let payload = Bytes.of_string "hello-multicast" in
   match Hypervisor.encap_vxlan sender_hv ~group:33 ~payload with
@@ -87,6 +84,44 @@ let test_decap_discards_unknown_group () =
   let packet = Vxlan.encode sample ~inner:(Bytes.of_string "zz") in
   Alcotest.(check bool) "no receiver rule -> discard" true
     (Hypervisor.decap_vxlan hv packet = None)
+
+(* The receiver strips the header the packet carries, whatever rules it
+   holds itself: none at all, or a sender rule for the same group whose
+   header has a different size (no upstream spine rule: a single-leaf
+   view of the group). A packet cut inside the header is discarded. *)
+let test_decap_strips_carried_header () =
+  let topo = Topology.running_example () in
+  let fabric = Fabric.create topo in
+  let encode members =
+    let srules = Srule_state.create topo ~fmax:10 in
+    Encoding.encode Params.default srules (Tree.of_members topo members)
+  in
+  let header = Encoding.header_for_sender (encode [ 0; 9; 42 ]) ~sender:0 in
+  let sender = Hypervisor.create fabric ~host:0 in
+  Hypervisor.install_sender sender ~group:33 header;
+  let plain = Hypervisor.create fabric ~host:42 in
+  Hypervisor.install_receiver plain ~group:33 ~vms:1;
+  let other_size = Hypervisor.create fabric ~host:9 in
+  Hypervisor.install_receiver other_size ~group:33 ~vms:3;
+  let own = Encoding.header_for_sender (encode [ 8; 9 ]) ~sender:9 in
+  Hypervisor.install_sender other_size ~group:33 own;
+  Alcotest.(check bool) "receiver's own header has another size" true
+    (Header_codec.encoded_size topo own <> Header_codec.encoded_size topo header
+    && own.Prule.u_spine = None && header.Prule.u_spine <> None);
+  let payload = Bytes.of_string "payload across leaves" in
+  let packet = Option.get (Hypervisor.encap_vxlan sender ~group:33 ~payload) in
+  List.iter
+    (fun (name, hv, vms) ->
+      match Hypervisor.decap_vxlan hv packet with
+      | Some (group, vms', payload') ->
+          Alcotest.(check int) (name ^ ": group") 33 group;
+          Alcotest.(check int) (name ^ ": fan-out") vms vms';
+          Alcotest.(check bytes) (name ^ ": payload") payload payload'
+      | None -> Alcotest.failf "%s: expected decap to succeed" name)
+    [ ("no sender rule", plain, 1); ("own header of another size", other_size, 3) ];
+  let cut = Vxlan.encode { sample with Vxlan.vni = 33 } ~inner:(Bytes.make 1 '\255') in
+  Alcotest.(check bool) "header cut short -> discard" true
+    (Hypervisor.decap_vxlan plain cut = None)
 
 let prop_roundtrip =
   QCheck.Test.make ~name:"vxlan roundtrips arbitrary fields and payloads" ~count:300
@@ -122,5 +157,7 @@ let tests =
     Alcotest.test_case "hypervisor vxlan path" `Quick test_hypervisor_vxlan_path;
     Alcotest.test_case "decap discards unknown group" `Quick
       test_decap_discards_unknown_group;
+    Alcotest.test_case "decap strips the carried header" `Quick
+      test_decap_strips_carried_header;
     QCheck_alcotest.to_alcotest prop_roundtrip;
   ]

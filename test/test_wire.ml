@@ -754,6 +754,48 @@ let test_encode_into_zero_alloc () =
       Alcotest.failf "encode_into allocated %d words at event %d (%.1f total)"
         words event report.Allocs.total_words
 
+(* The same probe over headers whose bitmaps are 8 bits wide or more (the
+   byte-wide bitmap path), including leaf bitmaps wider than one 63-bit
+   bitmap word: seeded random headers on the Facebook fabric (48-port
+   leaves and spines) and on a fabric with 70-host leaves. *)
+let test_encode_into_wide_zero_alloc () =
+  let rand = Random.State.make [| 48 |] in
+  let wide_topos =
+    [
+      Topology.facebook_fabric ();
+      Topology.create ~pods:3 ~leaves_per_pod:20 ~spines_per_pod:2
+        ~hosts_per_leaf:70 ~cores_per_plane:1;
+    ]
+  in
+  let cases =
+    Array.of_list
+      (List.concat_map
+         (fun t -> List.init 16 (fun _ -> (t, Test_codec.gen_header t rand)))
+         wide_topos)
+  in
+  let buf = Bytes.create 4096 in
+  let sink = Bitio.Sink.of_bytes buf in
+  Array.iter
+    (fun (t, hd) ->
+      Bitio.Sink.reset sink ~pos:0;
+      let len = Header_codec.encode_into t hd sink in
+      Alcotest.(check bytes) "encode_into = encode" (Header_codec.encode t hd)
+        (Bytes.sub buf 0 len))
+    cases;
+  let report =
+    Allocs.probe ~warmup:64 ~events:2048 (fun i ->
+        let t, hd = cases.(i mod Array.length cases) in
+        Bitio.Sink.reset sink ~pos:0;
+        ignore (Header_codec.encode_into t hd sink : int))
+  in
+  match report.Allocs.first_alloc with
+  | None ->
+      Alcotest.(check (float 0.0)) "zero words per event" 0.0
+        report.Allocs.per_event
+  | Some (event, words) ->
+      Alcotest.failf "wide encode_into allocated %d words at event %d (%.1f total)"
+        words event report.Allocs.total_words
+
 (* {1 Wire file round-trip} *)
 
 let test_file_round_trip () =
@@ -818,5 +860,7 @@ let tests =
       test_encode_into_overflow_raises;
     Alcotest.test_case "encode_into zero-alloc" `Quick
       test_encode_into_zero_alloc;
+    Alcotest.test_case "encode_into zero-alloc (wide bitmaps)" `Quick
+      test_encode_into_wide_zero_alloc;
     Alcotest.test_case "wire file round-trip" `Quick test_file_round_trip;
   ]
