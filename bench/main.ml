@@ -1231,6 +1231,9 @@ let verify () =
   (match Controller.members ctrl ~group:0 with
   | (host, _) :: _ -> ignore (Controller.leave ctrl ~group:0 ~host)
   | [] -> ());
+  (* The per-event oracle's real cost includes building the view it
+     checks: time view + drain + cached check together too. *)
+  let t5' = Unix.gettimeofday () in
   let cfg' = Controller.installed_config ctrl in
   let dirty = Controller.drain_dirty ctrl in
   let t6 = Unix.gettimeofday () in
@@ -1241,7 +1244,8 @@ let verify () =
   and compile_s = t3 -. t2
   and check_s = t4 -. t3
   and cached_warm_s = t5 -. t4
-  and cached_recheck_s = t7 -. t6 in
+  and cached_recheck_s = t7 -. t6
+  and cached_recheck_with_view_s = t7 -. t5' in
   let rate groups s = if s > 0.0 then float_of_int groups /. s else 0.0 in
   let checked, ok =
     match result with
@@ -1271,6 +1275,8 @@ let verify () =
     (Printf.sprintf "%.0f" (rate ngroups cached_warm_s));
   printf "%-24s %-10.3f %-14s@." "cached re-check (1 ev)" cached_recheck_s
     (Printf.sprintf "%.0f" (rate ngroups cached_recheck_s));
+  printf "%-24s %-10.3f %-14s@." "  + view and drain" cached_recheck_with_view_s
+    (Printf.sprintf "%.0f" (rate ngroups cached_recheck_with_view_s));
   printf "cache after re-check: %d hits / %d misses; re-check speedup %.1fx@."
     hits misses
     (if cached_recheck_s > 0.0 then check_s /. cached_recheck_s else 0.0);
@@ -1298,6 +1304,7 @@ let verify () =
   "check_groups_per_sec": %.1f,
   "cached_warm_s": %.4f,
   "cached_recheck_s": %.4f,
+  "cached_recheck_with_view_s": %.4f,
   "cached_recheck_speedup": %.1f,
   "cache_hits": %d,
   "cache_misses": %d,
@@ -1306,7 +1313,7 @@ let verify () =
 |}
     (Provenance.to_json prov) ngroups install_s view_s compile_s
     (rate ngroups compile_s) check_s (rate ngroups check_s) cached_warm_s
-    cached_recheck_s
+    cached_recheck_s cached_recheck_with_view_s
     (if cached_recheck_s > 0.0 then check_s /. cached_recheck_s else 0.0)
     hits misses ok
     (metrics_field ());

@@ -320,12 +320,14 @@ let verify_cmd =
   (* Clear [host]'s port from every leaf-layer assignment of the view's
      first multicast group: p-rules covering its leaf, the leaf's s-rule,
      and the default p-rule. The symbolic check must then name exactly
-     that endpoint. *)
+     that endpoint. The corruption goes into a copy of that group's
+     encoding: views share group records with later views of the same
+     controller. *)
   let sabotage topo (cfg : Installed_config.t) =
-    let clear (g : Installed_config.group_view) =
+    let corrupt (g : Installed_config.group_view) =
       match (g.Installed_config.enc, g.Installed_config.receivers) with
-      | Some enc, _ :: _ :: _ ->
-          let host = List.hd g.Installed_config.receivers in
+      | Some enc, host :: _ :: _ ->
+          let enc = Encoding.copy enc in
           let leaf = Topology.leaf_of_host topo host in
           let port = Topology.host_port_on_leaf topo host in
           let layer = enc.Encoding.d_leaf in
@@ -341,13 +343,22 @@ let verify_cmd =
           | None -> ());
           Format.printf "corrupted group %d: dropped leaf%d port %d@."
             g.Installed_config.gid leaf port;
-          true
-      | _ -> false
+          Some { g with Installed_config.enc = Some enc }
+      | _ -> None
     in
-    if not (List.exists clear cfg.Installed_config.groups) then begin
-      Format.printf "--corrupt: no multicast group to corrupt@.";
-      exit 2
-    end
+    let groups = Array.copy cfg.Installed_config.groups in
+    let rec first i =
+      if i = Array.length groups then begin
+        Format.printf "--corrupt: no multicast group to corrupt@.";
+        exit 2
+      end
+      else
+        match corrupt groups.(i) with
+        | Some g -> groups.(i) <- g
+        | None -> first (i + 1)
+    in
+    first 0;
+    { cfg with Installed_config.groups }
   in
   let run groups seed corrupt example =
     let topo =
@@ -367,7 +378,7 @@ let verify_cmd =
            (List.map (fun h -> (h, Controller.Both)) members))
     done;
     let cfg = Controller.installed_config ctrl in
-    if corrupt then sabotage topo cfg;
+    let cfg = if corrupt then sabotage topo cfg else cfg in
     Format.printf "checking %d groups against their own trees (%a)...@."
       groups Topology.pp topo;
     let cache = Verify.create_cache () in

@@ -111,6 +111,9 @@ type t = {
       (* groups whose installed view may have changed since the last
          [drain_dirty] — feeds the verify layer's predicate-cache
          invalidation *)
+  views : (int, Installed_config.group_view) Hashtbl.t;
+      (* memoized deep-copied view of every group unchanged since its view
+         was last built; [mark_dirty] evicts, [installed_config] refills *)
 }
 
 let create ?fabric_hooks ?clock ?(incremental = true) topo params =
@@ -145,6 +148,7 @@ let create ?fabric_hooks ?clock ?(incremental = true) topo params =
     shard_batch = Array.make topo.Topology.pods Shard.zero;
     shard_events = Array.make topo.Topology.pods 0;
     dirty = Hashtbl.create 64;
+    views = Hashtbl.create 1024;
   }
 
 let topology t = t.topo
@@ -172,10 +176,13 @@ let find_group t group =
    encoding, overrides, stale markers — marks the group dirty. The verify
    layer drains the set to invalidate exactly the cached delivery
    predicates that could have changed, instead of recompiling every group
-   after every event. Marking is conservative: a marked group whose view
-   happens to be unchanged merely costs one recompile. *)
+   after every event, and [installed_config] re-copies only the marked
+   groups' views. Marking is conservative: a marked group whose view
+   happens to be unchanged merely costs one recompile and one copy. *)
 
-let mark_dirty t group = Hashtbl.replace t.dirty group ()
+let mark_dirty t group =
+  Hashtbl.replace t.dirty group ();
+  Hashtbl.remove t.views group
 
 let drain_dirty t =
   let gids = Hashtbl.fold (fun g () acc -> g :: acc) t.dirty [] in
@@ -183,6 +190,7 @@ let drain_dirty t =
   List.sort Int.compare gids
 
 let dirty_count t = Hashtbl.length t.dirty
+let memoized_views t = Hashtbl.length t.views
 
 (* {1 Reliable rule installation}
 
@@ -1437,7 +1445,9 @@ let snapshot t =
 
    The pure [Installed_config.t] view feeds the symbolic verification layer
    ([lib/verify]). Both producers deep-copy: a view stays valid across later
-   controller mutations, exactly like a snapshot. *)
+   controller mutations, exactly like a snapshot. The live producer copies
+   each group once and memoizes the copy until [mark_dirty] evicts it, so
+   successive views share the records of unchanged groups. *)
 
 let view_override ov =
   {
@@ -1461,15 +1471,20 @@ let view_of_group ~gid ~members ~enc ~overrides =
       |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
   }
 
+let group_view t gid st =
+  match Hashtbl.find_opt t.views gid with
+  | Some v -> v
+  | None ->
+      let overrides =
+        Hashtbl.fold (fun host ov acc -> (host, ov) :: acc) st.applied []
+      in
+      let v = view_of_group ~gid ~members:st.members ~enc:st.enc ~overrides in
+      Hashtbl.replace t.views gid v;
+      v
+
 let installed_config t =
   let groups =
-    Hashtbl.fold
-      (fun gid st acc ->
-        let overrides =
-          Hashtbl.fold (fun host ov acc -> (host, ov) :: acc) st.applied []
-        in
-        view_of_group ~gid ~members:st.members ~enc:st.enc ~overrides :: acc)
-      t.groups []
+    Hashtbl.fold (fun gid st acc -> group_view t gid st :: acc) t.groups []
   in
   Installed_config.make ~spine_ok:(Array.copy t.spine_ok)
     ~core_ok:(Array.copy t.core_ok) ~link_ok:(Array.copy t.link_ok)

@@ -183,6 +183,11 @@ val drain_dirty : t -> int list
 val dirty_count : t -> int
 (** Number of currently dirty groups, without draining. *)
 
+val memoized_views : t -> int
+(** Number of groups whose {!installed_config} view is memoized, i.e.
+    unchanged since it was last copied. Zero on a fresh or {!restore}d
+    controller. *)
+
 (** {1 Reliable installation, degradation and reconciliation}
 
     Every fabric mutation runs through a verify-and-retry loop: perform the
@@ -287,11 +292,17 @@ val snapshot_topology : snapshot -> Topology.t
     The pure {!Installed_config.t} view of everything this controller has
     installed — memberships, encodings, overrides, health/denial state and
     compensated stale sites — consumed by the symbolic verification layer
-    ([lib/verify]). Both producers deep-copy, so a view stays valid across
-    later mutations. *)
+    ([lib/verify]). Both producers deep-copy, so a view never aliases
+    controller state and stays valid across later mutations. *)
 
 val installed_config : t -> Installed_config.t
-(** The live controller's current installed configuration. *)
+(** The live controller's current installed configuration. Each group's
+    view is deep-copied once and memoized until a mutation marks the group
+    dirty (see {!drain_dirty}; the memo is independent of draining), so
+    views from successive calls share the [group_view] record of every
+    unchanged group. One call costs a deep copy of each group changed since
+    the previous call, O(groups) small words to index the rest, and a copy
+    of the health, denial and stale-site state. *)
 
 val installed_config_of_snapshot : snapshot -> Installed_config.t
 (** The same view extracted from a crash-consistent checkpoint, without

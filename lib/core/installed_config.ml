@@ -19,14 +19,27 @@ type group_view = {
 type t = {
   topo : Topology.t;
   params : Params.t;
-  groups : group_view list;
+  groups : group_view array;
   spine_ok : bool array;
   core_ok : bool array;
   link_ok : bool array;
   denied_leaf : bool array;
   denied_pod : bool array;
-  stale_sites : (int * Srule_state.site) list;
+  stale_sites : (int * Srule_state.site) array;
 }
+
+let compare_stale (g1, s1) (g2, s2) =
+  match Int.compare g1 g2 with
+  | 0 -> Int.compare (Srule_state.site_key s1) (Srule_state.site_key s2)
+  | c -> c
+
+(* Heap sort in place: the array is fresh, so sorting it allocates nothing
+   more — [Controller.installed_config] relies on that to stay O(groups)
+   small words per call. *)
+let sorted cmp l =
+  let a = Array.of_list l in
+  Array.sort cmp a;
+  a
 
 let make ?spine_ok ?core_ok ?link_ok ?denied_leaf ?denied_pod
     ?(stale_sites = []) topo params groups =
@@ -34,7 +47,7 @@ let make ?spine_ok ?core_ok ?link_ok ?denied_leaf ?denied_pod
   {
     topo;
     params;
-    groups = List.sort (fun a b -> Int.compare a.gid b.gid) groups;
+    groups = sorted (fun a b -> Int.compare a.gid b.gid) groups;
     spine_ok = default (Topology.num_spines topo) true spine_ok;
     core_ok = default (max 1 (Topology.num_cores topo)) true core_ok;
     link_ok =
@@ -43,17 +56,25 @@ let make ?spine_ok ?core_ok ?link_ok ?denied_leaf ?denied_pod
         true link_ok;
     denied_leaf = default (Topology.num_leaves topo) false denied_leaf;
     denied_pod = default topo.Topology.pods false denied_pod;
-    stale_sites =
-      List.sort
-        (fun (g1, s1) (g2, s2) ->
-          match Int.compare g1 g2 with
-          | 0 -> Int.compare (Srule_state.site_key s1) (Srule_state.site_key s2)
-          | c -> c)
-        stale_sites;
+    stale_sites = sorted compare_stale stale_sites;
   }
 
-let group t gid = List.find_opt (fun g -> g.gid = gid) t.groups
-let group_ids t = List.map (fun g -> g.gid) t.groups
+(* An element of the sorted array [a] for which [cmp] returns 0, if any
+   ([cmp x] orders the probe against element [x]). *)
+let bsearch a cmp =
+  let rec go lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) lsr 1 in
+      match cmp a.(mid) with
+      | 0 -> Some a.(mid)
+      | c when c < 0 -> go lo mid
+      | _ -> go (mid + 1) hi
+  in
+  go 0 (Array.length a)
+
+let group t gid = bsearch t.groups (fun g -> Int.compare gid g.gid)
+let group_ids t = Array.fold_right (fun g acc -> g.gid :: acc) t.groups []
 
 let link_ok t ~leaf ~plane =
   t.link_ok.((leaf * t.topo.Topology.spines_per_pod) + plane)
@@ -62,7 +83,5 @@ let spine_ok t ~pod ~plane =
   t.spine_ok.((pod * t.topo.Topology.spines_per_pod) + plane)
 
 let is_stale t ~group site =
-  let key = Srule_state.site_key site in
-  List.exists
-    (fun (g, s) -> g = group && Srule_state.site_key s = key)
-    t.stale_sites
+  Array.length t.stale_sites > 0
+  && Option.is_some (bsearch t.stale_sites (compare_stale (group, site)))

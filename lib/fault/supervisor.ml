@@ -37,7 +37,7 @@ let reconcile_sweep fabric (hooks : Controller.fabric_hooks)
     (2 * max (Topology.num_leaves topo) topo.Topology.pods) + 2
   in
   let key group site = (group * stride) + Srule_state.site_key site in
-  List.iter
+  Array.iter
     (fun (gv : Installed_config.group_view) ->
       match gv.Installed_config.enc with
       | None -> ()
@@ -65,7 +65,7 @@ let reconcile_sweep fabric (hooks : Controller.fabric_hooks)
                        (Bitmap.copy bm)))
             enc.Encoding.d_spine.Clustering.srules)
     cfg.Installed_config.groups;
-  List.iter
+  Array.iter
     (fun (group, site) ->
       Hashtbl.replace expected (key group site) ();
       let present =
@@ -112,7 +112,7 @@ let reconcile_sweep fabric (hooks : Controller.fabric_hooks)
    degrade — the hypervisor unicasts, nothing traverses the fabric. *)
 let blackhole_sweep (cfg : Installed_config.t) =
   let ctx = Pred.create_ctx () in
-  List.fold_left
+  Array.fold_left
     (fun acc (gv : Installed_config.group_view) ->
       List.fold_left
         (fun acc sender ->

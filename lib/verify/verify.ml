@@ -344,18 +344,25 @@ let admit_header ctx topo ~intent ~sender data =
       | Ok () -> Ok h
       | Error w -> Error (Over_delivery w))
 
+(* Walk the view's groups in ascending gid order until [step] returns a
+   witness; [Ok n] counts the groups walked. *)
+let walk_groups cfg step =
+  let groups = cfg.Installed_config.groups in
+  let rec go i =
+    if i = Array.length groups then Ok i
+    else
+      match step groups.(i).Installed_config.gid with
+      | Ok () -> go (i + 1)
+      | Error _ as e -> e
+  in
+  go 0
+
 let check_config cfg =
   let ctx = Pred.create_ctx () in
-  let rec go n = function
-    | [] -> Ok n
-    | gid :: rest -> (
-        let c = compile ctx cfg ~group:gid in
-        let i = intent ctx cfg ~group:gid in
-        match check_equiv ~group:gid c i with
-        | Ok () -> go (n + 1) rest
-        | Error w -> Error w)
-  in
-  go 0 (Installed_config.group_ids cfg)
+  walk_groups cfg (fun gid ->
+      let c = compile ctx cfg ~group:gid in
+      let i = intent ctx cfg ~group:gid in
+      check_equiv ~group:gid c i)
 
 (* {1 Incremental checking}
 
@@ -395,24 +402,19 @@ let check_config_cached cache cfg ~dirty =
   (* Dirty groups (including removed ones, which the view no longer
      lists) drop out of the cache before the walk. *)
   List.iter (fun gid -> Hashtbl.remove cache.c_preds gid) dirty;
-  let rec go n = function
-    | [] -> Ok n
-    | gid :: rest -> (
-        match Hashtbl.find_opt cache.c_preds gid with
-        | Some _ ->
-            cache.c_hits <- cache.c_hits + 1;
-            go (n + 1) rest
-        | None -> (
-            cache.c_misses <- cache.c_misses + 1;
-            let c = compile cache.c_ctx cfg ~group:gid in
-            let i = intent cache.c_ctx cfg ~group:gid in
-            match check_equiv ~group:gid c i with
-            | Ok () ->
-                Hashtbl.add cache.c_preds gid (c, i);
-                go (n + 1) rest
-            | Error w -> Error w))
-  in
-  go 0 (Installed_config.group_ids cfg)
+  walk_groups cfg (fun gid ->
+      if Hashtbl.mem cache.c_preds gid then begin
+        cache.c_hits <- cache.c_hits + 1;
+        Ok ()
+      end
+      else begin
+        cache.c_misses <- cache.c_misses + 1;
+        let c = compile cache.c_ctx cfg ~group:gid in
+        let i = intent cache.c_ctx cfg ~group:gid in
+        let res = check_equiv ~group:gid c i in
+        if Result.is_ok res then Hashtbl.add cache.c_preds gid (c, i);
+        res
+      end)
 
 let check_controller ctrl = check_config (Controller.installed_config ctrl)
 

@@ -286,12 +286,36 @@ let tests =
     QCheck_alcotest.to_alcotest prop_srules_exact;
   ]
 
+(* Exhaustive optimum of MIN-K-UNION: the smallest union popcount over
+   every k-subset of [cands] (bitmaps of width [w]). *)
+let optimal_k_union ~k ~w cands =
+  let n = Array.length cands in
+  let best = ref max_int in
+  let rec subsets start chosen count =
+    if count = k then begin
+      let u = Bitmap.union_all w (List.map (fun i -> snd cands.(i)) chosen) in
+      best := min !best (Bitmap.popcount u)
+    end
+    else
+      for i = start to n - 1 do
+        subsets (i + 1) (i :: chosen) (count + 1)
+      done
+  in
+  subsets 0 [] 0;
+  !best
+
 (* Approximation quality: on instances small enough to solve exactly, the
-   greedy MIN-K-UNION never exceeds twice the optimal union size (a loose
-   empirical bound; the paper cites approximate variants of this NP-hard
-   problem). *)
+   greedy MIN-K-UNION never exceeds k times the optimal union size OPT.
+   Proof: the seed is the smallest candidate, so its popcount is at most
+   that of any member of an optimal k-set, which is at most OPT. Before
+   each of the k - 1 later steps fewer than k candidates are chosen, so
+   some member of the optimal set is still unchosen; its union cost
+   against the accumulator is at most its own popcount, at most OPT, and
+   the greedy step picks a candidate costing no more. Summing: the greedy
+   union is at most OPT + (k - 1) * OPT = k * OPT, and greedy attains it
+   (see [test_mku_k_times_optimal]). *)
 let prop_mku_near_optimal =
-  QCheck.Test.make ~name:"greedy min-k-union within 2x of optimal" ~count:200
+  QCheck.Test.make ~name:"greedy min-k-union within k*OPT" ~count:200
     QCheck.(
       pair (int_range 2 3)
         (list_of_size Gen.(int_range 3 7)
@@ -300,20 +324,28 @@ let prop_mku_near_optimal =
       QCheck.assume (k <= List.length bitsets);
       let cands = Array.of_list (List.mapi (fun i l -> (i, bm 12 l)) bitsets) in
       let _, greedy_union = Min_k_union.choose ~k cands in
-      let n = Array.length cands in
-      (* exhaustive optimum over all k-subsets *)
-      let best = ref max_int in
-      let rec subsets start chosen count =
-        if count = k then begin
-          let u = Bitmap.union_all 12 (List.map (fun i -> snd cands.(i)) chosen) in
-          best := min !best (Bitmap.popcount u)
-        end
-        else
-          for i = start to n - 1 do
-            subsets (i + 1) (i :: chosen) (count + 1)
-          done
-      in
-      subsets 0 [] 0;
-      Bitmap.popcount greedy_union <= 2 * !best)
+      Bitmap.popcount greedy_union <= k * optimal_k_union ~k ~w:12 cands)
 
-let tests = tests @ [ QCheck_alcotest.to_alcotest prop_mku_near_optimal ]
+(* The two shrunk instances on which the former "within 2x of optimal"
+   property failed (QCheck seeds 59 and 180): OPT = 1 (three copies of
+   bit 9), but the greedy seeds on a singleton and ties its way through
+   the other singletons first, reaching exactly k * OPT = 3. *)
+let test_mku_k_times_optimal () =
+  List.iter
+    (fun bitsets ->
+      let k = 3 in
+      let cands = Array.of_list (List.mapi (fun i l -> (i, bm 12 l)) bitsets) in
+      let _, greedy_union = Min_k_union.choose ~k cands in
+      Alcotest.(check int) "optimum" 1 (optimal_k_union ~k ~w:12 cands);
+      Alcotest.(check int) "greedy reaches k * OPT" 3
+        (Bitmap.popcount greedy_union))
+    [ [ [ 1 ]; [ 0 ]; [ 9 ]; [ 9 ]; [ 9 ] ];
+      [ [ 0 ]; [ 1 ]; [ 9 ]; [ 9 ]; [ 9 ]; [ 2 ] ] ]
+
+let tests =
+  tests
+  @ [
+      QCheck_alcotest.to_alcotest prop_mku_near_optimal;
+      Alcotest.test_case "min-k-union tight k*OPT instances" `Quick
+        test_mku_k_times_optimal;
+    ]

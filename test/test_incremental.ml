@@ -229,6 +229,7 @@ let run_stream ~seed ~events params =
     end;
     let msg = Printf.sprintf "seed %d event %d" seed ev in
     check_symbolic cache msg ctrl;
+    Test_verify.check_view_memo msg ctrl;
     if ev mod 50 = 0 || ev = events then check_equivalent msg params ctrl ~group;
     if ev mod 100 = 0 || ev = events then check_delivery msg ctrl fabric ~group
   done;

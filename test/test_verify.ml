@@ -71,12 +71,14 @@ let test_check_config_finds_lost_receiver () =
   let ctrl, _ = mk_ctrl Params.default in
   ignore (Controller.add_group ctrl ~group:0 (both [ 0; 1; h ]));
   let cfg = Controller.installed_config ctrl in
-  (* Corrupt the view: drop host 1's port from every leaf-layer rule of
-     group 0 — the symbolic check must name exactly that endpoint. *)
+  (* Corrupt a copy of the view (views are shared with later calls): drop
+     host 1's port from every leaf-layer rule of group 0 — the symbolic
+     check must name exactly that endpoint. *)
   let corrupt (g : Installed_config.group_view) =
     match g.Installed_config.enc with
     | None -> g
     | Some enc ->
+        let enc = Encoding.copy enc in
         List.iter
           (fun (r : Prule.prule) ->
             if Prule.rule_mem r 0 then Bitmap.clear r.Prule.bitmap 1)
@@ -84,9 +86,9 @@ let test_check_config_finds_lost_receiver () =
         List.iter
           (fun (l, bm) -> if l = 0 then Bitmap.clear bm 1)
           enc.Encoding.d_leaf.Clustering.srules;
-        g
+        { g with Installed_config.enc = Some enc }
   in
-  let cfg = { cfg with Installed_config.groups = List.map corrupt cfg.Installed_config.groups } in
+  let cfg = { cfg with Installed_config.groups = Array.map corrupt cfg.Installed_config.groups } in
   match Verify.check_config cfg with
   | Ok _ -> Alcotest.fail "corrupted config must fail the check"
   | Error w ->
@@ -110,6 +112,224 @@ let test_snapshot_view_matches_live () =
       Alcotest.(check bool) "per-sender too (incl. overrides/health)" true
         (Verify.equiv a b)
   | _ -> Alcotest.fail "multicast path expected on both views"
+
+(* {1 Memoized installed view}
+
+   [Controller.installed_config] reuses a memoized record per group that
+   only [mark_dirty] evicts, so a mutation that forgot to mark its group
+   would serve a stale record — and the predicate-cache oracle, which
+   trusts [drain_dirty] too, would not notice. The snapshot view is built
+   afresh and never touches the memo: the two must agree group by
+   group, down to predicate identity in one context. *)
+
+let override_equal (h1, (a : Installed_config.override))
+    (h2, (b : Installed_config.override)) =
+  Int.equal h1 h2
+  && Bitmap.equal a.Installed_config.up_leaf_ports
+       b.Installed_config.up_leaf_ports
+  && Option.equal Bitmap.equal a.Installed_config.up_spine_ports
+       b.Installed_config.up_spine_ports
+  && Bool.equal a.Installed_config.unicast b.Installed_config.unicast
+
+let check_view_memo msg ctrl =
+  let live = Controller.installed_config ctrl in
+  let fresh =
+    Controller.installed_config_of_snapshot (Controller.snapshot ctrl)
+  in
+  if
+    not
+      (List.equal Int.equal
+         (Installed_config.group_ids live)
+         (Installed_config.group_ids fresh))
+  then Alcotest.failf "%s: memoized view lists other groups" msg;
+  if live.Installed_config.stale_sites <> fresh.Installed_config.stale_sites
+  then Alcotest.failf "%s: memoized view has other stale sites" msg;
+  let ctx = Pred.create_ctx () in
+  Array.iter2
+    (fun (a : Installed_config.group_view) (b : Installed_config.group_view) ->
+      let group = a.Installed_config.gid in
+      let same what ok =
+        if not ok then
+          Alcotest.failf "%s: group %d: memoized view differs in %s" msg group
+            what
+      in
+      same "receivers"
+        (List.equal Int.equal a.Installed_config.receivers
+           b.Installed_config.receivers);
+      same "senders"
+        (List.equal Int.equal a.Installed_config.senders
+           b.Installed_config.senders);
+      same "overrides"
+        (List.equal override_equal a.Installed_config.overrides
+           b.Installed_config.overrides);
+      same "compile"
+        (Verify.compile ctx live ~group == Verify.compile ctx fresh ~group);
+      same "intent"
+        (Verify.intent ctx live ~group == Verify.intent ctx fresh ~group);
+      List.iter
+        (fun sender ->
+          same
+            (Printf.sprintf "compile_sender %d" sender)
+            (Option.equal ( == )
+               (Verify.compile_sender ctx live ~group ~sender)
+               (Verify.compile_sender ctx fresh ~group ~sender)))
+        a.Installed_config.senders)
+    live.Installed_config.groups fresh.Installed_config.groups
+
+(* Churn across several groups interleaved with spine/core/link failure
+   and recovery, group removal and re-creation, a wedgeable leaf (its
+   installs exhaust their budget, so it is denied) and bursts of install
+   and removal timeouts, with the memo oracle after every event. Returns
+   whether stale markers, failed elements and a denied leaf were live at
+   some point. Denials are permanent, so each seed gets a fresh fabric. *)
+let view_memo_fault_stream ~seed ~events =
+  let params =
+    Params.create ~hmax_leaf:1 ~hmax_spine:1 ~header_budget:None ~fmax:6
+      ~install_retries:1 ~install_backoff_us:8 ()
+  in
+  let rng = Rng.create seed in
+  (* A burst long enough to exhaust an operation's budget and the
+     reconcile pass's retry right after it leaves a stale marker behind
+     when it hits a removal. *)
+  let script =
+    List.concat
+      (List.init 100 (fun _ ->
+           List.init (10 + Rng.int rng 30) (fun _ -> Fault.Applied)
+           @ List.init (4 + Rng.int rng 4) (fun _ -> Fault.Timeout)))
+  in
+  let fault = Fault.create ~schedule:(Fault.Scripted script) (Fabric.create topo) in
+  let ctrl = Controller.create ~fabric_hooks:(Fault.hooks fault) topo params in
+  let n = Topology.num_hosts topo in
+  let roles = [| Controller.Sender; Controller.Receiver; Controller.Both |] in
+  let random_members () =
+    List.init 10 (fun _ -> Rng.int rng n)
+    |> List.sort_uniq Int.compare
+    |> List.map (fun host -> (host, roles.(Rng.int rng 3)))
+  in
+  let groups = 4 in
+  for group = 0 to groups - 1 do
+    ignore (Controller.add_group ctrl ~group (random_members ()))
+  done;
+  check_view_memo (Printf.sprintf "seed %d setup" seed) ctrl;
+  let spines = Topology.num_spines topo
+  and cores = Topology.num_cores topo
+  and leaves = Topology.num_leaves topo
+  and planes = topo.Topology.spines_per_pod in
+  let spine_ok = Array.make spines true
+  and core_ok = Array.make cores true
+  and link_ok = Array.make (leaves * planes) true
+  and wedged = ref false in
+  let saw_stale = ref false and saw_failure = ref false in
+  for ev = 1 to events do
+    (match Rng.int rng 10 with
+    | 0 ->
+        let s = Rng.int rng spines in
+        if spine_ok.(s) then ignore (Controller.fail_spine ctrl s)
+        else ignore (Controller.recover_spine ctrl s);
+        spine_ok.(s) <- not spine_ok.(s)
+    | 1 ->
+        let c = Rng.int rng cores in
+        if core_ok.(c) then ignore (Controller.fail_core ctrl c)
+        else ignore (Controller.recover_core ctrl c);
+        core_ok.(c) <- not core_ok.(c)
+    | 2 ->
+        let leaf = Rng.int rng leaves and plane = Rng.int rng planes in
+        let i = (leaf * planes) + plane in
+        if link_ok.(i) then ignore (Controller.fail_link ctrl ~leaf ~plane)
+        else ignore (Controller.recover_link ctrl ~leaf ~plane);
+        link_ok.(i) <- not link_ok.(i)
+    | 3 ->
+        wedged := not !wedged;
+        Fault.wedge_leaf fault 0 !wedged
+    | 4 ->
+        let group = Rng.int rng groups in
+        ignore (Controller.remove_group ctrl ~group);
+        ignore (Controller.add_group ctrl ~group (random_members ()))
+    | _ -> (
+        let group = Rng.int rng groups in
+        let members = Controller.members ctrl ~group in
+        let host = Rng.int rng n in
+        match List.assoc_opt host members with
+        | Some _ when List.length members > 1 ->
+            ignore (Controller.leave ctrl ~group ~host)
+        | Some _ -> ()
+        | None ->
+            ignore
+              (Controller.join ctrl ~group ~host ~role:roles.(Rng.int rng 3))));
+    check_view_memo (Printf.sprintf "seed %d event %d" seed ev) ctrl;
+    if (Controller.install_stats ctrl).Controller.stale_entries > 0 then
+      saw_stale := true;
+    if
+      Array.exists not spine_ok || Array.exists not core_ok
+      || Array.exists not link_ok
+    then saw_failure := true
+  done;
+  let denied =
+    Array.exists Fun.id
+      (Controller.installed_config ctrl).Installed_config.denied_leaf
+  in
+  (!saw_stale, !saw_failure, denied)
+
+let test_view_memo_fault_stream () =
+  let runs =
+    List.map
+      (fun seed -> view_memo_fault_stream ~seed ~events:80)
+      [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+  in
+  let any f = List.exists f runs in
+  Alcotest.(check bool) "stale markers were live" true (any (fun (s, _, _) -> s));
+  Alcotest.(check bool) "failures were live" true (any (fun (_, f, _) -> f));
+  Alcotest.(check bool) "a leaf was denied" true (any (fun (_, _, d) -> d))
+
+(* Clean groups keep their record across calls; a join re-copies only its
+   own group; a clean re-view allocates a few words per group instead of a
+   deep copy; a restored controller starts with nothing memoized. *)
+let test_view_memo_identity_and_allocation () =
+  let ctrl = Controller.create topo Params.default in
+  let rng = Rng.create 31 in
+  let n = Topology.num_hosts topo in
+  let groups = 300 in
+  for group = 0 to groups - 1 do
+    List.init (2 + Rng.int rng 6) (fun _ -> Rng.int rng n)
+    |> List.sort_uniq Int.compare |> both
+    |> Controller.add_group ctrl ~group
+    |> ignore
+  done;
+  let v1 = Controller.installed_config ctrl in
+  let v2 = Controller.installed_config ctrl in
+  Alcotest.(check bool) "no mutation: every record shared" true
+    (Array.for_all2 ( == ) v1.Installed_config.groups v2.Installed_config.groups);
+  Alcotest.(check int) "every group memoized" groups
+    (Controller.memoized_views ctrl);
+  let joined = 17 in
+  let members = Controller.members ctrl ~group:joined in
+  let host =
+    List.find (fun x -> not (List.mem_assoc x members)) (List.init n Fun.id)
+  in
+  ignore (Controller.join ctrl ~group:joined ~host ~role:Controller.Receiver);
+  let v3 = Controller.installed_config ctrl in
+  Array.iteri
+    (fun i (g : Installed_config.group_view) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "group %d shared iff untouched" g.Installed_config.gid)
+        (g.Installed_config.gid <> joined)
+        (g == v2.Installed_config.groups.(i)))
+    v3.Installed_config.groups;
+  let report =
+    Allocs.probe ~warmup:1 ~events:1 (fun _ ->
+        ignore (Sys.opaque_identity (Controller.installed_config ctrl)))
+  in
+  let per_group = report.Allocs.total_words /. float_of_int groups in
+  if per_group >= 50.0 then
+    Alcotest.failf "clean re-view allocated %.1f minor words per group"
+      per_group;
+  let restored = Controller.restore (Controller.snapshot ctrl) in
+  Alcotest.(check int) "restored controller: empty memo" 0
+    (Controller.memoized_views restored);
+  Alcotest.(check bool) "restored views are fresh copies" true
+    (Array.for_all2 ( != )
+       (Controller.installed_config restored).Installed_config.groups
+       v3.Installed_config.groups)
 
 (* {1 Symbolic walk vs. packet injection} *)
 
@@ -219,4 +439,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_symbolic_agrees_with_injection;
     Alcotest.test_case "header-only interpretation" `Quick
       test_header_pred_walks_the_header;
+    Alcotest.test_case "view memo: oracle on a fault stream" `Quick
+      test_view_memo_fault_stream;
+    Alcotest.test_case "view memo: identity and allocation" `Quick
+      test_view_memo_identity_and_allocation;
   ]

@@ -490,7 +490,7 @@ let test_stale_markers_survive_crash () =
     (Replica.installed_config replica).Installed_config.stale_sites
   in
   Alcotest.(check int) "exhausted removal left one stale marker" 1
-    (List.length live_stale);
+    (Array.length live_stale);
   (* The stale table enters the snapshot record; crash right after. *)
   Replica.checkpoint replica;
   let bytes = Wire.contents (Option.get (Replica.wire replica)) in
