@@ -107,35 +107,8 @@ let reconcile_sweep fabric (hooks : Controller.fabric_hooks)
     refused = !refused;
   }
 
-(* Zero-blackhole proof: every sender's compiled delivery predicate must
-   cover its receiver endpoints. [compile_sender = None] is the honest
-   degrade — the hypervisor unicasts, nothing traverses the fabric. *)
-let blackhole_sweep (cfg : Installed_config.t) =
-  let ctx = Pred.create_ctx () in
-  Array.fold_left
-    (fun acc (gv : Installed_config.group_view) ->
-      List.fold_left
-        (fun acc sender ->
-          match
-            Verify.compile_sender ctx cfg ~group:gv.Installed_config.gid ~sender
-          with
-          | None -> acc
-          | Some big -> (
-              let small =
-                Verify.receiver_endpoints ctx cfg
-                  ~group:gv.Installed_config.gid ~sender
-              in
-              match
-                Verify.check_subsumes ~group:gv.Installed_config.gid ~big
-                  ~small
-              with
-              | Ok () -> acc
-              | Error w -> w :: acc))
-        acc gv.Installed_config.senders)
-    [] cfg.Installed_config.groups
-  |> List.rev
-
 let failover ?snapshot_every ?observer ~fabric data =
+  Obs.with_span "supervisor.failover" @@ fun () ->
   match Wire.load data with
   | Error e -> Error e
   | Ok loaded -> (
@@ -150,17 +123,21 @@ let failover ?snapshot_every ?observer ~fabric data =
       with
       | Error e -> Error e
       | Ok replica ->
-          Obs.with_span "supervisor.failover" @@ fun () ->
-          let cfg = Replica.installed_config replica in
-          let reconcile = reconcile_sweep fabric hooks cfg in
+          let reconcile =
+            Obs.with_span "supervisor.reconcile" (fun () ->
+                reconcile_sweep fabric hooks (Replica.installed_config replica))
+          in
           Obs.observe "supervisor.reinstalled"
             (float_of_int reconcile.reinstalled);
           Obs.observe "supervisor.orphans_removed"
             (float_of_int reconcile.orphans_removed);
-          (* Re-read the view: the sweep mutated the fabric, not the
-             controller, but the proof must see the controller's final
-             word. *)
-          let blackholes = blackhole_sweep (Replica.installed_config replica) in
+          (* Zero-blackhole proof on a re-read view: the sweep mutated the
+             fabric, not the controller, but the proof must see the
+             controller's final word. *)
+          let blackholes =
+            Obs.with_span "supervisor.prove" (fun () ->
+                Verify.sender_blackholes (Replica.installed_config replica))
+          in
           Ok { replica; loaded; epoch; reconcile; blackholes })
 
 let pp_reconcile ppf r =

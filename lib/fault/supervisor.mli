@@ -16,13 +16,17 @@
       compensated stale entries (the verifier accounts for them — removal
       would be the unsound direction), and remove true orphans the
       recovered state knows nothing about;
-    + prove the result: a per-group, per-sender zero-blackhole sweep
-      ([Verify.check_subsumes] of receiver endpoints under the sender's
-      compiled delivery predicate).
+    + prove the result: {!Verify.sender_blackholes} shows that every
+      (group, sender) reaches all its receivers, checking each sender
+      against its group's memoized route parts.
 
     The outcome reports everything a caller needs to decide whether the
     takeover is safe to serve from: what the log recovered, what the sweep
-    repaired, and the (empty, or else damning) blackhole witness list. *)
+    repaired, and the (empty, or else damning) blackhole witness list.
+
+    Under an Obs context the whole call is one [supervisor.failover] span
+    (log load and replay included), with the reconcile sweep and the proof
+    as child spans [supervisor.reconcile] and [supervisor.prove]. *)
 
 type reconcile = {
   sites_checked : int;  (** expected s-rule sites read back *)
@@ -41,8 +45,9 @@ type outcome = {
   epoch : int;  (** the new fencing epoch: log's highest + 1 *)
   reconcile : reconcile;
   blackholes : Verify.witness list;
-      (** first missing delivery edge per failing (group, sender); empty
-          is the zero-blackhole proof *)
+      (** first missing delivery edge per failing (group, sender), in
+          ascending gid then sender order; empty is the zero-blackhole
+          proof *)
 }
 
 val failover :

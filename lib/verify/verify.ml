@@ -112,122 +112,198 @@ let intent ctx cfg ~group =
             spec.Tree.leaf_bitmaps;
           Pred.of_pairs ctx !acc)
 
-let compile_sender ctx cfg ~group ~sender =
-  match Installed_config.group cfg group with
-  | None -> None
-  | Some g -> (
-      match g.Installed_config.enc with
-      | None -> None
-      | Some enc -> (
-          let ov = List.assoc_opt sender g.Installed_config.overrides in
+(* {1 Per-sender routes, factored into parts}
+
+   A sender's delivery edges depend on the sender only through its leaf
+   [sl] (hence its pod [sp]), its own host port, the planes its leaf
+   forwards up on and the cores it picks on each plane. They are the union
+   of three parts:
+
+   - [local_part]: the sender leaf's tree ports minus the sender's own;
+   - [in_pod_part (sl, plane)], per live upstream plane: the sender pod's
+     spine forwarding down to the pod's other tree leaves;
+   - [cross_part (sp, plane)], per live upstream plane on which some chosen
+     core is alive: the core edge and [pod_down (p, plane)] of every tree
+     pod [p] other than [sp]. It is the same for every live core on the
+     plane.
+
+   [compile_sender] interns that union; [sender_blackholes] memoizes the
+   keyed parts per group, so a group's senders share them. Each part
+   reports its edges through [add]; [cross_part] hands each pod's
+   sub-part to [pod]. *)
+
+type route = {
+  r_cfg : Installed_config.t;
+  r_group : Installed_config.group_view;
+  r_enc : Encoding.t;
+  r_assigned : (int, Bitmap.t option) Hashtbl.t;
+      (* [assigned] by [Srule_state.site_key], filled on first visit *)
+}
+
+let route cfg (g : Installed_config.group_view) =
+  Option.map
+    (fun enc ->
+      {
+        r_cfg = cfg;
+        r_group = g;
+        r_enc = enc;
+        r_assigned = Hashtbl.create 16;
+      })
+    g.Installed_config.enc
+
+let site_assigned r site =
+  let key = Srule_state.site_key site in
+  match Hashtbl.find_opt r.r_assigned key with
+  | Some a -> a
+  | None ->
+      let a =
+        assigned r.r_cfg ~group:r.r_group.Installed_config.gid ~site r.r_enc
+      in
+      Hashtbl.add r.r_assigned key a;
+      a
+
+let leaf_down r l add =
+  match site_assigned r (Srule_state.Leaf l) with
+  | None -> ()
+  | Some bm -> Bitmap.iter (fun q -> add (Pred.Leaf l) q) bm
+
+(* Co-located delivery: the hypervisor serves co-resident member VMs
+   directly. *)
+let local_part r ~sender add =
+  let topo = r.r_cfg.Installed_config.topo in
+  let sl = Topology.leaf_of_host topo sender in
+  match Tree.leaf_bitmap r.r_enc.Encoding.tree sl with
+  | None -> ()
+  | Some bm ->
+      let sport = Topology.host_port_on_leaf topo sender in
+      Bitmap.iter (fun q -> if q <> sport then add (Pred.Leaf sl) q) bm
+
+(* In-pod downstream: the sender pod's tree leaves minus the sender's own,
+   link-gated on [plane]. *)
+let in_pod_part r ~sl ~plane add =
+  let cfg = r.r_cfg in
+  let topo = cfg.Installed_config.topo in
+  let sp = Topology.pod_of_leaf topo sl in
+  match Tree.spine_bitmap r.r_enc.Encoding.tree sp with
+  | None -> ()
+  | Some bm ->
+      let slp = Topology.leaf_port_on_spine topo sl in
+      Bitmap.iter
+        (fun lp ->
+          if lp <> slp then begin
+            let leaf = (sp * topo.Topology.leaves_per_pod) + lp in
+            if Installed_config.link_ok cfg ~leaf ~plane then begin
+              add (Pred.Spine sp) lp;
+              leaf_down r leaf add
+            end
+          end)
+        bm
+
+(* A remote pod's spine on [plane] forwarding down: the pod's spine
+   assignment, link-gated. *)
+let pod_down r ~pod ~plane add =
+  let cfg = r.r_cfg in
+  let lpp = cfg.Installed_config.topo.Topology.leaves_per_pod in
+  match site_assigned r (Srule_state.Pod pod) with
+  | None -> ()
+  | Some bm ->
+      Bitmap.iter
+        (fun lp ->
+          let leaf = (pod * lpp) + lp in
+          if Installed_config.link_ok cfg ~leaf ~plane then begin
+            add (Pred.Spine pod) lp;
+            leaf_down r leaf add
+          end)
+        bm
+
+(* Cross-pod downstream from a live core on [plane]: the header's core
+   bitmap, i.e. the tree pods minus the sender's own (reached via the
+   upstream spine), each spine-gated on [plane]. *)
+let cross_part r ~sp ~plane ~pod add =
+  Bitmap.iter
+    (fun p ->
+      if p <> sp then begin
+        add Pred.Core p;
+        if Installed_config.spine_ok r.r_cfg ~pod:p ~plane then pod p
+      end)
+    r.r_enc.Encoding.tree.Tree.core_bitmap
+
+(* The upstream planes [sender]'s packet climbs on — the override's leaf
+   ports, else the ECMP spine choice — that survive the sender leaf's link
+   and the sender pod's spine, each paired with whether one of the cores
+   it picks on that plane (the override's spine ports, else the ECMP core
+   choice) is alive. [None] for a sender degraded to hypervisor unicast;
+   no planes when the tree never leaves the sender's leaf. *)
+let sender_planes r ~sender =
+  let g = r.r_group in
+  match List.assoc_opt sender g.Installed_config.overrides with
+  | Some o when o.Installed_config.unicast -> None
+  | ov ->
+      let cfg = r.r_cfg in
+      let topo = cfg.Installed_config.topo in
+      let tree = r.r_enc.Encoding.tree in
+      let sl = Topology.leaf_of_host topo sender in
+      let sp = Topology.pod_of_leaf topo sl in
+      let other_leaves_in_pod =
+        List.exists
+          (fun (l, _) -> l <> sl && Topology.pod_of_leaf topo l = sp)
+          tree.Tree.leaf_bitmaps
+      in
+      let other_pods =
+        List.exists (fun (p, _) -> p <> sp) tree.Tree.spine_bitmaps
+      in
+      if not (other_leaves_in_pod || other_pods) then Some []
+      else begin
+        let hash = Ecmp.flow_hash ~group:g.Installed_config.gid ~sender in
+        let cpp = topo.Topology.cores_per_plane in
+        let core_ok c = cfg.Installed_config.core_ok.(c) in
+        let via_core plane =
           match ov with
-          | Some o when o.Installed_config.unicast -> None
-          | ov ->
-              let topo = cfg.Installed_config.topo in
-              let tree = enc.Encoding.tree in
-              let cpp = topo.Topology.cores_per_plane in
-              let lpp = topo.Topology.leaves_per_pod in
-              let sl = Topology.leaf_of_host topo sender in
-              let sp = Topology.pod_of_leaf topo sl in
-              let hash = Ecmp.flow_hash ~group ~sender in
-              let acc = ref [] in
-              let add sw port = acc := (sw, port) :: !acc in
-              (* Co-located delivery: the sender leaf's tree ports minus
-                 the sender itself (the hypervisor serves co-resident
-                 member VMs directly). *)
-              (match Tree.leaf_bitmap tree sl with
-              | None -> ()
-              | Some bm ->
-                  let sport = Topology.host_port_on_leaf topo sender in
-                  Bitmap.iter
-                    (fun q -> if q <> sport then add (Pred.Leaf sl) q)
-                    bm);
-              let at_leaf_down l =
-                match assigned cfg ~group ~site:(Srule_state.Leaf l) enc with
-                | None -> ()
-                | Some bm -> Bitmap.iter (fun q -> add (Pred.Leaf l) q) bm
-              in
-              let at_spine_down ~plane p =
-                match assigned cfg ~group ~site:(Srule_state.Pod p) enc with
-                | None -> ()
-                | Some bm ->
-                    Bitmap.iter
-                      (fun lp ->
-                        let leaf = (p * lpp) + lp in
-                        if Installed_config.link_ok cfg ~leaf ~plane then begin
-                          add (Pred.Spine p) lp;
-                          at_leaf_down leaf
-                        end)
-                      bm
-              in
-              let at_core ~plane c =
-                if cfg.Installed_config.core_ok.(c) then
-                  (* The header's core bitmap: tree pods minus the
-                     sender's own (reached via the upstream spine). *)
-                  Bitmap.iter
-                    (fun p ->
-                      if p <> sp then begin
-                        add Pred.Core p;
-                        if Installed_config.spine_ok cfg ~pod:p ~plane then
-                          at_spine_down ~plane p
-                      end)
-                    tree.Tree.core_bitmap
-              in
-              let other_leaves_in_pod =
-                List.exists
-                  (fun (l, _) -> l <> sl && Topology.pod_of_leaf topo l = sp)
-                  tree.Tree.leaf_bitmaps
-              in
-              let other_pods =
-                List.exists (fun (p, _) -> p <> sp) tree.Tree.spine_bitmaps
-              in
-              let beyond_leaf = other_leaves_in_pod || other_pods in
-              let at_spine_up plane =
-                (* In-pod downstream: the sender pod's tree leaves minus
-                   the sender's own, link-gated per plane. *)
-                (match Tree.spine_bitmap tree sp with
-                | None -> ()
-                | Some bm ->
-                    let slp = Topology.leaf_port_on_spine topo sl in
-                    Bitmap.iter
-                      (fun lp ->
-                        if lp <> slp then begin
-                          let leaf = (sp * lpp) + lp in
-                          if Installed_config.link_ok cfg ~leaf ~plane then begin
-                            add (Pred.Spine sp) lp;
-                            at_leaf_down leaf
-                          end
-                        end)
-                      bm);
-                let cores =
-                  match ov with
-                  | Some { Installed_config.up_spine_ports = Some ports; _ }
-                    when other_pods ->
-                      List.map
-                        (fun q -> (plane * cpp) + q)
-                        (Bitmap.to_list ports)
-                  | _ ->
-                      if other_pods && cpp > 0 then
-                        [ Ecmp.core_choice topo ~hash ~plane ]
-                      else []
-                in
-                List.iter (at_core ~plane) cores
-              in
-              if beyond_leaf then begin
-                let planes =
-                  match ov with
-                  | Some o -> Bitmap.to_list o.Installed_config.up_leaf_ports
-                  | None -> [ Ecmp.spine_choice topo ~hash ]
-                in
-                List.iter
-                  (fun plane ->
-                    if
-                      Installed_config.link_ok cfg ~leaf:sl ~plane
-                      && Installed_config.spine_ok cfg ~pod:sp ~plane
-                    then at_spine_up plane)
-                  planes
-              end;
-              Some (Pred.of_pairs ctx !acc)))
+          | Some { Installed_config.up_spine_ports = Some ports; _ }
+            when other_pods ->
+              List.exists
+                (fun q -> core_ok ((plane * cpp) + q))
+                (Bitmap.to_list ports)
+          | _ ->
+              other_pods && cpp > 0
+              && core_ok (Ecmp.core_choice topo ~hash ~plane)
+        in
+        let planes =
+          match ov with
+          | Some o -> Bitmap.to_list o.Installed_config.up_leaf_ports
+          | None -> [ Ecmp.spine_choice topo ~hash ]
+        in
+        Some
+          (List.filter_map
+             (fun plane ->
+               if
+                 Installed_config.link_ok cfg ~leaf:sl ~plane
+                 && Installed_config.spine_ok cfg ~pod:sp ~plane
+               then Some (plane, via_core plane)
+               else None)
+             planes)
+      end
+
+let compile_sender ctx cfg ~group ~sender =
+  match Option.bind (Installed_config.group cfg group) (route cfg) with
+  | None -> None
+  | Some r ->
+      sender_planes r ~sender
+      |> Option.map (fun planes ->
+             let topo = cfg.Installed_config.topo in
+             let sl = Topology.leaf_of_host topo sender in
+             let sp = Topology.pod_of_leaf topo sl in
+             let acc = ref [] in
+             let add sw port = acc := (sw, port) :: !acc in
+             local_part r ~sender add;
+             List.iter
+               (fun (plane, via_core) ->
+                 in_pod_part r ~sl ~plane add;
+                 if via_core then
+                   cross_part r ~sp ~plane add ~pod:(fun pod ->
+                       pod_down r ~pod ~plane add))
+               planes;
+             Pred.of_pairs ctx !acc)
 
 let receiver_endpoints ctx cfg ~group ~sender =
   match Installed_config.group cfg group with
@@ -363,6 +439,96 @@ let check_config cfg =
       let c = compile ctx cfg ~group:gid in
       let i = intent ctx cfg ~group:gid in
       check_equiv ~group:gid c i)
+
+(* {1 Zero-blackhole sweep}
+
+   Every sender's delivery edges must cover its receiver endpoints. The
+   obligation has only [Leaf] edges, whose canonical order is ascending
+   host order, so the first receiver (other than the sender) missing from
+   the sender's covered host set is exactly the witness [check_subsumes]
+   gives on [compile_sender] and [receiver_endpoints]. The covered set is
+   the sender's own host (it owes itself nothing) and local ports ORed
+   with the group's memoized in-pod and cross-pod parts, each kept as a
+   host bitmap of its [Leaf] edges. A subset test against the group's
+   receiver bitmap passes most senders; only a failing one scans its
+   receivers for the witness. No per-sender predicate is built. *)
+
+let sender_blackholes cfg =
+  let topo = cfg.Installed_config.topo in
+  let hosts = Topology.num_hosts topo in
+  let hpl = topo.Topology.hosts_per_leaf in
+  let planes = topo.Topology.spines_per_pod in
+  let leaves = Topology.num_leaves topo and pods = topo.Topology.pods in
+  let covered = Bitmap.create hosts in
+  let leaf_hosts hs sw port =
+    match sw with
+    | Pred.Leaf l -> Bitmap.set hs ((l * hpl) + port)
+    | Pred.Core | Pred.Spine _ -> ()
+  in
+  (* The group's parts as host bitmaps, built on first use. Keys: in-pod
+     parts by (leaf, plane), then cross-pod parts by (pod, plane), then
+     [pod_down] sub-parts by (pod, plane). *)
+  let parts = Hashtbl.create 64 in
+  let part ~base site plane build =
+    let key = ((base + site) * planes) + plane in
+    match Hashtbl.find_opt parts key with
+    | Some hs -> hs
+    | None ->
+        let hs = Bitmap.create hosts in
+        build hs;
+        Hashtbl.add parts key hs;
+        hs
+  in
+  let in_pod_hosts r ~sl ~plane =
+    part ~base:0 sl plane (fun hs -> in_pod_part r ~sl ~plane (leaf_hosts hs))
+  in
+  let pod_hosts r ~pod ~plane =
+    part ~base:(leaves + pods) pod plane (fun hs ->
+        pod_down r ~pod ~plane (leaf_hosts hs))
+  in
+  let cross_hosts r ~sp ~plane =
+    part ~base:leaves sp plane (fun hs ->
+        cross_part r ~sp ~plane (leaf_hosts hs) ~pod:(fun pod ->
+            Bitmap.union_into ~dst:hs (pod_hosts r ~pod ~plane)))
+  in
+  let wanted = Bitmap.create hosts in
+  let first_uncovered receivers =
+    if Bitmap.subset wanted covered then None
+    else List.find_opt (fun h -> not (Bitmap.get covered h)) receivers
+  in
+  let check_group acc (g : Installed_config.group_view) =
+    match route cfg g with
+    | None -> acc
+    | Some r ->
+        Hashtbl.reset parts;
+        Bitmap.reset wanted;
+        List.iter (Bitmap.set wanted) g.Installed_config.receivers;
+        List.fold_left
+          (fun acc sender ->
+            match sender_planes r ~sender with
+            | None -> acc
+            | Some route_planes -> (
+                let sl = Topology.leaf_of_host topo sender in
+                let sp = Topology.pod_of_leaf topo sl in
+                Bitmap.reset covered;
+                Bitmap.set covered sender;
+                local_part r ~sender (leaf_hosts covered);
+                List.iter
+                  (fun (plane, via_core) ->
+                    Bitmap.union_into ~dst:covered (in_pod_hosts r ~sl ~plane);
+                    if via_core then
+                      Bitmap.union_into ~dst:covered (cross_hosts r ~sp ~plane))
+                  route_planes;
+                match first_uncovered g.Installed_config.receivers with
+                | None -> acc
+                | Some h ->
+                    witness ~group:g.Installed_config.gid
+                      ( Pred.Leaf (Topology.leaf_of_host topo h),
+                        Topology.host_port_on_leaf topo h )
+                    :: acc))
+          acc g.Installed_config.senders
+  in
+  Array.fold_left check_group [] cfg.Installed_config.groups |> List.rev
 
 (* {1 Incremental checking}
 

@@ -18,9 +18,10 @@
       per-sender overrides, ECMP choices, switch/link health) without
       abstracting spurious ports. The chaos oracle's zero-blackhole
       property is [subsumes ~big:(compile_sender faulted) ~small:
-      (receiver_endpoints ...)]. Note this is a {e coverage} statement:
-      duplicate delivery is invisible to a set-based predicate and stays
-      the packet-level probe's job.
+      (receiver_endpoints ...)], and {!sender_blackholes} decides it for
+      a whole view without building per-sender predicates. Note this is
+      a {e coverage} statement: duplicate delivery is invisible to a
+      set-based predicate and stays the packet-level probe's job.
     - {!header_pred} — header-only: interprets a raw {!Prule.header} on an
       all-healthy fabric with {e empty} group tables (p-rules and default
       only). Because it depends on nothing but the header's own bits, it
@@ -70,7 +71,14 @@ val compile_sender :
     the specification tree — spurious ports from rule sharing appear, as
     they do on the wire. [None] when the group has no encoding or the
     sender is degraded to hypervisor unicast (nothing traverses the
-    fabric). *)
+    fabric).
+
+    The edges are the union of three route parts: the sender leaf's tree
+    ports minus the sender's own; per live upstream plane, the in-pod part
+    of (sender leaf, plane); and, when a chosen core on that plane is
+    alive, the cross-pod part of (sender pod, plane), which is the same
+    for every live core on the plane. {!sender_blackholes} evaluates the
+    same parts. *)
 
 val receiver_endpoints :
   Pred.ctx -> Installed_config.t -> group:int -> sender:int -> Pred.t
@@ -139,6 +147,24 @@ val check_config : Installed_config.t -> (int, witness) result
 val check_controller : Controller.t -> (int, witness) result
 (** {!check_config} on the controller's own {!Controller.installed_config}
     view — a live controller checked against its own trees. *)
+
+(** {1 Zero-blackhole sweep} *)
+
+val sender_blackholes : Installed_config.t -> witness list
+(** The zero-blackhole proof of a whole view: for every group in ascending
+    gid order, then every sender in ascending host order, the first
+    receiver endpoint the sender's packet does not reach, if any. It
+    equals, witness for witness, the per-sender fold
+    [check_subsumes ~big:(compile_sender …) ~small:(receiver_endpoints …)]
+    that keeps each [Error] and skips senders with no multicast path
+    ([compile_sender = None]: no encoding, or unicast-degraded). Empty is
+    the proof.
+
+    It evaluates the same route parts as {!compile_sender}, but memoizes
+    them per group: the in-pod part per (sender leaf, plane) and the
+    cross-pod part per (sender pod, plane). Each sender's check is then an
+    OR of a few host bitmaps and one pass over the receivers, and no
+    per-sender predicate is interned. *)
 
 (** {1 Incremental checking}
 

@@ -407,6 +407,354 @@ let prop_symbolic_agrees_with_injection =
                   else true))
         members)
 
+(* {1 Zero-blackhole sweep vs. the per-sender fold}
+
+   [Verify.sender_blackholes] memoizes route parts per group and checks
+   host bitmaps; the reference below interns one [compile_sender] and one
+   [receiver_endpoints] predicate per (group, sender), in ascending gid and
+   then sender order, and keeps the first missing edge of each. The two
+   must agree witness for witness. *)
+
+let reference_blackholes cfg =
+  let ctx = Pred.create_ctx () in
+  Installed_config.group_ids cfg
+  |> List.concat_map (fun group ->
+         let g = Option.get (Installed_config.group cfg group) in
+         List.sort_uniq Int.compare g.Installed_config.senders
+         |> List.filter_map (fun sender ->
+                match Verify.compile_sender ctx cfg ~group ~sender with
+                | None -> None
+                | Some big -> (
+                    let small =
+                      Verify.receiver_endpoints ctx cfg ~group ~sender
+                    in
+                    match Verify.check_subsumes ~group ~big ~small with
+                    | Ok () -> None
+                    | Error w -> Some w)))
+
+let render ws = List.map (Format.asprintf "%a" Verify.pp_witness) ws
+
+(* One p-rule per layer and two group-table entries per switch: views mix
+   p-rules, s-rules and default p-rules. *)
+let tight_params =
+  Params.create ~hmax_leaf:1 ~hmax_spine:1 ~header_budget:None ~fmax:2 ()
+
+let dead_mask n dead =
+  let a = Array.make n true in
+  List.iter (fun i -> a.(i) <- false) dead;
+  a
+
+(* The view of [groups] installed on a healthy controller, re-made with
+   the given dead cores and links and stale sites, and each group record
+   passed through [edit]. The controller chose its routes on a healthy
+   fabric, so the view's health can cut paths that no override routes
+   around. *)
+let view ?(dead_cores = []) ?(dead_links = []) ?(stale_sites = [])
+    ?(edit = Fun.id) groups =
+  let ctrl = Controller.create topo Params.default in
+  List.iter
+    (fun (group, members) ->
+      ignore (Controller.add_group ctrl ~group members))
+    groups;
+  let cfg = Controller.installed_config ctrl in
+  let spp = topo.Topology.spines_per_pod in
+  Installed_config.make
+    ~core_ok:(dead_mask (Topology.num_cores topo) dead_cores)
+    ~link_ok:
+      (dead_mask
+         (Topology.num_leaves topo * spp)
+         (List.map (fun (leaf, plane) -> (leaf * spp) + plane) dead_links))
+    ~stale_sites topo Params.default
+    (List.map edit (Array.to_list cfg.Installed_config.groups))
+
+(* The group's encoding with [leaves] dropped from the leaf layer's
+   p-rules and s-rules: with no default p-rule, those switches forward
+   nothing. *)
+let unassign_leaves ~group leaves (g : Installed_config.group_view) =
+  let kept l = not (List.mem l leaves) in
+  match g.Installed_config.enc with
+  | Some enc when g.Installed_config.gid = group ->
+      let layer = enc.Encoding.d_leaf in
+      let d_leaf =
+        {
+          layer with
+          Clustering.prules =
+            List.map
+              (fun (r : Prule.prule) ->
+                { r with Prule.switches = List.filter kept r.Prule.switches })
+              layer.Clustering.prules;
+          srules = List.filter (fun (l, _) -> kept l) layer.Clustering.srules;
+        }
+      in
+      { g with Installed_config.enc = Some { enc with Encoding.d_leaf } }
+  | Some _ | None -> g
+
+let with_overrides overrides (g : Installed_config.group_view) =
+  { g with Installed_config.overrides }
+
+let check_sweep msg expected cfg =
+  Alcotest.(check (list string))
+    (msg ^ ": sweep") expected
+    (render (Verify.sender_blackholes cfg));
+  Alcotest.(check (list string))
+    (msg ^ ": reference fold") expected
+    (render (reference_blackholes cfg))
+
+let senders hosts = List.map (fun x -> (x, Controller.Sender)) hosts
+let receivers hosts = List.map (fun x -> (x, Controller.Receiver)) hosts
+
+(* Hosts 0 and 1 share leaf 0; host 9 is on leaf 1 of the same pod. With
+   leaf 0's uplinks dead, sender 1 reaches only its co-located peer and
+   sender 9 cannot reach leaf 0. Sender 0 has the same fate, but its
+   unicast override hands it to the hypervisor: it is skipped. *)
+let test_sweep_skips_unicast () =
+  let unicast =
+    {
+      Installed_config.up_leaf_ports =
+        Bitmap.create topo.Topology.spines_per_pod;
+      up_spine_ports = None;
+      unicast = true;
+    }
+  in
+  let cut = view ~dead_links:[ (0, 0); (0, 1) ] in
+  let groups = [ (0, both [ 0; 1; h + 1 ]) ] in
+  check_sweep "unicast sender skipped"
+    [ "0/leaf1/1"; "0/leaf0/0" ]
+    (cut ~edit:(with_overrides [ (0, unicast) ]) groups);
+  check_sweep "without the override it is checked"
+    [ "0/leaf1/1"; "0/leaf1/1"; "0/leaf0/0" ]
+    (cut groups)
+
+(* Sender 0 (pod 0) to receivers 16 and 17 on leaf 2 (pod 1): its ECMP
+   plane's chosen core carries the whole cross-pod part. *)
+let cross_group = [ (0, senders [ 0 ] @ receivers [ 2 * h; (2 * h) + 1 ]) ]
+
+let test_sweep_dead_chosen_core () =
+  let hash = Ecmp.flow_hash ~group:0 ~sender:0 in
+  let plane = Ecmp.spine_choice topo ~hash in
+  let chosen = Ecmp.core_choice topo ~hash ~plane in
+  let other_plane = 1 - plane in
+  let cpp = topo.Topology.cores_per_plane in
+  check_sweep "healthy" [] (view cross_group);
+  check_sweep "dead chosen core: receiver in another pod"
+    [ "0/leaf2/0" ]
+    (view ~dead_cores:[ chosen ] cross_group);
+  check_sweep "cores of the other plane do not matter" []
+    (view
+       ~dead_cores:(List.init cpp (fun q -> (other_plane * cpp) + q))
+       cross_group)
+
+let test_sweep_override_cores () =
+  let cpp = topo.Topology.cores_per_plane in
+  let ports = Bitmap.create cpp in
+  List.iter (Bitmap.set ports) [ 0; 1 ];
+  let up_leaf_ports = Bitmap.create topo.Topology.spines_per_pod in
+  Bitmap.set up_leaf_ports 1;
+  let ov =
+    {
+      Installed_config.up_leaf_ports;
+      up_spine_ports = Some ports;
+      unicast = false;
+    }
+  in
+  let edit = with_overrides [ (0, ov) ] in
+  (* plane 1's cores are cpp and cpp + 1 *)
+  check_sweep "one dead, one live chosen core still covers" []
+    (view ~edit ~dead_cores:[ cpp ] cross_group);
+  check_sweep "both chosen cores dead" [ "0/leaf2/0" ]
+    (view ~edit ~dead_cores:[ cpp; cpp + 1 ] cross_group)
+
+(* Leaf 1 loses its rules; marking the site stale makes the switch resolve
+   to the compensated truthful bitmap instead. *)
+let test_sweep_stale_site () =
+  let groups = [ (0, senders [ 0 ] @ receivers [ h; h + 1 ]) ] in
+  let edit = unassign_leaves ~group:0 [ 1 ] in
+  check_sweep "unassigned leaf" [ "0/leaf1/0" ] (view ~edit groups);
+  check_sweep "stale site: truthful bitmap" []
+    (view ~edit ~stale_sites:[ (0, Srule_state.Leaf 1) ] groups)
+
+(* Groups installed out of order, two of them sabotaged: witnesses come
+   out by gid, then by sender. *)
+let test_sweep_multi_group_order () =
+  let groups =
+    [
+      (3, both [ 0; 2 * h; 3 * h ]);
+      (1, both [ 0; h; h + 1 ]);
+      (2, both [ 0; 1 ]);
+    ]
+  in
+  let edit g =
+    g |> unassign_leaves ~group:1 [ 1 ] |> unassign_leaves ~group:3 [ 2; 3 ]
+  in
+  check_sweep "sabotaged groups 1 and 3"
+    [ "1/leaf1/0"; "3/leaf2/0"; "3/leaf3/0"; "3/leaf2/0" ]
+    (view ~edit groups)
+
+(* Random views: up to three groups (reusing [gen_scenario]) with mixed
+   roles, their spine and link failures plus core failures applied through
+   the controller (which installs overrides and unicast degrades), then
+   optionally one core failed in the view only (one the controller has not
+   routed around), one s-rule or default bitmap emptied in a copied
+   encoding and one tree site marked stale. *)
+type sweep_case = {
+  scenarios : (int list * int list * (int * int) list) list;
+  dead_cores : int list;
+  unseen_core : int option;
+  sabotage : (int * int) option;  (* group index, site bitmap index *)
+  stale : (int * int) option;  (* group index, tree site index *)
+  tight : bool;
+}
+
+let gen_sweep_case =
+  QCheck.Gen.(
+    map
+      (fun ((scenarios, dead_cores, unseen_core), (sabotage, stale, tight)) ->
+        { scenarios; dead_cores; unseen_core; sabotage; stale; tight })
+      (pair
+         (let core = int_range 0 (Topology.num_cores topo - 1) in
+          triple
+            (list_size (int_range 1 3) gen_scenario)
+            (list_size (int_range 0 3) core)
+            (opt core))
+         (triple
+            (opt (pair nat nat))
+            (opt (pair nat nat))
+            bool)))
+
+let print_sweep_case c =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  let opt = function
+    | None -> "-"
+    | Some (a, b) -> Printf.sprintf "%d.%d" a b
+  in
+  let scenario =
+    QCheck.Print.(triple (list int) (list int) (list (pair int int)))
+  in
+  Printf.sprintf "%s cores=[%s] unseen_core=%s sabotage=%s stale=%s tight=%b"
+    (String.concat " " (List.map scenario c.scenarios))
+    (ints c.dead_cores)
+    (Option.fold ~none:"-" ~some:string_of_int c.unseen_core)
+    (opt c.sabotage) (opt c.stale) c.tight
+
+let role_of ~group host =
+  match (host + group) mod 3 with
+  | 0 -> Controller.Both
+  | 1 -> Controller.Sender
+  | _ -> Controller.Receiver
+
+let site_bitmaps (enc : Encoding.t) =
+  let layer (l : Clustering.result) =
+    List.map snd l.Clustering.srules
+    @ Option.to_list (Option.map snd l.Clustering.default)
+  in
+  layer enc.Encoding.d_leaf @ layer enc.Encoding.d_spine
+
+let tree_sites (enc : Encoding.t) =
+  let tree = enc.Encoding.tree in
+  List.map (fun l -> Srule_state.Leaf l) (Tree.leaves tree)
+  @ List.map (fun p -> Srule_state.Pod p) (Tree.pods tree)
+
+let sweep_case_view c =
+  let params = if c.tight then tight_params else Params.default in
+  let ctrl = Controller.create topo params in
+  let uniq cmp l = List.sort_uniq cmp l in
+  List.iteri
+    (fun group (ms, _, _) ->
+      uniq Int.compare ms
+      |> List.map (fun host -> (host, role_of ~group host))
+      |> Controller.add_group ctrl ~group
+      |> ignore)
+    c.scenarios;
+  List.iter
+    (fun s -> ignore (Controller.fail_spine ctrl s))
+    (uniq Int.compare (List.concat_map (fun (_, s, _) -> s) c.scenarios));
+  List.iter
+    (fun (leaf, plane) -> ignore (Controller.fail_link ctrl ~leaf ~plane))
+    (uniq compare (List.concat_map (fun (_, _, l) -> l) c.scenarios));
+  List.iter
+    (fun core -> ignore (Controller.fail_core ctrl core))
+    (uniq Int.compare c.dead_cores);
+  let cfg = Controller.installed_config ctrl in
+  let groups = Array.copy cfg.Installed_config.groups in
+  let pick (k, j) f =
+    if Array.length groups > 0 then
+      let i = k mod Array.length groups in
+      match groups.(i).Installed_config.enc with
+      | Some enc -> f i enc j
+      | None -> ()
+  in
+  Option.iter
+    (fun kj ->
+      pick kj (fun i enc j ->
+          let enc = Encoding.copy enc in
+          (match site_bitmaps enc with
+          | [] -> ()
+          | bms -> Bitmap.reset (List.nth bms (j mod List.length bms)));
+          groups.(i) <- { (groups.(i)) with Installed_config.enc = Some enc }))
+    c.sabotage;
+  let stale = ref (Array.to_list cfg.Installed_config.stale_sites) in
+  Option.iter
+    (fun kj ->
+      pick kj (fun i enc j ->
+          let sites = tree_sites enc in
+          let site = List.nth sites (j mod List.length sites) in
+          stale := (groups.(i).Installed_config.gid, site) :: !stale))
+    c.stale;
+  let core_ok = Array.copy cfg.Installed_config.core_ok in
+  Option.iter (fun core -> core_ok.(core) <- false) c.unseen_core;
+  Installed_config.make ~spine_ok:cfg.Installed_config.spine_ok ~core_ok
+    ~link_ok:cfg.Installed_config.link_ok
+    ~denied_leaf:cfg.Installed_config.denied_leaf
+    ~denied_pod:cfg.Installed_config.denied_pod ~stale_sites:!stale topo params
+    (Array.to_list groups)
+
+let sweep_agrees c =
+  let cfg = sweep_case_view c in
+  let fast = render (Verify.sender_blackholes cfg)
+  and reference = render (reference_blackholes cfg) in
+  if fast <> reference then
+    QCheck.Test.fail_reportf "sweep [%s] vs reference fold [%s]"
+      (String.concat "; " fast)
+      (String.concat "; " reference)
+  else (cfg, reference)
+
+let prop_sweep_matches_reference =
+  QCheck.Test.make ~name:"sender_blackholes == per-sender fold, any view"
+    ~count:200
+    (QCheck.make ~print:print_sweep_case gen_sweep_case)
+    (fun c -> ignore (sweep_agrees c); true)
+
+(* The property above is only as strong as the views it draws: over a
+   fixed sample, some must report witnesses, carry multi-plane or
+   explicit-core overrides, degrade a sender to unicast and mark a stale
+   site. *)
+let test_sweep_oracle_not_vacuous () =
+  let rand = Random.State.make [| 15 |] in
+  let cases = QCheck.Gen.generate ~rand ~n:200 gen_sweep_case in
+  let witnesses = ref 0 and overrides = ref 0 and unicast = ref 0
+  and stale = ref 0 in
+  List.iter
+    (fun c ->
+      let cfg, reference = sweep_agrees c in
+      if reference <> [] then incr witnesses;
+      if Array.length cfg.Installed_config.stale_sites > 0 then incr stale;
+      Array.iter
+        (fun (g : Installed_config.group_view) ->
+          List.iter
+            (fun (_, (o : Installed_config.override)) ->
+              if o.Installed_config.unicast then incr unicast
+              else incr overrides)
+            g.Installed_config.overrides)
+        cfg.Installed_config.groups)
+    cases;
+  let some what n =
+    if n = 0 then Alcotest.failf "no sampled view has %s" what
+  in
+  some "a witness" !witnesses;
+  some "an override" !overrides;
+  some "a unicast sender" !unicast;
+  some "a stale site" !stale
+
 (* {1 Header-only interpretation} *)
 
 let test_header_pred_walks_the_header () =
@@ -437,6 +785,19 @@ let tests =
     Alcotest.test_case "snapshot view compiles like the live one" `Quick
       test_snapshot_view_matches_live;
     QCheck_alcotest.to_alcotest prop_symbolic_agrees_with_injection;
+    Alcotest.test_case "sweep: unicast-degraded sender skipped" `Quick
+      test_sweep_skips_unicast;
+    Alcotest.test_case "sweep: dead chosen core cuts cross-pod" `Quick
+      test_sweep_dead_chosen_core;
+    Alcotest.test_case "sweep: override cores, one dead one live" `Quick
+      test_sweep_override_cores;
+    Alcotest.test_case "sweep: stale site resolves truthful" `Quick
+      test_sweep_stale_site;
+    Alcotest.test_case "sweep: witnesses in (gid, sender) order" `Quick
+      test_sweep_multi_group_order;
+    QCheck_alcotest.to_alcotest prop_sweep_matches_reference;
+    Alcotest.test_case "sweep: differential oracle is not vacuous" `Quick
+      test_sweep_oracle_not_vacuous;
     Alcotest.test_case "header-only interpretation" `Quick
       test_header_pred_walks_the_header;
     Alcotest.test_case "view memo: oracle on a fault stream" `Quick

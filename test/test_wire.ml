@@ -5,6 +5,11 @@
    exception), fenced supervisor failover, and hostile-header hardening
    of the packet codec. *)
 
+module Clock = Elmo_obs.Clock
+module Trace = Elmo_obs.Trace
+module Ctx = Elmo_obs.Ctx
+module Obs = Elmo_obs.Obs
+
 let topo = Topology.running_example ()
 let h = topo.Topology.hosts_per_leaf
 
@@ -599,6 +604,71 @@ let test_failover_unrecoverable_is_explicit () =
       Alcotest.(check bool) "fabric fenced even on failed recovery" true
         (Fabric.fence_epoch fabric >= 1)
 
+(* The [supervisor.failover] span covers the whole takeover — log load and
+   replay included — with the reconcile sweep and the zero-blackhole proof
+   as child spans inside it. *)
+let span_events jsonl =
+  let field line key =
+    match Astring.String.cut ~sep:(Printf.sprintf "\"%s\":" key) line with
+    | None -> None
+    | Some (_, rest) ->
+        let stop =
+          match Astring.String.find (fun c -> c = ',' || c = '}') rest with
+          | Some i -> i
+          | None -> String.length rest
+        in
+        Some (String.sub rest 0 stop)
+  in
+  String.split_on_char '\n' jsonl
+  |> List.filter_map (fun line ->
+         match (field line "name", field line "ts", field line "dur") with
+         | Some name, Some ts, Some dur ->
+             let name = String.sub name 1 (String.length name - 2) in
+             Some (name, float_of_string ts, float_of_string dur)
+         | _ -> None)
+
+let test_failover_spans () =
+  let fabric = Fabric.create topo in
+  let primary =
+    Replica.create ~snapshot_every:4
+      ~fabric_hooks:(Fabric.controller_hooks_at fabric ~epoch:0)
+      ~durable:true topo tight_params
+  in
+  Replica.apply primary
+    (Journal.Add_group { group = 0; members = members_both wide_hosts });
+  Replica.apply primary
+    (Journal.Add_group
+       { group = 1; members = members_both [ 0; h; (2 * h) + 1 ] });
+  let bytes = Wire.contents (Option.get (Replica.wire primary)) in
+  let clock = Clock.logical () in
+  let trace = Trace.create ~clock () in
+  Obs.install (Ctx.make ~trace ~clock ());
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> Obs.install Ctx.disabled)
+      (fun () -> Supervisor.failover ~fabric bytes)
+  in
+  (match outcome with
+  | Ok o ->
+      Alcotest.(check int) "zero blackholes" 0
+        (List.length o.Supervisor.blackholes)
+  | Error e -> Alcotest.fail e);
+  let events = span_events (Trace.to_jsonl trace) in
+  let only name =
+    match List.filter (fun (n, _, _) -> String.equal n name) events with
+    | [ (_, ts, dur) ] -> (ts, dur)
+    | l -> Alcotest.failf "%d %s spans, expected one" (List.length l) name
+  in
+  let f_ts, f_dur = only "supervisor.failover" in
+  List.iter
+    (fun child ->
+      let ts, dur = only child in
+      Alcotest.(check bool)
+        (child ^ " nested in supervisor.failover")
+        true
+        (ts >= f_ts && ts +. dur <= f_ts +. f_dur))
+    [ "replica.of_wire"; "supervisor.reconcile"; "supervisor.prove" ]
+
 (* {1 Hostile-header hardening} *)
 
 let header_setup () =
@@ -846,6 +916,8 @@ let tests =
       test_failover_fences_old_primary;
     Alcotest.test_case "unrecoverable failover is explicit" `Quick
       test_failover_unrecoverable_is_explicit;
+    Alcotest.test_case "failover span covers load, reconcile and proof"
+      `Quick test_failover_spans;
     Alcotest.test_case "decode_checked round-trip" `Quick
       test_decode_checked_round_trip;
     Alcotest.test_case "decode_checked total on prefixes" `Quick
