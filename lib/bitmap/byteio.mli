@@ -16,7 +16,8 @@
 (** {1 CRC32}
 
     The reflected CRC-32 (polynomial [0xEDB88320], the Ethernet/zip one),
-    table-driven. Values are the low 32 bits of an [int]. *)
+    table-driven and sliced by 8: one 8-byte word per step, bytewise for
+    the tail. Values are the low 32 bits of an [int]. *)
 
 val crc32_init : int
 (** Initial running state. *)
@@ -89,7 +90,11 @@ module Reader : sig
 
   val u8 : t -> int
   val u32 : t -> int
+
   val int : t -> int
+  (** Raises {!Corrupt} unless the 8 bytes are the sign extension of an
+      OCaml int, i.e. what {!Writer.int} writes. *)
+
   val bool : t -> bool
   val float : t -> float
 

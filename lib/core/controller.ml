@@ -39,7 +39,7 @@ type fabric_hooks = {
    upstream rules: explicit spine ports at the leaf, explicit core ports at
    the spine (§3.3). [unicast = true] marks an uncoverable pod whose senders
    degrade to unicast. *)
-type override = {
+type override = Installed_config.override = {
   up_leaf_ports : Bitmap.t;
   up_spine_ports : Bitmap.t option;
   unicast : bool;
@@ -51,6 +51,23 @@ type group_state = {
   applied : (int, override) Hashtbl.t;
       (* sender host -> override currently installed at its hypervisor; only
          flows whose ECMP choice traverses a failed switch get one *)
+}
+
+(* A group's checkpoint entry: one deep copy of the group, built when the
+   group changes and shared by every installed view and snapshot taken
+   until it changes again. It owns the copied encoding and the host-sorted
+   override copies; [e_members] is the (host, role) list in insertion
+   order, which a restore must reproduce. Two caches are filled on first
+   use: [e_view], the installed view over the entry's own copies, and
+   [e_wire], the entry's snapshot-codec bytes. Everything else is
+   immutable. *)
+type entry = {
+  e_gid : int;
+  e_members : (int * role) list;
+  e_enc : Encoding.t option;
+  e_overrides : (int * override) list;
+  mutable e_view : Installed_config.group_view option;
+  mutable e_wire : bytes option;
 }
 
 type churn_stats = { fast_path : int; reencoded : int }
@@ -111,9 +128,10 @@ type t = {
       (* groups whose installed view may have changed since the last
          [drain_dirty] — feeds the verify layer's predicate-cache
          invalidation *)
-  views : (int, Installed_config.group_view) Hashtbl.t;
-      (* memoized deep-copied view of every group unchanged since its view
-         was last built; [mark_dirty] evicts, [installed_config] refills *)
+  entries : (int, entry) Hashtbl.t;
+      (* memoized checkpoint entry of every group unchanged since its entry
+         was last built; [mark_dirty] evicts, [installed_config] and
+         [snapshot] refill *)
 }
 
 let create ?fabric_hooks ?clock ?(incremental = true) topo params =
@@ -148,7 +166,7 @@ let create ?fabric_hooks ?clock ?(incremental = true) topo params =
     shard_batch = Array.make topo.Topology.pods Shard.zero;
     shard_events = Array.make topo.Topology.pods 0;
     dirty = Hashtbl.create 64;
-    views = Hashtbl.create 1024;
+    entries = Hashtbl.create 1024;
   }
 
 let topology t = t.topo
@@ -176,13 +194,13 @@ let find_group t group =
    encoding, overrides, stale markers — marks the group dirty. The verify
    layer drains the set to invalidate exactly the cached delivery
    predicates that could have changed, instead of recompiling every group
-   after every event, and [installed_config] re-copies only the marked
-   groups' views. Marking is conservative: a marked group whose view
+   after every event, and [installed_config] and [snapshot] re-copy only
+   the marked groups. Marking is conservative: a marked group whose view
    happens to be unchanged merely costs one recompile and one copy. *)
 
 let mark_dirty t group =
   Hashtbl.replace t.dirty group ();
-  Hashtbl.remove t.views group
+  Hashtbl.remove t.entries group
 
 let drain_dirty t =
   let gids = Hashtbl.fold (fun g () acc -> g :: acc) t.dirty [] in
@@ -190,7 +208,7 @@ let drain_dirty t =
   List.sort Int.compare gids
 
 let dirty_count t = Hashtbl.length t.dirty
-let memoized_views t = Hashtbl.length t.views
+let memoized_views t = Hashtbl.length t.entries
 
 (* {1 Reliable rule installation}
 
@@ -1367,14 +1385,17 @@ let recover_core t c =
    builds a fresh controller and does {e not} re-emit fabric installs: the
    fabric's state survives a controller crash, and the journal replay that
    follows a restore re-issues exactly the operations the crashed
-   controller had not yet checkpointed. *)
+   controller had not yet checkpointed.
+
+   The per-group part of a snapshot is the group's memoized [entry], so a
+   checkpoint deep-copies only the groups marked dirty since the previous
+   one and shares the rest with earlier snapshots and installed views. *)
 
 type snapshot = {
   snap_topo : Topology.t;
   snap_params : Params.t;
   snap_incremental : bool;
-  snap_groups :
-    (int * (int * role) list * Encoding.t option * (int * override) list) list;
+  snap_groups : entry list;  (* ascending by gid *)
   snap_srules : Srule_state.t;
   snap_fast_hits : int;
   snap_reencodes : int;
@@ -1401,19 +1422,62 @@ let copy_override ov =
     unicast = ov.unicast;
   }
 
+(* [enc] and [overrides] become the entry's own: callers pass fresh copies
+   or freshly decoded values, never live controller state. *)
+let make_entry ~gid ~members ~enc ~overrides =
+  {
+    e_gid = gid;
+    e_members = members;
+    e_enc = enc;
+    e_overrides = List.sort (fun (a, _) (b, _) -> Int.compare a b) overrides;
+    e_view = None;
+    e_wire = None;
+  }
+
+let entry_view e =
+  match e.e_view with
+  | Some v -> v
+  | None ->
+      let of_role want =
+        List.filter_map
+          (fun (h, r) -> if want r then Some h else None)
+          e.e_members
+        |> List.sort_uniq Int.compare
+      in
+      let v =
+        {
+          Installed_config.gid = e.e_gid;
+          receivers =
+            of_role (function Receiver | Both -> true | Sender -> false);
+          senders = of_role (function Sender | Both -> true | Receiver -> false);
+          enc = e.e_enc;
+          overrides = e.e_overrides;
+        }
+      in
+      e.e_view <- Some v;
+      v
+
+let group_entry t gid st =
+  match Hashtbl.find_opt t.entries gid with
+  | Some e -> e
+  | None ->
+      let overrides =
+        Hashtbl.fold
+          (fun host ov acc -> (host, copy_override ov) :: acc)
+          st.applied []
+      in
+      let e =
+        make_entry ~gid ~members:st.members
+          ~enc:(Option.map Encoding.copy st.enc)
+          ~overrides
+      in
+      Hashtbl.replace t.entries gid e;
+      e
+
 let snapshot t =
   let groups =
-    Hashtbl.fold
-      (fun group st acc ->
-        let overrides =
-          Hashtbl.fold
-            (fun host ov acc -> (host, copy_override ov) :: acc)
-            st.applied []
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-        in
-        (group, st.members, Option.map Encoding.copy st.enc, overrides) :: acc)
-      t.groups []
-    |> List.sort (fun (g1, _, _, _) (g2, _, _, _) -> compare g1 g2)
+    Hashtbl.fold (fun gid st acc -> group_entry t gid st :: acc) t.groups []
+    |> List.sort (fun a b -> Int.compare a.e_gid b.e_gid)
   in
   {
     snap_topo = t.topo;
@@ -1441,50 +1505,22 @@ let snapshot t =
     snap_shard_events = Array.copy t.shard_events;
   }
 
+let snapshot_groups snap =
+  List.map (fun e -> (e.e_members, entry_view e)) snap.snap_groups
+
 (* {1 Installed-configuration views}
 
    The pure [Installed_config.t] view feeds the symbolic verification layer
-   ([lib/verify]). Both producers deep-copy: a view stays valid across later
-   controller mutations, exactly like a snapshot. The live producer copies
-   each group once and memoizes the copy until [mark_dirty] evicts it, so
-   successive views share the records of unchanged groups. *)
-
-let view_override ov =
-  {
-    Installed_config.up_leaf_ports = Bitmap.copy ov.up_leaf_ports;
-    up_spine_ports = Option.map Bitmap.copy ov.up_spine_ports;
-    unicast = ov.unicast;
-  }
-
-let view_of_group ~gid ~members ~enc ~overrides =
-  let of_role want =
-    List.filter_map (fun (h, r) -> if want r then Some h else None) members
-    |> List.sort_uniq Int.compare
-  in
-  {
-    Installed_config.gid;
-    receivers = of_role (function Receiver | Both -> true | Sender -> false);
-    senders = of_role (function Sender | Both -> true | Receiver -> false);
-    enc = Option.map Encoding.copy enc;
-    overrides =
-      List.map (fun (host, ov) -> (host, view_override ov)) overrides
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
-  }
-
-let group_view t gid st =
-  match Hashtbl.find_opt t.views gid with
-  | Some v -> v
-  | None ->
-      let overrides =
-        Hashtbl.fold (fun host ov acc -> (host, ov) :: acc) st.applied []
-      in
-      let v = view_of_group ~gid ~members:st.members ~enc:st.enc ~overrides in
-      Hashtbl.replace t.views gid v;
-      v
+   ([lib/verify]). Both producers hand out the deep copies held by
+   checkpoint entries: a view stays valid across later controller
+   mutations, exactly like a snapshot, and successive views share the
+   records of unchanged groups. *)
 
 let installed_config t =
   let groups =
-    Hashtbl.fold (fun gid st acc -> group_view t gid st :: acc) t.groups []
+    Hashtbl.fold
+      (fun gid st acc -> entry_view (group_entry t gid st) :: acc)
+      t.groups []
   in
   Installed_config.make ~spine_ok:(Array.copy t.spine_ok)
     ~core_ok:(Array.copy t.core_ok) ~link_ok:(Array.copy t.link_ok)
@@ -1498,20 +1534,21 @@ let restore ?fabric_hooks ?clock snap =
     create ?fabric_hooks ?clock ~incremental:snap.snap_incremental
       snap.snap_topo snap.snap_params
   in
-  (* The snapshot stays reusable: restore copies out of it again. *)
+  (* The snapshot stays reusable: restore copies out of it again, and the
+     new controller's entry memo starts empty. *)
   List.iter
-    (fun (group, members, enc, overrides) ->
+    (fun e ->
       let st =
         {
-          members;
-          enc = Option.map Encoding.copy enc;
-          applied = Hashtbl.create (max 1 (List.length overrides));
+          members = e.e_members;
+          enc = Option.map Encoding.copy e.e_enc;
+          applied = Hashtbl.create (max 1 (List.length e.e_overrides));
         }
       in
       List.iter
         (fun (host, ov) -> Hashtbl.replace st.applied host (copy_override ov))
-        overrides;
-      Hashtbl.add t.groups group st)
+        e.e_overrides;
+      Hashtbl.add t.groups e.e_gid st)
     snap.snap_groups;
   let blit src dst = Array.blit src 0 dst 0 (Array.length src) in
   blit snap.snap_spine_ok t.spine_ok;
@@ -1597,24 +1634,36 @@ let read_override ~topo r =
   let unicast = Byteio.Reader.bool r in
   { up_leaf_ports; up_spine_ports; unicast }
 
+(* A group's segment of the snapshot codec depends on its entry alone (an
+   encoding's aliasing pool is per encoding), so it is encoded once per
+   entry and blitted by every later snapshot that shares the entry. *)
+let entry_wire e =
+  match e.e_wire with
+  | Some b -> b
+  | None ->
+      let w = Byteio.Writer.create () in
+      Byteio.Writer.int w e.e_gid;
+      Byteio.Writer.list w
+        (fun w (host, role) ->
+          Byteio.Writer.int w host;
+          write_role w role)
+        e.e_members;
+      Byteio.Writer.option w (fun w enc -> Encoding.write w enc) e.e_enc;
+      Byteio.Writer.list w
+        (fun w (host, ov) ->
+          Byteio.Writer.int w host;
+          write_override w ov)
+        e.e_overrides;
+      let b = Byteio.Writer.to_bytes w in
+      e.e_wire <- Some b;
+      b
+
 let write_snapshot w snap =
   Topology.write w snap.snap_topo;
   Params.write w snap.snap_params;
   Byteio.Writer.bool w snap.snap_incremental;
   Byteio.Writer.list w
-    (fun w (gid, members, enc, overrides) ->
-      Byteio.Writer.int w gid;
-      Byteio.Writer.list w
-        (fun w (host, role) ->
-          Byteio.Writer.int w host;
-          write_role w role)
-        members;
-      Byteio.Writer.option w (fun w e -> Encoding.write w e) enc;
-      Byteio.Writer.list w
-        (fun w (host, ov) ->
-          Byteio.Writer.int w host;
-          write_override w ov)
-        overrides)
+    (fun w e -> Byteio.Writer.raw w (entry_wire e))
     snap.snap_groups;
   Srule_state.write w snap.snap_srules;
   Byteio.Writer.int w snap.snap_fast_hits;
@@ -1674,7 +1723,7 @@ let read_snapshot r =
               let ov = read_override ~topo rd in
               (h, ov))
         in
-        (gid, members, enc, overrides))
+        make_entry ~gid ~members ~enc ~overrides)
   in
   let srules = Srule_state.read ~topo r in
   let fast_hits = Byteio.Reader.int r in
@@ -1749,12 +1798,7 @@ let read_snapshot r =
   }
 
 let installed_config_of_snapshot snap =
-  let groups =
-    List.map
-      (fun (gid, members, enc, overrides) ->
-        view_of_group ~gid ~members ~enc ~overrides)
-      snap.snap_groups
-  in
+  let groups = List.map entry_view snap.snap_groups in
   Installed_config.make ~spine_ok:(Array.copy snap.snap_spine_ok)
     ~core_ok:(Array.copy snap.snap_core_ok)
     ~link_ok:(Array.copy snap.snap_link_ok)

@@ -184,7 +184,8 @@ val dirty_count : t -> int
 (** Number of currently dirty groups, without draining. *)
 
 val memoized_views : t -> int
-(** Number of groups whose {!installed_config} view is memoized, i.e.
+(** Number of groups whose checkpoint entry — the deep copy behind both
+    the {!installed_config} view and the {!snapshot} — is memoized, i.e.
     unchanged since it was last copied. Zero on a fresh or {!restore}d
     controller. *)
 
@@ -267,6 +268,19 @@ val recover_link : t -> leaf:int -> plane:int -> failure_report
 type snapshot
 
 val snapshot : t -> snapshot
+(** Each group's part is the memoized deep copy that {!installed_config}
+    also serves, built once per change of the group: a snapshot costs a
+    deep copy of each group changed since the previous snapshot or view,
+    O(groups) small words to index the rest, and a copy of the s-rule
+    ledger, health, denial and stale-site state. *)
+
+val snapshot_groups :
+  snapshot -> ((int * role) list * Installed_config.group_view) list
+(** Per group, ascending by gid: the (host, role) members in insertion
+    order (what {!members} returned at snapshot time) and the group's
+    view, whose encoding and overrides are the snapshot's own copies.
+    Snapshots and installed views taken while a group stays clean share
+    one [group_view] record for it. *)
 
 val restore :
   ?fabric_hooks:fabric_hooks -> ?clock:Elmo_obs.Clock.t -> snapshot -> t
@@ -275,7 +289,8 @@ val write_snapshot : Byteio.Writer.t -> snapshot -> unit
 (** Durable byte-level form of a snapshot, for the crash-safe wire format
     ([lib/fault]'s [Wire]). Encoding aliasing graphs are preserved (see
     {!Encoding.write}), so a snapshot that round-trips through bytes
-    restores bit-identically. *)
+    restores bit-identically. Each group's bytes are encoded once per
+    memoized copy and reused by every later snapshot that shares it. *)
 
 val read_snapshot : Byteio.Reader.t -> snapshot
 (** Inverse of {!write_snapshot}. A hostile-input boundary: every switch
@@ -292,8 +307,8 @@ val snapshot_topology : snapshot -> Topology.t
     The pure {!Installed_config.t} view of everything this controller has
     installed — memberships, encodings, overrides, health/denial state and
     compensated stale sites — consumed by the symbolic verification layer
-    ([lib/verify]). Both producers deep-copy, so a view never aliases
-    controller state and stays valid across later mutations. *)
+    ([lib/verify]). Both producers hand out deep copies, so a view never
+    aliases controller state and stays valid across later mutations. *)
 
 val installed_config : t -> Installed_config.t
 (** The live controller's current installed configuration. Each group's
@@ -301,10 +316,11 @@ val installed_config : t -> Installed_config.t
     dirty (see {!drain_dirty}; the memo is independent of draining), so
     views from successive calls share the [group_view] record of every
     unchanged group. One call costs a deep copy of each group changed since
-    the previous call, O(groups) small words to index the rest, and a copy
+    the previous call or {!snapshot}, O(groups) small words to index the rest, and a copy
     of the health, denial and stale-site state. *)
 
 val installed_config_of_snapshot : snapshot -> Installed_config.t
 (** The same view extracted from a crash-consistent checkpoint, without
     building a controller: what a {!Replica}'s recovery target looked like
-    at checkpoint time. *)
+    at checkpoint time. Its group records are the snapshot's own (see
+    {!snapshot_groups}). *)

@@ -158,7 +158,7 @@ let crash t = t.ctrl <- recovered t
 
 let installed_config t = Controller.installed_config t.ctrl
 
-let checkpoint_config t = Controller.installed_config_of_snapshot t.snap
+let last_snapshot t = t.snap
 
 let of_wire ?(snapshot_every = 64) ?fabric_hooks ?observer ?epoch
     (l : Wire.loaded) =

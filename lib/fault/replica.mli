@@ -91,6 +91,6 @@ val installed_config : t -> Installed_config.t
 (** The live controller's {!Installed_config.t} view (for symbolic
     equivalence checks against {!recovered}). *)
 
-val checkpoint_config : t -> Installed_config.t
-(** The installed-configuration view of the {e latest checkpoint} — built
-    straight from the snapshot, without restoring a controller. *)
+val last_snapshot : t -> Controller.snapshot
+(** The {e latest checkpoint}: what {!recovered} restores before replaying
+    the journal suffix. *)

@@ -30,18 +30,24 @@ let append_record t ~kind ~epoch payload =
   if epoch < 0 || epoch > 0xFFFFFFFF then
     invalid_arg "Wire: epoch out of u32 range";
   if epoch < t.last_epoch then invalid_arg "Wire: epoch regression";
-  let body = Byteio.Writer.create () in
-  Byteio.Writer.u8 body kind;
-  Byteio.Writer.u32 body epoch;
-  Byteio.Writer.int body t.next_seq;
-  Byteio.Writer.raw body payload;
-  let body = Byteio.Writer.to_bytes body in
-  let crc = Byteio.crc32 body ~pos:0 ~len:(Bytes.length body) in
+  let covered = Byteio.Writer.create () in
+  Byteio.Writer.u8 covered kind;
+  Byteio.Writer.u32 covered epoch;
+  Byteio.Writer.int covered t.next_seq;
+  let covered = Byteio.Writer.to_bytes covered in
+  let plen = Bytes.length payload in
+  let crc =
+    Byteio.crc32_finish
+      (Byteio.crc32_feed
+         (Byteio.crc32_feed Byteio.crc32_init covered ~pos:0 ~len:covered_len)
+         payload ~pos:0 ~len:plen)
+  in
   let prefix = Byteio.Writer.create () in
-  Byteio.Writer.u32 prefix (Bytes.length payload);
+  Byteio.Writer.u32 prefix plen;
   Byteio.Writer.u32 prefix crc;
   Buffer.add_bytes t.buf (Byteio.Writer.to_bytes prefix);
-  Buffer.add_bytes t.buf body;
+  Buffer.add_bytes t.buf covered;
+  Buffer.add_bytes t.buf payload;
   t.next_seq <- t.next_seq + 1;
   t.last_epoch <- epoch;
   t.nrecords <- t.nrecords + 1

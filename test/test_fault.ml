@@ -241,7 +241,7 @@ let crash_rng_ops rng ~members ~events =
           if link_up.(l).(p) then Journal.Recover_link { leaf = l; plane = p }
           else Journal.Fail_link { leaf = l; plane = p })
 
-let same_controller_state a b ~groups =
+let same_state_on_groups a b gids =
   let sa = Controller.srule_state a and sb = Controller.srule_state b in
   Srule_state.leaf_occupancy sa = Srule_state.leaf_occupancy sb
   && Srule_state.spine_occupancy sa = Srule_state.spine_occupancy sb
@@ -260,7 +260,15 @@ let same_controller_state a b ~groups =
                       (Header_codec.encode topo y)
                 | _ -> false)
               ma)
-       (List.init groups Fun.id)
+       gids
+
+let same_controller_state a b ~groups =
+  same_state_on_groups a b (List.init groups Fun.id)
+
+let snapshot_bytes snap =
+  let w = Byteio.Writer.create () in
+  Controller.write_snapshot w snap;
+  Byteio.Writer.to_bytes w
 
 let test_crash_recovery_bit_identical () =
   let rng = Rng.create 1234 in
@@ -289,9 +297,38 @@ let test_crash_recovery_bit_identical () =
     (List.length crash_points);
   let ctx = Pred.create_ctx () in
   let checked = ref 0 in
+  let checkpoints = ref 0 in
+  let last = ref (Replica.last_snapshot replica) in
   List.iteri
     (fun i op ->
       Replica.apply replica op;
+      (* Every checkpoint the replica takes shares the memoized entries of
+         groups unchanged since the previous one. Its bytes must equal
+         those of a cold twin: a controller that replays the same ops on
+         its own fabric and has never taken a snapshot, so every entry of
+         its first snapshot is a fresh copy. *)
+      if Replica.last_snapshot replica != !last then begin
+        last := Replica.last_snapshot replica;
+        incr checkpoints;
+        let twin =
+          Controller.create
+            ~fabric_hooks:(Fabric.controller_hooks (Fabric.create topo))
+            topo tight_params
+        in
+        List.iter (Journal.apply twin)
+          (Journal.suffix (Replica.journal replica) ~from:0);
+        Alcotest.(check int)
+          (Printf.sprintf "event %d: twin has no memoized entry" (i + 1))
+          0
+          (Controller.memoized_views twin);
+        Alcotest.(check bool)
+          (Printf.sprintf "checkpoint at event %d: bytes equal a cold twin's"
+             (i + 1))
+          true
+          (Bytes.equal
+             (snapshot_bytes !last)
+             (snapshot_bytes (Controller.snapshot twin)))
+      end;
       if List.exists (fun p -> p = i + 1) crash_points then begin
         let recovered = Replica.recovered replica in
         incr checked;
@@ -339,6 +376,8 @@ let test_crash_recovery_bit_identical () =
       end)
     ops;
   Alcotest.(check int) "all crash points exercised" 100 !checked;
+  Alcotest.(check int) "every checkpoint compared" ((groups + events) / 48)
+    !checkpoints;
   (* And an actual crash: the replica keeps working on the recovered
      instance. *)
   Replica.crash replica;

@@ -113,68 +113,67 @@ let test_snapshot_view_matches_live () =
         (Verify.equiv a b)
   | _ -> Alcotest.fail "multicast path expected on both views"
 
-(* {1 Memoized installed view}
+(* {1 Memoized checkpoint entries}
 
-   [Controller.installed_config] reuses a memoized record per group that
-   only [mark_dirty] evicts, so a mutation that forgot to mark its group
-   would serve a stale record — and the predicate-cache oracle, which
-   trusts [drain_dirty] too, would not notice. The snapshot view is built
-   afresh and never touches the memo: the two must agree group by
-   group, down to predicate identity in one context. *)
+   [Controller.installed_config] and [Controller.snapshot] hand out one
+   memoized deep copy per group that only [mark_dirty] evicts, so a
+   mutation that forgot to mark its group would serve a stale copy — and
+   the predicate-cache oracle, which trusts [drain_dirty] too, would not
+   notice. Both producers read the same memo, so comparing one with the
+   other proves nothing; the oracle compares every entry against the live
+   controller's own accessors:
+   members, encoding bytes and role-derived host lists per entry, and, for
+   overrides, the header bytes of every (group, sender) of a controller
+   restored from the snapshot. *)
 
-let override_equal (h1, (a : Installed_config.override))
-    (h2, (b : Installed_config.override)) =
-  Int.equal h1 h2
-  && Bitmap.equal a.Installed_config.up_leaf_ports
-       b.Installed_config.up_leaf_ports
-  && Option.equal Bitmap.equal a.Installed_config.up_spine_ports
-       b.Installed_config.up_spine_ports
-  && Bool.equal a.Installed_config.unicast b.Installed_config.unicast
+let encoding_bytes = function
+  | None -> None
+  | Some enc ->
+      let w = Byteio.Writer.create () in
+      Encoding.write w enc;
+      Some (Byteio.Writer.to_bytes w)
 
 let check_view_memo msg ctrl =
-  let live = Controller.installed_config ctrl in
-  let fresh =
-    Controller.installed_config_of_snapshot (Controller.snapshot ctrl)
-  in
+  let snap = Controller.snapshot ctrl in
+  let entries = Controller.snapshot_groups snap in
+  let gids = List.map (fun (_, v) -> v.Installed_config.gid) entries in
   if
-    not
-      (List.equal Int.equal
-         (Installed_config.group_ids live)
-         (Installed_config.group_ids fresh))
-  then Alcotest.failf "%s: memoized view lists other groups" msg;
-  if live.Installed_config.stale_sites <> fresh.Installed_config.stale_sites
-  then Alcotest.failf "%s: memoized view has other stale sites" msg;
-  let ctx = Pred.create_ctx () in
-  Array.iter2
-    (fun (a : Installed_config.group_view) (b : Installed_config.group_view) ->
-      let group = a.Installed_config.gid in
+    List.length gids <> Controller.group_count ctrl
+    || not (List.equal Int.equal gids (List.sort_uniq Int.compare gids))
+  then Alcotest.failf "%s: memoized entries list other groups" msg;
+  List.iter
+    (fun (members, (v : Installed_config.group_view)) ->
+      let group = v.Installed_config.gid in
       let same what ok =
         if not ok then
-          Alcotest.failf "%s: group %d: memoized view differs in %s" msg group
+          Alcotest.failf "%s: group %d: memoized entry differs in %s" msg group
             what
       in
+      let live = Controller.members ctrl ~group in
+      same "members" (members = live);
+      let hosts want =
+        List.filter_map (fun (h, r) -> if want r then Some h else None) live
+        |> List.sort_uniq Int.compare
+      in
       same "receivers"
-        (List.equal Int.equal a.Installed_config.receivers
-           b.Installed_config.receivers);
+        (List.equal Int.equal v.Installed_config.receivers
+           (hosts (function
+             | Controller.Receiver | Controller.Both -> true
+             | Controller.Sender -> false)));
       same "senders"
-        (List.equal Int.equal a.Installed_config.senders
-           b.Installed_config.senders);
-      same "overrides"
-        (List.equal override_equal a.Installed_config.overrides
-           b.Installed_config.overrides);
-      same "compile"
-        (Verify.compile ctx live ~group == Verify.compile ctx fresh ~group);
-      same "intent"
-        (Verify.intent ctx live ~group == Verify.intent ctx fresh ~group);
-      List.iter
-        (fun sender ->
-          same
-            (Printf.sprintf "compile_sender %d" sender)
-            (Option.equal ( == )
-               (Verify.compile_sender ctx live ~group ~sender)
-               (Verify.compile_sender ctx fresh ~group ~sender)))
-        a.Installed_config.senders)
-    live.Installed_config.groups fresh.Installed_config.groups
+        (List.equal Int.equal v.Installed_config.senders
+           (hosts (function
+             | Controller.Sender | Controller.Both -> true
+             | Controller.Receiver -> false)));
+      same "encoding bytes"
+        (Option.equal Bytes.equal
+           (encoding_bytes v.Installed_config.enc)
+           (encoding_bytes (Controller.encoding ctrl ~group))))
+    entries;
+  if
+    not
+      (Test_fault.same_state_on_groups (Controller.restore snap) ctrl gids)
+  then Alcotest.failf "%s: restored snapshot builds other headers" msg
 
 (* Churn across several groups interleaved with spine/core/link failure
    and recovery, group removal and re-creation, a wedgeable leaf (its
@@ -330,6 +329,64 @@ let test_view_memo_identity_and_allocation () =
     (Array.for_all2 ( != )
        (Controller.installed_config restored).Installed_config.groups
        v3.Installed_config.groups)
+
+(* The same for snapshots: a clean re-snapshot shares every entry with
+   the previous snapshot and with the installed view; a join re-copies
+   only its own group; shared entries serialize to the bytes a cold
+   controller writes; a restored controller starts with nothing memoized
+   and copies out of the snapshot rather than sharing with it. *)
+let test_snapshot_memo_identity () =
+  let ctrl = Controller.create topo Params.default in
+  let rng = Rng.create 37 in
+  let n = Topology.num_hosts topo in
+  let groups = 300 in
+  for group = 0 to groups - 1 do
+    List.init (2 + Rng.int rng 6) (fun _ -> Rng.int rng n)
+    |> List.sort_uniq Int.compare |> both
+    |> Controller.add_group ctrl ~group
+    |> ignore
+  done;
+  let views snap = List.map snd (Controller.snapshot_groups snap) in
+  let s1 = Controller.snapshot ctrl in
+  let s2 = Controller.snapshot ctrl in
+  Alcotest.(check bool) "clean re-snapshot: every entry shared" true
+    (List.for_all2 ( == ) (views s1) (views s2));
+  Alcotest.(check bool) "member lists shared too" true
+    (List.for_all2 ( == )
+       (List.map fst (Controller.snapshot_groups s1))
+       (List.map fst (Controller.snapshot_groups s2)));
+  Alcotest.(check bool) "installed view shares the snapshot's copies" true
+    (List.for_all2 ( == ) (views s2)
+       (Array.to_list (Controller.installed_config ctrl).Installed_config.groups));
+  Alcotest.(check int) "every group memoized" groups
+    (Controller.memoized_views ctrl);
+  (* Writing caches every entry's segment; the next snapshot blits them. *)
+  ignore (Test_fault.snapshot_bytes s2);
+  let joined = 17 in
+  let members = Controller.members ctrl ~group:joined in
+  let host =
+    List.find (fun x -> not (List.mem_assoc x members)) (List.init n Fun.id)
+  in
+  ignore (Controller.join ctrl ~group:joined ~host ~role:Controller.Receiver);
+  Alcotest.(check int) "the join evicted one entry" (groups - 1)
+    (Controller.memoized_views ctrl);
+  let s3 = Controller.snapshot ctrl in
+  List.iter2
+    (fun (a : Installed_config.group_view) b ->
+      Alcotest.(check bool)
+        (Printf.sprintf "group %d shared iff untouched" a.Installed_config.gid)
+        (a.Installed_config.gid <> joined)
+        (a == b))
+    (views s3) (views s2);
+  let restored = Controller.restore s3 in
+  Alcotest.(check int) "restored controller: empty memo" 0
+    (Controller.memoized_views restored);
+  Alcotest.(check bool) "cached segments write a cold controller's bytes" true
+    (Bytes.equal
+       (Test_fault.snapshot_bytes s3)
+       (Test_fault.snapshot_bytes (Controller.snapshot restored)));
+  Alcotest.(check bool) "restored entries are fresh copies" true
+    (List.for_all2 ( != ) (views (Controller.snapshot restored)) (views s3))
 
 (* {1 Symbolic walk vs. packet injection} *)
 
@@ -804,4 +861,6 @@ let tests =
       test_view_memo_fault_stream;
     Alcotest.test_case "view memo: identity and allocation" `Quick
       test_view_memo_identity_and_allocation;
+    Alcotest.test_case "snapshot memo: identity and cached bytes" `Quick
+      test_snapshot_memo_identity;
   ]

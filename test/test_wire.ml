@@ -22,6 +22,89 @@ let wide_hosts =
 
 let members_both hosts = List.map (fun x -> (x, Controller.Both)) hosts
 
+(* {1 Byteio: CRC-32 and integer fields} *)
+
+(* Bytewise reflected CRC-32 (polynomial 0xEDB88320): the reference the
+   library's sliced implementation must agree with. It lives only here. *)
+let ref_crc_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let ref_crc32 b ~pos ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    let byte = Char.code (Bytes.get b i) in
+    crc := ref_crc_table.((!crc lxor byte) land 0xff) lxor (!crc lsr 8)
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let test_crc_known_vectors () =
+  let crc s = Byteio.crc32 (Bytes.of_string s) ~pos:0 ~len:(String.length s) in
+  Alcotest.(check int) "check value of \"123456789\"" 0xCBF43926
+    (crc "123456789");
+  Alcotest.(check int) "empty input" 0 (crc "");
+  Alcotest.(check int) "pangram" 0x414FA339
+    (crc "The quick brown fox jumps over the lazy dog")
+
+(* Random buffers, an unaligned start, lengths both around the 8-byte
+   word boundary (0-40) and large, fed in one call or chained at random
+   split points: always the reference's value. *)
+let prop_crc_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      oneof [ int_range 0 40; int_range 1000 20_000 ] >>= fun len ->
+      int_range 0 15 >>= fun pos ->
+      int_range 0 7 >>= fun slack ->
+      string_size (return (pos + len + slack)) >>= fun data ->
+      list_size (int_range 0 4) (int_range 0 len) >>= fun cuts ->
+      return (Bytes.of_string data, pos, len, List.sort_uniq Int.compare cuts))
+  in
+  let print (b, pos, len, cuts) =
+    Printf.sprintf "buffer %d bytes, pos %d, len %d, cuts [%s]"
+      (Bytes.length b) pos len
+      (String.concat "; " (List.map string_of_int cuts))
+  in
+  QCheck.Test.make ~name:"crc32 = bytewise reference, chained feeds"
+    ~count:500 (QCheck.make ~print gen) (fun (b, pos, len, cuts) ->
+      let expect = ref_crc32 b ~pos ~len in
+      let chained =
+        let crc, last =
+          List.fold_left
+            (fun (crc, from) cut ->
+              (Byteio.crc32_feed crc b ~pos:(pos + from) ~len:(cut - from), cut))
+            (Byteio.crc32_init, 0) cuts
+        in
+        Byteio.crc32_finish
+          (Byteio.crc32_feed crc b ~pos:(pos + last) ~len:(len - last))
+      in
+      Byteio.crc32 b ~pos ~len = expect && chained = expect)
+
+(* [Int64.to_int] drops bit 63, so without a range check a forged word
+   with that bit set would decode to the same int as the valid one. *)
+let test_reader_int_rejects_out_of_range () =
+  let read raw =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 raw;
+    Byteio.Reader.int (Byteio.Reader.of_bytes b)
+  in
+  Alcotest.check_raises "5 with bit 63 set" Byteio.Reader.Corrupt (fun () ->
+      ignore (read 0x8000000000000005L));
+  Alcotest.check_raises "2^62 (no OCaml int)" Byteio.Reader.Corrupt (fun () ->
+      ignore (read 0x4000000000000000L));
+  List.iter
+    (fun v ->
+      let w = Byteio.Writer.create () in
+      Byteio.Writer.int w v;
+      Alcotest.(check int)
+        (Printf.sprintf "%d round-trips" v)
+        v
+        (Byteio.Reader.int (Byteio.Reader.of_bytes (Byteio.Writer.to_bytes w))))
+    [ 0; 5; -1; -5; max_int; min_int ]
+
 (* {1 Record / entry codec} *)
 
 let all_ops =
@@ -885,6 +968,10 @@ let test_file_round_trip () =
 
 let tests =
   [
+    Alcotest.test_case "crc32 known vectors" `Quick test_crc_known_vectors;
+    QCheck_alcotest.to_alcotest prop_crc_matches_reference;
+    Alcotest.test_case "reader int rejects out-of-range words" `Quick
+      test_reader_int_rejects_out_of_range;
     Alcotest.test_case "entry codec round-trip" `Quick
       test_entry_codec_round_trip;
     Alcotest.test_case "entry codec rejects out-of-range" `Quick
