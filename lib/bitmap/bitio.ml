@@ -101,6 +101,64 @@ module Sink = struct
       put_top t (Chunk.get bm j) (Chunk.width width j)
     done
 
+  (* Bits [pos .. pos + n) (n <= 8) of [src] at the top of an 8-bit value:
+     a 16-bit window over the byte holding bit [pos] and the next one. *)
+  (* elmo-lint: zero-alloc *)
+  let src_top src pos n =
+    let byte = pos lsr 3 in
+    let hi = Char.code (Bytes.unsafe_get src byte) in
+    let lo =
+      if byte + 1 < Bytes.length src then Char.code (Bytes.unsafe_get src (byte + 1))
+      else 0
+    in
+    ((((hi lsl 8) lor lo) lsl (pos land 7)) lsr 8) land (0xff lxor ((1 lsl (8 - n)) - 1))
+
+  (* Source bytes [i, stop) of [src], each read [sh] (0..7) bits late so
+     that it ends with the next byte's top [sh] bits, written into [data]
+     from byte [dst] behind the [k] pending bits of [cur]. Every byte read
+     completes one output byte. Returns the pending bits left at the end.
+     With [sh > 0] byte [stop] is read too, so the caller guarantees it
+     exists. *)
+  (* elmo-lint: zero-alloc *)
+  let rec shift_bytes data dst src i stop sh k cur =
+    if i = stop then cur
+    else begin
+      let x =
+        if sh = 0 then Char.code (Bytes.unsafe_get src i)
+        else
+          (((Char.code (Bytes.unsafe_get src i) lsl 8)
+           lor Char.code (Bytes.unsafe_get src (i + 1)))
+          lsr (8 - sh))
+          land 0xff
+      in
+      let w = (cur lsl 8) lor (x lsl (8 - k)) in
+      Bytes.unsafe_set data dst (Char.unsafe_chr (w lsr 8));
+      shift_bytes data (dst + 1) src (i + 1) stop sh k (w land 0xff)
+    end
+
+  (* elmo-lint: zero-alloc *)
+  let append t src ~off ~len =
+    if off < 0 || len < 0 || off + len > 8 * Bytes.length src then
+      (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
+      invalid_arg "Bitio.Sink.append: bit range out of bounds";
+    let whole = len lsr 3 in
+    if t.byte + whole > Bytes.length t.data then
+      (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
+      invalid_arg "Bitio.Sink: output buffer too small";
+    let first = off lsr 3 in
+    let sh = off land 7 in
+    if sh = 0 && t.used = 0 then
+      (* Both sides on a byte boundary: whole bytes are a plain blit. *)
+      Bytes.blit src first t.data t.byte whole
+    else
+      (* With [sh > 0], bits [off, off + 8 * whole) reach into byte
+         [first + whole], so [shift_bytes] may read it. *)
+      t.cur <- shift_bytes t.data t.byte src first (first + whole) sh t.used t.cur;
+    t.byte <- t.byte + whole;
+    t.total <- t.total + (8 * whole);
+    let rest = len land 7 in
+    if rest > 0 then put_top t (src_top src (off + (8 * whole)) rest) rest
+
   (* elmo-lint: zero-alloc *)
   let align_byte t = if t.used <> 0 then put_top t 0 (8 - t.used)
 
@@ -114,6 +172,52 @@ module Sink = struct
   let finish t =
     align_byte t;
     t.byte
+end
+
+(* A run of bits kept at all eight alignments: [at.(a)] holds the run
+   from bit [a] of its first byte (the [a] bits before it zero, the tail
+   zero-padded). A sink holding [a] pending bits ORs them into [at.(a)]'s
+   first byte and blits the rest, so appending a whole run shifts nothing. *)
+module Run = struct
+  type t = { len : int; at : bytes array }
+
+  let make src ~len =
+    let at =
+      Array.init 8 (fun a ->
+          let b = Bytes.create ((a + len + 7) / 8) in
+          let s = Sink.of_bytes b in
+          Sink.bits s 0 a;
+          Sink.append s src ~off:0 ~len;
+          ignore (Sink.finish s : int);
+          b)
+    in
+    { len; at }
+
+  let bytes r = r.at.(0)
+
+  (* elmo-lint: zero-alloc *)
+  let append (s : Sink.t) r ~off =
+    if off <> 0 then Sink.append s (Array.unsafe_get r.at 0) ~off ~len:(r.len - off)
+    else begin
+      let a = s.Sink.used in
+      let src = Array.unsafe_get r.at a in
+      let total = a + r.len in
+      let complete = total lsr 3 in
+      if complete = 0 then s.Sink.cur <- s.Sink.cur lor Char.code (Bytes.unsafe_get src 0)
+      else begin
+        if s.Sink.byte + complete > Bytes.length s.Sink.data then
+          (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
+          invalid_arg "Bitio.Sink: output buffer too small";
+        Bytes.unsafe_set s.Sink.data s.Sink.byte
+          (Char.unsafe_chr (s.Sink.cur lor Char.code (Bytes.unsafe_get src 0)));
+        Bytes.blit src 1 s.Sink.data (s.Sink.byte + 1) (complete - 1);
+        s.Sink.byte <- s.Sink.byte + complete;
+        s.Sink.cur <-
+          (if total land 7 = 0 then 0 else Char.code (Bytes.unsafe_get src complete))
+      end;
+      s.Sink.used <- total land 7;
+      s.Sink.total <- s.Sink.total + r.len
+    end
 end
 
 (* A growable {!Sink}: each write first makes room for the bytes it can
@@ -204,6 +308,11 @@ module Reader = struct
     bm
 
   let align_byte t = t.pos <- (t.pos + 7) / 8 * 8
+
+  let seek t pos =
+    if pos < 0 || pos > Bytes.length t.data * 8 then
+      invalid_arg "Bitio.Reader.seek: position out of range";
+    t.pos <- pos
 
   let pos t = t.pos
   let remaining t = (Bytes.length t.data * 8) - t.pos

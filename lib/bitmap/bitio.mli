@@ -58,6 +58,16 @@ module Sink : sig
       same contract as {!Writer.bits}. *)
 
   val bitmap : t -> Bitmap.t -> unit
+
+  val append : t -> bytes -> off:int -> len:int -> unit
+  (** [append s src ~off ~len] appends bits [off .. off + len) of [src]
+      (MSB-first, as a {!Sink} or {!Writer} laid them out): a plain blit
+      when both sides sit on a byte boundary, otherwise a byte per step
+      shifted into place. This is how a pre-encoded run of bits is spliced
+      into a new record without re-walking the fields it came from. Raises
+      [Invalid_argument] if the range lies outside [src] or the buffer is
+      too small. *)
+
   val align_byte : t -> unit
 
   val bit_length : t -> int
@@ -69,6 +79,29 @@ module Sink : sig
   val finish : t -> int
   (** Pads to a byte boundary and returns the end position: the written
       record occupies [b[pos .. finish t)]. *)
+end
+
+module Run : sig
+  (** A run of bits encoded once and appended many times: the run is kept
+      at all eight bit alignments, so appending it whole to a {!Sink} at any
+      alignment is one OR into the sink's pending byte and a blit, never a
+      shift. The shared downstream sections of an Elmo header are one. *)
+
+  type t
+
+  val make : bytes -> len:int -> t
+  (** [make src ~len] copies the first [len] bits of [src] at every
+      alignment. Raises [Invalid_argument] if [src] is shorter. *)
+
+  val bytes : t -> bytes
+  (** The run from bit 0, zero-padded to a byte. Do not mutate it. *)
+
+  val append : Sink.t -> t -> off:int -> unit
+  (** [append s r ~off] appends bits [off .. length r) of [r]: the whole
+      run ([off = 0]) by a blit of the copy at the sink's alignment, a
+      suffix by {!Sink.append}'s shifted copy. Allocation-free, under the
+      [zero-alloc] lint rule. Raises [Invalid_argument] if the sink's
+      buffer is too small or [off] is outside the run. *)
 end
 
 module Reader : sig
@@ -84,6 +117,12 @@ module Reader : sig
       byte per step. Raises [Truncated] if the input ends inside them. *)
 
   val align_byte : t -> unit
+
+  val seek : t -> int -> unit
+  (** [seek r pos] moves to bit offset [pos], so a parser can start at a
+      field in the middle of a record. Raises [Invalid_argument] if [pos] is
+      beyond the input. *)
+
   val pos : t -> int
   (** Current offset in bits. *)
 

@@ -219,7 +219,9 @@ val install_stats : t -> install_stats
 
 val header : t -> group:int -> sender:int -> Prule.header option
 (** The header [sender]'s hypervisor currently pushes, including any
-    failure-recovery upstream overrides. [None] if the group has no
+    failure-recovery upstream overrides. An override replaces only the
+    upstream rules, so the header still shares the encoding version's
+    {!Prule.down} with every other sender's. [None] if the group has no
     receivers (degrade to unicast). *)
 
 (** {1 Failures (§3.3, §5.1.3b)} *)

@@ -19,6 +19,10 @@ type t = {
      budget check and rule refreshes — the fast path never allocates. *)
   scratch_a : Bitmap.t;
   scratch_b : Bitmap.t;
+  (* The downstream sections every sender's header shares: built from
+     copies of the rule bitmaps by the first [header_for_sender] of this
+     version, dropped by every committed fast-path mutation. *)
+  mutable down : Prule.down option;
 }
 
 exception Internal_error of string
@@ -170,6 +174,7 @@ let encode_cap ~legacy_leaf ~legacy_pod ~srule_ok_leaf ~srule_ok_pod
     idx_site_bm;
     scratch_a = Bitmap.create scratch_width;
     scratch_b = Bitmap.create scratch_width;
+    down = None;
   }
 
 let encode_txn ?(legacy_leaf = no_legacy) ?(legacy_pod = no_legacy)
@@ -342,6 +347,7 @@ let apply_event t joining host leaf port =
             (* elmo-lint: allow zero-alloc — defensive invariant breach, cold *)
             raise (Internal_error "apply_delta: tree delta rejected");
           t.stale <- t.stale + 1;
+          t.down <- None;
           if kind = kind_prule then begin
             let site_bm = r.Prule.bitmap in
             let aliased = site_bm == exact in
@@ -426,6 +432,30 @@ let release srules t =
   List.iter (fun (l, _) -> Srule_state.release_leaf srules l) t.d_leaf.Clustering.srules;
   List.iter (fun (p, _) -> Srule_state.release_pod srules p) t.d_spine.Clustering.srules
 
+(* This version's down, built on first use. Its bitmaps are copies: the
+   fast path flips the rule bitmaps in place, which must never reach a
+   down (and its wire) that headers already carry. *)
+let shared_down t =
+  match t.down with
+  | Some d -> d
+  | None ->
+      let prules =
+        List.map (fun (r : Prule.prule) ->
+            { r with Prule.bitmap = Bitmap.copy r.Prule.bitmap })
+      in
+      let default (res : Clustering.result) =
+        Option.map (fun (_, bm) -> Bitmap.copy bm) res.Clustering.default
+      in
+      let d =
+        Prule.down t.tree.Tree.topo
+          ~d_spine:(prules t.d_spine.Clustering.prules)
+          ~d_spine_default:(default t.d_spine)
+          ~d_leaf:(prules t.d_leaf.Clustering.prules)
+          ~d_leaf_default:(default t.d_leaf)
+      in
+      t.down <- Some d;
+      d
+
 let header_for_sender t ~sender =
   let tree = t.tree in
   let topo = tree.Tree.topo in
@@ -482,19 +512,7 @@ let header_for_sender t ~sender =
       Some bm
     end
   in
-  let default_of = function
-    | Some (_, bm) -> Some bm
-    | None -> None
-  in
-  {
-    Prule.u_leaf;
-    u_spine;
-    core;
-    d_spine = t.d_spine.Clustering.prules;
-    d_spine_default = default_of t.d_spine.Clustering.default;
-    d_leaf = t.d_leaf.Clustering.prules;
-    d_leaf_default = default_of t.d_leaf.Clustering.default;
-  }
+  { Prule.u_leaf; u_spine; core; downstream = shared_down t }
 
 let header_bytes t ~sender =
   Prule.header_bytes t.tree.Tree.topo (header_for_sender t ~sender)
@@ -700,6 +718,7 @@ let read topo r =
     idx_site_bm;
     scratch_a = Bitmap.create scratch_width;
     scratch_b = Bitmap.create scratch_width;
+    down = None;
   }
 
 (* Deep copy for checkpoints. The delta fast path depends on physical
@@ -754,4 +773,5 @@ let copy t =
     idx_site_bm;
     scratch_a = Bitmap.create (Bitmap.width t.scratch_a);
     scratch_b = Bitmap.create (Bitmap.width t.scratch_b);
+    down = None;
   }

@@ -24,12 +24,15 @@ type t = {
       (** per-leaf rule bitmap the fast path mutates *)
   scratch_a : Bitmap.t;  (** scratch for the prospective budget check *)
   scratch_b : Bitmap.t;  (** scratch for rule refreshes *)
+  mutable down : Prule.down option;
+      (** this version's shared downstream sections, once built *)
 }
 (** The [idx_*] arrays and scratch bitmaps are internal to the
     {!apply_delta} fast path: a flat per-leaf index (rebuilt by every
     from-scratch encode and by {!copy}) that makes steady-state delta
     application allocation-free — no list scans, no option wrapping, no
-    fresh bitmaps. Treat them as private. *)
+    fresh bitmaps. [down] is {!header_for_sender}'s cache. Treat them all
+    as private. *)
 
 exception Internal_error of string
 (** Raised only when an internal invariant is violated (a fresh-snapshot
@@ -124,9 +127,12 @@ val delta_of_host : Topology.t -> joining:bool -> int -> delta
 val apply_delta : t -> delta -> outcome
 (** Applies a membership delta in place when the fast path holds. On
     [Applied] the encoding {e and its tree} reflect the new membership (the
-    tree's member buffer is updated in place; [stale] is incremented). On
-    [Reencode _] {b nothing was mutated} — the caller must run {!encode} on
-    the new membership and release/diff this encoding as usual.
+    tree's member buffer is updated in place; [stale] is incremented) and
+    the shared down is dropped (one field store), so the next
+    {!header_for_sender} builds a new one; headers built before keep the
+    old one, unchanged. On [Reencode _] {b nothing was mutated} — the
+    caller must run {!encode} on the new membership and release/diff this
+    encoding as usual.
 
     Steady-state applications are allocation-free: checked statically by
     the [zero-alloc] lint rule and at runtime by the hot-path harness. *)
@@ -137,7 +143,15 @@ val release : Srule_state.t -> t -> unit
 
 val header_for_sender : t -> sender:int -> Prule.header
 (** The full header the sender's hypervisor pushes. [sender] is a host; it
-    need not host a member VM. *)
+    need not host a member VM.
+
+    Only the upstream rules and the core rule are built per sender. The
+    downstream sections are one {!Prule.down} per encoding version, shared
+    [==] by every sender's header: the first call after {!encode},
+    {!apply_delta}, {!copy} or {!read} builds it (and encodes its wire),
+    from copies of the rule bitmaps, so the fast path's in-place flips
+    never reach a down a header already carries. {!encode} itself does not
+    build it. *)
 
 val header_bytes : t -> sender:int -> int
 

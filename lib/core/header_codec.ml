@@ -2,31 +2,6 @@ let layer_widths topo = function
   | `Spine -> (Topology.spine_downstream_width topo, Topology.spine_id_bits topo)
   | `Leaf -> (Topology.leaf_downstream_width topo, Topology.leaf_id_bits topo)
 
-let read_uprule r ~down_width ~up_width =
-  let down = Bitio.Reader.bitmap r down_width in
-  let up = Bitio.Reader.bitmap r up_width in
-  let multipath = Bitio.Reader.bit r in
-  { Prule.down; up; multipath }
-
-let read_section topo r layer =
-  let width, id_bits = layer_widths topo layer in
-  let rec rules acc =
-    if Bitio.Reader.bit r then begin
-      let bitmap = Bitio.Reader.bitmap r width in
-      let rec ids acc =
-        let id = Bitio.Reader.bits r id_bits in
-        if Bitio.Reader.bit r then ids (id :: acc) else List.rev (id :: acc)
-      in
-      rules ({ Prule.bitmap; switches = ids [] } :: acc)
-    end
-    else List.rev acc
-  in
-  let rules = rules [] in
-  let default =
-    if Bitio.Reader.bit r then Some (Bitio.Reader.bitmap r width) else None
-  in
-  (rules, default)
-
 let encoded_size topo h = Prule.header_bytes topo h
 
 type stage = Full | After_u_leaf | After_u_spine | After_core | After_d_spine
@@ -48,6 +23,62 @@ let has_core = function
 
 let has_d_spine = function After_d_spine -> false | _ -> true
 
+(* {1 Per-section readers}
+
+   One reader per section, each starting at the section's first bit. The
+   decoders below are these readers in wire order; [Fabric.inject] calls
+   each one alone, at the section's offset in the packet's wire. *)
+
+let read_uprule r ~down_width ~up_width =
+  let down = Bitio.Reader.bitmap r down_width in
+  let up = Bitio.Reader.bitmap r up_width in
+  let multipath = Bitio.Reader.bit r in
+  { Prule.down; up; multipath }
+
+let read_u_leaf topo r =
+  read_uprule r
+    ~down_width:(Topology.leaf_downstream_width topo)
+    ~up_width:(Topology.leaf_upstream_width topo)
+
+let read_u_spine topo r =
+  if Bitio.Reader.bit r then
+    Some
+      (read_uprule r
+         ~down_width:(Topology.spine_downstream_width topo)
+         ~up_width:(Topology.spine_upstream_width topo))
+  else None
+
+let read_core topo r =
+  if Bitio.Reader.bit r then
+    Some (Bitio.Reader.bitmap r (Topology.core_downstream_width topo))
+  else None
+
+(* A downstream section; [claim] sees every identifier as it is read, so
+   the checked decoder can reject one before parsing on. *)
+let section topo layer ~claim r =
+  let width, id_bits = layer_widths topo layer in
+  let rec ids acc =
+    let id = Bitio.Reader.bits r id_bits in
+    claim id;
+    if Bitio.Reader.bit r then ids (id :: acc) else List.rev (id :: acc)
+  in
+  let rec rules acc =
+    if Bitio.Reader.bit r then begin
+      let bitmap = Bitio.Reader.bitmap r width in
+      rules ({ Prule.bitmap; switches = ids [] } :: acc)
+    end
+    else List.rev acc
+  in
+  let rules = rules [] in
+  let default =
+    if Bitio.Reader.bit r then Some (Bitio.Reader.bitmap r width) else None
+  in
+  (rules, default)
+
+let no_claim (_ : int) = ()
+let unchecked _ = no_claim
+let read_section topo layer r = section topo layer ~claim:no_claim r
+
 let empty_uprule topo =
   {
     Prule.down = Bitmap.create (Topology.leaf_downstream_width topo);
@@ -55,32 +86,23 @@ let empty_uprule topo =
     multipath = false;
   }
 
-let read_stage topo stage r =
-  let u_leaf =
-    if has_u_leaf stage then
-      read_uprule r
-        ~down_width:(Topology.leaf_downstream_width topo)
-        ~up_width:(Topology.leaf_upstream_width topo)
-    else empty_uprule topo
-  in
-  let u_spine =
-    if has_u_spine stage && Bitio.Reader.bit r then
-      Some
-        (read_uprule r
-           ~down_width:(Topology.spine_downstream_width topo)
-           ~up_width:(Topology.spine_upstream_width topo))
-    else None
-  in
-  let core =
-    if has_core stage && Bitio.Reader.bit r then
-      Some (Bitio.Reader.bitmap r (Topology.core_downstream_width topo))
-    else None
-  in
+(* The sections remaining at [stage], in wire order; popped ones come back
+   empty. [claim layer] checks the identifiers of each downstream section. *)
+let read_stage ~claim topo stage r =
+  let u_leaf = if has_u_leaf stage then read_u_leaf topo r else empty_uprule topo in
+  let u_spine = if has_u_spine stage then read_u_spine topo r else None in
+  let core = if has_core stage then read_core topo r else None in
   let d_spine, d_spine_default =
-    if has_d_spine stage then read_section topo r `Spine else ([], None)
+    if has_d_spine stage then section topo `Spine ~claim:(claim `Spine) r
+    else ([], None)
   in
-  let d_leaf, d_leaf_default = read_section topo r `Leaf in
-  { Prule.u_leaf; u_spine; core; d_spine; d_spine_default; d_leaf; d_leaf_default }
+  let d_leaf, d_leaf_default = section topo `Leaf ~claim:(claim `Leaf) r in
+  {
+    Prule.u_leaf;
+    u_spine;
+    core;
+    downstream = Prule.down topo ~d_spine ~d_spine_default ~d_leaf ~d_leaf_default;
+  }
 
 let stage_bits topo stage h =
   match stage with
@@ -90,12 +112,18 @@ let stage_bits topo stage h =
   | After_core -> Prule.remaining_bits_after topo h `Core
   | After_d_spine -> Prule.remaining_bits_after topo h `D_spine
 
-let decode_stage topo stage data = read_stage topo stage (Bitio.Reader.of_bytes data)
+let decode_stage topo stage data =
+  read_stage ~claim:unchecked topo stage (Bitio.Reader.of_bytes data)
+
 let decode topo data = decode_stage topo Full data
 
 let header_length topo data =
   let r = Bitio.Reader.of_bytes data in
-  ignore (read_stage topo Full r : Prule.header);
+  ignore (read_u_leaf topo r : Prule.uprule);
+  ignore (read_u_spine topo r : Prule.uprule option);
+  ignore (read_core topo r : Bitmap.t option);
+  ignore (read_section topo `Spine r : Prule.prule list * Bitmap.t option);
+  ignore (read_section topo `Leaf r : Prule.prule list * Bitmap.t option);
   (Bitio.Reader.pos r + 7) / 8
 
 (* {1 Hostile-input decoding}
@@ -133,59 +161,25 @@ let pp_decode_error ppf = function
 
 exception Reject of decode_error
 
-let checked_section topo r layer =
-  let width, id_bits = layer_widths topo layer in
+(* Each switch of the section's layer may be claimed once. *)
+let claim_once topo layer =
   let spine = match layer with `Spine -> true | `Leaf -> false in
-  let count =
-    match layer with
-    | `Spine -> topo.Topology.pods
-    | `Leaf -> Topology.num_leaves topo
+  let seen =
+    Array.make
+      (match layer with
+      | `Spine -> topo.Topology.pods
+      | `Leaf -> Topology.num_leaves topo)
+      false
   in
-  let seen = Array.make count false in
-  let rec rules acc =
-    if Bitio.Reader.bit r then begin
-      let bitmap = Bitio.Reader.bitmap r width in
-      let rec ids acc_ids =
-        let id = Bitio.Reader.bits r id_bits in
-        if id >= count then raise (Reject (Id_out_of_range { spine; id }));
-        if seen.(id) then raise (Reject (Duplicate_id { spine; id }));
-        seen.(id) <- true;
-        if Bitio.Reader.bit r then ids (id :: acc_ids)
-        else List.rev (id :: acc_ids)
-      in
-      rules ({ Prule.bitmap; switches = ids [] } :: acc)
-    end
-    else List.rev acc
-  in
-  let rules = rules [] in
-  let default =
-    if Bitio.Reader.bit r then Some (Bitio.Reader.bitmap r width) else None
-  in
-  (rules, default)
+  fun id ->
+    if id >= Array.length seen then raise (Reject (Id_out_of_range { spine; id }));
+    if seen.(id) then raise (Reject (Duplicate_id { spine; id }));
+    seen.(id) <- true
 
 let decode_checked topo data =
   match
     let r = Bitio.Reader.of_bytes data in
-    let u_leaf =
-      read_uprule r
-        ~down_width:(Topology.leaf_downstream_width topo)
-        ~up_width:(Topology.leaf_upstream_width topo)
-    in
-    let u_spine =
-      if Bitio.Reader.bit r then
-        Some
-          (read_uprule r
-             ~down_width:(Topology.spine_downstream_width topo)
-             ~up_width:(Topology.spine_upstream_width topo))
-      else None
-    in
-    let core =
-      if Bitio.Reader.bit r then
-        Some (Bitio.Reader.bitmap r (Topology.core_downstream_width topo))
-      else None
-    in
-    let d_spine, d_spine_default = checked_section topo r `Spine in
-    let d_leaf, d_leaf_default = checked_section topo r `Leaf in
+    let h = read_stage ~claim:(claim_once topo) topo Full r in
     (* Strict framing: at most the current byte's padding may remain, and
        it must be all-zero — a header buried in a longer hostile buffer is
        rejected rather than silently truncated. *)
@@ -193,15 +187,7 @@ let decode_checked topo data =
     while Bitio.Reader.remaining r > 0 do
       if Bitio.Reader.bit r then raise (Reject Trailing_bits)
     done;
-    {
-      Prule.u_leaf;
-      u_spine;
-      core;
-      d_spine;
-      d_spine_default;
-      d_leaf;
-      d_leaf_default;
-    }
+    h
   with
   | h -> Ok h
   | exception Reject e -> Error e
@@ -209,55 +195,13 @@ let decode_checked topo data =
 
 (* {1 Encoding}
 
-   Every encoder writes through a {!Bitio.Sink} with the zero-alloc kernels
-   below: [encode_into] into the caller's buffer, [encode]/[encode_stage]
-   into a fresh buffer of exactly [stage_bits] bits (rounded up to bytes),
-   so the header is written once and never copied. The size accounting
-   ({!Prule}) is total; a malformed rule is reported by the writer, with
-   its own message, before the buffer could overflow. *)
-
-(* elmo-lint: zero-alloc *)
-let rec write_ids_into s id_bits ids =
-  match ids with
-  | [] -> ()
-  | [ id ] ->
-      Bitio.Sink.bits s id id_bits;
-      Bitio.Sink.bit s false
-  | id :: rest ->
-      Bitio.Sink.bits s id id_bits;
-      Bitio.Sink.bit s true;
-      write_ids_into s id_bits rest
-
-(* elmo-lint: zero-alloc *)
-let rec write_rules_into s width id_bits rules =
-  match rules with
-  | [] -> ()
-  | r :: rest ->
-      (match r.Prule.switches with
-      | [] ->
-          (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
-          invalid_arg "Header_codec: p-rule with no switch identifiers" (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-      | _ :: _ -> ());
-      if Bitmap.width r.Prule.bitmap <> width then
-        (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
-        invalid_arg "Header_codec: p-rule bitmap width mismatch"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-      Bitio.Sink.bit s true;
-      Bitio.Sink.bitmap s r.Prule.bitmap;
-      write_ids_into s id_bits r.Prule.switches;
-      write_rules_into s width id_bits rest
-
-(* elmo-lint: zero-alloc *)
-let write_section_into s width id_bits rules default =
-  write_rules_into s width id_bits rules;
-  Bitio.Sink.bit s false;
-  match default with
-  | None -> Bitio.Sink.bit s false
-  | Some bm ->
-      if Bitmap.width bm <> width then
-        (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
-        invalid_arg "Header_codec: default bitmap width mismatch"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-      Bitio.Sink.bit s true;
-      Bitio.Sink.bitmap s bm
+   Every encoder writes the per-sender prefix (upstream rules and core)
+   through the zero-alloc {!Bitio.Sink} kernels and then splices the
+   down's pre-encoded sections after it ({!Bitio.Sink.append}): the
+   downstream rules, the bulk of a header, are encoded once per
+   {!Prule.down}, never per sender or per hop. [encode_into] writes into
+   the caller's buffer, [encode]/[encode_stage] into a fresh buffer of
+   exactly [stage_bits] bits (rounded up to bytes). *)
 
 (* elmo-lint: zero-alloc *)
 let write_uprule_into s ~down_width ~up_width (u : Prule.uprule) =
@@ -290,7 +234,9 @@ let write_core_into s core =
       Bitio.Sink.bit s true;
       Bitio.Sink.bitmap s bm
 
-(* The sections remaining at [stage], outermost first. *)
+(* The sections remaining at [stage], outermost first: the prefix sections
+   written field by field, then the down's bits from the first section
+   still on the wire. *)
 (* elmo-lint: zero-alloc *)
 let write_stage_into topo stage (h : Prule.header) s =
   if has_u_leaf stage then
@@ -300,15 +246,9 @@ let write_stage_into topo stage (h : Prule.header) s =
       h.Prule.u_leaf;
   if has_u_spine stage then write_u_spine_into topo s h.Prule.u_spine;
   if has_core stage then write_core_into s h.Prule.core;
-  if has_d_spine stage then
-    write_section_into s
-      (Topology.spine_downstream_width topo)
-      (Topology.spine_id_bits topo)
-      h.Prule.d_spine h.Prule.d_spine_default;
-  write_section_into s
-    (Topology.leaf_downstream_width topo)
-    (Topology.leaf_id_bits topo)
-    h.Prule.d_leaf h.Prule.d_leaf_default
+  let d = h.Prule.downstream in
+  Bitio.Run.append s d.Prule.wire
+    ~off:(if has_d_spine stage then 0 else d.Prule.spine_bits)
 
 (* elmo-lint: zero-alloc *)
 let encode_into topo h s =
@@ -330,18 +270,28 @@ let encode topo h = encode_stage topo Full h
 
 let encode_parts topo (h : Prule.header) =
   (* One byte-aligned buffer per section/rule - the unit of a "write call"
-     in the per-rule encapsulation path (§4.2). Built in wire order, so a
-     malformed header fails on its first defect as [encode] does. *)
+     in the per-rule encapsulation path (§4.2). A downstream part is a
+     slice of the down's wire: a rule's part is the one-rule section [r],
+     the rule's bits then two zeros (terminator, no default); a section's
+     last part is its terminator and default. *)
   let leaf_down = Topology.leaf_downstream_width topo in
   let leaf_up = Topology.leaf_upstream_width topo in
-  let section layer rules default =
-    let width, id_bits = layer_widths topo layer in
-    let part rules default =
-      sink_bytes (Prule.section_bits topo layer rules default) (fun s ->
-          write_section_into s width id_bits rules default)
+  let d = h.Prule.downstream in
+  let slice ~off ~len ~bits =
+    sink_bytes bits (fun s ->
+        Bitio.Sink.append s (Bitio.Run.bytes d.Prule.wire) ~off ~len;
+        Bitio.Sink.bits s 0 (bits - len))
+  in
+  let section layer rules ~off ~stop =
+    let rec parts off = function
+      | [] -> [ slice ~off ~len:(stop - off) ~bits:(stop - off) ]
+      | (r : Prule.prule) :: rest ->
+          let len =
+            Prule.prule_bits topo layer ~nswitches:(List.length r.Prule.switches)
+          in
+          slice ~off ~len ~bits:(len + 2) :: parts (off + len) rest
     in
-    let rule_parts = List.map (fun r -> part [ r ] None) rules in
-    rule_parts @ [ part [] default ]
+    parts off rules
   in
   let u_leaf =
     sink_bytes (Prule.uprule_bits ~down_width:leaf_down ~up_width:leaf_up) (fun s ->
@@ -356,8 +306,10 @@ let encode_parts topo (h : Prule.header) =
     sink_bytes (stage_bits topo After_u_spine h - stage_bits topo After_core h)
       (fun s -> write_core_into s h.Prule.core)
   in
-  let d_spine = section `Spine h.Prule.d_spine h.Prule.d_spine_default in
-  let d_leaf = section `Leaf h.Prule.d_leaf h.Prule.d_leaf_default in
+  let d_spine = section `Spine d.Prule.d_spine ~off:0 ~stop:d.Prule.spine_bits in
+  let d_leaf =
+    section `Leaf d.Prule.d_leaf ~off:d.Prule.spine_bits ~stop:d.Prule.bits
+  in
   (u_leaf :: u_spine :: core :: d_spine) @ d_leaf
 
 let encode_per_rule_writes topo h =

@@ -10,13 +10,22 @@
     presence bit introduces the optional default bitmap.
 
     Serialization of headers produced by {!Encoding.header_for_sender} is
-    lossless: [decode topo (encode topo h) = h]. *)
+    lossless: [decode topo (encode topo h) = h].
+
+    The two downstream sections are a header's {!Prule.down}, whose wire
+    was written when it was built. Every encoder here writes only the
+    per-sender prefix (upstream rules, core) field by field and then
+    splices the down's bits after it ({!Bitio.Run.append}); it never walks
+    the downstream rules. A popped stage is the same bits from a later
+    offset, so [encode_stage topo st h] is the last [stage_bits topo st h]
+    bits of [encode topo h], zero-padded. *)
 
 val encode : Topology.t -> Prule.header -> bytes
 (** Writes the header once, through the allocation-free kernels of
     {!encode_into}, into a buffer of exactly {!stage_bits} bits rounded up
-    to whole bytes. Raises [Invalid_argument] if a p-rule has an empty
-    switch list or a bitmap of the wrong width for its layer. *)
+    to whole bytes. Raises [Invalid_argument] if an upstream rule's bitmaps
+    have the wrong width (a malformed downstream rule cannot reach here:
+    {!Prule.val-down} rejects it). *)
 
 val decode : Topology.t -> bytes -> Prule.header
 (** Raises [Bitio.Reader.Truncated] on short input. Trailing padding bits
@@ -27,6 +36,28 @@ val header_length : Topology.t -> bytes -> int
     [data], which may go on with a payload, and returns its length in bytes
     (its bits rounded up to a byte, as {!encode} pads). Raises
     [Bitio.Reader.Truncated] if [data] ends inside the header. *)
+
+(** {1 Per-section parsing}
+
+    Each reader parses one section starting at the reader's position,
+    which must be the section's first bit. The decoders are these readers
+    in wire order, and a switch in [Fabric.inject] calls only the one its
+    layer reads, at the section's offset in the packet's wire. All raise
+    [Bitio.Reader.Truncated] on short input. *)
+
+val read_u_leaf : Topology.t -> Bitio.Reader.t -> Prule.uprule
+val read_u_spine : Topology.t -> Bitio.Reader.t -> Prule.uprule option
+(** Presence bit, then the upstream spine rule. *)
+
+val read_core : Topology.t -> Bitio.Reader.t -> Bitmap.t option
+(** Presence bit, then the core bitmap. *)
+
+val read_section :
+  Topology.t ->
+  [ `Spine | `Leaf ] ->
+  Bitio.Reader.t ->
+  Prule.prule list * Bitmap.t option
+(** A downstream section: its p-rules and optional default bitmap. *)
 
 (** {1 Hostile-input decoding} *)
 
@@ -47,14 +78,16 @@ val decode_checked :
     input whatsoever. Beyond {!decode}'s parsing it rejects switch ids
     outside the topology, a switch claimed twice within one downstream
     section (which also bounds the section's size), and nonzero or
-    byte-plus trailing slack. Structural checks only — whether an accepted
+    byte-plus trailing slack. It parses with the same per-section readers
+    as {!decode}. Structural checks only — whether an accepted
     header {e over-delivers} relative to a group's intent is decided by the
     verify layer ([Verify.admit_header] subsumption). *)
 
 val encode_into : Topology.t -> Prule.header -> Bitio.Sink.t -> int
 (** [encode] into a caller-provided sink: identical bit layout, no heap
     allocation on the success path (under the [zero-alloc] lint rule, with
-    an [Allocs.probe] harness in the test suite). Returns the sink's end
+    an [Allocs.probe] harness in the test suite), the down's bits spliced
+    by the zero-alloc {!Bitio.Run.append}. Returns the sink's end
     byte position ({!Bitio.Sink.finish}). Raises [Invalid_argument] on the
     same malformed headers as {!encode}, or if the sink's buffer is too
     small. *)
@@ -76,8 +109,11 @@ type stage =
   | After_d_spine  (** any spine → downstream leaf *)
 
 val encode_stage : Topology.t -> stage -> Prule.header -> bytes
-(** Serializes only the sections remaining at [stage]; [encode_stage Full]
-    = {!encode}. *)
+(** Serializes only the sections remaining at [stage]: the prefix sections
+    still on the wire, then the down's bits (from its d_leaf section at
+    [After_d_spine]). [encode_stage Full] = {!encode}, and every stage is
+    the bit-suffix of {!encode} at offset
+    [stage_bits Full - stage_bits stage], zero-padded. *)
 
 val decode_stage : Topology.t -> stage -> bytes -> Prule.header
 (** Inverse of {!encode_stage}; popped sections come back empty ([None] /
@@ -86,11 +122,12 @@ val decode_stage : Topology.t -> stage -> bytes -> Prule.header
 val stage_bits : Topology.t -> stage -> Prule.header -> int
 (** Exact bit length of [encode_stage] without materializing; agrees with
     {!Prule.header_bits} and {!Prule.remaining_bits_after}. It does not
-    validate the header: the encoders report malformed rules. *)
+    validate the header: the encoders report malformed upstream rules. *)
 
 val encode_parts : Topology.t -> Prule.header -> bytes list
 (** The header split into separately byte-aligned parts, one per section or
-    p-rule — the write-call units of the unoptimized encapsulation path. *)
+    p-rule — the write-call units of the unoptimized encapsulation path.
+    Downstream parts are slices of the down's wire. *)
 
 val encode_per_rule_writes : Topology.t -> Prule.header -> bytes
 (** Encodes the same header as {!encode}, but materializes every p-rule as a

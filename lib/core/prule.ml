@@ -1,14 +1,21 @@
 type uprule = { down : Bitmap.t; up : Bitmap.t; multipath : bool }
 type prule = { bitmap : Bitmap.t; switches : int list }
 
-type header = {
-  u_leaf : uprule;
-  u_spine : uprule option;
-  core : Bitmap.t option;
+type down = {
   d_spine : prule list;
   d_spine_default : Bitmap.t option;
   d_leaf : prule list;
   d_leaf_default : Bitmap.t option;
+  spine_bits : int;
+  bits : int;
+  wire : Bitio.Run.t;
+}
+
+type header = {
+  u_leaf : uprule;
+  u_spine : uprule option;
+  core : Bitmap.t option;
+  downstream : down;
 }
 
 let rule_mem r id = List.mem id r.switches
@@ -38,6 +45,9 @@ let default_rule_bits topo layer =
   let width, _ = layer_widths topo layer in
   1 + width
 
+(* Whole downstream section: rules, terminator, default. Total: a rule with
+   no switch identifiers counts its marker and bitmap, so sizing a down
+   never raises before its writer reports the malformed rule. *)
 let section_bits topo layer rules default =
   let width, id_bits = layer_widths topo layer in
   let rules_bits =
@@ -51,6 +61,76 @@ let section_bits topo layer rules default =
     | None -> 1 (* just the absent flag *)
   in
   rules_bits + 1 (* section terminator *) + default_bits
+
+(* {1 The downstream sections}
+
+   A [down] is built only here, and building it writes its wire: the two
+   sections, MSB-first from bit 0, through the zero-alloc {!Bitio.Sink}
+   kernels below. The record is private, so no caller can pair a wire with
+   other rules. *)
+
+(* elmo-lint: zero-alloc *)
+let rec write_ids s id_bits ids =
+  match ids with
+  | [] -> ()
+  | [ id ] ->
+      Bitio.Sink.bits s id id_bits;
+      Bitio.Sink.bit s false
+  | id :: rest ->
+      Bitio.Sink.bits s id id_bits;
+      Bitio.Sink.bit s true;
+      write_ids s id_bits rest
+
+(* elmo-lint: zero-alloc *)
+let rec write_rules s width id_bits rules =
+  match rules with
+  | [] -> ()
+  | r :: rest ->
+      (match r.switches with
+      | [] ->
+          (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
+          invalid_arg "Prule.down: p-rule with no switch identifiers" (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
+      | _ :: _ -> ());
+      if Bitmap.width r.bitmap <> width then
+        (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
+        invalid_arg "Prule.down: p-rule bitmap width mismatch"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
+      Bitio.Sink.bit s true;
+      Bitio.Sink.bitmap s r.bitmap;
+      write_ids s id_bits r.switches;
+      write_rules s width id_bits rest
+
+(* elmo-lint: zero-alloc *)
+let write_section s width id_bits rules default =
+  write_rules s width id_bits rules;
+  Bitio.Sink.bit s false;
+  match default with
+  | None -> Bitio.Sink.bit s false
+  | Some bm ->
+      if Bitmap.width bm <> width then
+        (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
+        invalid_arg "Prule.down: default bitmap width mismatch"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
+      Bitio.Sink.bit s true;
+      Bitio.Sink.bitmap s bm
+
+let down topo ~d_spine ~d_spine_default ~d_leaf ~d_leaf_default =
+  let spine_bits = section_bits topo `Spine d_spine d_spine_default in
+  let bits = spine_bits + section_bits topo `Leaf d_leaf d_leaf_default in
+  let wire = Bytes.create ((bits + 7) / 8) in
+  let s = Bitio.Sink.of_bytes wire in
+  let spine_width, spine_id_bits = layer_widths topo `Spine in
+  let leaf_width, leaf_id_bits = layer_widths topo `Leaf in
+  write_section s spine_width spine_id_bits d_spine d_spine_default;
+  write_section s leaf_width leaf_id_bits d_leaf d_leaf_default;
+  ignore (Bitio.Sink.finish s : int);
+  {
+    d_spine;
+    d_spine_default;
+    d_leaf;
+    d_leaf_default;
+    spine_bits;
+    bits;
+    wire = Bitio.Run.make wire ~len:bits;
+  }
 
 let u_leaf_bits topo =
   uprule_bits
@@ -70,15 +150,9 @@ let u_spine_bits topo header =
 let core_bits topo header =
   1 + match header.core with None -> 0 | Some _ -> Topology.core_downstream_width topo
 
-let d_spine_bits topo header =
-  section_bits topo `Spine header.d_spine header.d_spine_default
-
-let d_leaf_bits topo header =
-  section_bits topo `Leaf header.d_leaf header.d_leaf_default
-
 let header_bits topo header =
   u_leaf_bits topo + u_spine_bits topo header + core_bits topo header
-  + d_spine_bits topo header + d_leaf_bits topo header
+  + header.downstream.bits
 
 let header_bytes topo header = (header_bits topo header + 7) / 8
 
@@ -104,12 +178,10 @@ let max_header_bytes topo (params : Params.t) =
   (bits + 7) / 8
 
 let remaining_bits_after topo header = function
-  | `U_leaf ->
-      u_spine_bits topo header + core_bits topo header + d_spine_bits topo header
-      + d_leaf_bits topo header
-  | `U_spine -> core_bits topo header + d_spine_bits topo header + d_leaf_bits topo header
-  | `Core -> d_spine_bits topo header + d_leaf_bits topo header
-  | `D_spine -> d_leaf_bits topo header
+  | `U_leaf -> u_spine_bits topo header + core_bits topo header + header.downstream.bits
+  | `U_spine -> core_bits topo header + header.downstream.bits
+  | `Core -> header.downstream.bits
+  | `D_spine -> header.downstream.bits - header.downstream.spine_bits
   | `All -> 0
 
 let pp_uprule ppf u =
@@ -124,6 +196,7 @@ let pp_prule ppf r =
     r.switches
 
 let pp topo ppf h =
+  let d = h.downstream in
   let pp_rules = Format.pp_print_list ~pp_sep:Format.pp_print_space pp_prule in
   let pp_default ppf = function
     | None -> Format.pp_print_string ppf "-"
@@ -139,5 +212,5 @@ let pp topo ppf h =
     (fun ppf -> function
       | None -> Format.pp_print_string ppf "-"
       | Some bm -> Bitmap.pp ppf bm)
-    h.core pp_rules h.d_spine pp_default h.d_spine_default pp_rules h.d_leaf
-    pp_default h.d_leaf_default (header_bytes topo h)
+    h.core pp_rules d.d_spine pp_default d.d_spine_default pp_rules d.d_leaf
+    pp_default d.d_leaf_default (header_bytes topo h)

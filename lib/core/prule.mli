@@ -23,15 +23,43 @@ type prule = {
   switches : int list;  (** logical-switch identifiers sharing the rule *)
 }
 
-type header = {
-  u_leaf : uprule;
-  u_spine : uprule option;  (** absent on two-tier topologies *)
-  core : Bitmap.t option;  (** pods to forward to; absent if single-pod tree *)
+type down = private {
   d_spine : prule list;
   d_spine_default : Bitmap.t option;
   d_leaf : prule list;
   d_leaf_default : Bitmap.t option;
+  spine_bits : int;  (** wire length of the downstream spine section *)
+  bits : int;  (** wire length of both sections *)
+  wire : Bitio.Run.t;
+      (** both sections as they go on the wire, [bits] long, kept at every
+          bit alignment so any prefix length splices them with a blit *)
 }
+(** The downstream sections (D1, D3, D4): a property of the group's tree,
+    the same bits in every sender's header. Only {!val-down} builds one, and
+    it writes the wire while it does, so a [down]'s rules and its wire
+    always agree: [{ h with ... }] on a header can swap a whole [down] but
+    never pair a wire with other rules. The encoders splice [wire] after
+    the per-sender prefix instead of walking the rules again. *)
+
+type header = {
+  u_leaf : uprule;
+  u_spine : uprule option;  (** absent on two-tier topologies *)
+  core : Bitmap.t option;  (** pods to forward to; absent if single-pod tree *)
+  downstream : down;  (** shared by every sender of one encoding version *)
+}
+
+val down :
+  Topology.t ->
+  d_spine:prule list ->
+  d_spine_default:Bitmap.t option ->
+  d_leaf:prule list ->
+  d_leaf_default:Bitmap.t option ->
+  down
+(** Builds the sections and encodes them once. The [down] takes the
+    bitmaps as they are: mutating one afterwards would make the rules
+    disagree with [wire], so a caller that keeps mutating its rules
+    ({!Encoding}) passes copies. Raises [Invalid_argument] if a p-rule has
+    an empty switch list or a bitmap of the wrong width for its layer. *)
 
 val rule_mem : prule -> int -> bool
 (** Does the rule's identifier list include the switch? *)
@@ -50,13 +78,9 @@ val prule_bits : Topology.t -> [ `Spine | `Leaf ] -> nswitches:int -> int
 val default_rule_bits : Topology.t -> [ `Spine | `Leaf ] -> int
 (** Presence flag + bitmap. *)
 
-val section_bits :
-  Topology.t -> [ `Spine | `Leaf ] -> prule list -> Bitmap.t option -> int
-(** Whole downstream section: rules, terminator, default. Total: a rule
-    with no switch identifiers counts its marker and bitmap, so the sizes
-    below never raise and the codec reports a malformed rule itself. *)
-
 val header_bits : Topology.t -> header -> int
+(** The per-sender prefix plus the down's cached [bits]. *)
+
 val header_bytes : Topology.t -> header -> int
 (** [ceil (header_bits / 8)]: what the packet actually carries. *)
 

@@ -270,19 +270,6 @@ let match_rule ~legacy rules id table group default =
         | Some bm -> Some bm
         | None -> default)
 
-(* One stage of a packet's header: the bytes on the wire past that point and
-   the header a switch parses from them, each computed by the first switch
-   that needs it. Every copy of a packet at a given stage carries the same
-   bytes, so within one packet neither is ever redone; across packets
-   nothing is kept. *)
-type stage_wire = { wire : bytes Lazy.t; parsed : Prule.header Lazy.t }
-
-let stage_wire topo header stage =
-  let wire = lazy (Header_codec.encode_stage topo stage header) in
-  { wire; parsed = lazy (Header_codec.decode_stage topo stage (Lazy.force wire)) }
-
-let wire_bytes sw = Bytes.length (Lazy.force sw.wire)
-
 let inject t ~sender ~group ~header ~payload =
   let topo = t.topo in
   let acc =
@@ -297,20 +284,37 @@ let inject t ~sender ~group ~header ~payload =
     }
   in
   let hash = Ecmp.flow_hash ~group ~sender in
-  let full = stage_wire topo header Header_codec.Full in
-  let after_u_leaf = stage_wire topo header Header_codec.After_u_leaf in
-  let after_u_spine = stage_wire topo header Header_codec.After_u_spine in
-  let after_core = stage_wire topo header Header_codec.After_core in
-  let after_d_spine = stage_wire topo header Header_codec.After_d_spine in
+  (* The sender's wire is encoded once. Every later stage is its suffix
+     from bit [full_bits - stage_bits], so a hop carries that suffix
+     rounded up to a byte, and a switch parses only its own section, at
+     that offset in the one wire: each section at most once per packet, by
+     the first switch that reads it. Nothing is kept across packets. *)
+  let wire = Header_codec.encode topo header in
+  let full_bits = Prule.header_bits topo header in
+  let stage_bytes stage = (Header_codec.stage_bits topo stage header + 7) / 8 in
+  let section stage read =
+    lazy
+      (let r = Bitio.Reader.of_bytes wire in
+       Bitio.Reader.seek r (full_bits - Header_codec.stage_bits topo stage header);
+       read r)
+  in
+  let u_spine = section Header_codec.After_u_leaf (Header_codec.read_u_spine topo) in
+  let core = section Header_codec.After_u_spine (Header_codec.read_core topo) in
+  let d_spine =
+    section Header_codec.After_core (Header_codec.read_section topo `Spine)
+  in
+  let d_leaf =
+    section Header_codec.After_d_spine (Header_codec.read_section topo `Leaf)
+  in
   let sl = Topology.leaf_of_host topo sender in
   let sp = Topology.pod_of_leaf topo sl in
 
-  (* Downstream leaf: parse the (already popped) header and forward. *)
+  (* Downstream leaf: parse the d_leaf section and forward. *)
   let at_leaf_down leaf =
-    let h = Lazy.force after_d_spine.parsed in
+    let rules, default = Lazy.force d_leaf in
     let fb =
-      match_rule ~legacy:t.leaf_legacy.(leaf) h.Prule.d_leaf leaf
-        t.leaf_tables.(leaf) group h.Prule.d_leaf_default
+      match_rule ~legacy:t.leaf_legacy.(leaf) rules leaf t.leaf_tables.(leaf)
+        group default
     in
     match fb with
     | None -> ()
@@ -323,15 +327,15 @@ let inject t ~sender ~group ~header ~payload =
   in
   (* Downstream spine (physical [s]) in pod [p]. *)
   let at_spine_down s p =
-    let h = Lazy.force after_core.parsed in
+    let rules, default = Lazy.force d_spine in
     let fb =
-      match_rule ~legacy:t.spine_legacy.(s) h.Prule.d_spine p
-        t.spine_tables.(s) group h.Prule.d_spine_default
+      match_rule ~legacy:t.spine_legacy.(s) rules p t.spine_tables.(s) group
+        default
     in
     match fb with
     | None -> ()
     | Some bm ->
-        let to_leaf = wire_bytes after_d_spine in
+        let to_leaf = stage_bytes Header_codec.After_d_spine in
         let plane = s mod topo.Topology.spines_per_pod in
         Bitmap.iter
           (fun port ->
@@ -344,12 +348,11 @@ let inject t ~sender ~group ~header ~payload =
   let at_core c =
     if not t.core_up.(c) then acc.lost <- acc.lost + 1
     else begin
-      let h = Lazy.force after_u_spine.parsed in
-      match h.Prule.core with
+      match Lazy.force core with
       | None -> ()
       | Some bm ->
           let plane = c / topo.Topology.cores_per_plane in
-          let to_spine = wire_bytes after_core in
+          let to_spine = stage_bytes Header_codec.After_core in
           Bitmap.iter
             (fun p ->
               let s = (p * topo.Topology.spines_per_pod) + plane in
@@ -363,11 +366,10 @@ let inject t ~sender ~group ~header ~payload =
   let at_spine_up s =
     if not t.spine_up.(s) then acc.lost <- acc.lost + 1
     else begin
-      let h = Lazy.force after_u_leaf.parsed in
-      match h.Prule.u_spine with
+      match Lazy.force u_spine with
       | None -> ()
       | Some u ->
-          let to_leaf = wire_bytes after_d_spine in
+          let to_leaf = stage_bytes Header_codec.After_d_spine in
           let plane = s mod topo.Topology.spines_per_pod in
           Bitmap.iter
             (fun port ->
@@ -376,7 +378,7 @@ let inject t ~sender ~group ~header ~payload =
               if link_ok t ~leaf ~plane then at_leaf_down leaf
               else acc.lost <- acc.lost + 1)
             u.Prule.down;
-          let to_core = wire_bytes after_u_spine in
+          let to_core = stage_bytes Header_codec.After_u_spine in
           let send_core c =
             hop acc ~src:(Spine_node s) ~dst:(Core_node c) to_core;
             at_core c
@@ -393,13 +395,13 @@ let inject t ~sender ~group ~header ~payload =
   in
   (* Sender leaf: upstream processing of the full header. *)
   let at_leaf_up () =
-    let u = (Lazy.force full.parsed).Prule.u_leaf in
+    let u = Header_codec.read_u_leaf topo (Bitio.Reader.of_bytes wire) in
     Bitmap.iter
       (fun port ->
         deliver acc ~src:(Leaf_node sl)
           ((sl * topo.Topology.hosts_per_leaf) + port))
       u.Prule.down;
-    let to_spine = wire_bytes after_u_leaf in
+    let to_spine = stage_bytes Header_codec.After_u_leaf in
     let send_spine s =
       hop acc ~src:(Leaf_node sl) ~dst:(Spine_node s) to_spine;
       if link_ok t ~leaf:sl ~plane:(s mod topo.Topology.spines_per_pod) then
@@ -413,7 +415,7 @@ let inject t ~sender ~group ~header ~payload =
         (fun port -> send_spine ((sp * topo.Topology.spines_per_pod) + port))
         u.Prule.up
   in
-  hop acc ~src:(Host_node sender) ~dst:(Leaf_node sl) (wire_bytes full);
+  hop acc ~src:(Host_node sender) ~dst:(Leaf_node sl) (Bytes.length wire);
   at_leaf_up ();
   (match t.telemetry with
   | None -> ()

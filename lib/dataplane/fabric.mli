@@ -164,12 +164,17 @@ val inject :
     report and the telemetry byte counts; forwarding decisions never read
     it.
 
-    Every switch forwards on a header parsed from the wire bytes of its
-    stage (the sections still on the packet when it arrives), never on
-    [header] itself. All copies at one stage carry the same bytes, so per
-    packet each stage is encoded at most once, by the first switch that
-    emits it, and parsed at most once, by the first switch that receives
-    it; nothing is kept from one packet to the next. *)
+    Every switch forwards on fields parsed from the wire, never on
+    [header] itself. The sender's wire is encoded once per packet (the
+    per-sender prefix, then the shared {!Prule.down}'s bits spliced in).
+    A later stage is not re-encoded: it is a bit-offset view of that wire,
+    the suffix from bit [stage_bits Full - stage_bits stage], and a hop's
+    header bytes are that suffix rounded up to a byte. Each switch parses
+    only the section its layer reads ([u_leaf], [u_spine], [core],
+    [d_spine] or [d_leaf], through {!Header_codec.read_u_leaf} and its
+    siblings) at that offset, and each section is parsed at most once per
+    packet, by the first switch that reads it. Nothing is kept from one
+    packet to the next. *)
 
 val deliveries_correct :
   report -> tree:Tree.t -> sender:int -> bool

@@ -22,8 +22,15 @@ val host : t -> int
 
 val install_sender : t -> group:int -> Prule.header -> unit
 (** Installs/replaces the encap flow rule. Pre-serializes the header into
-    the single-write blob {!encap} copies; the per-rule parts of
-    {!encap_per_rule} are built on its first use for the rule, not here. *)
+    the single-write blob {!encap} copies: the sender's own prefix is
+    written field by field and the group's shared downstream sections
+    ({!Prule.down}, one per encoding version, the same value in every
+    sender's header) are spliced in from their cached wire, so an install
+    costs the prefix and a blit, not a walk of the downstream rules. The
+    per-rule parts of {!encap_per_rule} are built on its first use for the
+    rule, not here. A rule keeps the header it was given: a later change
+    to the group's encoding builds a new down and reaches this host only
+    through another [install_sender]. *)
 
 val remove_sender : t -> group:int -> unit
 

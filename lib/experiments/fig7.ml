@@ -48,10 +48,10 @@ let header_with_rules topo n =
     Prule.u_leaf;
     u_spine;
     core;
-    d_spine = List.init (min 2 topo.Topology.pods) spine_rule;
-    d_spine_default = None;
-    d_leaf = List.init n leaf_rule;
-    d_leaf_default = None;
+    downstream =
+      Prule.down topo
+        ~d_spine:(List.init (min 2 topo.Topology.pods) spine_rule)
+        ~d_spine_default:None ~d_leaf:(List.init n leaf_rule) ~d_leaf_default:None;
   }
 
 (* Time [f] until at least 50 ms have elapsed; returns calls per second. *)

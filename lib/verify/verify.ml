@@ -330,13 +330,14 @@ let header_pred ctx topo ~sender (h : Prule.header) =
     | Some r -> Some r.Prule.bitmap
     | None -> default
   in
+  let d = h.Prule.downstream in
   let at_leaf_down l =
-    match matched h.Prule.d_leaf l h.Prule.d_leaf_default with
+    match matched d.Prule.d_leaf l d.Prule.d_leaf_default with
     | None -> ()
     | Some bm -> Bitmap.iter (fun q -> add (Pred.Leaf l) q) bm
   in
   let at_spine_down p =
-    match matched h.Prule.d_spine p h.Prule.d_spine_default with
+    match matched d.Prule.d_spine p d.Prule.d_spine_default with
     | None -> ()
     | Some bm ->
         Bitmap.iter

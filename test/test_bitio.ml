@@ -250,9 +250,53 @@ let test_bitmap_truncated () =
           end)
         [ (offset + 7) / 8; (full - 1) / 8 ])
 
+(* Splicing pre-encoded bits: [Sink.append] of bits [off, off + len) and
+   [Run.append] of a run's suffix from [off], behind every sink alignment,
+   against the hand-packed stream (alignment prefix, the source bits, a
+   101 trailer). The source holds [off + len] random bits and ends there,
+   so a shifted read past it would be caught. *)
+let test_append_every_offset () =
+  let rand = Random.State.make [| 17 |] in
+  List.iter
+    (fun align ->
+      List.iter
+        (fun off ->
+          List.iter
+            (fun len ->
+              let src_bits = List.init (off + len) (fun _ -> Random.State.bool rand) in
+              let src = pack_bits src_bits in
+              let name = Printf.sprintf "align %d off %d len %d" align off len in
+              let expected =
+                pack_bits
+                  (List.init align (fun i -> i mod 2 = 0)
+                  @ List.filteri (fun i _ -> i >= off) src_bits
+                  @ [ true; false; true ])
+              in
+              let splice what append =
+                let buf = Bytes.make (Bytes.length expected + 1) '\255' in
+                let s = Bitio.Sink.of_bytes buf in
+                Bitio.Sink.bits s (prefix_value align) align;
+                append s;
+                Bitio.Sink.bits s 0b101 3;
+                Alcotest.(check int) (name ^ what ^ ": end") (Bytes.length expected)
+                  (Bitio.Sink.finish s);
+                Alcotest.(check bytes) (name ^ what) expected
+                  (Bytes.sub buf 0 (Bytes.length expected));
+                Alcotest.(check char) (name ^ what ^ ": stays in range") '\255'
+                  (Bytes.get buf (Bytes.length expected))
+              in
+              splice " (sink)" (fun s -> Bitio.Sink.append s src ~off ~len);
+              let run = Bitio.Run.make src ~len:(off + len) in
+              splice " (run)" (fun s -> Bitio.Run.append s run ~off))
+            [ 0; 1; 7; 8; 9; 15; 16; 17; 63; 130 ])
+        [ 0; 1; 3; 7; 8; 13 ])
+    offsets
+
 let tests =
   [
     Alcotest.test_case "bitmap at every offset" `Quick test_bitmap_every_offset;
+    Alcotest.test_case "append and runs at every offset" `Quick
+      test_append_every_offset;
     Alcotest.test_case "bits at every offset" `Quick test_bits_every_offset;
     Alcotest.test_case "bitmap cut short raises" `Quick test_bitmap_truncated;
     Alcotest.test_case "simple roundtrip" `Quick test_simple_roundtrip;

@@ -1,6 +1,86 @@
 let topo = Topology.running_example ()
 let fabric = Topology.facebook_fabric ()
 
+(* Leaf bitmaps wider than one 63-bit bitmap word. *)
+let wide =
+  Topology.create ~pods:3 ~leaves_per_pod:20 ~spines_per_pod:2 ~hosts_per_leaf:70
+    ~cores_per_plane:1
+
+(* The topologies of the fabric's golden digest. *)
+let golden_topos =
+  [|
+    topo;
+    Topology.create ~pods:6 ~leaves_per_pod:10 ~spines_per_pod:3
+      ~hosts_per_leaf:12 ~cores_per_plane:4;
+    wide;
+  |]
+
+(* Reference encoder: every section of Figure 2 walked field by field into
+   a list of bits, then packed MSB-first and zero-padded. It shares nothing
+   with the codec: no [Bitio], no cached down wire. *)
+let reference_bits t (h : Prule.header) =
+  let out = ref [] in
+  let bit b = out := b :: !out in
+  let bits v n =
+    for i = n - 1 downto 0 do
+      bit ((v lsr i) land 1 = 1)
+    done
+  in
+  let bitmap bm =
+    for i = 0 to Bitmap.width bm - 1 do
+      bit (Bitmap.get bm i)
+    done
+  in
+  let opt f = function
+    | None -> bit false
+    | Some x ->
+        bit true;
+        f x
+  in
+  let uprule (u : Prule.uprule) =
+    bitmap u.Prule.down;
+    bitmap u.Prule.up;
+    bit u.Prule.multipath
+  in
+  let section id_bits rules default =
+    List.iter
+      (fun (r : Prule.prule) ->
+        bit true;
+        bitmap r.Prule.bitmap;
+        let last = List.length r.Prule.switches - 1 in
+        List.iteri
+          (fun i id ->
+            bits id id_bits;
+            bit (i < last))
+          r.Prule.switches)
+      rules;
+    bit false;
+    opt bitmap default
+  in
+  let d = h.Prule.downstream in
+  uprule h.Prule.u_leaf;
+  opt uprule h.Prule.u_spine;
+  opt bitmap h.Prule.core;
+  section (Topology.spine_id_bits t) d.Prule.d_spine d.Prule.d_spine_default;
+  section (Topology.leaf_id_bits t) d.Prule.d_leaf d.Prule.d_leaf_default;
+  List.rev !out
+
+let pack bits =
+  let b = Bytes.make ((List.length bits + 7) / 8) '\000' in
+  List.iteri
+    (fun i set ->
+      if set then
+        Bytes.set b (i / 8)
+          (Char.chr (Char.code (Bytes.get b (i / 8)) lor (0x80 lsr (i mod 8)))))
+    bits;
+  b
+
+let reference_encode t h = pack (reference_bits t h)
+
+(* The first [n] bits of [b], MSB-first. *)
+let unpack b n =
+  List.init n (fun i -> Char.code (Bytes.get b (i / 8)) land (0x80 lsr (i mod 8)) <> 0)
+
 (* Random well-formed headers for a topology. *)
 let gen_header t =
   let open QCheck.Gen in
@@ -35,7 +115,12 @@ let gen_header t =
   prules `Leaf >>= fun d_leaf ->
   opt (bitmap (Topology.leaf_downstream_width t)) >>= fun d_leaf_default ->
   return
-    { Prule.u_leaf; u_spine; core; d_spine; d_spine_default; d_leaf; d_leaf_default }
+    {
+      Prule.u_leaf;
+      u_spine;
+      core;
+      downstream = Prule.down t ~d_spine ~d_spine_default ~d_leaf ~d_leaf_default;
+    }
 
 let arb_header t =
   QCheck.make
@@ -69,21 +154,22 @@ let prop_stage_roundtrip t name =
         let h' =
           Header_codec.decode_stage t stage (Header_codec.encode_stage t stage h)
         in
+        let d = h.Prule.downstream and d' = h'.Prule.downstream in
         match stage with
         | Header_codec.Full -> h' = h
         | Header_codec.After_u_leaf ->
             h'.Prule.u_spine = h.Prule.u_spine
             && h'.Prule.core = h.Prule.core
-            && h'.Prule.d_spine = h.Prule.d_spine
-            && h'.Prule.d_leaf = h.Prule.d_leaf
+            && d'.Prule.d_spine = d.Prule.d_spine
+            && d'.Prule.d_leaf = d.Prule.d_leaf
         | Header_codec.After_u_spine ->
-            h'.Prule.core = h.Prule.core && h'.Prule.d_leaf = h.Prule.d_leaf
+            h'.Prule.core = h.Prule.core && d'.Prule.d_leaf = d.Prule.d_leaf
         | Header_codec.After_core ->
-            h'.Prule.core = None && h'.Prule.d_spine = h.Prule.d_spine
+            h'.Prule.core = None && d'.Prule.d_spine = d.Prule.d_spine
         | Header_codec.After_d_spine ->
-            h'.Prule.d_spine = []
-            && h'.Prule.d_leaf = h.Prule.d_leaf
-            && h'.Prule.d_leaf_default = h.Prule.d_leaf_default
+            d'.Prule.d_spine = []
+            && d'.Prule.d_leaf = d.Prule.d_leaf
+            && d'.Prule.d_leaf_default = d.Prule.d_leaf_default
       in
       List.for_all check stages)
 
@@ -104,6 +190,28 @@ let prop_predicate_roundtrip t name =
       in
       Verify.equiv before after)
 
+(* [encode] against the reference walk: the prefix written field by field
+   and the spliced down together are the header's bits, for any sender
+   prefix length (so any alignment of the down's pre-shifted copies). *)
+let prop_reference_walk t name =
+  QCheck.Test.make ~name ~count:300 (arb_header t) (fun h ->
+      Bytes.equal (Header_codec.encode t h) (reference_encode t h))
+
+(* Every popped stage is the bit-suffix of the full wire at offset
+   [header_bits - stage_bits], zero-padded: a stage is an offset view of
+   the one wire, which is what [Fabric.inject] parses. *)
+let prop_stage_suffix t name =
+  QCheck.Test.make ~name ~count:300 (arb_header t) (fun h ->
+      let full = Header_codec.encode t h in
+      let full_bits = Prule.header_bits t h in
+      let bits = unpack full full_bits in
+      List.for_all
+        (fun stage ->
+          let stage_bits = Header_codec.stage_bits t stage h in
+          let suffix = List.filteri (fun i _ -> i >= full_bits - stage_bits) bits in
+          Bytes.equal (Header_codec.encode_stage t stage h) (pack suffix))
+        stages)
+
 let prop_parts_concat t name =
   QCheck.Test.make ~name ~count:200 (arb_header t) (fun h ->
       Header_codec.encode_per_rule_writes t h
@@ -117,26 +225,15 @@ let prop_popped_smaller t name =
       && size Header_codec.After_u_spine >= size Header_codec.After_core
       && size Header_codec.After_core >= size Header_codec.After_d_spine)
 
+(* A malformed downstream rule cannot become part of a header: building
+   its down is what encodes it, so that is where it is rejected. *)
 let test_empty_rule_list_rejected () =
-  let bad =
-    {
-      Prule.u_leaf =
-        {
-          Prule.down = Bitmap.create (Topology.leaf_downstream_width topo);
-          up = Bitmap.create (Topology.leaf_upstream_width topo);
-          multipath = false;
-        };
-      u_spine = None;
-      core = None;
-      d_spine = [];
-      d_spine_default = None;
-      d_leaf = [ { Prule.bitmap = Bitmap.create 8; switches = [] } ];
-      d_leaf_default = None;
-    }
-  in
   Alcotest.check_raises "empty switches"
-    (Invalid_argument "Header_codec: p-rule with no switch identifiers") (fun () ->
-      ignore (Header_codec.encode topo bad))
+    (Invalid_argument "Prule.down: p-rule with no switch identifiers") (fun () ->
+      ignore
+        (Prule.down topo ~d_spine:[] ~d_spine_default:None
+           ~d_leaf:[ { Prule.bitmap = Bitmap.create 8; switches = [] } ]
+           ~d_leaf_default:None))
 
 let test_wrong_width_rejected () =
   let bad =
@@ -149,10 +246,9 @@ let test_wrong_width_rejected () =
         };
       u_spine = None;
       core = None;
-      d_spine = [];
-      d_spine_default = None;
-      d_leaf = [];
-      d_leaf_default = None;
+      downstream =
+        Prule.down topo ~d_spine:[] ~d_spine_default:None ~d_leaf:[]
+          ~d_leaf_default:None;
     }
   in
   Alcotest.check_raises "width mismatch"
@@ -217,10 +313,6 @@ let prop_decode_stage_never_crashes =
    [Error Truncated]. Run on a fabric whose leaf bitmaps straddle a 63-bit
    bitmap word, so cuts land inside wide bitmap fields. *)
 let prop_prefix_truncated =
-  let wide =
-    Topology.create ~pods:3 ~leaves_per_pod:20 ~spines_per_pod:2
-      ~hosts_per_leaf:70 ~cores_per_plane:1
-  in
   QCheck.Test.make ~name:"checked decode of a cut header is Truncated" ~count:200
     (arb_header wide) (fun h ->
       let b = Header_codec.encode wide h in
@@ -233,8 +325,17 @@ let prop_prefix_truncated =
               = Error Header_codec.Truncated)
             (List.init (Bytes.length b) Fun.id))
 
+let golden_props prop what =
+  Array.to_list
+    (Array.mapi
+       (fun i t ->
+         QCheck_alcotest.to_alcotest (prop t (Printf.sprintf "%s (golden topo %d)" what i)))
+       golden_topos)
+
 let tests =
   tests
+  @ golden_props prop_reference_walk "encode = reference section walk"
+  @ golden_props prop_stage_suffix "stage = bit-suffix of the full wire"
   @ [
       QCheck_alcotest.to_alcotest prop_prefix_truncated;
       QCheck_alcotest.to_alcotest prop_decode_never_crashes;

@@ -59,8 +59,10 @@ let test_common_downstream_shared_by_senders () =
   let enc, _ = encode fig3_tree in
   let ha = Encoding.header_for_sender enc ~sender:0 in
   let hk = Encoding.header_for_sender enc ~sender:((5 * h) + 2) in
-  Alcotest.(check bool) "d-spine shared" true (ha.Prule.d_spine = hk.Prule.d_spine);
-  Alcotest.(check bool) "d-leaf shared" true (ha.Prule.d_leaf = hk.Prule.d_leaf)
+  let da = ha.Prule.downstream and dk = hk.Prule.downstream in
+  Alcotest.(check bool) "d-spine shared" true (da.Prule.d_spine = dk.Prule.d_spine);
+  Alcotest.(check bool) "d-leaf shared" true (da.Prule.d_leaf = dk.Prule.d_leaf);
+  Alcotest.(check bool) "one down for both senders" true (da == dk)
 
 let test_header_bytes_match_wire () =
   let enc, _ = encode fig3_tree in

@@ -114,7 +114,7 @@ let test_fig7_shapes () =
 let test_fig7_header_construction () =
   let topo = Topology.facebook_fabric () in
   let h = Fig7.header_with_rules topo 7 in
-  Alcotest.(check int) "rule count" 7 (List.length h.Prule.d_leaf);
+  Alcotest.(check int) "rule count" 7 (List.length h.Prule.downstream.Prule.d_leaf);
   (* Must be serializable. *)
   Alcotest.(check bool) "roundtrips" true
     (Header_codec.decode topo (Header_codec.encode topo h) = h)

@@ -14,8 +14,8 @@ let test_two_tier_header_has_no_spine_section () =
   let srules = Srule_state.create tt ~fmax:100 in
   let enc = Encoding.encode Params.default srules tree in
   let hd = Encoding.header_for_sender enc ~sender:0 in
-  Alcotest.(check int) "no d-spine rules" 0 (List.length hd.Prule.d_spine);
-  Alcotest.(check bool) "no d-spine default" true (hd.Prule.d_spine_default = None);
+  Alcotest.(check int) "no d-spine rules" 0 (List.length hd.Prule.downstream.Prule.d_spine);
+  Alcotest.(check bool) "no d-spine default" true (hd.Prule.downstream.Prule.d_spine_default = None);
   Alcotest.(check bool) "no core rule" true (hd.Prule.core = None);
   (* Still delivers. *)
   let fabric = Fabric.create tt in

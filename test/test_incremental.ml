@@ -2,7 +2,9 @@
    join/leave streams through an incremental controller and check, after
    EVERY event, that the live (fast-path-mutated) state and a from-scratch
    controller over the same membership compile to the same symbolic delivery
-   predicate — and that neither loses a receiver (compile == intent). The
+   predicate — and that neither loses a receiver (compile == intent) — and
+   that every sender's header shares one down that matches the live rules
+   ([Test_verify.check_shared_down]). The
    heavier structural checks (budgets, ledger occupancy, exact bitmaps) and
    packet-level delivery checks still run periodically. *)
 
@@ -212,6 +214,9 @@ let run_stream ~seed ~events params =
     |> List.map (fun host -> (host, random_role rng))
   in
   ignore (Controller.add_group ctrl ~group initial);
+  let downs = Test_verify.down_oracle () in
+  Test_verify.check_shared_down downs (Printf.sprintf "seed %d setup" seed) ctrl
+    ~groups:[ group ];
   for ev = 1 to events do
     let members = Controller.members ctrl ~group in
     let count = List.length members in
@@ -230,6 +235,7 @@ let run_stream ~seed ~events params =
     let msg = Printf.sprintf "seed %d event %d" seed ev in
     check_symbolic cache msg ctrl;
     Test_verify.check_view_memo msg ctrl;
+    Test_verify.check_shared_down downs msg ctrl ~groups:[ group ];
     if ev mod 50 = 0 || ev = events then check_equivalent msg params ctrl ~group;
     if ev mod 100 = 0 || ev = events then check_delivery msg ctrl fabric ~group
   done;

@@ -156,10 +156,9 @@ let test_no_sender_rule_no_delivery () =
             multipath = true;
           };
       core = Some (Bitmap.of_list (Topology.core_downstream_width topo) [ 2 ]);
-      d_spine = [];
-      d_spine_default = None;
-      d_leaf = [];
-      d_leaf_default = None;
+      downstream =
+        Prule.down topo ~d_spine:[] ~d_spine_default:None ~d_leaf:[]
+          ~d_leaf_default:None;
     }
   in
   let report = Fabric.inject fabric ~sender:0 ~group:9 ~header ~payload:100 in
@@ -323,19 +322,10 @@ let tests =
    recorded against the per-switch re-encoding forwarding loop; any change
    to forwarding, drops, byte accounting, trace order or telemetry shows
    up here as a different hash. *)
-let golden_topos =
-  [|
-    topo;
-    Topology.create ~pods:6 ~leaves_per_pod:10 ~spines_per_pod:3
-      ~hosts_per_leaf:12 ~cores_per_plane:4;
-    (* Leaf bitmaps wider than one 63-bit bitmap word. *)
-    Topology.create ~pods:3 ~leaves_per_pod:20 ~spines_per_pod:2
-      ~hosts_per_leaf:70 ~cores_per_plane:1;
-  |]
-
 let golden_case rand buf i =
   let open QCheck.Gen in
-  let t = golden_topos.(i mod Array.length golden_topos) in
+  let topos = Test_codec.golden_topos in
+  let t = topos.(i mod Array.length topos) in
   let pick n = int_range 0 (n - 1) rand in
   let header = Test_codec.gen_header t rand in
   let sender = pick (Topology.num_hosts t) in

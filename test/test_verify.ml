@@ -175,6 +175,109 @@ let check_view_memo msg ctrl =
       (Test_fault.same_state_on_groups (Controller.restore snap) ctrl gids)
   then Alcotest.failf "%s: restored snapshot builds other headers" msg
 
+(* {1 Shared-down oracle}
+
+   Every sender's header of one encoding version carries the same
+   [Prule.down], built once from copies of the rule bitmaps. After every
+   event, for every sender of each checked group:
+   - the header's bytes equal the reference section walk over its own
+     fields ([Test_codec.reference_encode]), so the spliced wire agrees
+     with the rules it was built from;
+   - all of them share one down ([==]), and its rules are the encoding's
+     live rules;
+   - an event that changed the encoding (a fast-path [apply_delta] or a
+     re-encode) yields a new down, one that did not keeps it;
+   - the down seen before the event is unchanged, bytes and bitmaps, and a
+     hypervisor holding the old header that was not re-installed still
+     encapsulates and injects exactly the bytes it was given. *)
+
+type seen_down = {
+  enc : Encoding.t;
+  stale : int;  (** fast-path mutations of [enc] when seen *)
+  down : Prule.down;
+  header : Prule.header;
+  bytes : bytes;  (** [header]'s wire when installed *)
+  hv : Hypervisor.t;  (** holds [header], never re-installed *)
+}
+
+type down_oracle = { scratch : Fabric.t; seen : (int, seen_down) Hashtbl.t }
+
+let down_oracle () = { scratch = Fabric.create topo; seen = Hashtbl.create 8 }
+
+let same_rules a b = List.equal Prule.equal a b
+
+let same_default a (res : Clustering.result) =
+  Option.equal Bitmap.equal a (Option.map snd res.Clustering.default)
+
+let check_shared_down oracle msg ctrl ~groups =
+  List.iter
+    (fun group ->
+      let fail fmt = Alcotest.failf ("%s: group %d: " ^^ fmt) msg group in
+      (match Hashtbl.find_opt oracle.seen group with
+      | None -> ()
+      | Some old ->
+          if not (Bytes.equal (Test_codec.reference_encode topo old.header) old.bytes)
+          then fail "the previous down's rules changed under its headers";
+          if not (Bytes.equal (Header_codec.encode topo old.header) old.bytes) then
+            fail "the previous down's wire changed";
+          match Hypervisor.encap old.hv ~group ~payload:Bytes.empty with
+          | Some b when Bytes.equal b old.bytes -> ()
+          | Some _ | None -> fail "a hypervisor not re-installed changed its blob");
+      match (Controller.encoding ctrl ~group, Controller.members ctrl ~group) with
+      | None, _ | _, [] -> Hashtbl.remove oracle.seen group
+      | Some enc, ((first, _) :: _ as members) ->
+          let senders =
+            List.filter_map
+              (fun (h, r) ->
+                match r with
+                | Controller.Sender | Controller.Both -> Some h
+                | Controller.Receiver -> None)
+              members
+          in
+          let base = Encoding.header_for_sender enc ~sender:first in
+          let down = base.Prule.downstream in
+          let headers =
+            List.filter_map (fun s -> Controller.header ctrl ~group ~sender:s) senders
+          in
+          List.iter
+            (fun (h : Prule.header) ->
+              if not (h.Prule.downstream == down) then
+                fail "two senders' headers carry different downs";
+              if
+                not
+                  (Bytes.equal (Header_codec.encode topo h)
+                     (Test_codec.reference_encode topo h))
+              then fail "header bytes differ from the reference walk")
+            headers;
+          if
+            not
+              (same_rules down.Prule.d_spine enc.Encoding.d_spine.Clustering.prules
+              && same_default down.Prule.d_spine_default enc.Encoding.d_spine
+              && same_rules down.Prule.d_leaf enc.Encoding.d_leaf.Clustering.prules
+              && same_default down.Prule.d_leaf_default enc.Encoding.d_leaf)
+          then fail "the shared down is not the encoding's live rules";
+          (match Hashtbl.find_opt oracle.seen group with
+          | None -> ()
+          | Some old ->
+              let changed = not (old.enc == enc && old.stale = enc.Encoding.stale) in
+              if changed && old.down == down then
+                fail "a changed encoding kept its old down";
+              if (not changed) && not (old.down == down) then
+                fail "an unchanged encoding built a second down");
+          let header = match headers with h :: _ -> h | [] -> base in
+          let hv = Hypervisor.create oracle.scratch ~host:first in
+          Hypervisor.install_sender hv ~group header;
+          Hashtbl.replace oracle.seen group
+            {
+              enc;
+              stale = enc.Encoding.stale;
+              down;
+              header;
+              bytes = Header_codec.encode topo header;
+              hv;
+            })
+    groups
+
 (* Churn across several groups interleaved with spine/core/link failure
    and recovery, group removal and re-creation, a wedgeable leaf (its
    installs exhaust their budget, so it is denied) and bursts of install
@@ -210,6 +313,9 @@ let view_memo_fault_stream ~seed ~events =
     ignore (Controller.add_group ctrl ~group (random_members ()))
   done;
   check_view_memo (Printf.sprintf "seed %d setup" seed) ctrl;
+  let downs = down_oracle () in
+  let all_groups = List.init groups Fun.id in
+  check_shared_down downs (Printf.sprintf "seed %d setup" seed) ctrl ~groups:all_groups;
   let spines = Topology.num_spines topo
   and cores = Topology.num_cores topo
   and leaves = Topology.num_leaves topo
@@ -256,6 +362,8 @@ let view_memo_fault_stream ~seed ~events =
             ignore
               (Controller.join ctrl ~group ~host ~role:roles.(Rng.int rng 3))));
     check_view_memo (Printf.sprintf "seed %d event %d" seed ev) ctrl;
+    check_shared_down downs (Printf.sprintf "seed %d event %d" seed ev) ctrl
+      ~groups:all_groups;
     if (Controller.install_stats ctrl).Controller.stale_entries > 0 then
       saw_stale := true;
     if
