@@ -268,6 +268,43 @@ let encode_stage topo stage h =
 
 let encode topo h = encode_stage topo Full h
 
+(* {1 A header as it leaves the sender}
+
+   The bytes [encode] writes and the bit where each stage's first section
+   starts, both taken from one header by [to_wire]: the type is abstract,
+   so no offset can belong to other bytes. *)
+
+type wire = {
+  bytes : bytes;
+  bits : int;
+  u_spine_at : int;
+  core_at : int;
+  d_spine_at : int;
+  d_leaf_at : int;
+}
+
+let to_wire topo h =
+  let bits = Prule.header_bits topo h in
+  let at stage = bits - stage_bits topo stage h in
+  {
+    bytes = encode topo h;
+    bits;
+    u_spine_at = at After_u_leaf;
+    core_at = at After_u_spine;
+    d_spine_at = at After_core;
+    d_leaf_at = at After_d_spine;
+  }
+
+let wire_bytes w = w.bytes
+let wire_bits w = w.bits
+
+let stage_offset w = function
+  | Full -> 0
+  | After_u_leaf -> w.u_spine_at
+  | After_u_spine -> w.core_at
+  | After_core -> w.d_spine_at
+  | After_d_spine -> w.d_leaf_at
+
 let encode_parts topo (h : Prule.header) =
   (* One byte-aligned buffer per section/rule - the unit of a "write call"
      in the per-rule encapsulation path (§4.2). A downstream part is a

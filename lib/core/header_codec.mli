@@ -124,6 +124,27 @@ val stage_bits : Topology.t -> stage -> Prule.header -> int
     {!Prule.header_bits} and {!Prule.remaining_bits_after}. It does not
     validate the header: the encoders report malformed upstream rules. *)
 
+(** {1 A header as it leaves the sender} *)
+
+type wire
+(** A header's {!encode} bytes together with the bit offset of every
+    stage, computed from the same header. This is what a sender keeps: the
+    bytes are what it writes, and a switch finds its own section at an
+    offset without the header. *)
+
+val to_wire : Topology.t -> Prule.header -> wire
+(** Encodes once and records the stage offsets. Raises like {!encode}. *)
+
+val wire_bytes : wire -> bytes
+(** [encode topo h] for the [h] it was built from. *)
+
+val wire_bits : wire -> int
+(** [stage_bits topo Full h]: the header's exact length in bits. *)
+
+val stage_offset : wire -> stage -> int
+(** [stage_bits topo Full h - stage_bits topo stage h]: the bit of
+    {!wire_bytes} at which the sections remaining at [stage] begin. *)
+
 val encode_parts : Topology.t -> Prule.header -> bytes list
 (** The header split into separately byte-aligned parts, one per section or
     p-rule — the write-call units of the unoptimized encapsulation path.

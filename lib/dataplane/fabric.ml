@@ -270,7 +270,7 @@ let match_rule ~legacy rules id table group default =
         | Some bm -> Some bm
         | None -> default)
 
-let inject t ~sender ~group ~header ~payload =
+let inject_wire t ~sender ~group ~wire:w ~payload =
   let topo = t.topo in
   let acc =
     {
@@ -284,18 +284,19 @@ let inject t ~sender ~group ~header ~payload =
     }
   in
   let hash = Ecmp.flow_hash ~group ~sender in
-  (* The sender's wire is encoded once. Every later stage is its suffix
-     from bit [full_bits - stage_bits], so a hop carries that suffix
-     rounded up to a byte, and a switch parses only its own section, at
-     that offset in the one wire: each section at most once per packet, by
-     the first switch that reads it. Nothing is kept across packets. *)
-  let wire = Header_codec.encode topo header in
-  let full_bits = Prule.header_bits topo header in
-  let stage_bytes stage = (Header_codec.stage_bits topo stage header + 7) / 8 in
+  (* Every later stage is the sender's wire from that stage's offset, so a
+     hop carries that suffix rounded up to a byte, and a switch parses only
+     its own section, at that offset in the one wire: each section at most
+     once per packet, by the first switch that reads it. Nothing is kept
+     across packets. *)
+  let wire = Header_codec.wire_bytes w in
+  let stage_bytes stage =
+    (Header_codec.wire_bits w - Header_codec.stage_offset w stage + 7) / 8
+  in
   let section stage read =
     lazy
       (let r = Bitio.Reader.of_bytes wire in
-       Bitio.Reader.seek r (full_bits - Header_codec.stage_bits topo stage header);
+       Bitio.Reader.seek r (Header_codec.stage_offset w stage);
        read r)
   in
   let u_spine = section Header_codec.After_u_leaf (Header_codec.read_u_spine topo) in
@@ -433,6 +434,9 @@ let inject t ~sender ~group ~header ~payload =
     lost = acc.lost;
     trace = List.rev acc.trace;
   }
+
+let inject t ~sender ~group ~header ~payload =
+  inject_wire t ~sender ~group ~wire:(Header_codec.to_wire t.topo header) ~payload
 
 let deliveries_correct report ~tree ~sender =
   let expected =

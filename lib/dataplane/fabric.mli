@@ -164,17 +164,22 @@ val inject :
     report and the telemetry byte counts; forwarding decisions never read
     it.
 
-    Every switch forwards on fields parsed from the wire, never on
-    [header] itself. The sender's wire is encoded once per packet (the
-    per-sender prefix, then the shared {!Prule.down}'s bits spliced in).
-    A later stage is not re-encoded: it is a bit-offset view of that wire,
-    the suffix from bit [stage_bits Full - stage_bits stage], and a hop's
-    header bytes are that suffix rounded up to a byte. Each switch parses
-    only the section its layer reads ([u_leaf], [u_spine], [core],
-    [d_spine] or [d_leaf], through {!Header_codec.read_u_leaf} and its
-    siblings) at that offset, and each section is parsed at most once per
-    packet, by the first switch that reads it. Nothing is kept from one
-    packet to the next. *)
+    [inject] is {!inject_wire} on [Header_codec.to_wire topo header]: the
+    header is encoded once per packet (the per-sender prefix, then the
+    shared {!Prule.down}'s bits spliced in) and every switch forwards on
+    fields parsed from that wire, never on [header] itself. *)
+
+val inject_wire :
+  t -> sender:int -> group:int -> wire:Header_codec.wire -> payload:int -> report
+(** {!inject} for a header already on the wire, as a hypervisor holds it.
+    A later stage is not re-encoded: it is a bit-offset view of the wire,
+    the suffix from {!Header_codec.stage_offset}, and a hop's header bytes
+    are that suffix rounded up to a byte. Each switch parses only the
+    section its layer reads ([u_leaf], [u_spine], [core], [d_spine] or
+    [d_leaf], through {!Header_codec.read_u_leaf} and its siblings) at that
+    offset, and each section is parsed at most once per packet, by the
+    first switch that reads it. Nothing is kept from one packet to the
+    next. *)
 
 val deliveries_correct :
   report -> tree:Tree.t -> sender:int -> bool

@@ -1,7 +1,9 @@
+(* Only the wire is kept, not the header it came from: an install leaves
+   the bytes and their stage offsets live, and the header's own bitmaps
+   die young. *)
 type rules = {
-  header : Prule.header;
-  blob : bytes;  (* pre-serialized header, written in one call *)
-  parts : bytes list Lazy.t;
+  wire : Header_codec.wire;  (* pre-serialized header, written in one call *)
+  mutable parts : bytes list option;
       (* per-rule write units, built on first use by the unoptimized path *)
 }
 
@@ -39,11 +41,7 @@ let host t = t.host
 let install_sender t ~group header =
   let topo = Fabric.topology t.fabric in
   Hashtbl.replace t.senders group
-    {
-      header;
-      blob = Header_codec.encode topo header;
-      parts = lazy (Header_codec.encode_parts topo header);
-    }
+    { wire = Header_codec.to_wire topo header; parts = None }
 
 let remove_sender t ~group = Hashtbl.remove t.senders group
 
@@ -93,9 +91,10 @@ let encap t ~group ~payload =
   match Hashtbl.find_opt t.senders group with
   | None -> None
   | Some r ->
-      let hl = Bytes.length r.blob in
+      let blob = Header_codec.wire_bytes r.wire in
+      let hl = Bytes.length blob in
       let packet = Bytes.create (hl + Bytes.length payload) in
-      Bytes.blit r.blob 0 packet 0 hl;
+      Bytes.blit blob 0 packet 0 hl;
       Bytes.blit payload 0 packet hl (Bytes.length payload);
       Some packet
 
@@ -103,7 +102,18 @@ let encap_per_rule t ~group ~payload =
   match Hashtbl.find_opt t.senders group with
   | None -> None
   | Some r ->
-      let parts = Lazy.force r.parts in
+      let parts =
+        match r.parts with
+        | Some parts -> parts
+        | None ->
+            let topo = Fabric.topology t.fabric in
+            let parts =
+              Header_codec.encode_parts topo
+                (Header_codec.decode topo (Header_codec.wire_bytes r.wire))
+            in
+            r.parts <- Some parts;
+            parts
+      in
       let hl = List.fold_left (fun acc p -> acc + Bytes.length p) 0 parts in
       let packet = Bytes.create (hl + Bytes.length payload) in
       let pos = ref 0 in
@@ -161,7 +171,7 @@ let send t ~group ~payload =
   match Hashtbl.find_opt t.senders group with
   | None -> None
   | Some r ->
-      Some (Fabric.inject t.fabric ~sender:t.host ~group ~header:r.header ~payload)
+      Some (Fabric.inject_wire t.fabric ~sender:t.host ~group ~wire:r.wire ~payload)
 
 let deliver t ~group =
   Option.value ~default:0 (Hashtbl.find_opt t.receivers group)

@@ -27,10 +27,13 @@ val install_sender : t -> group:int -> Prule.header -> unit
     ({!Prule.down}, one per encoding version, the same value in every
     sender's header) are spliced in from their cached wire, so an install
     costs the prefix and a blit, not a walk of the downstream rules. The
-    per-rule parts of {!encap_per_rule} are built on its first use for the
-    rule, not here. A rule keeps the header it was given: a later change
-    to the group's encoding builds a new down and reaches this host only
-    through another [install_sender]. *)
+    rule keeps that wire ({!Header_codec.to_wire}: the bytes and their
+    stage offsets), not the header, so the header's bitmaps are garbage as
+    soon as the install returns. The per-rule parts of {!encap_per_rule}
+    are built from the wire on its first use for the rule, not here. A
+    rule keeps the bytes it was given: a later change to the group's
+    encoding builds a new down and reaches this host only through another
+    [install_sender]. *)
 
 val remove_sender : t -> group:int -> unit
 
@@ -93,7 +96,8 @@ val encap_per_rule : t -> group:int -> payload:bytes -> bytes option
     until it is replaced. *)
 
 val send : t -> group:int -> payload:int -> Fabric.report option
-(** Encapsulates and injects into the fabric. *)
+(** Encapsulates and injects into the fabric: {!Fabric.inject_wire} on the
+    installed wire, so a send encodes nothing. *)
 
 val deliver : t -> group:int -> int
 (** Copies handed to local VMs on receive; 0 = discarded. *)

@@ -359,7 +359,8 @@ let golden_case rand buf i =
            Fabric.tel_hop = (fun ~payload:_ _ -> incr tel_hops);
            tel_packet = (fun ~group:_ ~sender:_ ~bytes -> tel_bytes := !tel_bytes + bytes);
          });
-  let r = Fabric.inject fabric ~sender ~group ~header ~payload:(64 + pick 1500) in
+  let payload = 64 + pick 1500 in
+  let r = Fabric.inject fabric ~sender ~group ~header ~payload in
   let pr fmt = Printf.bprintf buf fmt in
   pr "#%d d=" i;
   List.iter (fun (h, n) -> pr "%d:%d," h n) r.Fabric.delivered;
@@ -372,7 +373,18 @@ let golden_case rand buf i =
         (Format.asprintf "%a" Fabric.pp_node h.Fabric.hop_to)
         h.Fabric.hop_header_bytes)
     r.Fabric.trace;
-  pr "\n"
+  pr "\n";
+  (* A hypervisor keeps only the header's wire: its send is the same
+     packet, and its per-rule parts, rebuilt from the wire, are the
+     header's. *)
+  let hv = Hypervisor.create fabric ~host:sender in
+  Hypervisor.install_sender hv ~group header;
+  if Hypervisor.send hv ~group ~payload <> Some r then
+    Alcotest.failf "#%d: Hypervisor.send differs from Fabric.inject" i;
+  let data = Bytes.of_string "payload" in
+  let parts = Bytes.concat Bytes.empty (Header_codec.encode_parts t header) in
+  if Hypervisor.encap_per_rule hv ~group ~payload:data <> Some (Bytes.cat parts data) then
+    Alcotest.failf "#%d: per-rule parts differ from the header's" i
 
 let golden_inject_digest = "f12b5e415feca2001475317d37266719"
 
