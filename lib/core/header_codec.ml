@@ -285,14 +285,13 @@ type wire = {
 
 let to_wire topo h =
   let bits = Prule.header_bits topo h in
-  let at stage = bits - stage_bits topo stage h in
   {
     bytes = encode topo h;
     bits;
-    u_spine_at = at After_u_leaf;
-    core_at = at After_u_spine;
-    d_spine_at = at After_core;
-    d_leaf_at = at After_d_spine;
+    u_spine_at = bits - Prule.remaining_bits_after topo h `U_leaf;
+    core_at = bits - Prule.remaining_bits_after topo h `U_spine;
+    d_spine_at = bits - Prule.remaining_bits_after topo h `Core;
+    d_leaf_at = bits - Prule.remaining_bits_after topo h `D_spine;
   }
 
 let wire_bytes w = w.bytes
