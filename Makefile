@@ -1,4 +1,4 @@
-.PHONY: all check test lint bench bench-e2e bench-churn bench-hotpath bench-parallel bench-faults bench-recovery bench-shard bench-telemetry bench-verify clean
+.PHONY: all check test lint bench bench-e2e bench-churn bench-hotpath bench-faults bench-recovery bench-shard bench-telemetry bench-verify clean
 
 all:
 	dune build
@@ -35,12 +35,6 @@ bench-churn:
 # against the incremental controller in BENCH_churn.json when present.
 bench-hotpath:
 	dune exec bench/main.exe -- hotpath
-
-# Domain-scaling benchmark for the two-phase batch controller; writes
-# BENCH_parallel.json (groups/sec at 1/2/4 domains vs the sequential
-# add_group baseline, with commit-conflict counts).
-bench-parallel:
-	dune exec bench/main.exe -- parallel
 
 # Fault-injection sweep for the fault-tolerant control plane; writes
 # BENCH_faults.json (degradation-induced extra traffic vs fault rate, with

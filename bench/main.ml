@@ -5,7 +5,7 @@
    Usage: main.exe [target ...]
    Targets: fig4 fig5 uniform constrained table2 failures fig6 sflow fig7
             table3 ablation twotier nonclos legacy bisection strawman churn
-            hotpath parallel faults shard te-baseline verify micro all
+            hotpath faults shard te-baseline verify micro all
             (default: all)
 
    Scale: ELMO_GROUPS=<n> sets the sampled group count (default 100_000);
@@ -495,146 +495,6 @@ let churn () =
   close_out oc;
   printf "wrote BENCH_churn.json@."
 
-(* {1 Parallel batch encoding: domain scaling of the two-phase controller} *)
-
-type parallel_run = {
-  par_label : string;
-  par_domains : int;  (* 0 = per-group add_group baseline *)
-  groups_per_sec : float;
-  par_total_s : float;
-  par_conflicts : int;
-}
-
-let parallel () =
-  hr "Parallel: two-phase batch group encoding across domains (BENCH_parallel.json)";
-  let topo =
-    Topology.create ~pods:8 ~leaves_per_pod:8 ~spines_per_pod:4
-      ~hosts_per_leaf:32 ~cores_per_plane:4
-  in
-  let total_groups =
-    match Sys.getenv_opt "ELMO_PAR_GROUPS" with
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> n
-        | Some _ | None ->
-            printf "ELMO_PAR_GROUPS must be a positive integer (got %S)@." s;
-            exit 1)
-    | None -> 4_000
-  in
-  let fmax = max 50 (30_000 * total_groups / 1_000_000) in
-  let params = Params.create ~fmax () in
-  let cores = Domain.recommended_domain_count () in
-  printf "topology: %a; %d groups; fmax=%d; available cores: %d@." Topology.pp
-    topo total_groups fmax cores;
-  let rng = Rng.create 5 in
-  let tenant_sizes = Vm_placement.default_tenant_sizes rng 200 in
-  let placement =
-    Vm_placement.place rng topo ~strategy:(Vm_placement.Pack_up_to 12)
-      ~host_capacity:20 ~tenant_sizes
-  in
-  let workload_rng = Rng.create 6 in
-  let groups =
-    Workload.generate workload_rng placement ~kind:Group_dist.Wve ~total_groups
-  in
-  (* One role'd batch, shared by every run, so all modes encode the exact
-     same input. *)
-  let role_rng = Rng.create 9 in
-  let role () =
-    match Rng.int role_rng 3 with
-    | 0 -> Controller.Sender
-    | 1 -> Controller.Receiver
-    | _ -> Controller.Both
-  in
-  let batch =
-    Array.to_list groups
-    |> List.map (fun g ->
-           ( g.Workload.group_id,
-             Array.to_list g.Workload.member_hosts
-             |> List.map (fun h -> (h, role ())) ))
-  in
-  let occupancy ctrl =
-    let s = Controller.srule_state ctrl in
-    (Srule_state.leaf_occupancy s, Srule_state.spine_occupancy s)
-  in
-  let timed label domains install =
-    let ctrl = Controller.create topo params in
-    let t0 = Unix.gettimeofday () in
-    install ctrl;
-    let dt = Unix.gettimeofday () -. t0 in
-    ( {
-        par_label = label;
-        par_domains = domains;
-        groups_per_sec =
-          (if dt > 0.0 then float_of_int total_groups /. dt else 0.0);
-        par_total_s = dt;
-        par_conflicts = Controller.batch_conflicts ctrl;
-      },
-      occupancy ctrl )
-  in
-  let seq, seq_occ =
-    timed "add_group" 0 (fun ctrl ->
-        List.iter
-          (fun (group, members) ->
-            ignore (Controller.add_group ctrl ~group members))
-          batch)
-  in
-  let par_runs =
-    List.map
-      (fun d ->
-        let r, occ =
-          timed (Printf.sprintf "install_all d=%d" d) d (fun ctrl ->
-              ignore (Controller.install_all ~domains:d ctrl batch))
-        in
-        if occ <> seq_occ then begin
-          printf "FAIL: occupancy diverges from sequential at domains=%d@." d;
-          exit 1
-        end;
-        r)
-      [ 1; 2; 4 ]
-  in
-  let runs = seq :: par_runs in
-  printf "@.%-20s %-10s %-12s %-10s %-10s %-10s@." "mode" "domains" "groups/s"
-    "total s" "conflicts" "speedup";
-  List.iter
-    (fun r ->
-      printf "%-20s %-10d %-12.0f %-10.3f %-10d %-10.2f@." r.par_label
-        r.par_domains r.groups_per_sec r.par_total_s r.par_conflicts
-        (if seq.groups_per_sec > 0.0 then r.groups_per_sec /. seq.groups_per_sec
-         else 0.0))
-    runs;
-  printf "s-rule occupancy identical across all runs@.";
-  let json_of r =
-    Printf.sprintf
-      {|    {"mode": "%s", "domains": %d, "groups_per_sec": %.1f, "total_s": %.4f, "conflicts": %d, "speedup_vs_sequential": %.4f}|}
-      r.par_label r.par_domains r.groups_per_sec r.par_total_s r.par_conflicts
-      (if seq.groups_per_sec > 0.0 then r.groups_per_sec /. seq.groups_per_sec
-       else 0.0)
-  in
-  let prov =
-    Provenance.capture ~seed:5
-      ~params:(Format.asprintf "%a" Params.pp params)
-      ~domains:4 ()
-  in
-  let oc = open_out "BENCH_parallel.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "parallel",
-  "provenance": %s,
-  "topology": {"pods": 8, "leaves_per_pod": 8, "spines_per_pod": 4, "hosts_per_leaf": 32},
-  "groups": %d,
-  "fmax": %d,
-  "occupancy_identical": true,
-  "runs": [
-%s
-  ]%s
-}
-|}
-    (Provenance.to_json prov) total_groups fmax
-    (String.concat ",\n" (List.map json_of runs))
-    (metrics_field ());
-  close_out oc;
-  printf "wrote BENCH_parallel.json@."
-
 (* {1 Sharded commit: batch and churn scaling of the per-pod control plane} *)
 
 type shard_run = {
@@ -1000,56 +860,8 @@ let recovery () =
     | None -> 400
   in
   let seed = 29 in
-  (* Deterministic churn run journaled at the given snapshot cadence: four
-     groups, join/leave plus spine failure toggles. *)
   let build ~snapshot_every =
-    let fabric = Fabric.create topo in
-    let replica =
-      Replica.create ~snapshot_every
-        ~fabric_hooks:(Fabric.controller_hooks_at fabric ~epoch:0)
-        ~durable:true topo params
-    in
-    let rng = Rng.create seed in
-    let n = Topology.num_hosts topo in
-    let ngroups = 4 in
-    let member = Array.init ngroups (fun _ -> Array.make n false) in
-    let size g =
-      Array.fold_left (fun a m -> if m then a + 1 else a) 0 member.(g)
-    in
-    for g = 0 to ngroups - 1 do
-      let members =
-        List.init (4 + Rng.int rng 8) (fun _ -> Rng.int rng n)
-        |> List.sort_uniq Int.compare
-      in
-      List.iter (fun h -> member.(g).(h) <- true) members;
-      Replica.apply replica
-        (Journal.Add_group
-           {
-             group = g;
-             members = List.map (fun h -> (h, Controller.Both)) members;
-           })
-    done;
-    let spines = Topology.num_spines topo in
-    let spine_down = Array.make spines false in
-    for _ = 1 to events do
-      let g = Rng.int rng ngroups and h = Rng.int rng n in
-      match Rng.int rng 8 with
-      | 0 when size g > 2 && member.(g).(h) ->
-          member.(g).(h) <- false;
-          Replica.apply replica (Journal.Leave { group = g; host = h })
-      | 1 ->
-          let s = Rng.int rng spines in
-          spine_down.(s) <- not spine_down.(s);
-          Replica.apply replica
-            (if spine_down.(s) then Journal.Fail_spine s
-             else Journal.Recover_spine s)
-      | _ when not member.(g).(h) ->
-          member.(g).(h) <- true;
-          Replica.apply replica
-            (Journal.Join { group = g; host = h; role = Controller.Both })
-      | _ -> ()
-    done;
-    Wire.contents (Option.get (Replica.wire replica))
+    Wire.contents (Recovery_fixture.churn ~snapshot_every ~events ~seed ())
   in
   let violations = ref 0 in
   let check (outcome : Supervisor.outcome) =
@@ -1736,7 +1548,6 @@ let targets =
     ("strawman", strawman);
     ("churn", churn);
     ("hotpath", hotpath);
-    ("parallel", parallel);
     ("faults", faults);
     ("recovery", recovery);
     ("shard", shard);

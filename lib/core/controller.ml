@@ -888,13 +888,39 @@ let check_invariants t ~op =
             "Controller.%s: s-rule ledger diverged from installed encodings"
             op))
 
-let add_group t ~group members =
+(* {1 Membership guards}
+
+   Each membership entry point's API-misuse checks, run before it touches
+   any state. They are exposed so that a write-ahead log can refuse an op
+   before recording it. *)
+
+let check_add_group t ~group members =
   if Hashtbl.mem t.groups group then
     invalid_arg "Controller.add_group: group exists"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
+  (* One bit per host: a replica runs this guard before its entry point
+     runs it again, so it must cost O(members), not a sort. *)
+  let seen = Bitmap.create (Topology.num_hosts t.topo) in
+  List.iter
+    (fun (h, _) ->
+      ignore (Topology.leaf_of_host t.topo h : int);
+      if Bitmap.get seen h then
+        invalid_arg "Controller.add_group: duplicate member host"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
+      Bitmap.set seen h)
+    members
+
+let check_remove_group t ~group = ignore (find_group t group : group_state)
+
+let check_join t ~group ~host =
+  if List.mem_assoc host (find_group t group).members then
+    invalid_arg "Controller.join: host already a member" (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
+
+let check_leave t ~group ~host =
+  if not (List.mem_assoc host (find_group t group).members) then
+    raise Not_found
+
+let add_group t ~group members =
+  check_add_group t ~group members;
   Log.debug (fun m -> m "add_group %d with %d members" group (List.length members));
-  let hosts = List.map fst members in
-  if List.length (List.sort_uniq compare hosts) <> List.length hosts then
-    invalid_arg "Controller.add_group: duplicate member host"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
   Obs.with_span "controller.add_group"
     ~attrs:
       [ ("group", Obs.Int group); ("members", Obs.Int (List.length members)) ]
@@ -915,7 +941,7 @@ let add_group t ~group members =
   reconcile t;
   check_invariants t ~op:"add_group";
   {
-    hypervisors = List.sort_uniq compare hosts;
+    hypervisors = List.sort_uniq compare (List.map fst members);
     leaves = srule_leaves;
     pods = srule_pods;
   }
@@ -1147,9 +1173,8 @@ let remove_group t ~group =
   }
 
 let join t ~group ~host ~role =
+  check_join t ~group ~host;
   let st = find_group t group in
-  if List.mem_assoc host st.members then
-    invalid_arg "Controller.join: host already a member"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
   Obs.with_span "controller.join"
     ~attrs:[ ("group", Obs.Int group); ("host", Obs.Int host) ]
   @@ fun () ->
@@ -1176,12 +1201,9 @@ let join t ~group ~host ~role =
   u
 
 let leave t ~group ~host =
+  check_leave t ~group ~host;
   let st = find_group t group in
-  let role =
-    match List.assoc_opt host st.members with
-    | Some r -> r
-    | None -> raise Not_found
-  in
+  let role = List.assoc host st.members in
   Obs.with_span "controller.leave"
     ~attrs:[ ("group", Obs.Int group); ("host", Obs.Int host) ]
   @@ fun () ->

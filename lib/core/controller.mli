@@ -92,7 +92,8 @@ val srule_state : t -> Srule_state.t
 
 val add_group : t -> group:int -> (int * role) list -> updates
 (** Creates a group with initial (host, role) members. Raises
-    [Invalid_argument] if the group exists or a host repeats. *)
+    [Invalid_argument] if the group exists, a host repeats or a host is out
+    of the topology's range, before changing any state. *)
 
 val install_all : ?domains:int -> t -> (int * (int * role) list) list -> updates
 (** Batch group setup, the two-phase parallel encode path (§5.1.3's
@@ -118,6 +119,8 @@ val batch_conflicts : t -> int
     were invalidated at commit time and had to be re-encoded. *)
 
 val remove_group : t -> group:int -> updates
+(** Deletes a group and its s-rules. Raises [Not_found] for unknown
+    groups. *)
 
 val join : t -> group:int -> host:int -> role:role -> updates
 (** Adds a member. Raises [Not_found] for unknown groups,
@@ -126,6 +129,20 @@ val join : t -> group:int -> host:int -> role:role -> updates
 val leave : t -> group:int -> host:int -> updates
 (** Removes a member; removing the last one leaves an empty group (use
     {!remove_group} to delete). Raises [Not_found] if absent. *)
+
+(** {2 Membership guards}
+
+    The API-misuse checks that {!add_group}, {!remove_group}, {!join} and
+    {!leave} run first, exposed on their own: each raises exactly what its
+    entry point raises on the same arguments ([Invalid_argument] or
+    [Not_found]) and changes nothing. A write-ahead log runs the guard
+    before it records an op, so an op the controller refuses never reaches
+    the log. *)
+
+val check_add_group : t -> group:int -> (int * role) list -> unit
+val check_remove_group : t -> group:int -> unit
+val check_join : t -> group:int -> host:int -> unit
+val check_leave : t -> group:int -> host:int -> unit
 
 val encoding : t -> group:int -> Encoding.t option
 (** [None] when the group has no receivers. *)

@@ -18,31 +18,6 @@ type op =
    recovery. *)
 type entry = { e_op : op; e_pods : int list option }
 
-type t = {
-  mutable entries : entry list;  (* newest first *)
-  mutable n : int;
-  observer : (op -> unit) option;
-}
-
-let create ?observer () = { entries = []; n = 0; observer }
-
-let append ?pods t op =
-  t.entries <- { e_op = op; e_pods = pods } :: t.entries;
-  t.n <- t.n + 1;
-  match t.observer with None -> () | Some f -> f op
-
-let length t = t.n
-let entries t = List.rev t.entries
-let to_list t = List.rev_map (fun e -> e.e_op) t.entries
-
-let suffix_entries t ~from =
-  let rec drop k l =
-    if k <= 0 then l else match l with [] -> [] | _ :: tl -> drop (k - 1) tl
-  in
-  drop from (entries t)
-
-let suffix t ~from = List.map (fun e -> e.e_op) (suffix_entries t ~from)
-
 let apply ctrl op =
   match op with
   | Add_group { group; members } ->
@@ -67,12 +42,44 @@ let apply ctrl op =
       ignore
         (Controller.recover_link ctrl ~leaf ~plane : Controller.failure_report)
 
-(* {1 Durable wire codec}
+(* {1 Admission}
 
-   Ops cross the byte boundary validated against the topology: replay
-   re-executes controller entry points, which raise on out-of-range
-   arguments — a flipped bit must surface as a corrupt record at load
-   time, not an exception mid-replay. *)
+   The one id-range check. Both boundaries an op crosses call it: a
+   decoded record (a flipped bit must surface as a corrupt record at load
+   time, not an exception mid-replay) and a live op about to be logged
+   (an op the controller refuses must never reach the log). *)
+
+let valid_op ~topo op =
+  let host h = 0 <= h && h < Topology.num_hosts topo in
+  let spine s = 0 <= s && s < Topology.num_spines topo in
+  let core c = 0 <= c && c < max 1 (Topology.num_cores topo) in
+  match op with
+  | Add_group { group; members } ->
+      group >= 0 && List.for_all (fun (h, _) -> host h) members
+  | Remove_group { group } -> group >= 0
+  | Join { group; host = h; _ } | Leave { group; host = h } ->
+      group >= 0 && host h
+  | Fail_spine s | Recover_spine s -> spine s
+  | Fail_core c | Recover_core c -> core c
+  | Fail_link { leaf; plane } | Recover_link { leaf; plane } ->
+      0 <= leaf
+      && leaf < Topology.num_leaves topo
+      && 0 <= plane
+      && plane < topo.Topology.spines_per_pod
+
+let admit ctrl op =
+  (match op with
+  | Add_group { group; members } -> Controller.check_add_group ctrl ~group members
+  | Remove_group { group } -> Controller.check_remove_group ctrl ~group
+  | Join { group; host; _ } -> Controller.check_join ctrl ~group ~host
+  | Leave { group; host } -> Controller.check_leave ctrl ~group ~host
+  | Fail_spine _ | Recover_spine _ | Fail_core _ | Recover_core _
+  | Fail_link _ | Recover_link _ ->
+      ());
+  if not (valid_op ~topo:(Controller.topology ctrl) op) then
+    invalid_arg "index out of bounds"
+
+(* {1 Durable wire codec} *)
 
 let write_role w = function
   | Controller.Sender -> Byteio.Writer.u8 w 0
@@ -129,64 +136,39 @@ let write_op w op =
       Byteio.Writer.int w leaf;
       Byteio.Writer.int w plane
 
-let read_op ~topo r =
-  let check = Byteio.Reader.check in
-  let group rd =
-    let g = Byteio.Reader.int rd in
-    check (g >= 0);
-    g
-  in
-  let host rd =
-    let h = Byteio.Reader.int rd in
-    check (0 <= h && h < Topology.num_hosts topo);
-    h
-  in
-  let spine rd =
-    let s = Byteio.Reader.int rd in
-    check (0 <= s && s < Topology.num_spines topo);
-    s
-  in
-  let core rd =
-    let c = Byteio.Reader.int rd in
-    check (0 <= c && c < max 1 (Topology.num_cores topo));
-    c
-  in
-  let link rd =
-    let leaf = Byteio.Reader.int rd in
-    check (0 <= leaf && leaf < Topology.num_leaves topo);
-    let plane = Byteio.Reader.int rd in
-    check (0 <= plane && plane < topo.Topology.spines_per_pod);
-    (leaf, plane)
-  in
+let read_op r =
+  let int = Byteio.Reader.int in
   match Byteio.Reader.u8 r with
   | 0 ->
-      let g = group r in
+      let group = int r in
       let members =
         Byteio.Reader.list r (fun rd ->
-            let h = host rd in
+            let h = int rd in
             let role = read_role rd in
             (h, role))
       in
-      Add_group { group = g; members }
-  | 1 -> Remove_group { group = group r }
+      Add_group { group; members }
+  | 1 -> Remove_group { group = int r }
   | 2 ->
-      let g = group r in
-      let h = host r in
+      let group = int r in
+      let host = int r in
       let role = read_role r in
-      Join { group = g; host = h; role }
+      Join { group; host; role }
   | 3 ->
-      let g = group r in
-      let h = host r in
-      Leave { group = g; host = h }
-  | 4 -> Fail_spine (spine r)
-  | 5 -> Recover_spine (spine r)
-  | 6 -> Fail_core (core r)
-  | 7 -> Recover_core (core r)
+      let group = int r in
+      let host = int r in
+      Leave { group; host }
+  | 4 -> Fail_spine (int r)
+  | 5 -> Recover_spine (int r)
+  | 6 -> Fail_core (int r)
+  | 7 -> Recover_core (int r)
   | 8 ->
-      let leaf, plane = link r in
+      let leaf = int r in
+      let plane = int r in
       Fail_link { leaf; plane }
   | 9 ->
-      let leaf, plane = link r in
+      let leaf = int r in
+      let plane = int r in
       Recover_link { leaf; plane }
   | _ -> raise Byteio.Reader.Corrupt
 
@@ -195,7 +177,8 @@ let write_entry w e =
   Byteio.Writer.option w (fun w -> Byteio.Writer.list w Byteio.Writer.int) e.e_pods
 
 let read_entry ~topo r =
-  let e_op = read_op ~topo r in
+  let e_op = read_op r in
+  Byteio.Reader.check (valid_op ~topo e_op);
   let e_pods =
     Byteio.Reader.option r (fun rd ->
         Byteio.Reader.list rd (fun rd ->

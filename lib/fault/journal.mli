@@ -1,12 +1,13 @@
-(** Append-only operation journal for crash-consistent recovery.
+(** The controller's operation vocabulary and its durable codec.
 
-    Every externally-driven controller mutation is recorded as a pure value
-    {e before} being applied, so that a crashed controller can be rebuilt as
-    [restore latest_snapshot] + replay of the journal suffix written since
-    that snapshot. Replay re-executes the controller's own entry points —
-    the journal stores intent, not effects — so a recovered controller
-    recomputes bit-identical encodings, ledger occupancy and churn counters
-    (the controller is deterministic given the same op order). *)
+    Every externally-driven controller mutation is a pure value, recorded
+    in the replica's {!Wire} log {e before} it is applied, so that a
+    crashed controller can be rebuilt as [restore latest_snapshot] + replay
+    of the ops logged since that snapshot. Replay re-executes the
+    controller's own entry points — the log stores intent, not effects — so
+    a recovered controller recomputes bit-identical encodings, ledger
+    occupancy and churn counters (the controller is deterministic given the
+    same op order). *)
 
 type op =
   | Add_group of { group : int; members : (int * Controller.role) list }
@@ -25,47 +26,30 @@ type entry = { e_op : op; e_pods : int list option }
     by the writer against the {e pre-op} controller state (group
     membership, failed switch location). [None] marks a global op (e.g. a
     core failure) that every shard-scoped replay must include. The tags
-    drive {!Replica.recover_shard}; an untagged journal degrades
-    gracefully — every op counts as global and shard recovery becomes full
-    recovery. *)
-
-type t
-
-val create : ?observer:(op -> unit) -> unit -> t
-(** [observer] (if given) is called with every op right after it is
-    recorded — the tap the telemetry flight recorder rides on. It must not
-    append to this journal. *)
-
-val append : ?pods:int list -> t -> op -> unit
-(** Appends the op, tagged with [pods] when given (global otherwise), then
-    notifies the observer. *)
-
-val length : t -> int
-(** Total ops ever appended; journal positions are indices into this. *)
-
-val to_list : t -> op list
-(** In append order. *)
-
-val entries : t -> entry list
-(** In append order, with shard tags. *)
-
-val suffix : t -> from:int -> op list
-(** Ops appended at position [from] and later, in append order. *)
-
-val suffix_entries : t -> from:int -> entry list
-(** Like {!suffix}, with shard tags. *)
+    drive {!Replica.recover_shard}; an untagged log degrades gracefully —
+    every op counts as global and shard recovery becomes full recovery. *)
 
 val apply : Controller.t -> op -> unit
 (** Re-executes the op against a controller, discarding its report. *)
+
+val admit : Controller.t -> op -> unit
+(** Raises what executing the op would raise, and changes nothing: first
+    the entry point's own membership guard ({!Controller.check_join} and
+    its siblings: [Invalid_argument] or [Not_found]), then
+    [Invalid_argument "index out of bounds"] when a group, host, switch or
+    link id is out of range for the controller's topology (group ids must
+    be non-negative) — the same id check {!read_entry} makes. A replica
+    admits every op before its write-ahead append, so an op
+    the controller refuses is neither logged nor executed. *)
 
 val write_entry : Byteio.Writer.t -> entry -> unit
 (** Durable wire codec for one journal entry (the payload of a [Wire] op
     record). *)
 
 val read_entry : topo:Topology.t -> Byteio.Reader.t -> entry
-(** Inverse of {!write_entry}. Validates every switch/host/pod id against
-    [topo] — replay re-executes controller entry points, which raise on
-    out-of-range arguments, so a flipped bit must surface as
+(** Inverse of {!write_entry}. Validates the op's ids as {!admit} does,
+    and every pod tag, against [topo] — replay re-executes controller entry points,
+    which raise on out-of-range arguments, so a flipped bit must surface as
     {!Byteio.Reader.Corrupt} at load time rather than an exception
     mid-replay. *)
 

@@ -2,51 +2,46 @@ module Obs = Elmo_obs.Obs
 
 type t = {
   fabric_hooks : Controller.fabric_hooks option;
+  observer : (Journal.op -> unit) option;
   snapshot_every : int;
   mutable ctrl : Controller.t;
-  journal : Journal.t;
   mutable snap : Controller.snapshot;
-  mutable snap_at : int;  (* journal position the snapshot covers *)
-  mutable wire : Wire.t option;
+  mutable since_snap : int;  (* ops applied since [snap] was taken *)
+  wire : Wire.t;
   mutable epoch : int;  (* fencing epoch stamped on appended records *)
 }
 
 let checkpoint t =
   t.snap <- Controller.snapshot t.ctrl;
-  t.snap_at <- Journal.length t.journal;
-  (match t.wire with
-  | Some w -> Wire.append_snapshot w ~epoch:t.epoch t.snap
-  | None -> ());
+  t.since_snap <- 0;
+  Wire.append_snapshot t.wire ~epoch:t.epoch t.snap;
   Obs.incr "replica.checkpoints"
 
-let create ?(snapshot_every = 64) ?fabric_hooks ?(incremental = true)
-    ?(durable = false) ?observer topo params =
-  let ctrl = Controller.create ?fabric_hooks ~incremental topo params in
+(* A replica over [ctrl] whose wire opens with [ctrl]'s snapshot at
+   [epoch]: the log is self-contained from byte 0, so a log that loses
+   every later snapshot still recovers from here. *)
+let seeded ?fabric_hooks ?observer ~snapshot_every ~epoch ctrl =
   let snap = Controller.snapshot ctrl in
-  let wire =
-    if not durable then None
-    else begin
-      (* Genesis snapshot: the wire is self-contained from byte 0 — a log
-         that loses every later snapshot still recovers from here. *)
-      let w = Wire.create () in
-      Wire.append_snapshot w ~epoch:0 snap;
-      Some w
-    end
-  in
+  let wire = Wire.create () in
+  Wire.append_snapshot wire ~epoch snap;
   {
     fabric_hooks;
+    observer;
     snapshot_every;
     ctrl;
-    journal = Journal.create ?observer ();
     snap;
-    snap_at = 0;
+    since_snap = 0;
     wire;
-    epoch = 0;
+    epoch;
   }
 
+let create ?(snapshot_every = 64) ?fabric_hooks ?(incremental = true)
+    ?durable:(_ : bool option) ?observer topo params =
+  seeded ?fabric_hooks ?observer ~snapshot_every ~epoch:0
+    (Controller.create ?fabric_hooks ~incremental topo params)
+
 let controller t = t.ctrl
-let journal t = t.journal
-let wire t = t.wire
+let wire t = Some t.wire
 let epoch t = t.epoch
 
 let set_epoch t e =
@@ -62,10 +57,10 @@ let set_epoch t e =
 let pods_of_op t op =
   let topo = Controller.topology t.ctrl in
   let pod_of_host h = Topology.pod_of_host topo h in
+  (* Admission has already checked that the group of a remove, join or
+     leave exists. *)
   let member_pods group =
-    match Controller.members t.ctrl ~group with
-    | ms -> List.map (fun (h, _) -> pod_of_host h) ms
-    | exception Not_found -> []
+    List.map (fun (h, _) -> pod_of_host h) (Controller.members t.ctrl ~group)
   in
   match op with
   | Journal.Add_group { members; _ } ->
@@ -81,23 +76,49 @@ let pods_of_op t op =
   | Journal.Fail_core _ | Journal.Recover_core _ -> None
 
 let apply t op =
-  let pods = pods_of_op t op in
-  Journal.append ?pods t.journal op;
+  Journal.admit t.ctrl op;
   (* Write-ahead: the op record is durable before execution, so a crash
      mid-execute replays it rather than losing it. *)
-  (match t.wire with
-  | Some w -> Wire.append_op w ~epoch:t.epoch { Journal.e_op = op; e_pods = pods }
-  | None -> ());
+  Wire.append_op t.wire ~epoch:t.epoch
+    { Journal.e_op = op; e_pods = pods_of_op t op };
+  Option.iter (fun f -> f op) t.observer;
   Journal.apply t.ctrl op;
-  if Journal.length t.journal - t.snap_at >= t.snapshot_every then
-    checkpoint t
+  t.since_snap <- t.since_snap + 1;
+  if t.since_snap >= t.snapshot_every then checkpoint t
+
+(* The one replay: restore [snap], then re-execute the [suffix] entries
+   [keep] accepts, in order, feeding each to [observer] first. Returns the
+   controller and the number of ops replayed. *)
+let replay ?fabric_hooks ?observer ~keep snap suffix =
+  let ctrl = Controller.restore ?fabric_hooks snap in
+  let replayed =
+    List.fold_left
+      (fun n e ->
+        if not (keep e) then n
+        else begin
+          Option.iter (fun f -> f e.Journal.e_op) observer;
+          Journal.apply ctrl e.Journal.e_op;
+          n + 1
+        end)
+      0 suffix
+  in
+  (ctrl, replayed)
+
+(* The replica's own log always loads with a snapshot: it opens with the
+   genesis one, and every record in it was appended here. *)
+let own_log t =
+  match Wire.load (Wire.contents t.wire) with
+  | Ok { Wire.l_snapshot = Some snap; l_suffix; _ } -> (snap, l_suffix)
+  | Ok { Wire.l_snapshot = None; _ } | Error _ ->
+      invalid_arg "Replica: own wire log has no snapshot"
 
 let recovered t =
   Obs.with_span "replica.recover" (fun () ->
-      let ctrl = Controller.restore ?fabric_hooks:t.fabric_hooks t.snap in
-      let suffix = Journal.suffix t.journal ~from:t.snap_at in
-      List.iter (Journal.apply ctrl) suffix;
-      Obs.observe "replica.replayed_ops" (float_of_int (List.length suffix));
+      let snap, suffix = own_log t in
+      let ctrl, replayed =
+        replay ?fabric_hooks:t.fabric_hooks ~keep:(fun _ -> true) snap suffix
+      in
+      Obs.observe "replica.replayed_ops" (float_of_int replayed);
       ctrl)
 
 (* Shard-scoped recovery: replay only the suffix ops that can touch
@@ -113,10 +134,8 @@ let recovered t =
 let recover_shard t ~pod =
   Obs.with_span "replica.recover_shard" ~attrs:[ ("pod", Obs.Int pod) ]
   @@ fun () ->
-  let ctrl = Controller.restore ?fabric_hooks:t.fabric_hooks t.snap in
-  let topo = Controller.topology ctrl in
-  let suffix = Journal.suffix_entries t.journal ~from:t.snap_at in
-  let in_comp = Array.make topo.Topology.pods false in
+  let snap, suffix = own_log t in
+  let in_comp = Array.make (Controller.topology t.ctrl).Topology.pods false in
   in_comp.(pod) <- true;
   let changed = ref true in
   while !changed do
@@ -141,17 +160,12 @@ let recover_shard t ~pod =
     | None -> true
     | Some ps -> List.exists (fun p -> in_comp.(p)) ps
   in
-  let replayed = ref 0 in
-  List.iter
-    (fun e ->
-      if relevant e then begin
-        incr replayed;
-        Journal.apply ctrl e.Journal.e_op
-      end)
-    suffix;
-  Obs.observe "replica.shard_replayed_ops" (float_of_int !replayed);
+  let ctrl, replayed =
+    replay ?fabric_hooks:t.fabric_hooks ~keep:relevant snap suffix
+  in
+  Obs.observe "replica.shard_replayed_ops" (float_of_int replayed);
   Obs.observe "replica.shard_skipped_ops"
-    (float_of_int (List.length suffix - !replayed));
+    (float_of_int (List.length suffix - replayed));
   ctrl
 
 let crash t = t.ctrl <- recovered t
@@ -173,33 +187,15 @@ let of_wire ?(snapshot_every = 64) ?fabric_hooks ?observer ?epoch
       else
         match
           Obs.with_span "replica.of_wire" @@ fun () ->
-          let ctrl = Controller.restore ?fabric_hooks snap in
-          let journal = Journal.create ?observer () in
-          (* Re-append the suffix through the journal so the observer (the
-             flight recorder) sees every replayed op, then execute it. *)
-          List.iter
-            (fun e ->
-              Journal.append ?pods:e.Journal.e_pods journal e.Journal.e_op;
-              Journal.apply ctrl e.Journal.e_op)
-            l.Wire.l_suffix;
-          Obs.observe "replica.replayed_ops"
-            (float_of_int (List.length l.Wire.l_suffix));
+          let ctrl, replayed =
+            replay ?fabric_hooks ?observer ~keep:(fun _ -> true) snap
+              l.Wire.l_suffix
+          in
+          Obs.observe "replica.replayed_ops" (float_of_int replayed);
           (* Seed a fresh wire with the post-replay state: the new log is
              self-contained and the old (possibly corrupt) bytes are never
              appended to. *)
-          let snap = Controller.snapshot ctrl in
-          let w = Wire.create () in
-          Wire.append_snapshot w ~epoch snap;
-          {
-            fabric_hooks;
-            snapshot_every;
-            ctrl;
-            journal;
-            snap;
-            snap_at = Journal.length journal;
-            wire = Some w;
-            epoch;
-          }
+          seeded ?fabric_hooks ?observer ~snapshot_every ~epoch ctrl
         with
         | t -> Ok t
         | exception exn ->

@@ -1,15 +1,17 @@
-(** Crash-consistent controller replica: snapshot + journal-suffix replay.
+(** Crash-consistent controller replica: a {!Wire} log of snapshots and
+    ops, and one replay over its bytes.
 
-    Couples a live {!Controller.t} with an append-only {!Journal} and a
-    rolling {!Controller.snapshot}. Every mutation goes through {!apply},
-    which journals the op before executing it and takes a fresh checkpoint
-    every [snapshot_every] ops. {!crash} simulates a controller process
-    crash: the live controller is discarded and rebuilt from the latest
-    snapshot plus replay of the journal suffix. Because the controller is
-    deterministic in its op order, the recovered instance is bit-identical
-    (s-rule occupancy, per-group headers, churn counters) to one that never
-    crashed — the property the crash-recovery test asserts across
-    randomized crash points.
+    Couples a live {!Controller.t} with an append-only {!Wire.t} log — its
+    only journal. The log opens with a genesis snapshot; every mutation
+    goes through {!apply}, which admits the op ({!Journal.admit}), appends
+    its record {e before} executing it, and appends a fresh snapshot
+    record every [snapshot_every] ops. Every recovery — {!recovered},
+    {!recover_shard}, {!of_wire} — is {!Wire.load} followed by the same
+    replay: restore the chosen snapshot, then re-execute the suffix ops.
+    Because the controller is deterministic in its op order, the recovered
+    instance is bit-identical (s-rule occupancy, per-group headers, churn
+    counters) to one that never crashed — the property the crash-recovery
+    test asserts across randomized crash points.
 
     Restoration itself does not touch the fabric ({!Controller.restore}
     re-emits nothing — switch state survives a controller crash); only the
@@ -27,11 +29,12 @@ val create :
   Params.t ->
   t
 (** [snapshot_every] defaults to 64 ops between automatic checkpoints.
-    [durable] (default [false]) attaches a {!Wire.t} log: a genesis
-    snapshot is written at epoch 0, every {!apply} appends the op record
-    {e before} executing it (write-ahead), and every checkpoint appends a
-    snapshot record. [observer] taps the underlying journal (see
-    {!Journal.create}) — the telemetry flight recorder attaches here. *)
+    [durable] selects nothing: every replica writes its {!Wire.t} log (a
+    genesis snapshot at epoch 0, then every op and checkpoint record). It
+    is accepted only for callers written when the log was optional.
+    [observer] is called with every applied op, after its record is
+    appended and before it executes — the telemetry flight recorder
+    attaches here. *)
 
 val of_wire :
   ?snapshot_every:int ->
@@ -40,20 +43,20 @@ val of_wire :
   ?epoch:int ->
   Wire.loaded ->
   (t, string) result
-(** Rebuild a durable replica from a loaded wire log: restore the chosen
-    snapshot, replay the suffix (each op passes through the new journal
-    first, so [observer] sees every replayed op), and seed a {e fresh}
-    wire with the post-replay snapshot — the corrupt bytes are never
-    appended to. [epoch] (default: the log's highest epoch) stamps the
-    new log; a failover supervisor passes its bumped fencing epoch.
-    [Error] when the log has no decodable snapshot, [epoch] regresses
-    below the log's, or replay itself fails — never an exception. *)
+(** Rebuild a replica from a loaded wire log: restore the chosen
+    snapshot, replay the suffix (feeding every replayed op to [observer]),
+    and seed a {e fresh} wire with the post-replay snapshot — the corrupt
+    bytes are never appended to. [epoch] (default: the log's highest
+    epoch) stamps the new log; a failover supervisor passes its bumped
+    fencing epoch. [Error] when the log has no decodable snapshot, [epoch]
+    regresses below the log's, or replay itself fails — never an
+    exception. *)
 
 val controller : t -> Controller.t
-val journal : t -> Journal.t
 
 val wire : t -> Wire.t option
-(** The attached durable log, when [durable] (or {!of_wire}) created one. *)
+(** The replica's log; always [Some] (the option is kept for callers
+    written when the log was optional). *)
 
 val epoch : t -> int
 (** The fencing epoch stamped on appended records. *)
@@ -63,20 +66,24 @@ val set_epoch : t -> int -> unit
     regression). *)
 
 val apply : t -> Journal.op -> unit
-(** Journal (tagged with the pods the op can touch, computed against the
-    pre-op state), execute, auto-checkpoint. *)
+(** Admit the op ({!Journal.admit}: an op the controller refuses raises
+    its exception and is neither logged nor executed), append its record
+    tagged with the pods it can touch (computed against the pre-op state),
+    notify the observer, execute, auto-checkpoint. *)
 
 val checkpoint : t -> unit
-(** Force a checkpoint at the current journal position. *)
+(** Force a checkpoint: snapshot the live controller and append the
+    snapshot record. *)
 
 val recovered : t -> Controller.t
-(** A fresh controller rebuilt from the latest snapshot + journal suffix;
-    the live controller is untouched (use this to {e compare} recovery
-    against the never-crashed instance). *)
+(** A fresh controller rebuilt from the replica's own log bytes: the
+    latest snapshot + the op suffix after it. The live controller is
+    untouched (use this to {e compare} recovery against the never-crashed
+    instance). *)
 
 val recover_shard : t -> pod:int -> Controller.t
-(** Shard-scoped recovery: rebuild from the latest snapshot, replaying
-    only the journal-suffix ops whose pod tags are {e transitively
+(** Shard-scoped recovery: rebuild from the log's latest snapshot,
+    replaying only the suffix ops whose pod tags are {e transitively
     connected} to [pod] (ops sharing a pod chain into one component) plus
     every global op. For groups whose members stay inside that component
     the result is bit-identical to {!recovered} — skipped ops touch only
@@ -93,4 +100,4 @@ val installed_config : t -> Installed_config.t
 
 val last_snapshot : t -> Controller.snapshot
 (** The {e latest checkpoint}: what {!recovered} restores before replaying
-    the journal suffix. *)
+    the op suffix. *)

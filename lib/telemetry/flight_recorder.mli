@@ -3,8 +3,8 @@
 
     Recording overwrites one preallocated ring slot per event and defers
     all formatting to {!dump}, so leaving it attached costs almost nothing.
-    Ops arrive via {!observer} (plugged into {!Journal.create} /
-    {!Replica.create}); free-form notes carry a label plus two int
+    Ops arrive via {!observer} (plugged into {!Replica.create},
+    {!Replica.of_wire} or {!Supervisor.failover}); free-form notes carry a label plus two int
     payloads. Dump sites: verify counterexample, blackhole probe failure,
     install-retry exhaustion, watermark breach. *)
 
@@ -23,7 +23,7 @@ val record_op : t -> Journal.op -> unit
 val note : t -> string -> a:int -> b:int -> unit
 val observer : t -> Journal.op -> unit
 (** [observer t] is [record_op t] — shaped for
-    [Journal.create ~observer]. *)
+    [Replica.create ~observer]. *)
 
 val events : t -> event list
 (** The retained tail, oldest first: the last [min recorded capacity]

@@ -2,8 +2,8 @@
    exact counts, pinned link numbering and capacity math, watermark
    crossing + drain, the fabric-attached recorder's byte accounting, the
    disabled-telemetry equivalence guarantee, the flight recorder's ring
-   semantics against the journal, and runtime zero-alloc probes matching
-   the lint annotations. *)
+   semantics against a replica's applied and replayed ops, and runtime
+   zero-alloc probes matching the lint annotations. *)
 
 module Sketch = Elmo_telemetry.Sketch
 module Link_series = Elmo_telemetry.Link_series
@@ -280,45 +280,70 @@ let test_disabled_equivalence () =
 
 (* {1 Flight recorder} *)
 
+(* Ops the controller accepts, in order: five groups, then a receiver
+   joining and leaving them in turn. *)
 let journal_ops n =
   List.init n (fun i ->
-      if i mod 3 = 0 then
-        Journal.Join { group = i mod 5; host = i; role = Controller.Receiver }
-      else if i mod 3 = 1 then Journal.Leave { group = i mod 5; host = i - 1 }
-      else Journal.Add_group { group = 100 + i; members = [] })
+      if i < 5 then
+        Journal.Add_group
+          { group = i; members = [ (i, Controller.Both); (i + 5, Controller.Both) ] }
+      else if i mod 2 = 1 then
+        Journal.Join { group = i mod 5; host = 12; role = Controller.Receiver }
+      else Journal.Leave { group = (i - 1) mod 5; host = 12 })
+
+let op_strings ops = List.map (Format.asprintf "%a" Journal.pp_op) ops
+
+let recorded_ops fr =
+  List.map
+    (function
+      | Flight_recorder.Op { op; _ } -> op
+      | Flight_recorder.Note _ | Flight_recorder.Pad ->
+          Alcotest.fail "unexpected non-op event")
+    (Flight_recorder.events fr)
 
 let test_flight_ring_matches_journal () =
+  let topo = small_topo () in
   let fr = Flight_recorder.create ~capacity:8 () in
-  let j = Journal.create ~observer:(Flight_recorder.observer fr) () in
+  let replica =
+    Replica.create ~observer:(Flight_recorder.observer fr) topo
+      (Params.create ())
+  in
   let ops = journal_ops 20 in
-  List.iter (Journal.append j) ops;
+  List.iter (Replica.apply replica) ops;
   Alcotest.(check int) "all recorded" 20 (Flight_recorder.recorded fr);
   Alcotest.(check int) "capacity" 8 (Flight_recorder.capacity fr);
-  let tail_of_journal =
-    let all = Journal.to_list j in
-    List.filteri (fun i _ -> i >= List.length all - 8) all
-  in
-  let retained =
-    List.map
-      (function
-        | Flight_recorder.Op { op; _ } -> op
-        | Flight_recorder.Note _ | Flight_recorder.Pad ->
-            Alcotest.fail "unexpected non-op event")
-      (Flight_recorder.events fr)
-  in
+  let retained = recorded_ops fr in
   Alcotest.(check int) "ring keeps capacity events" 8 (List.length retained);
-  (* The retained tail is exactly the journal's last 8 ops, oldest first. *)
-  List.iter2
-    (fun expect got ->
-      Alcotest.(check string) "tail op matches journal"
-        (Format.asprintf "%a" Journal.pp_op expect)
-        (Format.asprintf "%a" Journal.pp_op got))
-    tail_of_journal retained;
+  (* The retained tail is exactly the last 8 applied ops, oldest first. *)
+  Alcotest.(check (list string)) "tail ops match the applied ops"
+    (op_strings (List.filteri (fun i _ -> i >= 12) ops))
+    (op_strings retained);
   (* Sequence numbers are the global record indices. *)
   (match Flight_recorder.events fr with
   | Flight_recorder.Op { seq; _ } :: _ ->
       Alcotest.(check int) "oldest retained seq" 12 seq
   | _ -> Alcotest.fail "expected an op first");
+  (* A failover over the replica's bytes feeds every replayed suffix op to
+     its recorder exactly once, in log order. *)
+  let replayed = Flight_recorder.create ~capacity:64 () in
+  (match
+     Supervisor.failover
+       ~observer:(Flight_recorder.observer replayed)
+       ~fabric:(Fabric.create topo)
+       (Wire.contents (Option.get (Replica.wire replica)))
+   with
+  | Error e -> Alcotest.fail e
+  | Ok o ->
+      let suffix =
+        List.map (fun e -> e.Journal.e_op) o.Supervisor.loaded.Wire.l_suffix
+      in
+      Alcotest.(check int) "the whole run is the suffix" 20
+        (List.length suffix);
+      Alcotest.(check int) "one record per replayed op" 20
+        (Flight_recorder.recorded replayed);
+      Alcotest.(check (list string)) "replayed ops in log order"
+        (op_strings suffix)
+        (op_strings (recorded_ops replayed)));
   (* Notes interleave with ops in arrival order. *)
   Flight_recorder.note fr "watermark" ~a:7 ~b:1_000_000;
   match List.rev (Flight_recorder.events fr) with

@@ -154,11 +154,9 @@ let test_entry_codec_rejects_out_of_range () =
 
 (* {1 Snapshot codec} *)
 
-let seeded_replica ?(durable = true) ?snapshot_every ?fabric_hooks
-    ?observer () =
+let seeded_replica ?snapshot_every ?fabric_hooks ?observer () =
   let replica =
-    Replica.create ?snapshot_every ?fabric_hooks ~durable ?observer topo
-      tight_params
+    Replica.create ?snapshot_every ?fabric_hooks ?observer topo tight_params
   in
   Replica.apply replica
     (Journal.Add_group { group = 0; members = members_both wide_hosts });
@@ -235,10 +233,8 @@ let test_bad_magic () =
   | Ok _ -> Alcotest.fail "flipped magic accepted"
 
 let test_snapshot_only_load () =
-  (* A durable replica's genesis log: one snapshot, no ops. *)
-  let replica =
-    Replica.create ~durable:true topo tight_params
-  in
+  (* A fresh replica's genesis log: one snapshot, no ops. *)
+  let replica = Replica.create topo tight_params in
   let bytes = Wire.contents (Option.get (Replica.wire replica)) in
   match Wire.load bytes with
   | Error e -> Alcotest.fail e
@@ -375,7 +371,7 @@ let matrix_groups = 6
 let build_matrix_run () =
   let rng = Rng.create 20260808 in
   let replica =
-    Replica.create ~snapshot_every:24 ~durable:true topo tight_params
+    Replica.create ~snapshot_every:24 topo tight_params
   in
   let ctx = Pred.create_ctx () in
   (* The "never-crashed twin" is the live replica itself: after each op we
@@ -498,7 +494,7 @@ let test_wedged_pod_churn_across_crash () =
   let fault = Fault.create ~schedule:Fault.Reliable fabric in
   let replica =
     Replica.create ~snapshot_every:1000 ~fabric_hooks:(Fault.hooks fault)
-      ~durable:true topo tight_params
+      topo tight_params
   in
   Fault.wedge_pod fault 0 true;
   Replica.apply replica
@@ -567,7 +563,7 @@ let test_stale_markers_survive_crash () =
   let fault = Fault.create ~schedule:(Fault.Scripted script) fabric in
   let replica =
     Replica.create ~snapshot_every:1000 ~fabric_hooks:(Fault.hooks fault)
-      ~durable:true topo tight_params
+      topo tight_params
   in
   Replica.apply replica
     (Journal.Add_group { group = 0; members = members_both wide_hosts });
@@ -600,6 +596,85 @@ let test_stale_markers_survive_crash () =
            (Replica.controller outcome.Supervisor.replica)
            (Replica.controller replica) ~groups:1)
 
+(* {1 One log, one replay} *)
+
+let test_rejected_ops_never_reach_the_log () =
+  (* Two ops the controller refuses: a duplicate join and an out-of-range
+     spine. The caller still gets the controller's exception, and neither
+     op is logged — so a failover over the bytes neither fails replaying
+     the first nor truncates at the second and drops the good op after
+     it. *)
+  let replica = seeded_replica () in
+  let wire = Option.get (Replica.wire replica) in
+  let records = Wire.records wire in
+  Alcotest.check_raises "duplicate join refused"
+    (Invalid_argument "Controller.join: host already a member") (fun () ->
+      Replica.apply replica
+        (Journal.Join { group = 1; host = h; role = Controller.Both }));
+  Alcotest.check_raises "out-of-range spine refused"
+    (Invalid_argument "index out of bounds") (fun () ->
+      Replica.apply replica (Journal.Fail_spine 999));
+  Alcotest.(check int) "nothing logged" records (Wire.records wire);
+  let good = (2 * h) + 1 in
+  Replica.apply replica
+    (Journal.Join { group = 1; host = good; role = Controller.Both });
+  match
+    Supervisor.failover ~fabric:(Fabric.create topo) (Wire.contents wire)
+  with
+  | Error e -> Alcotest.failf "failover refused the log: %s" e
+  | Ok o ->
+      let ctrl = Replica.controller o.Supervisor.replica in
+      Alcotest.(check bool) "no truncation" true
+        (o.Supervisor.loaded.Wire.l_truncated_at = None);
+      Alcotest.(check int) "the good join is replayed" 5
+        (List.length (Controller.members ctrl ~group:1));
+      Alcotest.(check bool) "the joined host is a member" true
+        (List.mem_assoc good (Controller.members ctrl ~group:1));
+      Alcotest.(check bool) "failover equals the live controller" true
+        (Test_fault.same_controller_state ctrl (Replica.controller replica)
+           ~groups:2)
+
+let test_recovered_equals_failover () =
+  (* [Replica.recovered] and a supervisor failover read the same bytes
+     through the same replay, at every position relative to the last
+     checkpoint: empty suffix, partial suffix, one op short of the next
+     checkpoint. *)
+  let rng = Rng.create 4242 in
+  let snapshot_every = 5 in
+  let replica = Replica.create ~snapshot_every topo tight_params in
+  let groups = 3 in
+  let members = Array.make groups [] in
+  members.(0) <- wide_hosts;
+  members.(1) <- [ 0; 1; h; h + 1 ];
+  members.(2) <- [ 2; (3 * h) + 1; (5 * h) + 2 ];
+  for g = 0 to groups - 1 do
+    Replica.apply replica
+      (Journal.Add_group { group = g; members = members_both members.(g) })
+  done;
+  let positions = Array.make snapshot_every 0 in
+  List.iteri
+    (fun i op ->
+      Replica.apply replica op;
+      let bytes = Wire.contents (Option.get (Replica.wire replica)) in
+      match Supervisor.failover ~fabric:(Fabric.create topo) bytes with
+      | Error e -> Alcotest.failf "op %d: failover failed: %s" i e
+      | Ok o ->
+          let suffix = List.length o.Supervisor.loaded.Wire.l_suffix in
+          positions.(suffix) <- positions.(suffix) + 1;
+          Alcotest.(check bool)
+            (Printf.sprintf "op %d (suffix %d): recovered = failover" i suffix)
+            true
+            (Test_fault.same_controller_state (Replica.recovered replica)
+               (Replica.controller o.Supervisor.replica)
+               ~groups))
+    (Test_fault.crash_rng_ops rng ~members ~events:30);
+  Array.iteri
+    (fun suffix n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "suffix length %d exercised" suffix)
+        true (n > 0))
+    positions
+
 (* {1 Supervisor failover} *)
 
 let test_failover_fences_old_primary () =
@@ -607,7 +682,7 @@ let test_failover_fences_old_primary () =
   let primary =
     Replica.create ~snapshot_every:16
       ~fabric_hooks:(Fabric.controller_hooks_at fabric ~epoch:0)
-      ~durable:true topo tight_params
+      topo tight_params
   in
   Replica.apply primary
     (Journal.Add_group { group = 0; members = members_both wide_hosts });
@@ -674,7 +749,7 @@ let test_failover_unrecoverable_is_explicit () =
   let fabric = Fabric.create topo in
   let primary =
     Replica.create ~fabric_hooks:(Fabric.controller_hooks_at fabric ~epoch:0)
-      ~durable:true topo tight_params
+      topo tight_params
   in
   Replica.apply primary
     (Journal.Add_group { group = 0; members = members_both wide_hosts });
@@ -715,7 +790,7 @@ let test_failover_spans () =
   let primary =
     Replica.create ~snapshot_every:4
       ~fabric_hooks:(Fabric.controller_hooks_at fabric ~epoch:0)
-      ~durable:true topo tight_params
+      topo tight_params
   in
   Replica.apply primary
     (Journal.Add_group { group = 0; members = members_both wide_hosts });
@@ -999,6 +1074,10 @@ let tests =
       test_wedged_pod_churn_across_crash;
     Alcotest.test_case "stale markers survive crash" `Quick
       test_stale_markers_survive_crash;
+    Alcotest.test_case "rejected ops never reach the log" `Quick
+      test_rejected_ops_never_reach_the_log;
+    Alcotest.test_case "recovered equals failover" `Quick
+      test_recovered_equals_failover;
     Alcotest.test_case "failover fences old primary" `Quick
       test_failover_fences_old_primary;
     Alcotest.test_case "unrecoverable failover is explicit" `Quick
