@@ -32,20 +32,24 @@ let () =
     | None -> assert false
   in
 
+  (* Whether every member got the packet (a unicast fallback counts). *)
   let send label =
     match Controller.header ctrl ~group ~sender with
-    | None -> Format.printf "%-28s degraded to unicast@." label
+    | None ->
+        Format.printf "%-28s degraded to unicast@." label;
+        true
     | Some header ->
         let r = Fabric.inject fabric ~sender ~group ~header ~payload:64 in
+        let ok = Fabric.deliveries_correct r ~tree ~sender in
         Format.printf "%-28s delivered=%d/%d lost-copies=%d %s@." label
           (List.length r.Fabric.delivered)
           (Tree.member_count tree - 1)
           r.Fabric.lost
-          (if Fabric.deliveries_correct r ~tree ~sender then "(all members ok)"
-           else "(MISSING receivers)")
+          (if ok then "(all members ok)" else "(MISSING receivers)");
+        ok
   in
 
-  send "healthy fabric:";
+  assert (send "healthy fabric:");
 
   (* Fail the spine the sender's flow hashes onto. We find it by failing
      each spine of pod 0 in the fabric only and seeing which loses
@@ -64,15 +68,15 @@ let () =
   in
   Format.printf "@.failing spine %d (the one this flow ECMPs onto)...@." victim;
   Fabric.fail_spine fabric victim;
-  send "before controller reacts:";
+  assert (not (send "before controller reacts:"));
 
   let report = Controller.fail_spine ctrl victim in
   Format.printf
     "controller recomputed %d group(s), updating %d sender hypervisor(s)@."
     report.Controller.affected_groups report.Controller.hypervisors_updated;
-  send "after upstream override:";
+  assert (send "after upstream override:");
 
   Format.printf "@.recovering spine %d...@." victim;
   Fabric.recover_spine fabric victim;
   ignore (Controller.recover_spine ctrl victim);
-  send "after recovery:"
+  assert (send "after recovery:")

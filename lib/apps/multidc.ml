@@ -99,7 +99,7 @@ let send t ~group ~sender_dc ~sender =
     if List.mem_assoc sender_dc st.encodings then
       multicast t st ~dc_idx:sender_dc ~sender ~group
     else
-      { Fabric.delivered = []; transmissions = 0; header_bytes = 0; lost = 0; trace = [] }
+      { Fabric.delivered = []; transmissions = 0; header_bytes = 0; lost = 0 }
   in
   let remote_dcs =
     List.filter (fun (d, _) -> d <> sender_dc) st.encodings |> List.map fst

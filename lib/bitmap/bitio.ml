@@ -272,17 +272,24 @@ module Reader = struct
 
   let of_bytes data = { data; pos = 0 }
 
-  (* The next [n] bits (1..8) as an [n]-bit integer, first bit highest:
-     a 16-bit window over the current byte and the next one. *)
+  (* The [n] bits (1..8) of [data] from bit [pos] as an [n]-bit integer,
+     first bit highest: a 16-bit window over that byte and the next one.
+     The caller has checked that they lie inside [data]. *)
+  (* elmo-lint: zero-alloc *)
+  let window data pos n =
+    let byte = pos / 8 in
+    let hi = Char.code (Bytes.unsafe_get data byte) in
+    let lo =
+      if byte + 1 < Bytes.length data then Char.code (Bytes.unsafe_get data (byte + 1))
+      else 0
+    in
+    let w = (hi lsl 8) lor lo in
+    (w lsr (16 - (pos mod 8) - n)) land ((1 lsl n) - 1)
+
   (* elmo-lint: zero-alloc *)
   let take t n =
-    let len = Bytes.length t.data in
-    if t.pos + n > len * 8 then raise Truncated;
-    let byte = t.pos / 8 in
-    let hi = Char.code (Bytes.unsafe_get t.data byte) in
-    let lo = if byte + 1 < len then Char.code (Bytes.unsafe_get t.data (byte + 1)) else 0 in
-    let w = (hi lsl 8) lor lo in
-    let v = (w lsr (16 - (t.pos mod 8) - n)) land ((1 lsl n) - 1) in
+    if t.pos + n > Bytes.length t.data * 8 then raise Truncated;
+    let v = window t.data t.pos n in
     t.pos <- t.pos + n;
     v
 
@@ -306,6 +313,24 @@ module Reader = struct
       Bitmap.or_byte bm j (Chunk.reverse (take t n lsl (8 - n)))
     done;
     bm
+
+  (* elmo-lint: zero-alloc *)
+  let skip t n =
+    if n < 0 || t.pos + n > Bytes.length t.data * 8 then raise Truncated;
+    t.pos <- t.pos + n
+
+  (* Chunk [j]'s stream bits hold bitmap bits [8j ..], the first in the
+     chunk's top bit; only nonzero chunks are scanned bit by bit. *)
+  let iter_bitmap data ~off width f =
+    if off < 0 || width < 0 || off + width > Bytes.length data * 8 then raise Truncated;
+    for j = 0 to ((width + 7) / 8) - 1 do
+      let n = Chunk.width width j in
+      let v = window data (off + (8 * j)) n in
+      if v <> 0 then
+        for k = 0 to n - 1 do
+          if v land (1 lsl (n - 1 - k)) <> 0 then f ((8 * j) + k)
+        done
+    done
 
   let align_byte t = t.pos <- (t.pos + 7) / 8 * 8
 

@@ -116,6 +116,17 @@ module Reader : sig
   (** [bitmap r width] reads [width] bits written by {!Writer.bitmap}, a
       byte per step. Raises [Truncated] if the input ends inside them. *)
 
+  val skip : t -> int -> unit
+  (** [skip r n] moves past [n] bits without reading them. Raises
+      [Truncated] if the input ends inside them, like reading them would. *)
+
+  val iter_bitmap : bytes -> off:int -> int -> (int -> unit) -> unit
+  (** [iter_bitmap data ~off width f] calls [f] on the index of every set
+      bit of the [width]-bit bitmap written at bit [off] of [data], in
+      ascending order: the indices {!bitmap} would set, without building
+      the bitmap. It reads [data] directly, so [f] may use any reader.
+      Raises [Truncated] if [data] ends inside the bitmap. *)
+
   val align_byte : t -> unit
 
   val seek : t -> int -> unit

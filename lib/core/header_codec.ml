@@ -27,7 +27,8 @@ let has_d_spine = function After_d_spine -> false | _ -> true
 
    One reader per section, each starting at the section's first bit. The
    decoders below are these readers in wire order; [Fabric.inject] calls
-   each one alone, at the section's offset in the packet's wire. *)
+   the upstream ones alone, at the section's offset in the packet's wire,
+   and indexes a downstream section in place ([index_section] below). *)
 
 let read_uprule r ~down_width ~up_width =
   let down = Bitio.Reader.bitmap r down_width in
@@ -79,6 +80,53 @@ let no_claim (_ : int) = ()
 let unchecked _ = no_claim
 let read_section topo layer r = section topo layer ~claim:no_claim r
 
+(* {1 A downstream section read in place}
+
+   The same section as [section], walked for its framing only: each rule's
+   bitmap and the default are skipped, not built. [rule id at] sees every
+   identifier with the bit offset of its rule's bitmap. Returns the
+   default's offset, or -1; the reader ends after the section. *)
+
+let rec walk_ids r id_bits rule at =
+  rule (Bitio.Reader.bits r id_bits) at;
+  if Bitio.Reader.bit r then walk_ids r id_bits rule at
+
+let walk_section topo layer ~rule r =
+  let width, id_bits = layer_widths topo layer in
+  while Bitio.Reader.bit r do
+    let at = Bitio.Reader.pos r in
+    Bitio.Reader.skip r width;
+    walk_ids r id_bits rule at
+  done;
+  if Bitio.Reader.bit r then begin
+    let at = Bitio.Reader.pos r in
+    Bitio.Reader.skip r width;
+    at
+  end
+  else -1
+
+(* Switches a downstream section can name: one logical spine per pod, or
+   every leaf. *)
+let layer_switches topo = function
+  | `Spine -> topo.Topology.pods
+  | `Leaf -> Topology.num_leaves topo
+
+type section_index = { rule_at : int array; default_at : int }
+
+let index_section topo layer r =
+  let rule_at = Array.make (layer_switches topo layer) (-1) in
+  let first id at =
+    if id < Array.length rule_at && rule_at.(id) < 0 then rule_at.(id) <- at
+  in
+  let default_at = walk_section topo layer ~rule:first r in
+  { rule_at; default_at }
+
+let rule_offset ix id = if id < Array.length ix.rule_at then ix.rule_at.(id) else -1
+let default_offset ix = ix.default_at
+
+let skip_section topo layer r =
+  ignore (walk_section topo layer ~rule:(fun _ _ -> ()) r : int)
+
 let empty_uprule topo =
   {
     Prule.down = Bitmap.create (Topology.leaf_downstream_width topo);
@@ -122,8 +170,8 @@ let header_length topo data =
   ignore (read_u_leaf topo r : Prule.uprule);
   ignore (read_u_spine topo r : Prule.uprule option);
   ignore (read_core topo r : Bitmap.t option);
-  ignore (read_section topo `Spine r : Prule.prule list * Bitmap.t option);
-  ignore (read_section topo `Leaf r : Prule.prule list * Bitmap.t option);
+  skip_section topo `Spine r;
+  skip_section topo `Leaf r;
   (Bitio.Reader.pos r + 7) / 8
 
 (* {1 Hostile-input decoding}
@@ -164,13 +212,7 @@ exception Reject of decode_error
 (* Each switch of the section's layer may be claimed once. *)
 let claim_once topo layer =
   let spine = match layer with `Spine -> true | `Leaf -> false in
-  let seen =
-    Array.make
-      (match layer with
-      | `Spine -> topo.Topology.pods
-      | `Leaf -> Topology.num_leaves topo)
-      false
-  in
+  let seen = Array.make (layer_switches topo layer) false in
   fun id ->
     if id >= Array.length seen then raise (Reject (Id_out_of_range { spine; id }));
     if seen.(id) then raise (Reject (Duplicate_id { spine; id }));

@@ -34,16 +34,19 @@ val decode : Topology.t -> bytes -> Prule.header
 val header_length : Topology.t -> bytes -> int
 (** [header_length topo data] parses one full header from the front of
     [data], which may go on with a payload, and returns its length in bytes
-    (its bits rounded up to a byte, as {!encode} pads). Raises
-    [Bitio.Reader.Truncated] if [data] ends inside the header. *)
+    (its bits rounded up to a byte, as {!encode} pads). The downstream
+    sections are walked as {!index_section} walks them, their bitmaps
+    skipped and no rule built. Raises [Bitio.Reader.Truncated] if [data]
+    ends inside the header. *)
 
 (** {1 Per-section parsing}
 
     Each reader parses one section starting at the reader's position,
     which must be the section's first bit. The decoders are these readers
-    in wire order, and a switch in [Fabric.inject] calls only the one its
-    layer reads, at the section's offset in the packet's wire. All raise
-    [Bitio.Reader.Truncated] on short input. *)
+    in wire order. An upstream switch in [Fabric.inject] calls only the
+    one its layer reads, at the section's offset in the packet's wire; a
+    downstream switch reads its section in place ({!index_section}). All
+    raise [Bitio.Reader.Truncated] on short input. *)
 
 val read_u_leaf : Topology.t -> Bitio.Reader.t -> Prule.uprule
 val read_u_spine : Topology.t -> Bitio.Reader.t -> Prule.uprule option
@@ -58,6 +61,34 @@ val read_section :
   Bitio.Reader.t ->
   Prule.prule list * Bitmap.t option
 (** A downstream section: its p-rules and optional default bitmap. *)
+
+(** {1 A downstream section read in place}
+
+    What a switch parser does with its layer's section (§4.1): find the
+    rule naming its own identifier and forward on that rule's bitmap where
+    it lies in the packet. {!index_section} walks the section's framing
+    once, skipping every bitmap, and records where the bitmaps are; the
+    bits themselves are read with {!Bitio.Reader.iter_bitmap}. *)
+
+type section_index
+(** For each switch of a layer, the bit offset of the bitmap of the first
+    p-rule naming it; and the offset of the default bitmap. Offsets are
+    positions in the bytes the section was indexed from. *)
+
+val index_section :
+  Topology.t -> [ `Spine | `Leaf ] -> Bitio.Reader.t -> section_index
+(** Indexes the downstream section starting at the reader's position,
+    which ends after the section. The section is {!read_section}'s: a
+    rule's bitmap at [rule_offset ix id] is the bitmap of the first rule
+    whose switches include [id], the one at [default_offset ix] is its
+    default. Raises [Bitio.Reader.Truncated] on short input. *)
+
+val rule_offset : section_index -> int -> int
+(** [rule_offset ix id] is the offset of the first p-rule naming switch
+    [id], or [-1] if none does (also for an [id] outside the layer). *)
+
+val default_offset : section_index -> int
+(** The default bitmap's offset, or [-1] if the section has none. *)
 
 (** {1 Hostile-input decoding} *)
 

@@ -7,9 +7,9 @@ type node =
 type hop = { hop_from : node; hop_to : node; hop_header_bytes : int }
 
 (* Per-traversal observation callbacks. [tel_hop] fires on every link
-   traversal with the hop record the trace already allocated (so an attached
-   hook adds no per-hop allocation of its own); [tel_packet] fires once at
-   the end of each inject with the packet's total wire bytes. *)
+   traversal with a hop record built for it (with no hook attached, no hop
+   is built); [tel_packet] fires once at the end of each inject with the
+   packet's total wire bytes. *)
 type telemetry = {
   tel_hop : payload:int -> hop -> unit;
   tel_packet : group:int -> sender:int -> bytes:int -> unit;
@@ -216,7 +216,6 @@ type report = {
   transmissions : int;
   header_bytes : int;
   lost : int;
-  trace : hop list;
 }
 
 let pp_node ppf = function
@@ -232,219 +231,300 @@ let pp_trace ppf hops =
         pp_node h.hop_to h.hop_header_bytes)
     hops
 
-(* Mutable accumulator threaded through one packet's traversal. *)
-type acc = {
+(* {1 One packet's walk}
+
+   [inject_wire] and [trace] make the same walk. A hop's ends travel as a
+   kind and an id; the [hop] record and its [node]s are built only when
+   someone observes them, a telemetry hook or a trace. *)
+
+type kind = Host | Leaf | Spine | Core
+
+let node kind id =
+  match kind with
+  | Host -> Host_node id
+  | Leaf -> Leaf_node id
+  | Spine -> Spine_node id
+  | Core -> Core_node id
+
+type walk = {
+  fabric : t;
+  group : int;
+  sender : int;
+  wire : Header_codec.wire;
+  data : bytes;  (* the wire's bytes, which every switch reads in place *)
+  (* Each section is read at most once per packet, by the first switch
+     that needs it, at its stage's offset in [data]. *)
+  u_spine : Prule.uprule option Lazy.t;
+  core : Bitmap.t option Lazy.t;
+  d_spine : Header_codec.section_index Lazy.t;
+  d_leaf : Header_codec.section_index Lazy.t;
   mutable transmissions : int;
   mutable header_bytes : int;
   mutable lost : int;
-  hosts : (int, int) Hashtbl.t;
-  mutable trace : hop list;  (* reversed *)
-  payload : int;
+  mutable hosts : int array;  (* deliveries so far, in [0, n_hosts) *)
+  mutable n_hosts : int;
+  tracing : bool;
+  mutable hops : hop list;  (* reversed; built only when [tracing] *)
   tel : telemetry option;
+  payload : int;
 }
 
-let hop acc ~src ~dst bytes =
-  acc.transmissions <- acc.transmissions + 1;
-  acc.header_bytes <- acc.header_bytes + bytes;
-  let h = { hop_from = src; hop_to = dst; hop_header_bytes = bytes } in
-  acc.trace <- h :: acc.trace;
-  match acc.tel with
-  | None -> ()
-  | Some tel -> tel.tel_hop ~payload:acc.payload h
+let link w src_kind src dst_kind dst bytes =
+  w.transmissions <- w.transmissions + 1;
+  w.header_bytes <- w.header_bytes + bytes;
+  if w.tracing || Option.is_some w.tel then begin
+    let h =
+      { hop_from = node src_kind src; hop_to = node dst_kind dst; hop_header_bytes = bytes }
+    in
+    if w.tracing then w.hops <- h :: w.hops;
+    match w.tel with None -> () | Some tel -> tel.tel_hop ~payload:w.payload h
+  end
 
-let deliver acc ~src host =
-  hop acc ~src ~dst:(Host_node host) 0;
-  let n = Option.value ~default:0 (Hashtbl.find_opt acc.hosts host) in
-  Hashtbl.replace acc.hosts host (n + 1)
+let lose w = w.lost <- w.lost + 1
 
-(* Find the p-rule addressed to [id] by scanning the rule list, as the
-   switch parser does (§4.1); then the group table; then the default. A
-   legacy switch cannot parse the header at all: group table or drop. *)
-let match_rule ~legacy rules id table group default =
-  if legacy then Hashtbl.find_opt table group
+let deliver w leaf port =
+  let host = (leaf * w.fabric.topo.Topology.hosts_per_leaf) + port in
+  link w Leaf leaf Host host 0;
+  if w.n_hosts = Array.length w.hosts then begin
+    let grown = Array.make (2 * w.n_hosts) 0 in
+    Array.blit w.hosts 0 grown 0 w.n_hosts;
+    w.hosts <- grown
+  end;
+  w.hosts.(w.n_hosts) <- host;
+  w.n_hosts <- w.n_hosts + 1
+
+(* Header bytes on a hop after [stage]: the wire from the stage's offset,
+   rounded up to a byte. *)
+let stage_bytes w stage =
+  (Header_codec.wire_bits w.wire - Header_codec.stage_offset w.wire stage + 7) / 8
+
+let section wire stage read =
+  lazy
+    (let r = Bitio.Reader.of_bytes (Header_codec.wire_bytes wire) in
+     Bitio.Reader.seek r (Header_codec.stage_offset wire stage);
+     read r)
+
+(* Forwards on the group's entry in [table]; false if there is none. *)
+let table_hit w table f =
+  match Hashtbl.find_opt table w.group with
+  | Some bm ->
+      Bitmap.iter f bm;
+      true
+  | None -> false
+
+(* The ports a downstream switch forwards on, as its parser finds them
+   (§4.1): the p-rule naming [id], read where it lies in the wire; then the
+   group table; then the section's default. A legacy switch cannot parse
+   the header at all: group table or drop. *)
+let forward w ~legacy table index ~id ~width f =
+  if legacy then ignore (table_hit w table f : bool)
+  else begin
+    let ix = Lazy.force index in
+    let at = Header_codec.rule_offset ix id in
+    if at >= 0 then Bitio.Reader.iter_bitmap w.data ~off:at width f
+    else if not (table_hit w table f) then begin
+      let at = Header_codec.default_offset ix in
+      if at >= 0 then Bitio.Reader.iter_bitmap w.data ~off:at width f
+    end
+  end
+
+let at_leaf_down w leaf =
+  let f = w.fabric in
+  forward w ~legacy:f.leaf_legacy.(leaf) f.leaf_tables.(leaf) w.d_leaf ~id:leaf
+    ~width:(Topology.leaf_downstream_width f.topo) (deliver w leaf)
+
+(* A spine sends to leaf [port] of pod [p] over its [plane]'s link. *)
+let spine_to_leaf w s ~pod ~plane bytes port =
+  let leaf = (pod * w.fabric.topo.Topology.leaves_per_pod) + port in
+  link w Spine s Leaf leaf bytes;
+  if link_ok w.fabric ~leaf ~plane then at_leaf_down w leaf else lose w
+
+(* Downstream spine (physical [s]) in pod [p]. *)
+let at_spine_down w s p =
+  let f = w.fabric in
+  let topo = f.topo in
+  forward w ~legacy:f.spine_legacy.(s) f.spine_tables.(s) w.d_spine ~id:p
+    ~width:(Topology.spine_downstream_width topo)
+    (spine_to_leaf w s ~pod:p ~plane:(s mod topo.Topology.spines_per_pod)
+       (stage_bytes w Header_codec.After_d_spine))
+
+let at_core w c =
+  let f = w.fabric in
+  if not f.core_up.(c) then lose w
   else
-    match List.find_opt (fun r -> List.mem id r.Prule.switches) rules with
-    | Some r -> Some r.Prule.bitmap
-    | None -> (
-        match Hashtbl.find_opt table group with
-        | Some bm -> Some bm
-        | None -> default)
+    match Lazy.force w.core with
+    | None -> ()
+    | Some bm ->
+        let plane = c / f.topo.Topology.cores_per_plane in
+        let to_spine = stage_bytes w Header_codec.After_core in
+        Bitmap.iter
+          (fun p ->
+            let s = (p * f.topo.Topology.spines_per_pod) + plane in
+            link w Core c Spine s to_spine;
+            if f.spine_up.(s) then at_spine_down w s p else lose w)
+          bm
 
-let inject_wire t ~sender ~group ~wire:w ~payload =
+(* Sender-pod spine (physical [s]): upstream processing. *)
+let at_spine_up w ~pod s =
+  let f = w.fabric in
+  let topo = f.topo in
+  if not f.spine_up.(s) then lose w
+  else
+    match Lazy.force w.u_spine with
+    | None -> ()
+    | Some u ->
+        let plane = s mod topo.Topology.spines_per_pod in
+        Bitmap.iter
+          (spine_to_leaf w s ~pod ~plane (stage_bytes w Header_codec.After_d_spine))
+          u.Prule.down;
+        let to_core = stage_bytes w Header_codec.After_u_spine in
+        let send_core c =
+          link w Spine s Core c to_core;
+          at_core w c
+        in
+        if u.Prule.multipath then begin
+          if topo.Topology.cores_per_plane > 0 then
+            send_core
+              (Ecmp.core_choice topo ~hash:(Ecmp.flow_hash ~group:w.group ~sender:w.sender)
+                 ~plane)
+        end
+        else
+          Bitmap.iter
+            (fun port -> send_core ((plane * topo.Topology.cores_per_plane) + port))
+            u.Prule.up
+
+(* Sender leaf: upstream processing of the full header. *)
+let at_leaf_up w =
+  let f = w.fabric in
+  let topo = f.topo in
+  let sl = Topology.leaf_of_host topo w.sender in
+  let sp = Topology.pod_of_leaf topo sl in
+  link w Host w.sender Leaf sl (Bytes.length w.data);
+  let u = Header_codec.read_u_leaf topo (Bitio.Reader.of_bytes w.data) in
+  Bitmap.iter (deliver w sl) u.Prule.down;
+  let to_spine = stage_bytes w Header_codec.After_u_leaf in
+  let send_spine s =
+    link w Leaf sl Spine s to_spine;
+    if link_ok f ~leaf:sl ~plane:(s mod topo.Topology.spines_per_pod) then
+      at_spine_up w ~pod:sp s
+    else lose w
+  in
+  let first = sp * topo.Topology.spines_per_pod in
+  if u.Prule.multipath then
+    send_spine
+      (first + Ecmp.spine_choice topo ~hash:(Ecmp.flow_hash ~group:w.group ~sender:w.sender))
+  else Bitmap.iter (fun port -> send_spine (first + port)) u.Prule.up
+
+let walk t ~sender ~group ~wire ~payload ~tel ~tracing =
   let topo = t.topo in
-  let acc =
+  let w =
     {
+      fabric = t;
+      group;
+      sender;
+      wire;
+      data = Header_codec.wire_bytes wire;
+      u_spine = section wire Header_codec.After_u_leaf (Header_codec.read_u_spine topo);
+      core = section wire Header_codec.After_u_spine (Header_codec.read_core topo);
+      d_spine =
+        section wire Header_codec.After_core (Header_codec.index_section topo `Spine);
+      d_leaf =
+        section wire Header_codec.After_d_spine (Header_codec.index_section topo `Leaf);
       transmissions = 0;
       header_bytes = 0;
       lost = 0;
-      hosts = Hashtbl.create 16;
-      trace = [];
+      hosts = Array.make 16 0;
+      n_hosts = 0;
+      tracing;
+      hops = [];
+      tel;
       payload;
-      tel = t.telemetry;
     }
   in
-  let hash = Ecmp.flow_hash ~group ~sender in
-  (* Every later stage is the sender's wire from that stage's offset, so a
-     hop carries that suffix rounded up to a byte, and a switch parses only
-     its own section, at that offset in the one wire: each section at most
-     once per packet, by the first switch that reads it. Nothing is kept
-     across packets. *)
-  let wire = Header_codec.wire_bytes w in
-  let stage_bytes stage =
-    (Header_codec.wire_bits w - Header_codec.stage_offset w stage + 7) / 8
-  in
-  let section stage read =
-    lazy
-      (let r = Bitio.Reader.of_bytes wire in
-       Bitio.Reader.seek r (Header_codec.stage_offset w stage);
-       read r)
-  in
-  let u_spine = section Header_codec.After_u_leaf (Header_codec.read_u_spine topo) in
-  let core = section Header_codec.After_u_spine (Header_codec.read_core topo) in
-  let d_spine =
-    section Header_codec.After_core (Header_codec.read_section topo `Spine)
-  in
-  let d_leaf =
-    section Header_codec.After_d_spine (Header_codec.read_section topo `Leaf)
-  in
-  let sl = Topology.leaf_of_host topo sender in
-  let sp = Topology.pod_of_leaf topo sl in
+  at_leaf_up w;
+  w
 
-  (* Downstream leaf: parse the d_leaf section and forward. *)
-  let at_leaf_down leaf =
-    let rules, default = Lazy.force d_leaf in
-    let fb =
-      match_rule ~legacy:t.leaf_legacy.(leaf) rules leaf t.leaf_tables.(leaf)
-        group default
-    in
-    match fb with
-    | None -> ()
-    | Some bm ->
-        Bitmap.iter
-          (fun port ->
-            deliver acc ~src:(Leaf_node leaf)
-              ((leaf * topo.Topology.hosts_per_leaf) + port))
-          bm
+(* {2 Deliveries, sorted once}
+
+   A leaf delivers its ports in ascending order and leaves are reached
+   mostly in ascending order (the sender's leaf and pod come first), so
+   the deliveries arrive as a few ascending runs. A merge sort over those
+   natural runs takes a pass or two where a comparison sort takes
+   [log n]. *)
+
+(* The end of the ascending run of [a] that starts at [i]. *)
+let rec run_end a i n = if i + 1 < n && a.(i) <= a.(i + 1) then run_end a (i + 1) n else i + 1
+
+(* Merges [src.(i) .. src.(mid - 1)] and [src.(j) .. src.(hi - 1)] into
+   [dst], from [dst.(k)] on. *)
+let rec merge src dst i mid j hi k =
+  if i < mid && (j >= hi || src.(i) <= src.(j)) then begin
+    dst.(k) <- src.(i);
+    merge src dst (i + 1) mid j hi (k + 1)
+  end
+  else if j < hi then begin
+    dst.(k) <- src.(j);
+    merge src dst i mid (j + 1) hi (k + 1)
+  end
+
+(* Merges each pair of adjacent runs of [src.(lo) .. src.(n - 1)] into
+   [dst]; returns how many merged runs that makes, plus [runs]. *)
+let rec merge_pass src dst lo n runs =
+  if lo >= n then runs
+  else begin
+    let mid = run_end src lo n in
+    let hi = if mid < n then run_end src mid n else n in
+    merge src dst lo mid mid hi lo;
+    merge_pass src dst hi n (runs + 1)
+  end
+
+(* [a.(0) .. a.(n - 1)] sorted, in [a] or in [tmp]. *)
+let rec sort_runs a tmp n = if merge_pass a tmp 0 n 0 <= 1 then tmp else sort_runs tmp a n
+
+(* The first index at or before [j] of the run of [h]s ending at [j]. *)
+let rec run_start a h j = if j > 0 && a.(j - 1) = h then run_start a h (j - 1) else j
+
+(* (host, copies), ascending, counted from the end. *)
+let delivered w =
+  let n = w.n_hosts in
+  let a = sort_runs w.hosts (Array.make n 0) n in
+  let rec runs i acc =
+    if i < 0 then acc
+    else
+      let j = run_start a a.(i) i in
+      runs (j - 1) ((a.(i), i - j + 1) :: acc)
   in
-  (* Downstream spine (physical [s]) in pod [p]. *)
-  let at_spine_down s p =
-    let rules, default = Lazy.force d_spine in
-    let fb =
-      match_rule ~legacy:t.spine_legacy.(s) rules p t.spine_tables.(s) group
-        default
-    in
-    match fb with
-    | None -> ()
-    | Some bm ->
-        let to_leaf = stage_bytes Header_codec.After_d_spine in
-        let plane = s mod topo.Topology.spines_per_pod in
-        Bitmap.iter
-          (fun port ->
-            let leaf = (p * topo.Topology.leaves_per_pod) + port in
-            hop acc ~src:(Spine_node s) ~dst:(Leaf_node leaf) to_leaf;
-            if link_ok t ~leaf ~plane then at_leaf_down leaf
-            else acc.lost <- acc.lost + 1)
-          bm
-  in
-  let at_core c =
-    if not t.core_up.(c) then acc.lost <- acc.lost + 1
-    else begin
-      match Lazy.force core with
-      | None -> ()
-      | Some bm ->
-          let plane = c / topo.Topology.cores_per_plane in
-          let to_spine = stage_bytes Header_codec.After_core in
-          Bitmap.iter
-            (fun p ->
-              let s = (p * topo.Topology.spines_per_pod) + plane in
-              hop acc ~src:(Core_node c) ~dst:(Spine_node s) to_spine;
-              if t.spine_up.(s) then at_spine_down s p
-              else acc.lost <- acc.lost + 1)
-            bm
-    end
-  in
-  (* Sender-pod spine (physical [s]): upstream processing. *)
-  let at_spine_up s =
-    if not t.spine_up.(s) then acc.lost <- acc.lost + 1
-    else begin
-      match Lazy.force u_spine with
-      | None -> ()
-      | Some u ->
-          let to_leaf = stage_bytes Header_codec.After_d_spine in
-          let plane = s mod topo.Topology.spines_per_pod in
-          Bitmap.iter
-            (fun port ->
-              let leaf = (sp * topo.Topology.leaves_per_pod) + port in
-              hop acc ~src:(Spine_node s) ~dst:(Leaf_node leaf) to_leaf;
-              if link_ok t ~leaf ~plane then at_leaf_down leaf
-              else acc.lost <- acc.lost + 1)
-            u.Prule.down;
-          let to_core = stage_bytes Header_codec.After_u_spine in
-          let send_core c =
-            hop acc ~src:(Spine_node s) ~dst:(Core_node c) to_core;
-            at_core c
-          in
-          if u.Prule.multipath then begin
-            if topo.Topology.cores_per_plane > 0 then
-              send_core (Ecmp.core_choice topo ~hash ~plane)
-          end
-          else
-            Bitmap.iter
-              (fun port -> send_core ((plane * topo.Topology.cores_per_plane) + port))
-              u.Prule.up
-    end
-  in
-  (* Sender leaf: upstream processing of the full header. *)
-  let at_leaf_up () =
-    let u = Header_codec.read_u_leaf topo (Bitio.Reader.of_bytes wire) in
-    Bitmap.iter
-      (fun port ->
-        deliver acc ~src:(Leaf_node sl)
-          ((sl * topo.Topology.hosts_per_leaf) + port))
-      u.Prule.down;
-    let to_spine = stage_bytes Header_codec.After_u_leaf in
-    let send_spine s =
-      hop acc ~src:(Leaf_node sl) ~dst:(Spine_node s) to_spine;
-      if link_ok t ~leaf:sl ~plane:(s mod topo.Topology.spines_per_pod) then
-        at_spine_up s
-      else acc.lost <- acc.lost + 1
-    in
-    if u.Prule.multipath then
-      send_spine ((sp * topo.Topology.spines_per_pod) + Ecmp.spine_choice topo ~hash)
-    else if not (Bitmap.is_empty u.Prule.up) then
-      Bitmap.iter
-        (fun port -> send_spine ((sp * topo.Topology.spines_per_pod) + port))
-        u.Prule.up
-  in
-  hop acc ~src:(Host_node sender) ~dst:(Leaf_node sl) (Bytes.length wire);
-  at_leaf_up ();
+  runs (n - 1) []
+
+let inject_wire t ~sender ~group ~wire ~payload =
+  let w = walk t ~sender ~group ~wire ~payload ~tel:t.telemetry ~tracing:false in
   (match t.telemetry with
   | None -> ()
   | Some tel ->
       tel.tel_packet ~group ~sender
-        ~bytes:((payload * acc.transmissions) + acc.header_bytes));
-  let delivered =
-    Hashtbl.fold (fun h n l -> (h, n) :: l) acc.hosts []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
+        ~bytes:((payload * w.transmissions) + w.header_bytes));
   {
-    delivered;
-    transmissions = acc.transmissions;
-    header_bytes = acc.header_bytes;
-    lost = acc.lost;
-    trace = List.rev acc.trace;
+    delivered = delivered w;
+    transmissions = w.transmissions;
+    header_bytes = w.header_bytes;
+    lost = w.lost;
   }
 
 let inject t ~sender ~group ~header ~payload =
   inject_wire t ~sender ~group ~wire:(Header_codec.to_wire t.topo header) ~payload
 
+let trace t ~sender ~group ~header =
+  let wire = Header_codec.to_wire t.topo header in
+  List.rev (walk t ~sender ~group ~wire ~payload:0 ~tel:None ~tracing:true).hops
+
+(* Both lists ascend: one merge, skipping deliveries to non-members. *)
 let deliveries_correct report ~tree ~sender =
-  let expected =
-    Tree.member_list tree |> List.filter (fun h -> h <> sender)
+  let rec merge members delivered =
+    match (members, delivered) with
+    | [], _ -> true
+    | m :: ms, _ when m = sender -> merge ms delivered
+    | m :: _, (d, _) :: ds when d < m -> merge members ds
+    | m :: ms, (d, 1) :: ds when d = m -> merge ms ds
+    | _ :: _, _ -> false
   in
-  List.for_all
-    (fun h ->
-      match List.assoc_opt h report.delivered with
-      | Some 1 -> true
-      | Some _ | None -> false)
-    expected
+  merge (Tree.member_list tree) report.delivered

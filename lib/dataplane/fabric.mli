@@ -121,7 +121,8 @@ type node =
 
 type hop = { hop_from : node; hop_to : node; hop_header_bytes : int }
 (** One link traversal, in transmission order — the per-packet telemetry an
-    INT deployment would collect (§7 "Monitoring"). *)
+    INT deployment would collect (§7 "Monitoring"). Built only when
+    observed: by {!trace}, or for an attached {!telemetry} hook. *)
 
 type report = {
   delivered : (int * int) list;
@@ -129,20 +130,18 @@ type report = {
   transmissions : int;  (** link traversals including host deliveries *)
   header_bytes : int;  (** Σ over traversals of Elmo header bytes carried *)
   lost : int;  (** copies dropped at failed switches *)
-  trace : hop list;
-      (** full per-hop path of every copy (INT-style); [transmissions]
-          always equals [List.length trace] *)
 }
 
 val pp_node : Format.formatter -> node -> unit
 val pp_trace : Format.formatter -> hop list -> unit
-(** Traceroute-style rendering of a multicast packet's replication tree. *)
+(** Traceroute-style rendering of a multicast packet's replication tree
+    (a {!trace}). *)
 
 type telemetry = {
   tel_hop : payload:int -> hop -> unit;
       (** fired on every link traversal (including host deliveries), with
-          the packet's payload size and the hop record the trace already
-          allocated — an attached hook costs no extra per-hop allocation *)
+          the packet's payload size and the traversal's hop record, which
+          is built for the hook: with none attached, no hop is built *)
   tel_packet : group:int -> sender:int -> bytes:int -> unit;
       (** fired once per {!inject}, after the traversal completes;
           [bytes] is the packet's total wire bytes,
@@ -174,12 +173,22 @@ val inject_wire :
 (** {!inject} for a header already on the wire, as a hypervisor holds it.
     A later stage is not re-encoded: it is a bit-offset view of the wire,
     the suffix from {!Header_codec.stage_offset}, and a hop's header bytes
-    are that suffix rounded up to a byte. Each switch parses only the
-    section its layer reads ([u_leaf], [u_spine], [core], [d_spine] or
-    [d_leaf], through {!Header_codec.read_u_leaf} and its siblings) at that
-    offset, and each section is parsed at most once per packet, by the
-    first switch that reads it. Nothing is kept from one packet to the
-    next. *)
+    are that suffix rounded up to a byte. Each switch reads only the
+    section its layer reads, at that offset, and each section is read at
+    most once per packet, by the first switch that needs it. The upstream
+    sections are parsed ({!Header_codec.read_u_leaf}, [read_u_spine],
+    [read_core]); a downstream section is indexed
+    ({!Header_codec.index_section}) and a switch forwards on the bits of
+    its rule, its group-table entry or the default, in that order, read
+    where they lie in the wire ({!Bitio.Reader.iter_bitmap}). Nothing is
+    kept from one packet to the next. *)
+
+val trace :
+  t -> sender:int -> group:int -> header:Prule.header -> hop list
+(** The per-hop path of every copy of the packet {!inject} would send
+    (INT-style), in transmission order: the same walk, one hop per
+    transmission, host-bound hops carrying 0 header bytes. It fires no
+    telemetry hook. *)
 
 val deliveries_correct :
   report -> tree:Tree.t -> sender:int -> bool

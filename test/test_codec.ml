@@ -325,6 +325,70 @@ let prop_prefix_truncated =
               = Error Header_codec.Truncated)
             (List.init (Bytes.length b) Fun.id))
 
+(* The in-place reader against the list reader: for every switch of each
+   downstream layer, the bitmap at the index's offset is the one
+   [List.find_opt] picks from [read_section]'s rules (the first rule naming
+   the switch), read both as a bitmap and port by port; the default's
+   offset reads back the default; both readers end at the same bit. *)
+let prop_index_section t name =
+  QCheck.Test.make ~name ~count:300 (arb_header t) (fun h ->
+      let w = Header_codec.to_wire t h in
+      let b = Header_codec.wire_bytes w in
+      let at_offset stage =
+        let r = Bitio.Reader.of_bytes b in
+        Bitio.Reader.seek r (Header_codec.stage_offset w stage);
+        r
+      in
+      let read width off =
+        if off < 0 then None
+        else begin
+          let r = Bitio.Reader.of_bytes b in
+          Bitio.Reader.seek r off;
+          let bm = Bitio.Reader.bitmap r width in
+          let ports = ref [] in
+          Bitio.Reader.iter_bitmap b ~off width (fun p -> ports := p :: !ports);
+          if List.rev !ports <> Bitmap.to_list bm then
+            QCheck.Test.fail_reportf "iter_bitmap at %d disagrees with bitmap" off;
+          Some bm
+        end
+      in
+      let same = Option.equal Bitmap.equal in
+      let check layer stage ~width ~switches =
+        let r = at_offset stage and r' = at_offset stage in
+        let rules, default = Header_codec.read_section t layer r in
+        let ix = Header_codec.index_section t layer r' in
+        Bitio.Reader.pos r = Bitio.Reader.pos r'
+        && same (read width (Header_codec.default_offset ix)) default
+        && Header_codec.rule_offset ix switches = -1
+        && List.for_all
+             (fun id ->
+               same
+                 (read width (Header_codec.rule_offset ix id))
+                 (Option.map
+                    (fun (p : Prule.prule) -> p.Prule.bitmap)
+                    (List.find_opt (fun (p : Prule.prule) -> List.mem id p.Prule.switches) rules)))
+             (List.init switches Fun.id)
+      in
+      check `Spine Header_codec.After_core ~width:(Topology.spine_downstream_width t)
+        ~switches:t.Topology.pods
+      && check `Leaf Header_codec.After_d_spine ~width:(Topology.leaf_downstream_width t)
+           ~switches:(Topology.num_leaves t))
+
+(* [header_length] finds where a header ends in front of any payload, and
+   a header cut anywhere inside raises [Truncated] and nothing else. *)
+let prop_header_length t name =
+  QCheck.Test.make ~name ~count:200
+    (QCheck.pair (arb_header t) QCheck.(string_of_size Gen.(int_range 0 24)))
+    (fun (h, payload) ->
+      let b = Header_codec.encode t h in
+      Header_codec.header_length t (Bytes.cat b (Bytes.of_string payload)) = Bytes.length b
+      && List.for_all
+           (fun keep ->
+             match Header_codec.header_length t (Bytes.sub b 0 keep) with
+             | (_ : int) -> false
+             | exception Bitio.Reader.Truncated -> true)
+           (List.init (Bytes.length b) Fun.id))
+
 let golden_props prop what =
   Array.to_list
     (Array.mapi
@@ -336,6 +400,8 @@ let tests =
   tests
   @ golden_props prop_reference_walk "encode = reference section walk"
   @ golden_props prop_stage_suffix "stage = bit-suffix of the full wire"
+  @ golden_props prop_index_section "section index = first rule naming the switch"
+  @ golden_props prop_header_length "header_length skips the header"
   @ [
       QCheck_alcotest.to_alcotest prop_prefix_truncated;
       QCheck_alcotest.to_alcotest prop_decode_never_crashes;

@@ -35,8 +35,8 @@ let test_pretty_printers () =
     (Astring.String.is_infix ~affix:"budget 325B" params_s);
   let fabric = Fabric.create topo in
   Fabric.install_encoding fabric ~group:1 enc;
-  let report = Fabric.inject fabric ~sender:0 ~group:1 ~header ~payload:10 in
-  let trace_s = Format.asprintf "%a" Fabric.pp_trace report.Fabric.trace in
+  let hops = Fabric.trace fabric ~sender:0 ~group:1 ~header in
+  let trace_s = Format.asprintf "%a" Fabric.pp_trace hops in
   Alcotest.(check bool) "trace pp" true
     (Astring.String.is_infix ~affix:"host 0 -> leaf 0" trace_s)
 

@@ -254,7 +254,10 @@ let test_disabled_equivalence () =
           match Controller.header ctrl ~group:1 ~sender with
           | None -> []
           | Some header ->
-              [ Fabric.inject fab ~sender ~group:1 ~header ~payload:700 ])
+              [
+                ( Fabric.inject fab ~sender ~group:1 ~header ~payload:700,
+                  Fabric.trace fab ~sender ~group:1 ~header );
+              ])
         [ 0; 3 ]
     in
     ignore recorder;
@@ -265,7 +268,7 @@ let test_disabled_equivalence () =
   Alcotest.(check int) "same report count" (List.length plain)
     (List.length hooked);
   List.iter2
-    (fun (a : Fabric.report) (b : Fabric.report) ->
+    (fun ((a : Fabric.report), a_hops) ((b : Fabric.report), b_hops) ->
       Alcotest.(check (list (pair int int))) "delivered identical"
         a.Fabric.delivered b.Fabric.delivered;
       Alcotest.(check int) "transmissions identical" a.Fabric.transmissions
@@ -273,9 +276,7 @@ let test_disabled_equivalence () =
       Alcotest.(check int) "header bytes identical" a.Fabric.header_bytes
         b.Fabric.header_bytes;
       Alcotest.(check int) "lost identical" a.Fabric.lost b.Fabric.lost;
-      Alcotest.(check int) "trace length identical"
-        (List.length a.Fabric.trace)
-        (List.length b.Fabric.trace))
+      Alcotest.(check bool) "trace identical" true (a_hops = b_hops))
     plain hooked
 
 (* {1 Flight recorder} *)

@@ -266,11 +266,18 @@ let tests =
   @ [ Alcotest.test_case "overhead ratio accounting" `Quick
         test_overhead_ratio_accounting ]
 
+(* The fig3 packet from host 0: its report and its trace. *)
+let fig3_traced () =
+  let tree, enc, fabric = setup topo fig3_members in
+  let header = Encoding.header_for_sender enc ~sender:0 in
+  let report = Fabric.inject fabric ~sender:0 ~group:1 ~header ~payload:100 in
+  (tree, report, Fabric.trace fabric ~sender:0 ~group:1 ~header)
+
 let test_trace_matches_report () =
-  let tree, _, report, _ = run_both topo fig3_members 0 in
+  let tree, report, hops = fig3_traced () in
   Alcotest.(check int) "one hop per transmission" report.Fabric.transmissions
-    (List.length report.Fabric.trace);
-  (match report.Fabric.trace with
+    (List.length hops);
+  (match hops with
   | first :: _ ->
       Alcotest.(check bool) "starts at the sender's hypervisor" true
         (first.Fabric.hop_from = Fabric.Host_node 0
@@ -286,7 +293,7 @@ let test_trace_matches_report () =
             Alcotest.(check int) "no header toward hosts" 0 h.Fabric.hop_header_bytes;
             Some host
         | Fabric.Leaf_node _ | Fabric.Spine_node _ | Fabric.Core_node _ -> None)
-      report.Fabric.trace
+      hops
     |> List.sort compare
   in
   Alcotest.(check (list int)) "host hops = deliveries"
@@ -299,8 +306,8 @@ let test_trace_header_monotone () =
   (* Along the trace, a switch never emits a bigger header than it received
      on the upstream path (popping only shrinks). The first hop carries the
      largest header. *)
-  let _, _, report, _ = run_both topo fig3_members 0 in
-  match report.Fabric.trace with
+  let _, _, hops = fig3_traced () in
+  match hops with
   | first :: rest ->
       List.iter
         (fun h ->
@@ -309,19 +316,99 @@ let test_trace_header_monotone () =
         rest
   | [] -> Alcotest.fail "empty trace"
 
+(* A trace is an observer, not a packet: it fires neither hook, and its
+   host-bound hops are [inject]'s deliveries, copies included (default
+   p-rules, fmax 0, send spurious and repeated copies). *)
+let test_trace_fires_no_hook () =
+  let params = Params.create ~hmax_leaf:1 ~hmax_spine:1 ~header_budget:None () in
+  List.iter
+    (fun sender ->
+      let _, enc, fabric = setup topo ~params ~fmax:0 fig3_members in
+      let header = Encoding.header_for_sender enc ~sender in
+      let fired = ref 0 in
+      Fabric.set_telemetry fabric
+        (Some
+           {
+             Fabric.tel_hop = (fun ~payload:_ _ -> incr fired);
+             tel_packet = (fun ~group:_ ~sender:_ ~bytes:_ -> incr fired);
+           });
+      let hops = Fabric.trace fabric ~sender ~group:1 ~header in
+      Alcotest.(check int) "trace fires no hook" 0 !fired;
+      let report = Fabric.inject fabric ~sender ~group:1 ~header ~payload:100 in
+      Alcotest.(check int) "inject fires both hooks"
+        (report.Fabric.transmissions + 1) !fired;
+      let host_hops =
+        List.filter_map
+          (fun h ->
+            match h.Fabric.hop_to with
+            | Fabric.Host_node host -> Some host
+            | Fabric.Leaf_node _ | Fabric.Spine_node _ | Fabric.Core_node _ -> None)
+          hops
+        |> List.sort compare
+      in
+      Alcotest.(check (list int)) "host-bound hops = delivered"
+        (List.concat_map (fun (h, n) -> List.init n (fun _ -> h)) report.Fabric.delivered)
+        host_hops)
+    fig3_members
+
+(* Hops are built only when observed: tracing the packet allocates at least
+   a hop's record and two nodes' worth more per transmission than sending
+   it with no hook attached. *)
+let test_hops_only_when_observed () =
+  let _, enc, fabric = setup topo fig3_members in
+  let header = Encoding.header_for_sender enc ~sender:0 in
+  let wire = Header_codec.to_wire topo header in
+  let words f = (Allocs.probe ~warmup:8 ~events:256 (fun _ -> f ())).Allocs.per_event in
+  let report = Fabric.inject_wire fabric ~sender:0 ~group:1 ~wire ~payload:100 in
+  let sent =
+    words (fun () -> ignore (Fabric.inject_wire fabric ~sender:0 ~group:1 ~wire ~payload:100))
+  in
+  let traced = words (fun () -> ignore (Fabric.trace fabric ~sender:0 ~group:1 ~header)) in
+  let per_tx = (traced -. sent) /. float_of_int report.Fabric.transmissions in
+  if per_tx < 7.0 then
+    Alcotest.failf "trace %.0f words, inject_wire %.0f: %.1f per transmission < 7" traced
+      sent per_tx
+
+(* [deliveries_correct] merges two sorted lists; it must agree with one
+   association lookup per member, on reports that miss members, repeat
+   copies and reach non-members. *)
+let prop_deliveries_correct_reference =
+  let hosts = Topology.num_hosts topo in
+  QCheck.Test.make ~name:"deliveries_correct = per-member lookup" ~count:500
+    QCheck.(
+      triple
+        (list_of_size Gen.(int_range 1 12) (int_range 0 (hosts - 1)))
+        (int_range 0 (hosts - 1))
+        (list_of_size Gen.(int_range 0 16) (pair (int_range 0 (hosts - 1)) (int_range 1 2))))
+    (fun (members, sender, copies) ->
+      let tree = Tree.of_members topo members in
+      let delivered = List.sort_uniq (fun (a, _) (b, _) -> compare a b) copies in
+      let report = { Fabric.delivered; transmissions = 0; header_bytes = 0; lost = 0 } in
+      let reference =
+        List.for_all
+          (fun h -> h = sender || List.assoc_opt h delivered = Some 1)
+          (Tree.member_list tree)
+      in
+      Fabric.deliveries_correct report ~tree ~sender = reference)
+
 let tests =
   tests
   @ [
+      QCheck_alcotest.to_alcotest prop_deliveries_correct_reference;
       Alcotest.test_case "trace matches report" `Quick test_trace_matches_report;
       Alcotest.test_case "trace header monotone" `Quick test_trace_header_monotone;
+      Alcotest.test_case "trace fires no hook" `Quick test_trace_fires_no_hook;
+      Alcotest.test_case "hops built only when observed" `Quick
+        test_hops_only_when_observed;
     ]
 
 (* Golden digest over [Fabric.inject]: seeded random headers (from the codec
    property generator), senders, s-rules, failed spines/cores/links and
-   legacy switches, each packet's full report hashed. The digest was
-   recorded against the per-switch re-encoding forwarding loop; any change
-   to forwarding, drops, byte accounting, trace order or telemetry shows
-   up here as a different hash. *)
+   legacy switches, each packet's full report and its [Fabric.trace]
+   hashed. The digest was recorded against the per-switch re-encoding
+   forwarding loop, when the report still carried the trace; any change to
+   forwarding, drops, byte accounting, trace order or telemetry shows up
+   here as a different hash. *)
 let golden_case rand buf i =
   let open QCheck.Gen in
   let topos = Test_codec.golden_topos in
@@ -372,7 +459,7 @@ let golden_case rand buf i =
         (Format.asprintf "%a" Fabric.pp_node h.Fabric.hop_from)
         (Format.asprintf "%a" Fabric.pp_node h.Fabric.hop_to)
         h.Fabric.hop_header_bytes)
-    r.Fabric.trace;
+    (Fabric.trace fabric ~sender ~group ~header);
   pr "\n";
   (* A hypervisor keeps only the header's wire: its send is the same
      packet, and its per-rule parts, rebuilt from the wire, are the
