@@ -9,7 +9,11 @@
             (default: all)
 
    Scale: ELMO_GROUPS=<n> sets the sampled group count (default 100_000);
-   ELMO_FULL=1 runs the paper's full million groups.
+   ELMO_FULL=1 runs the paper's full million groups. The BENCH_*.json
+   targets take positive-integer knobs: ELMO_CHURN_EVENTS, ELMO_SHARD_GROUPS,
+   ELMO_FAULT_EVENTS, ELMO_RECOVERY_EVENTS, ELMO_RECOVERY_TRIALS,
+   ELMO_VERIFY_GROUPS, ELMO_HOTPATH_EVENTS, ELMO_TE_GROUPS, ELMO_TE_PACKETS.
+   Each of those targets writes its file, then exits 1 if a gate failed.
 
    Observability: --metrics prints the elmo_obs registry dump after the
    selected targets; --trace additionally records spans and writes
@@ -23,6 +27,7 @@ module Obs_clock = Elmo_obs.Clock
 module Obs_metrics = Elmo_obs.Metrics
 module Obs_trace = Elmo_obs.Trace
 module Provenance = Elmo_obs.Provenance
+module Jsonx = Elmo_obs.Jsonx
 module Tel_report = Elmo_telemetry.Report
 module Tel_recorder = Elmo_telemetry.Recorder
 module Tel_series = Elmo_telemetry.Link_series
@@ -31,12 +36,81 @@ module Tel_flight = Elmo_telemetry.Flight_recorder
 
 let printf = Format.printf
 
-(* Extra JSON field carrying the metrics dump when --metrics/--trace is on;
-   empty otherwise so the benchmark files are byte-identical by default. *)
-let metrics_field () =
-  match Obs_ctx.metrics (Obs.current ()) with
-  | Some m -> Printf.sprintf ",\n  \"metrics\": %s" (Obs_metrics.to_json m)
-  | None -> ""
+(* A scale knob: a positive integer from the environment, [default] when
+   unset; any other value exits 1. *)
+let env name default =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some n when n > 0 -> n
+      | Some _ | None ->
+          printf "%s must be a positive integer (got %S)@." name s;
+          exit 1)
+
+(* {1 BENCH files} *)
+
+(* Gates that failed so far; [write_bench] exits 1 when there are any. *)
+let failed_gates = ref []
+
+(* [gate name ok] is the field value [Bool ok]; a false [ok] also fails the
+   target once its file is written. *)
+let gate name ok =
+  if not ok then failed_gates := name :: !failed_gates;
+  Jsonx.Bool ok
+
+(* The 2,048-host Clos most BENCH targets run on. *)
+let clos_2048 () =
+  Topology.create ~pods:8 ~leaves_per_pod:8 ~spines_per_pod:4 ~hosts_per_leaf:32
+    ~cores_per_plane:4
+
+let params_string = Format.asprintf "%a" Params.pp
+
+(* Write one BENCH file: the benchmark name, provenance and topology, then
+   the target's [fields], then the metrics dump when a registry is active
+   (absent otherwise, so default runs carry no metrics). One line per
+   top-level field and per object in a top-level list. Exits 1 after the
+   write if a gate failed. *)
+let write_bench file ~benchmark ~seed ~params ?domains ?(link_gbps = false)
+    ~(topo : Topology.t) fields =
+  let topology =
+    [
+      ("pods", Jsonx.Int topo.pods);
+      ("leaves_per_pod", Int topo.leaves_per_pod);
+      ("spines_per_pod", Int topo.spines_per_pod);
+      ("hosts_per_leaf", Int topo.hosts_per_leaf);
+    ]
+    @ if link_gbps then [ ("link_gbps", Num topo.link_gbps) ] else []
+  in
+  let metrics =
+    match Obs_ctx.metrics (Obs.current ()) with
+    | Some m -> [ ("metrics", Jsonx.Raw (Obs_metrics.to_json m)) ]
+    | None -> []
+  in
+  let prov = Provenance.capture ~seed ~params ?domains () in
+  let line (k, v) =
+    "  " ^ Jsonx.string k ^ ": "
+    ^
+    match v with
+    | Jsonx.List (Obj _ :: _ as l) ->
+        "[\n    " ^ String.concat ",\n    " (List.map Jsonx.to_string l) ^ "\n  ]"
+    | v -> Jsonx.to_string v
+  in
+  let fields =
+    [
+      ("benchmark", Jsonx.Str benchmark);
+      ("provenance", Raw (Provenance.to_json prov));
+      ("topology", Obj topology);
+    ]
+    @ fields @ metrics
+  in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc ("{\n" ^ String.concat ",\n" (List.map line fields) ^ "\n}\n"));
+  printf "wrote %s@." file;
+  if !failed_gates <> [] then begin
+    List.iter (printf "FAIL: gate %s@.") (List.rev !failed_gates);
+    exit 1
+  end
 
 (* Run [f] with a metrics registry guaranteed present: targets whose JSON
    embeds a "metrics" block install a local registry when the user did not
@@ -348,13 +422,10 @@ let ablation () =
 
 (* {1 Churn microbenchmark: incremental engine vs always-re-encode} *)
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else begin
-    let i = int_of_float (p /. 100.0 *. float_of_int n) in
-    sorted.(max 0 (min (n - 1) i))
-  end
+(* The leading fields of a churn run's JSON object; hotpath finds the
+   incremental run's rate in BENCH_churn.json by rendering the same head. *)
+let churn_run_head mode events_per_sec =
+  [ ("mode", Jsonx.Str mode); ("events_per_sec", events_per_sec) ]
 
 type churn_run = {
   label : string;
@@ -369,22 +440,10 @@ type churn_run = {
 
 let churn () =
   hr "Churn: delta-driven re-encoding vs always-re-encode (BENCH_churn.json)";
-  let topo =
-    Topology.create ~pods:8 ~leaves_per_pod:8 ~spines_per_pod:4
-      ~hosts_per_leaf:32 ~cores_per_plane:4
-  in
+  let topo = clos_2048 () in
   let params = Params.create ~r:12 ~header_budget:None () in
   let ngroups = 4 and group_size = 1_000 in
-  let events =
-    match Sys.getenv_opt "ELMO_CHURN_EVENTS" with
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> n
-        | Some _ | None ->
-            printf "ELMO_CHURN_EVENTS must be a positive integer (got %S)@." s;
-            exit 1)
-    | None -> 2_000
-  in
+  let events = env "ELMO_CHURN_EVENTS" 2_000 in
   printf "topology: %a; %d groups x %d members; %d events@." Topology.pp topo
     ngroups group_size events;
   (* Same seed on both runs: role assignment and membership evolution do not
@@ -438,9 +497,9 @@ let churn () =
         (if total > 0.0 then float_of_int events /. total else 0.0);
       fast = stats.Controller.fast_path;
       slow = stats.Controller.reencoded;
-      p50_us = 1e6 *. percentile sorted 50.0;
-      p99_us = 1e6 *. percentile sorted 99.0;
-      max_us = 1e6 *. percentile sorted 100.0;
+      p50_us = 1e6 *. Stats.percentile sorted 0.5;
+      p99_us = 1e6 *. Stats.percentile sorted 0.99;
+      max_us = 1e6 *. Stats.percentile sorted 1.0;
       total_s = total;
     }
   in
@@ -462,38 +521,28 @@ let churn () =
     else 0.0
   in
   printf "speedup: %.1fx@." speedup;
-  let json_of r =
-    Printf.sprintf
-      {|    {"mode": "%s", "events_per_sec": %.1f, "fast_path": %d, "reencoded": %d, "fast_path_hit_rate": %.4f, "p50_us": %.2f, "p99_us": %.2f, "max_us": %.2f, "total_s": %.4f}|}
-      r.label r.events_per_sec r.fast r.slow
-      (hit_rate r /. 100.0)
-      r.p50_us r.p99_us r.max_us r.total_s
+  let run_json r =
+    Jsonx.Obj
+      (churn_run_head r.label (Num r.events_per_sec)
+      @ [
+          ("fast_path", Int r.fast);
+          ("reencoded", Int r.slow);
+          ("fast_path_hit_rate", Num (hit_rate r /. 100.0));
+          ("p50_us", Num r.p50_us);
+          ("p99_us", Num r.p99_us);
+          ("max_us", Num r.max_us);
+          ("total_s", Num r.total_s);
+        ])
   in
-  let prov =
-    Provenance.capture ~seed:97
-      ~params:(Format.asprintf "%a" Params.pp params)
-      ~domains:1 ()
-  in
-  let oc = open_out "BENCH_churn.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "churn",
-  "provenance": %s,
-  "topology": {"pods": 8, "leaves_per_pod": 8, "spines_per_pod": 4, "hosts_per_leaf": 32},
-  "groups": %d,
-  "members_per_group": %d,
-  "events": %d,
-  "runs": [
-%s,
-%s
-  ],
-  "speedup": %.2f%s
-}
-|}
-    (Provenance.to_json prov) ngroups group_size events (json_of inc)
-    (json_of base) speedup (metrics_field ());
-  close_out oc;
-  printf "wrote BENCH_churn.json@."
+  write_bench "BENCH_churn.json" ~benchmark:"churn" ~topo ~seed:97
+    ~params:(params_string params)
+    [
+      ("groups", Int ngroups);
+      ("members_per_group", Int group_size);
+      ("events", Int events);
+      ("runs", List [ run_json inc; run_json base ]);
+      ("speedup", Num speedup);
+    ]
 
 (* {1 Sharded commit: batch and churn scaling of the per-pod control plane} *)
 
@@ -512,20 +561,8 @@ let shard () =
     "Shard: per-pod sharded commit, batch + churn scaling across domains \
      (BENCH_shard.json)";
   with_local_metrics @@ fun () ->
-  let topo =
-    Topology.create ~pods:8 ~leaves_per_pod:8 ~spines_per_pod:4
-      ~hosts_per_leaf:32 ~cores_per_plane:4
-  in
-  let total_groups =
-    match Sys.getenv_opt "ELMO_SHARD_GROUPS" with
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> n
-        | Some _ | None ->
-            printf "ELMO_SHARD_GROUPS must be a positive integer (got %S)@." s;
-            exit 1)
-    | None -> 4_000
-  in
+  let topo = clos_2048 () in
+  let total_groups = env "ELMO_SHARD_GROUPS" 4_000 in
   (* [Domains.clamp] warns once if the sweep exceeds what this machine can
      actually parallelize. *)
   let domains_list = List.map Domains.clamp [ 1; 2; 4; 8 ] in
@@ -588,9 +625,10 @@ let shard () =
   in
   let loose_fmax = max 50 (30_000 * total_groups / 1_000_000) in
   let tight_fmax = max 3 (loose_fmax / 20) in
-  let sweep_json = ref [] in
-  List.iter
-    (fun (mode, fmax) ->
+  let max_domains = List.nth domains_list (List.length domains_list - 1) in
+  let sweeps =
+    List.map
+      (fun (mode, fmax) ->
       printf "@.-- fmax sweep: %s (fmax=%d) --@." mode fmax;
       let params = Params.create ~fmax () in
       let timed label domains install =
@@ -605,13 +643,11 @@ let shard () =
             sh_label = label;
             sh_domains = domains;
             sh_groups_per_sec =
-              (if install_s > 0.0 then
-                 float_of_int total_groups /. install_s
+              (if install_s > 0.0 then float_of_int total_groups /. install_s
                else 0.0);
             sh_install_s = install_s;
             sh_churn_events_per_sec =
-              (if churn_s > 0.0 then float_of_int performed /. churn_s
-               else 0.0);
+              (if churn_s > 0.0 then float_of_int performed /. churn_s else 0.0);
             sh_conflicts = Controller.batch_conflicts ctrl;
             sh_checksum = checksum ctrl;
           },
@@ -627,31 +663,31 @@ let shard () =
       let par =
         List.map
           (fun d ->
-            let r, ctrl =
-              timed (Printf.sprintf "install_all d=%d" d) d (fun ctrl ->
-                  ignore (Controller.install_all ~domains:d ctrl batch))
-            in
-            if r.sh_checksum <> seq.sh_checksum then begin
+            timed (Printf.sprintf "install_all d=%d" d) d (fun ctrl ->
+                ignore (Controller.install_all ~domains:d ctrl batch)))
+          domains_list
+      in
+      let occupancy_identical =
+        List.for_all
+          (fun (r, _) ->
+            let same = r.sh_checksum = seq.sh_checksum in
+            if not same then
               printf
                 "FAIL: occupancy checksum diverges from sequential at \
                  domains=%d@."
-                d;
-              exit 1
-            end;
-            (r, ctrl))
-          domains_list
+                r.sh_domains;
+            same)
+          par
       in
       (* Conflicts are part of the bit-identity contract: every domain
          count must hit exactly the same optimistic-commit invalidations. *)
       let conflict_counts =
         List.sort_uniq compare (List.map (fun (r, _) -> r.sh_conflicts) par)
       in
-      if List.length conflict_counts <> 1 then begin
+      let conflicts_identical = List.length conflict_counts = 1 in
+      if not conflicts_identical then
         printf "FAIL: batch conflicts differ across domain counts: %s@."
-          (String.concat ", "
-             (List.map string_of_int conflict_counts));
-        exit 1
-      end;
+          (String.concat ", " (List.map string_of_int conflict_counts));
       (* Symbolic proof for the largest domain count: the sharded and the
          sequential configuration compile to pointer-identical delivery
          predicates for every group. *)
@@ -667,29 +703,29 @@ let shard () =
               (Verify.compile ctx pcfg ~group:gid))
           (Installed_config.group_ids scfg)
       in
-      if not identical then begin
-        printf "FAIL: delivery predicates diverge from sequential@.";
-        exit 1
-      end;
-      printf
-        "occupancy checksums identical; conflicts identical (%d); delivery \
-         predicates pointer-identical@."
-        (List.hd conflict_counts);
+      if not identical then
+        printf "FAIL: delivery predicates diverge from sequential@."
+      else if occupancy_identical && conflicts_identical then
+        printf
+          "occupancy checksums identical; conflicts identical (%d); delivery \
+           predicates pointer-identical@."
+          (List.hd conflict_counts);
       let runs = seq :: List.map fst par in
+      let speedup r =
+        if seq.sh_groups_per_sec > 0.0 then
+          r.sh_groups_per_sec /. seq.sh_groups_per_sec
+        else 0.0
+      in
       printf "@.%-20s %-8s %-12s %-12s %-10s %-10s@." "mode" "domains"
         "groups/s" "churn ev/s" "conflicts" "speedup";
       List.iter
         (fun r ->
           printf "%-20s %-8d %-12.0f %-12.0f %-10d %-10.2f@." r.sh_label
             r.sh_domains r.sh_groups_per_sec r.sh_churn_events_per_sec
-            r.sh_conflicts
-            (if seq.sh_groups_per_sec > 0.0 then
-               r.sh_groups_per_sec /. seq.sh_groups_per_sec
-             else 0.0))
+            r.sh_conflicts (speedup r))
         runs;
       let shards = Controller.shard_stats last_ctrl in
-      printf "per-pod shards (d=%d): %s@."
-        (List.nth domains_list (List.length domains_list - 1))
+      printf "per-pod shards (d=%d): %s@." max_domains
         (String.concat "; "
            (List.map
               (fun (s : Controller.shard_stat) ->
@@ -698,61 +734,51 @@ let shard () =
                   s.Controller.shard_cross_pod s.Controller.shard_churn_events)
               shards));
       let run_json r =
-        Printf.sprintf
-          {|      {"mode": "%s", "domains": %d, "groups_per_sec": %.1f, "install_s": %.4f, "churn_events_per_sec": %.1f, "conflicts": %d, "occupancy_checksum": %d, "speedup_vs_sequential": %.4f}|}
-          r.sh_label r.sh_domains r.sh_groups_per_sec r.sh_install_s
-          r.sh_churn_events_per_sec r.sh_conflicts r.sh_checksum
-          (if seq.sh_groups_per_sec > 0.0 then
-             r.sh_groups_per_sec /. seq.sh_groups_per_sec
-           else 0.0)
+        Jsonx.Obj
+          [
+            ("mode", Str r.sh_label);
+            ("domains", Int r.sh_domains);
+            ("groups_per_sec", Num r.sh_groups_per_sec);
+            ("install_s", Num r.sh_install_s);
+            ("churn_events_per_sec", Num r.sh_churn_events_per_sec);
+            ("conflicts", Int r.sh_conflicts);
+            ("occupancy_checksum", Int r.sh_checksum);
+            ("speedup_vs_sequential", Num (speedup r));
+          ]
       in
       let shard_json (s : Controller.shard_stat) =
-        Printf.sprintf
-          {|      {"pod": %d, "groups": %d, "conflicts": %d, "single_pod": %d, "cross_pod": %d, "churn_events": %d}|}
-          s.Controller.shard_pod s.Controller.shard_groups
-          s.Controller.shard_conflicts s.Controller.shard_single_pod
-          s.Controller.shard_cross_pod s.Controller.shard_churn_events
+        Jsonx.Obj
+          [
+            ("pod", Int s.shard_pod);
+            ("groups", Int s.shard_groups);
+            ("conflicts", Int s.shard_conflicts);
+            ("single_pod", Int s.shard_single_pod);
+            ("cross_pod", Int s.shard_cross_pod);
+            ("churn_events", Int s.shard_churn_events);
+          ]
       in
-      sweep_json :=
-        Printf.sprintf
-          {|    {"fmax_mode": "%s", "fmax": %d, "occupancy_identical": true, "conflicts_identical": true, "predicates_pointer_identical": true,
-    "runs": [
-%s
-    ],
-    "shards": [
-%s
-    ]}|}
-          mode fmax
-          (String.concat ",\n" (List.map run_json runs))
-          (String.concat ",\n" (List.map shard_json shards))
-        :: !sweep_json)
-    [ ("loose", loose_fmax); ("tight", tight_fmax) ];
-  let prov =
-    Provenance.capture ~seed:5
-      ~params:(Printf.sprintf "fmax loose=%d tight=%d" loose_fmax tight_fmax)
-      ~domains:(List.nth domains_list (List.length domains_list - 1))
-      ()
+      let gated name ok = (name, gate (mode ^ "." ^ name) ok) in
+      Jsonx.Obj
+        [
+          ("fmax_mode", Str mode);
+          ("fmax", Int fmax);
+          gated "occupancy_identical" occupancy_identical;
+          gated "conflicts_identical" conflicts_identical;
+          gated "predicates_pointer_identical" identical;
+          ("runs", List (List.map run_json runs));
+          ("shards", List (List.map shard_json shards));
+        ])
+      [ ("loose", loose_fmax); ("tight", tight_fmax) ]
   in
-  let oc = open_out "BENCH_shard.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "shard",
-  "provenance": %s,
-  "topology": {"pods": 8, "leaves_per_pod": 8, "spines_per_pod": 4, "hosts_per_leaf": 32},
-  "groups": %d,
-  "churn_events": %d,
-  "domains_swept": [%s],
-  "sweeps": [
-%s
-  ]%s
-}
-|}
-    (Provenance.to_json prov) total_groups churn_events
-    (String.concat ", " (List.map string_of_int domains_list))
-    (String.concat ",\n" (List.rev !sweep_json))
-    (metrics_field ());
-  close_out oc;
-  printf "wrote BENCH_shard.json@."
+  write_bench "BENCH_shard.json" ~benchmark:"shard" ~topo ~seed:5
+    ~domains:max_domains
+    ~params:(Printf.sprintf "fmax loose=%d tight=%d" loose_fmax tight_fmax)
+    [
+      ("groups", Int total_groups);
+      ("churn_events", Int churn_events);
+      ("domains_swept", List (List.map (fun d -> Jsonx.Int d) domains_list));
+      ("sweeps", List sweeps);
+    ]
 
 (* {1 Fault tolerance: degradation-induced traffic vs fault rate} *)
 
@@ -763,16 +789,7 @@ let faults () =
   let params =
     Params.create ~hmax_leaf:1 ~hmax_spine:1 ~header_budget:None ~fmax:6 ()
   in
-  let events =
-    match Sys.getenv_opt "ELMO_FAULT_EVENTS" with
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> n
-        | Some _ | None ->
-            printf "ELMO_FAULT_EVENTS must be a positive integer (got %S)@." s;
-            exit 1)
-    | None -> 400
-  in
+  let events = env "ELMO_FAULT_EVENTS" 400 in
   let rates = [ 0.0; 0.05; 0.1; 0.2; 0.4 ] in
   printf "topology: %a; 12 groups x 8 members; %d events per rate@."
     Topology.pp topo events;
@@ -802,42 +819,37 @@ let faults () =
   printf "@.blackholes across every rate: %s@."
     (if all_safe then "none (degradation trades traffic, never delivery)"
      else "PRESENT - delivery safety violated");
-  let json_of (rate, r) =
+  let rate_json (rate, (r : Churn.fault_result)) =
     let i = r.Churn.install and f = r.Churn.faults in
-    Printf.sprintf
-      {|    {"rate": %.2f, "events": %d, "probes": %d, "blackholes": %d, "extra_traffic": %.4f, "clean_tx": %d, "faulty_tx": %d, "install_attempts": %d, "retries": %d, "exhausted": %d, "degradations": %d, "compensations": %d, "stale_entries": %d, "fault_timeouts": %d, "fault_refusals": %d, "fault_drops": %d}|}
-      rate r.Churn.fault_events r.Churn.probes r.Churn.blackholes
-      r.Churn.extra_traffic r.Churn.clean_tx r.Churn.faulty_tx
-      i.Controller.attempts i.Controller.retries i.Controller.exhausted
-      i.Controller.degradations i.Controller.compensations
-      i.Controller.stale_entries f.Fault.timeouts f.Fault.refusals
-      f.Fault.drops
+    Jsonx.Obj
+      [
+        ("rate", Num rate);
+        ("events", Int r.fault_events);
+        ("probes", Int r.probes);
+        ("blackholes", Int r.blackholes);
+        ("extra_traffic", Num r.extra_traffic);
+        ("clean_tx", Int r.clean_tx);
+        ("faulty_tx", Int r.faulty_tx);
+        ("install_attempts", Int i.attempts);
+        ("retries", Int i.retries);
+        ("exhausted", Int i.exhausted);
+        ("degradations", Int i.degradations);
+        ("compensations", Int i.compensations);
+        ("stale_entries", Int i.stale_entries);
+        ("fault_timeouts", Int f.timeouts);
+        ("fault_refusals", Int f.refusals);
+        ("fault_drops", Int f.drops);
+      ]
   in
-  let prov =
-    Provenance.capture ~seed:23
-      ~params:(Format.asprintf "%a" Params.pp params)
-      ~domains:1 ()
-  in
-  let oc = open_out "BENCH_faults.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "faults",
-  "provenance": %s,
-  "topology": {"pods": 4, "leaves_per_pod": 2, "spines_per_pod": 2, "hosts_per_leaf": 8},
-  "groups": 12,
-  "members_per_group": 8,
-  "events": %d,
-  "zero_blackholes": %b,
-  "rates": [
-%s
-  ]%s
-}
-|}
-    (Provenance.to_json prov) events all_safe
-    (String.concat ",\n" (List.map json_of rows))
-    (metrics_field ());
-  close_out oc;
-  printf "wrote BENCH_faults.json@."
+  write_bench "BENCH_faults.json" ~benchmark:"faults" ~topo ~seed:23
+    ~params:(params_string params)
+    [
+      ("groups", Int 12);
+      ("members_per_group", Int 8);
+      ("events", Int events);
+      ("zero_blackholes", gate "zero_blackholes" all_safe);
+      ("rates", List (List.map rate_json rows));
+    ]
 
 (* {1 Durable recovery: fenced failover latency and corruption tolerance} *)
 
@@ -848,17 +860,8 @@ let recovery () =
   let params =
     Params.create ~hmax_leaf:1 ~hmax_spine:1 ~header_budget:None ~fmax:6 ()
   in
-  let events =
-    match Sys.getenv_opt "ELMO_RECOVERY_EVENTS" with
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> n
-        | Some _ | None ->
-            printf "ELMO_RECOVERY_EVENTS must be a positive integer (got %S)@."
-              s;
-            exit 1)
-    | None -> 400
-  in
+  let events = env "ELMO_RECOVERY_EVENTS" 400 in
+  let trials = env "ELMO_RECOVERY_TRIALS" 200 in
   let seed = 29 in
   let build ~snapshot_every =
     Wire.contents (Recovery_fixture.churn ~snapshot_every ~events ~seed ())
@@ -915,11 +918,6 @@ let recovery () =
   (* Corruption tolerance: seeded bit flips and torn writes over one
      canonical log; every recovered outcome is re-verified, and detected
      corruption must be reported (truncation/fallback), never silent. *)
-  let trials =
-    match Sys.getenv_opt "ELMO_RECOVERY_TRIALS" with
-    | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 200)
-    | None -> 200
-  in
   let canonical = build ~snapshot_every:64 in
   let rng = Rng.create 31 in
   let full = ref 0
@@ -948,41 +946,35 @@ let recovery () =
     "@.corruption matrix: %d trials — %d full, %d truncated, %d snapshot \
      fallback, %d unrecoverable, %d violations@."
     trials !full !truncated !fallback !unrecoverable !violations;
-  let prov =
-    Provenance.capture ~seed
-      ~params:(Format.asprintf "%a" Params.pp params)
-      ~domains:1 ()
-  in
   let sweep_json (snapshot_every, nrec, nbytes, suffix, dt, ops_s) =
-    Printf.sprintf
-      {|    {"snapshot_every": %d, "records": %d, "bytes": %d, "suffix_ops": %d, "failover_ms": %.4f, "replay_ops_per_sec": %.1f}|}
-      snapshot_every nrec nbytes suffix (1e3 *. dt) ops_s
+    Jsonx.Obj
+      [
+        ("snapshot_every", Int snapshot_every);
+        ("records", Int nrec);
+        ("bytes", Int nbytes);
+        ("suffix_ops", Int suffix);
+        ("failover_ms", Num (1e3 *. dt));
+        ("replay_ops_per_sec", Num ops_s);
+      ]
   in
-  let oc = open_out "BENCH_recovery.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "recovery",
-  "provenance": %s,
-  "topology": {"pods": 4, "leaves_per_pod": 2, "spines_per_pod": 2, "hosts_per_leaf": 8},
-  "events": %d,
-  "failover_reps": %d,
-  "snapshot_sweep": [
-%s
-  ],
-  "corruption": {"trials": %d, "full": %d, "truncated": %d, "snapshot_fallback": %d, "unrecoverable": %d, "violations": %d},
-  "zero_violations": %b%s
-}
-|}
-    (Provenance.to_json prov) events reps
-    (String.concat ",\n" (List.map sweep_json sweep))
-    trials !full !truncated !fallback !unrecoverable !violations
-    (!violations = 0) (metrics_field ());
-  close_out oc;
-  printf "wrote BENCH_recovery.json@.";
-  if !violations > 0 then begin
-    printf "recovery violations present - failing@.";
-    exit 1
-  end
+  write_bench "BENCH_recovery.json" ~benchmark:"recovery" ~topo ~seed
+    ~params:(params_string params)
+    [
+      ("events", Int events);
+      ("failover_reps", Int reps);
+      ("snapshot_sweep", List (List.map sweep_json sweep));
+      ( "corruption",
+        Obj
+          [
+            ("trials", Int trials);
+            ("full", Int !full);
+            ("truncated", Int !truncated);
+            ("snapshot_fallback", Int !fallback);
+            ("unrecoverable", Int !unrecoverable);
+            ("violations", Int !violations);
+          ] );
+      ("zero_violations", gate "zero_violations" (!violations = 0));
+    ]
 
 (* {1 Symbolic verification: compile+check throughput} *)
 
@@ -990,21 +982,9 @@ let verify () =
   hr
     "Verify: symbolic delivery predicates, compile+check throughput \
      (BENCH_verify.json)";
-  let topo =
-    Topology.create ~pods:8 ~leaves_per_pod:8 ~spines_per_pod:4
-      ~hosts_per_leaf:32 ~cores_per_plane:4
-  in
+  let topo = clos_2048 () in
   let params = Params.create ~r:12 ~header_budget:None () in
-  let ngroups =
-    match Sys.getenv_opt "ELMO_VERIFY_GROUPS" with
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> n
-        | Some _ | None ->
-            printf "ELMO_VERIFY_GROUPS must be a positive integer (got %S)@." s;
-            exit 1)
-    | None -> 10_000
-  in
+  let ngroups = env "ELMO_VERIFY_GROUPS" 10_000 in
   printf "topology: %a; %d groups, sizes 2-16@." Topology.pp topo ngroups;
   let ctrl = Controller.create topo params in
   let rng = Rng.create 41 in
@@ -1089,49 +1069,33 @@ let verify () =
     (Printf.sprintf "%.0f" (rate ngroups cached_recheck_s));
   printf "%-24s %-10.3f %-14s@." "  + view and drain" cached_recheck_with_view_s
     (Printf.sprintf "%.0f" (rate ngroups cached_recheck_with_view_s));
+  let recheck_speedup =
+    if cached_recheck_s > 0.0 then check_s /. cached_recheck_s else 0.0
+  in
   printf "cache after re-check: %d hits / %d misses; re-check speedup %.1fx@."
-    hits misses
-    (if cached_recheck_s > 0.0 then check_s /. cached_recheck_s else 0.0);
+    hits misses recheck_speedup;
   printf "result: %s@."
     (if ok then
        Printf.sprintf "%d groups verified, installed state == intent" checked
      else "COUNTEREXAMPLE - installed state loses a receiver");
-  let prov =
-    Provenance.capture ~seed:41
-      ~params:(Format.asprintf "%a" Params.pp params)
-      ~domains:1 ()
-  in
-  let oc = open_out "BENCH_verify.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "verify",
-  "provenance": %s,
-  "topology": {"pods": 8, "leaves_per_pod": 8, "spines_per_pod": 4, "hosts_per_leaf": 32},
-  "groups": %d,
-  "install_s": %.4f,
-  "view_s": %.4f,
-  "compile_s": %.4f,
-  "compile_groups_per_sec": %.1f,
-  "check_s": %.4f,
-  "check_groups_per_sec": %.1f,
-  "cached_warm_s": %.4f,
-  "cached_recheck_s": %.4f,
-  "cached_recheck_with_view_s": %.4f,
-  "cached_recheck_speedup": %.1f,
-  "cache_hits": %d,
-  "cache_misses": %d,
-  "verified_ok": %b%s
-}
-|}
-    (Provenance.to_json prov) ngroups install_s view_s compile_s
-    (rate ngroups compile_s) check_s (rate ngroups check_s) cached_warm_s
-    cached_recheck_s cached_recheck_with_view_s
-    (if cached_recheck_s > 0.0 then check_s /. cached_recheck_s else 0.0)
-    hits misses ok
-    (metrics_field ());
-  close_out oc;
-  printf "wrote BENCH_verify.json@.";
-  if not ok then exit 1
+  write_bench "BENCH_verify.json" ~benchmark:"verify" ~topo ~seed:41
+    ~params:(params_string params)
+    [
+      ("groups", Int ngroups);
+      ("install_s", Num install_s);
+      ("view_s", Num view_s);
+      ("compile_s", Num compile_s);
+      ("compile_groups_per_sec", Num (rate ngroups compile_s));
+      ("check_s", Num check_s);
+      ("check_groups_per_sec", Num (rate ngroups check_s));
+      ("cached_warm_s", Num cached_warm_s);
+      ("cached_recheck_s", Num cached_recheck_s);
+      ("cached_recheck_with_view_s", Num cached_recheck_with_view_s);
+      ("cached_recheck_speedup", Num recheck_speedup);
+      ("cache_hits", Int hits);
+      ("cache_misses", Int misses);
+      ("verified_ok", gate "verified_ok" ok);
+    ]
 
 (* {1 Bechamel micro-benchmarks} *)
 
@@ -1213,54 +1177,24 @@ let micro () =
 
 (* {1 Hot path: the raw apply_delta kernel, proven allocation-free} *)
 
-(* Pull the incremental controller's events/s out of BENCH_churn.json (if a
-   prior `bench churn` left one) with a plain text scan — the file is our
-   own fixed format, no JSON parser needed. *)
+(* The incremental controller's events/s from a BENCH_churn.json a prior
+   `bench churn` left behind: the text after the rendered head of its
+   incremental run. *)
 let churn_reference_events_per_sec () =
   if not (Sys.file_exists "BENCH_churn.json") then None
-  else begin
-    let ic = open_in "BENCH_churn.json" in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    let anchor = {|"mode": "incremental", "events_per_sec": |} in
-    let alen = String.length anchor in
-    let rec find i =
-      if i + alen > String.length text then None
-      else if String.sub text i alen = anchor then Some (i + alen)
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> None
-    | Some start ->
-        let stop = ref start in
-        while
-          !stop < String.length text
-          && (match text.[!stop] with
-             | '0' .. '9' | '.' | '-' -> true
-             | _ -> false)
-        do
-          incr stop
-        done;
-        float_of_string_opt (String.sub text start (!stop - start))
-  end
+  else
+    let text = In_channel.with_open_text "BENCH_churn.json" In_channel.input_all in
+    (* An empty rate renders the head up to where the rate's digits start. *)
+    let head = Jsonx.to_string (Obj (churn_run_head "incremental" (Raw ""))) in
+    let anchor = String.sub head 0 (String.length head - 1) in
+    Option.bind (Astring.String.cut ~sep:anchor text) (fun (_, rest) ->
+        float_of_string_opt
+          (Astring.String.take ~sat:(fun c -> c <> ',' && c <> '}') rest))
 
 let hotpath () =
   hr "Hot path: zero-alloc apply_delta churn kernel (BENCH_hotpath.json)";
-  let topo =
-    Topology.create ~pods:8 ~leaves_per_pod:8 ~spines_per_pod:4
-      ~hosts_per_leaf:32 ~cores_per_plane:4
-  in
-  let events =
-    match Sys.getenv_opt "ELMO_HOTPATH_EVENTS" with
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> n
-        | Some _ | None ->
-            printf "ELMO_HOTPATH_EVENTS must be a positive integer (got %S)@." s;
-            exit 1)
-    | None -> 200_000
-  in
+  let topo = clos_2048 () in
+  let events = env "ELMO_HOTPATH_EVENTS" 200_000 in
   let group_size = 1_000 in
   (* The kernel must never fall back mid-run: lift the staleness ceiling
      above the event count. *)
@@ -1309,8 +1243,7 @@ let hotpath () =
       printf
         "FAIL: apply_delta allocated %d minor words at probe event %d (%.1f \
          words total)@."
-        words event report.Allocs.total_words;
-      exit 1
+        words event report.Allocs.total_words
   | None ->
       printf "allocation probe: %.1f minor words over 4096 events — clean@."
         report.Allocs.total_words);
@@ -1329,8 +1262,10 @@ let hotpath () =
   let minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words in
   let minor_collections = gc1.Gc.minor_collections - gc0.Gc.minor_collections in
   let promoted_words = gc1.Gc.promoted_words -. gc0.Gc.promoted_words in
-  printf "events/s: %.0f (%.1f ns/event)@." events_per_sec
-    (if events_per_sec > 0.0 then 1e9 /. events_per_sec else 0.0);
+  let ns_per_event =
+    if events_per_sec > 0.0 then 1e9 /. events_per_sec else 0.0
+  in
+  printf "events/s: %.0f (%.1f ns/event)@." events_per_sec ns_per_event;
   printf "gc: %.1f minor words, %d minor collections, %.1f promoted words@."
     minor_words minor_collections promoted_words;
   let reference = churn_reference_events_per_sec () in
@@ -1346,48 +1281,42 @@ let hotpath () =
            regression@."
   | Some _ | None ->
       printf "no BENCH_churn.json reference (run `bench churn` first)@.");
-  let prov =
-    Provenance.capture ~seed:97
-      ~params:(Format.asprintf "%a" Params.pp params)
-      ~domains:1 ()
-  in
   (* Instrumented epilogue: a short burst of the same kernel under a local
      metrics registry, AFTER the probe and the timed loop — metrics-on costs
      an allocation per probe (Hashtbl lookup), so the measured region must
-     stay metrics-off. The JSON write sits inside so metrics_field () sees
-     the registry. *)
+     stay metrics-off. The JSON write sits inside so write_bench sees the
+     registry. *)
   with_local_metrics @@ fun () ->
   for i = 0 to 1_023 do
     Obs.with_span "hotpath.apply_delta" (fun () -> apply i)
   done;
   Obs.gauge "hotpath.events_per_sec" events_per_sec;
   Obs.gauge "hotpath.minor_words" minor_words;
-  let oc = open_out "BENCH_hotpath.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "hotpath",
-  "provenance": %s,
-  "topology": {"pods": 8, "leaves_per_pod": 8, "spines_per_pod": 4, "hosts_per_leaf": 32},
-  "members_per_group": %d,
-  "events": %d,
-  "events_per_sec": %.1f,
-  "ns_per_event": %.2f,
-  "probe": {"events": 4096, "minor_words_total": %.1f, "minor_words_per_event": %.4f, "clean": %b},
-  "gc": {"minor_words": %.1f, "minor_collections": %d, "promoted_words": %.1f},
-  "churn_reference_events_per_sec": %s%s
-}
-|}
-    (Provenance.to_json prov) group_size events events_per_sec
-    (if events_per_sec > 0.0 then 1e9 /. events_per_sec else 0.0)
-    report.Allocs.total_words report.Allocs.per_event
-    (report.Allocs.first_alloc = None)
-    minor_words minor_collections promoted_words
-    (match reference with
-    | Some r -> Printf.sprintf "%.1f" r
-    | None -> "null")
-    (metrics_field ());
-  close_out oc;
-  printf "wrote BENCH_hotpath.json@."
+  write_bench "BENCH_hotpath.json" ~benchmark:"hotpath" ~topo ~seed:97
+    ~params:(params_string params)
+    [
+      ("members_per_group", Int group_size);
+      ("events", Int events);
+      ("events_per_sec", Num events_per_sec);
+      ("ns_per_event", Num ns_per_event);
+      ( "probe",
+        Obj
+          [
+            ("events", Int 4096);
+            ("minor_words_total", Num report.total_words);
+            ("minor_words_per_event", Num report.per_event);
+            ("clean", gate "probe.clean" (Option.is_none report.first_alloc));
+          ] );
+      ( "gc",
+        Obj
+          [
+            ("minor_words", Num minor_words);
+            ("minor_collections", Int minor_collections);
+            ("promoted_words", Num promoted_words);
+          ] );
+      ( "churn_reference_events_per_sec",
+        Option.fold ~none:Jsonx.Null ~some:(fun r -> Jsonx.Num r) reference );
+    ]
 
 (* {1 Telemetry baseline: measured utilization under the oblivious encoder} *)
 
@@ -1400,20 +1329,7 @@ let te_baseline () =
   hr
     "TE baseline: link utilization + elephants, oblivious encoder \
      (BENCH_telemetry.json)";
-  let topo =
-    Topology.create ~pods:8 ~leaves_per_pod:8 ~spines_per_pod:4
-      ~hosts_per_leaf:32 ~cores_per_plane:4
-  in
-  let env name default =
-    match Sys.getenv_opt name with
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> n
-        | Some _ | None ->
-            printf "%s must be a positive integer (got %S)@." name s;
-            exit 1)
-    | None -> default
-  in
+  let topo = clos_2048 () in
   let total_groups = env "ELMO_TE_GROUPS" 2_000 in
   let packets = env "ELMO_TE_PACKETS" 20_000 in
   with_local_metrics @@ fun () ->
@@ -1460,73 +1376,71 @@ let te_baseline () =
     | Tel_series.Spine_core -> "spine-core"
   in
   let link_json (r : Tel_report.link_row) =
-    Printf.sprintf
-      {|    {"link": %d, "kind": "%s", "a": %d, "b": %d, "bytes": %d, "max_util": %.6f, "mean_util": %.6f}|}
-      r.Tel_report.row_link
-      (kind_name r.Tel_report.row_kind)
-      r.Tel_report.row_a r.Tel_report.row_b r.Tel_report.row_bytes
-      r.Tel_report.row_max_util r.Tel_report.row_mean_util
+    Jsonx.Obj
+      [
+        ("link", Int r.row_link);
+        ("kind", Str (kind_name r.row_kind));
+        ("a", Int r.row_a);
+        ("b", Int r.row_b);
+        ("bytes", Int r.row_bytes);
+        ("max_util", Num r.row_max_util);
+        ("mean_util", Num r.row_mean_util);
+      ]
   in
   let elephant_json (e : Tel_report.elephant) =
-    Printf.sprintf
-      {|    {"group": %d, "est": %d, "err": %d, "exact": %d, "within_bound": %b}|}
-      e.Tel_report.eg e.Tel_report.est e.Tel_report.err
-      e.Tel_report.exact_bytes e.Tel_report.within
+    Jsonx.Obj
+      [
+        ("group", Int e.eg);
+        ("est", Int e.est);
+        ("err", Int e.err);
+        ("exact", Int e.exact_bytes);
+        ("within_bound", Bool e.within);
+      ]
   in
-  let prov =
-    Provenance.capture ~seed:cfg.Tel_report.seed
-      ~params:(Format.asprintf "%a" Params.pp cfg.Tel_report.params)
-      ~domains:1 ()
-  in
-  let oc = open_out "BENCH_telemetry.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "te_baseline",
-  "provenance": %s,
-  "topology": {"pods": 8, "leaves_per_pod": 8, "spines_per_pod": 4, "hosts_per_leaf": 32, "link_gbps": %g},
-  "groups": %d,
-  "tenants": %d,
-  "packets": %d,
-  "injected": %d,
-  "no_header": %d,
-  "churn_events": %d,
-  "payload": %d,
-  "zipf": %g,
-  "seed": %d,
-  "utilization": {"max": %.6f, "mean": %.6f, "active_links": %d, "links": %d, "cap_bytes_per_window": %d, "watermark": %g, "watermark_events": %d},
-  "links": [
-%s
-  ],
-  "elephants": [
-%s
-  ],
-  "sketch": {"k": %d, "ok": %b, "missed_heavy": %d, "total_bytes": %d, "evictions": %d},
-  "churn": {"fast_path": %d, "reencoded": %d}%s
-}
-|}
-    (Provenance.to_json prov)
-    (Topology.link_gbps topo) cfg.Tel_report.groups cfg.Tel_report.tenants
-    cfg.Tel_report.packets res.Tel_report.injected res.Tel_report.no_header
-    cfg.Tel_report.churn_events cfg.Tel_report.payload cfg.Tel_report.zipf
-    cfg.Tel_report.seed
-    (Tel_recorder.max_utilization res.Tel_report.recorder)
-    (Tel_recorder.mean_utilization res.Tel_report.recorder)
-    (Tel_series.active_links ls) (Tel_series.nlinks ls)
-    (Tel_series.cap_bytes ls) (Tel_series.watermark ls)
-    (Tel_series.watermark_events ls)
-    (String.concat ",\n" (List.map link_json (Tel_report.link_rows res ~n:20)))
-    (String.concat ",\n"
-       (List.map elephant_json (Tel_report.elephants res ~n:16)))
-    (Tel_sketch.k sk) res.Tel_report.sketch_ok res.Tel_report.missed_heavy
-    (Tel_sketch.total sk) (Tel_sketch.evictions sk)
-    res.Tel_report.churn.Controller.fast_path
-    res.Tel_report.churn.Controller.reencoded (metrics_field ());
-  close_out oc;
-  printf "wrote BENCH_telemetry.json@.";
-  if anomaly then begin
-    printf "FAIL: sketch error bound violated against exact counts@.";
-    exit 1
-  end
+  let recorder = res.Tel_report.recorder in
+  write_bench "BENCH_telemetry.json" ~benchmark:"te_baseline" ~link_gbps:true
+    ~topo:cfg.topo ~seed:cfg.seed ~params:(params_string cfg.params)
+    [
+      ("groups", Int cfg.groups);
+      ("tenants", Int cfg.tenants);
+      ("packets", Int cfg.packets);
+      ("injected", Int res.injected);
+      ("no_header", Int res.no_header);
+      ("churn_events", Int cfg.churn_events);
+      ("payload", Int cfg.payload);
+      ("zipf", Num cfg.zipf);
+      ("seed", Int cfg.seed);
+      ( "utilization",
+        Obj
+          [
+            ("max", Num (Tel_recorder.max_utilization recorder));
+            ("mean", Num (Tel_recorder.mean_utilization recorder));
+            ("active_links", Int (Tel_series.active_links ls));
+            ("links", Int (Tel_series.nlinks ls));
+            ("cap_bytes_per_window", Int (Tel_series.cap_bytes ls));
+            ("watermark", Num (Tel_series.watermark ls));
+            ("watermark_events", Int (Tel_series.watermark_events ls));
+          ] );
+      ("links", List (List.map link_json (Tel_report.link_rows res ~n:20)));
+      ("elephants", List (List.map elephant_json (Tel_report.elephants res ~n:16)));
+      ( "sketch",
+        Obj
+          [
+            ("k", Int (Tel_sketch.k sk));
+            (* Every tracked entry within its bound, and no heavy group
+               left untracked. *)
+            ("ok", gate "sketch.ok" (not anomaly));
+            ("missed_heavy", Int res.missed_heavy);
+            ("total_bytes", Int (Tel_sketch.total sk));
+            ("evictions", Int (Tel_sketch.evictions sk));
+          ] );
+      ( "churn",
+        Obj
+          [
+            ("fast_path", Int res.churn.fast_path);
+            ("reencoded", Int res.churn.reencoded);
+          ] );
+    ]
 
 let targets =
   [

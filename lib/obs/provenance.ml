@@ -25,12 +25,17 @@ let capture ?seed ?params ?(domains = 1) () =
   }
 
 let to_json t =
-  Printf.sprintf
-    "{\"git_rev\":%s,\"cores\":%d,\"domains\":%d,\"seed\":%s,\"params\":%s,\"clock\":%s}"
-    (Jsonx.string t.git_rev) t.cores t.domains
-    (match t.seed with Some s -> string_of_int s | None -> "null")
-    (match t.params with Some p -> Jsonx.string p | None -> "null")
-    (Jsonx.string t.clock)
+  let opt f = Option.fold ~none:Jsonx.Null ~some:f in
+  Jsonx.to_string
+    (Obj
+       [
+         ("git_rev", Str t.git_rev);
+         ("cores", Int t.cores);
+         ("domains", Int t.domains);
+         ("seed", opt (fun s -> Jsonx.Int s) t.seed);
+         ("params", opt (fun p -> Jsonx.Str p) t.params);
+         ("clock", Str t.clock);
+       ])
 
 let pp ppf t =
   Format.fprintf ppf "rev=%s cores=%d domains=%d%s%s clock=%s" t.git_rev

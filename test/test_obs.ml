@@ -8,6 +8,7 @@ module Trace = Elmo_obs.Trace
 module Ctx = Elmo_obs.Ctx
 module Obs = Elmo_obs.Obs
 module Provenance = Elmo_obs.Provenance
+module Jsonx = Elmo_obs.Jsonx
 
 let feq = Alcotest.float 1e-9
 
@@ -428,6 +429,52 @@ let test_provenance () =
   Alcotest.(check bool) "absent seed is null" true
     (Astring.String.is_infix ~affix:{|"seed":null|} (Provenance.to_json bare))
 
+(* Exact bytes on hand-built records: [to_json] renders through [Jsonx.t]
+   and must keep the compact layout the BENCH files and perfbench embed. *)
+let test_provenance_bytes () =
+  let p =
+    { Provenance.git_rev = "3c675f6"; cores = 8; domains = 4; seed = Some 5;
+      params = Some "R=12 \"x\""; clock = "logical" }
+  in
+  Alcotest.(check string) "seed and params set"
+    {|{"git_rev":"3c675f6","cores":8,"domains":4,"seed":5,"params":"R=12 \"x\"","clock":"logical"}|}
+    (Provenance.to_json p);
+  Alcotest.(check string) "seed and params absent"
+    {|{"git_rev":"3c675f6","cores":8,"domains":4,"seed":null,"params":null,"clock":"logical"}|}
+    (Provenance.to_json { p with seed = None; params = None })
+
+(* {1 Jsonx} *)
+
+let test_jsonx_tree () =
+  let tree =
+    Jsonx.Obj
+      [
+        ("a\"b\\c\n", Int min_int);
+        ("max", Int max_int);
+        ("xs", List [ Num 0.5; Null; Bool true; List []; Obj [] ]);
+        ("raw", Raw {|{"k":1}|});
+        ("s", Str "tab\there");
+        ("n", Num 3.0);
+      ]
+  in
+  Alcotest.(check string) "rendering"
+    (Printf.sprintf
+       {|{"a\"b\\c\n":%d,"max":%d,"xs":[0.5,null,true,[],{}],"raw":{"k":1},"s":"tab\there","n":3}|}
+       min_int max_int)
+    (Jsonx.to_string tree);
+  List.iter
+    (fun f ->
+      Alcotest.(check string) "non-finite as Jsonx.float" (Jsonx.float f)
+        (Jsonx.to_string (Num f)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let prop_jsonx_num_roundtrip =
+  QCheck.Test.make ~name:"Jsonx Num reads back exactly" ~count:1000
+    QCheck.(make ~print:(Printf.sprintf "%h") Gen.(map Int64.float_of_bits int64))
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      Float.equal (float_of_string (Jsonx.to_string (Num f))) f)
+
 let tests =
   [
     Alcotest.test_case "logical clock" `Quick test_logical_clock;
@@ -443,4 +490,7 @@ let tests =
     Alcotest.test_case "churn stats reconcile" `Quick test_churn_stats_reconcile;
     Alcotest.test_case "worker hooks merge" `Quick test_worker_hooks_merge;
     Alcotest.test_case "provenance" `Quick test_provenance;
+    Alcotest.test_case "provenance bytes" `Quick test_provenance_bytes;
+    Alcotest.test_case "jsonx tree" `Quick test_jsonx_tree;
+    QCheck_alcotest.to_alcotest prop_jsonx_num_roundtrip;
   ]
