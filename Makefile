@@ -1,4 +1,4 @@
-.PHONY: all check test lint bench bench-e2e bench-churn bench-hotpath bench-faults bench-recovery bench-shard bench-telemetry bench-verify clean
+.PHONY: all check test lint bench bench-e2e bench-churn bench-hotpath bench-faults bench-recovery bench-telemetry bench-verify clean
 
 all:
 	dune build
@@ -48,13 +48,6 @@ bench-faults:
 # BENCH_recovery.json (ELMO_RECOVERY_EVENTS / ELMO_RECOVERY_TRIALS scale it).
 bench-recovery:
 	dune exec bench/main.exe -- recovery
-
-# Sharded-commit scaling: batch install and churn throughput of the per-pod
-# control plane across 1/2/4/8 domains, with occupancy-checksum, conflict
-# and predicate-identity cross-checks vs the sequential controller; writes
-# BENCH_shard.json (ELMO_SHARD_GROUPS scales the group count).
-bench-shard:
-	dune exec bench/main.exe -- shard
 
 # Telemetry baseline: Zipf-skewed packet workload through the oblivious
 # encoder with the dataplane recorder attached; writes BENCH_telemetry.json

@@ -5,14 +5,14 @@
    Usage: main.exe [target ...]
    Targets: fig4 fig5 uniform constrained table2 failures fig6 sflow fig7
             table3 ablation twotier nonclos legacy bisection strawman churn
-            hotpath faults shard te-baseline verify micro all
+            hotpath faults recovery te-baseline verify micro all
             (default: all)
 
    Scale: ELMO_GROUPS=<n> sets the sampled group count (default 100_000);
    ELMO_FULL=1 runs the paper's full million groups. The BENCH_*.json
-   targets take positive-integer knobs: ELMO_CHURN_EVENTS, ELMO_SHARD_GROUPS,
-   ELMO_FAULT_EVENTS, ELMO_RECOVERY_EVENTS, ELMO_RECOVERY_TRIALS,
-   ELMO_VERIFY_GROUPS, ELMO_HOTPATH_EVENTS, ELMO_TE_GROUPS, ELMO_TE_PACKETS.
+   targets take positive-integer knobs: ELMO_CHURN_EVENTS, ELMO_FAULT_EVENTS,
+   ELMO_RECOVERY_EVENTS, ELMO_RECOVERY_TRIALS, ELMO_VERIFY_GROUPS,
+   ELMO_HOTPATH_EVENTS, ELMO_TE_GROUPS, ELMO_TE_PACKETS.
    Each of those targets writes its file, then exits 1 if a gate failed.
 
    Observability: --metrics prints the elmo_obs registry dump after the
@@ -71,7 +71,7 @@ let params_string = Format.asprintf "%a" Params.pp
    (absent otherwise, so default runs carry no metrics). One line per
    top-level field and per object in a top-level list. Exits 1 after the
    write if a gate failed. *)
-let write_bench file ~benchmark ~seed ~params ?domains ?(link_gbps = false)
+let write_bench file ~benchmark ~seed ~params ?(link_gbps = false)
     ~(topo : Topology.t) fields =
   let topology =
     [
@@ -87,7 +87,7 @@ let write_bench file ~benchmark ~seed ~params ?domains ?(link_gbps = false)
     | Some m -> [ ("metrics", Jsonx.Raw (Obs_metrics.to_json m)) ]
     | None -> []
   in
-  let prov = Provenance.capture ~seed ~params ?domains () in
+  let prov = Provenance.capture ~seed ~params () in
   let line (k, v) =
     "  " ^ Jsonx.string k ^ ": "
     ^
@@ -115,14 +115,17 @@ let write_bench file ~benchmark ~seed ~params ?domains ?(link_gbps = false)
 (* Run [f] with a metrics registry guaranteed present: targets whose JSON
    embeds a "metrics" block install a local registry when the user did not
    pass --metrics/--trace, and restore the previous context afterwards.
-   With an ambient registry already active, [f] runs under it unchanged so
+   The local registry's spans run on the clock that the file's provenance
+   names (ELMO_TRACE_CLOCK, logical by default), as --trace's do. With an
+   ambient registry already active, [f] runs under it unchanged so
    --metrics keeps aggregating across targets. *)
 let with_local_metrics f =
   let prev = Obs.current () in
   if Obs_ctx.active prev then f ()
   else begin
     let metrics = Obs_metrics.create () in
-    Obs.install (Obs_ctx.make ~metrics ~clock:(Obs_ctx.clock prev) ());
+    let clock = Obs_clock.of_kind (Obs_clock.kind_of_env ()) in
+    Obs.install (Obs_ctx.make ~metrics ~clock ());
     Fun.protect ~finally:(fun () -> Obs.install prev) f
   end
 
@@ -542,242 +545,6 @@ let churn () =
       ("events", Int events);
       ("runs", List [ run_json inc; run_json base ]);
       ("speedup", Num speedup);
-    ]
-
-(* {1 Sharded commit: batch and churn scaling of the per-pod control plane} *)
-
-type shard_run = {
-  sh_label : string;
-  sh_domains : int;  (* 0 = per-group add_group baseline *)
-  sh_groups_per_sec : float;
-  sh_install_s : float;
-  sh_churn_events_per_sec : float;
-  sh_conflicts : int;
-  sh_checksum : int;
-}
-
-let shard () =
-  hr
-    "Shard: per-pod sharded commit, batch + churn scaling across domains \
-     (BENCH_shard.json)";
-  with_local_metrics @@ fun () ->
-  let topo = clos_2048 () in
-  let total_groups = env "ELMO_SHARD_GROUPS" 4_000 in
-  (* [Domains.clamp] warns once if the sweep exceeds what this machine can
-     actually parallelize. *)
-  let domains_list = List.map Domains.clamp [ 1; 2; 4; 8 ] in
-  printf "topology: %a; %d groups; available cores: %d@." Topology.pp topo
-    total_groups (Domains.recommended ());
-  let rng = Rng.create 5 in
-  let tenant_sizes = Vm_placement.default_tenant_sizes rng 200 in
-  let placement =
-    Vm_placement.place rng topo ~strategy:(Vm_placement.Pack_up_to 12)
-      ~host_capacity:20 ~tenant_sizes
-  in
-  let workload_rng = Rng.create 6 in
-  let groups =
-    Workload.generate workload_rng placement ~kind:Group_dist.Wve ~total_groups
-  in
-  let role_rng = Rng.create 9 in
-  let role () =
-    match Rng.int role_rng 3 with
-    | 0 -> Controller.Sender
-    | 1 -> Controller.Receiver
-    | _ -> Controller.Both
-  in
-  let batch =
-    Array.to_list groups
-    |> List.map (fun g ->
-           ( g.Workload.group_id,
-             Array.to_list g.Workload.member_hosts
-             |> List.map (fun h -> (h, role ())) ))
-  in
-  let nhosts = Topology.num_hosts topo in
-  let churn_events = max 500 (total_groups / 4) in
-  (* Deterministic churn stream: same seed per run, so every domain count
-     drives the identical event sequence against its own controller. *)
-  let drive_churn ctrl =
-    let rng = Rng.create 17 in
-    let performed = ref 0 in
-    for _ = 1 to churn_events do
-      let group = Rng.int rng total_groups in
-      let members = Controller.members ctrl ~group in
-      let want_join = members = [] || Rng.bool rng in
-      if want_join then begin
-        let host = Rng.int rng nhosts in
-        if not (List.mem_assoc host members) then begin
-          ignore (Controller.join ctrl ~group ~host ~role:Controller.Both);
-          incr performed
-        end
-      end
-      else begin
-        let host, _ = List.nth members (Rng.int rng (List.length members)) in
-        ignore (Controller.leave ctrl ~group ~host);
-        incr performed
-      end
-    done;
-    !performed
-  in
-  let checksum ctrl =
-    let s = Controller.srule_state ctrl in
-    let fold = Array.fold_left (fun acc v -> ((acc * 31) + v) land 0x3FFFFFFF) in
-    fold (fold 17 (Srule_state.leaf_occupancy s)) (Srule_state.spine_occupancy s)
-  in
-  let loose_fmax = max 50 (30_000 * total_groups / 1_000_000) in
-  let tight_fmax = max 3 (loose_fmax / 20) in
-  let max_domains = List.nth domains_list (List.length domains_list - 1) in
-  let sweeps =
-    List.map
-      (fun (mode, fmax) ->
-      printf "@.-- fmax sweep: %s (fmax=%d) --@." mode fmax;
-      let params = Params.create ~fmax () in
-      let timed label domains install =
-        let ctrl = Controller.create topo params in
-        let t0 = Unix.gettimeofday () in
-        install ctrl;
-        let t1 = Unix.gettimeofday () in
-        let performed = drive_churn ctrl in
-        let t2 = Unix.gettimeofday () in
-        let install_s = t1 -. t0 and churn_s = t2 -. t1 in
-        ( {
-            sh_label = label;
-            sh_domains = domains;
-            sh_groups_per_sec =
-              (if install_s > 0.0 then float_of_int total_groups /. install_s
-               else 0.0);
-            sh_install_s = install_s;
-            sh_churn_events_per_sec =
-              (if churn_s > 0.0 then float_of_int performed /. churn_s else 0.0);
-            sh_conflicts = Controller.batch_conflicts ctrl;
-            sh_checksum = checksum ctrl;
-          },
-          ctrl )
-      in
-      let seq, seq_ctrl =
-        timed "add_group" 0 (fun ctrl ->
-            List.iter
-              (fun (group, members) ->
-                ignore (Controller.add_group ctrl ~group members))
-              batch)
-      in
-      let par =
-        List.map
-          (fun d ->
-            timed (Printf.sprintf "install_all d=%d" d) d (fun ctrl ->
-                ignore (Controller.install_all ~domains:d ctrl batch)))
-          domains_list
-      in
-      let occupancy_identical =
-        List.for_all
-          (fun (r, _) ->
-            let same = r.sh_checksum = seq.sh_checksum in
-            if not same then
-              printf
-                "FAIL: occupancy checksum diverges from sequential at \
-                 domains=%d@."
-                r.sh_domains;
-            same)
-          par
-      in
-      (* Conflicts are part of the bit-identity contract: every domain
-         count must hit exactly the same optimistic-commit invalidations. *)
-      let conflict_counts =
-        List.sort_uniq compare (List.map (fun (r, _) -> r.sh_conflicts) par)
-      in
-      let conflicts_identical = List.length conflict_counts = 1 in
-      if not conflicts_identical then
-        printf "FAIL: batch conflicts differ across domain counts: %s@."
-          (String.concat ", " (List.map string_of_int conflict_counts));
-      (* Symbolic proof for the largest domain count: the sharded and the
-         sequential configuration compile to pointer-identical delivery
-         predicates for every group. *)
-      let _, last_ctrl = List.nth par (List.length par - 1) in
-      let ctx = Pred.create_ctx () in
-      let scfg = Controller.installed_config seq_ctrl in
-      let pcfg = Controller.installed_config last_ctrl in
-      let identical =
-        List.for_all
-          (fun gid ->
-            Verify.equiv
-              (Verify.compile ctx scfg ~group:gid)
-              (Verify.compile ctx pcfg ~group:gid))
-          (Installed_config.group_ids scfg)
-      in
-      if not identical then
-        printf "FAIL: delivery predicates diverge from sequential@."
-      else if occupancy_identical && conflicts_identical then
-        printf
-          "occupancy checksums identical; conflicts identical (%d); delivery \
-           predicates pointer-identical@."
-          (List.hd conflict_counts);
-      let runs = seq :: List.map fst par in
-      let speedup r =
-        if seq.sh_groups_per_sec > 0.0 then
-          r.sh_groups_per_sec /. seq.sh_groups_per_sec
-        else 0.0
-      in
-      printf "@.%-20s %-8s %-12s %-12s %-10s %-10s@." "mode" "domains"
-        "groups/s" "churn ev/s" "conflicts" "speedup";
-      List.iter
-        (fun r ->
-          printf "%-20s %-8d %-12.0f %-12.0f %-10d %-10.2f@." r.sh_label
-            r.sh_domains r.sh_groups_per_sec r.sh_churn_events_per_sec
-            r.sh_conflicts (speedup r))
-        runs;
-      let shards = Controller.shard_stats last_ctrl in
-      printf "per-pod shards (d=%d): %s@." max_domains
-        (String.concat "; "
-           (List.map
-              (fun (s : Controller.shard_stat) ->
-                Printf.sprintf "pod%d: %d groups (%d cross), %d churn"
-                  s.Controller.shard_pod s.Controller.shard_groups
-                  s.Controller.shard_cross_pod s.Controller.shard_churn_events)
-              shards));
-      let run_json r =
-        Jsonx.Obj
-          [
-            ("mode", Str r.sh_label);
-            ("domains", Int r.sh_domains);
-            ("groups_per_sec", Num r.sh_groups_per_sec);
-            ("install_s", Num r.sh_install_s);
-            ("churn_events_per_sec", Num r.sh_churn_events_per_sec);
-            ("conflicts", Int r.sh_conflicts);
-            ("occupancy_checksum", Int r.sh_checksum);
-            ("speedup_vs_sequential", Num (speedup r));
-          ]
-      in
-      let shard_json (s : Controller.shard_stat) =
-        Jsonx.Obj
-          [
-            ("pod", Int s.shard_pod);
-            ("groups", Int s.shard_groups);
-            ("conflicts", Int s.shard_conflicts);
-            ("single_pod", Int s.shard_single_pod);
-            ("cross_pod", Int s.shard_cross_pod);
-            ("churn_events", Int s.shard_churn_events);
-          ]
-      in
-      let gated name ok = (name, gate (mode ^ "." ^ name) ok) in
-      Jsonx.Obj
-        [
-          ("fmax_mode", Str mode);
-          ("fmax", Int fmax);
-          gated "occupancy_identical" occupancy_identical;
-          gated "conflicts_identical" conflicts_identical;
-          gated "predicates_pointer_identical" identical;
-          ("runs", List (List.map run_json runs));
-          ("shards", List (List.map shard_json shards));
-        ])
-      [ ("loose", loose_fmax); ("tight", tight_fmax) ]
-  in
-  write_bench "BENCH_shard.json" ~benchmark:"shard" ~topo ~seed:5
-    ~domains:max_domains
-    ~params:(Printf.sprintf "fmax loose=%d tight=%d" loose_fmax tight_fmax)
-    [
-      ("groups", Int total_groups);
-      ("churn_events", Int churn_events);
-      ("domains_swept", List (List.map (fun d -> Jsonx.Int d) domains_list));
-      ("sweeps", List sweeps);
     ]
 
 (* {1 Fault tolerance: degradation-induced traffic vs fault rate} *)
@@ -1464,7 +1231,6 @@ let targets =
     ("hotpath", hotpath);
     ("faults", faults);
     ("recovery", recovery);
-    ("shard", shard);
     ("te-baseline", te_baseline);
     ("verify", verify);
     ("micro", micro);

@@ -168,9 +168,9 @@ let churn_cmd =
   let events_arg =
     Arg.(value & opt int 20_000 & info [ "events" ] ~docv:"N" ~doc:"Membership events.")
   in
-  let run groups tenants seed placement dist fmax budget domains events
-      trace_file metrics =
-    let base = config groups tenants seed placement dist fmax budget domains in
+  let run groups tenants seed placement dist fmax budget events trace_file
+      metrics =
+    let base = config groups tenants seed placement dist fmax budget 1 in
     let cfg =
       {
         Control_plane.topo = base.Scalability.topo;
@@ -183,13 +183,12 @@ let churn_cmd =
         events_per_second = 1_000.0;
         failure_trials = 5;
         seed = base.Scalability.seed;
-        domains = base.Scalability.domains;
       }
     in
     let prov =
       Provenance.capture ~seed
         ~params:(Format.asprintf "%a" Params.pp base.Scalability.params)
-        ~domains:base.Scalability.domains ()
+        ~domains:1 ()
     in
     Format.printf "provenance: %a@." Provenance.pp prov;
     with_obs trace_file metrics (fun () ->
@@ -200,8 +199,8 @@ let churn_cmd =
   let term =
     Term.(
       const run $ groups_arg $ tenants_arg $ seed_arg $ placement_arg
-      $ dist_arg $ fmax_arg $ budget_arg $ domains_arg $ events_arg
-      $ trace_arg $ metrics_arg)
+      $ dist_arg $ fmax_arg $ budget_arg $ events_arg $ trace_arg
+      $ metrics_arg)
   in
   Cmd.v
     (Cmd.info "churn"
@@ -545,8 +544,7 @@ let top_cmd =
        ~doc:
          "One-shot dataplane telemetry snapshot: run a skewed packet \
           workload over an instrumented fabric and print the hottest links, \
-          elephant groups (sketch vs exact), churn fast-path rate and shard \
-          commits.")
+          elephant groups (sketch vs exact) and churn fast-path rate.")
     Term.(
       const run $ groups_arg $ packets_arg $ churn_arg $ seed_arg $ k_arg
       $ watermark_arg $ expose_arg $ example_arg $ flight_dump_arg $ trace_arg)

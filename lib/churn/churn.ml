@@ -21,12 +21,10 @@ let random_role rng =
   | 1 -> Controller.Receiver
   | _ -> Controller.Both
 
-let setup_controller ?(domains = 1) rng ctrl _placement groups =
+let setup_controller rng ctrl _placement groups =
   Obs.with_span "churn.setup"
     ~attrs:[ ("groups", Obs.Int (Array.length groups)) ]
   @@ fun () ->
-  (* Roles are drawn sequentially in array order before any parallel work,
-     so the rng stream is identical for every domain count. *)
   let batch =
     Array.to_list groups
     |> List.map (fun g ->
@@ -34,7 +32,7 @@ let setup_controller ?(domains = 1) rng ctrl _placement groups =
              Array.to_list g.Workload.member_hosts
              |> List.map (fun h -> (h, random_role rng)) ))
   in
-  ignore (Controller.install_all ~domains ctrl batch)
+  ignore (Controller.install_all ctrl batch)
 
 (* Weighted choice by initial group size (events per group proportional to
    size, as in the paper). *)
@@ -167,14 +165,6 @@ let run rng ctrl placement groups ~events ~events_per_second ~li =
   let host_active h = placement.Vm_placement.host_load.(h) > 0 in
   let all _ = true in
   let stats1 = Controller.churn_stats ctrl in
-  (* Export where the run's load landed across the control plane's per-pod
-     shards, for the metrics dump and the shard benchmark. *)
-  List.iter
-    (fun (s : Controller.shard_stat) ->
-      Obs.gauge
-        (Printf.sprintf "churn.shard.%d.events" s.Controller.shard_pod)
-        (float_of_int s.Controller.shard_churn_events))
-    (Controller.shard_stats ctrl);
   {
     events = !performed;
     fast_path = stats1.Controller.fast_path - stats0.Controller.fast_path;

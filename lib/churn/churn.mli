@@ -27,7 +27,6 @@ type result = {
 }
 
 val setup_controller :
-  ?domains:int ->
   Rng.t ->
   Controller.t ->
   Vm_placement.t ->
@@ -35,9 +34,7 @@ val setup_controller :
   unit
 (** Registers every workload group with the controller, assigning each
     member host a uniformly random role. The whole population goes through
-    {!Controller.install_all}: batch-encoded on [domains] worker domains
-    (default 1) with results — and rng consumption — identical for every
-    domain count. *)
+    one {!Controller.install_all} batch. *)
 
 val run :
   Rng.t ->

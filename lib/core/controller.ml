@@ -81,15 +81,6 @@ type install_stats = {
   stale_entries : int;
 }
 
-type shard_stat = {
-  shard_pod : int;
-  shard_groups : int;  (* batch groups committed on this shard *)
-  shard_conflicts : int;
-  shard_single_pod : int;
-  shard_cross_pod : int;
-  shard_churn_events : int;  (* join/leave events on this pod's hosts *)
-}
-
 type t = {
   topo : Topology.t;
   params : Params.t;
@@ -100,8 +91,6 @@ type t = {
   incremental : bool;
   mutable fast_hits : int;
   mutable reencodes : int;
-  mutable conflicts : int;
-      (* batch-encode optimistic reservations invalidated at commit *)
   spine_ok : bool array;
   core_ok : bool array;
   link_ok : bool array;  (* leaf <-> pod-spine links, index leaf * spp + plane *)
@@ -119,11 +108,6 @@ type t = {
   mutable install_exhausted : int;
   mutable degradations : int;
   mutable compensations : int;
-  shard_batch : Shard.stats array;
-      (* cumulative per-pod commit-phase accounting from sharded batches;
-         updated only on the calling domain, after [Shard.run] returns *)
-  shard_events : int array;
-      (* per-pod join/leave events, attributed to the changed host's pod *)
   dirty : (int, unit) Hashtbl.t;
       (* groups whose installed view may have changed since the last
          [drain_dirty] — feeds the verify layer's predicate-cache
@@ -148,7 +132,6 @@ let create ?fabric_hooks ?clock ?(incremental = true) topo params =
     incremental;
     fast_hits = 0;
     reencodes = 0;
-    conflicts = 0;
     spine_ok = Array.make (Topology.num_spines topo) true;
     core_ok = Array.make (max 1 (Topology.num_cores topo)) true;
     link_ok =
@@ -163,8 +146,6 @@ let create ?fabric_hooks ?clock ?(incremental = true) topo params =
     install_exhausted = 0;
     degradations = 0;
     compensations = 0;
-    shard_batch = Array.make topo.Topology.pods Shard.zero;
-    shard_events = Array.make topo.Topology.pods 0;
     dirty = Hashtbl.create 64;
     entries = Hashtbl.create 1024;
   }
@@ -894,9 +875,10 @@ let check_invariants t ~op =
    any state. They are exposed so that a write-ahead log can refuse an op
    before recording it. *)
 
-let check_add_group t ~group members =
+(* [op] names the entry point in the raised message. *)
+let check_new_group ~op t ~group members =
   if Hashtbl.mem t.groups group then
-    invalid_arg "Controller.add_group: group exists"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
+    invalid_arg (op ^ ": group exists"); (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
   (* One bit per host: a replica runs this guard before its entry point
      runs it again, so it must cost O(members), not a sort. *)
   let seen = Bitmap.create (Topology.num_hosts t.topo) in
@@ -904,9 +886,11 @@ let check_add_group t ~group members =
     (fun (h, _) ->
       ignore (Topology.leaf_of_host t.topo h : int);
       if Bitmap.get seen h then
-        invalid_arg "Controller.add_group: duplicate member host"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
+        invalid_arg (op ^ ": duplicate member host"); (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
       Bitmap.set seen h)
     members
+
+let check_add_group = check_new_group ~op:"Controller.add_group"
 
 let check_remove_group t ~group = ignore (find_group t group : group_state)
 
@@ -946,211 +930,45 @@ let add_group t ~group members =
     pods = srule_pods;
   }
 
-(* Two-phase batch install (§5.1.3 control-plane setup): encode all groups
-   in parallel against a frozen capacity snapshot, then commit. Hook-free
-   controllers commit through the per-pod shard scheduler ({!Shard}):
-   single-pod groups proceed on their shard with no global ordering, and
-   cross-pod groups serialize in gid order only against the groups they
-   actually share a pod with — yet outcomes stay bit-identical to running
-   {!add_group} sequentially in ascending gid order, for any domain count.
-   Fabric-attached controllers keep the fully-sequential interleaved
-   commit+install loop: the hooks are single-domain, and a degradation
-   during one group's install (denied switch, stale marker) is observable
-   by the commits and re-encodes of every later group. *)
-
-(* Post-commit registration of one batch group — always on the calling
-   domain, in ascending gid order, identical for both commit paths. *)
-let register_batch_group t ~group st hyp leaves pods =
-  Hashtbl.add t.groups group st;
-  mark_dirty t group;
-  install_with_degrade t ~group st;
-  if not (all_healthy t) then refresh_overrides t ~group st;
-  hyp := List.rev_append (List.map fst st.members) !hyp;
-  match st.enc with
-  | None -> ()
-  | Some e ->
-      leaves :=
-        List.rev_append
-          (List.map fst e.Encoding.d_leaf.Clustering.srules)
-          !leaves;
-      pods :=
-        List.rev_append
-          (List.map fst e.Encoding.d_spine.Clustering.srules)
-          !pods
-
-let batch_updates hyp leaves pods =
+(* Batch group setup (§5.1.3's controller workload): one pass of
+   Algorithm 1 per group against the live s-rule ledger, in ascending gid
+   order. The whole batch is checked first, so a bad group anywhere in it
+   raises before the first group is installed. *)
+let install_all t batch =
+  let batch = List.sort (fun (g1, _) (g2, _) -> Int.compare g1 g2) batch in
+  let rec validate = function
+    | [] -> ()
+    | (group, members) :: rest ->
+        (match rest with
+        | (next, _) :: _ when next = group ->
+            invalid_arg "Controller.install_all: group exists" (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
+        | _ -> ());
+        check_new_group ~op:"Controller.install_all" t ~group members;
+        validate rest
+  in
+  validate batch;
+  Log.debug (fun m -> m "install_all: %d groups" (List.length batch));
+  Obs.with_span "controller.install_all"
+    ~attrs:[ ("groups", Obs.Int (List.length batch)) ]
+  @@ fun () ->
+  let hyp, leaves, pods =
+    List.fold_left
+      (fun (hyp, leaves, pods) (group, members) ->
+        let u = add_group t ~group members in
+        ( List.rev_append u.hypervisors hyp,
+          List.rev_append u.leaves leaves,
+          List.rev_append u.pods pods ))
+      ([], [], []) batch
+  in
   {
-    hypervisors = List.sort_uniq compare !hyp;
-    leaves = List.sort_uniq compare !leaves;
-    pods = List.sort_uniq compare !pods;
+    hypervisors = List.sort_uniq Int.compare hyp;
+    leaves = List.sort_uniq Int.compare leaves;
+    pods = List.sort_uniq Int.compare pods;
   }
 
-(* The optimistic capacity decisions no longer hold: re-run Algorithm 1
-   against the live ledger, exactly as the sequential path would have. The
-   tree is a pure function of the receiver set, so the optimistic one is
-   reusable — and on the sharded path it also bounds where the re-encode
-   may probe (the group's own pods). *)
-let conflict_reencode t ~group enc =
-  Obs.incr "controller.batch_conflicts";
-  Obs.instant "install_all.conflict" ~attrs:[ ("group", Obs.Int group) ];
-  Obs.with_span "controller.conflict_reencode"
-    ~attrs:[ ("group", Obs.Int group) ]
-    (fun () ->
-      Encoding.encode
-        ~srule_ok_leaf:(srule_ok_leaf t)
-        ~srule_ok_pod:(srule_ok_pod t) t.params t.srules enc.Encoding.tree)
-
-(* Sequential phase 2 for fabric-attached controllers: commit and install
-   interleave per group, in gid order, exactly as before sharding. *)
-let commit_sequential t batch sts encoded =
-  let hyp = ref [] and leaves = ref [] and pods = ref [] in
-  Obs.with_span "install_all.commit" (fun () ->
-      Array.iteri
-        (fun i (group, _) ->
-          let st = sts.(i) in
-          (match encoded.(i) with
-          | None -> ()
-          | Some (enc, txn) -> (
-              match Srule_state.commit t.srules txn with
-              | Ok () -> st.enc <- Some enc
-              | Error _ ->
-                  t.conflicts <- t.conflicts + 1;
-                  st.enc <- Some (conflict_reencode t ~group enc)));
-          register_batch_group t ~group st hyp leaves pods)
-        batch);
-  batch_updates hyp leaves pods
-
-(* Sharded phase 2 for hook-free controllers. Each group's commit — and its
-   conflict re-encode — reads and writes the ledger only at the pods its
-   tree spans, so {!Shard.run} can execute commits of pod-disjoint groups
-   concurrently on the shared ledger while keeping conflict sets in gid
-   order. Without hooks, installation bookkeeping mutates nothing (no
-   fabric, no degradation, no stale markers), so registration runs as a
-   sequential pass afterwards with no observable difference from
-   interleaving it. *)
-let commit_sharded ?pool t batch sts encoded =
-  let hyp = ref [] and leaves = ref [] and pods = ref [] in
-  Obs.with_span "install_all.commit" (fun () ->
-      let tasks = ref [] in
-      Array.iteri
-        (fun i (group, _) ->
-          match encoded.(i) with
-          | None -> ()
-          | Some (enc, txn) ->
-              let st = sts.(i) in
-              let gpods = Shard.pods_of_tree t.topo enc.Encoding.tree in
-              (* A transaction that escaped its tree's pods would break
-                 shard ownership; the probe log is the checkable witness. *)
-              assert (
-                List.for_all
-                  (fun s -> List.mem (Shard.pod_of_site t.topo s) gpods)
-                  (Srule_state.txn_sites txn));
-              let run () =
-                match Srule_state.commit t.srules txn with
-                | Ok () ->
-                    st.enc <- Some enc;
-                    false
-                | Error _ ->
-                    st.enc <- Some (conflict_reencode t ~group enc);
-                    true
-              in
-              tasks := { Shard.gid = group; pods = gpods; run } :: !tasks)
-        batch;
-      let tasks = Array.of_list (List.rev !tasks) in
-      let stats = Shard.run ?pool ~pods:t.topo.Topology.pods tasks in
-      let conflicts =
-        Array.fold_left (fun acc s -> acc + s.Shard.conflicts) 0 stats
-      in
-      t.conflicts <- t.conflicts + conflicts;
-      Array.iteri
-        (fun p b ->
-          let a = t.shard_batch.(p) in
-          t.shard_batch.(p) <-
-            {
-              Shard.committed = a.Shard.committed + b.Shard.committed;
-              conflicts = a.Shard.conflicts + b.Shard.conflicts;
-              single_pod = a.Shard.single_pod + b.Shard.single_pod;
-              cross_pod = a.Shard.cross_pod + b.Shard.cross_pod;
-            };
-          if b.Shard.committed > 0 then
-            Obs.incr_indexed ~n:b.Shard.committed "shard.committed" p;
-          if b.Shard.conflicts > 0 then
-            Obs.incr_indexed ~n:b.Shard.conflicts "shard.conflicts" p)
-        stats;
-      Array.iteri
-        (fun i (group, _) -> register_batch_group t ~group sts.(i) hyp leaves pods)
-        batch);
-  batch_updates hyp leaves pods
-
-let install_all ?(domains = 1) t batch =
-  let batch =
-    List.sort (fun (g1, _) (g2, _) -> compare g1 g2) batch |> Array.of_list
-  in
-  Array.iteri
-    (fun i (group, members) ->
-      if Hashtbl.mem t.groups group || (i > 0 && fst batch.(i - 1) = group) then
-        invalid_arg "Controller.install_all: group exists"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-      let hosts = List.map fst members in
-      if List.length (List.sort_uniq compare hosts) <> List.length hosts then
-        invalid_arg "Controller.install_all: duplicate member host") (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-    batch;
-  Log.debug (fun m ->
-      m "install_all: %d groups across %d domains" (Array.length batch) domains);
-  Obs.with_span "controller.install_all"
-    ~attrs:
-      [ ("groups", Obs.Int (Array.length batch)); ("domains", Obs.Int domains) ]
-  @@ fun () ->
-  let sts =
-    Array.map
-      (fun (_, members) -> { members; enc = None; applied = Hashtbl.create 1 })
-      batch
-  in
-  (* Phase 1: optimistic parallel encode. Each group gets a private
-     transaction over the shared snapshot; nothing touches the ledger. *)
-  let snap = Srule_state.snapshot t.srules in
-  let encode_one st =
-    match receivers st with
-    | [] -> None
-    | rcvs ->
-        let txn = Srule_state.txn snap in
-        Some
-          ( Encoding.encode_txn
-              ~srule_ok_leaf:(srule_ok_leaf t)
-              ~srule_ok_pod:(srule_ok_pod t) t.params txn
-              (Tree.of_members t.topo rcvs),
-            txn )
-  in
-  (* The pool (when [domains > 1]) spans both phases: phase 1 fans the
-     optimistic encodes out over it, phase 2 reuses the same workers for
-     the sharded commit. *)
-  let run_phases pool =
-    let encoded =
-      Obs.with_span "install_all.encode" (fun () ->
-          match pool with
-          | None -> Array.map encode_one sts
-          | Some pool ->
-              Domain_pool.map ?probe:(Obs.pool_probe ()) pool encode_one sts)
-    in
-    match t.hooks with
-    | Some _ -> commit_sequential t batch sts encoded
-    | None -> commit_sharded ?pool t batch sts encoded
-  in
-  let updates =
-    if domains <= 1 then run_phases None
-    else begin
-      (* Worker domains get per-domain observability shards (merged back
-         at pool shutdown); the chunk probe is active only on the wall
-         clock. *)
-      let worker_init, worker_exit = Obs.worker_hooks () in
-      Domain_pool.with_pool ~worker_init ~worker_exit domains (fun pool ->
-          run_phases (Some pool))
-    end
-  in
-  reconcile t;
-  check_invariants t ~op:"install_all";
-  updates
-
-let batch_conflicts t = t.conflicts
+(* Every batch group is encoded against the live ledger, so no reservation
+   is ever invalidated. *)
+let batch_conflicts _ = 0
 
 let remove_group t ~group =
   let st = find_group t group in
@@ -1179,8 +997,6 @@ let join t ~group ~host ~role =
     ~attrs:[ ("group", Obs.Int group); ("host", Obs.Int host) ]
   @@ fun () ->
   mark_dirty t group;
-  let hp = Topology.pod_of_host t.topo host in
-  t.shard_events.(hp) <- t.shard_events.(hp) + 1;
   st.members <- st.members @ [ (host, role) ];
   let u =
     match role with
@@ -1208,8 +1024,6 @@ let leave t ~group ~host =
     ~attrs:[ ("group", Obs.Int group); ("host", Obs.Int host) ]
   @@ fun () ->
   mark_dirty t group;
-  let hp = Topology.pod_of_host t.topo host in
-  t.shard_events.(hp) <- t.shard_events.(hp) + 1;
   st.members <- List.remove_assoc host st.members;
   let u =
     match role with
@@ -1240,20 +1054,6 @@ let install_stats t =
     compensations = t.compensations;
     stale_entries = Hashtbl.length t.stale;
   }
-
-let shard_stats t =
-  Array.to_list
-    (Array.mapi
-       (fun p (s : Shard.stats) ->
-         {
-           shard_pod = p;
-           shard_groups = s.Shard.committed;
-           shard_conflicts = s.Shard.conflicts;
-           shard_single_pod = s.Shard.single_pod;
-           shard_cross_pod = s.Shard.cross_pod;
-           shard_churn_events = t.shard_events.(p);
-         })
-       t.shard_batch)
 
 let header t ~group ~sender =
   let st = find_group t group in
@@ -1421,7 +1221,6 @@ type snapshot = {
   snap_srules : Srule_state.t;
   snap_fast_hits : int;
   snap_reencodes : int;
-  snap_conflicts : int;
   snap_spine_ok : bool array;
   snap_core_ok : bool array;
   snap_link_ok : bool array;
@@ -1433,8 +1232,6 @@ type snapshot = {
   snap_install_exhausted : int;
   snap_degradations : int;
   snap_compensations : int;
-  snap_shard_batch : Shard.stats array;
-  snap_shard_events : int array;
 }
 
 let copy_override ov =
@@ -1509,7 +1306,6 @@ let snapshot t =
     snap_srules = Srule_state.copy t.srules;
     snap_fast_hits = t.fast_hits;
     snap_reencodes = t.reencodes;
-    snap_conflicts = t.conflicts;
     snap_spine_ok = Array.copy t.spine_ok;
     snap_core_ok = Array.copy t.core_ok;
     snap_link_ok = Array.copy t.link_ok;
@@ -1523,8 +1319,6 @@ let snapshot t =
     snap_install_exhausted = t.install_exhausted;
     snap_degradations = t.degradations;
     snap_compensations = t.compensations;
-    snap_shard_batch = Array.copy t.shard_batch;
-    snap_shard_events = Array.copy t.shard_events;
   }
 
 let snapshot_groups snap =
@@ -1581,15 +1375,11 @@ let restore ?fabric_hooks ?clock snap =
   List.iter (fun (key, e) -> Hashtbl.replace t.stale key e) snap.snap_stale;
   t.fast_hits <- snap.snap_fast_hits;
   t.reencodes <- snap.snap_reencodes;
-  t.conflicts <- snap.snap_conflicts;
   t.install_attempts <- snap.snap_install_attempts;
   t.install_retries <- snap.snap_install_retries;
   t.install_exhausted <- snap.snap_install_exhausted;
   t.degradations <- snap.snap_degradations;
   t.compensations <- snap.snap_compensations;
-  blit snap.snap_shard_events t.shard_events;
-  Array.blit snap.snap_shard_batch 0 t.shard_batch 0
-    (Array.length snap.snap_shard_batch);
   t.srules <- Srule_state.copy snap.snap_srules;
   (* A restored controller is a new instance: any predicate cache keyed to
      it starts cold, and every group counts as dirty until drained. *)
@@ -1690,7 +1480,6 @@ let write_snapshot w snap =
   Srule_state.write w snap.snap_srules;
   Byteio.Writer.int w snap.snap_fast_hits;
   Byteio.Writer.int w snap.snap_reencodes;
-  Byteio.Writer.int w snap.snap_conflicts;
   Byteio.Writer.bool_array w snap.snap_spine_ok;
   Byteio.Writer.bool_array w snap.snap_core_ok;
   Byteio.Writer.bool_array w snap.snap_link_ok;
@@ -1706,16 +1495,7 @@ let write_snapshot w snap =
   Byteio.Writer.int w snap.snap_install_retries;
   Byteio.Writer.int w snap.snap_install_exhausted;
   Byteio.Writer.int w snap.snap_degradations;
-  Byteio.Writer.int w snap.snap_compensations;
-  Byteio.Writer.u32 w (Array.length snap.snap_shard_batch);
-  Array.iter
-    (fun (s : Shard.stats) ->
-      Byteio.Writer.int w s.Shard.committed;
-      Byteio.Writer.int w s.Shard.conflicts;
-      Byteio.Writer.int w s.Shard.single_pod;
-      Byteio.Writer.int w s.Shard.cross_pod)
-    snap.snap_shard_batch;
-  Byteio.Writer.int_array w snap.snap_shard_events
+  Byteio.Writer.int w snap.snap_compensations
 
 let snapshot_topology snap = snap.snap_topo
 
@@ -1750,7 +1530,6 @@ let read_snapshot r =
   let srules = Srule_state.read ~topo r in
   let fast_hits = Byteio.Reader.int r in
   let reencodes = Byteio.Reader.int r in
-  let conflicts = Byteio.Reader.int r in
   let barray expect rd =
     let a = Byteio.Reader.bool_array rd in
     Byteio.Reader.check (Array.length a = expect);
@@ -1781,20 +1560,6 @@ let read_snapshot r =
   let install_exhausted = Byteio.Reader.int r in
   let degradations = Byteio.Reader.int r in
   let compensations = Byteio.Reader.int r in
-  let nshards = Byteio.Reader.u32 r in
-  Byteio.Reader.check (nshards = topo.Topology.pods);
-  let shard_batch =
-    Array.init nshards (fun _ -> Shard.zero)
-  in
-  for i = 0 to nshards - 1 do
-    let committed = Byteio.Reader.int r in
-    let conflicts = Byteio.Reader.int r in
-    let single_pod = Byteio.Reader.int r in
-    let cross_pod = Byteio.Reader.int r in
-    shard_batch.(i) <- { Shard.committed; conflicts; single_pod; cross_pod }
-  done;
-  let shard_events = Byteio.Reader.int_array r in
-  Byteio.Reader.check (Array.length shard_events = topo.Topology.pods);
   {
     snap_topo = topo;
     snap_params = params;
@@ -1803,7 +1568,6 @@ let read_snapshot r =
     snap_srules = srules;
     snap_fast_hits = fast_hits;
     snap_reencodes = reencodes;
-    snap_conflicts = conflicts;
     snap_spine_ok = spine_ok;
     snap_core_ok = core_ok;
     snap_link_ok = link_ok;
@@ -1815,8 +1579,6 @@ let read_snapshot r =
     snap_install_exhausted = install_exhausted;
     snap_degradations = degradations;
     snap_compensations = compensations;
-    snap_shard_batch = shard_batch;
-    snap_shard_events = shard_events;
   }
 
 let installed_config_of_snapshot snap =

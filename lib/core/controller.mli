@@ -95,28 +95,18 @@ val add_group : t -> group:int -> (int * role) list -> updates
     [Invalid_argument] if the group exists, a host repeats or a host is out
     of the topology's range, before changing any state. *)
 
-val install_all : ?domains:int -> t -> (int * (int * role) list) list -> updates
-(** Batch group setup, the two-phase parallel encode path (§5.1.3's
-    "hundreds of thousands of groups" controller workload). The batch is
-    processed in ascending group order: phase 1 encodes every group
-    concurrently on [domains] worker domains (default 1: inline) against an
-    immutable {!Srule_state.snapshot}; phase 2 commits the optimistic
-    s-rule reservations. On a hook-free controller the commit phase is
-    {e sharded by pod} ({!Shard}): the same worker domains run the commits
-    (and the rare conflict re-encodes) concurrently for groups whose trees
-    span disjoint pods, serializing gid order only within each pod's
-    conflict set; a fabric-attached controller keeps the fully-sequential
-    interleaved commit+install loop, since hook effects (degradations,
-    stale markers) during one group's install are observable by later
-    groups. Either way the resulting encodings, s-rule ledger and merged
-    updates are bit-identical to calling {!add_group} per group in
-    ascending group order, for any [domains]. Raises [Invalid_argument]
-    (before any state change) on a duplicate group — in the batch or
-    already installed — or a duplicate member host within one group. *)
+val install_all : t -> (int * (int * role) list) list -> updates
+(** Batch group setup (§5.1.3's "hundreds of thousands of groups"
+    controller workload): {!add_group} for each group in ascending group
+    order, returning the merged updates. The whole batch is checked first:
+    a duplicate group (in the batch or already installed), a repeated host
+    within one group or an out-of-range host raises [Invalid_argument]
+    before any group is installed. *)
 
 val batch_conflicts : t -> int
-(** Cumulative count of {!install_all} groups whose optimistic reservations
-    were invalidated at commit time and had to be re-encoded. *)
+(** Always 0: every {!install_all} group is encoded against the live
+    s-rule ledger, so no reservation is ever invalidated and re-encoded.
+    Kept for callers that report the figure. *)
 
 val remove_group : t -> group:int -> updates
 (** Deletes a group and its s-rules. Raises [Not_found] for unknown
@@ -158,31 +148,6 @@ type churn_stats = {
 val churn_stats : t -> churn_stats
 (** Cumulative counts over the controller's lifetime. Sender joins/leaves
     touch no rules and count in neither bucket. *)
-
-(** {1 Per-pod shards}
-
-    The control plane's batch commit state partitions by pod (see
-    {!Shard}); the controller keeps cumulative per-pod accounting so the
-    benchmark and observability layers can see where batch and churn load
-    lands. *)
-
-type shard_stat = {
-  shard_pod : int;
-  shard_groups : int;
-      (** batch groups committed on this shard; a cross-pod group counts
-          once, on its lowest pod *)
-  shard_conflicts : int;
-      (** of which the optimistic reservations were invalidated *)
-  shard_single_pod : int;  (** committed via the single-shard fast path *)
-  shard_cross_pod : int;  (** committed via the cross-shard barrier *)
-  shard_churn_events : int;
-      (** join/leave events, attributed to the changed host's pod *)
-}
-
-val shard_stats : t -> shard_stat list
-(** One entry per pod, ascending. Batch counters cover only the sharded
-    commit path (hook-free {!install_all}); churn counters cover every
-    {!join}/{!leave}. *)
 
 (** {1 Dirty-group tracking}
 

@@ -218,22 +218,6 @@ let txn_reserved txn =
   done;
   !s
 
-(* Every site the transaction has probed (granted or not), deduplicated.
-   This is exactly the set of live-ledger cells {!commit} will read — and a
-   subset of them the cells it will write — so a sharded committer can check
-   that a group's transaction stays inside the pods its tree claims. *)
-let txn_sites txn =
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  for i = 0 to txn.p_n - 1 do
-    let k = txn.p_sites.(i) in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.add seen k ();
-      acc := site_of_key k :: !acc
-    end
-  done;
-  !acc
-
 (* elmo-lint: zero-alloc *)
 let live_used t key =
   if key land 1 = 0 then Array.unsafe_get t.leaf_used (key lsr 1)

@@ -104,23 +104,13 @@ val txn_reserve_pod : txn -> int -> bool
 val txn_reserved : txn -> int
 (** Reservations currently held (logical entries: a pod counts once). *)
 
-val txn_sites : txn -> site list
-(** Every site the transaction has probed so far (granted or not),
-    deduplicated, in unspecified order. This is exactly the set of live
-    cells {!commit} will read (and, for granted probes, write) — the basis
-    for the sharded committer's check that a group's transaction never
-    leaves the pods its tree spans. *)
 
-(** {2 Concurrent-commit contract}
+(** {2 Commit}
 
     [commit] reads the live ledger only at the transaction's probed sites
     and, on success, writes only those sites (sparse per-site deltas — never
-    a whole-array store). Two commits whose probed-site sets are disjoint
-    therefore touch disjoint [int array] cells, which OCaml's memory model
-    makes race-free: the per-pod sharded controller runs such commits
-    concurrently on one shared ledger, with each pod's cells owned by
-    exactly one shard at a time. Commits that share a site must still be
-    serialized by the caller. *)
+    a whole-array store). Commits to one ledger must be serialized by the
+    caller. *)
 
 val commit : t -> txn -> (unit, site) result
 (** Replays the probe log against the live ledger. If every probe's answer

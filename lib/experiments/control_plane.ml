@@ -11,7 +11,6 @@ type config = {
   events_per_second : float;
   failure_trials : int;
   seed : int;
-  domains : int;
 }
 
 let default_config () =
@@ -27,7 +26,6 @@ let default_config () =
     events_per_second = 1_000.0;
     failure_trials = 10;
     seed = base.Scalability.seed;
-    domains = base.Scalability.domains;
   }
 
 type result = {
@@ -40,8 +38,7 @@ let run config =
   Obs.with_span "control_plane.run"
     ~attrs:
       [ ("groups", Obs.Int config.total_groups);
-        ("events", Obs.Int config.events);
-        ("domains", Obs.Int config.domains) ]
+        ("events", Obs.Int config.events) ]
   @@ fun () ->
   let rng = Rng.create config.seed in
   let tenant_sizes = Vm_placement.default_tenant_sizes rng config.tenants in
@@ -56,7 +53,7 @@ let run config =
   in
   let ctrl = Controller.create config.topo config.params in
   let setup_rng = Rng.create (config.seed + 3) in
-  Churn.setup_controller ~domains:config.domains setup_rng ctrl placement groups;
+  Churn.setup_controller setup_rng ctrl placement groups;
   let li = Li_et_al.create config.topo in
   (* Seed Li with the initial receiver trees so aggregation state exists
      before churn begins. *)

@@ -14,10 +14,6 @@ type config = {
   events_per_second : float;
   failure_trials : int;
   seed : int;
-  domains : int;
-      (** worker domains for the initial {!Churn.setup_controller} batch
-          install (default 1; [ELMO_DOMAINS]). Bit-identical results for
-          every value. *)
 }
 
 val default_config : unit -> config

@@ -37,11 +37,6 @@ let incr ?(n = 1) name =
       Metrics.incr m ~n name
   | None -> ()
 
-let incr_indexed ?(n = 1) name idx =
-  match (Ctx.current ()).Ctx.metrics with
-  | Some m -> Metrics.incr m ~n (Printf.sprintf "%s.%d" name idx)
-  | None -> ()
-
 (* elmo-lint: zero-alloc *)
 let observe name v =
   match (Ctx.current ()).Ctx.metrics with

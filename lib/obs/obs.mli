@@ -18,11 +18,6 @@ val with_span : ?attrs:(string * attr) list -> string -> (unit -> 'a) -> 'a
 
 val incr : ?n:int -> string -> unit
 
-val incr_indexed : ?n:int -> string -> int -> unit
-(** [incr_indexed name i] bumps the counter ["<name>.<i>"] — the idiom for
-    per-shard or per-domain counter families (e.g. ["shard.committed.3"]).
-    The composed name is only allocated when metrics are on. *)
-
 val observe : string -> float -> unit
 val gauge : string -> float -> unit
 val instant : ?attrs:(string * attr) list -> string -> unit

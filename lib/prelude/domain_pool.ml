@@ -131,35 +131,6 @@ let map ?chunk ?probe t f arr =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let run_workers t f =
-  let n = t.size in
-  let lock = Mutex.create () in
-  let finished = Condition.create () in
-  let remaining = ref n in
-  (* Lowest-index failure wins, as in [map], so the raised exception is
-     deterministic regardless of worker interleaving. *)
-  let failure = ref None in
-  for w = 0 to n - 1 do
-    submit t (fun () ->
-        (try f w
-         with e ->
-           Mutex.lock lock;
-           (match !failure with
-           | Some (w0, _) when w0 <= w -> ()
-           | Some _ | None -> failure := Some (w, e));
-           Mutex.unlock lock);
-        Mutex.lock lock;
-        decr remaining;
-        if !remaining = 0 then Condition.signal finished;
-        Mutex.unlock lock)
-  done;
-  Mutex.lock lock;
-  while !remaining > 0 do
-    Condition.wait finished lock
-  done;
-  Mutex.unlock lock;
-  match !failure with Some (_, e) -> raise e | None -> ()
-
 let with_pool ?worker_init ?worker_exit n f =
   let t = create ?worker_init ?worker_exit n in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

@@ -48,19 +48,6 @@ val map : ?chunk:int -> ?probe:probe -> t -> ('a -> 'b) -> 'a array -> 'b array
 val submit : t -> (unit -> unit) -> unit
 (** Fire-and-forget task. Raises [Invalid_argument] after {!shutdown}. *)
 
-val run_workers : t -> (int -> unit) -> unit
-(** [run_workers pool f] submits exactly [size pool] tasks, task [w]
-    running [f w], and blocks until all of them complete. Built for
-    cooperative schedulers (e.g. the sharded commit loop): each [f w] is a
-    long-lived peer that pulls work from shared state, so one task per
-    worker slot keeps every domain busy without oversubscribing. Note the
-    pool's queue does not pin tasks to domains — a fast worker may execute
-    two of the tasks back to back — so [f] must not require that all [n]
-    calls run concurrently (a scheduler whose workers only {e help} and
-    never {e wait on each other's liveness} is safe). Exceptions follow
-    {!map}: the lowest-index failing task's exception is re-raised after
-    all tasks drain, and the pool stays usable. *)
-
 val shutdown : t -> unit
 (** Drains queued tasks, stops and joins all workers. Idempotent. *)
 

@@ -1,7 +1,7 @@
 module Obs = Elmo_obs.Obs
 
 (* One self-contained measured run: place a tenant workload, batch-install
-   it (sharded commit), churn memberships, then drive a skewed packet
+   it, churn memberships, then drive a skewed packet
    workload through the operational fabric with a Recorder attached. The
    result carries both the sketch view and the exact per-group byte counts,
    so callers (tests, bench te-baseline, elmo-sim top) can cross-validate
@@ -48,7 +48,6 @@ type result = {
   injected : int;
   no_header : int;
   churn : Controller.churn_stats;
-  shards : Controller.shard_stat list;
   sketch_ok : bool;  (* every tracked entry within its error bound *)
   missed_heavy : int;  (* groups over total/k the sketch failed to track *)
 }
@@ -105,8 +104,6 @@ let run ?flight cfg =
     Workload.generate (Rng.split rng) placement ~kind:Group_dist.Wve
       ~total_groups:cfg.groups
   in
-  (* Hook-free controller: batch setup runs the sharded commit path, so
-     the report can surface per-pod commit counts. *)
   let ctrl = Controller.create cfg.topo cfg.params in
   let batch =
     Array.to_list groups
@@ -115,7 +112,7 @@ let run ?flight cfg =
              Array.to_list g.Workload.member_hosts
              |> List.map (fun h -> (h, random_role rng)) ))
   in
-  ignore (Controller.install_all ~domains:1 ctrl batch : Controller.updates);
+  ignore (Controller.install_all ctrl batch : Controller.updates);
   List.iter
     (fun (group, members) ->
       Flight_recorder.record_op fr (Journal.Add_group { group; members }))
@@ -221,7 +218,6 @@ let run ?flight cfg =
     injected = !injected;
     no_header = !no_header;
     churn = Controller.churn_stats ctrl;
-    shards = Controller.shard_stats ctrl;
     sketch_ok;
     missed_heavy = !missed_heavy;
   }
@@ -300,13 +296,6 @@ let pp ppf res =
   if fp + re > 0 then
     Format.fprintf ppf "churn fast-path       %d/%d (%.1f%%)@." fp (fp + re)
       (100.0 *. float_of_int fp /. float_of_int (fp + re));
-  let committed =
-    List.fold_left
-      (fun acc (s : Controller.shard_stat) -> acc + s.Controller.shard_groups)
-      0 res.shards
-  in
-  Format.fprintf ppf "shard commits         %d groups over %d pods@."
-    committed (List.length res.shards);
   Format.fprintf ppf "@.hottest links:@.";
   List.iter
     (fun r ->

@@ -1,5 +1,5 @@
 (** Self-contained measured run for `elmo-sim top` and `bench
-    te-baseline`: tenant placement, sharded batch install, membership
+    te-baseline`: tenant placement, batch install, membership
     churn, then a Zipf-skewed packet workload through the operational
     fabric with a {!Recorder} attached.
 
@@ -35,7 +35,6 @@ type result = {
   injected : int;
   no_header : int;  (** packets skipped: sender had no header *)
   churn : Controller.churn_stats;
-  shards : Controller.shard_stat list;
   sketch_ok : bool;  (** every tracked entry within its error bound *)
   missed_heavy : int;
       (** groups over [total/k] the sketch failed to track (must be 0) *)
@@ -71,4 +70,4 @@ val elephants : result -> n:int -> elephant list
 
 val pp : Format.formatter -> result -> unit
 (** The `elmo-sim top` snapshot table: utilization summary, hottest links,
-    elephant groups vs exact, fast-path hit rate, shard commits. *)
+    elephant groups vs exact, fast-path hit rate. *)

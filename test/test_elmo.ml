@@ -21,7 +21,6 @@ let () =
       ("traffic-fabric", Test_traffic_fabric.tests);
       ("controller", Test_controller.tests);
       ("parallel", Test_parallel.tests);
-      ("shard", Test_shard.tests);
       ("incremental", Test_incremental.tests);
       ("zero-alloc", Test_zero_alloc.tests);
       ("baselines", Test_baselines.tests);

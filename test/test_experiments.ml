@@ -68,7 +68,6 @@ let test_control_plane_shapes () =
       events_per_second = 1_000.0;
       failure_trials = 3;
       seed = 11;
-      domains = 1;
     }
   in
   let r = Control_plane.run cfg in

@@ -389,24 +389,28 @@ let test_worker_hooks_merge () =
   let topo = small_topo () in
   let params = Params.create ~fmax:64 () in
   let m = Metrics.create () in
-  let batch =
-    List.init 8 (fun g ->
-        (g, [ (g, Controller.Both); ((g + 5) mod 16, Controller.Receiver) ]))
+  let trees =
+    Array.init 8 (fun g -> Tree.of_members topo [ g; (g + 5) mod 16 ])
   in
-  let occ =
-    with_ctx ~metrics:m (fun () ->
-        let ctrl = Controller.create topo params in
-        ignore (Controller.install_all ~domains:2 ctrl batch);
-        Array.to_list (Srule_state.leaf_occupancy (Controller.srule_state ctrl)))
+  (* Optimistic encodes against one snapshot on two worker domains, the
+     way Scalability's encode pool runs them. *)
+  let encode_on_workers () =
+    let snap = Srule_state.snapshot (Srule_state.create topo ~fmax:64) in
+    let worker_init, worker_exit = Obs.worker_hooks () in
+    Domain_pool.with_pool ~worker_init ~worker_exit 2 (fun pool ->
+        Domain_pool.map ~chunk:1 pool
+          (fun tree ->
+            let enc = Encoding.encode_txn params (Srule_state.txn snap) tree in
+            let w = Byteio.Writer.create () in
+            Encoding.write w enc;
+            Byteio.Writer.to_bytes w)
+          trees)
   in
-  let plain =
-    let ctrl = Controller.create topo params in
-    ignore (Controller.install_all ~domains:2 ctrl batch);
-    Array.to_list (Srule_state.leaf_occupancy (Controller.srule_state ctrl))
-  in
-  Alcotest.(check (list int)) "parallel occupancy identical" plain occ;
-  (* Shards recorded on worker domains were joined back: the per-group
-     encode spans all landed somewhere in the merged registry. *)
+  let traced = with_ctx ~metrics:m encode_on_workers in
+  let plain = encode_on_workers () in
+  Alcotest.(check (array bytes)) "parallel encodings identical" plain traced;
+  (* Shards recorded on worker domains were joined back: every encode span
+     landed somewhere in the merged registry. *)
   let h = hist m "span.encoding.encode_txn_us" in
   Alcotest.(check int) "worker spans merged" 8 h.Metrics.count
 

@@ -1,7 +1,8 @@
-(* The two-phase parallel batch path: Domain_pool, Srule_state transactions,
-   and the bit-identical guarantee of Controller.install_all — the parallel
-   encode must produce exactly the sequential encodings, occupancy and
-   updates for every seed, parameter set and domain count. *)
+(* Parallel building blocks and the batch install: Domain_pool, the Domains
+   helper, Srule_state transactions, and Controller.install_all — checked
+   up front, then exactly the encodings, occupancy and updates of an
+   add_group loop in ascending gid order, for every seed and parameter
+   set. *)
 
 (* {1 Domain_pool} *)
 
@@ -45,6 +46,24 @@ let test_pool_submit_after_shutdown () =
   Alcotest.check_raises "submit after shutdown"
     (Invalid_argument "Domain_pool: pool is shut down") (fun () ->
       Domain_pool.submit pool ignore)
+
+(* {1 Domains helper} *)
+
+let test_domains_clamp () =
+  Alcotest.(check int) "clamp 0" 1 (Domains.clamp 0);
+  Alcotest.(check int) "clamp -5" 1 (Domains.clamp (-5));
+  Alcotest.(check int) "clamp 1" 1 (Domains.clamp 1);
+  Alcotest.(check bool) "recommended positive" true (Domains.recommended () > 0)
+
+let test_domains_from_env () =
+  Unix.putenv "ELMO_DOMAINS" "2";
+  Alcotest.(check int) "parses env" 2 (Domains.from_env 1);
+  Unix.putenv "ELMO_DOMAINS" "bogus";
+  Alcotest.(check int) "malformed falls back" 3 (Domains.from_env 3);
+  Unix.putenv "ELMO_DOMAINS" "-1";
+  Alcotest.(check int) "non-positive falls back" 2 (Domains.from_env 2);
+  Unix.putenv "ELMO_DOMAINS" "";
+  Alcotest.(check int) "empty falls back" 4 (Domains.from_env 4)
 
 (* {1 Srule_state transactions} *)
 
@@ -130,7 +149,22 @@ let test_install_all_rejects_duplicates () =
       ignore
         (Controller.install_all ctrl
            [ (8, [ (0, Controller.Both); (0, Controller.Receiver) ]) ]));
-  Alcotest.(check int) "only the add_group landed" 1 (Controller.group_count ctrl)
+  Alcotest.(check int) "only the add_group landed" 1 (Controller.group_count ctrl);
+  (* The bad group comes last: nothing before it may be installed. *)
+  let ctrl = Controller.create topo params in
+  Alcotest.check_raises "duplicate group after a good one"
+    (Invalid_argument "Controller.install_all: group exists") (fun () ->
+      ignore (Controller.install_all ctrl [ (1, m); (2, m); (2, m) ]));
+  Alcotest.(check int) "no prefix installed (duplicate group)" 0
+    (Controller.group_count ctrl);
+  Alcotest.check_raises "duplicate host in the last group"
+    (Invalid_argument "Controller.install_all: duplicate member host")
+    (fun () ->
+      ignore
+        (Controller.install_all ctrl
+           [ (1, m); (2, m); (3, [ (2, Controller.Both); (2, Controller.Sender) ]) ]));
+  Alcotest.(check int) "no prefix installed (duplicate host)" 0
+    (Controller.group_count ctrl)
 
 let test_install_all_empty_and_senders_only () =
   let ctrl = Controller.create topo params in
@@ -145,7 +179,7 @@ let test_install_all_empty_and_senders_only () =
     (Controller.encoding ctrl ~group:3 = None);
   Alcotest.(check (list int)) "no switch updates" [] u.Controller.leaves
 
-(* {1 Determinism matrix: parallel == sequential, bit for bit} *)
+(* {1 Determinism matrix: install_all == the add_group loop, bit for bit} *)
 
 let matrix_topo =
   Topology.create ~pods:4 ~leaves_per_pod:4 ~spines_per_pod:2 ~hosts_per_leaf:8
@@ -153,13 +187,12 @@ let matrix_topo =
 
 (* Loose: everything fits; exercises the pure p-rule paths. Tight: one
    p-rule per layer and a 3-entry group table; most groups fight over
-   s-rule slots, so the batch commit must detect and re-encode conflicts. *)
+   s-rule slots, so batch order decides who gets them. *)
 let param_sets =
   [
-    ("loose", Params.create ~r:6 ~header_budget:None (), false);
+    ("loose", Params.create ~r:6 ~header_budget:None ());
     ( "tight",
-      Params.create ~hmax_leaf:1 ~hmax_spine:1 ~fmax:3 ~header_budget:None (),
-      true );
+      Params.create ~hmax_leaf:1 ~hmax_spine:1 ~fmax:3 ~header_budget:None () );
   ]
 
 let make_batch seed =
@@ -219,9 +252,9 @@ let run_sequential params batch =
   in
   (ctrl, updates)
 
-let check_identical ~label ref_ctrl ref_updates params batch ~domains =
+let check_identical ~label ref_ctrl ref_updates params batch =
   let ctrl = Controller.create matrix_topo params in
-  let updates = Controller.install_all ~domains ctrl batch in
+  let updates = Controller.install_all ctrl batch in
   Alcotest.(check int)
     (label ^ ": group count")
     (Controller.group_count ref_ctrl)
@@ -250,41 +283,17 @@ let check_identical ~label ref_ctrl ref_updates params batch ~domains =
   Alcotest.(check bool)
     (label ^ ": ledger invariants")
     true
-    (Srule_state.check (Controller.srule_state ctrl));
-  Controller.batch_conflicts ctrl
+    (Srule_state.check (Controller.srule_state ctrl))
 
 let test_determinism_matrix () =
   List.iter
     (fun seed ->
       let batch = make_batch seed in
       List.iter
-        (fun (pname, params, expect_conflicts) ->
+        (fun (pname, params) ->
           let ref_ctrl, ref_updates = run_sequential params batch in
-          let conflicts =
-            List.map
-              (fun domains ->
-                let label = Printf.sprintf "seed %d/%s/d=%d" seed pname domains in
-                check_identical ~label ref_ctrl ref_updates params batch ~domains)
-              [ 1; 2; 4 ]
-          in
-          (* Conflict detection is a property of the batch, not of the
-             domain count: every run replays the same probe logs. *)
-          (match conflicts with
-          | c :: rest ->
-              List.iter
-                (fun c' ->
-                  Alcotest.(check int)
-                    (Printf.sprintf "seed %d/%s: conflicts independent of domains"
-                       seed pname)
-                    c c')
-                rest;
-              if expect_conflicts then
-                Alcotest.(check bool)
-                  (Printf.sprintf
-                     "seed %d/%s: tight capacity must exercise the conflict path"
-                     seed pname)
-                  true (c > 0)
-          | [] -> assert false))
+          let label = Printf.sprintf "seed %d/%s" seed pname in
+          check_identical ~label ref_ctrl ref_updates params batch)
         param_sets)
     [ 11; 23; 37 ]
 
@@ -298,6 +307,8 @@ let tests =
     Alcotest.test_case "pool: create 0 rejected" `Quick test_pool_create_invalid;
     Alcotest.test_case "pool: submit after shutdown" `Quick
       test_pool_submit_after_shutdown;
+    Alcotest.test_case "domains: clamp" `Quick test_domains_clamp;
+    Alcotest.test_case "domains: from_env" `Quick test_domains_from_env;
     Alcotest.test_case "txn: snapshot isolation" `Quick test_txn_snapshot_isolation;
     Alcotest.test_case "txn: commit conflict" `Quick test_txn_conflict;
     Alcotest.test_case "txn: denial must match too" `Quick

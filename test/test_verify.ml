@@ -936,6 +936,55 @@ let test_header_pred_walks_the_header () =
   Alcotest.(check bool) "remote pod member delivered" true
     (List.mem ((6 * h) + 2) eps)
 
+(* {1 Verify-layer predicate cache} *)
+
+let cache_topo =
+  Topology.create ~pods:2 ~leaves_per_pod:2 ~spines_per_pod:2 ~hosts_per_leaf:4
+    ~cores_per_plane:1
+
+let cache_params = Params.create ~fmax:50 ()
+
+let host_in pod i =
+  List.init (Topology.num_hosts cache_topo) Fun.id
+  |> List.filter (fun h -> Topology.pod_of_host cache_topo h = pod)
+  |> fun hs -> List.nth hs i
+
+let test_verify_cache_incremental () =
+  let ctrl = Controller.create cache_topo cache_params in
+  List.iter
+    (fun group ->
+      ignore
+        (Controller.add_group ctrl ~group
+           [ (host_in 0 group, Controller.Both); (host_in 1 group, Controller.Both) ]))
+    [ 1; 2; 3 ];
+  let cache = Verify.create_cache () in
+  (match Verify.check_controller_cached cache ctrl with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "healthy controller must verify");
+  Alcotest.(check (pair int int)) "cold: all misses" (0, 3)
+    (Verify.cache_stats cache);
+  (match Verify.check_controller_cached cache ctrl with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "re-check must pass");
+  Alcotest.(check (pair int int)) "warm: all hits" (3, 3)
+    (Verify.cache_stats cache);
+  (* A membership change dirties exactly one group. *)
+  ignore (Controller.join ctrl ~group:2 ~host:(host_in 0 3) ~role:Controller.Both);
+  (match Verify.check_controller_cached cache ctrl with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "post-churn check must pass");
+  Alcotest.(check (pair int int)) "one recompile after churn" (5, 4)
+    (Verify.cache_stats cache);
+  (* A removed group drops out of both the config and the cache. *)
+  ignore (Controller.remove_group ctrl ~group:3);
+  (match Verify.check_controller_cached cache ctrl with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "check after removal must pass");
+  Alcotest.(check (pair int int)) "remaining groups all hit" (7, 4)
+    (Verify.cache_stats cache);
+  Alcotest.(check bool) "removed group evicted" true
+    (Verify.cached_preds cache 3 = None)
+
 let tests =
   [
     Alcotest.test_case "hash-consing" `Quick test_hash_consing;
@@ -971,4 +1020,6 @@ let tests =
       test_view_memo_identity_and_allocation;
     Alcotest.test_case "snapshot memo: identity and cached bytes" `Quick
       test_snapshot_memo_identity;
+    Alcotest.test_case "verify cache: incremental hits" `Quick
+      test_verify_cache_incremental;
   ]

@@ -441,10 +441,17 @@ let test_crash_corruption_matrix () =
   in
   (* Torn tails: every prefix length is a potential crash point; sample
      across the whole file plus a dense band at the end (the likeliest
-     real-world tear: mid-final-record). *)
+     real-world tear: mid-final-record) and a band across the first record,
+     the initial snapshot, where a tear leaves nothing to recover from. *)
+  let first_end =
+    match (Result.get_ok (Wire.load bytes)).Wire.l_records with
+    | _ :: second :: _ -> second.Wire.r_off
+    | [ _ ] | [] -> total
+  in
   let offsets =
     Array.to_list (Rng.sample_without_replacement rng 80 (Array.init total Fun.id))
     @ List.init 30 (fun i -> total - 1 - (i * 7))
+    @ List.init 10 (fun i -> i * first_end / 10)
   in
   List.iter
     (fun off ->

@@ -264,7 +264,6 @@ let rec result_type ty =
 let is_domain_pool_call name =
   let tail_ok suffix = name = suffix || String.ends_with ~suffix:("." ^ suffix) name in
   tail_ok "Domain_pool.map" || tail_ok "Domain_pool.submit"
-  || tail_ok "Domain_pool.run_workers"
 
 type raw = {
   mutable found : (int * rule * string) list;
