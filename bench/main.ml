@@ -745,6 +745,24 @@ let recovery () =
 
 (* {1 Symbolic verification: compile+check throughput} *)
 
+(* [check_config]'s definition as a fold: intern [compile] and [intent] of
+   each group in ascending gid order in one universe, and stop at the
+   first [check_equiv] error. *)
+let reference_check cfg =
+  let ctx = Pred.create_ctx () in
+  let rec go n = function
+    | [] -> Ok n
+    | group :: rest -> (
+        match
+          Verify.check_equiv ~group
+            (Verify.compile ctx cfg ~group)
+            (Verify.intent ctx cfg ~group)
+        with
+        | Ok () -> go (n + 1) rest
+        | Error _ as e -> e)
+  in
+  go 0 (Installed_config.group_ids cfg)
+
 let verify () =
   hr
     "Verify: symbolic delivery predicates, compile+check throughput \
@@ -776,12 +794,24 @@ let verify () =
     (fun gid -> ignore (Verify.compile ctx cfg ~group:gid))
     (Installed_config.group_ids cfg);
   let t3 = Unix.gettimeofday () in
-  (* Full check: compile vs intent per group, first witness on divergence. *)
+  (* Full check: every spec edge covered, first witness on divergence. *)
+  let words0 = Gc.minor_words () in
   let result = Verify.check_config cfg in
+  let check_words = Gc.minor_words () -. words0 in
   let t4 = Unix.gettimeofday () in
-  (* Incremental oracle: warm a predicate cache over the whole config, then
-     apply one membership event and re-check — only the touched group's
-     predicates recompile, the rest pass from cache. *)
+  let reference = reference_check cfg in
+  let t4_ref = Unix.gettimeofday () in
+  let render = function
+    | Ok n -> string_of_int n
+    | Error w -> Format.asprintf "%a" Verify.pp_witness w
+  in
+  let agrees = String.equal (render result) (render reference) in
+  if not agrees then
+    printf "check_config %s, reference fold %s@." (render result)
+      (render reference);
+  (* Incremental oracle: warm the cache over the whole config, then apply
+     one membership event and re-check — only the touched group is walked
+     again, the rest pass from cache. *)
   let cache = Verify.create_cache () in
   let warm =
     Verify.check_config_cached cache cfg ~dirty:(Controller.drain_dirty ctrl)
@@ -802,7 +832,8 @@ let verify () =
   and view_s = t2 -. t1
   and compile_s = t3 -. t2
   and check_s = t4 -. t3
-  and cached_warm_s = t5 -. t4
+  and reference_s = t4_ref -. t4
+  and cached_warm_s = t5 -. t4_ref
   and cached_recheck_s = t7 -. t6
   and cached_recheck_with_view_s = t7 -. t5' in
   let rate groups s = if s > 0.0 then float_of_int groups /. s else 0.0 in
@@ -828,8 +859,13 @@ let verify () =
     (Printf.sprintf "%.0f" (rate ngroups view_s));
   printf "%-24s %-10.3f %-14s@." "symbolic compile" compile_s
     (Printf.sprintf "%.0f" (rate ngroups compile_s));
-  printf "%-24s %-10.3f %-14s@." "check (compile==intent)" check_s
+  printf "%-24s %-10.3f %-14s@." "check (spec walk)" check_s
     (Printf.sprintf "%.0f" (rate ngroups check_s));
+  printf "%-24s %-10.3f %-14s@." "reference fold" reference_s
+    (Printf.sprintf "%.0f" (rate ngroups reference_s));
+  printf "check: %.0f minor words per group; agrees with the reference: %b@."
+    (check_words /. float_of_int ngroups)
+    agrees;
   printf "%-24s %-10.3f %-14s@." "cached warm (all miss)" cached_warm_s
     (Printf.sprintf "%.0f" (rate ngroups cached_warm_s));
   printf "%-24s %-10.3f %-14s@." "cached re-check (1 ev)" cached_recheck_s
@@ -855,6 +891,9 @@ let verify () =
       ("compile_groups_per_sec", Num (rate ngroups compile_s));
       ("check_s", Num check_s);
       ("check_groups_per_sec", Num (rate ngroups check_s));
+      ("check_words_per_group", Num (check_words /. float_of_int ngroups));
+      ("reference_check_s", Num reference_s);
+      ("reference_agrees", gate "reference_agrees" agrees);
       ("cached_warm_s", Num cached_warm_s);
       ("cached_recheck_s", Num cached_recheck_s);
       ("cached_recheck_with_view_s", Num cached_recheck_with_view_s);

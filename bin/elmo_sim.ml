@@ -405,7 +405,7 @@ let verify_cmd =
       | Ok n ->
           let hits, misses = Verify.cache_stats cache in
           Format.printf
-            "re-check after churn on group %d: %d groups ok, %d recompiled, \
+            "re-check after churn on group %d: %d groups ok, %d re-checked, \
              cache %d hits / %d misses@."
             gid n (List.length dirty) hits misses
       | Error w ->

@@ -173,11 +173,11 @@ let find_group t group =
 
    Every mutation that can change a group's installed view — membership,
    encoding, overrides, stale markers — marks the group dirty. The verify
-   layer drains the set to invalidate exactly the cached delivery
-   predicates that could have changed, instead of recompiling every group
-   after every event, and [installed_config] and [snapshot] re-copy only
-   the marked groups. Marking is conservative: a marked group whose view
-   happens to be unchanged merely costs one recompile and one copy. *)
+   layer drains the set to invalidate exactly the cached checks that
+   could have changed, instead of re-checking every group after every
+   event, and [installed_config] and [snapshot] re-copy only the marked
+   groups. Marking is conservative: a marked group whose view happens to
+   be unchanged merely costs one re-check and one copy. *)
 
 let mark_dirty t group =
   Hashtbl.replace t.dirty group ();

@@ -153,9 +153,9 @@ val churn_stats : t -> churn_stats
 
     Every mutation that can change a group's installed view — membership,
     encoding, overrides, stale markers — marks the group dirty. The verify
-    layer drains the set to invalidate exactly the cached delivery
-    predicates that could have changed ([Verify.check_config_cached])
-    instead of recompiling every group after every event. *)
+    layer drains the set to invalidate exactly the cached checks that
+    could have changed ([Verify.check_config_cached]) instead of
+    re-checking every group after every event. *)
 
 val drain_dirty : t -> int list
 (** Groups marked dirty since the last drain, sorted ascending; clears the

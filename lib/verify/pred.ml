@@ -73,6 +73,7 @@ let leaf_endpoints t ~topo =
          | Leaf l, port -> Some ((l * topo.Topology.hosts_per_leaf) + port)
          | (Core | Spine _), _ -> None)
 
+let compare_edge (sa, pa) (sb, pb) = Int.compare (pack sa pa) (pack sb pb)
 let cardinal t = Array.length t.elems
 let is_empty t = Array.length t.elems = 0
 let equiv a b = a == b

@@ -40,6 +40,10 @@ val pairs : t -> (switch * int) list
 val leaf_endpoints : t -> topo:Topology.t -> int list
 (** The delivery endpoints: hosts of the [Leaf] edges, ascending. *)
 
+val compare_edge : switch * int -> switch * int -> int
+(** The canonical edge order of {!t}: [Core < Spine _ < Leaf _], then
+    switch id, then port. *)
+
 val cardinal : t -> int
 val is_empty : t -> bool
 

@@ -34,83 +34,94 @@ let assigned cfg ~group ~site (enc : Encoding.t) =
             | Some (_, bm) -> Some bm
             | None -> None))
 
-let compile ctx cfg ~group =
-  match Installed_config.group cfg group with
-  | None -> Pred.of_pairs ctx []
-  | Some g -> (
-      match (g.Installed_config.receivers, g.Installed_config.enc) with
-      | [], _ | _, None -> Pred.of_pairs ctx []
-      | receivers, Some enc ->
-          let topo = cfg.Installed_config.topo in
-          let spec = Tree.of_members topo receivers in
-          let tree = enc.Encoding.tree in
-          (* On a multi-pod topology some sender always sits outside any
-             given pod, so cross-pod reachability (core bitmap + downstream
-             spine assignment) is required for every receiver pod — the
-             encoder sets the core bit even for single-pod trees. *)
-          let cross_pod = topo.Topology.pods > 1 in
-          let acc = ref [] in
-          let add sw port = acc := (sw, port) :: !acc in
-          List.iter
-            (fun (p, spec_spine) ->
-              let core_covered =
-                (not cross_pod) || Bitmap.get tree.Tree.core_bitmap p
-              in
-              if cross_pod && core_covered then add Pred.Core p;
-              let in_pod = Tree.spine_bitmap tree p in
-              let down_spine =
-                if cross_pod then
-                  assigned cfg ~group ~site:(Srule_state.Pod p) enc
-                else None
-              in
-              Bitmap.iter
-                (fun lp ->
-                  let spine_covered =
-                    bitmap_opt_get in_pod lp
-                    && ((not cross_pod)
-                       || (core_covered && bitmap_opt_get down_spine lp))
-                  in
-                  if spine_covered then begin
-                    add (Pred.Spine p) lp;
-                    let l = (p * topo.Topology.leaves_per_pod) + lp in
-                    match
-                      ( Tree.leaf_bitmap spec l,
-                        assigned cfg ~group ~site:(Srule_state.Leaf l) enc,
-                        Tree.leaf_bitmap tree l )
-                    with
-                    | Some spec_ports, Some down_leaf, Some tree_ports ->
-                        Bitmap.iter
-                          (fun q ->
-                            if Bitmap.get down_leaf q && Bitmap.get tree_ports q
-                            then add (Pred.Leaf l) q)
-                          spec_ports
-                    | _, _, _ -> ()
-                  end)
-                spec_spine)
-            spec.Tree.spine_bitmaps;
-          Pred.of_pairs ctx !acc)
+(* {1 The spec walk}
 
-let intent ctx cfg ~group =
+   [compile] never holds an edge [intent] lacks: every compiled edge is an
+   edge of the receivers' specification tree that the installed state also
+   covers. [spec_walk] visits every spec edge — per receiver pod its core
+   edge (multi-pod topologies only), per receiver leaf its spine edge, per
+   receiver its leaf edge — and calls [edge sw port covered] with whether
+   the installed state covers it, each layer gated on its parent. [compile]
+   keeps the covered edges, [intent] all of them, and [check_config] only
+   the smallest uncovered one; none builds the spec [Tree.t]. Receivers
+   are ascending, so each pod's and leaf's installed state is looked up
+   once. *)
+let spec_walk cfg (g : Installed_config.group_view) edge =
+  let topo = cfg.Installed_config.topo in
+  (* On a multi-pod topology some sender always sits outside any given
+     pod, so cross-pod reachability (core bitmap + downstream spine
+     assignment) is required for every receiver pod — the encoder sets the
+     core bit even for single-pod trees. *)
+  let cross_pod = topo.Topology.pods > 1 in
+  let enc = g.Installed_config.enc in
+  let site_assigned site =
+    match enc with
+    | Some enc -> assigned cfg ~group:g.Installed_config.gid ~site enc
+    | None -> None
+  in
+  let tree = Option.map (fun (e : Encoding.t) -> e.Encoding.tree) enc in
+  (* The current pod: its spine switch, whether the core forwards into it,
+     its in-pod tree ports and its downstream spine assignment. *)
+  let pod = ref (-1) and spine_sw = ref Pred.Core in
+  let core_covered = ref false in
+  let in_pod = ref None and down_spine = ref None in
+  (* The current leaf: its switch, and the installed ports that reach its
+     hosts — both [Some] only when its spine edge is covered. *)
+  let leaf = ref (-1) and leaf_sw = ref Pred.Core in
+  let down_leaf = ref None and tree_ports = ref None in
+  List.iter
+    (fun h ->
+      let l = Topology.leaf_of_host topo h in
+      if l <> !leaf then begin
+        let p = Topology.pod_of_leaf topo l in
+        if p <> !pod then begin
+          pod := p;
+          spine_sw := Pred.Spine p;
+          (core_covered :=
+             match tree with
+             | None -> false
+             | Some t -> (not cross_pod) || Bitmap.get t.Tree.core_bitmap p);
+          if cross_pod then edge Pred.Core p !core_covered;
+          (in_pod :=
+             match tree with Some t -> Tree.spine_bitmap t p | None -> None);
+          down_spine :=
+            if cross_pod then site_assigned (Srule_state.Pod p) else None
+        end;
+        leaf := l;
+        leaf_sw := Pred.Leaf l;
+        let lp = Topology.leaf_port_on_spine topo l in
+        let spine_covered =
+          bitmap_opt_get !in_pod lp
+          && ((not cross_pod)
+             || (!core_covered && bitmap_opt_get !down_spine lp))
+        in
+        edge !spine_sw lp spine_covered;
+        if spine_covered then begin
+          down_leaf := site_assigned (Srule_state.Leaf l);
+          tree_ports :=
+            match tree with Some t -> Tree.leaf_bitmap t l | None -> None
+        end
+        else begin
+          down_leaf := None;
+          tree_ports := None
+        end
+      end;
+      let q = Topology.host_port_on_leaf topo h in
+      edge !leaf_sw q
+        (bitmap_opt_get !down_leaf q && bitmap_opt_get !tree_ports q))
+    g.Installed_config.receivers
+
+let spec_pred ctx cfg ~group keep =
   match Installed_config.group cfg group with
   | None -> Pred.of_pairs ctx []
-  | Some g -> (
-      match g.Installed_config.receivers with
-      | [] -> Pred.of_pairs ctx []
-      | receivers ->
-          let topo = cfg.Installed_config.topo in
-          let spec = Tree.of_members topo receivers in
-          let cross_pod = topo.Topology.pods > 1 in
-          let acc = ref [] in
-          let add sw port = acc := (sw, port) :: !acc in
-          List.iter
-            (fun (p, bm) ->
-              if cross_pod then add Pred.Core p;
-              Bitmap.iter (fun lp -> add (Pred.Spine p) lp) bm)
-            spec.Tree.spine_bitmaps;
-          List.iter
-            (fun (l, bm) -> Bitmap.iter (fun q -> add (Pred.Leaf l) q) bm)
-            spec.Tree.leaf_bitmaps;
-          Pred.of_pairs ctx !acc)
+  | Some g ->
+      let acc = ref [] in
+      spec_walk cfg g (fun sw port covered ->
+          if keep covered then acc := (sw, port) :: !acc);
+      Pred.of_pairs ctx !acc
+
+let compile ctx cfg ~group = spec_pred ctx cfg ~group Fun.id
+let intent ctx cfg ~group = spec_pred ctx cfg ~group (fun _ -> true)
 
 (* {1 Per-sender routes, factored into parts}
 
@@ -428,18 +439,28 @@ let walk_groups cfg step =
   let rec go i =
     if i = Array.length groups then Ok i
     else
-      match step groups.(i).Installed_config.gid with
+      match step groups.(i) with
       | Ok () -> go (i + 1)
       | Error _ as e -> e
   in
   go 0
 
-let check_config cfg =
-  let ctx = Pred.create_ctx () in
-  walk_groups cfg (fun gid ->
-      let c = compile ctx cfg ~group:gid in
-      let i = intent ctx cfg ~group:gid in
-      check_equiv ~group:gid c i)
+(* [compile = intent] for one group. [compile] is [intent] minus the
+   uncovered spec edges, so the first edge on which they differ is the
+   smallest uncovered one in [Pred]'s canonical order — the witness
+   [check_equiv] would give, found without building either predicate. *)
+let check_group cfg (g : Installed_config.group_view) =
+  let first = ref None in
+  spec_walk cfg g (fun sw port covered ->
+      if not covered then
+        match !first with
+        | Some e when Pred.compare_edge e (sw, port) <= 0 -> ()
+        | Some _ | None -> first := Some (sw, port));
+  match !first with
+  | None -> Ok ()
+  | Some e -> Error (witness ~group:g.Installed_config.gid e)
+
+let check_config cfg = walk_groups cfg (check_group cfg)
 
 (* {1 Zero-blackhole sweep}
 
@@ -533,53 +554,40 @@ let sender_blackholes cfg =
 
 (* {1 Incremental checking}
 
-   [compile] and [intent] depend only on the group's own view (members,
-   encoding, overrides) and the stale table — never on another group and
-   never on the health arrays — so a group whose view did not change since
-   the last check compiles to the same predicate. The cache keeps one
-   persistent hash-consing context and the (compile, intent) pair of every
-   group that last checked [Ok]; a check then recompiles only the groups
-   the caller marked dirty (e.g. from [Controller.drain_dirty]), making
-   the per-event oracle cost proportional to the event's footprint instead
-   of the total group count. *)
+   A group's check depends only on its own view (members, encoding) and
+   the stale table — never on another group and never on the health
+   arrays — so a group whose view did not change since it last passed
+   still passes. The cache keeps the set of gids whose last check passed;
+   a check then re-walks only the groups the caller marked dirty (e.g.
+   from [Controller.drain_dirty]), making the per-event oracle cost
+   proportional to the event's footprint instead of the total group
+   count. *)
 
 type cache = {
-  c_ctx : Pred.ctx;
-  c_preds : (int, Pred.t * Pred.t) Hashtbl.t;
-      (* gid -> (compile, intent), both interned in [c_ctx]; present only
-         for groups whose last check passed, so a cached group needs no
-         re-check — equal then means equal now *)
+  c_passed : (int, unit) Hashtbl.t;
+      (* gids whose last check passed and that are not dirty since *)
   mutable c_hits : int;
   mutable c_misses : int;
 }
 
-let create_cache () =
-  {
-    c_ctx = Pred.create_ctx ();
-    c_preds = Hashtbl.create 256;
-    c_hits = 0;
-    c_misses = 0;
-  }
-
-let cache_ctx cache = cache.c_ctx
-let cached_preds cache gid = Hashtbl.find_opt cache.c_preds gid
+let create_cache () = { c_passed = Hashtbl.create 256; c_hits = 0; c_misses = 0 }
+let is_cached cache gid = Hashtbl.mem cache.c_passed gid
 let cache_stats cache = (cache.c_hits, cache.c_misses)
 
 let check_config_cached cache cfg ~dirty =
   (* Dirty groups (including removed ones, which the view no longer
      lists) drop out of the cache before the walk. *)
-  List.iter (fun gid -> Hashtbl.remove cache.c_preds gid) dirty;
-  walk_groups cfg (fun gid ->
-      if Hashtbl.mem cache.c_preds gid then begin
+  List.iter (fun gid -> Hashtbl.remove cache.c_passed gid) dirty;
+  walk_groups cfg (fun g ->
+      let gid = g.Installed_config.gid in
+      if is_cached cache gid then begin
         cache.c_hits <- cache.c_hits + 1;
         Ok ()
       end
       else begin
         cache.c_misses <- cache.c_misses + 1;
-        let c = compile cache.c_ctx cfg ~group:gid in
-        let i = intent cache.c_ctx cfg ~group:gid in
-        let res = check_equiv ~group:gid c i in
-        if Result.is_ok res then Hashtbl.add cache.c_preds gid (c, i);
+        let res = check_group cfg g in
+        if Result.is_ok res then Hashtbl.replace cache.c_passed gid ();
         res
       end)
 

@@ -142,7 +142,12 @@ val check_config : Installed_config.t -> (int, witness) result
 (** Checks [compile = intent] for every group of the view, in ascending
     group order. [Ok n] after checking [n] groups; [Error w] names the
     first counterexample — the first receiver-path edge the installed
-    state fails to cover. *)
+    state fails to cover. It equals, witness for witness, the fold of
+    [check_equiv (compile …) (intent …)] over {!Installed_config.group_ids}
+    that stops at the first [Error], but interns no predicate: {!compile}
+    is {!intent} minus the spec edges the installed state does not cover,
+    so one walk of each group's receivers (pod, then leaf, then port)
+    finds the canonically smallest uncovered edge. *)
 
 val check_controller : Controller.t -> (int, witness) result
 (** {!check_config} on the controller's own {!Controller.installed_config}
@@ -168,36 +173,30 @@ val sender_blackholes : Installed_config.t -> witness list
 
 (** {1 Incremental checking}
 
-    {!compile} and {!intent} depend only on the group's own view and the
-    stale table — never on another group, never on the health arrays — so
-    an untouched group compiles to the same predicate it did last time. A
-    {!cache} keeps one persistent hash-consing context plus the
-    (compile, intent) pair of every group whose last check passed;
-    re-checking after an event then recompiles only the groups the caller
-    marks dirty, making the per-event oracle cost proportional to the
-    event's footprint instead of the total group count. *)
+    A group's check depends only on its own view and the stale table —
+    never on another group, never on the health arrays — so an untouched
+    group that passed last time still passes. A {!cache} keeps the set of
+    gids whose last check passed; re-checking after an event then
+    re-walks only the groups the caller marks dirty, making the per-event
+    oracle cost proportional to the event's footprint instead of the total
+    group count. *)
 
 type cache
 
 val create_cache : unit -> cache
 
-val cache_ctx : cache -> Pred.ctx
-(** The cache's hash-consing context. Predicates a caller compiles itself
-    (e.g. an independently-built reference controller's) must be interned
-    here to be pointer-comparable with the cached ones. *)
-
-val cached_preds : cache -> int -> (Pred.t * Pred.t) option
-(** The (compile, intent) pair the cache holds for a group, if its last
-    check passed and it has not been invalidated since. *)
+val is_cached : cache -> int -> bool
+(** Did the group's last check through this cache pass, with no
+    invalidation since? *)
 
 val cache_stats : cache -> int * int
-(** Cumulative (hits, misses): groups accepted from cache vs recompiled. *)
+(** Cumulative (hits, misses): groups accepted from cache vs re-checked. *)
 
 val check_config_cached :
   cache -> Installed_config.t -> dirty:int list -> (int, witness) result
 (** {!check_config} through the cache: every group in [dirty] is dropped
-    and recompiled (a removed group is simply dropped — the view no longer
-    lists it); every other cached group passes without recompilation.
+    and re-checked (a removed group is simply dropped — the view no longer
+    lists it); every other cached group passes without a re-check.
     Equivalent to {!check_config} whenever [dirty] includes every group
     whose view changed since the previous call on this cache —
     {!Controller.drain_dirty} provides exactly that set. *)

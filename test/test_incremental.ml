@@ -159,13 +159,13 @@ let random_role rng =
 
 (* The exhaustive symbolic oracle, incrementalized: the cached checker
    proves [compile = intent] for every group after every event, but only
-   recompiles the groups the event touched ([Controller.drain_dirty]) —
-   untouched groups pass from the predicate cache. Each touched group is
+   re-checks the groups the event touched ([Controller.drain_dirty]) —
+   untouched groups pass from the cache. Each touched group is
    additionally compared against a from-scratch controller re-encoding its
    membership: any correct encoding of one membership compiles to the same
-   canonical predicate, so the reference controller needs only the touched
-   groups, not the whole configuration. Runs after every single event — no
-   sampling. *)
+   canonical predicate (both interned in one fresh universe), so the
+   reference controller needs only the touched groups, not the whole
+   configuration. Runs after every single event — no sampling. *)
 let check_symbolic cache msg ctrl =
   let live = Controller.installed_config ctrl in
   let dirty = Controller.drain_dirty ctrl in
@@ -177,7 +177,7 @@ let check_symbolic cache msg ctrl =
   let gids = Installed_config.group_ids live in
   let touched = List.filter (fun gid -> List.mem gid gids) dirty in
   if touched <> [] then begin
-    let ctx = Verify.cache_ctx cache in
+    let ctx = Pred.create_ctx () in
     let scratch =
       Controller.create (Controller.topology ctrl) (Controller.params ctrl)
     in

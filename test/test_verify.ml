@@ -503,7 +503,7 @@ let test_snapshot_memo_identity () =
    real [Fabric.inject] of the controller's own header, whenever the
    controller still has a multicast path. Fabric and controller health are
    flipped in lockstep, as the control plane does. *)
-let gen_scenario =
+let gen_scenario_on topo =
   QCheck.Gen.(
     let hosts = Topology.num_hosts topo in
     triple
@@ -513,6 +513,8 @@ let gen_scenario =
          (pair
             (int_range 0 (Topology.num_leaves topo - 1))
             (int_range 0 (topo.Topology.spines_per_pod - 1)))))
+
+let gen_scenario = gen_scenario_on topo
 
 let arb_scenario =
   QCheck.make
@@ -755,36 +757,65 @@ let test_sweep_multi_group_order () =
     [ "1/leaf1/0"; "3/leaf2/0"; "3/leaf3/0"; "3/leaf2/0" ]
     (view ~edit groups)
 
-(* Random views: up to three groups (reusing [gen_scenario]) with mixed
-   roles, their spine and link failures plus core failures applied through
-   the controller (which installs overrides and unicast degrades), then
-   optionally one core failed in the view only (one the controller has not
-   routed around), one s-rule or default bitmap emptied in a copied
-   encoding and one tree site marked stale. *)
+(* Random views on the running example or, for [single_pod], a two-tier
+   leaf-spine fabric (no cross-pod reachability): up to three groups
+   (reusing [gen_scenario_on]) with mixed roles, their spine and link
+   failures plus core failures applied through the controller (which
+   installs overrides and unicast degrades), then optionally one core
+   failed in the view only (one the controller has not routed around), up
+   to two sabotages of a group's encoding (each in a copy; two can hit
+   different pods, layers or groups) and one tree site marked stale. *)
+type sabotage =
+  | Reset_site of int  (** an s-rule or default bitmap emptied *)
+  | Clear_prule_bit of int * int
+      (** one set bit cleared in a p-rule bitmap: (p-rule, set bit) *)
+  | Clear_tree_bit of int * int
+      (** one set bit cleared in the core, a spine or a leaf bitmap of the
+          encoding's tree: (bitmap, set bit) *)
+  | Drop_enc  (** the encoding removed, the receivers kept *)
+
 type sweep_case = {
+  single_pod : bool;
   scenarios : (int list * int list * (int * int) list) list;
   dead_cores : int list;
   unseen_core : int option;
-  sabotage : (int * int) option;  (* group index, site bitmap index *)
+  sabotage : (int * sabotage) list;  (* group index, what *)
   stale : (int * int) option;  (* group index, tree site index *)
   tight : bool;
 }
 
+let single_pod_topo = Topology.leaf_spine ~leaves:4 ~spines:2 ~hosts_per_leaf:8
+let sweep_topo ~single_pod = if single_pod then single_pod_topo else topo
+
+let gen_sabotage =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun j -> Reset_site j) nat;
+        map2 (fun j b -> Clear_prule_bit (j, b)) nat nat;
+        map2 (fun j b -> Clear_tree_bit (j, b)) nat nat;
+        return Drop_enc;
+      ])
+
 let gen_sweep_case =
   QCheck.Gen.(
+    bool >>= fun single_pod ->
+    let t = sweep_topo ~single_pod in
+    let cores =
+      match Topology.num_cores t with
+      | 0 -> return ([], None)
+      | n ->
+          let core = int_range 0 (n - 1) in
+          pair (list_size (int_range 0 3) core) (opt core)
+    in
     map
-      (fun ((scenarios, dead_cores, unseen_core), (sabotage, stale, tight)) ->
-        { scenarios; dead_cores; unseen_core; sabotage; stale; tight })
+      (fun ((scenarios, (dead_cores, unseen_core)), (sabotage, stale, tight)) ->
+        { single_pod; scenarios; dead_cores; unseen_core; sabotage; stale; tight })
       (pair
-         (let core = int_range 0 (Topology.num_cores topo - 1) in
-          triple
-            (list_size (int_range 1 3) gen_scenario)
-            (list_size (int_range 0 3) core)
-            (opt core))
+         (pair (list_size (int_range 1 3) (gen_scenario_on t)) cores)
          (triple
-            (opt (pair nat nat))
-            (opt (pair nat nat))
-            bool)))
+            (list_size (int_range 0 2) (pair nat gen_sabotage))
+            (opt (pair nat nat)) bool)))
 
 let print_sweep_case c =
   let ints l = String.concat ";" (List.map string_of_int l) in
@@ -792,14 +823,24 @@ let print_sweep_case c =
     | None -> "-"
     | Some (a, b) -> Printf.sprintf "%d.%d" a b
   in
+  let sabotage (i, what) =
+    match what with
+    | Reset_site j -> Printf.sprintf "%d.reset %d" i j
+    | Clear_prule_bit (j, b) -> Printf.sprintf "%d.prule %d bit %d" i j b
+    | Clear_tree_bit (j, b) -> Printf.sprintf "%d.tree %d bit %d" i j b
+    | Drop_enc -> Printf.sprintf "%d.drop_enc" i
+  in
   let scenario =
     QCheck.Print.(triple (list int) (list int) (list (pair int int)))
   in
-  Printf.sprintf "%s cores=[%s] unseen_core=%s sabotage=%s stale=%s tight=%b"
+  Printf.sprintf
+    "single_pod=%b %s cores=[%s] unseen_core=%s sabotage=[%s] stale=%s tight=%b"
+    c.single_pod
     (String.concat " " (List.map scenario c.scenarios))
     (ints c.dead_cores)
     (Option.fold ~none:"-" ~some:string_of_int c.unseen_core)
-    (opt c.sabotage) (opt c.stale) c.tight
+    (String.concat ";" (List.map sabotage c.sabotage))
+    (opt c.stale) c.tight
 
 let role_of ~group host =
   match (host + group) mod 3 with
@@ -814,12 +855,34 @@ let site_bitmaps (enc : Encoding.t) =
   in
   layer enc.Encoding.d_leaf @ layer enc.Encoding.d_spine
 
+let prule_bitmaps (enc : Encoding.t) =
+  List.map
+    (fun (r : Prule.prule) -> r.Prule.bitmap)
+    (enc.Encoding.d_leaf.Clustering.prules @ enc.Encoding.d_spine.Clustering.prules)
+
+let tree_bitmaps (enc : Encoding.t) =
+  let tree = enc.Encoding.tree in
+  (tree.Tree.core_bitmap :: List.map snd tree.Tree.spine_bitmaps)
+  @ List.map snd tree.Tree.leaf_bitmaps
+
 let tree_sites (enc : Encoding.t) =
   let tree = enc.Encoding.tree in
   List.map (fun l -> Srule_state.Leaf l) (Tree.leaves tree)
   @ List.map (fun p -> Srule_state.Pod p) (Tree.pods tree)
 
+(* Clears the [b]-th set bit (modulo the set count) of the [j]-th bitmap
+   (modulo the count); a no-op on no bitmaps or an empty one. *)
+let clear_set_bit bms (j, b) =
+  match bms with
+  | [] -> ()
+  | bms -> (
+      let bm = List.nth bms (j mod List.length bms) in
+      match Bitmap.to_list bm with
+      | [] -> ()
+      | set -> Bitmap.clear bm (List.nth set (b mod List.length set)))
+
 let sweep_case_view c =
+  let topo = sweep_topo ~single_pod:c.single_pod in
   let params = if c.tight then tight_params else Params.default in
   let ctrl = Controller.create topo params in
   let uniq cmp l = List.sort_uniq cmp l in
@@ -841,26 +904,38 @@ let sweep_case_view c =
     (uniq Int.compare c.dead_cores);
   let cfg = Controller.installed_config ctrl in
   let groups = Array.copy cfg.Installed_config.groups in
-  let pick (k, j) f =
+  let pick k f =
     if Array.length groups > 0 then
       let i = k mod Array.length groups in
       match groups.(i).Installed_config.enc with
-      | Some enc -> f i enc j
+      | Some enc -> f i enc
       | None -> ()
   in
-  Option.iter
-    (fun kj ->
-      pick kj (fun i enc j ->
+  List.iter
+    (fun (k, what) ->
+      pick k (fun i enc ->
           let enc = Encoding.copy enc in
-          (match site_bitmaps enc with
-          | [] -> ()
-          | bms -> Bitmap.reset (List.nth bms (j mod List.length bms)));
-          groups.(i) <- { (groups.(i)) with Installed_config.enc = Some enc }))
+          let enc =
+            match what with
+            | Reset_site j ->
+                (match site_bitmaps enc with
+                | [] -> ()
+                | bms -> Bitmap.reset (List.nth bms (j mod List.length bms)));
+                Some enc
+            | Clear_prule_bit (j, b) ->
+                clear_set_bit (prule_bitmaps enc) (j, b);
+                Some enc
+            | Clear_tree_bit (j, b) ->
+                clear_set_bit (tree_bitmaps enc) (j, b);
+                Some enc
+            | Drop_enc -> None
+          in
+          groups.(i) <- { (groups.(i)) with Installed_config.enc }))
     c.sabotage;
   let stale = ref (Array.to_list cfg.Installed_config.stale_sites) in
   Option.iter
-    (fun kj ->
-      pick kj (fun i enc j ->
+    (fun (k, j) ->
+      pick k (fun i enc ->
           let sites = tree_sites enc in
           let site = List.nth sites (j mod List.length sites) in
           stale := (groups.(i).Installed_config.gid, site) :: !stale))
@@ -889,15 +964,58 @@ let prop_sweep_matches_reference =
     (QCheck.make ~print:print_sweep_case gen_sweep_case)
     (fun c -> ignore (sweep_agrees c); true)
 
-(* The property above is only as strong as the views it draws: over a
-   fixed sample, some must report witnesses, carry multi-plane or
+(* {1 check_config vs. the predicate fold}
+
+   [Verify.check_config] walks each group's spec edges and keeps the
+   smallest uncovered one; the reference interns [compile] and [intent]
+   per group, in ascending gid order, and stops at the first [check_equiv]
+   error. The two must give the same [Ok n] or the same witness. *)
+
+let reference_check cfg =
+  let ctx = Pred.create_ctx () in
+  let rec go n = function
+    | [] -> Ok n
+    | group :: rest -> (
+        match
+          Verify.check_equiv ~group
+            (Verify.compile ctx cfg ~group)
+            (Verify.intent ctx cfg ~group)
+        with
+        | Ok () -> go (n + 1) rest
+        | Error _ as e -> e)
+  in
+  go 0 (Installed_config.group_ids cfg)
+
+let render_check = function
+  | Ok n -> Printf.sprintf "ok %d" n
+  | Error w -> Format.asprintf "%a" Verify.pp_witness w
+
+let check_agrees cfg =
+  let fast = Verify.check_config cfg in
+  let reference = reference_check cfg in
+  if render_check fast <> render_check reference then
+    QCheck.Test.fail_reportf "check_config %s vs reference fold %s"
+      (render_check fast) (render_check reference)
+  else reference
+
+let prop_check_config_matches_reference =
+  QCheck.Test.make ~name:"check_config == compile/intent fold, any view"
+    ~count:300
+    (QCheck.make ~print:print_sweep_case gen_sweep_case)
+    (fun c -> ignore (check_agrees (sweep_case_view c)); true)
+
+(* The properties above are only as strong as the views they draw: over a
+   fixed sample, some must report sweep witnesses, carry multi-plane or
    explicit-core overrides, degrade a sender to unicast and mark a stale
-   site. *)
+   site; and [check_config] must name witnesses on all three layers, on
+   the single-pod fabric and for a group whose encoding was dropped. *)
 let test_sweep_oracle_not_vacuous () =
   let rand = Random.State.make [| 15 |] in
   let cases = QCheck.Gen.generate ~rand ~n:200 gen_sweep_case in
   let witnesses = ref 0 and overrides = ref 0 and unicast = ref 0
   and stale = ref 0 in
+  let core = ref 0 and spine = ref 0 and leaf = ref 0 in
+  let single_pod = ref 0 and dropped = ref 0 in
   List.iter
     (fun c ->
       let cfg, reference = sweep_agrees c in
@@ -910,7 +1028,20 @@ let test_sweep_oracle_not_vacuous () =
               if o.Installed_config.unicast then incr unicast
               else incr overrides)
             g.Installed_config.overrides)
-        cfg.Installed_config.groups)
+        cfg.Installed_config.groups;
+      match check_agrees cfg with
+      | Ok _ -> ()
+      | Error w ->
+          incr
+            (match w.Verify.w_switch with
+            | Pred.Core -> core
+            | Pred.Spine _ -> spine
+            | Pred.Leaf _ -> leaf);
+          if c.single_pod then incr single_pod;
+          match Installed_config.group cfg w.Verify.w_group with
+          | Some { Installed_config.enc = None; receivers = _ :: _; _ } ->
+              incr dropped
+          | Some _ | None -> ())
     cases;
   let some what n =
     if n = 0 then Alcotest.failf "no sampled view has %s" what
@@ -918,7 +1049,12 @@ let test_sweep_oracle_not_vacuous () =
   some "a witness" !witnesses;
   some "an override" !overrides;
   some "a unicast sender" !unicast;
-  some "a stale site" !stale
+  some "a stale site" !stale;
+  some "a core check witness" !core;
+  some "a spine check witness" !spine;
+  some "a leaf check witness" !leaf;
+  some "a single-pod check witness" !single_pod;
+  some "a check witness on receivers with no encoding" !dropped
 
 (* {1 Header-only interpretation} *)
 
@@ -973,7 +1109,7 @@ let test_verify_cache_incremental () =
   (match Verify.check_controller_cached cache ctrl with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "post-churn check must pass");
-  Alcotest.(check (pair int int)) "one recompile after churn" (5, 4)
+  Alcotest.(check (pair int int)) "one re-check after churn" (5, 4)
     (Verify.cache_stats cache);
   (* A removed group drops out of both the config and the cache. *)
   ignore (Controller.remove_group ctrl ~group:3);
@@ -982,8 +1118,10 @@ let test_verify_cache_incremental () =
   | Error _ -> Alcotest.fail "check after removal must pass");
   Alcotest.(check (pair int int)) "remaining groups all hit" (7, 4)
     (Verify.cache_stats cache);
-  Alcotest.(check bool) "removed group evicted" true
-    (Verify.cached_preds cache 3 = None)
+  Alcotest.(check bool) "removed group evicted" false
+    (Verify.is_cached cache 3);
+  Alcotest.(check bool) "remaining groups stay cached" true
+    (Verify.is_cached cache 1 && Verify.is_cached cache 2)
 
 let tests =
   [
@@ -1010,6 +1148,7 @@ let tests =
     Alcotest.test_case "sweep: witnesses in (gid, sender) order" `Quick
       test_sweep_multi_group_order;
     QCheck_alcotest.to_alcotest prop_sweep_matches_reference;
+    QCheck_alcotest.to_alcotest prop_check_config_matches_reference;
     Alcotest.test_case "sweep: differential oracle is not vacuous" `Quick
       test_sweep_oracle_not_vacuous;
     Alcotest.test_case "header-only interpretation" `Quick
