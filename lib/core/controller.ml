@@ -875,7 +875,9 @@ let check_invariants t ~op =
    any state. They are exposed so that a write-ahead log can refuse an op
    before recording it. *)
 
-(* [op] names the entry point in the raised message. *)
+(* [op] names the entry point in the raised message. The returned host
+   bitmap is the group's members, which are the hypervisors its install
+   updates. *)
 let check_new_group ~op t ~group members =
   if Hashtbl.mem t.groups group then
     invalid_arg (op ^ ": group exists"); (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
@@ -888,9 +890,11 @@ let check_new_group ~op t ~group members =
       if Bitmap.get seen h then
         invalid_arg (op ^ ": duplicate member host"); (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
       Bitmap.set seen h)
-    members
+    members;
+  seen
 
-let check_add_group = check_new_group ~op:"Controller.add_group"
+let check_add_group t ~group members =
+  ignore (check_new_group ~op:"Controller.add_group" t ~group members : Bitmap.t)
 
 let check_remove_group t ~group = ignore (find_group t group : group_state)
 
@@ -902,8 +906,16 @@ let check_leave t ~group ~host =
   if not (List.mem_assoc host (find_group t group).members) then
     raise Not_found
 
-let add_group t ~group members =
-  check_add_group t ~group members;
+let srule_sites st =
+  match st.enc with
+  | Some e ->
+      ( List.map fst e.Encoding.d_leaf.Clustering.srules,
+        List.map fst e.Encoding.d_spine.Clustering.srules )
+  | None -> ([], [])
+
+(* Installs a group whose guard has passed; [add_group] and [install_all]
+   share it. *)
+let install_group t ~group members =
   Log.debug (fun m -> m "add_group %d with %d members" group (List.length members));
   Obs.with_span "controller.add_group"
     ~attrs:
@@ -915,27 +927,24 @@ let add_group t ~group members =
   encode_group t st;
   install_with_degrade t ~group st;
   if not (all_healthy t) then refresh_overrides t ~group st;
-  let srule_leaves, srule_pods =
-    match st.enc with
-    | Some e ->
-        ( List.map fst e.Encoding.d_leaf.Clustering.srules,
-          List.map fst e.Encoding.d_spine.Clustering.srules )
-    | None -> ([], [])
-  in
   reconcile t;
   check_invariants t ~op:"add_group";
-  {
-    hypervisors = List.sort_uniq compare (List.map fst members);
-    leaves = srule_leaves;
-    pods = srule_pods;
-  }
+  st
+
+let add_group t ~group members =
+  let hosts = check_new_group ~op:"Controller.add_group" t ~group members in
+  let st = install_group t ~group members in
+  let leaves, pods = srule_sites st in
+  { hypervisors = Bitmap.to_list hosts; leaves; pods }
 
 (* Batch group setup (§5.1.3's controller workload): one pass of
    Algorithm 1 per group against the live s-rule ledger, in ascending gid
    order. The whole batch is checked first, so a bad group anywhere in it
-   raises before the first group is installed. *)
+   raises before the first group is installed. The merged updates are
+   kept as bitmaps (hosts, leaves, pods), so no list is sorted per group. *)
 let install_all t batch =
   let batch = List.sort (fun (g1, _) (g2, _) -> Int.compare g1 g2) batch in
+  let hosts = Bitmap.create (Topology.num_hosts t.topo) in
   let rec validate = function
     | [] -> ()
     | (group, members) :: rest ->
@@ -943,7 +952,8 @@ let install_all t batch =
         | (next, _) :: _ when next = group ->
             invalid_arg "Controller.install_all: group exists" (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
         | _ -> ());
-        check_new_group ~op:"Controller.install_all" t ~group members;
+        Bitmap.union_into ~dst:hosts
+          (check_new_group ~op:"Controller.install_all" t ~group members);
         validate rest
   in
   validate batch;
@@ -951,19 +961,18 @@ let install_all t batch =
   Obs.with_span "controller.install_all"
     ~attrs:[ ("groups", Obs.Int (List.length batch)) ]
   @@ fun () ->
-  let hyp, leaves, pods =
-    List.fold_left
-      (fun (hyp, leaves, pods) (group, members) ->
-        let u = add_group t ~group members in
-        ( List.rev_append u.hypervisors hyp,
-          List.rev_append u.leaves leaves,
-          List.rev_append u.pods pods ))
-      ([], [], []) batch
-  in
+  let leaves = Bitmap.create (Topology.num_leaves t.topo) in
+  let pods = Bitmap.create t.topo.Topology.pods in
+  List.iter
+    (fun (group, members) ->
+      let srule_leaves, srule_pods = srule_sites (install_group t ~group members) in
+      List.iter (Bitmap.set leaves) srule_leaves;
+      List.iter (Bitmap.set pods) srule_pods)
+    batch;
   {
-    hypervisors = List.sort_uniq Int.compare hyp;
-    leaves = List.sort_uniq Int.compare leaves;
-    pods = List.sort_uniq Int.compare pods;
+    hypervisors = Bitmap.to_list hosts;
+    leaves = Bitmap.to_list leaves;
+    pods = Bitmap.to_list pods;
   }
 
 (* Every batch group is encoded against the live ledger, so no reservation
@@ -973,13 +982,7 @@ let batch_conflicts _ = 0
 let remove_group t ~group =
   let st = find_group t group in
   (match st.enc with Some e -> uninstall_enc t ~group e | None -> ());
-  let srule_leaves, srule_pods =
-    match st.enc with
-    | Some e ->
-        ( List.map fst e.Encoding.d_leaf.Clustering.srules,
-          List.map fst e.Encoding.d_spine.Clustering.srules )
-    | None -> ([], [])
-  in
+  let srule_leaves, srule_pods = srule_sites st in
   Hashtbl.remove t.groups group;
   mark_dirty t group;
   reconcile t;

@@ -97,11 +97,14 @@ val add_group : t -> group:int -> (int * role) list -> updates
 
 val install_all : t -> (int * (int * role) list) list -> updates
 (** Batch group setup (§5.1.3's "hundreds of thousands of groups"
-    controller workload): {!add_group} for each group in ascending group
-    order, returning the merged updates. The whole batch is checked first:
-    a duplicate group (in the batch or already installed), a repeated host
-    within one group or an out-of-range host raises [Invalid_argument]
-    before any group is installed. *)
+    controller workload): installs each group as {!add_group} does, in
+    ascending group order, and returns the merged updates — equal to
+    {!merge_updates} over the per-group {!add_group} updates. The whole
+    batch is checked first, once: a duplicate group (in the batch or
+    already installed), a repeated host within one group or an
+    out-of-range host raises [Invalid_argument] before any group is
+    installed. The merged updates are gathered in host, leaf and pod
+    bitmaps, so no list is sorted per group. *)
 
 val batch_conflicts : t -> int
 (** Always 0: every {!install_all} group is encoded against the live

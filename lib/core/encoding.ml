@@ -134,8 +134,9 @@ let with_legacy ~legacy ~reserve layer cluster =
 (* The only external state a group encode consults is switch capacity, and
    only through the two probe-and-reserve closures below — everything else
    is a pure function of (params, tree). The closures either hit the live
-   ledger (sequential path) or a transaction over a frozen snapshot
-   (parallel batch path); identical probe answers imply identical output. *)
+   ledger ([encode]) or a transaction over a frozen snapshot ([encode_txn],
+   Scalability's domain pool); identical probe answers imply identical
+   output. *)
 let encode_cap ~legacy_leaf ~legacy_pod ~srule_ok_leaf ~srule_ok_pod
     (params : Params.t) ~reserve_leaf ~reserve_pod tree =
   (* Eligibility is checked before the capacity probe (short-circuit), so a
@@ -186,22 +187,20 @@ let encode_txn ?(legacy_leaf = no_legacy) ?(legacy_pod = no_legacy)
     ~reserve_pod:(Srule_state.txn_reserve_pod txn)
     tree
 
-let encode ?legacy_leaf ?legacy_pod ?srule_ok_leaf ?srule_ok_pod
-    (params : Params.t) srules tree =
+let encode ?(legacy_leaf = no_legacy) ?(legacy_pod = no_legacy)
+    ?(srule_ok_leaf = all_ok) ?(srule_ok_pod = all_ok) (params : Params.t)
+    srules tree =
   Obs.with_span "encoding.encode" @@ fun () ->
-  (* The sequential path is the batch protocol at batch size one: encode
-     against a just-taken snapshot, then commit. Nothing can have mutated
-     the ledger in between, so the commit replay cannot diverge. *)
-  let txn = Srule_state.txn (Srule_state.snapshot srules) in
-  let enc =
-    encode_txn ?legacy_leaf ?legacy_pod ?srule_ok_leaf ?srule_ok_pod params txn
-      tree
+  let reserve_leaf l =
+    Srule_state.leaf_has_space srules l
+    && (Srule_state.reserve_leaf srules l; true)
   in
-  (match Srule_state.commit srules txn with
-  | Ok () -> ()
-  | Error _ ->
-      raise (Internal_error "encode: commit of a fresh snapshot diverged"));
-  enc
+  let reserve_pod p =
+    Srule_state.pod_has_space srules p
+    && (Srule_state.reserve_pod srules p; true)
+  in
+  encode_cap ~legacy_leaf ~legacy_pod ~srule_ok_leaf ~srule_ok_pod params
+    ~reserve_leaf ~reserve_pod tree
 
 (* {1 Incremental deltas (§3.3 rule-update locality)}
 

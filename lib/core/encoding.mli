@@ -35,9 +35,9 @@ type t = {
     as private. *)
 
 exception Internal_error of string
-(** Raised only when an internal invariant is violated (a fresh-snapshot
-    commit diverging, a pre-checked tree delta being rejected). Reaching it
-    indicates a bug in the encoder, never caller error. *)
+(** Raised only when an internal invariant is violated (a pre-checked
+    tree delta being rejected). Reaching it indicates a bug in the
+    encoder, never caller error. *)
 
 val encode :
   ?legacy_leaf:(int -> bool) ->
@@ -47,9 +47,10 @@ val encode :
   Params.t -> Srule_state.t -> Tree.t -> t
 (** Runs Algorithm 1 on both downstream layers, reserving s-rule space in
     the given state as it goes (leaf layer first, as it dominates header
-    usage; then spine). Internally this is {!encode_txn} against a fresh
-    snapshot of [srules] followed by an immediate (infallible) commit, so
-    the sequential and parallel batch paths share every encoding decision.
+    usage; then spine). Each capacity probe that finds space reserves it
+    on the live ledger at once. {!encode_txn} runs the same encoder
+    against a transaction instead, so an [encode_txn] on a fresh snapshot
+    followed by its commit gives the same encoding and occupancy.
 
     [legacy_leaf] / [legacy_pod] mark switches that cannot parse Elmo
     headers (§7 incremental deployment): they are excluded from p-rule

@@ -10,58 +10,55 @@ type t = {
   core_bitmap : Bitmap.t;
 }
 
+(* One bit per host orders and dedups the members. Leaf and pod ids are
+   monotone in host id, so the upward walk meets each leaf, and each pod,
+   in one run, and every bitmap list comes out ascending without a sort. *)
 let of_members topo member_list =
   if member_list = [] then invalid_arg "Tree.of_members: empty group";
-  let members = Array.of_list (List.sort_uniq compare member_list) in
-  Array.iter
-    (fun h ->
-      if h < 0 || h >= Topology.num_hosts topo then
-        invalid_arg "Tree.of_members: host out of range")
-    members;
-  let leaf_tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun h ->
-      let l = Topology.leaf_of_host topo h in
-      let bm =
-        match Hashtbl.find_opt leaf_tbl l with
-        | Some bm -> bm
-        | None ->
-            let bm = Bitmap.create (Topology.leaf_downstream_width topo) in
-            Hashtbl.add leaf_tbl l bm;
-            bm
-      in
-      Bitmap.set bm (Topology.host_port_on_leaf topo h))
-    members;
-  let leaf_bitmaps =
-    Hashtbl.fold (fun l bm acc -> (l, bm) :: acc) leaf_tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let spine_tbl = Hashtbl.create 8 in
+  let nhosts = Topology.num_hosts topo in
+  let hosts = Bitmap.create nhosts in
   List.iter
-    (fun (l, _) ->
-      let p = Topology.pod_of_leaf topo l in
-      let bm =
-        match Hashtbl.find_opt spine_tbl p with
-        | Some bm -> bm
-        | None ->
-            let bm = Bitmap.create (Topology.spine_downstream_width topo) in
-            Hashtbl.add spine_tbl p bm;
+    (fun h ->
+      if h < 0 || h >= nhosts then invalid_arg "Tree.of_members: host out of range";
+      Bitmap.set hosts h)
+    member_list;
+  let members = Array.make (Bitmap.popcount hosts) 0 in
+  let leaf_width = Topology.leaf_downstream_width topo in
+  let spine_width = Topology.spine_downstream_width topo in
+  let core_bitmap = Bitmap.create (Topology.core_downstream_width topo) in
+  let n = ref 0 and leaves = ref [] and spines = ref [] in
+  Bitmap.iter
+    (fun h ->
+      members.(!n) <- h;
+      incr n;
+      let l = Topology.leaf_of_host topo h in
+      let leaf_bm =
+        match !leaves with
+        | (l', bm) :: _ when l' = l -> bm
+        | _ ->
+            let bm = Bitmap.create leaf_width in
+            leaves := (l, bm) :: !leaves;
+            let p = Topology.pod_of_leaf topo l in
+            let spine_bm =
+              match !spines with
+              | (p', bm) :: _ when p' = p -> bm
+              | _ ->
+                  let bm = Bitmap.create spine_width in
+                  spines := (p, bm) :: !spines;
+                  Bitmap.set core_bitmap p;
+                  bm
+            in
+            Bitmap.set spine_bm (Topology.leaf_port_on_spine topo l);
             bm
       in
-      Bitmap.set bm (Topology.leaf_port_on_spine topo l))
-    leaf_bitmaps;
-  let spine_bitmaps =
-    Hashtbl.fold (fun p bm acc -> (p, bm) :: acc) spine_tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let core_bitmap = Bitmap.create (Topology.core_downstream_width topo) in
-  List.iter (fun (p, _) -> Bitmap.set core_bitmap p) spine_bitmaps;
+      Bitmap.set leaf_bm (Topology.host_port_on_leaf topo h))
+    hosts;
   {
     topo;
     members;
     nmembers = Array.length members;
-    leaf_bitmaps;
-    spine_bitmaps;
+    leaf_bitmaps = List.rev !leaves;
+    spine_bitmaps = List.rev !spines;
     core_bitmap;
   }
 

@@ -2,15 +2,17 @@
    module under lint_fixtures/ must produce exactly the expected findings —
    rule id, file and line — and the clean/suppressed fixtures none.
 
-   dune runs the test binary from _build/default/test, so fixture cmts are
-   addressed relative to that directory and the copied sources (scanned for
-   suppression comments) live one level up. *)
+   The fixture cmts are built next to the test binary (_build/default/test)
+   and the copied sources (scanned for suppression comments) live one level
+   up. Both are addressed from the binary's own path, so the suite passes
+   from any working directory. *)
 
-let cmt m = "lint_fixtures/.lint_fixtures.objs/byte/" ^ m ^ ".cmt"
+let here = Filename.dirname Sys.executable_name
+let cmt m = Filename.concat here ("lint_fixtures/.lint_fixtures.objs/byte/" ^ m ^ ".cmt")
 let src m = "test/lint_fixtures/" ^ m ^ ".ml"
 
 let analyze ?(deps = []) mods =
-  Lint.analyze ~config:Lint.all_config ~source_root:".."
+  Lint.analyze ~config:Lint.all_config ~source_root:(Filename.concat here "..")
     ~targets:(List.map cmt mods) ~deps:(List.map cmt deps) ()
 
 let triples findings =

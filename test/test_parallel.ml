@@ -181,9 +181,10 @@ let test_install_all_empty_and_senders_only () =
 
 (* {1 Batch order matrix: install_all == the gid-ordered add_group loop}
 
-   [install_all] sorts its batch by gid and merges the loop's updates, so
-   any order of one batch — as given (ascending), reversed, or shuffled —
-   must reproduce the loop bit for bit. *)
+   [install_all] sorts its batch by gid and installs each group as
+   [add_group] does, merging the updates in bitmaps, so any order of one
+   batch — as given (ascending), reversed, or shuffled — must reproduce
+   the loop bit for bit. *)
 
 let matrix_topo =
   Topology.create ~pods:4 ~leaves_per_pod:4 ~spines_per_pod:2 ~hosts_per_leaf:8
@@ -199,6 +200,11 @@ let param_sets =
       Params.create ~hmax_leaf:1 ~hmax_spine:1 ~fmax:3 ~header_budget:None () );
   ]
 
+let role_of_int = function
+  | 0 -> Controller.Sender
+  | 1 -> Controller.Receiver
+  | _ -> Controller.Both
+
 let make_batch seed =
   let rng = Rng.create seed in
   (* Fixed tenant sizes: the default sampler's heavy tail (up to 5,000 VMs)
@@ -211,12 +217,7 @@ let make_batch seed =
   let wrng = Rng.create (seed + 1) in
   let groups = Workload.generate wrng placement ~kind:Group_dist.Wve ~total_groups:150 in
   let role_rng = Rng.create (seed + 2) in
-  let role () =
-    match Rng.int role_rng 3 with
-    | 0 -> Controller.Sender
-    | 1 -> Controller.Receiver
-    | _ -> Controller.Both
-  in
+  let role () = role_of_int (Rng.int role_rng 3) in
   Array.to_list groups
   |> List.map (fun g ->
          ( g.Workload.group_id,
@@ -244,26 +245,35 @@ let encoding_eq (a : Encoding.t) (b : Encoding.t) =
   clustering_eq a.Encoding.d_leaf b.Encoding.d_leaf
   && clustering_eq a.Encoding.d_spine b.Encoding.d_spine
 
-(* The reference semantics: add_group per group in ascending group order. *)
+(* The reference semantics: add_group per group in ascending group order.
+   Returns the per-group updates' union twice: folded by [merge_updates],
+   and as the [sort_uniq] of their concatenation. *)
 let run_sequential params batch =
   let ctrl = Controller.create matrix_topo params in
   let sorted = List.sort (fun (g1, _) (g2, _) -> compare g1 g2) batch in
-  let updates =
-    List.fold_left
-      (fun acc (group, members) ->
-        Controller.merge_updates acc (Controller.add_group ctrl ~group members))
-      Controller.no_updates sorted
+  let per_group =
+    List.map (fun (group, members) -> Controller.add_group ctrl ~group members) sorted
   in
-  (ctrl, updates)
+  let merged = List.fold_left Controller.merge_updates Controller.no_updates per_group in
+  let union field = List.sort_uniq compare (List.concat_map field per_group) in
+  let unioned =
+    {
+      Controller.hypervisors = union (fun u -> u.Controller.hypervisors);
+      leaves = union (fun u -> u.Controller.leaves);
+      pods = union (fun u -> u.Controller.pods);
+    }
+  in
+  (ctrl, merged, unioned)
 
-let check_identical ~label ref_ctrl ref_updates params batch =
+let check_identical ~label ref_ctrl (merged, unioned) params batch =
   let ctrl = Controller.create matrix_topo params in
   let updates = Controller.install_all ctrl batch in
   Alcotest.(check int)
     (label ^ ": group count")
     (Controller.group_count ref_ctrl)
     (Controller.group_count ctrl);
-  Alcotest.(check bool) (label ^ ": merged updates") true (updates = ref_updates);
+  Alcotest.(check bool) (label ^ ": merged updates") true (updates = merged);
+  Alcotest.(check bool) (label ^ ": union of per-group updates") true (updates = unioned);
   List.iter
     (fun (group, _) ->
       match
@@ -304,14 +314,69 @@ let test_batch_order_matrix () =
       in
       List.iter
         (fun (pname, params) ->
-          let ref_ctrl, ref_updates = run_sequential params batch in
+          let ref_ctrl, merged, unioned = run_sequential params batch in
           List.iter
             (fun (order, batch) ->
               let label = Printf.sprintf "seed %d/%s/%s" seed pname order in
-              check_identical ~label ref_ctrl ref_updates params batch)
+              check_identical ~label ref_ctrl (merged, unioned) params batch)
             orders)
         param_sets)
     [ 11; 23; 37 ]
+
+(* {1 Per-group oracles} *)
+
+(* Distinct hosts in random order, each with a random role. *)
+let gen_members =
+  let n = Topology.num_hosts matrix_topo in
+  QCheck.Gen.(
+    let* k = int_range 1 40 in
+    let* hosts = shuffle_l (List.init n Fun.id) in
+    let* roles = list_repeat k (map role_of_int (int_range 0 2)) in
+    return (List.combine (List.filteri (fun i _ -> i < k) hosts) roles))
+
+let print_members =
+  QCheck.Print.(list (fun (h, _) -> string_of_int h))
+
+let prop_add_group_hypervisors =
+  QCheck.Test.make ~name:"add_group: hypervisors == sort_uniq of member hosts"
+    ~count:300 (QCheck.make ~print:print_members gen_members) (fun members ->
+      let ctrl = Controller.create matrix_topo (snd (List.hd param_sets)) in
+      let u = Controller.add_group ctrl ~group:0 members in
+      u.Controller.hypervisors = List.sort_uniq compare (List.map fst members))
+
+let encoding_bytes enc =
+  let w = Byteio.Writer.create () in
+  Encoding.write w enc;
+  Byteio.Writer.to_bytes w
+
+(* Sequences of receiver sets under a 2-entry group table and one p-rule
+   per layer, with some leaves ineligible for s-rules: the ledger fills
+   within a few trees, so grants and denials both occur. *)
+let prop_live_encode_matches_txn =
+  let params = Params.create ~hmax_leaf:1 ~hmax_spine:1 ~fmax:2 ~header_budget:None () in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 25) (map (List.map fst) gen_members))
+        (list_size (int_range 0 4) (int_range 0 (Topology.num_leaves matrix_topo - 1))))
+  in
+  let print = QCheck.Print.(pair (list (list int)) (list int)) in
+  QCheck.Test.make ~name:"encode on the live ledger == encode_txn on a snapshot + commit"
+    ~count:200 (QCheck.make ~print gen) (fun (trees, denied) ->
+      let srule_ok_leaf l = not (List.mem l denied) in
+      let live = Srule_state.create matrix_topo ~fmax:2 in
+      let ledger = Srule_state.create matrix_topo ~fmax:2 in
+      let occ s = (Srule_state.leaf_occupancy s, Srule_state.spine_occupancy s) in
+      List.for_all
+        (fun hosts ->
+          let tree = Tree.of_members matrix_topo hosts in
+          let a = Encoding.encode ~srule_ok_leaf params live tree in
+          let txn = Srule_state.txn (Srule_state.snapshot ledger) in
+          let b = Encoding.encode_txn ~srule_ok_leaf params txn tree in
+          Srule_state.commit ledger txn = Ok ()
+          && Bytes.equal (encoding_bytes a) (encoding_bytes b)
+          && occ live = occ ledger)
+        trees)
 
 let tests =
   [
@@ -336,4 +401,6 @@ let tests =
       test_install_all_empty_and_senders_only;
     Alcotest.test_case "install_all: any batch order == gid-ordered loop" `Slow
       test_batch_order_matrix;
+    QCheck_alcotest.to_alcotest prop_add_group_hypervisors;
+    QCheck_alcotest.to_alcotest prop_live_encode_matches_txn;
   ]

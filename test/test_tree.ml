@@ -123,6 +123,92 @@ let prop_spine_bitmaps_cover_leaves =
       in
       from_spines = Tree.leaves t)
 
+(* The earlier [Tree.of_members]: sort and dedup the host list, then one
+   Hashtbl per layer whose bindings are sorted by switch id. Kept as the
+   oracle for the bitmap walk. *)
+let reference_of_members topo member_list =
+  if member_list = [] then invalid_arg "Tree.of_members: empty group";
+  let members = Array.of_list (List.sort_uniq compare member_list) in
+  Array.iter
+    (fun h ->
+      if h < 0 || h >= Topology.num_hosts topo then
+        invalid_arg "Tree.of_members: host out of range")
+    members;
+  let group_by tbl width key port items =
+    List.iter
+      (fun x ->
+        let k = key x in
+        let bm =
+          match Hashtbl.find_opt tbl k with
+          | Some bm -> bm
+          | None ->
+              let bm = Bitmap.create width in
+              Hashtbl.add tbl k bm;
+              bm
+        in
+        Bitmap.set bm (port x))
+      items;
+    Hashtbl.fold (fun k bm acc -> (k, bm) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  let leaf_bitmaps =
+    group_by (Hashtbl.create 16) (Topology.leaf_downstream_width topo)
+      (Topology.leaf_of_host topo) (Topology.host_port_on_leaf topo)
+      (Array.to_list members)
+  in
+  let spine_bitmaps =
+    group_by (Hashtbl.create 8) (Topology.spine_downstream_width topo)
+      (Topology.pod_of_leaf topo) (Topology.leaf_port_on_spine topo)
+      (List.map fst leaf_bitmaps)
+  in
+  let core_bitmap = Bitmap.create (Topology.core_downstream_width topo) in
+  List.iter (fun (p, _) -> Bitmap.set core_bitmap p) spine_bitmaps;
+  {
+    Tree.topo;
+    members;
+    nmembers = Array.length members;
+    leaf_bitmaps;
+    spine_bitmaps;
+    core_bitmap;
+  }
+
+let outcome f = match f () with t -> Ok t | exception Invalid_argument m -> Error m
+
+let rec distinct_bitmaps = function
+  | [] -> true
+  | (_, bm) :: rest ->
+      List.for_all (fun (_, bm') -> bm != bm') rest && distinct_bitmaps rest
+
+(* Unsorted host lists with repeats; a few draws carry an out-of-range host
+   or are empty, so the raised messages are compared too. *)
+let gen_members topo =
+  let n = Topology.num_hosts topo in
+  QCheck.Gen.(
+    let* k = int_range 0 60 in
+    let* hosts = list_repeat k (int_range 0 (n - 1)) in
+    let* dups = list_repeat (k / 3) (oneofl (if hosts = [] then [ 0 ] else hosts)) in
+    let* bad = frequency [ (12, return []); (1, map (fun h -> [ h ]) (oneofl [ -1; n; n + 7 ])) ] in
+    shuffle_l (bad @ dups @ hosts))
+
+let prop_of_members_matches_reference (name, topo) =
+  QCheck.Test.make ~name:("of_members == Hashtbl+sort reference: " ^ name) ~count:300
+    (QCheck.make ~print:QCheck.Print.(list int) (gen_members topo))
+    (fun members ->
+      match
+        (outcome (fun () -> Tree.of_members topo members),
+         outcome (fun () -> reference_of_members topo members))
+      with
+      | Error a, Error b -> a = b
+      | Ok t, Ok r ->
+          Tree.member_array t = Tree.member_array r
+          && Tree.equal_bitmaps t.Tree.leaf_bitmaps r.Tree.leaf_bitmaps
+          && Tree.equal_bitmaps t.Tree.spine_bitmaps r.Tree.spine_bitmaps
+          && Bitmap.equal t.Tree.core_bitmap r.Tree.core_bitmap
+          (* Encoding's fast path flips a leaf's bitmap in place through the
+             rules aliasing it, so no two leaves may share one. *)
+          && distinct_bitmaps t.Tree.leaf_bitmaps
+      | _ -> false)
+
 let tests =
   [
     Alcotest.test_case "fig3 structure" `Quick test_structure;
@@ -138,3 +224,12 @@ let tests =
     QCheck_alcotest.to_alcotest prop_leaf_bitmaps_partition_members;
     QCheck_alcotest.to_alcotest prop_spine_bitmaps_cover_leaves;
   ]
+  @ List.map
+      (fun fabric -> QCheck_alcotest.to_alcotest (prop_of_members_matches_reference fabric))
+      [
+        ( "perfbench clos",
+          Topology.create ~pods:8 ~leaves_per_pod:8 ~spines_per_pod:4 ~hosts_per_leaf:32
+            ~cores_per_plane:4 );
+        ("leaf-spine", Topology.leaf_spine ~leaves:8 ~spines:4 ~hosts_per_leaf:8);
+        ("running example", Topology.running_example ());
+      ]
