@@ -8,9 +8,9 @@
    sources (for suppression-comment scanning) when the linter is not run
    from the workspace root — dune lint rules pass %{workspace_root}.
 
-   Targets are linted; deps only extend the domain-safety reachability
-   analysis (so a Domain_pool.map call in a target can flag top-level
-   mutable state in a dependency). Exit status: 0 clean, 1 findings,
+   Targets are linted; deps only extend the zero-alloc summaries (so an
+   annotated binding in a target is judged through the callees it reaches
+   in a dependency). Exit status: 0 clean, 1 findings,
    2 usage or I/O error. Findings print as [path:line: [rule-id] message]
    with workspace-relative paths, so editors can jump straight to them. *)
 

@@ -106,17 +106,7 @@ let budget_arg =
   let doc = "Header budget in bytes (0 disables budget-driven Hmax)." in
   Arg.(value & opt int 325 & info [ "budget" ] ~docv:"BYTES" ~doc)
 
-let domains_arg =
-  let doc =
-    "Worker domains for batch group encoding (results are identical for any \
-     value; default from ELMO_DOMAINS or 1)."
-  in
-  Arg.(
-    value
-    & opt int (Scalability.domains_from_env 1)
-    & info [ "domains"; "j" ] ~docv:"N" ~doc)
-
-let config groups tenants seed placement dist fmax budget domains =
+let config groups tenants seed placement dist fmax budget =
   let fmax =
     match fmax with
     | Some f -> f
@@ -131,17 +121,14 @@ let config groups tenants seed placement dist fmax budget domains =
     dist;
     params = Params.create ~fmax ~header_budget ();
     seed;
-    domains = max 1 domains;
   }
 
 let scalability_cmd =
-  let run groups tenants seed placement dist fmax budget domains rs trace_file
-      metrics =
-    let cfg = config groups tenants seed placement dist fmax budget domains in
+  let run groups tenants seed placement dist fmax budget rs trace_file metrics =
+    let cfg = config groups tenants seed placement dist fmax budget in
     let prov =
       Provenance.capture ~seed
-        ~params:(Format.asprintf "%a" Params.pp cfg.Scalability.params)
-        ~domains:cfg.Scalability.domains ()
+        ~params:(Format.asprintf "%a" Params.pp cfg.Scalability.params) ()
     in
     Format.printf "provenance: %a@." Provenance.pp prov;
     Format.printf "topology: %a@.placement: %a  dist: %a  groups: %d  params: %a@."
@@ -155,7 +142,7 @@ let scalability_cmd =
   let term =
     Term.(
       const run $ groups_arg $ tenants_arg $ seed_arg $ placement_arg
-      $ dist_arg $ fmax_arg $ budget_arg $ domains_arg $ r_arg $ trace_arg
+      $ dist_arg $ fmax_arg $ budget_arg $ r_arg $ trace_arg
       $ metrics_arg)
   in
   Cmd.v
@@ -170,7 +157,7 @@ let churn_cmd =
   in
   let run groups tenants seed placement dist fmax budget events trace_file
       metrics =
-    let base = config groups tenants seed placement dist fmax budget 1 in
+    let base = config groups tenants seed placement dist fmax budget in
     let cfg =
       {
         Control_plane.topo = base.Scalability.topo;
@@ -187,8 +174,7 @@ let churn_cmd =
     in
     let prov =
       Provenance.capture ~seed
-        ~params:(Format.asprintf "%a" Params.pp base.Scalability.params)
-        ~domains:1 ()
+        ~params:(Format.asprintf "%a" Params.pp base.Scalability.params) ()
     in
     Format.printf "provenance: %a@." Provenance.pp prov;
     with_obs trace_file metrics (fun () ->
@@ -261,8 +247,7 @@ let faults_cmd =
     in
     let prov =
       Provenance.capture ~seed
-        ~params:(Format.asprintf "%a" Params.pp params)
-        ~domains:1 ()
+        ~params:(Format.asprintf "%a" Params.pp params) ()
     in
     Format.printf "provenance: %a@." Provenance.pp prov;
     Format.printf "topology: %a; 12 groups x 8 members; %d events per rate@."
@@ -505,8 +490,9 @@ let top_cmd =
         in
         let prov =
           Provenance.capture ~seed
-            ~params:(Format.asprintf "%a" Params.pp cfg.Elmo_telemetry.Report.params)
-            ~domains:1 ()
+            ~params:
+              (Format.asprintf "%a" Params.pp cfg.Elmo_telemetry.Report.params)
+            ()
         in
         Format.printf "provenance: %a@." Provenance.pp prov;
         Format.printf "topology: %a (%.0f Gbps links)@." Topology.pp topo

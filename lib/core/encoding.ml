@@ -131,19 +131,26 @@ let with_legacy ~legacy ~reserve layer cluster =
       end)
     res legacy_switches
 
-(* The only external state a group encode consults is switch capacity, and
-   only through the two probe-and-reserve closures below — everything else
-   is a pure function of (params, tree). The closures either hit the live
-   ledger ([encode]) or a transaction over a frozen snapshot ([encode_txn],
-   Scalability's domain pool); identical probe answers imply identical
-   output. *)
-let encode_cap ~legacy_leaf ~legacy_pod ~srule_ok_leaf ~srule_ok_pod
-    (params : Params.t) ~reserve_leaf ~reserve_pod tree =
+(* The only external state a group encode consults is switch capacity, on
+   the live ledger: every probe that finds space reserves it at once.
+   Everything else is a pure function of (params, tree). *)
+let encode ?(legacy_leaf = no_legacy) ?(legacy_pod = no_legacy)
+    ?(srule_ok_leaf = all_ok) ?(srule_ok_pod = all_ok) (params : Params.t)
+    srules tree =
+  Obs.with_span "encoding.encode" @@ fun () ->
   (* Eligibility is checked before the capacity probe (short-circuit), so a
-     switch the controller has degraded never even logs a probe: its traffic
-     is folded into the default p-rule as if the switch were full. *)
-  let reserve_leaf l = srule_ok_leaf l && reserve_leaf l in
-  let reserve_pod p = srule_ok_pod p && reserve_pod p in
+     switch the controller has degraded is never probed: its traffic is
+     folded into the default p-rule as if the switch were full. *)
+  let reserve_leaf l =
+    srule_ok_leaf l
+    && Srule_state.leaf_has_space srules l
+    && (Srule_state.reserve_leaf srules l; true)
+  in
+  let reserve_pod p =
+    srule_ok_pod p
+    && Srule_state.pod_has_space srules p
+    && (Srule_state.reserve_pod srules p; true)
+  in
   let hmax_spine, hmax_leaf = budgeted_hmax tree.Tree.topo params tree in
   let d_leaf =
     with_legacy ~legacy:legacy_leaf ~reserve:reserve_leaf tree.Tree.leaf_bitmaps
@@ -177,30 +184,6 @@ let encode_cap ~legacy_leaf ~legacy_pod ~srule_ok_leaf ~srule_ok_pod
     scratch_b = Bitmap.create scratch_width;
     down = None;
   }
-
-let encode_txn ?(legacy_leaf = no_legacy) ?(legacy_pod = no_legacy)
-    ?(srule_ok_leaf = all_ok) ?(srule_ok_pod = all_ok) (params : Params.t) txn
-    tree =
-  Obs.with_span "encoding.encode_txn" @@ fun () ->
-  encode_cap ~legacy_leaf ~legacy_pod ~srule_ok_leaf ~srule_ok_pod params
-    ~reserve_leaf:(Srule_state.txn_reserve_leaf txn)
-    ~reserve_pod:(Srule_state.txn_reserve_pod txn)
-    tree
-
-let encode ?(legacy_leaf = no_legacy) ?(legacy_pod = no_legacy)
-    ?(srule_ok_leaf = all_ok) ?(srule_ok_pod = all_ok) (params : Params.t)
-    srules tree =
-  Obs.with_span "encoding.encode" @@ fun () ->
-  let reserve_leaf l =
-    Srule_state.leaf_has_space srules l
-    && (Srule_state.reserve_leaf srules l; true)
-  in
-  let reserve_pod p =
-    Srule_state.pod_has_space srules p
-    && (Srule_state.reserve_pod srules p; true)
-  in
-  encode_cap ~legacy_leaf ~legacy_pod ~srule_ok_leaf ~srule_ok_pod params
-    ~reserve_leaf ~reserve_pod tree
 
 (* {1 Incremental deltas (§3.3 rule-update locality)}
 

@@ -48,9 +48,7 @@ val encode :
 (** Runs Algorithm 1 on both downstream layers, reserving s-rule space in
     the given state as it goes (leaf layer first, as it dominates header
     usage; then spine). Each capacity probe that finds space reserves it
-    on the live ledger at once. {!encode_txn} runs the same encoder
-    against a transaction instead, so an [encode_txn] on a fresh snapshot
-    followed by its commit gives the same encoding and occupancy.
+    on the live ledger at once.
 
     [legacy_leaf] / [legacy_pod] mark switches that cannot parse Elmo
     headers (§7 incremental deployment): they are excluded from p-rule
@@ -68,19 +66,6 @@ val encode :
     to degrade switches whose rule installations keep failing: extra
     traffic via the default p-rule, but no dependence on unreachable
     switch state. Default: every switch is eligible. *)
-
-val encode_txn :
-  ?legacy_leaf:(int -> bool) ->
-  ?legacy_pod:(int -> bool) ->
-  ?srule_ok_leaf:(int -> bool) ->
-  ?srule_ok_pod:(int -> bool) ->
-  Params.t -> Srule_state.txn -> Tree.t -> t
-(** Like {!encode} but pure with respect to the shared ledger: capacity is
-    probed and reserved on the transaction only, so any number of group
-    encodes can run concurrently against transactions over one snapshot.
-    The caller must later {!Srule_state.commit} the transaction — in batch
-    order — and on [Error _] discard this encoding and re-run {!encode}
-    against the live ledger. *)
 
 (** {1 Incremental deltas}
 

@@ -8,7 +8,6 @@ type config = {
   dist : Group_dist.kind;
   params : Params.t;
   seed : int;
-  domains : int;
 }
 
 let groups_from_env default =
@@ -18,8 +17,6 @@ let groups_from_env default =
       match Sys.getenv_opt "ELMO_GROUPS" with
       | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
       | None -> default)
-
-let domains_from_env default = Domains.from_env default
 
 let paper_scale_groups = 1_000_000
 let paper_scale_fmax = 30_000
@@ -38,7 +35,6 @@ let default_config () =
     dist = Group_dist.Wve;
     params = Params.create ~fmax ();
     seed = 42;
-    domains = domains_from_env 1;
   }
 
 type point = {
@@ -65,16 +61,9 @@ let placement_of config =
   Vm_placement.place rng config.topo ~strategy:config.strategy ~host_capacity:20
     ~tenant_sizes
 
-(* Groups buffered per parallel-encode batch: large enough to keep the
-   domain pool busy, small enough that memory stays flat even at the
-   paper's million-group scale. *)
-let batch_groups = 1024
-
 let run_point_with placement (config : config) ~r =
   Obs.with_span "scalability.run_point"
-    ~attrs:
-      [ ("r", Obs.Int r); ("groups", Obs.Int config.total_groups);
-        ("domains", Obs.Int config.domains) ]
+    ~attrs:[ ("r", Obs.Int r); ("groups", Obs.Int config.total_groups) ]
   @@ fun () ->
   let topo = config.topo in
   let params = Params.with_r config.params r in
@@ -93,84 +82,27 @@ let run_point_with placement (config : config) ~r =
   let sum_overlay = ref 0.0 in
   let workload_rng = Rng.create (config.seed + 1) in
   let sender_rng = Rng.create (config.seed + 2) in
-  (* All per-group accounting, in stream order regardless of how the group
-     was encoded (sequentially or on a pool worker). *)
-  let tally (g : Workload.group) sender (enc : Encoding.t) =
-    incr n;
-    let tree = enc.Encoding.tree in
-    if Encoding.covered_without_default enc then incr covered;
-    if Encoding.covered_by_prules enc then incr covered_pure;
-    if Encoding.uses_default enc then incr with_default;
-    if Encoding.srule_entries enc > 0 then incr with_srules;
-    Li_et_al.add_group li ~group:g.Workload.group_id tree;
-    header_sizes :=
-      float_of_int (Encoding.header_bytes enc ~sender) :: !header_sizes;
-    let c = Traffic.measure enc ~sender in
-    sum_tx := !sum_tx +. float_of_int c.Traffic.transmissions;
-    sum_hdr := !sum_hdr +. float_of_int c.Traffic.header_bytes;
-    sum_ideal := !sum_ideal +. float_of_int c.Traffic.ideal_transmissions;
-    let uc = Unicast_overlay.unicast tree ~sender in
-    let ov = Unicast_overlay.overlay tree ~sender in
-    sum_unicast := !sum_unicast +. float_of_int uc.Unicast_overlay.transmissions;
-    sum_overlay := !sum_overlay +. float_of_int ov.Unicast_overlay.transmissions
-  in
-  let tree_of (g : Workload.group) =
-    Tree.of_members topo (Array.to_list g.Workload.member_hosts)
-  in
-  let buf = ref [] and nbuf = ref 0 in
-  let flush pool =
-    if !nbuf > 0 then begin
-      let items = Array.of_list (List.rev !buf) in
-      buf := [];
-      nbuf := 0;
-      match pool with
-      | None ->
-          Array.iter
-            (fun (g, sender) -> tally g sender (Encoding.encode params srules (tree_of g)))
-            items
-      | Some pool ->
-          (* Two-phase batch: optimistic parallel encode against a frozen
-             snapshot, then sequential commit in stream (= group id) order
-             with re-encode on conflict — bit-identical to the sequential
-             loop above. *)
-          let snap = Srule_state.snapshot srules in
-          let encoded =
-            Domain_pool.map
-              ?probe:(Obs.pool_probe ())
-              pool
-              (fun (g, _) ->
-                let txn = Srule_state.txn snap in
-                (Encoding.encode_txn params txn (tree_of g), txn))
-              items
-          in
-          Array.iteri
-            (fun i (g, sender) ->
-              let enc, txn = encoded.(i) in
-              let enc =
-                match Srule_state.commit srules txn with
-                | Ok () -> enc
-                | Error _ -> Encoding.encode params srules enc.Encoding.tree
-              in
-              tally g sender enc)
-            items;
-          assert (Srule_state.check srules)
-    end
-  in
-  let stream pool =
-    Workload.iter workload_rng placement ~kind:config.dist
-      ~total_groups:config.total_groups (fun g ->
-        let sender = Rng.choice sender_rng g.Workload.member_hosts in
-        buf := (g, sender) :: !buf;
-        incr nbuf;
-        if !nbuf >= batch_groups then flush pool);
-    flush pool
-  in
-  (if config.domains <= 1 then stream None
-   else begin
-     let worker_init, worker_exit = Obs.worker_hooks () in
-     Domain_pool.with_pool ~worker_init ~worker_exit config.domains (fun pool ->
-         stream (Some pool))
-   end);
+  Workload.iter workload_rng placement ~kind:config.dist
+    ~total_groups:config.total_groups (fun g ->
+      let sender = Rng.choice sender_rng g.Workload.member_hosts in
+      let tree = Tree.of_members topo (Array.to_list g.Workload.member_hosts) in
+      let enc = Encoding.encode params srules tree in
+      incr n;
+      if Encoding.covered_without_default enc then incr covered;
+      if Encoding.covered_by_prules enc then incr covered_pure;
+      if Encoding.uses_default enc then incr with_default;
+      if Encoding.srule_entries enc > 0 then incr with_srules;
+      Li_et_al.add_group li ~group:g.Workload.group_id tree;
+      header_sizes :=
+        float_of_int (Encoding.header_bytes enc ~sender) :: !header_sizes;
+      let c = Traffic.measure enc ~sender in
+      sum_tx := !sum_tx +. float_of_int c.Traffic.transmissions;
+      sum_hdr := !sum_hdr +. float_of_int c.Traffic.header_bytes;
+      sum_ideal := !sum_ideal +. float_of_int c.Traffic.ideal_transmissions;
+      let uc = Unicast_overlay.unicast tree ~sender in
+      let ov = Unicast_overlay.overlay tree ~sender in
+      sum_unicast := !sum_unicast +. float_of_int uc.Unicast_overlay.transmissions;
+      sum_overlay := !sum_overlay +. float_of_int ov.Unicast_overlay.transmissions);
   let overhead payload =
     let per_packet = payload +. float_of_int Traffic.vxlan_encap_bytes in
     ((!sum_tx *. per_packet) +. !sum_hdr) /. (!sum_ideal *. per_packet) -. 1.0

@@ -5,8 +5,9 @@
     constrained s-rule capacity, reduced header budget).
 
     Groups are streamed — the same seed regenerates the identical workload
-    for every R — so memory stays flat even at the paper's million-group
-    scale. *)
+    for every R — and each is encoded on arrival against the sweep point's
+    one s-rule ledger, so memory stays flat even at the paper's
+    million-group scale. *)
 
 type config = {
   topo : Topology.t;
@@ -16,25 +17,14 @@ type config = {
   dist : Group_dist.kind;
   params : Params.t;  (** R is overridden per sweep point *)
   seed : int;
-  domains : int;
-      (** worker domains for batch group encoding (default 1: sequential).
-          Results are bit-identical for every value; only wall-clock time
-          changes. *)
 }
 
 val default_config : unit -> config
 (** The paper's setup: Facebook fabric, 3,000 tenants, 1M groups scaled by
     [ELMO_GROUPS] (default 100_000; [ELMO_FULL=1] runs the full million),
-    P = 12 placement, WVE sizes, seed 42, domains from [ELMO_DOMAINS]
-    (default 1). Because coverage at the paper's scale is shaped by group
+    P = 12 placement, WVE sizes, seed 42. Because coverage at the paper's scale is shaped by group
     tables filling up, [fmax] is scaled by the same factor as the group
     count (30,000 entries at 1M groups). *)
-
-val domains_from_env : int -> int
-(** [domains_from_env default] reads [ELMO_DOMAINS] (a positive integer),
-    falling back to [default]. Alias of {!Domains.from_env}, which warns
-    (once) when the request exceeds the machine's recommended domain
-    count. *)
 
 type point = {
   r : int;

@@ -28,5 +28,3 @@ let now_us = function
          traced duration flows through here, and only when the user opted in
          via ELMO_TRACE_CLOCK=mono. Timestamps never feed simulation state. *)
       Unix.gettimeofday () *. 1e6 (* elmo-lint: allow determinism — single opt-in wall-clock source (ELMO_TRACE_CLOCK=mono); timestamps never feed simulation state *)
-
-let shard = function Logical_clock _ -> logical () | Monotonic_clock -> Monotonic_clock

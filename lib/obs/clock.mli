@@ -31,8 +31,3 @@ val now_us : t -> float
 (** Current time in microseconds. On a logical clock this is the tick count
     {e after} bumping it, so a span's duration equals the number of clock
     reads nested inside it. *)
-
-val shard : t -> t
-(** Clock for a worker-domain shard: logical clocks get a fresh private
-    counter (tick deltas within one chunk stay deterministic and no
-    cross-domain mutation occurs); the monotonic clock is shared as-is. *)

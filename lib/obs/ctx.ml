@@ -3,11 +3,10 @@ type t = {
   clock : Clock.t;
   metrics : Metrics.t option;
   trace : Trace.t option;
-  tag : string;
 }
 
 let disabled =
-  { active = false; clock = Clock.monotonic; metrics = None; trace = None; tag = "" }
+  { active = false; clock = Clock.monotonic; metrics = None; trace = None }
 
 let make ?metrics ?trace ~clock () =
   {
@@ -15,13 +14,10 @@ let make ?metrics ?trace ~clock () =
     clock;
     metrics;
     trace;
-    tag = "";
   }
 
-(* Ambient context lives in domain-local storage: each domain reads and
-   writes only its own slot, so instrumented code needs no locking and the
-   domain-safety rule holds without suppression — there is no top-level
-   mutable shared between domains, only this key. *)
+(* Ambient context lives in domain-local storage: reading it takes no lock,
+   and a domain that never installs a context sees [disabled]. *)
 let key : t Domain.DLS.key = Domain.DLS.new_key (fun () -> disabled)
 
 let current () = Domain.DLS.get key
@@ -30,27 +26,3 @@ let active c = c.active
 let metrics c = c.metrics
 let trace c = c.trace
 let clock c = c.clock
-let tag c = c.tag
-
-let shard ~index parent =
-  {
-    active = (match parent.metrics with None -> false | Some _ -> true);
-    clock = Clock.shard parent.clock;
-    metrics =
-      (match parent.metrics with
-      | None -> None
-      | Some m -> Some (Metrics.shard m));
-    trace = None;
-    tag = "d" ^ string_of_int index;
-  }
-
-let worker_hooks () =
-  let parent = current () in
-  if not parent.active then ((fun _ -> ()), fun () -> ())
-  else
-    ( (fun i -> install (shard ~index:i parent)),
-      fun () ->
-        (match (parent.metrics, (current ()).metrics) with
-        | Some pm, Some sh -> Metrics.join pm sh
-        | _ -> ());
-        install disabled )

@@ -1,18 +1,15 @@
 (** Ambient observability context, one per domain.
 
     The context bundles the clock and the (optional) metrics/trace sinks and
-    lives in [Domain.DLS] — each domain owns its slot, so instrumented code
-    reads it without locks and without any shared top-level mutable state
-    (the domain-safety lint rule passes with no suppressions). The default is
-    {!disabled}: every probe in the hot path then costs one DLS read and a
-    branch. *)
+    lives in [Domain.DLS], so instrumented code reads it without locks. The
+    default is {!disabled}: every probe in the hot path then costs one DLS
+    read and a branch. *)
 
 type t = {
   active : bool;  (** precomputed [metrics <> None || trace <> None] *)
   clock : Clock.t;
   metrics : Metrics.t option;
   trace : Trace.t option;
-  tag : string;  (** [""] on the installing domain, ["d<i>"] on pool worker [i] *)
 }
 
 val disabled : t
@@ -27,15 +24,3 @@ val active : t -> bool
 val metrics : t -> Metrics.t option
 val trace : t -> Trace.t option
 val clock : t -> Clock.t
-val tag : t -> string
-
-val shard : index:int -> t -> t
-(** Worker-domain view of a parent context: a {!Metrics.shard}, a
-    {!Clock.shard} (fresh logical counter), no trace (spans stay
-    single-domain for byte-stable output), tag ["d<index>"]. *)
-
-val worker_hooks : unit -> (int -> unit) * (unit -> unit)
-(** [(init, exit)] closures for [Domain_pool.create ~worker_init ~worker_exit]
-    derived from the {e caller's} current context: [init i] installs a shard
-    context on the worker, [exit] joins its metrics back into the parent.
-    No-ops when the current context is inactive. *)

@@ -10,11 +10,7 @@ type hist = {
 
 type cell = Counter_c of int ref | Gauge_c of float ref | Hist_c of hist
 
-type t = {
-  cells : (string, cell) Hashtbl.t;
-  lock : Mutex.t;
-  mutable shards : t list;
-}
+type t = { cells : (string, cell) Hashtbl.t }
 
 type hist_summary = {
   count : int;
@@ -28,15 +24,7 @@ type hist_summary = {
 
 type value = Counter of int | Gauge of float | Histogram of hist_summary
 
-let create () =
-  { cells = Hashtbl.create 64; lock = Mutex.create (); shards = [] }
-
-let shard parent =
-  let s = create () in
-  Mutex.lock parent.lock;
-  parent.shards <- s :: parent.shards;
-  Mutex.unlock parent.lock;
-  s
+let create () = { cells = Hashtbl.create 64 }
 
 let new_hist () =
   {
@@ -46,8 +34,6 @@ let new_hist () =
     h_max = neg_infinity;
     h_buckets = Array.make num_buckets 0;
   }
-
-let copy_hist h = { h with h_buckets = Array.copy h.h_buckets }
 
 let cell t name mk =
   match Hashtbl.find_opt t.cells name with
@@ -89,29 +75,6 @@ let observe t name v =
   | Counter_c _ | Gauge_c _ ->
       invalid_arg ("Metrics.observe: " ^ name ^ " is not a histogram")
 
-let merge_cell ~into name src =
-  match (Hashtbl.find_opt into.cells name, src) with
-  | None, Counter_c r -> Hashtbl.add into.cells name (Counter_c (ref !r))
-  | None, Gauge_c r -> Hashtbl.add into.cells name (Gauge_c (ref !r))
-  | None, Hist_c h -> Hashtbl.add into.cells name (Hist_c (copy_hist h))
-  | Some (Counter_c dst), Counter_c s -> dst := !dst + !s
-  | Some (Gauge_c dst), Gauge_c s -> if !s > !dst then dst := !s
-  | Some (Hist_c dst), Hist_c s ->
-      dst.h_count <- dst.h_count + s.h_count;
-      dst.h_sum <- dst.h_sum +. s.h_sum;
-      if s.h_min < dst.h_min then dst.h_min <- s.h_min;
-      if s.h_max > dst.h_max then dst.h_max <- s.h_max;
-      Array.iteri
-        (fun i c -> dst.h_buckets.(i) <- dst.h_buckets.(i) + c)
-        s.h_buckets
-  | Some _, _ -> invalid_arg ("Metrics.merge: kind mismatch for " ^ name)
-
-let join parent s =
-  Mutex.lock parent.lock;
-  Hashtbl.iter (fun name c -> merge_cell ~into:parent name c) s.cells;
-  parent.shards <- List.filter (fun x -> not (x == s)) parent.shards;
-  Mutex.unlock parent.lock
-
 (* Quantiles reuse the repo's Stats interpolation: expand the buckets into at
    most [cap] representative samples (cumulative rounding, so the expansion
    is exact in total count and ascending by construction) and hand the sorted
@@ -147,24 +110,13 @@ let summary_of_hist h =
     }
   end
 
-let merged t =
-  let acc = create () in
-  Mutex.lock t.lock;
-  let shards = t.shards in
-  Mutex.unlock t.lock;
-  Hashtbl.iter (fun name c -> merge_cell ~into:acc name c) t.cells;
-  List.iter
-    (fun s -> Hashtbl.iter (fun name c -> merge_cell ~into:acc name c) s.cells)
-    shards;
-  acc
-
 let value_of_cell = function
   | Counter_c r -> Counter !r
   | Gauge_c r -> Gauge !r
   | Hist_c h -> Histogram (summary_of_hist h)
 
 let dump t =
-  Hashtbl.fold (fun name c l -> (name, value_of_cell c) :: l) (merged t).cells []
+  Hashtbl.fold (fun name c l -> (name, value_of_cell c) :: l) t.cells []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let to_json t =
@@ -192,7 +144,7 @@ let to_json t =
 let bucket_bound i = if i <= 0 then 1.0 else Float.ldexp 1.0 i
 
 let dump_buckets t name =
-  match Hashtbl.find_opt (merged t).cells name with
+  match Hashtbl.find_opt t.cells name with
   | Some (Hist_c h) ->
       Some (Array.mapi (fun i c -> (bucket_bound i, c)) h.h_buckets)
   | Some (Counter_c _ | Gauge_c _) | None -> None

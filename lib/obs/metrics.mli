@@ -1,13 +1,6 @@
-(** Domain-safe metrics registry: counters, gauges, and log2-bucketed
-    histograms keyed by (primitive) string names.
-
-    Concurrency model: a registry value is owned by the domain that created
-    it. Worker domains never touch the parent's cells — each one registers a
-    private {!shard} (the only cross-domain operations, {!shard} and {!join},
-    take the parent's lock) and records into it without synchronization. At
-    pool shutdown the shard is {!join}ed back: counters and histogram buckets
-    add, min/max widen, gauges keep the max — all commutative, so a merged
-    {!dump} is deterministic regardless of which worker did which chunk.
+(** Metrics registry: counters, gauges, and log2-bucketed histograms keyed
+    by (primitive) string names. A registry is single-domain: it takes no
+    lock, so only the domain that records into it may read it.
 
     Histogram quantiles reuse {!Stats.percentile}: the 64 log2 buckets are
     expanded into at most 4096 representative samples (exact when the count
@@ -30,28 +23,18 @@ type value = Counter of int | Gauge of float | Histogram of hist_summary
 
 val create : unit -> t
 
-val shard : t -> t
-(** A fresh registry registered as a shard of the parent; safe to call from
-    any domain. Its cells are merged into every parent {!dump} and folded in
-    permanently by {!join}. *)
-
-val join : t -> t -> unit
-(** [join parent shard] merges the shard's cells into the parent and
-    unregisters it. Safe to call concurrently from several exiting workers. *)
-
 val incr : ?n:int -> t -> string -> unit
 (** Add [n] (default 1) to a counter. Raises [Invalid_argument] if the name
     is already bound to a different metric kind (same for the others). *)
 
 val gauge : t -> string -> float -> unit
-(** Set a gauge (last write wins within a registry; max wins across shards). *)
+(** Set a gauge (last write wins). *)
 
 val observe : t -> string -> float -> unit
 (** Record a sample into a histogram. *)
 
 val dump : t -> (string * value) list
-(** Merged view (registry + live shards), sorted by name. Call it when the
-    workers are quiescent — e.g. after [Domain_pool.with_pool] returns. *)
+(** Every metric, sorted by name. *)
 
 val to_json : t -> string
 (** One JSON object: counters as ints, gauges as floats, histograms as
@@ -65,13 +48,13 @@ val bucket_bound : int -> float
     the bound is exclusive there too. *)
 
 val dump_buckets : t -> string -> (float * int) array option
-(** Raw merged bucket counts of histogram [name] as
+(** Raw bucket counts of histogram [name] as
     [(bucket_bound i, count)] per bucket, or [None] if the name is unbound
     or not a histogram. Lets tests and exposition see the distribution, not
     just the p50/p95/p99 summary. *)
 
 val expose : t -> string
-(** Prometheus text-format exposition of the merged view: each metric as
+(** Prometheus text-format exposition of {!dump}: each metric as
     [elmo_<name>] (punctuation folded to [_]) with a [# TYPE] line;
     histograms render cumulative [_bucket{le="..."}] lines (empty buckets
     elided) plus [_sum]/[_count]. *)

@@ -57,37 +57,3 @@ let instant ?(attrs = []) name =
   match (Ctx.current ()).Ctx.trace with
   | Some tr -> Trace.instant tr ~attrs name
   | None -> ()
-
-let worker_hooks = Ctx.worker_hooks
-
-(* Chunk queue/run latencies mix timestamps taken on the submitting and the
-   executing domain, which is only meaningful on the shared wall clock —
-   under the logical default the probe is off and traced runs stay
-   deterministic. *)
-let pool_probe () =
-  let c = Ctx.current () in
-  match c.Ctx.metrics with
-  | None -> None
-  | Some _ -> (
-      match Clock.kind c.Ctx.clock with
-      | Clock.Logical -> None
-      | Clock.Monotonic ->
-          let metric cx s =
-            match Ctx.tag cx with
-            | "" -> "domain_pool." ^ s
-            | tag -> "domain_pool." ^ tag ^ "." ^ s
-          in
-          Some
-            {
-              Domain_pool.prb_now =
-                (fun () -> Clock.now_us (Ctx.current ()).Ctx.clock);
-              prb_chunk =
-                (fun ~queue_us ~run_us ~items ->
-                  let cx = Ctx.current () in
-                  match cx.Ctx.metrics with
-                  | Some m ->
-                      Metrics.observe m (metric cx "chunk_queue_us") queue_us;
-                      Metrics.observe m (metric cx "chunk_run_us") run_us;
-                      Metrics.incr m ~n:items (metric cx "items")
-                  | None -> ());
-            })

@@ -21,13 +21,3 @@ val incr : ?n:int -> string -> unit
 val observe : string -> float -> unit
 val gauge : string -> float -> unit
 val instant : ?attrs:(string * attr) list -> string -> unit
-
-val worker_hooks : unit -> (int -> unit) * (unit -> unit)
-(** Alias of {!Ctx.worker_hooks}, for [Domain_pool.create]'s
-    [?worker_init]/[?worker_exit]. *)
-
-val pool_probe : unit -> Domain_pool.probe option
-(** Chunk queue/run-time probe for [Domain_pool.map], recording per-domain
-    ["domain_pool.d<i>.chunk_{queue,run}_us"] histograms. [None] unless
-    metrics are on {e and} the clock is monotonic — queue latency spans two
-    domains, which logical ticks cannot measure deterministically. *)

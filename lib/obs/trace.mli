@@ -6,10 +6,9 @@
     lines into [{"traceEvents":[...]}] which loads directly in
     [chrome://tracing] and Perfetto.
 
-    A trace is owned by the domain that installed it: pool-worker shard
-    contexts carry no trace, so events are emitted in completion order by one
-    domain only — under the logical clock two same-seed runs produce
-    byte-identical JSONL. *)
+    A trace is owned by the domain that installed it, so events are emitted
+    in completion order by one domain — under the logical clock two
+    same-seed runs produce byte-identical JSONL. *)
 
 type attr = Int of int | Float of float | Str of string | Bool of bool
 

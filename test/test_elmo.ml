@@ -20,7 +20,7 @@ let () =
       ("codec", Test_codec.tests);
       ("traffic-fabric", Test_traffic_fabric.tests);
       ("controller", Test_controller.tests);
-      ("parallel", Test_parallel.tests);
+      ("install", Test_install.tests);
       ("incremental", Test_incremental.tests);
       ("zero-alloc", Test_zero_alloc.tests);
       ("baselines", Test_baselines.tests);

@@ -199,3 +199,262 @@ let tests =
     QCheck_alcotest.to_alcotest prop_headers_within_max;
     QCheck_alcotest.to_alcotest prop_release_inverts_encode;
   ]
+
+(* {1 One encoder on the live ledger}
+
+   [Encoding.encode] probes and reserves s-rule space on the ledger it is
+   given, group after group; [srule_ok_*] makes a switch ineligible
+   before its capacity is probed. *)
+
+let tight = Params.create ~hmax_leaf:1 ~hmax_spine:1 ~header_budget:None ()
+
+let srule_ids (c : Clustering.result) = List.map fst c.Clustering.srules
+
+let default_ids (c : Clustering.result) =
+  match c.Clustering.default with Some (ids, _) -> ids | None -> []
+
+let test_ineligible_leaves () =
+  let srules = Srule_state.create topo ~fmax:10 in
+  let enc =
+    Encoding.encode ~srule_ok_leaf:(fun _ -> false) tight srules fig3_tree
+  in
+  Alcotest.(check (list int)) "no leaf s-rule" [] (srule_ids enc.Encoding.d_leaf);
+  Alcotest.(check int) "three leaves folded into the default" 3
+    (List.length (default_ids enc.Encoding.d_leaf));
+  Alcotest.(check bool) "every leaf counter untouched" true
+    (Array.for_all (( = ) 0) (Srule_state.leaf_occupancy srules));
+  Alcotest.(check int) "pod s-rules unaffected" 2
+    (List.length enc.Encoding.d_spine.Clustering.srules);
+  Alcotest.(check bool) "uses default" true (Encoding.uses_default enc);
+  Alcotest.(check int) "ledger holds the pod entries only"
+    (Encoding.srule_entries enc) (Srule_state.total_srules srules)
+
+let test_ineligible_pods () =
+  let srules = Srule_state.create topo ~fmax:10 in
+  let enc =
+    Encoding.encode ~srule_ok_pod:(fun _ -> false) tight srules fig3_tree
+  in
+  Alcotest.(check (list int)) "no pod s-rule" [] (srule_ids enc.Encoding.d_spine);
+  Alcotest.(check int) "two pods folded into the default" 2
+    (List.length (default_ids enc.Encoding.d_spine));
+  for p = 0 to topo.Topology.pods - 1 do
+    Alcotest.(check int) (Printf.sprintf "pod %d untouched" p) 0
+      (Srule_state.pod_used srules p)
+  done;
+  Alcotest.(check int) "leaf s-rules unaffected" 3
+    (List.length enc.Encoding.d_leaf.Clustering.srules);
+  Alcotest.(check int) "ledger holds the leaf entries only" 3
+    (Srule_state.total_srules srules)
+
+let test_one_degraded_leaf () =
+  let all = Encoding.encode tight (Srule_state.create topo ~fmax:10) fig3_tree in
+  let spilled = srule_ids all.Encoding.d_leaf in
+  let bad = List.hd spilled in
+  let srules = Srule_state.create topo ~fmax:10 in
+  let enc =
+    Encoding.encode ~srule_ok_leaf:(fun l -> l <> bad) tight srules fig3_tree
+  in
+  Alcotest.(check (list int)) "degraded leaf is the default"
+    [ bad ] (default_ids enc.Encoding.d_leaf);
+  Alcotest.(check (list int)) "the others keep their s-rules"
+    (List.filter (fun l -> l <> bad) spilled)
+    (srule_ids enc.Encoding.d_leaf);
+  Alcotest.(check int) "degraded leaf never reserved" 0
+    (Srule_state.leaf_used srules bad);
+  List.iter
+    (fun l ->
+      if l <> bad then
+        Alcotest.(check int) (Printf.sprintf "leaf %d reserved" l) 1
+          (Srule_state.leaf_used srules l))
+    spilled
+
+let test_full_tables_fall_to_default () =
+  let srules = Srule_state.create topo ~fmax:1 in
+  let first = Encoding.encode tight srules fig3_tree in
+  let held = Srule_state.total_srules srules in
+  Alcotest.(check int) "first group fills its switches" (3 + (2 * 2)) held;
+  let second = Encoding.encode tight srules fig3_tree in
+  Alcotest.(check (list int)) "no leaf slot left" [] (srule_ids second.Encoding.d_leaf);
+  Alcotest.(check (list int)) "no pod slot left" [] (srule_ids second.Encoding.d_spine);
+  Alcotest.(check bool) "second group uses the default" true
+    (Encoding.uses_default second);
+  Alcotest.(check bool) "second group not covered" false
+    (Encoding.covered_without_default second);
+  Alcotest.(check int) "ledger unchanged by the second group" held
+    (Srule_state.total_srules srules);
+  Alcotest.(check bool) "invariants hold" true (Srule_state.check srules);
+  Encoding.release srules second;
+  Encoding.release srules first;
+  Alcotest.(check int) "both released" 0 (Srule_state.total_srules srules)
+
+let test_encodes_accumulate () =
+  let srules = Srule_state.create topo ~fmax:10 in
+  let a = Encoding.encode tight srules fig3_tree in
+  let b =
+    Encoding.encode tight srules (Tree.of_members topo [ 0; 3 * h; (4 * h) + 1 ])
+  in
+  Alcotest.(check int) "ledger = sum of both encodings"
+    (Encoding.srule_entries a + Encoding.srule_entries b)
+    (Srule_state.total_srules srules);
+  Encoding.release srules a;
+  Alcotest.(check int) "releasing one leaves the other"
+    (Encoding.srule_entries b) (Srule_state.total_srules srules)
+
+let test_reencode_after_release () =
+  let srules = Srule_state.create topo ~fmax:10 in
+  let a = Encoding.encode tight srules fig3_tree in
+  let occ = Srule_state.leaf_occupancy srules in
+  Encoding.release srules a;
+  let b = Encoding.encode tight srules fig3_tree in
+  Alcotest.(check (list int)) "same leaf s-rules" (srule_ids a.Encoding.d_leaf)
+    (srule_ids b.Encoding.d_leaf);
+  Alcotest.(check (list int)) "same pod s-rules" (srule_ids a.Encoding.d_spine)
+    (srule_ids b.Encoding.d_spine);
+  Alcotest.(check (array int)) "same occupancy" occ (Srule_state.leaf_occupancy srules);
+  List.iter
+    (fun sender ->
+      Alcotest.(check int) "same header size"
+        (Encoding.header_bytes a ~sender) (Encoding.header_bytes b ~sender))
+    fig3_members
+
+(* {1 Srule_state} *)
+
+let test_ledger_pod_capacity () =
+  let s = Srule_state.create topo ~fmax:2 in
+  Srule_state.reserve_pod s 1;
+  Srule_state.reserve_pod s 1;
+  Alcotest.(check bool) "pod full" false (Srule_state.pod_has_space s 1);
+  Alcotest.(check bool) "other pod free" true (Srule_state.pod_has_space s 0);
+  Alcotest.check_raises "overflow" (Srule_state.Full (Srule_state.Pod 1))
+    (fun () -> Srule_state.reserve_pod s 1);
+  Alcotest.(check int) "pod counter" 2 (Srule_state.pod_used s 1);
+  Alcotest.(check bool) "no leaf touched" true
+    (Array.for_all (( = ) 0) (Srule_state.leaf_occupancy s));
+  Srule_state.release_pod s 1;
+  Srule_state.release_pod s 1;
+  Alcotest.check_raises "underflow" (Srule_state.Underflow (Srule_state.Pod 1))
+    (fun () -> Srule_state.release_pod s 1);
+  Alcotest.(check int) "empty again" 0 (Srule_state.total_srules s)
+
+let test_ledger_copy_independent () =
+  let s = Srule_state.create topo ~fmax:3 in
+  Srule_state.reserve_leaf s 2;
+  let c = Srule_state.copy s in
+  Srule_state.reserve_leaf c 2;
+  Srule_state.reserve_pod c 0;
+  Alcotest.(check int) "original leaf" 1 (Srule_state.leaf_used s 2);
+  Alcotest.(check int) "original pod" 0 (Srule_state.pod_used s 0);
+  Alcotest.(check int) "copy leaf" 2 (Srule_state.leaf_used c 2);
+  Alcotest.(check int) "copy keeps fmax" 3 (Srule_state.fmax c);
+  Srule_state.release_leaf s 2;
+  Alcotest.(check int) "copy unaffected by the original" 2 (Srule_state.leaf_used c 2)
+
+let ledger_bytes s =
+  let w = Byteio.Writer.create () in
+  Srule_state.write w s;
+  Byteio.Writer.to_bytes w
+
+let test_ledger_codec_roundtrip () =
+  let s = Srule_state.create topo ~fmax:4 in
+  List.iter (Srule_state.reserve_leaf s) [ 0; 0; 5; 7 ];
+  Srule_state.reserve_pod s 3;
+  let r = Srule_state.read ~topo (Byteio.Reader.of_bytes (ledger_bytes s)) in
+  Alcotest.(check int) "fmax" 4 (Srule_state.fmax r);
+  Alcotest.(check (array int)) "leaves" (Srule_state.leaf_occupancy s)
+    (Srule_state.leaf_occupancy r);
+  Alcotest.(check (array int)) "spines" (Srule_state.spine_occupancy s)
+    (Srule_state.spine_occupancy r);
+  Alcotest.(check bool) "reserves after restore" true (Srule_state.leaf_has_space r 0)
+
+let test_ledger_codec_rejects_corrupt () =
+  let over =
+    let w = Byteio.Writer.create () in
+    Byteio.Writer.int w 1;
+    Byteio.Writer.int_array w
+      (Array.init (Topology.num_leaves topo) (fun l -> if l = 0 then 2 else 0));
+    Byteio.Writer.int_array w (Array.make topo.Topology.pods 0);
+    Byteio.Writer.to_bytes w
+  in
+  Alcotest.check_raises "counter above fmax" Byteio.Reader.Corrupt (fun () ->
+      ignore (Srule_state.read ~topo (Byteio.Reader.of_bytes over)));
+  let other =
+    Topology.create ~pods:2 ~leaves_per_pod:2 ~spines_per_pod:2 ~hosts_per_leaf:4
+      ~cores_per_plane:1
+  in
+  let wrong = ledger_bytes (Srule_state.create other ~fmax:1) in
+  Alcotest.check_raises "arrays sized for another topology" Byteio.Reader.Corrupt
+    (fun () -> ignore (Srule_state.read ~topo (Byteio.Reader.of_bytes wrong)))
+
+let test_site_key_injective () =
+  let leaves = List.init (Topology.num_leaves topo) (fun l -> Srule_state.Leaf l) in
+  let pods = List.init topo.Topology.pods (fun p -> Srule_state.Pod p) in
+  let keys = List.map Srule_state.site_key (leaves @ pods) in
+  Alcotest.(check int) "distinct keys" (List.length keys)
+    (List.length (List.sort_uniq compare keys));
+  Alcotest.(check bool) "leaves on even slots" true
+    (List.for_all (fun s -> Srule_state.site_key s mod 2 = 0) leaves);
+  Alcotest.(check bool) "pods on odd slots" true
+    (List.for_all (fun s -> Srule_state.site_key s mod 2 = 1) pods)
+
+let arb_groups =
+  QCheck.make
+    ~print:QCheck.Print.(list (list int))
+    QCheck.Gen.(
+      list_size (int_range 1 12)
+        (list_size (int_range 1 40) (int_range 0 (Topology.num_hosts fabric - 1))))
+
+let prop_streamed_encodes_respect_fmax =
+  QCheck.Test.make ~name:"streamed encodes: ledger = sum of entries, <= fmax"
+    ~count:100 arb_groups (fun groups ->
+      QCheck.assume (List.for_all (( <> ) []) groups);
+      let params = Params.create ~hmax_leaf:2 ~hmax_spine:1 ~header_budget:None () in
+      let srules = Srule_state.create fabric ~fmax:2 in
+      let encs =
+        List.map
+          (fun members -> Encoding.encode params srules (Tree.of_members fabric members))
+          groups
+      in
+      let entries = List.fold_left (fun n e -> n + Encoding.srule_entries e) 0 encs in
+      let consistent =
+        Srule_state.check srules && Srule_state.total_srules srules = entries
+      in
+      List.iter (Encoding.release srules) encs;
+      consistent && Srule_state.total_srules srules = 0)
+
+let prop_ineligible_never_reserves =
+  QCheck.Test.make ~name:"no eligible switch, no reservation" ~count:100
+    arb_members (fun members ->
+      QCheck.assume (members <> []);
+      let params = Params.create ~hmax_leaf:2 ~hmax_spine:1 ~header_budget:None () in
+      let srules = Srule_state.create fabric ~fmax:5 in
+      let enc =
+        Encoding.encode ~srule_ok_leaf:(fun _ -> false)
+          ~srule_ok_pod:(fun _ -> false) params srules
+          (Tree.of_members fabric members)
+      in
+      Srule_state.total_srules srules = 0
+      && Encoding.srule_entries enc = 0
+      && Encoding.covered_without_default enc = Encoding.covered_by_prules enc)
+
+let tests =
+  tests
+  @ [
+      Alcotest.test_case "ineligible leaves fold into default" `Quick
+        test_ineligible_leaves;
+      Alcotest.test_case "ineligible pods fold into default" `Quick
+        test_ineligible_pods;
+      Alcotest.test_case "one degraded leaf" `Quick test_one_degraded_leaf;
+      Alcotest.test_case "full tables fall to default" `Quick
+        test_full_tables_fall_to_default;
+      Alcotest.test_case "encodes accumulate on one ledger" `Quick
+        test_encodes_accumulate;
+      Alcotest.test_case "re-encode after release" `Quick test_reencode_after_release;
+      Alcotest.test_case "ledger pod capacity" `Quick test_ledger_pod_capacity;
+      Alcotest.test_case "ledger copy independent" `Quick test_ledger_copy_independent;
+      Alcotest.test_case "ledger codec roundtrip" `Quick test_ledger_codec_roundtrip;
+      Alcotest.test_case "ledger codec rejects corrupt" `Quick
+        test_ledger_codec_rejects_corrupt;
+      Alcotest.test_case "site_key injective" `Quick test_site_key_injective;
+      QCheck_alcotest.to_alcotest prop_streamed_encodes_respect_fmax;
+      QCheck_alcotest.to_alcotest prop_ineligible_never_reserves;
+    ]

@@ -2,16 +2,15 @@
    paper's figures rely on must hold even on small runs. *)
 
 let small_config ?(strategy = Vm_placement.Pack_up_to 12) ?(dist = Group_dist.Wve)
-    ?(groups = 1_500) () =
+    ?(groups = 1_500) ?(fmax = 50) () =
   {
     Scalability.topo = Topology.facebook_fabric ();
     tenants = 100;
     total_groups = groups;
     strategy;
     dist;
-    params = Params.create ~fmax:50 ();
+    params = Params.create ~fmax ();
     seed = 7;
-    domains = 1;
   }
 
 let test_scalability_shapes () =
@@ -40,6 +39,88 @@ let test_scalability_deterministic () =
   let a = Scalability.run_point cfg ~r:6 in
   let b = Scalability.run_point cfg ~r:6 in
   Alcotest.(check bool) "same seed, same point" true (a = b)
+
+(* The sweep's exact output, pinned: every count, occupancy summary and
+   overhead of two sweep points depends on each group's encode seeing the
+   ledger left by the groups streamed before it. *)
+let golden_points =
+  [
+    ( 0,
+      [
+        "R=0 groups=1500 covered=1500 (100.0%) pure-prule=1429 srule-groups=71 default-groups=0";
+        "leaf s-rules: n=576 mean=1.01 sd=1.98 min=0.00 p50=0.00 p95=6.00 p99=8.00 max=10.00";
+        "spine s-rules: n=48 mean=0.00 sd=0.00 min=0.00 p50=0.00 p95=0.00 p99=0.00 max=0.00";
+        "header bytes: n=1500 mean=105.63 sd=59.90 min=22.00 p50=82.00 p95=247.00 p99=249.00 max=253.00";
+        "overhead: 27.5% (64B) 2.0% (1500B); unicast 195% overlay 92%";
+        "Li leaf entries: n=576 mean=22.39 sd=11.54 min=0.00 p50=23.00 p95=40.00 p99=46.25 max=58.00";
+        "Li spine entries: n=48 mean=28.21 sd=8.24 min=11.00 p50=27.50 p95=42.95 p99=46.06 max=47.00";
+      ] );
+    ( 6,
+      [
+        "R=6 groups=1500 covered=1500 (100.0%) pure-prule=1493 srule-groups=7 default-groups=0";
+        "leaf s-rules: n=576 mean=0.09 sd=0.45 min=0.00 p50=0.00 p95=0.00 p99=2.00 max=4.00";
+        "spine s-rules: n=48 mean=0.00 sd=0.00 min=0.00 p50=0.00 p95=0.00 p99=0.00 max=0.00";
+        "header bytes: n=1500 mean=103.04 sd=54.96 min=22.00 p50=82.00 p95=217.00 p99=247.00 max=247.00";
+        "overhead: 29.5% (64B) 5.5% (1500B); unicast 195% overlay 92%";
+        "Li leaf entries: n=576 mean=22.39 sd=11.54 min=0.00 p50=23.00 p95=40.00 p99=46.25 max=58.00";
+        "Li spine entries: n=48 mean=28.21 sd=8.24 min=11.00 p50=27.50 p95=42.95 p99=46.06 max=47.00";
+      ] );
+  ]
+
+let point_lines cfg ~r =
+  String.split_on_char '\n'
+    (Format.asprintf "%a" Scalability.pp_point (Scalability.run_point cfg ~r))
+
+let check_golden cfg points =
+  List.iter
+    (fun (r, expected) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "R=%d point" r)
+        expected (point_lines cfg ~r))
+    points
+
+let test_scalability_golden () =
+  check_golden (small_config ~groups:1_500 ()) golden_points
+
+(* The same sweep with two group-table entries per switch: leaf tables fill
+   (max = Fmax at both points), so later groups take the capacity-exhausted
+   branch of the encoder and fall to the default p-rule. *)
+let golden_points_full_tables =
+  [
+    ( 0,
+      [
+        "R=0 groups=1500 covered=1456 (97.1%) pure-prule=1429 srule-groups=63 default-groups=44";
+        "leaf s-rules: n=576 mean=0.52 sd=0.83 min=0.00 p50=0.00 p95=2.00 p99=2.00 max=2.00";
+        "spine s-rules: n=48 mean=0.00 sd=0.00 min=0.00 p50=0.00 p95=0.00 p99=0.00 max=0.00";
+        "header bytes: n=1500 mean=105.81 sd=60.32 min=22.00 p50=82.00 p95=247.00 p99=253.00 max=259.00";
+        "overhead: 29.2% (64B) 3.7% (1500B); unicast 195% overlay 92%";
+        "Li leaf entries: n=576 mean=22.39 sd=11.54 min=0.00 p50=23.00 p95=40.00 p99=46.25 max=58.00";
+        "Li spine entries: n=48 mean=28.21 sd=8.24 min=11.00 p50=27.50 p95=42.95 p99=46.06 max=47.00";
+      ] );
+    ( 6,
+      [
+        "R=6 groups=1500 covered=1498 (99.9%) pure-prule=1493 srule-groups=5 default-groups=2";
+        "leaf s-rules: n=576 mean=0.08 sd=0.38 min=0.00 p50=0.00 p95=0.00 p99=2.00 max=2.00";
+        "spine s-rules: n=48 mean=0.00 sd=0.00 min=0.00 p50=0.00 p95=0.00 p99=0.00 max=0.00";
+        "header bytes: n=1500 mean=103.05 sd=54.98 min=22.00 p50=82.00 p95=217.00 p99=247.00 max=253.00";
+        "overhead: 29.5% (64B) 5.5% (1500B); unicast 195% overlay 92%";
+        "Li leaf entries: n=576 mean=22.39 sd=11.54 min=0.00 p50=23.00 p95=40.00 p99=46.25 max=58.00";
+        "Li spine entries: n=48 mean=28.21 sd=8.24 min=11.00 p50=27.50 p95=42.95 p99=46.06 max=47.00";
+      ] );
+  ]
+
+let test_scalability_golden_full_tables () =
+  check_golden (small_config ~groups:1_500 ~fmax:2 ()) golden_points_full_tables
+
+(* [run] is [run_point] per R, in order: each point starts from an empty
+   ledger, so an earlier R cannot leak s-rules into a later one. *)
+let test_run_is_run_point_per_r () =
+  let cfg = small_config ~groups:400 ~fmax:2 () in
+  let pp = Format.asprintf "%a" Scalability.pp_point in
+  Alcotest.(check (list string))
+    "run = map run_point"
+    (List.map (fun r -> pp (Scalability.run_point cfg ~r)) [ 6; 0 ])
+    (List.map pp (Scalability.run cfg ~r_values:[ 6; 0 ]))
 
 let test_p1_disperses () =
   let p12 = Scalability.run_point (small_config ~groups:800 ()) ~r:0 in
@@ -182,3 +263,12 @@ let tests =
   tests
   @ [ Alcotest.test_case "strawman appendix numbers" `Quick
         test_strawman_appendix_numbers ]
+
+let tests =
+  tests
+  @ [
+      Alcotest.test_case "scalability golden output" `Slow test_scalability_golden;
+      Alcotest.test_case "scalability golden output at full tables" `Slow
+        test_scalability_golden_full_tables;
+      Alcotest.test_case "run is run_point per R" `Slow test_run_is_run_point_per_r;
+    ]

@@ -61,28 +61,45 @@ let test_exception_discipline () =
     ]
     (analyze [ "bad_failwith" ])
 
-let test_domain_safety () =
-  check "mutables flagged when a Domain_pool caller reaches them"
-    [
-      (src "bad_global_state", 3, "domain-safety");
-      (src "bad_global_state", 4, "domain-safety");
-    ]
-    (analyze [ "bad_global_state"; "bad_parallel" ])
+let messages findings = List.map (fun f -> f.Lint.message) findings
 
-let test_domain_safety_needs_reachability () =
-  (* The same mutable bindings are fine when nothing hands a closure to
-     Domain_pool — the rule is about reachability, not mutability. *)
-  check "unreachable mutables are not flagged" [] (analyze [ "bad_global_state" ])
+(* {1 Deps: context for zero-alloc summaries only} *)
 
-let test_domain_safety_across_deps () =
-  (* A Domain_pool call in a target flags mutable state in a dep-only
-     module: this is what --deps exists for in the per-library dune rules. *)
-  check "dep modules are scanned for reachable mutables"
+let test_zero_alloc_without_deps () =
+  (* Callees in modules that are not loaded have no summary: both entries
+     are unproven. *)
+  let findings = analyze [ "za_cross" ] in
+  check "cross-module callees unproven"
+    [ (src "za_cross", 6, "zero-alloc"); (src "za_cross", 9, "zero-alloc") ]
+    findings;
+  Alcotest.(check (list string))
+    "witnesses name the unsummarized callees"
     [
-      (src "bad_global_state", 3, "domain-safety");
-      (src "bad_global_state", 4, "domain-safety");
+      "total allocates call to Za_clean.sum_to (no summary; not on the \
+       clean-extern whitelist) (test/lint_fixtures/za_cross.ml:6)";
+      "leaky allocates call to Za_indirect.helper (no summary; not on the \
+       clean-extern whitelist) (test/lint_fixtures/za_cross.ml:9)";
     ]
-    (analyze ~deps:[ "bad_global_state" ] [ "bad_parallel" ])
+    (messages findings)
+
+let test_zero_alloc_across_deps () =
+  (* With the callees' modules as deps, the clean entry is proven and the
+     leaky one's witness runs into the dep. *)
+  let findings = analyze ~deps:[ "za_clean"; "za_indirect" ] [ "za_cross" ] in
+  check "only the allocating chain is reported"
+    [ (src "za_cross", 9, "zero-alloc") ]
+    findings;
+  Alcotest.(check (list string))
+    "witness crosses into the dep"
+    [
+      "leaky \xe2\x86\x92 Za_indirect.helper allocates constructor :: \
+       (test/lint_fixtures/za_indirect.ml:4)";
+    ]
+    (messages findings)
+
+let test_deps_are_context_only () =
+  check "findings in deps are not reported" []
+    (analyze ~deps:[ "bad_random"; "bad_failwith"; "za_alloc" ] [ "clean" ])
 
 let test_interface_hygiene () =
   check "bad_no_mli"
@@ -98,8 +115,6 @@ let test_suppression_without_reason () =
     (analyze [ "suppressed_bare" ])
 
 let test_clean () = check "clean fixture" [] (analyze [ "clean" ])
-
-let messages findings = List.map (fun f -> f.Lint.message) findings
 
 let test_zero_alloc_direct () =
   let findings = analyze [ "za_alloc" ] in
@@ -150,9 +165,7 @@ let all_fixtures =
   [
     "bad_clock";
     "bad_failwith";
-    "bad_global_state";
     "bad_no_mli";
-    "bad_parallel";
     "bad_poly_compare";
     "bad_random";
     "clean";
@@ -161,6 +174,7 @@ let all_fixtures =
     "suppressed_typo";
     "za_alloc";
     "za_clean";
+    "za_cross";
     "za_indirect";
     "za_suppressed";
   ]
@@ -173,8 +187,6 @@ let test_aggregate () =
       (src "bad_failwith", 2, "exception-discipline");
       (src "bad_failwith", 3, "exception-discipline");
       (src "bad_failwith", 4, "exception-discipline");
-      (src "bad_global_state", 3, "domain-safety");
-      (src "bad_global_state", 4, "domain-safety");
       (src "bad_no_mli", 1, "interface-hygiene");
       (src "bad_poly_compare", 5, "poly-compare");
       (src "bad_poly_compare", 6, "poly-compare");
@@ -185,6 +197,7 @@ let test_aggregate () =
       (src "suppressed_bare", 3, "bare-allow");
       (src "suppressed_typo", 4, "bare-allow");
       (src "za_alloc", 4, "zero-alloc");
+      (src "za_cross", 9, "zero-alloc");
       (src "za_indirect", 7, "zero-alloc");
     ]
     (analyze all_fixtures)
@@ -200,7 +213,6 @@ let test_rule_id_roundtrip () =
       Lint.Determinism;
       Lint.Poly_compare;
       Lint.Exception_discipline;
-      Lint.Domain_safety;
       Lint.Interface_hygiene;
       Lint.Zero_alloc;
       Lint.Bare_allow;
@@ -224,11 +236,11 @@ let tests =
     Alcotest.test_case "poly-compare rule" `Quick test_poly_compare;
     Alcotest.test_case "exception-discipline rule" `Quick
       test_exception_discipline;
-    Alcotest.test_case "domain-safety rule" `Quick test_domain_safety;
-    Alcotest.test_case "domain-safety needs reachability" `Quick
-      test_domain_safety_needs_reachability;
-    Alcotest.test_case "domain-safety across deps" `Quick
-      test_domain_safety_across_deps;
+    Alcotest.test_case "zero-alloc without deps" `Quick
+      test_zero_alloc_without_deps;
+    Alcotest.test_case "zero-alloc across deps" `Quick
+      test_zero_alloc_across_deps;
+    Alcotest.test_case "deps are context only" `Quick test_deps_are_context_only;
     Alcotest.test_case "interface-hygiene rule" `Quick test_interface_hygiene;
     Alcotest.test_case "reasoned suppression" `Quick
       test_suppression_with_reason;

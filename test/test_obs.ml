@@ -42,10 +42,6 @@ let test_logical_clock () =
   (match Clock.kind c with
   | Clock.Logical -> ()
   | Clock.Monotonic -> Alcotest.fail "logical clock reports Monotonic");
-  (* A shard restarts at tick 0 and leaves the parent's counter alone. *)
-  let s = Clock.shard c in
-  Alcotest.check feq "shard tick 1" 1.0 (Clock.now_us s);
-  Alcotest.check feq "parent tick 3" 3.0 (Clock.now_us c);
   List.iter
     (fun (s, k) ->
       match (Clock.kind_of_string s, k) with
@@ -95,30 +91,6 @@ let test_metrics_registry () =
   Alcotest.(check bool)
     "json object" true
     (String.length json > 2 && json.[0] = '{')
-
-let test_metrics_shard_merge () =
-  let parent = Metrics.create () in
-  Metrics.incr parent ~n:10 "n";
-  Metrics.observe parent "h" 4.0;
-  let s1 = Metrics.shard parent in
-  let s2 = Metrics.shard parent in
-  Metrics.incr s1 ~n:3 "n";
-  Metrics.incr s2 ~n:4 "n";
-  Metrics.observe s1 "h" 16.0;
-  Metrics.gauge s2 "g" 7.0;
-  (* Live shards are already visible in the merged dump... *)
-  Alcotest.(check int) "merged view" 17 (counter parent "n");
-  (* ...and join folds them in permanently, in either order. *)
-  Metrics.join parent s2;
-  Metrics.join parent s1;
-  Alcotest.(check int) "joined counter" 17 (counter parent "n");
-  let h = hist parent "h" in
-  Alcotest.(check int) "joined hist count" 2 h.Metrics.count;
-  Alcotest.check feq "joined hist sum" 20.0 h.Metrics.sum;
-  Alcotest.check feq "joined hist max" 16.0 h.Metrics.max;
-  (match List.assoc_opt "g" (Metrics.dump parent) with
-  | Some (Metrics.Gauge g) -> Alcotest.check feq "shard gauge" 7.0 g
-  | _ -> Alcotest.fail "gauge lost in join")
 
 (* {1 Bucket boundaries and Prometheus exposition} *)
 
@@ -385,37 +357,6 @@ let test_churn_stats_reconcile () =
       Alcotest.(check int) "per-site fast-path split sums" stats.Controller.fast_path
         fast_sites)
 
-(* {1 Worker-domain metric shards} *)
-
-let test_worker_hooks_merge () =
-  let topo = small_topo () in
-  let params = Params.create ~fmax:64 () in
-  let m = Metrics.create () in
-  let trees =
-    Array.init 8 (fun g -> Tree.of_members topo [ g; (g + 5) mod 16 ])
-  in
-  (* Optimistic encodes against one snapshot on two worker domains, the
-     way Scalability's encode pool runs them. *)
-  let encode_on_workers () =
-    let snap = Srule_state.snapshot (Srule_state.create topo ~fmax:64) in
-    let worker_init, worker_exit = Obs.worker_hooks () in
-    Domain_pool.with_pool ~worker_init ~worker_exit 2 (fun pool ->
-        Domain_pool.map ~chunk:1 pool
-          (fun tree ->
-            let enc = Encoding.encode_txn params (Srule_state.txn snap) tree in
-            let w = Byteio.Writer.create () in
-            Encoding.write w enc;
-            Byteio.Writer.to_bytes w)
-          trees)
-  in
-  let traced = with_ctx ~metrics:m encode_on_workers in
-  let plain = encode_on_workers () in
-  Alcotest.(check (array bytes)) "parallel encodings identical" plain traced;
-  (* Shards recorded on worker domains were joined back: every encode span
-     landed somewhere in the merged registry. *)
-  let h = hist m "span.encoding.encode_txn_us" in
-  Alcotest.(check int) "worker spans merged" 8 h.Metrics.count
-
 (* {1 Provenance} *)
 
 let test_provenance () =
@@ -481,11 +422,91 @@ let prop_jsonx_num_roundtrip =
       QCheck.assume (Float.is_finite f);
       Float.equal (float_of_string (Jsonx.to_string (Num f))) f)
 
+(* {1 One registry per run} *)
+
+let test_metrics_kind_mismatch () =
+  let m = Metrics.create () in
+  Metrics.incr m "x";
+  Alcotest.check_raises "gauge on a counter"
+    (Invalid_argument "Metrics.gauge: x is not a gauge") (fun () ->
+      Metrics.gauge m "x" 1.0);
+  Alcotest.check_raises "observe on a counter"
+    (Invalid_argument "Metrics.observe: x is not a histogram") (fun () ->
+      Metrics.observe m "x" 1.0);
+  Metrics.observe m "h" 3.0;
+  Alcotest.check_raises "incr on a histogram"
+    (Invalid_argument "Metrics.incr: h is not a counter") (fun () ->
+      Metrics.incr m "h");
+  Alcotest.(check int) "counter kept" 1 (counter m "x");
+  Alcotest.(check int) "histogram kept" 1 (hist m "h").Metrics.count
+
+let test_metrics_dump_is_a_snapshot () =
+  let m = Metrics.create () in
+  Metrics.incr m ~n:2 "n";
+  Metrics.gauge m "g" 1.0;
+  Metrics.observe m "h" 4.0;
+  let before = Metrics.dump m in
+  let buckets_before = Metrics.dump_buckets m "h" in
+  Metrics.incr m ~n:3 "n";
+  Metrics.gauge m "g" 7.0;
+  Metrics.observe m "h" 16.0;
+  (match List.assoc_opt "n" before with
+  | Some (Metrics.Counter n) -> Alcotest.(check int) "old counter" 2 n
+  | _ -> Alcotest.fail "counter missing");
+  (match List.assoc_opt "h" before with
+  | Some (Metrics.Histogram h) -> Alcotest.(check int) "old hist count" 1 h.Metrics.count
+  | _ -> Alcotest.fail "histogram missing");
+  let total = function
+    | Some b -> Array.fold_left (fun n (_, c) -> n + c) 0 b
+    | None -> Alcotest.fail "no buckets"
+  in
+  Alcotest.(check int) "old buckets" 1 (total buckets_before);
+  Alcotest.(check int) "live counter" 5 (counter m "n");
+  Alcotest.(check int) "live buckets" 2 (total (Metrics.dump_buckets m "h"));
+  (match List.assoc_opt "g" (Metrics.dump m) with
+  | Some (Metrics.Gauge g) -> Alcotest.check feq "last gauge write wins" 7.0 g
+  | _ -> Alcotest.fail "gauge missing");
+  Alcotest.(check bool) "counter has no buckets" true
+    (Metrics.dump_buckets m "n" = None)
+
+let test_logical_clocks_independent () =
+  let a = Clock.logical () and b = Clock.logical () in
+  Alcotest.check feq "a tick 1" 1.0 (Clock.now_us a);
+  Alcotest.check feq "a tick 2" 2.0 (Clock.now_us a);
+  Alcotest.check feq "b starts at tick 1" 1.0 (Clock.now_us b);
+  Alcotest.check feq "a unaffected by b" 3.0 (Clock.now_us a)
+
+(* Every encode of a sweep point runs on the calling domain, so each lands
+   in the installed registry; the sweep's output is the same with and
+   without observability. *)
+let test_sweep_spans_one_registry () =
+  let cfg =
+    {
+      Scalability.topo = Topology.facebook_fabric ();
+      tenants = 40;
+      total_groups = 200;
+      strategy = Vm_placement.Pack_up_to 12;
+      dist = Group_dist.Wve;
+      params = Params.create ~fmax:2 ();
+      seed = 3;
+    }
+  in
+  let pp = Format.asprintf "%a" Scalability.pp_point in
+  let plain = pp (Scalability.run_point cfg ~r:0) in
+  let m = Metrics.create () in
+  let traced = with_ctx ~metrics:m (fun () -> pp (Scalability.run_point cfg ~r:0)) in
+  Alcotest.(check string) "point identical with observability on" plain traced;
+  Alcotest.(check int) "one run_point span" 1
+    (hist m "span.scalability.run_point_us").Metrics.count;
+  Alcotest.(check int) "one encode span per group" 200
+    (hist m "span.encoding.encode_us").Metrics.count
+
 let tests =
   [
     Alcotest.test_case "logical clock" `Quick test_logical_clock;
     Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
-    Alcotest.test_case "metrics shard merge" `Quick test_metrics_shard_merge;
+    Alcotest.test_case "metrics dump is a snapshot" `Quick
+      test_metrics_dump_is_a_snapshot;
     Alcotest.test_case "dump_buckets boundaries" `Quick test_dump_buckets;
     Alcotest.test_case "prometheus exposition" `Quick test_expose;
     Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
@@ -494,9 +515,13 @@ let tests =
     Alcotest.test_case "results identical with obs" `Quick
       test_results_identical_with_obs;
     Alcotest.test_case "churn stats reconcile" `Quick test_churn_stats_reconcile;
-    Alcotest.test_case "worker hooks merge" `Quick test_worker_hooks_merge;
+    Alcotest.test_case "sweep spans in one registry" `Quick
+      test_sweep_spans_one_registry;
     Alcotest.test_case "provenance" `Quick test_provenance;
     Alcotest.test_case "provenance bytes" `Quick test_provenance_bytes;
     Alcotest.test_case "jsonx tree" `Quick test_jsonx_tree;
     QCheck_alcotest.to_alcotest prop_jsonx_num_roundtrip;
+    Alcotest.test_case "metrics kind mismatch" `Quick test_metrics_kind_mismatch;
+    Alcotest.test_case "logical clocks independent" `Quick
+      test_logical_clocks_independent;
   ]

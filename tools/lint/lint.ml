@@ -7,7 +7,6 @@ type rule =
   | Determinism
   | Poly_compare
   | Exception_discipline
-  | Domain_safety
   | Interface_hygiene
   | Zero_alloc
   | Bare_allow
@@ -16,7 +15,6 @@ let rule_id = function
   | Determinism -> "determinism"
   | Poly_compare -> "poly-compare"
   | Exception_discipline -> "exception-discipline"
-  | Domain_safety -> "domain-safety"
   | Interface_hygiene -> "interface-hygiene"
   | Zero_alloc -> "zero-alloc"
   | Bare_allow -> "bare-allow"
@@ -25,7 +23,6 @@ let rule_of_id = function
   | "determinism" -> Some Determinism
   | "poly-compare" -> Some Poly_compare
   | "exception-discipline" -> Some Exception_discipline
-  | "domain-safety" -> Some Domain_safety
   | "interface-hygiene" -> Some Interface_hygiene
   | "zero-alloc" -> Some Zero_alloc
   | "bare-allow" -> Some Bare_allow
@@ -40,7 +37,6 @@ type config = {
   determinism_scope : string -> bool;
   poly_scope : string -> bool;
   exn_scope : string -> bool;
-  domain_scope : string -> bool;
   iface_scope : string -> bool;
 }
 
@@ -51,7 +47,6 @@ let default_config =
     determinism_scope = under "lib/";
     poly_scope = under "lib/";
     exn_scope = (fun p -> under "lib/core/" p || under "lib/dataplane/" p);
-    domain_scope = under "lib/";
     iface_scope = under "lib/";
   }
 
@@ -62,7 +57,6 @@ let all_config =
     determinism_scope = all_true;
     poly_scope = all_true;
     exn_scope = all_true;
-    domain_scope = all_true;
     iface_scope = all_true;
   }
 
@@ -75,7 +69,6 @@ type modinfo = {
   source : string option;  (* workspace-relative, as recorded by the compiler *)
   source_abs : string option;  (* resolved on disk, for suppression scanning *)
   structure : Typedtree.structure option;
-  imports : string list;
   is_target : bool;
 }
 
@@ -116,7 +109,6 @@ let load_cmt ?source_root ~is_target path =
     source;
     source_abs;
     structure;
-    imports = List.map fst cmt.Cmt_format.cmt_imports;
     is_target;
   }
 
@@ -261,18 +253,10 @@ let rec result_type ty =
   | Types.Tarrow (_, _, rhs, _) -> result_type rhs
   | _ -> ty
 
-let is_domain_pool_call name =
-  let tail_ok suffix = name = suffix || String.ends_with ~suffix:("." ^ suffix) name in
-  tail_ok "Domain_pool.map" || tail_ok "Domain_pool.submit"
-
-type raw = {
-  mutable found : (int * rule * string) list;
-  mutable pool_calls : int list;  (* lines applying Domain_pool.map/submit *)
-}
-
+(* (line, rule, message) for every expression-level finding in [str]. *)
 let scan_expressions str =
-  let acc = { found = []; pool_calls = [] } in
-  let add line rule msg = acc.found <- (line, rule, msg) :: acc.found in
+  let found = ref [] in
+  let add line rule msg = found := (line, rule, msg) :: !found in
   let check_ident line path ty =
     let name = Path.name path in
     if deterministic_banned name then
@@ -304,9 +288,7 @@ let scan_expressions str =
         (Printf.sprintf
            "%s: raise a declared exception constructor instead (suppress \
             with a reason at genuine API-misuse boundaries)"
-           (short_name name));
-    if is_domain_pool_call name then
-      acc.pool_calls <- line :: acc.pool_calls
+           (short_name name))
   in
   let expr (it : Tast_iterator.iterator) (e : Typedtree.expression) =
     let line = e.Typedtree.exp_loc.Location.loc_start.Lexing.pos_lnum in
@@ -325,77 +307,7 @@ let scan_expressions str =
   in
   let it = { Tast_iterator.default_iterator with expr } in
   it.structure it str;
-  acc
-
-(* ------------------------------------------------------------------ *)
-(* Top-level mutable bindings (domain-safety raw material)             *)
-
-let rec pat_names p =
-  match p.Typedtree.pat_desc with
-  | Typedtree.Tpat_var (id, _) -> [ Ident.name id ]
-  | Typedtree.Tpat_alias (p', id, _) -> Ident.name id :: pat_names p'
-  | Typedtree.Tpat_tuple ps -> List.concat_map pat_names ps
-  | _ -> []
-
-let record_has_mutable_label e =
-  match e.Typedtree.exp_desc with
-  | Typedtree.Texp_record { fields; _ } ->
-      Array.exists
-        (fun (ld, _) -> ld.Types.lbl_mut = Asttypes.Mutable)
-        fields
-  | _ -> false
-
-let binding_mutability vb =
-  let ty = vb.Typedtree.vb_expr.Typedtree.exp_type in
-  match Types.get_desc ty with
-  | Types.Tconstr (p, _, _) -> (
-      match Path.name p with
-      | "ref" | "Stdlib.ref" -> Some "ref cell"
-      | n when String.ends_with ~suffix:"Hashtbl.t" n -> Some "Hashtbl"
-      | _ ->
-          if record_has_mutable_label vb.Typedtree.vb_expr then
-            Some "record with mutable fields"
-          else None)
-  | _ ->
-      if record_has_mutable_label vb.Typedtree.vb_expr then
-        Some "record with mutable fields"
-      else None
-
-(* name, kind, line — collected at structure top level (including nested
-   module structures: their bindings live just as long). *)
-let rec toplevel_mutables str =
-  List.concat_map
-    (fun item ->
-      match item.Typedtree.str_desc with
-      | Typedtree.Tstr_value (_, vbs) ->
-          List.filter_map
-            (fun vb ->
-              match binding_mutability vb with
-              | None -> None
-              | Some kind ->
-                  let line =
-                    vb.Typedtree.vb_loc.Location.loc_start.Lexing.pos_lnum
-                  in
-                  let name =
-                    match pat_names vb.Typedtree.vb_pat with
-                    | n :: _ -> n
-                    | [] -> "_"
-                  in
-                  Some (name, kind, line))
-            vbs
-      | Typedtree.Tstr_module mb -> module_mutables mb.Typedtree.mb_expr
-      | Typedtree.Tstr_recmodule mbs ->
-          List.concat_map
-            (fun mb -> module_mutables mb.Typedtree.mb_expr)
-            mbs
-      | _ -> [])
-    str.Typedtree.str_items
-
-and module_mutables me =
-  match me.Typedtree.mod_desc with
-  | Typedtree.Tmod_structure s -> toplevel_mutables s
-  | Typedtree.Tmod_constraint (me', _, _, _) -> module_mutables me'
-  | _ -> []
+  !found
 
 (* ------------------------------------------------------------------ *)
 (* Allocation analysis (zero-alloc)                                   *)
@@ -838,8 +750,6 @@ let analyze ?(config = default_config) ?source_root ~targets ?(deps = []) ()
     List.map (load_cmt ?source_root ~is_target:true) targets
     @ List.map (load_cmt ?source_root ~is_target:false) deps
   in
-  let by_name = Hashtbl.create 64 in
-  List.iter (fun m -> Hashtbl.replace by_name m.modname m) mods;
   let allows_cache = Hashtbl.create 64 in
   let allows_for m =
     match m.source_abs with
@@ -858,74 +768,24 @@ let analyze ?(config = default_config) ?source_root ~targets ?(deps = []) ()
     | None -> ()
     | Some file -> findings := { file; line; rule; message } :: !findings
   in
-  (* Per-module expression scan; remember raw scans for domain-safety. *)
-  let scans =
-    List.filter_map
-      (fun m ->
-        match (m.structure, m.source) with
-        | Some str, Some src -> Some (m, src, scan_expressions str)
-        | _ -> None)
-      mods
-  in
+  (* Per-target expression scan. *)
   List.iter
-    (fun (m, src, scan) ->
-      if m.is_target then
-        List.iter
-          (fun (line, rule, msg) ->
-            let in_scope =
-              match rule with
-              | Determinism -> config.determinism_scope src
-              | Poly_compare -> config.poly_scope src
-              | Exception_discipline -> config.exn_scope src
-              | _ -> false
-            in
-            if in_scope then emit m line rule msg)
-          scan.found)
-    scans;
-  (* Domain-safety: modules transitively imported by a module that applies
-     Domain_pool.map/submit must not own top-level mutable state. The
-     closure is the cmt import graph restricted to the modules we were
-     given — a sound over-approximation of what the parallel closures can
-     reach. *)
-  let reachable_from seed =
-    let seen = Hashtbl.create 32 in
-    let rec go name =
-      if not (Hashtbl.mem seen name) then (
-        Hashtbl.add seen name ();
-        match Hashtbl.find_opt by_name name with
-        | None -> ()
-        | Some m -> List.iter go m.imports)
-    in
-    go seed;
-    seen
-  in
-  let flagged = Hashtbl.create 32 in
-  List.iter
-    (fun (m, _, scan) ->
-      if m.is_target && scan.pool_calls <> [] then
-        let caller_src = Option.value m.source ~default:m.modname in
-        let reach = reachable_from m.modname in
-        Hashtbl.iter
-          (fun name () ->
-            match Hashtbl.find_opt by_name name with
-            | None -> ()
-            | Some n -> (
-                match (n.structure, n.source) with
-                | Some str, Some src when config.domain_scope src ->
-                    List.iter
-                      (fun (bname, kind, line) ->
-                        if not (Hashtbl.mem flagged (src, line)) then (
-                          Hashtbl.add flagged (src, line) ();
-                          emit n line Domain_safety
-                            (Printf.sprintf
-                               "top-level mutable binding '%s' (%s) is \
-                                reachable from the Domain_pool closure in \
-                                %s; shared state races across domains"
-                               bname kind caller_src)))
-                      (toplevel_mutables str)
-                | _ -> ()))
-          reach)
-    scans;
+    (fun m ->
+      match (m.is_target, m.structure, m.source) with
+      | true, Some str, Some src ->
+          List.iter
+            (fun (line, rule, msg) ->
+              let in_scope =
+                match rule with
+                | Determinism -> config.determinism_scope src
+                | Poly_compare -> config.poly_scope src
+                | Exception_discipline -> config.exn_scope src
+                | _ -> false
+              in
+              if in_scope then emit m line rule msg)
+            (scan_expressions str)
+      | _ -> ())
+    mods;
   (* Interface hygiene: an implementation cmt without a sibling cmti means
      the module ships no .mli. *)
   List.iter
@@ -992,7 +852,7 @@ let analyze ?(config = default_config) ?source_root ~targets ?(deps = []) ()
                           "allow names unknown rule '%s' — nothing is \
                            suppressed (known rules: determinism, \
                            poly-compare, exception-discipline, \
-                           domain-safety, interface-hygiene, zero-alloc)"
+                           interface-hygiene, zero-alloc)"
                           a.a_rule;
                     }
               | Some _ ->

@@ -1,12 +1,10 @@
 (** elmo-lint: typed-AST static analysis over the [.cmt] files dune emits.
 
     The type system cannot see the invariants Elmo's correctness argument
-    rests on: the controller must be bit-identically deterministic (the
-    parallel [install_all] is proved against the sequential path only if no
-    code path consults ambient randomness or wall clocks), capacity failures
-    must surface as declared exceptions rather than stray [failwith], and
-    nothing reachable from [Domain_pool.map] may touch top-level mutable
-    state. This pass walks the typed trees ([Cmt_format.read_cmt] +
+    rests on: the controller must be bit-identically deterministic (no code
+    path consults ambient randomness or wall clocks, so every run replays),
+    capacity failures must surface as declared exceptions rather than stray
+    [failwith], and annotated hot paths must not allocate. This pass walks the typed trees ([Cmt_format.read_cmt] +
     [Tast_iterator]) and enforces them mechanically.
 
     A finding on line [l] is silenced by an inline comment on line [l] or
@@ -33,11 +31,6 @@ type rule =
           the module's declared exception constructors. [Invalid_argument]
           at a genuine API-misuse boundary is allowed with a reasoned
           suppression. *)
-  | Domain_safety
-      (** No top-level [ref] / [Hashtbl] / mutable-record binding in any
-          module transitively reachable (via cmt import info) from a closure
-          passed to [Domain_pool.map] or [Domain_pool.submit] — a static
-          data-race screen for the OCaml 5 parallel encode path. *)
   | Interface_hygiene
       (** Every implementation ships an [.mli] (detected as a sibling
           [.cmti] of the [.cmt]). *)
@@ -76,15 +69,14 @@ type config = {
   determinism_scope : string -> bool;
   poly_scope : string -> bool;
   exn_scope : string -> bool;
-  domain_scope : string -> bool;
   iface_scope : string -> bool;
 }
 (** Each predicate receives the workspace-relative source path recorded in
     the [.cmt] and decides whether the rule applies to that file. *)
 
 val default_config : config
-(** The repo policy: determinism / poly-compare / domain-safety /
-    interface-hygiene over [lib/]; exception-discipline over [lib/core/]
+(** The repo policy: determinism / poly-compare / interface-hygiene over
+    [lib/]; exception-discipline over [lib/core/]
     and [lib/dataplane/] only. *)
 
 val all_config : config
@@ -102,10 +94,10 @@ val analyze :
     context, and dune scrubs [cmt_builddir] to [/workspace_root]).
 
     [targets] are the modules being linted; [deps] are context-only modules
-    whose typed trees extend the reachability analysis of [Domain_safety]
-    (a [Domain_pool.map] call in a target can flag a top-level mutable
-    binding in a dep). All other rules report on targets only, so linting
-    each library with its dependency closure as [deps] never duplicates a
-    finding across library lint runs.
+    whose typed trees extend the [Zero_alloc] summaries (a zero-alloc
+    binding in a target is judged through the callees it reaches in a
+    dep). Every rule reports on targets only, so linting each library with
+    its dependency closure as [deps] never duplicates a finding across
+    library lint runs.
 
     Raises [Failure] when a [.cmt] cannot be read. *)
