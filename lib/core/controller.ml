@@ -53,23 +53,6 @@ type group_state = {
          flows whose ECMP choice traverses a failed switch get one *)
 }
 
-(* A group's checkpoint entry: one deep copy of the group, built when the
-   group changes and shared by every installed view and snapshot taken
-   until it changes again. It owns the copied encoding and the host-sorted
-   override copies; [e_members] is the (host, role) list in insertion
-   order, which a restore must reproduce. Two caches are filled on first
-   use: [e_view], the installed view over the entry's own copies, and
-   [e_wire], the entry's snapshot-codec bytes. Everything else is
-   immutable. *)
-type entry = {
-  e_gid : int;
-  e_members : (int * role) list;
-  e_enc : Encoding.t option;
-  e_overrides : (int * override) list;
-  mutable e_view : Installed_config.group_view option;
-  mutable e_wire : bytes option;
-}
-
 type churn_stats = { fast_path : int; reencoded : int }
 
 type install_stats = {
@@ -81,16 +64,28 @@ type install_stats = {
   stale_entries : int;
 }
 
+(* The controller's one counter block: [churn_stats], [install_stats]
+   and the snapshot codec all read it, and each field is bumped in
+   exactly one place. *)
+type counters = {
+  mutable fast_hits : int;
+  mutable reencodes : int;
+  mutable install_attempts : int;
+  mutable install_retries : int;
+  mutable install_exhausted : int;
+  mutable degraded : int;
+  mutable compensated : int;
+}
+
 type t = {
   topo : Topology.t;
   params : Params.t;
-  mutable srules : Srule_state.t;  (* swapped wholesale by [restore] *)
+  srules : Srule_state.t;
   hooks : fabric_hooks option;
   clock : Elmo_obs.Clock.t;
   groups : (int, group_state) Hashtbl.t;
   incremental : bool;
-  mutable fast_hits : int;
-  mutable reencodes : int;
+  counters : counters;
   spine_ok : bool array;
   core_ok : bool array;
   link_ok : bool array;  (* leaf <-> pod-spine links, index leaf * spp + plane *)
@@ -103,19 +98,16 @@ type t = {
          [stale_key] (a primitive int combining group and site); the value
          is the (group, site) pair needed to reconcile the entry *)
   stale_stride : int;
-  mutable install_attempts : int;
-  mutable install_retries : int;
-  mutable install_exhausted : int;
-  mutable degradations : int;
-  mutable compensations : int;
   dirty : (int, unit) Hashtbl.t;
       (* groups whose installed view may have changed since the last
          [drain_dirty] — feeds the verify layer's predicate-cache
          invalidation *)
-  entries : (int, entry) Hashtbl.t;
-      (* memoized checkpoint entry of every group unchanged since its entry
-         was last built; [mark_dirty] evicts, [installed_config] and
-         [snapshot] refill *)
+  views : (int, Installed_config.group_view) Hashtbl.t;
+      (* [installed_config]'s deep copy of every group unchanged since it
+         was last copied *)
+  segments : (int, bytes) Hashtbl.t;
+      (* [write_snapshot]'s bytes of every group unchanged since they were
+         last written; [mark_dirty] evicts from both memos *)
 }
 
 let create ?fabric_hooks ?clock ?(incremental = true) topo params =
@@ -130,8 +122,16 @@ let create ?fabric_hooks ?clock ?(incremental = true) topo params =
     clock;
     groups = Hashtbl.create 1024;
     incremental;
-    fast_hits = 0;
-    reencodes = 0;
+    counters =
+      {
+        fast_hits = 0;
+        reencodes = 0;
+        install_attempts = 0;
+        install_retries = 0;
+        install_exhausted = 0;
+        degraded = 0;
+        compensated = 0;
+      };
     spine_ok = Array.make (Topology.num_spines topo) true;
     core_ok = Array.make (max 1 (Topology.num_cores topo)) true;
     link_ok =
@@ -141,13 +141,9 @@ let create ?fabric_hooks ?clock ?(incremental = true) topo params =
     stale = Hashtbl.create 8;
     stale_stride =
       (2 * max (Topology.num_leaves topo) topo.Topology.pods) + 2;
-    install_attempts = 0;
-    install_retries = 0;
-    install_exhausted = 0;
-    degradations = 0;
-    compensations = 0;
     dirty = Hashtbl.create 64;
-    entries = Hashtbl.create 1024;
+    views = Hashtbl.create 1024;
+    segments = Hashtbl.create 1024;
   }
 
 let topology t = t.topo
@@ -175,13 +171,15 @@ let find_group t group =
    encoding, overrides, stale markers — marks the group dirty. The verify
    layer drains the set to invalidate exactly the cached checks that
    could have changed, instead of re-checking every group after every
-   event, and [installed_config] and [snapshot] re-copy only the marked
-   groups. Marking is conservative: a marked group whose view happens to
-   be unchanged merely costs one re-check and one copy. *)
+   event, [installed_config] re-copies only the marked groups and
+   [write_snapshot] re-encodes only their segments. Marking is
+   conservative: a marked group whose view happens to be unchanged merely
+   costs one re-check, one copy and one segment. *)
 
 let mark_dirty t group =
   Hashtbl.replace t.dirty group ();
-  Hashtbl.remove t.entries group
+  Hashtbl.remove t.views group;
+  Hashtbl.remove t.segments group
 
 let drain_dirty t =
   let gids = Hashtbl.fold (fun g () acc -> g :: acc) t.dirty [] in
@@ -189,7 +187,7 @@ let drain_dirty t =
   List.sort Int.compare gids
 
 let dirty_count t = Hashtbl.length t.dirty
-let memoized_views t = Hashtbl.length t.entries
+let memoized_views t = Hashtbl.length t.views
 
 (* {1 Reliable rule installation}
 
@@ -236,22 +234,20 @@ let backoff_wait t us =
 
 let reliable t hooks ~group op =
   let budget = t.params.Params.install_retries in
+  let c = t.counters in
   let rec go attempt backoff =
-    t.install_attempts <- t.install_attempts + 1;
-    Obs.incr "controller.install_attempts";
+    c.install_attempts <- c.install_attempts + 1;
     (match perform hooks ~group op with
     | Ok () -> ()
     | Error Timed_out -> Obs.incr "controller.install_timeouts"
     | Error Refused -> Obs.incr "controller.install_refusals");
     if verified hooks ~group op then Ok ()
     else if attempt >= budget then begin
-      t.install_exhausted <- t.install_exhausted + 1;
-      Obs.incr "controller.install_exhausted";
+      c.install_exhausted <- c.install_exhausted + 1;
       Error ()
     end
     else begin
-      t.install_retries <- t.install_retries + 1;
-      Obs.incr "controller.install_retries";
+      c.install_retries <- c.install_retries + 1;
       Obs.observe "controller.install_backoff_us" (float_of_int backoff);
       backoff_wait t backoff;
       go (attempt + 1) (backoff * 2)
@@ -532,6 +528,13 @@ let refresh_overrides t ~group st =
 let srule_ok_leaf t l = not t.denied_leaf.(l)
 let srule_ok_pod t p = not t.denied_pod.(p)
 
+(* Deny a switch whose install exhausted its retry budget. *)
+let deny t site =
+  t.counters.degraded <- t.counters.degraded + 1;
+  match site with
+  | Srule_state.Leaf l -> t.denied_leaf.(l) <- true
+  | Srule_state.Pod p -> t.denied_pod.(p) <- true
+
 let encode_group t st =
   let rcvs = receivers st in
   if rcvs = [] then st.enc <- None
@@ -558,8 +561,6 @@ let rec install_with_degrade t ~group st =
       match install_enc t ~group enc with
       | Ok () -> ()
       | Error site ->
-          t.degradations <- t.degradations + 1;
-          Obs.incr "controller.degradations";
           Log.info (fun m ->
               m "group %d: installs on %s keep failing; degrading it to the \
                  default p-rule"
@@ -567,9 +568,7 @@ let rec install_with_degrade t ~group st =
                 (match site with
                 | Srule_state.Leaf l -> Printf.sprintf "leaf %d" l
                 | Srule_state.Pod p -> Printf.sprintf "pod %d" p));
-          (match site with
-          | Srule_state.Leaf l -> t.denied_leaf.(l) <- true
-          | Srule_state.Pod p -> t.denied_pod.(p) <- true);
+          deny t site;
           uninstall_enc t ~group enc;
           encode_group t st;
           install_with_degrade t ~group st)
@@ -645,8 +644,7 @@ let reconcile t =
                   in
                   match reliable t hooks ~group install_op with
                   | Ok () ->
-                      t.compensations <- t.compensations + 1;
-                      Obs.incr "controller.compensations"
+                      t.counters.compensated <- t.counters.compensated + 1
                   | Error () ->
                       (* Entry content unknown until the next reconcile;
                          surfaced via [install_stats.stale_entries]. *)
@@ -812,16 +810,13 @@ let try_fast_delta t ~group st ~host ~joining =
                       (* The leaf stopped accepting installs mid-run: deny it
                          and fall back to a full re-encode, which will fold
                          its traffic into the default p-rule. *)
-                      t.degradations <- t.degradations + 1;
-                      Obs.incr "controller.degradations";
-                      t.denied_leaf.(dleaf) <- true;
+                      deny t (Srule_state.Leaf dleaf);
                       false)
               | _ -> true
             in
             if not mirror_ok then None
             else begin
-            t.fast_hits <- t.fast_hits + 1;
-            Obs.incr "controller.fast_path";
+            t.counters.fast_hits <- t.counters.fast_hits + 1;
             if Hashtbl.length st.applied > 0 || not (all_healthy t) then
               refresh_overrides t ~group st;
             (* Upstream rules only depend on the tree's leaf and pod sets,
@@ -993,6 +988,24 @@ let remove_group t ~group =
     pods = srule_pods;
   }
 
+(* A join or leave, once [st.members] has changed. A sender's tree is
+   unchanged: only its own encap rule is (un)installed. A receiver event
+   tries the fast path and falls back to a full re-encode. *)
+let member_event t ~group st ~host ~role ~joining =
+  let u =
+    match role with
+    | Sender -> { hypervisors = [ host ]; leaves = []; pods = [] }
+    | Receiver | Both -> (
+        match try_fast_delta t ~group st ~host ~joining with
+        | Some u -> u
+        | None ->
+            t.counters.reencodes <- t.counters.reencodes + 1;
+            reencode t ~group st ~changed_host:host)
+  in
+  reconcile t;
+  check_invariants t ~op:(if joining then "join" else "leave");
+  u
+
 let join t ~group ~host ~role =
   check_join t ~group ~host;
   let st = find_group t group in
@@ -1001,23 +1014,7 @@ let join t ~group ~host ~role =
   @@ fun () ->
   mark_dirty t group;
   st.members <- st.members @ [ (host, role) ];
-  let u =
-    match role with
-    | Sender ->
-        (* The tree is unchanged; only the new sender's encap rule is
-           installed. *)
-        { hypervisors = [ host ]; leaves = []; pods = [] }
-    | Receiver | Both -> (
-        match try_fast_delta t ~group st ~host ~joining:true with
-        | Some u -> u
-        | None ->
-            t.reencodes <- t.reencodes + 1;
-            Obs.incr "controller.reencodes";
-            reencode t ~group st ~changed_host:host)
-  in
-  reconcile t;
-  check_invariants t ~op:"join";
-  u
+  member_event t ~group st ~host ~role ~joining:true
 
 let leave t ~group ~host =
   check_leave t ~group ~host;
@@ -1028,33 +1025,23 @@ let leave t ~group ~host =
   @@ fun () ->
   mark_dirty t group;
   st.members <- List.remove_assoc host st.members;
-  let u =
-    match role with
-    | Sender -> { hypervisors = [ host ]; leaves = []; pods = [] }
-    | Receiver | Both -> (
-        match try_fast_delta t ~group st ~host ~joining:false with
-        | Some u -> u
-        | None ->
-            t.reencodes <- t.reencodes + 1;
-            Obs.incr "controller.reencodes";
-            reencode t ~group st ~changed_host:host)
-  in
-  reconcile t;
-  check_invariants t ~op:"leave";
-  u
+  member_event t ~group st ~host ~role ~joining:false
 
 let encoding t ~group = (find_group t group).enc
 let members t ~group = (find_group t group).members
 let group_count t = Hashtbl.length t.groups
-let churn_stats t = { fast_path = t.fast_hits; reencoded = t.reencodes }
+
+let churn_stats t =
+  { fast_path = t.counters.fast_hits; reencoded = t.counters.reencodes }
 
 let install_stats t =
+  let c = t.counters in
   {
-    attempts = t.install_attempts;
-    retries = t.install_retries;
-    exhausted = t.install_exhausted;
-    degradations = t.degradations;
-    compensations = t.compensations;
+    attempts = c.install_attempts;
+    retries = c.install_retries;
+    exhausted = c.install_exhausted;
+    degradations = c.degraded;
+    compensations = c.compensated;
     stale_entries = Hashtbl.length t.stale;
   }
 
@@ -1201,41 +1188,13 @@ let recover_core t c =
   t.core_ok.(c) <- true;
   refresh_after t ~op:"recover_core"
 
-(* {1 Crash-consistent checkpoints}
+(* {1 Installed-configuration views}
 
-   A snapshot is a deep copy of everything recovery needs to continue
-   bit-identically: membership, encodings (with their bitmap aliasing
-   preserved — see {!Encoding.copy}), installed overrides, the s-rule
-   ledger, health/denial state, stale markers and every counter. Restoring
-   builds a fresh controller and does {e not} re-emit fabric installs: the
-   fabric's state survives a controller crash, and the journal replay that
-   follows a restore re-issues exactly the operations the crashed
-   controller had not yet checkpointed.
-
-   The per-group part of a snapshot is the group's memoized [entry], so a
-   checkpoint deep-copies only the groups marked dirty since the previous
-   one and shares the rest with earlier snapshots and installed views. *)
-
-type snapshot = {
-  snap_topo : Topology.t;
-  snap_params : Params.t;
-  snap_incremental : bool;
-  snap_groups : entry list;  (* ascending by gid *)
-  snap_srules : Srule_state.t;
-  snap_fast_hits : int;
-  snap_reencodes : int;
-  snap_spine_ok : bool array;
-  snap_core_ok : bool array;
-  snap_link_ok : bool array;
-  snap_denied_leaf : bool array;
-  snap_denied_pod : bool array;
-  snap_stale : (int * (int * Srule_state.site)) list;
-  snap_install_attempts : int;
-  snap_install_retries : int;
-  snap_install_exhausted : int;
-  snap_degradations : int;
-  snap_compensations : int;
-}
+   The pure [Installed_config.t] view feeds the symbolic verification layer
+   ([lib/verify]). Each group's view is a deep copy, so a view stays valid
+   across later controller mutations; the copy is memoized until
+   [mark_dirty] evicts it, so successive views share the records of
+   unchanged groups. *)
 
 let copy_override ov =
   {
@@ -1244,102 +1203,33 @@ let copy_override ov =
     unicast = ov.unicast;
   }
 
-(* [enc] and [overrides] become the entry's own: callers pass fresh copies
-   or freshly decoded values, never live controller state. *)
-let make_entry ~gid ~members ~enc ~overrides =
-  {
-    e_gid = gid;
-    e_members = members;
-    e_enc = enc;
-    e_overrides = List.sort (fun (a, _) (b, _) -> Int.compare a b) overrides;
-    e_view = None;
-    e_wire = None;
-  }
+(* A group's installed overrides, ascending by sender host. *)
+let sorted_overrides st =
+  Hashtbl.fold (fun host ov acc -> (host, ov) :: acc) st.applied []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let entry_view e =
-  match e.e_view with
+let group_view t gid st =
+  match Hashtbl.find_opt t.views gid with
   | Some v -> v
   | None ->
-      let of_role want =
-        List.filter_map
-          (fun (h, r) -> if want r then Some h else None)
-          e.e_members
-        |> List.sort_uniq Int.compare
-      in
       let v =
         {
-          Installed_config.gid = e.e_gid;
-          receivers =
-            of_role (function Receiver | Both -> true | Sender -> false);
-          senders = of_role (function Sender | Both -> true | Receiver -> false);
-          enc = e.e_enc;
-          overrides = e.e_overrides;
+          Installed_config.gid;
+          receivers = List.sort_uniq Int.compare (receivers st);
+          senders = List.sort_uniq Int.compare (senders st);
+          enc = Option.map Encoding.copy st.enc;
+          overrides =
+            List.map
+              (fun (h, ov) -> (h, copy_override ov))
+              (sorted_overrides st);
         }
       in
-      e.e_view <- Some v;
+      Hashtbl.replace t.views gid v;
       v
-
-let group_entry t gid st =
-  match Hashtbl.find_opt t.entries gid with
-  | Some e -> e
-  | None ->
-      let overrides =
-        Hashtbl.fold
-          (fun host ov acc -> (host, copy_override ov) :: acc)
-          st.applied []
-      in
-      let e =
-        make_entry ~gid ~members:st.members
-          ~enc:(Option.map Encoding.copy st.enc)
-          ~overrides
-      in
-      Hashtbl.replace t.entries gid e;
-      e
-
-let snapshot t =
-  let groups =
-    Hashtbl.fold (fun gid st acc -> group_entry t gid st :: acc) t.groups []
-    |> List.sort (fun a b -> Int.compare a.e_gid b.e_gid)
-  in
-  {
-    snap_topo = t.topo;
-    snap_params = t.params;
-    snap_incremental = t.incremental;
-    snap_groups = groups;
-    snap_srules = Srule_state.copy t.srules;
-    snap_fast_hits = t.fast_hits;
-    snap_reencodes = t.reencodes;
-    snap_spine_ok = Array.copy t.spine_ok;
-    snap_core_ok = Array.copy t.core_ok;
-    snap_link_ok = Array.copy t.link_ok;
-    snap_denied_leaf = Array.copy t.denied_leaf;
-    snap_denied_pod = Array.copy t.denied_pod;
-    snap_stale =
-      Hashtbl.fold (fun key e acc -> (key, e) :: acc) t.stale []
-      |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2);
-    snap_install_attempts = t.install_attempts;
-    snap_install_retries = t.install_retries;
-    snap_install_exhausted = t.install_exhausted;
-    snap_degradations = t.degradations;
-    snap_compensations = t.compensations;
-  }
-
-let snapshot_groups snap =
-  List.map (fun e -> (e.e_members, entry_view e)) snap.snap_groups
-
-(* {1 Installed-configuration views}
-
-   The pure [Installed_config.t] view feeds the symbolic verification layer
-   ([lib/verify]). Both producers hand out the deep copies held by
-   checkpoint entries: a view stays valid across later controller
-   mutations, exactly like a snapshot, and successive views share the
-   records of unchanged groups. *)
 
 let installed_config t =
   let groups =
-    Hashtbl.fold
-      (fun gid st acc -> entry_view (group_entry t gid st) :: acc)
-      t.groups []
+    Hashtbl.fold (fun gid st acc -> group_view t gid st :: acc) t.groups []
   in
   Installed_config.make ~spine_ok:(Array.copy t.spine_ok)
     ~core_ok:(Array.copy t.core_ok) ~link_ok:(Array.copy t.link_ok)
@@ -1348,57 +1238,44 @@ let installed_config t =
     ~stale_sites:(Hashtbl.fold (fun _ e acc -> e :: acc) t.stale [])
     t.topo t.params groups
 
-let restore ?fabric_hooks ?clock snap =
-  let t =
-    create ?fabric_hooks ?clock ~incremental:snap.snap_incremental
-      snap.snap_topo snap.snap_params
-  in
-  (* The snapshot stays reusable: restore copies out of it again, and the
-     new controller's entry memo starts empty. *)
-  List.iter
-    (fun e ->
-      let st =
-        {
-          members = e.e_members;
-          enc = Option.map Encoding.copy e.e_enc;
-          applied = Hashtbl.create (max 1 (List.length e.e_overrides));
-        }
-      in
-      List.iter
-        (fun (host, ov) -> Hashtbl.replace st.applied host (copy_override ov))
-        e.e_overrides;
-      Hashtbl.add t.groups e.e_gid st)
-    snap.snap_groups;
-  let blit src dst = Array.blit src 0 dst 0 (Array.length src) in
-  blit snap.snap_spine_ok t.spine_ok;
-  blit snap.snap_core_ok t.core_ok;
-  blit snap.snap_link_ok t.link_ok;
-  blit snap.snap_denied_leaf t.denied_leaf;
-  blit snap.snap_denied_pod t.denied_pod;
-  List.iter (fun (key, e) -> Hashtbl.replace t.stale key e) snap.snap_stale;
-  t.fast_hits <- snap.snap_fast_hits;
-  t.reencodes <- snap.snap_reencodes;
-  t.install_attempts <- snap.snap_install_attempts;
-  t.install_retries <- snap.snap_install_retries;
-  t.install_exhausted <- snap.snap_install_exhausted;
-  t.degradations <- snap.snap_degradations;
-  t.compensations <- snap.snap_compensations;
-  t.srules <- Srule_state.copy snap.snap_srules;
-  (* A restored controller is a new instance: any predicate cache keyed to
-     it starts cold, and every group counts as dirty until drained. *)
-  Hashtbl.iter (fun g _ -> mark_dirty t g) t.groups;
-  t
+(* {1 Crash-consistent checkpoints}
 
-(* {1 Durable snapshot codec}
+   A checkpoint is the byte-level form of everything recovery needs to
+   continue bit-identically: membership, encodings (with their bitmap
+   aliasing preserved — see {!Encoding.write}), installed overrides, the
+   s-rule ledger, health/denial state, stale markers and the counter
+   block. [write_snapshot] writes it straight from the live controller;
+   each group's segment is memoized until [mark_dirty] evicts it, so a
+   checkpoint encodes only the groups changed since the previous one.
 
-   The byte-level form of [snapshot], for the crash-safe wire format
-   (lib/fault's Wire). [read_snapshot] is a hostile-input boundary: every
-   switch id, bitmap width, array length, and stale key is validated
-   against the topology decoded from the same record — in particular the
-   boolean state arrays, which [restore] blits by source length and would
-   otherwise silently partial-restore from a short corrupt array. All
-   violations raise [Byteio.Reader.Corrupt], which Wire.load turns into
-   fallback to the previous good snapshot. *)
+   [read_snapshot] decodes one into fresh values and [restore] takes them
+   as the new controller's own, once. Restoring does {e not} re-emit
+   fabric installs: the fabric's state survives a controller crash, and
+   the journal replay that follows a restore re-issues exactly the
+   operations the crashed controller had not yet checkpointed.
+
+   [read_snapshot] is a hostile-input boundary: every switch id, bitmap
+   width, array length, and stale key is validated against the topology
+   decoded from the same record — in particular the boolean state arrays,
+   which the restored controller indexes by switch. All violations raise
+   [Byteio.Reader.Corrupt], which Wire.load turns into fallback to the
+   previous good snapshot. *)
+
+type snapshot = {
+  snap_topo : Topology.t;
+  snap_params : Params.t;
+  snap_incremental : bool;
+  snap_groups : (int * group_state) list;  (* ascending by gid *)
+  snap_srules : Srule_state.t;
+  snap_counters : counters;
+  snap_spine_ok : bool array;
+  snap_core_ok : bool array;
+  snap_link_ok : bool array;
+  snap_denied_leaf : bool array;
+  snap_denied_pod : bool array;
+  snap_stale : (int * (int * Srule_state.site)) list;
+  mutable snap_restored : bool;
+}
 
 let write_role w = function
   | Sender -> Byteio.Writer.u8 w 0
@@ -1449,56 +1326,58 @@ let read_override ~topo r =
   let unicast = Byteio.Reader.bool r in
   { up_leaf_ports; up_spine_ports; unicast }
 
-(* A group's segment of the snapshot codec depends on its entry alone (an
-   encoding's aliasing pool is per encoding), so it is encoded once per
-   entry and blitted by every later snapshot that shares the entry. *)
-let entry_wire e =
-  match e.e_wire with
+(* A group's segment depends on the group alone (an encoding's aliasing
+   pool is per encoding), so it is encoded once per change of the group
+   and blitted by every later checkpoint. *)
+let segment t gid st =
+  match Hashtbl.find_opt t.segments gid with
   | Some b -> b
   | None ->
       let w = Byteio.Writer.create () in
-      Byteio.Writer.int w e.e_gid;
+      Byteio.Writer.int w gid;
       Byteio.Writer.list w
         (fun w (host, role) ->
           Byteio.Writer.int w host;
           write_role w role)
-        e.e_members;
-      Byteio.Writer.option w (fun w enc -> Encoding.write w enc) e.e_enc;
+        st.members;
+      Byteio.Writer.option w (fun w enc -> Encoding.write w enc) st.enc;
       Byteio.Writer.list w
         (fun w (host, ov) ->
           Byteio.Writer.int w host;
           write_override w ov)
-        e.e_overrides;
+        (sorted_overrides st);
       let b = Byteio.Writer.to_bytes w in
-      e.e_wire <- Some b;
+      Hashtbl.replace t.segments gid b;
       b
 
-let write_snapshot w snap =
-  Topology.write w snap.snap_topo;
-  Params.write w snap.snap_params;
-  Byteio.Writer.bool w snap.snap_incremental;
-  Byteio.Writer.list w
-    (fun w e -> Byteio.Writer.raw w (entry_wire e))
-    snap.snap_groups;
-  Srule_state.write w snap.snap_srules;
-  Byteio.Writer.int w snap.snap_fast_hits;
-  Byteio.Writer.int w snap.snap_reencodes;
-  Byteio.Writer.bool_array w snap.snap_spine_ok;
-  Byteio.Writer.bool_array w snap.snap_core_ok;
-  Byteio.Writer.bool_array w snap.snap_link_ok;
-  Byteio.Writer.bool_array w snap.snap_denied_leaf;
-  Byteio.Writer.bool_array w snap.snap_denied_pod;
-  Byteio.Writer.list w
-    (fun w (key, (group, site)) ->
-      Byteio.Writer.int w key;
-      Byteio.Writer.int w group;
-      write_site w site)
-    snap.snap_stale;
-  Byteio.Writer.int w snap.snap_install_attempts;
-  Byteio.Writer.int w snap.snap_install_retries;
-  Byteio.Writer.int w snap.snap_install_exhausted;
-  Byteio.Writer.int w snap.snap_degradations;
-  Byteio.Writer.int w snap.snap_compensations
+let write_snapshot w t =
+  Topology.write w t.topo;
+  Params.write w t.params;
+  Byteio.Writer.bool w t.incremental;
+  Hashtbl.fold (fun gid st acc -> (gid, st) :: acc) t.groups []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> Byteio.Writer.list w (fun w (gid, st) ->
+         Byteio.Writer.raw w (segment t gid st));
+  Srule_state.write w t.srules;
+  let c = t.counters in
+  Byteio.Writer.int w c.fast_hits;
+  Byteio.Writer.int w c.reencodes;
+  Byteio.Writer.bool_array w t.spine_ok;
+  Byteio.Writer.bool_array w t.core_ok;
+  Byteio.Writer.bool_array w t.link_ok;
+  Byteio.Writer.bool_array w t.denied_leaf;
+  Byteio.Writer.bool_array w t.denied_pod;
+  Hashtbl.fold (fun key e acc -> (key, e) :: acc) t.stale []
+  |> List.sort (fun (k1, _) (k2, _) -> Int.compare k1 k2)
+  |> Byteio.Writer.list w (fun w (key, (group, site)) ->
+         Byteio.Writer.int w key;
+         Byteio.Writer.int w group;
+         write_site w site);
+  Byteio.Writer.int w c.install_attempts;
+  Byteio.Writer.int w c.install_retries;
+  Byteio.Writer.int w c.install_exhausted;
+  Byteio.Writer.int w c.degraded;
+  Byteio.Writer.int w c.compensated
 
 let snapshot_topology snap = snap.snap_topo
 
@@ -1528,7 +1407,9 @@ let read_snapshot r =
               let ov = read_override ~topo rd in
               (h, ov))
         in
-        make_entry ~gid ~members ~enc ~overrides)
+        let applied = Hashtbl.create (max 1 (List.length overrides)) in
+        List.iter (fun (h, ov) -> Hashtbl.replace applied h ov) overrides;
+        (gid, { members; enc; applied }))
   in
   let srules = Srule_state.read ~topo r in
   let fast_hits = Byteio.Reader.int r in
@@ -1561,35 +1442,54 @@ let read_snapshot r =
   let install_attempts = Byteio.Reader.int r in
   let install_retries = Byteio.Reader.int r in
   let install_exhausted = Byteio.Reader.int r in
-  let degradations = Byteio.Reader.int r in
-  let compensations = Byteio.Reader.int r in
+  let degraded = Byteio.Reader.int r in
+  let compensated = Byteio.Reader.int r in
   {
     snap_topo = topo;
     snap_params = params;
     snap_incremental = incremental;
     snap_groups = groups;
     snap_srules = srules;
-    snap_fast_hits = fast_hits;
-    snap_reencodes = reencodes;
+    snap_counters =
+      {
+        fast_hits;
+        reencodes;
+        install_attempts;
+        install_retries;
+        install_exhausted;
+        degraded;
+        compensated;
+      };
     snap_spine_ok = spine_ok;
     snap_core_ok = core_ok;
     snap_link_ok = link_ok;
     snap_denied_leaf = denied_leaf;
     snap_denied_pod = denied_pod;
     snap_stale = stale;
-    snap_install_attempts = install_attempts;
-    snap_install_retries = install_retries;
-    snap_install_exhausted = install_exhausted;
-    snap_degradations = degradations;
-    snap_compensations = compensations;
+    snap_restored = false;
   }
 
-let installed_config_of_snapshot snap =
-  let groups = List.map entry_view snap.snap_groups in
-  Installed_config.make ~spine_ok:(Array.copy snap.snap_spine_ok)
-    ~core_ok:(Array.copy snap.snap_core_ok)
-    ~link_ok:(Array.copy snap.snap_link_ok)
-    ~denied_leaf:(Array.copy snap.snap_denied_leaf)
-    ~denied_pod:(Array.copy snap.snap_denied_pod)
-    ~stale_sites:(List.map snd snap.snap_stale)
-    snap.snap_topo snap.snap_params groups
+let restore ?fabric_hooks ?clock snap =
+  if snap.snap_restored then
+    invalid_arg "Controller.restore: snapshot already restored"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
+  snap.snap_restored <- true;
+  let t =
+    {
+      (create ?fabric_hooks ?clock ~incremental:snap.snap_incremental
+         snap.snap_topo snap.snap_params)
+      with
+      srules = snap.snap_srules;
+      counters = snap.snap_counters;
+      spine_ok = snap.snap_spine_ok;
+      core_ok = snap.snap_core_ok;
+      link_ok = snap.snap_link_ok;
+      denied_leaf = snap.snap_denied_leaf;
+      denied_pod = snap.snap_denied_pod;
+    }
+  in
+  List.iter (fun (gid, st) -> Hashtbl.add t.groups gid st) snap.snap_groups;
+  List.iter (fun (key, e) -> Hashtbl.replace t.stale key e) snap.snap_stale;
+  (* A restored controller is a new instance: any predicate cache keyed to
+     it starts cold, and every group counts as dirty until drained. *)
+  Hashtbl.iter (fun g _ -> mark_dirty t g) t.groups;
+  t

@@ -169,10 +169,9 @@ val dirty_count : t -> int
 (** Number of currently dirty groups, without draining. *)
 
 val memoized_views : t -> int
-(** Number of groups whose checkpoint entry — the deep copy behind both
-    the {!installed_config} view and the {!snapshot} — is memoized, i.e.
-    unchanged since it was last copied. Zero on a fresh or {!restore}d
-    controller. *)
+(** Number of groups whose {!installed_config} view — a deep copy — is
+    memoized, i.e. unchanged since it was last copied. Zero on a fresh or
+    {!restore}d controller. *)
 
 (** {1 Reliable installation, degradation and reconciliation}
 
@@ -240,44 +239,47 @@ val fail_link : t -> leaf:int -> plane:int -> failure_report
 
 val recover_link : t -> leaf:int -> plane:int -> failure_report
 
+(** {1 Installed-configuration views}
+
+    The pure {!Installed_config.t} view of everything this controller has
+    installed — memberships, encodings, overrides, health/denial state and
+    compensated stale sites — consumed by the symbolic verification layer
+    ([lib/verify]). A view is a deep copy: it never aliases controller
+    state and stays valid across later mutations. *)
+
+val installed_config : t -> Installed_config.t
+(** The live controller's current installed configuration. Each group's
+    view is deep-copied once and memoized until a mutation marks the group
+    dirty (see {!drain_dirty}; the memo is independent of draining), so
+    views from successive calls share the [group_view] record of every
+    unchanged group. One call costs a deep copy of each group changed since
+    the previous call, O(groups) small words to index the rest, and a copy
+    of the health, denial and stale-site state. *)
+
 (** {1 Crash-consistent checkpoints}
 
-    {!snapshot} deep-copies everything recovery needs — membership,
-    encodings (bitmap aliasing preserved), overrides, the s-rule ledger,
-    health/denial state, stale markers, and all counters. {!restore} builds
-    a fresh controller from a snapshot without re-emitting fabric installs
-    (fabric state survives a controller crash); replaying the journaled
-    operation suffix then reproduces the pre-crash state bit-identically:
-    same s-rule occupancy, same headers, same {!churn_stats}. A snapshot is
-    immutable and reusable — restoring twice yields two independent
-    controllers. *)
+    A checkpoint holds everything recovery needs — membership, encodings
+    (bitmap aliasing preserved), overrides, the s-rule ledger,
+    health/denial state, stale markers, and the counter block behind
+    {!churn_stats} and {!install_stats}. It exists only as bytes:
+    {!write_snapshot} writes the live controller, {!read_snapshot} decodes
+    the bytes into a {!snapshot}, and {!restore} builds a controller from
+    that without re-emitting fabric installs (fabric state survives a
+    controller crash). Replaying the journaled operation suffix then
+    reproduces the pre-crash state bit-identically: same s-rule occupancy,
+    same headers, same {!churn_stats}. *)
+
+val write_snapshot : Byteio.Writer.t -> t -> unit
+(** The controller's checkpoint bytes, for the crash-safe wire format
+    ([lib/fault]'s [Wire]). Encoding aliasing graphs are preserved (see
+    {!Encoding.write}), so a checkpoint restores bit-identically. Each
+    group's segment is encoded once and memoized until a mutation marks
+    the group dirty, so a checkpoint encodes only the groups changed since
+    the previous one, plus the s-rule ledger, health, denial and
+    stale-site state. *)
 
 type snapshot
-
-val snapshot : t -> snapshot
-(** Each group's part is the memoized deep copy that {!installed_config}
-    also serves, built once per change of the group: a snapshot costs a
-    deep copy of each group changed since the previous snapshot or view,
-    O(groups) small words to index the rest, and a copy of the s-rule
-    ledger, health, denial and stale-site state. *)
-
-val snapshot_groups :
-  snapshot -> ((int * role) list * Installed_config.group_view) list
-(** Per group, ascending by gid: the (host, role) members in insertion
-    order (what {!members} returned at snapshot time) and the group's
-    view, whose encoding and overrides are the snapshot's own copies.
-    Snapshots and installed views taken while a group stays clean share
-    one [group_view] record for it. *)
-
-val restore :
-  ?fabric_hooks:fabric_hooks -> ?clock:Elmo_obs.Clock.t -> snapshot -> t
-
-val write_snapshot : Byteio.Writer.t -> snapshot -> unit
-(** Durable byte-level form of a snapshot, for the crash-safe wire format
-    ([lib/fault]'s [Wire]). Encoding aliasing graphs are preserved (see
-    {!Encoding.write}), so a snapshot that round-trips through bytes
-    restores bit-identically. Each group's bytes are encoded once per
-    memoized copy and reused by every later snapshot that shares it. *)
+(** A decoded checkpoint, not yet restored. *)
 
 val read_snapshot : Byteio.Reader.t -> snapshot
 (** Inverse of {!write_snapshot}. A hostile-input boundary: every switch
@@ -289,25 +291,11 @@ val snapshot_topology : snapshot -> Topology.t
 (** The topology captured in the snapshot — what journal-op payloads
     written after it must be validated against. *)
 
-(** {1 Installed-configuration views}
-
-    The pure {!Installed_config.t} view of everything this controller has
-    installed — memberships, encodings, overrides, health/denial state and
-    compensated stale sites — consumed by the symbolic verification layer
-    ([lib/verify]). Both producers hand out deep copies, so a view never
-    aliases controller state and stays valid across later mutations. *)
-
-val installed_config : t -> Installed_config.t
-(** The live controller's current installed configuration. Each group's
-    view is deep-copied once and memoized until a mutation marks the group
-    dirty (see {!drain_dirty}; the memo is independent of draining), so
-    views from successive calls share the [group_view] record of every
-    unchanged group. One call costs a deep copy of each group changed since
-    the previous call or {!snapshot}, O(groups) small words to index the rest, and a copy
-    of the health, denial and stale-site state. *)
-
-val installed_config_of_snapshot : snapshot -> Installed_config.t
-(** The same view extracted from a crash-consistent checkpoint, without
-    building a controller: what a {!Replica}'s recovery target looked like
-    at checkpoint time. Its group records are the snapshot's own (see
-    {!snapshot_groups}). *)
+val restore :
+  ?fabric_hooks:fabric_hooks -> ?clock:Elmo_obs.Clock.t -> snapshot -> t
+(** The controller a snapshot describes. It takes the snapshot's decoded
+    encodings, ledger and arrays as its own, without copying them, so a
+    snapshot restores once: a second [restore] of the same snapshot raises
+    [Invalid_argument]. Decode the bytes again for a second controller.
+    The restored controller starts with nothing memoized and every group
+    dirty. *)

@@ -703,7 +703,7 @@ let read topo r =
     down = None;
   }
 
-(* Deep copy for checkpoints. The delta fast path depends on physical
+(* Deep copy for installed views. The delta fast path depends on physical
    sharing between the tree's exact bitmaps and rule bitmaps (singleton
    p-rules and s-rules alias the tree's leaf bitmaps), so the copy must
    preserve the aliasing graph: each distinct bitmap object is copied

@@ -158,11 +158,10 @@ val prule_count : t -> int
 (** Downstream p-rules in the header (both layers, excluding defaults). *)
 
 val copy : t -> t
-(** Deep copy for crash-consistent checkpoints: fresh tree and rule bitmaps,
+(** Deep copy, as an installed view holds it: fresh tree and rule bitmaps,
     with the original's aliasing graph preserved (a rule bitmap that
     physically aliases a tree bitmap still does in the copy — the delta fast
-    path depends on it). The copy holds no s-rule reservations of its own;
-    the caller pairs it with a matching {!Srule_state.copy}. *)
+    path depends on it). The copy holds no s-rule reservations of its own. *)
 
 val write : Byteio.Writer.t -> t -> unit
 (** Durable wire codec — the byte-level analogue of {!copy}. Each distinct

@@ -389,6 +389,3 @@ let encode_parts topo (h : Prule.header) =
     section `Leaf d.Prule.d_leaf ~off:d.Prule.spine_bits ~stop:d.Prule.bits
   in
   (u_leaf :: u_spine :: core :: d_spine) @ d_leaf
-
-let encode_per_rule_writes topo h =
-  Bytes.concat Bytes.empty (encode_parts topo h)

@@ -180,11 +180,3 @@ val encode_parts : Topology.t -> Prule.header -> bytes list
 (** The header split into separately byte-aligned parts, one per section or
     p-rule — the write-call units of the unoptimized encapsulation path.
     Downstream parts are slices of the down's wire. *)
-
-val encode_per_rule_writes : Topology.t -> Prule.header -> bytes
-(** Encodes the same header as {!encode}, but materializes every p-rule as a
-    separately padded buffer before concatenating — modelling a hypervisor
-    switch that issues one DMA write per header copy instead of one write
-    for the whole rule list (§4.2). Functionally equivalent on parse only in
-    size class, not bit-compatible; used by the Figure 7 benchmark to show
-    the per-rule-write throughput penalty. *)

@@ -8,8 +8,8 @@
     believes it, switches denied for s-rule installs, and stale fabric
     sites carrying compensated (truthful) entries. It is a plain record of
     plain data — no hooks, no clocks, no ledger — so it can be produced
-    equally by a live {!Controller.t}, a {!Controller.snapshot}, a
-    {!Replica.t}, or built by hand in tests. All bitmaps and arrays are
+    equally by a live {!Controller.t} (one restored from a checkpoint
+    included), a {!Replica.t}, or built by hand in tests. All bitmaps and arrays are
     owned by the view, never aliased with live controller state, so a view
     stays valid across later controller mutations.
 

@@ -29,13 +29,6 @@ let create topo ~fmax =
     pod_used = Array.make topo.Topology.pods 0;
   }
 
-let copy t =
-  {
-    t with
-    leaf_used = Array.copy t.leaf_used;
-    pod_used = Array.copy t.pod_used;
-  }
-
 let fmax t = t.fmax
 let leaf_has_space t l = t.leaf_used.(l) < t.fmax
 let pod_has_space t p = t.pod_used.(p) < t.fmax

@@ -29,10 +29,6 @@ type t
 
 val create : Topology.t -> fmax:int -> t
 
-val copy : t -> t
-(** Independent copy of the occupancy counters (same topology and [fmax]).
-    Used by {!Controller.snapshot} for crash-consistent checkpoints. *)
-
 val fmax : t -> int
 
 val leaf_has_space : t -> int -> bool

@@ -5,8 +5,9 @@
     header size, whereas one DMA write per rule degrades linearly in the
     rule count. We reproduce the same series against the OCaml codec: for
     each downstream-leaf p-rule count, measure single-write
-    ({!Header_codec.encode}) and per-rule-write
-    ({!Header_codec.encode_per_rule_writes}) encapsulation rates.
+    ({!Hypervisor.encap}) and per-rule-write ({!Hypervisor.encap_per_rule},
+    one buffer per {!Header_codec.encode_parts} part) encapsulation
+    rates.
 
     Substitution note (DESIGN.md §3): absolute Mpps depends on the machine;
     the reproduced claims are the {e shapes} — bits/s roughly flat in rule

@@ -1,5 +1,3 @@
-module Obs = Elmo_obs.Obs
-
 type outcome = Applied | Timeout | Refused | Dropped
 
 type schedule =
@@ -84,31 +82,20 @@ let next_outcome t =
    controller's read-back verification can catch. *)
 let mutate t ~wedged perform =
   t.attempts <- t.attempts + 1;
-  Obs.incr "fault.attempts";
-  if wedged then begin
-    t.refusals <- t.refusals + 1;
-    Obs.incr "fault.refused";
-    Error Controller.Refused
-  end
-  else
-    match next_outcome t with
-    | Applied ->
-        perform ();
-        t.applied <- t.applied + 1;
-        Obs.incr "fault.applied";
-        Ok ()
-    | Timeout ->
-        t.timeouts <- t.timeouts + 1;
-        Obs.incr "fault.timeout";
-        Error Controller.Timed_out
-    | Refused ->
-        t.refusals <- t.refusals + 1;
-        Obs.incr "fault.refused";
-        Error Controller.Refused
-    | Dropped ->
-        t.drops <- t.drops + 1;
-        Obs.incr "fault.dropped";
-        Ok ()
+  match if wedged then Refused else next_outcome t with
+  | Applied ->
+      perform ();
+      t.applied <- t.applied + 1;
+      Ok ()
+  | Timeout ->
+      t.timeouts <- t.timeouts + 1;
+      Error Controller.Timed_out
+  | Refused ->
+      t.refusals <- t.refusals + 1;
+      Error Controller.Refused
+  | Dropped ->
+      t.drops <- t.drops + 1;
+      Ok ()
 
 let hooks t =
   {

@@ -5,31 +5,27 @@ type t = {
   observer : (Journal.op -> unit) option;
   snapshot_every : int;
   mutable ctrl : Controller.t;
-  mutable snap : Controller.snapshot;
-  mutable since_snap : int;  (* ops applied since [snap] was taken *)
+  mutable since_snap : int;  (* ops applied since the last checkpoint *)
   wire : Wire.t;
   mutable epoch : int;  (* fencing epoch stamped on appended records *)
 }
 
 let checkpoint t =
-  t.snap <- Controller.snapshot t.ctrl;
   t.since_snap <- 0;
-  Wire.append_snapshot t.wire ~epoch:t.epoch t.snap;
+  Wire.append_snapshot t.wire ~epoch:t.epoch t.ctrl;
   Obs.incr "replica.checkpoints"
 
 (* A replica over [ctrl] whose wire opens with [ctrl]'s snapshot at
    [epoch]: the log is self-contained from byte 0, so a log that loses
    every later snapshot still recovers from here. *)
 let seeded ?fabric_hooks ?observer ~snapshot_every ~epoch ctrl =
-  let snap = Controller.snapshot ctrl in
   let wire = Wire.create () in
-  Wire.append_snapshot wire ~epoch snap;
+  Wire.append_snapshot wire ~epoch ctrl;
   {
     fabric_hooks;
     observer;
     snapshot_every;
     ctrl;
-    snap;
     since_snap = 0;
     wire;
     epoch;
@@ -171,8 +167,6 @@ let recover_shard t ~pod =
 let crash t = t.ctrl <- recovered t
 
 let installed_config t = Controller.installed_config t.ctrl
-
-let last_snapshot t = t.snap
 
 let of_wire ?(snapshot_every = 64) ?fabric_hooks ?observer ?epoch
     (l : Wire.loaded) =

@@ -4,8 +4,10 @@
     Couples a live {!Controller.t} with an append-only {!Wire.t} log — its
     only journal. The log opens with a genesis snapshot; every mutation
     goes through {!apply}, which admits the op ({!Journal.admit}), appends
-    its record {e before} executing it, and appends a fresh snapshot
-    record every [snapshot_every] ops. Every recovery — {!recovered},
+    its record {e before} executing it, and appends a snapshot record
+    written from the live controller ({!Controller.write_snapshot}) every
+    [snapshot_every] ops. The replica keeps no snapshot of its own: the
+    log's bytes are the only copy. Every recovery — {!recovered},
     {!recover_shard}, {!of_wire} — is {!Wire.load} followed by the same
     replay: restore the chosen snapshot, then re-execute the suffix ops.
     Because the controller is deterministic in its op order, the recovered
@@ -44,7 +46,9 @@ val of_wire :
   Wire.loaded ->
   (t, string) result
 (** Rebuild a replica from a loaded wire log: restore the chosen
-    snapshot, replay the suffix (feeding every replayed op to [observer]),
+    snapshot (which {!Controller.restore} takes, so one loaded log
+    rebuilds one replica), replay the suffix (feeding every replayed op
+    to [observer]),
     and seed a {e fresh} wire with the post-replay snapshot — the corrupt
     bytes are never appended to. [epoch] (default: the log's highest
     epoch) stamps the new log; a failover supervisor passes its bumped
@@ -72,8 +76,8 @@ val apply : t -> Journal.op -> unit
     notify the observer, execute, auto-checkpoint. *)
 
 val checkpoint : t -> unit
-(** Force a checkpoint: snapshot the live controller and append the
-    snapshot record. *)
+(** Force a checkpoint: append a snapshot record written from the live
+    controller ({!Controller.write_snapshot}). *)
 
 val recovered : t -> Controller.t
 (** A fresh controller rebuilt from the replica's own log bytes: the
@@ -97,7 +101,3 @@ val crash : t -> unit
 val installed_config : t -> Installed_config.t
 (** The live controller's {!Installed_config.t} view (for symbolic
     equivalence checks against {!recovered}). *)
-
-val last_snapshot : t -> Controller.snapshot
-(** The {e latest checkpoint}: what {!recovered} restores before replaying
-    the op suffix. *)

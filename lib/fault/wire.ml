@@ -57,9 +57,9 @@ let append_op t ~epoch entry =
   Journal.write_entry w entry;
   append_record t ~kind:kind_op ~epoch (Byteio.Writer.to_bytes w)
 
-let append_snapshot t ~epoch snap =
+let append_snapshot t ~epoch ctrl =
   let w = Byteio.Writer.create () in
-  Controller.write_snapshot w snap;
+  Controller.write_snapshot w ctrl;
   append_record t ~kind:kind_snapshot ~epoch (Byteio.Writer.to_bytes w)
 
 let contents t = Buffer.to_bytes t.buf

@@ -14,6 +14,10 @@
       payload : len bytes
     v}
 
+    A snapshot payload is a live controller's checkpoint as
+    {!Controller.write_snapshot} writes it; an op payload is one
+    {!Journal.entry}.
+
     {!load} is total over arbitrary bytes (modulo a recognizable magic):
     it scans records in order and {e truncates} — treats the log as ending
     — at the first torn or corrupt record: a short header, a length
@@ -32,9 +36,11 @@ val create : unit -> t
 (** An empty log: magic only, next seq 0. *)
 
 val append_op : t -> epoch:int -> Journal.entry -> unit
-val append_snapshot : t -> epoch:int -> Controller.snapshot -> unit
-(** Append one record. Epochs must be non-decreasing across appends and
-    [0 <= epoch < 2^32]; raises [Invalid_argument] otherwise. *)
+val append_snapshot : t -> epoch:int -> Controller.t -> unit
+(** Append one record; a snapshot record holds the controller's
+    checkpoint as {!Controller.write_snapshot} writes it. Epochs must be
+    non-decreasing across appends and [0 <= epoch < 2^32]; raises
+    [Invalid_argument] otherwise. *)
 
 val contents : t -> bytes
 (** The log's current bytes (magic + records), a fresh copy. *)
@@ -60,7 +66,8 @@ type record = {
 type loaded = {
   l_snapshot : Controller.snapshot option;
       (** newest snapshot whose payload decodes; [None] when no snapshot
-          record survives — the log is unrecoverable *)
+          record survives — the log is unrecoverable. {!Controller.restore}
+          takes it once: load the bytes again for a second replay. *)
   l_snapshot_epoch : int;
       (** epoch of the chosen snapshot record (0 when none) *)
   l_replay_base_ops : int;

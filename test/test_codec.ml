@@ -212,11 +212,6 @@ let prop_stage_suffix t name =
           Bytes.equal (Header_codec.encode_stage t stage h) (pack suffix))
         stages)
 
-let prop_parts_concat t name =
-  QCheck.Test.make ~name ~count:200 (arb_header t) (fun h ->
-      Header_codec.encode_per_rule_writes t h
-      = Bytes.concat Bytes.empty (Header_codec.encode_parts t h))
-
 let prop_popped_smaller t name =
   QCheck.Test.make ~name ~count:200 (arb_header t) (fun h ->
       let size stage = Bytes.length (Header_codec.encode_stage t stage h) in
@@ -280,7 +275,6 @@ let tests =
       (prop_predicate_roundtrip fabric "predicate unchanged by codec (fabric)");
     QCheck_alcotest.to_alcotest (prop_stage_sizes topo "stage sizes (example topo)");
     QCheck_alcotest.to_alcotest (prop_stage_roundtrip topo "stage roundtrip");
-    QCheck_alcotest.to_alcotest (prop_parts_concat topo "parts concat = per-rule bytes");
     QCheck_alcotest.to_alcotest (prop_popped_smaller topo "popping shrinks the wire");
     Alcotest.test_case "empty rule list rejected" `Quick test_empty_rule_list_rejected;
     Alcotest.test_case "wrong width rejected" `Quick test_wrong_width_rejected;

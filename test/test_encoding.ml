@@ -336,19 +336,6 @@ let test_ledger_pod_capacity () =
     (fun () -> Srule_state.release_pod s 1);
   Alcotest.(check int) "empty again" 0 (Srule_state.total_srules s)
 
-let test_ledger_copy_independent () =
-  let s = Srule_state.create topo ~fmax:3 in
-  Srule_state.reserve_leaf s 2;
-  let c = Srule_state.copy s in
-  Srule_state.reserve_leaf c 2;
-  Srule_state.reserve_pod c 0;
-  Alcotest.(check int) "original leaf" 1 (Srule_state.leaf_used s 2);
-  Alcotest.(check int) "original pod" 0 (Srule_state.pod_used s 0);
-  Alcotest.(check int) "copy leaf" 2 (Srule_state.leaf_used c 2);
-  Alcotest.(check int) "copy keeps fmax" 3 (Srule_state.fmax c);
-  Srule_state.release_leaf s 2;
-  Alcotest.(check int) "copy unaffected by the original" 2 (Srule_state.leaf_used c 2)
-
 let ledger_bytes s =
   let w = Byteio.Writer.create () in
   Srule_state.write w s;
@@ -450,7 +437,6 @@ let tests =
         test_encodes_accumulate;
       Alcotest.test_case "re-encode after release" `Quick test_reencode_after_release;
       Alcotest.test_case "ledger pod capacity" `Quick test_ledger_pod_capacity;
-      Alcotest.test_case "ledger copy independent" `Quick test_ledger_copy_independent;
       Alcotest.test_case "ledger codec roundtrip" `Quick test_ledger_codec_roundtrip;
       Alcotest.test_case "ledger codec rejects corrupt" `Quick
         test_ledger_codec_rejects_corrupt;

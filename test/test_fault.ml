@@ -265,10 +265,13 @@ let same_state_on_groups a b gids =
 let same_controller_state a b ~groups =
   same_state_on_groups a b (List.init groups Fun.id)
 
-let snapshot_bytes snap =
+let snapshot_bytes ctrl =
   let w = Byteio.Writer.create () in
-  Controller.write_snapshot w snap;
+  Controller.write_snapshot w ctrl;
   Byteio.Writer.to_bytes w
+
+let decode_snapshot bytes =
+  Controller.read_snapshot (Byteio.Reader.of_bytes bytes)
 
 let test_crash_recovery_bit_identical () =
   let rng = Rng.create 1234 in
@@ -302,17 +305,20 @@ let test_crash_recovery_bit_identical () =
   let ctx = Pred.create_ctx () in
   let checked = ref 0 in
   let checkpoints = ref 0 in
-  let last = ref (Replica.last_snapshot replica) in
+  let wire = Option.get (Replica.wire replica) in
+  let records = ref (Wire.records wire) in
   List.iteri
     (fun i op ->
       Replica.apply replica op;
-      (* Every checkpoint the replica takes shares the memoized entries of
+      (* Every checkpoint the replica takes reuses the memoized segments of
          groups unchanged since the previous one. Its bytes must equal
          those of a cold twin: a controller that replays the same ops on
-         its own fabric and has never taken a snapshot, so every entry of
-         its first snapshot is a fresh copy. *)
-      if Replica.last_snapshot replica != !last then begin
-        last := Replica.last_snapshot replica;
+         its own fabric and has never written a checkpoint, so every
+         segment of its first one is freshly encoded. An op that
+         checkpoints appends two records. *)
+      let before = !records in
+      records := Wire.records wire;
+      if !records = before + 2 then begin
         incr checkpoints;
         let twin =
           Controller.create
@@ -321,17 +327,19 @@ let test_crash_recovery_bit_identical () =
         in
         List.iter (Journal.apply twin)
           (seed_ops @ List.filteri (fun j _ -> j <= i) ops);
-        Alcotest.(check int)
-          (Printf.sprintf "event %d: twin has no memoized entry" (i + 1))
-          0
-          (Controller.memoized_views twin);
+        let live = snapshot_bytes (Replica.controller replica) in
+        let log = Wire.contents wire in
+        let n = Bytes.length live in
+        Alcotest.(check bool)
+          (Printf.sprintf "checkpoint at event %d: the log's last payload"
+             (i + 1))
+          true
+          (Bytes.equal live (Bytes.sub log (Bytes.length log - n) n));
         Alcotest.(check bool)
           (Printf.sprintf "checkpoint at event %d: bytes equal a cold twin's"
              (i + 1))
           true
-          (Bytes.equal
-             (snapshot_bytes !last)
-             (snapshot_bytes (Controller.snapshot twin)))
+          (Bytes.equal live (snapshot_bytes twin))
       end;
       if List.exists (fun p -> p = i + 1) crash_points then begin
         let recovered = Replica.recovered replica in
@@ -395,25 +403,36 @@ let test_crash_recovery_bit_identical () =
   Alcotest.(check bool) "post-crash controller alive" true
     (Controller.group_count (Replica.controller replica) >= 1)
 
-let test_snapshot_reusable_and_isolated () =
+(* [restore] takes a decoded snapshot's values as its own, so one decode
+   restores once; each decode of the same bytes is independent. *)
+let test_snapshot_decodes_independently () =
   let ctrl = Controller.create topo tight_params in
   ignore (Controller.add_group ctrl ~group:1 (members_both wide_hosts));
-  let snap = Controller.snapshot ctrl in
-  (* Two restores from one snapshot, mutated divergently, never bleed into
-     each other or the original. *)
-  let r1 = Controller.restore snap in
-  let r2 = Controller.restore snap in
+  let bytes = snapshot_bytes ctrl in
+  (* Two controllers from two decodes, mutated divergently, never bleed
+     into each other or the original. *)
+  let restored () = Controller.restore (decode_snapshot bytes) in
+  let r1 = restored () and r2 = restored () in
+  let joiner = (4 * h) + 3 in
   ignore (Controller.leave r1 ~group:1 ~host:0);
-  ignore (Controller.join r2 ~group:1 ~host:((4 * h) + 3) ~role:Controller.Both);
+  ignore (Controller.join r2 ~group:1 ~host:joiner ~role:Controller.Both);
   let n c = List.length (Controller.members c ~group:1) in
   let base = List.length wide_hosts in
   Alcotest.(check int) "original untouched" base (n ctrl);
+  Alcotest.(check bool) "original writes the same bytes" true
+    (Bytes.equal bytes (snapshot_bytes ctrl));
   Alcotest.(check int) "restore 1 diverged" (base - 1) (n r1);
-  Alcotest.(check int) "restore 2 diverged" (base + 1) (n r2);
   Alcotest.(check bool) "r1 state internally consistent" true
     (Srule_state.check (Controller.srule_state r1));
-  let r3 = Controller.restore snap in
-  Alcotest.(check int) "snapshot still pristine" base (n r3)
+  let r3 = restored () in
+  ignore (Controller.join r3 ~group:1 ~host:joiner ~role:Controller.Both);
+  Alcotest.(check bool) "restore 2 saw only its own join" true
+    (same_state_on_groups r2 r3 [ 1 ]);
+  let snap = decode_snapshot bytes in
+  ignore (Controller.restore snap : Controller.t);
+  Alcotest.check_raises "a second restore of one decode"
+    (Invalid_argument "Controller.restore: snapshot already restored")
+    (fun () -> ignore (Controller.restore snap : Controller.t))
 
 (* {1 Delivery-safety oracle: churn + failures + injected faults} *)
 
@@ -726,8 +745,8 @@ let tests =
       test_failed_removal_marked_and_reconciled;
     Alcotest.test_case "crash recovery bit-identical at 100 points" `Slow
       test_crash_recovery_bit_identical;
-    Alcotest.test_case "snapshots reusable and isolated" `Quick
-      test_snapshot_reusable_and_isolated;
+    Alcotest.test_case "snapshot decodes restore independently, once" `Quick
+      test_snapshot_decodes_independently;
     QCheck_alcotest.to_alcotest prop_faulted_chaos_never_blackholes;
     Alcotest.test_case "fault_run: faults cost traffic, never delivery" `Quick
       test_fault_run_no_blackholes;

@@ -341,14 +341,8 @@ let test_churn_stats_reconcile () =
       (* The tight staleness limit really did mix the two paths. *)
       Alcotest.(check bool) "some fast" true (stats.Controller.fast_path > 0);
       Alcotest.(check bool) "some slow" true (stats.Controller.reencoded > 0);
-      (* Obs counters mirror churn_stats: controller-level exactly; the
-         per-site encoding.fast_path.* split sums to the same total. *)
-      Alcotest.(check int) "controller.fast_path counter"
-        stats.Controller.fast_path
-        (counter m "controller.fast_path");
-      Alcotest.(check int) "controller.reencodes counter"
-        stats.Controller.reencoded
-        (counter m "controller.reencodes");
+      (* The per-site encoding.fast_path.* split sums to churn_stats'
+         fast-path total. *)
       let fast_sites =
         counter m "encoding.fast_path.prule"
         + counter m "encoding.fast_path.srule"

@@ -101,7 +101,11 @@ let test_snapshot_view_matches_live () =
   ignore (Controller.fail_spine ctrl 1);
   let ctx = Pred.create_ctx () in
   let live = Controller.installed_config ctrl in
-  let snap = Controller.installed_config_of_snapshot (Controller.snapshot ctrl) in
+  let snap =
+    Controller.installed_config
+      (Controller.restore
+         (Test_fault.decode_snapshot (Test_fault.snapshot_bytes ctrl)))
+  in
   Alcotest.(check bool) "snapshot view compiles identically" true
     (Verify.equiv
        (Verify.compile ctx live ~group:3)
@@ -113,18 +117,17 @@ let test_snapshot_view_matches_live () =
         (Verify.equiv a b)
   | _ -> Alcotest.fail "multicast path expected on both views"
 
-(* {1 Memoized checkpoint entries}
+(* {1 Memoized views and segments}
 
-   [Controller.installed_config] and [Controller.snapshot] hand out one
-   memoized deep copy per group that only [mark_dirty] evicts, so a
-   mutation that forgot to mark its group would serve a stale copy — and
-   the predicate-cache oracle, which trusts [drain_dirty] too, would not
-   notice. Both producers read the same memo, so comparing one with the
-   other proves nothing; the oracle compares every entry against the live
-   controller's own accessors:
-   members, encoding bytes and role-derived host lists per entry, and, for
-   overrides, the header bytes of every (group, sender) of a controller
-   restored from the snapshot. *)
+   [Controller.installed_config] hands out one memoized deep copy per
+   group and [Controller.write_snapshot] one memoized segment per group;
+   only [mark_dirty] evicts either, so a mutation that forgot to mark its
+   group would serve a stale copy or stale bytes — and the predicate-cache
+   oracle, which trusts [drain_dirty] too, would not notice. The oracle
+   compares every view against the live controller's own accessors (role
+   host lists and encoding bytes), and, for members and overrides, the
+   header bytes of every (group, sender) of a controller restored from
+   the live controller's checkpoint. *)
 
 let encoding_bytes = function
   | None -> None
@@ -134,23 +137,21 @@ let encoding_bytes = function
       Some (Byteio.Writer.to_bytes w)
 
 let check_view_memo msg ctrl =
-  let snap = Controller.snapshot ctrl in
-  let entries = Controller.snapshot_groups snap in
-  let gids = List.map (fun (_, v) -> v.Installed_config.gid) entries in
-  if
-    List.length gids <> Controller.group_count ctrl
-    || not (List.equal Int.equal gids (List.sort_uniq Int.compare gids))
-  then Alcotest.failf "%s: memoized entries list other groups" msg;
-  List.iter
-    (fun (members, (v : Installed_config.group_view)) ->
+  let views = (Controller.installed_config ctrl).Installed_config.groups in
+  let gids =
+    Array.to_list (Array.map (fun v -> v.Installed_config.gid) views)
+  in
+  if List.length gids <> Controller.group_count ctrl then
+    Alcotest.failf "%s: memoized views list other groups" msg;
+  Array.iter
+    (fun (v : Installed_config.group_view) ->
       let group = v.Installed_config.gid in
       let same what ok =
         if not ok then
-          Alcotest.failf "%s: group %d: memoized entry differs in %s" msg group
+          Alcotest.failf "%s: group %d: memoized view differs in %s" msg group
             what
       in
       let live = Controller.members ctrl ~group in
-      same "members" (members = live);
       let hosts want =
         List.filter_map (fun (h, r) -> if want r then Some h else None) live
         |> List.sort_uniq Int.compare
@@ -169,11 +170,13 @@ let check_view_memo msg ctrl =
         (Option.equal Bytes.equal
            (encoding_bytes v.Installed_config.enc)
            (encoding_bytes (Controller.encoding ctrl ~group))))
-    entries;
-  if
-    not
-      (Test_fault.same_state_on_groups (Controller.restore snap) ctrl gids)
-  then Alcotest.failf "%s: restored snapshot builds other headers" msg
+    views;
+  let restored =
+    Controller.restore
+      (Test_fault.decode_snapshot (Test_fault.snapshot_bytes ctrl))
+  in
+  if not (Test_fault.same_state_on_groups restored ctrl gids) then
+    Alcotest.failf "%s: restored checkpoint builds other headers" msg
 
 (* {1 Shared-down oracle}
 
@@ -430,7 +433,10 @@ let test_view_memo_identity_and_allocation () =
   if per_group >= 50.0 then
     Alcotest.failf "clean re-view allocated %.1f minor words per group"
       per_group;
-  let restored = Controller.restore (Controller.snapshot ctrl) in
+  let restored =
+    Controller.restore
+      (Test_fault.decode_snapshot (Test_fault.snapshot_bytes ctrl))
+  in
   Alcotest.(check int) "restored controller: empty memo" 0
     (Controller.memoized_views restored);
   Alcotest.(check bool) "restored views are fresh copies" true
@@ -438,12 +444,11 @@ let test_view_memo_identity_and_allocation () =
        (Controller.installed_config restored).Installed_config.groups
        v3.Installed_config.groups)
 
-(* The same for snapshots: a clean re-snapshot shares every entry with
-   the previous snapshot and with the installed view; a join re-copies
-   only its own group; shared entries serialize to the bytes a cold
-   controller writes; a restored controller starts with nothing memoized
-   and copies out of the snapshot rather than sharing with it. *)
-let test_snapshot_memo_identity () =
+(* The same for checkpoint segments: a clean re-write gives the same
+   bytes; after a join, the cached segments of the untouched groups write
+   the bytes a cold controller writes; a restored controller starts with
+   nothing memoized. *)
+let test_segment_memo_cached_bytes () =
   let ctrl = Controller.create topo Params.default in
   let rng = Rng.create 37 in
   let n = Topology.num_hosts topo in
@@ -454,47 +459,26 @@ let test_snapshot_memo_identity () =
     |> Controller.add_group ctrl ~group
     |> ignore
   done;
-  let views snap = List.map snd (Controller.snapshot_groups snap) in
-  let s1 = Controller.snapshot ctrl in
-  let s2 = Controller.snapshot ctrl in
-  Alcotest.(check bool) "clean re-snapshot: every entry shared" true
-    (List.for_all2 ( == ) (views s1) (views s2));
-  Alcotest.(check bool) "member lists shared too" true
-    (List.for_all2 ( == )
-       (List.map fst (Controller.snapshot_groups s1))
-       (List.map fst (Controller.snapshot_groups s2)));
-  Alcotest.(check bool) "installed view shares the snapshot's copies" true
-    (List.for_all2 ( == ) (views s2)
-       (Array.to_list (Controller.installed_config ctrl).Installed_config.groups));
-  Alcotest.(check int) "every group memoized" groups
-    (Controller.memoized_views ctrl);
-  (* Writing caches every entry's segment; the next snapshot blits them. *)
-  ignore (Test_fault.snapshot_bytes s2);
+  let cold = Test_fault.snapshot_bytes ctrl in
+  Alcotest.(check bool) "clean re-write: the same bytes" true
+    (Bytes.equal cold (Test_fault.snapshot_bytes ctrl));
+  ignore (Controller.installed_config ctrl);
   let joined = 17 in
   let members = Controller.members ctrl ~group:joined in
   let host =
     List.find (fun x -> not (List.mem_assoc x members)) (List.init n Fun.id)
   in
   ignore (Controller.join ctrl ~group:joined ~host ~role:Controller.Receiver);
-  Alcotest.(check int) "the join evicted one entry" (groups - 1)
+  Alcotest.(check int) "the join evicted one view" (groups - 1)
     (Controller.memoized_views ctrl);
-  let s3 = Controller.snapshot ctrl in
-  List.iter2
-    (fun (a : Installed_config.group_view) b ->
-      Alcotest.(check bool)
-        (Printf.sprintf "group %d shared iff untouched" a.Installed_config.gid)
-        (a.Installed_config.gid <> joined)
-        (a == b))
-    (views s3) (views s2);
-  let restored = Controller.restore s3 in
+  let cached = Test_fault.snapshot_bytes ctrl in
+  Alcotest.(check bool) "the join changed the checkpoint" false
+    (Bytes.equal cold cached);
+  let restored = Controller.restore (Test_fault.decode_snapshot cached) in
   Alcotest.(check int) "restored controller: empty memo" 0
     (Controller.memoized_views restored);
   Alcotest.(check bool) "cached segments write a cold controller's bytes" true
-    (Bytes.equal
-       (Test_fault.snapshot_bytes s3)
-       (Test_fault.snapshot_bytes (Controller.snapshot restored)));
-  Alcotest.(check bool) "restored entries are fresh copies" true
-    (List.for_all2 ( != ) (views (Controller.snapshot restored)) (views s3))
+    (Bytes.equal cached (Test_fault.snapshot_bytes restored))
 
 (* {1 Symbolic walk vs. packet injection} *)
 
@@ -1157,8 +1141,8 @@ let tests =
       test_view_memo_fault_stream;
     Alcotest.test_case "view memo: identity and allocation" `Quick
       test_view_memo_identity_and_allocation;
-    Alcotest.test_case "snapshot memo: identity and cached bytes" `Quick
-      test_snapshot_memo_identity;
+    Alcotest.test_case "segment memo: cached bytes" `Quick
+      test_segment_memo_cached_bytes;
     Alcotest.test_case "verify cache: incremental hits" `Quick
       test_verify_cache_incremental;
   ]
