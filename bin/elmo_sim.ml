@@ -304,14 +304,16 @@ let verify_cmd =
   (* Clear [host]'s port from every leaf-layer assignment of the view's
      first multicast group: p-rules covering its leaf, the leaf's s-rule,
      and the default p-rule. The symbolic check must then name exactly
-     that endpoint. The corruption goes into a copy of that group's
-     encoding: views share group records with later views of the same
-     controller. *)
+     that endpoint. The corruption goes into a private copy of that
+     group's encoding (a wire round trip): the view borrows the
+     controller's live encodings. *)
   let sabotage topo (cfg : Installed_config.t) =
     let corrupt (g : Installed_config.group_view) =
       match (g.Installed_config.enc, g.Installed_config.receivers) with
       | Some enc, host :: _ :: _ ->
-          let enc = Encoding.copy enc in
+          let w = Byteio.Writer.create () in
+          Encoding.write w enc;
+          let enc = Encoding.read topo Byteio.(Reader.of_bytes (Writer.to_bytes w)) in
           let leaf = Topology.leaf_of_host topo host in
           let port = Topology.host_port_on_leaf topo host in
           let layer = enc.Encoding.d_leaf in

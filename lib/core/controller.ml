@@ -102,9 +102,12 @@ type t = {
       (* groups whose installed view may have changed since the last
          [drain_dirty] — feeds the verify layer's predicate-cache
          invalidation *)
+  generation : int ref;
+      (* bumped by every [mark_dirty]: stamps [installed_config] views,
+         which borrow the groups' live encodings and overrides *)
   views : (int, Installed_config.group_view) Hashtbl.t;
-      (* [installed_config]'s deep copy of every group unchanged since it
-         was last copied *)
+      (* [installed_config]'s sorted member and override lists of every
+         group unchanged since they were last built *)
   segments : (int, bytes) Hashtbl.t;
       (* [write_snapshot]'s bytes of every group unchanged since they were
          last written; [mark_dirty] evicts from both memos *)
@@ -142,6 +145,7 @@ let create ?fabric_hooks ?clock ?(incremental = true) topo params =
     stale_stride =
       (2 * max (Topology.num_leaves topo) topo.Topology.pods) + 2;
     dirty = Hashtbl.create 64;
+    generation = ref 0;
     views = Hashtbl.create 1024;
     segments = Hashtbl.create 1024;
   }
@@ -171,12 +175,14 @@ let find_group t group =
    encoding, overrides, stale markers — marks the group dirty. The verify
    layer drains the set to invalidate exactly the cached checks that
    could have changed, instead of re-checking every group after every
-   event, [installed_config] re-copies only the marked groups and
-   [write_snapshot] re-encodes only their segments. Marking is
-   conservative: a marked group whose view happens to be unchanged merely
-   costs one re-check, one copy and one segment. *)
+   event, [installed_config] re-sorts only the marked groups' lists and
+   [write_snapshot] re-encodes only their segments. Each mark also bumps
+   the generation counter, so every view taken before it stops being
+   current. Marking is conservative: a marked group whose view happens to
+   be unchanged merely costs one re-check, one re-sort and one segment. *)
 
 let mark_dirty t group =
+  incr t.generation;
   Hashtbl.replace t.dirty group ();
   Hashtbl.remove t.views group;
   Hashtbl.remove t.segments group
@@ -1190,18 +1196,13 @@ let recover_core t c =
 
 (* {1 Installed-configuration views}
 
-   The pure [Installed_config.t] view feeds the symbolic verification layer
-   ([lib/verify]). Each group's view is a deep copy, so a view stays valid
-   across later controller mutations; the copy is memoized until
-   [mark_dirty] evicts it, so successive views share the records of
-   unchanged groups. *)
-
-let copy_override ov =
-  {
-    up_leaf_ports = Bitmap.copy ov.up_leaf_ports;
-    up_spine_ports = Option.map Bitmap.copy ov.up_spine_ports;
-    unicast = ov.unicast;
-  }
+   The read-only [Installed_config.t] view feeds the symbolic verification layer
+   ([lib/verify]). Each group's view borrows the group's live encoding
+   and override records; its sorted member and override lists are
+   memoized until [mark_dirty] evicts them, so successive views share the
+   records of unchanged groups. The view is stamped with the generation
+   counter, which [mark_dirty] bumps, so a view read after a mutation is
+   refused instead of seeing half-old, half-new state. *)
 
 (* A group's installed overrides, ascending by sender host. *)
 let sorted_overrides st =
@@ -1217,11 +1218,8 @@ let group_view t gid st =
           Installed_config.gid;
           receivers = List.sort_uniq Int.compare (receivers st);
           senders = List.sort_uniq Int.compare (senders st);
-          enc = Option.map Encoding.copy st.enc;
-          overrides =
-            List.map
-              (fun (h, ov) -> (h, copy_override ov))
-              (sorted_overrides st);
+          enc = st.enc;
+          overrides = sorted_overrides st;
         }
       in
       Hashtbl.replace t.views gid v;
@@ -1231,7 +1229,8 @@ let installed_config t =
   let groups =
     Hashtbl.fold (fun gid st acc -> group_view t gid st :: acc) t.groups []
   in
-  Installed_config.make ~spine_ok:(Array.copy t.spine_ok)
+  Installed_config.make ~generation:t.generation
+    ~spine_ok:(Array.copy t.spine_ok)
     ~core_ok:(Array.copy t.core_ok) ~link_ok:(Array.copy t.link_ok)
     ~denied_leaf:(Array.copy t.denied_leaf)
     ~denied_pod:(Array.copy t.denied_pod)

@@ -169,9 +169,10 @@ val dirty_count : t -> int
 (** Number of currently dirty groups, without draining. *)
 
 val memoized_views : t -> int
-(** Number of groups whose {!installed_config} view — a deep copy — is
-    memoized, i.e. unchanged since it was last copied. Zero on a fresh or
-    {!restore}d controller. *)
+(** Number of groups whose {!installed_config} view record — the sorted
+    member and override lists beside the borrowed encoding — is memoized,
+    i.e. unchanged since it was last built. Zero on a fresh or {!restore}d
+    controller. *)
 
 (** {1 Reliable installation, degradation and reconciliation}
 
@@ -241,20 +242,25 @@ val recover_link : t -> leaf:int -> plane:int -> failure_report
 
 (** {1 Installed-configuration views}
 
-    The pure {!Installed_config.t} view of everything this controller has
+    The read-only {!Installed_config.t} view of everything this controller has
     installed — memberships, encodings, overrides, health/denial state and
     compensated stale sites — consumed by the symbolic verification layer
-    ([lib/verify]). A view is a deep copy: it never aliases controller
-    state and stays valid across later mutations. *)
+    ([lib/verify]). A view borrows the controller's encodings and override
+    records, so it is valid only until the next mutation: it is stamped
+    with a generation counter that every mutation marking a group dirty
+    bumps, and {!Verify} refuses a view that is no longer
+    {!Installed_config.is_current}. *)
 
 val installed_config : t -> Installed_config.t
-(** The live controller's current installed configuration. Each group's
-    view is deep-copied once and memoized until a mutation marks the group
-    dirty (see {!drain_dirty}; the memo is independent of draining), so
-    views from successive calls share the [group_view] record of every
-    unchanged group. One call costs a deep copy of each group changed since
-    the previous call, O(groups) small words to index the rest, and a copy
-    of the health, denial and stale-site state. *)
+(** The live controller's current installed configuration, to be read
+    before the next mutation. Each group's [enc] and overrides are the
+    live records, not copies: treat them as read-only. The sorted member
+    and override lists are built once and memoized until a mutation marks
+    the group dirty (see {!drain_dirty}; the memo is independent of
+    draining), so views from successive calls share the [group_view]
+    record of every unchanged group. One call costs the lists of each
+    group changed since the previous call, O(groups) small words to index
+    the rest, and a copy of the health, denial and stale-site state. *)
 
 (** {1 Crash-consistent checkpoints}
 

@@ -7,7 +7,7 @@ type t = {
   d_leaf : Clustering.result;
   mutable stale : int;
   (* Fast-path leaf index, built by every from-scratch encode (and by
-     [copy]): O(1) per-leaf dispatch with no list scans and no option
+     [read]): O(1) per-leaf dispatch with no list scans and no option
      allocation. [idx_kind] holds one dispatch byte per leaf; the arrays
      hold the leaf's exact tree bitmap, its p-rule (when in one), and the
      site bitmap to mutate. Absent slots carry the shared dummies. *)
@@ -523,14 +523,13 @@ let prule_count t =
 
 (* {1 Durable wire codec}
 
-   The byte-level analogue of [copy]: the delta fast path depends on
-   physical sharing between the tree's exact bitmaps and rule bitmaps
-   (singleton p-rules and s-rules alias the tree's leaf bitmaps), so the
-   serialized form carries the aliasing graph explicitly. Each distinct
-   bitmap object is written inline exactly once, at its first occurrence,
-   and every later occurrence is a back-reference into the pool of bitmaps
-   written so far ([==]-keyed on the write side, index-keyed on the read
-   side). Reading therefore reconstructs the exact object graph, which is
+   The delta fast path depends on physical sharing between the tree's
+   exact bitmaps and rule bitmaps (singleton p-rules and s-rules alias the
+   tree's leaf bitmaps), so the serialized form carries the aliasing graph
+   explicitly. Each distinct bitmap object is written inline exactly once,
+   at its first occurrence, and every later occurrence is a
+   back-reference into the pool of bitmaps written so far ([==]-keyed on
+   the write side, index-keyed on the read side). Reading therefore reconstructs the exact object graph, which is
    what makes a restored encoding bit-identical — predicate-pointer-
    identical under lib/verify — to the never-crashed original. *)
 
@@ -700,60 +699,5 @@ let read topo r =
     idx_site_bm;
     scratch_a = Bitmap.create scratch_width;
     scratch_b = Bitmap.create scratch_width;
-    down = None;
-  }
-
-(* Deep copy for installed views. The delta fast path depends on physical
-   sharing between the tree's exact bitmaps and rule bitmaps (singleton
-   p-rules and s-rules alias the tree's leaf bitmaps), so the copy must
-   preserve the aliasing graph: each distinct bitmap object is copied
-   exactly once, via a [==]-keyed memo. An encoding touches a handful of
-   bitmaps, so the linear memo scan is fine. *)
-let copy t =
-  let memo = ref [] in
-  let copy_bm bm =
-    match List.find_opt (fun (o, _) -> o == bm) !memo with
-    | Some (_, c) -> c
-    | None ->
-        let c = Bitmap.copy bm in
-        memo := (bm, c) :: !memo;
-        c
-  in
-  let copy_tree (tr : Tree.t) =
-    {
-      tr with
-      Tree.members = Array.copy tr.Tree.members;
-      leaf_bitmaps = List.map (fun (l, bm) -> (l, copy_bm bm)) tr.Tree.leaf_bitmaps;
-      spine_bitmaps =
-        List.map (fun (p, bm) -> (p, copy_bm bm)) tr.Tree.spine_bitmaps;
-      core_bitmap = copy_bm tr.Tree.core_bitmap;
-    }
-  in
-  let copy_prule (r : Prule.prule) =
-    { r with Prule.bitmap = copy_bm r.Prule.bitmap }
-  in
-  let copy_result (res : Clustering.result) =
-    {
-      Clustering.prules = List.map copy_prule res.Clustering.prules;
-      srules = List.map (fun (id, bm) -> (id, copy_bm bm)) res.Clustering.srules;
-      default =
-        Option.map (fun (ids, bm) -> (ids, copy_bm bm)) res.Clustering.default;
-    }
-  in
-  let tree = copy_tree t.tree in
-  let d_leaf = copy_result t.d_leaf in
-  let idx_kind, idx_exact, idx_rule, idx_site_bm = build_index d_leaf tree in
-  {
-    tree;
-    params = t.params;
-    d_spine = copy_result t.d_spine;
-    d_leaf;
-    stale = t.stale;
-    idx_kind;
-    idx_exact;
-    idx_rule;
-    idx_site_bm;
-    scratch_a = Bitmap.create (Bitmap.width t.scratch_a);
-    scratch_b = Bitmap.create (Bitmap.width t.scratch_b);
     down = None;
   }

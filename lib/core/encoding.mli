@@ -29,7 +29,7 @@ type t = {
 }
 (** The [idx_*] arrays and scratch bitmaps are internal to the
     {!apply_delta} fast path: a flat per-leaf index (rebuilt by every
-    from-scratch encode and by {!copy}) that makes steady-state delta
+    from-scratch encode and by {!read}) that makes steady-state delta
     application allocation-free — no list scans, no option wrapping, no
     fresh bitmaps. [down] is {!header_for_sender}'s cache. Treat them all
     as private. *)
@@ -134,9 +134,9 @@ val header_for_sender : t -> sender:int -> Prule.header
     Only the upstream rules and the core rule are built per sender. The
     downstream sections are one {!Prule.down} per encoding version, shared
     [==] by every sender's header: the first call after {!encode},
-    {!apply_delta}, {!copy} or {!read} builds it (and encodes its wire),
-    from copies of the rule bitmaps, so the fast path's in-place flips
-    never reach a down a header already carries. {!encode} itself does not
+    {!apply_delta} or {!read} builds it (and encodes its wire), from
+    copies of the rule bitmaps, so the fast path's in-place flips never
+    reach a down a header already carries. {!encode} itself does not
     build it. *)
 
 val header_bytes : t -> sender:int -> int
@@ -157,18 +157,13 @@ val srule_entries : t -> int
 val prule_count : t -> int
 (** Downstream p-rules in the header (both layers, excluding defaults). *)
 
-val copy : t -> t
-(** Deep copy, as an installed view holds it: fresh tree and rule bitmaps,
-    with the original's aliasing graph preserved (a rule bitmap that
-    physically aliases a tree bitmap still does in the copy — the delta fast
-    path depends on it). The copy holds no s-rule reservations of its own. *)
-
 val write : Byteio.Writer.t -> t -> unit
-(** Durable wire codec — the byte-level analogue of {!copy}. Each distinct
-    bitmap object is written inline once and back-referenced thereafter, so
-    the serialized form carries the encoding's aliasing graph and {!read}
-    reconstructs the exact object structure (which is what makes a restored
-    controller predicate-pointer-identical to the original). *)
+(** Durable wire codec. Each distinct bitmap object is written inline once
+    and back-referenced thereafter, so the serialized form carries the
+    encoding's aliasing graph and {!read} reconstructs the exact object
+    structure (which is what makes a restored controller
+    predicate-pointer-identical to the original). A write/read round trip
+    is also how a caller takes a private deep copy of an encoding. *)
 
 val read : Topology.t -> Byteio.Reader.t -> t
 (** Inverse of {!write}. Validates every switch id, bitmap width, and

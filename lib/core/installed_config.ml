@@ -1,4 +1,4 @@
-(* Pure view of an installed configuration: see the interface for the
+(* Read-only view of an installed configuration: see the interface for the
    design rationale. This module must stay free of controller internals —
    [Controller] depends on it, not the other way around. *)
 
@@ -26,6 +26,8 @@ type t = {
   denied_leaf : bool array;
   denied_pod : bool array;
   stale_sites : (int * Srule_state.site) array;
+  generation : int ref;
+  stamp : int;
 }
 
 let compare_stale (g1, s1) (g2, s2) =
@@ -41,8 +43,8 @@ let sorted cmp l =
   Array.sort cmp a;
   a
 
-let make ?spine_ok ?core_ok ?link_ok ?denied_leaf ?denied_pod
-    ?(stale_sites = []) topo params groups =
+let make ?(generation = ref 0) ?spine_ok ?core_ok ?link_ok ?denied_leaf
+    ?denied_pod ?(stale_sites = []) topo params groups =
   let default len v = function Some a -> a | None -> Array.make len v in
   {
     topo;
@@ -57,7 +59,11 @@ let make ?spine_ok ?core_ok ?link_ok ?denied_leaf ?denied_pod
     denied_leaf = default (Topology.num_leaves topo) false denied_leaf;
     denied_pod = default topo.Topology.pods false denied_pod;
     stale_sites = sorted compare_stale stale_sites;
+    generation;
+    stamp = !generation;
   }
+
+let is_current t = !(t.generation) = t.stamp
 
 (* An element of the sorted array [a] for which [cmp] returns 0, if any
    ([cmp x] orders the probe against element [x]). *)

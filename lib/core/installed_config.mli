@@ -1,25 +1,32 @@
-(** Pure, immutable view of everything a controller has installed — the
-    input language of the symbolic forwarding-equivalence layer
-    ({!Verify} in [lib/verify]).
+(** Read-only view of everything a controller has installed — the input
+    language of the symbolic forwarding-equivalence layer ({!Verify} in
+    [lib/verify]).
 
     The view deliberately contains only what the data plane can observe:
     per-group memberships and encodings (p-rules, s-rules, defaults),
     per-sender upstream overrides, switch/link health as the controller
     believes it, switches denied for s-rule installs, and stale fabric
-    sites carrying compensated (truthful) entries. It is a plain record of
-    plain data — no hooks, no clocks, no ledger — so it can be produced
-    equally by a live {!Controller.t} (one restored from a checkpoint
-    included), a {!Replica.t}, or built by hand in tests. All bitmaps and arrays are
-    owned by the view, never aliased with live controller state, so a view
-    stays valid across later controller mutations.
+    sites carrying compensated (truthful) entries. It is a plain record —
+    no hooks, no clocks, no ledger — so it can be produced equally by a
+    live {!Controller.t} (one restored from a checkpoint included), a
+    {!Replica.t}, or built by hand in tests.
 
-    Views from successive {!Controller.installed_config} calls share the
-    [group_view] record of every group that did not change in between:
-    the controller memoizes one deep copy per group and re-copies only
-    groups marked dirty, so one call costs O(groups) small words plus a
-    deep copy of each changed group. Treat views as read-only — a caller
-    that mutates a shared record's bitmaps corrupts later views too; copy
-    the encoding ({!Encoding.copy}) before altering it. *)
+    A view from {!Controller.installed_config} {e borrows} the controller's
+    state: each group's [enc] and override records are the live ones, not
+    copies. Read it before the controller's next mutation. Every mutation
+    that can change a group's view bumps the controller's generation
+    counter, and the view carries the value it was taken at ([stamp]);
+    {!is_current} compares the two, and every {!Verify} function that takes
+    a view raises [Invalid_argument] on one that is no longer current. The
+    health, denial and stale-site arrays are copied for each view.
+
+    Views from successive calls share the [group_view] record of every
+    group that did not change in between (the controller memoizes each
+    group's sorted member and override lists until the group is marked
+    dirty). Treat views as read-only — altering an encoding reached through
+    a view alters the controller's installed state. A test that sabotages
+    a view takes a private copy of the encoding first (a round trip through
+    {!Encoding.write} and {!Encoding.read}). *)
 
 type override = {
   up_leaf_ports : Bitmap.t;  (** planes the sender's leaf forwards up on *)
@@ -59,9 +66,14 @@ type t = {
       (** (group, site) fabric entries whose removal failed and now hold a
           compensated truthful bitmap, ascending by (group, site key):
           {!is_stale} is a binary search *)
+  generation : int ref;
+      (** the producing controller's mutation counter; a private counter
+          that never moves for views built by hand *)
+  stamp : int;  (** [!generation] when the view was taken *)
 }
 
 val make :
+  ?generation:int ref ->
   ?spine_ok:bool array ->
   ?core_ok:bool array ->
   ?link_ok:bool array ->
@@ -76,7 +88,13 @@ val make :
     all-allowed and [stale_sites] to empty. Group views are sorted by
     [gid] and stale sites by (group, site key) into fresh arrays. The
     health and denial arrays are used as given (not copied): callers
-    constructing views by hand own them. *)
+    constructing views by hand own them. The view is stamped with
+    [!generation]; without [generation] it gets a counter of its own, so a
+    view built by hand never goes stale. *)
+
+val is_current : t -> bool
+(** Has the producing controller not mutated any group since the view was
+    taken? O(1). *)
 
 val group : t -> int -> group_view option
 (** The view of one group, if present; O(log groups). *)

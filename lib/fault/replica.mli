@@ -100,4 +100,5 @@ val crash : t -> unit
 
 val installed_config : t -> Installed_config.t
 (** The live controller's {!Installed_config.t} view (for symbolic
-    equivalence checks against {!recovered}). *)
+    equivalence checks against {!recovered}). It borrows the controller's
+    state: read it before the next {!apply}. *)

@@ -123,20 +123,21 @@ let failover ?snapshot_every ?observer ~fabric data =
       with
       | Error e -> Error e
       | Ok replica ->
+          (* One view serves the sweep and the proof: the sweep mutates
+             the fabric, never the controller, and the proof's stamp check
+             would refuse the view if it had. *)
+          let cfg = Replica.installed_config replica in
           let reconcile =
             Obs.with_span "supervisor.reconcile" (fun () ->
-                reconcile_sweep fabric hooks (Replica.installed_config replica))
+                reconcile_sweep fabric hooks cfg)
           in
           Obs.observe "supervisor.reinstalled"
             (float_of_int reconcile.reinstalled);
           Obs.observe "supervisor.orphans_removed"
             (float_of_int reconcile.orphans_removed);
-          (* Zero-blackhole proof on a re-read view: the sweep mutated the
-             fabric, not the controller, but the proof must see the
-             controller's final word. *)
           let blackholes =
             Obs.with_span "supervisor.prove" (fun () ->
-                Verify.sender_blackholes (Replica.installed_config replica))
+                Verify.sender_blackholes cfg)
           in
           Ok { replica; loaded; epoch; reconcile; blackholes })
 

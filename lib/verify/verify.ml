@@ -3,6 +3,13 @@ type witness = { w_group : int; w_switch : Pred.switch; w_port : int }
 let pp_witness ppf w =
   Format.fprintf ppf "%d/%a/%d" w.w_group Pred.pp_switch w.w_switch w.w_port
 
+(* Every public entry point that takes a view checks it once: a view
+   borrows its controller's encodings, so one read after a later mutation
+   would mix old and new state. *)
+let current cfg =
+  if not (Installed_config.is_current cfg) then
+    invalid_arg "Verify: view taken before its controller's last mutation" (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
+
 let bitmap_opt_get bm i =
   match bm with Some bm -> Bitmap.get bm i | None -> false
 
@@ -112,6 +119,7 @@ let spec_walk cfg (g : Installed_config.group_view) edge =
     g.Installed_config.receivers
 
 let spec_pred ctx cfg ~group keep =
+  current cfg;
   match Installed_config.group cfg group with
   | None -> Pred.of_pairs ctx []
   | Some g ->
@@ -296,6 +304,7 @@ let sender_planes r ~sender =
       end
 
 let compile_sender ctx cfg ~group ~sender =
+  current cfg;
   match Option.bind (Installed_config.group cfg group) (route cfg) with
   | None -> None
   | Some r ->
@@ -317,6 +326,7 @@ let compile_sender ctx cfg ~group ~sender =
              Pred.of_pairs ctx !acc)
 
 let receiver_endpoints ctx cfg ~group ~sender =
+  current cfg;
   match Installed_config.group cfg group with
   | None -> Pred.of_pairs ctx []
   | Some g ->
@@ -460,7 +470,9 @@ let check_group cfg (g : Installed_config.group_view) =
   | None -> Ok ()
   | Some e -> Error (witness ~group:g.Installed_config.gid e)
 
-let check_config cfg = walk_groups cfg (check_group cfg)
+let check_config cfg =
+  current cfg;
+  walk_groups cfg (check_group cfg)
 
 (* {1 Zero-blackhole sweep}
 
@@ -476,6 +488,7 @@ let check_config cfg = walk_groups cfg (check_group cfg)
    receivers for the witness. No per-sender predicate is built. *)
 
 let sender_blackholes cfg =
+  current cfg;
   let topo = cfg.Installed_config.topo in
   let hosts = Topology.num_hosts topo in
   let hpl = topo.Topology.hosts_per_leaf in
@@ -575,6 +588,7 @@ let is_cached cache gid = Hashtbl.mem cache.c_passed gid
 let cache_stats cache = (cache.c_hits, cache.c_misses)
 
 let check_config_cached cache cfg ~dirty =
+  current cfg;
   (* Dirty groups (including removed ones, which the view no longer
      lists) drop out of the cache before the walk. *)
   List.iter (fun gid -> Hashtbl.remove cache.c_passed gid) dirty;

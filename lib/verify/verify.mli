@@ -42,7 +42,14 @@ type witness = {
 val pp_witness : Format.formatter -> witness -> unit
 (** Renders [gid/switch/port], e.g. [7/leaf3/5]. *)
 
-(** {1 Compilers} *)
+(** {1 Compilers}
+
+    Every function below that takes an {!Installed_config.t} first checks
+    that the view is {!Installed_config.is_current} and raises
+    [Invalid_argument] otherwise: a view from
+    {!Controller.installed_config} borrows the controller's encodings, so
+    it must be read before the controller's next mutation. A view built
+    with {!Installed_config.make} is always current. *)
 
 val compile : Pred.ctx -> Installed_config.t -> group:int -> Pred.t
 (** The canonical delivery predicate of one group: for every receiver pod,

@@ -67,18 +67,26 @@ let test_compile_matches_intent_healthy () =
       Alcotest.failf "healthy controller fails its own check: %a"
         Verify.pp_witness w
 
+(* A private deep copy of an encoding, for sabotage: a view borrows the
+   controller's live encodings, so altering one in place would corrupt the
+   controller itself. *)
+let private_copy (enc : Encoding.t) =
+  let w = Byteio.Writer.create () in
+  Encoding.write w enc;
+  Encoding.read enc.Encoding.tree.Tree.topo Byteio.(Reader.of_bytes (Writer.to_bytes w))
+
 let test_check_config_finds_lost_receiver () =
   let ctrl, _ = mk_ctrl Params.default in
   ignore (Controller.add_group ctrl ~group:0 (both [ 0; 1; h ]));
   let cfg = Controller.installed_config ctrl in
-  (* Corrupt a copy of the view (views are shared with later calls): drop
-     host 1's port from every leaf-layer rule of group 0 — the symbolic
-     check must name exactly that endpoint. *)
+  (* Corrupt a private copy of group 0's encoding: drop host 1's port from
+     every leaf-layer rule — the symbolic check must name exactly that
+     endpoint. *)
   let corrupt (g : Installed_config.group_view) =
     match g.Installed_config.enc with
     | None -> g
     | Some enc ->
-        let enc = Encoding.copy enc in
+        let enc = private_copy enc in
         List.iter
           (fun (r : Prule.prule) ->
             if Prule.rule_mem r 0 then Bitmap.clear r.Prule.bitmap 1)
@@ -89,11 +97,13 @@ let test_check_config_finds_lost_receiver () =
         { g with Installed_config.enc = Some enc }
   in
   let cfg = { cfg with Installed_config.groups = Array.map corrupt cfg.Installed_config.groups } in
-  match Verify.check_config cfg with
+  (match Verify.check_config cfg with
   | Ok _ -> Alcotest.fail "corrupted config must fail the check"
   | Error w ->
       Alcotest.(check string) "witness names the lost endpoint" "0/leaf0/1"
-        (Format.asprintf "%a" Verify.pp_witness w)
+        (Format.asprintf "%a" Verify.pp_witness w));
+  Alcotest.(check bool) "the sabotage did not reach the controller" true
+    (Verify.check_controller ctrl = Ok 1)
 
 let test_snapshot_view_matches_live () =
   let ctrl, _ = mk_ctrl Params.default in
@@ -119,22 +129,16 @@ let test_snapshot_view_matches_live () =
 
 (* {1 Memoized views and segments}
 
-   [Controller.installed_config] hands out one memoized deep copy per
-   group and [Controller.write_snapshot] one memoized segment per group;
-   only [mark_dirty] evicts either, so a mutation that forgot to mark its
-   group would serve a stale copy or stale bytes — and the predicate-cache
+   [Controller.installed_config] hands out one memoized view record per
+   group (sorted member and override lists beside the borrowed encoding)
+   and [Controller.write_snapshot] one memoized segment per group; only
+   [mark_dirty] evicts either, so a mutation that forgot to mark its group
+   would serve stale lists or stale bytes — and the predicate-cache
    oracle, which trusts [drain_dirty] too, would not notice. The oracle
    compares every view against the live controller's own accessors (role
-   host lists and encoding bytes), and, for members and overrides, the
-   header bytes of every (group, sender) of a controller restored from
-   the live controller's checkpoint. *)
-
-let encoding_bytes = function
-  | None -> None
-  | Some enc ->
-      let w = Byteio.Writer.create () in
-      Encoding.write w enc;
-      Some (Byteio.Writer.to_bytes w)
+   host lists and the encoding itself, [==]), and, for members and
+   overrides, the header bytes of every (group, sender) of a controller
+   restored from the live controller's checkpoint. *)
 
 let check_view_memo msg ctrl =
   let views = (Controller.installed_config ctrl).Installed_config.groups in
@@ -166,10 +170,8 @@ let check_view_memo msg ctrl =
            (hosts (function
              | Controller.Sender | Controller.Both -> true
              | Controller.Receiver -> false)));
-      same "encoding bytes"
-        (Option.equal Bytes.equal
-           (encoding_bytes v.Installed_config.enc)
-           (encoding_bytes (Controller.encoding ctrl ~group))))
+      same "encoding (a view borrows the live one)"
+        (v.Installed_config.enc == Controller.encoding ctrl ~group))
     views;
   let restored =
     Controller.restore
@@ -391,9 +393,9 @@ let test_view_memo_fault_stream () =
   Alcotest.(check bool) "failures were live" true (any (fun (_, f, _) -> f));
   Alcotest.(check bool) "a leaf was denied" true (any (fun (_, _, d) -> d))
 
-(* Clean groups keep their record across calls; a join re-copies only its
-   own group; a clean re-view allocates a few words per group instead of a
-   deep copy; a restored controller starts with nothing memoized. *)
+(* Clean groups keep their record across calls; a join rebuilds only its
+   own group's record; a clean re-view allocates a few words per group; a
+   restored controller starts with nothing memoized. *)
 let test_view_memo_identity_and_allocation () =
   let ctrl = Controller.create topo Params.default in
   let rng = Rng.create 31 in
@@ -439,10 +441,46 @@ let test_view_memo_identity_and_allocation () =
   in
   Alcotest.(check int) "restored controller: empty memo" 0
     (Controller.memoized_views restored);
-  Alcotest.(check bool) "restored views are fresh copies" true
+  Alcotest.(check bool) "restored views are the restored controller's own" true
     (Array.for_all2 ( != )
        (Controller.installed_config restored).Installed_config.groups
        v3.Installed_config.groups)
+
+(* A view borrows the controller's encodings, so it is read before the
+   next mutation: after a join, every [Verify] entry point refuses the
+   old view, while a fresh one checks clean. A view built by hand has no
+   controller behind it and never goes stale; its groups come from a
+   restored twin, so no later mutation reaches their encodings. *)
+let test_stale_view_raises () =
+  let ctrl, _ = mk_ctrl Params.default in
+  ignore (Controller.add_group ctrl ~group:0 (both [ 0; 1; h ]));
+  ignore (Controller.add_group ctrl ~group:1 (both [ 2; 3 ]));
+  let old = Controller.installed_config ctrl in
+  let twin = Test_fault.(decode_snapshot (snapshot_bytes ctrl)) in
+  let hand =
+    Controller.(installed_config (restore twin)).Installed_config.groups
+    |> Array.to_list |> Installed_config.make topo Params.default
+  in
+  ignore (Controller.join ctrl ~group:1 ~host:(2 * h) ~role:Controller.Both);
+  let ctx = Pred.create_ctx () and cache = Verify.create_cache () in
+  List.iter
+    (fun (name, f) ->
+      match f () with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "%s accepted a view older than its controller" name)
+    [
+      ("check_config", fun () -> ignore (Verify.check_config old));
+      ("cached", fun () -> ignore (Verify.check_config_cached cache old ~dirty:[]));
+      ("sender_blackholes", fun () -> ignore (Verify.sender_blackholes old));
+      ("compile", fun () -> ignore (Verify.compile ctx old ~group:0));
+      ( "compile_sender",
+        fun () -> ignore (Verify.compile_sender ctx old ~group:0 ~sender:0) );
+    ];
+  let checked cfg = Result.value (Verify.check_config cfg) ~default:(-1) in
+  Alcotest.(check int) "a fresh view checks clean" 2
+    (checked (Controller.installed_config ctrl));
+  ignore (Controller.leave ctrl ~group:0 ~host:1);
+  Alcotest.(check int) "a hand-made view never goes stale" 2 (checked hand)
 
 (* The same for checkpoint segments: a clean re-write gives the same
    bytes; after a join, the cached segments of the untouched groups write
@@ -898,7 +936,7 @@ let sweep_case_view c =
   List.iter
     (fun (k, what) ->
       pick k (fun i enc ->
-          let enc = Encoding.copy enc in
+          let enc = private_copy enc in
           let enc =
             match what with
             | Reset_site j ->
@@ -1145,4 +1183,5 @@ let tests =
       test_segment_memo_cached_bytes;
     Alcotest.test_case "verify cache: incremental hits" `Quick
       test_verify_cache_incremental;
+    Alcotest.test_case "stale view raises" `Quick test_stale_view_raises;
   ]
