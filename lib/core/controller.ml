@@ -192,7 +192,6 @@ let drain_dirty t =
   Hashtbl.reset t.dirty;
   List.sort Int.compare gids
 
-let dirty_count t = Hashtbl.length t.dirty
 let memoized_views t = Hashtbl.length t.views
 
 (* {1 Reliable rule installation}

@@ -165,9 +165,6 @@ val drain_dirty : t -> int list
     set. A freshly created (or {!restore}d) controller reports every group
     it holds. *)
 
-val dirty_count : t -> int
-(** Number of currently dirty groups, without draining. *)
-
 val memoized_views : t -> int
 (** Number of groups whose {!installed_config} view record — the sorted
     member and override lists beside the borrowed encoding — is memoized,

@@ -44,8 +44,6 @@ let create ?(schedule = Reliable) fabric =
 let random rng ~rate =
   Random { rng; timeout = rate /. 2.0; refuse = rate /. 4.0; drop = rate /. 4.0 }
 
-let fabric t = t.fabric
-
 let stats t =
   {
     attempts = t.attempts;
@@ -118,8 +116,3 @@ let hooks t =
     read_leaf = (fun ~leaf ~group -> Fabric.leaf_srule t.fabric ~leaf ~group);
     read_pod = (fun ~pod ~group -> Fabric.pod_srule t.fabric ~pod ~group);
   }
-
-let pp_stats ppf (s : stats) =
-  Format.fprintf ppf
-    "%d attempts: %d applied, %d timeouts, %d refusals, %d drops" s.attempts
-    s.applied s.timeouts s.refusals s.drops

@@ -45,8 +45,6 @@ val random : Rng.t -> rate:float -> schedule
 val hooks : t -> Controller.fabric_hooks
 (** The faulted hooks to hand to {!Controller.create}. *)
 
-val fabric : t -> Fabric.t
-
 val wedge_leaf : t -> int -> bool -> unit
 (** [wedge_leaf t l true] makes leaf [l] refuse all subsequent installs
     (removals unaffected) until un-wedged. *)
@@ -62,4 +60,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit

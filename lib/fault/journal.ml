@@ -10,14 +10,6 @@ type op =
   | Fail_link of { leaf : int; plane : int }
   | Recover_link of { leaf : int; plane : int }
 
-(* An op tagged with the pods whose shard state it can touch, computed by
-   the writer against the pre-op controller state ([None] = global: the op
-   can touch every shard). The tags drive shard-scoped recovery
-   ([Replica.recover_shard]): an untagged journal degrades gracefully —
-   every op is treated as global and shard recovery becomes full
-   recovery. *)
-type entry = { e_op : op; e_pods : int list option }
-
 let apply ctrl op =
   match op with
   | Add_group { group; members } ->
@@ -136,57 +128,45 @@ let write_op w op =
       Byteio.Writer.int w leaf;
       Byteio.Writer.int w plane
 
-let read_op r =
+let read_op ~topo r =
   let int = Byteio.Reader.int in
-  match Byteio.Reader.u8 r with
-  | 0 ->
-      let group = int r in
-      let members =
-        Byteio.Reader.list r (fun rd ->
-            let h = int rd in
-            let role = read_role rd in
-            (h, role))
-      in
-      Add_group { group; members }
-  | 1 -> Remove_group { group = int r }
-  | 2 ->
-      let group = int r in
-      let host = int r in
-      let role = read_role r in
-      Join { group; host; role }
-  | 3 ->
-      let group = int r in
-      let host = int r in
-      Leave { group; host }
-  | 4 -> Fail_spine (int r)
-  | 5 -> Recover_spine (int r)
-  | 6 -> Fail_core (int r)
-  | 7 -> Recover_core (int r)
-  | 8 ->
-      let leaf = int r in
-      let plane = int r in
-      Fail_link { leaf; plane }
-  | 9 ->
-      let leaf = int r in
-      let plane = int r in
-      Recover_link { leaf; plane }
-  | _ -> raise Byteio.Reader.Corrupt
-
-let write_entry w e =
-  write_op w e.e_op;
-  Byteio.Writer.option w (fun w -> Byteio.Writer.list w Byteio.Writer.int) e.e_pods
-
-let read_entry ~topo r =
-  let e_op = read_op r in
-  Byteio.Reader.check (valid_op ~topo e_op);
-  let e_pods =
-    Byteio.Reader.option r (fun rd ->
-        Byteio.Reader.list rd (fun rd ->
-            let p = Byteio.Reader.int rd in
-            Byteio.Reader.check (0 <= p && p < topo.Topology.pods);
-            p))
+  let op =
+    match Byteio.Reader.u8 r with
+    | 0 ->
+        let group = int r in
+        let members =
+          Byteio.Reader.list r (fun rd ->
+              let h = int rd in
+              let role = read_role rd in
+              (h, role))
+        in
+        Add_group { group; members }
+    | 1 -> Remove_group { group = int r }
+    | 2 ->
+        let group = int r in
+        let host = int r in
+        let role = read_role r in
+        Join { group; host; role }
+    | 3 ->
+        let group = int r in
+        let host = int r in
+        Leave { group; host }
+    | 4 -> Fail_spine (int r)
+    | 5 -> Recover_spine (int r)
+    | 6 -> Fail_core (int r)
+    | 7 -> Recover_core (int r)
+    | 8 ->
+        let leaf = int r in
+        let plane = int r in
+        Fail_link { leaf; plane }
+    | 9 ->
+        let leaf = int r in
+        let plane = int r in
+        Recover_link { leaf; plane }
+    | _ -> raise Byteio.Reader.Corrupt
   in
-  { e_op; e_pods }
+  Byteio.Reader.check (valid_op ~topo op);
+  op
 
 let pp_op ppf = function
   | Add_group { group; members } ->

@@ -7,7 +7,8 @@
     controller's own entry points — the log stores intent, not effects — so
     a recovered controller recomputes bit-identical encodings, ledger
     occupancy and churn counters (the controller is deterministic given the
-    same op order). *)
+    same op order). An op record's payload is the op alone: every
+    recovery replays the whole suffix. *)
 
 type op =
   | Add_group of { group : int; members : (int * Controller.role) list }
@@ -21,14 +22,6 @@ type op =
   | Fail_link of { leaf : int; plane : int }
   | Recover_link of { leaf : int; plane : int }
 
-type entry = { e_op : op; e_pods : int list option }
-(** An op tagged with the pods whose shard state it can touch — computed
-    by the writer against the {e pre-op} controller state (group
-    membership, failed switch location). [None] marks a global op (e.g. a
-    core failure) that every shard-scoped replay must include. The tags
-    drive {!Replica.recover_shard}; an untagged log degrades gracefully —
-    every op counts as global and shard recovery becomes full recovery. *)
-
 val apply : Controller.t -> op -> unit
 (** Re-executes the op against a controller, discarding its report. *)
 
@@ -38,18 +31,17 @@ val admit : Controller.t -> op -> unit
     its siblings: [Invalid_argument] or [Not_found]), then
     [Invalid_argument "index out of bounds"] when a group, host, switch or
     link id is out of range for the controller's topology (group ids must
-    be non-negative) — the same id check {!read_entry} makes. A replica
+    be non-negative) — the same id check {!read_op} makes. A replica
     admits every op before its write-ahead append, so an op
     the controller refuses is neither logged nor executed. *)
 
-val write_entry : Byteio.Writer.t -> entry -> unit
-(** Durable wire codec for one journal entry (the payload of a [Wire] op
-    record). *)
+val write_op : Byteio.Writer.t -> op -> unit
+(** Durable wire codec for one op (the payload of a [Wire] op record). *)
 
-val read_entry : topo:Topology.t -> Byteio.Reader.t -> entry
-(** Inverse of {!write_entry}. Validates the op's ids as {!admit} does,
-    and every pod tag, against [topo] — replay re-executes controller entry points,
-    which raise on out-of-range arguments, so a flipped bit must surface as
+val read_op : topo:Topology.t -> Byteio.Reader.t -> op
+(** Inverse of {!write_op}. Validates the op's ids against [topo] as
+    {!admit} does — replay re-executes controller entry points, which
+    raise on out-of-range arguments, so a flipped bit must surface as
     {!Byteio.Reader.Corrupt} at load time rather than an exception
     mid-replay. *)
 

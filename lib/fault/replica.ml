@@ -7,7 +7,7 @@ type t = {
   mutable ctrl : Controller.t;
   mutable since_snap : int;  (* ops applied since the last checkpoint *)
   wire : Wire.t;
-  mutable epoch : int;  (* fencing epoch stamped on appended records *)
+  epoch : int;  (* fencing epoch stamped on appended records *)
 }
 
 let checkpoint t =
@@ -38,67 +38,28 @@ let create ?(snapshot_every = 64) ?fabric_hooks ?(incremental = true)
 
 let controller t = t.ctrl
 let wire t = Some t.wire
-let epoch t = t.epoch
-
-let set_epoch t e =
-  if e < t.epoch then invalid_arg "Replica.set_epoch: epoch regression";
-  t.epoch <- e
-
-(* The pods an op can touch, computed against the {e pre-op} controller
-   state. Group ops are tagged with the pods of every member host (senders
-   included: sender-side upstream state and failure overrides live in the
-   sender's pod); spine and link events belong to the pod that owns the
-   switch, since only flows with a member in that pod traverse it; core
-   events are global — any cross-pod group may route through the core. *)
-let pods_of_op t op =
-  let topo = Controller.topology t.ctrl in
-  let pod_of_host h = Topology.pod_of_host topo h in
-  (* Admission has already checked that the group of a remove, join or
-     leave exists. *)
-  let member_pods group =
-    List.map (fun (h, _) -> pod_of_host h) (Controller.members t.ctrl ~group)
-  in
-  match op with
-  | Journal.Add_group { members; _ } ->
-      Some (List.sort_uniq Int.compare (List.map (fun (h, _) -> pod_of_host h) members))
-  | Journal.Remove_group { group } ->
-      Some (List.sort_uniq Int.compare (member_pods group))
-  | Journal.Join { group; host; _ } | Journal.Leave { group; host } ->
-      Some (List.sort_uniq Int.compare (pod_of_host host :: member_pods group))
-  | Journal.Fail_spine s | Journal.Recover_spine s ->
-      Some [ s / topo.Topology.spines_per_pod ]
-  | Journal.Fail_link { leaf; _ } | Journal.Recover_link { leaf; _ } ->
-      Some [ Topology.pod_of_leaf topo leaf ]
-  | Journal.Fail_core _ | Journal.Recover_core _ -> None
 
 let apply t op =
   Journal.admit t.ctrl op;
   (* Write-ahead: the op record is durable before execution, so a crash
      mid-execute replays it rather than losing it. *)
-  Wire.append_op t.wire ~epoch:t.epoch
-    { Journal.e_op = op; e_pods = pods_of_op t op };
+  Wire.append_op t.wire ~epoch:t.epoch op;
   Option.iter (fun f -> f op) t.observer;
   Journal.apply t.ctrl op;
   t.since_snap <- t.since_snap + 1;
   if t.since_snap >= t.snapshot_every then checkpoint t
 
-(* The one replay: restore [snap], then re-execute the [suffix] entries
-   [keep] accepts, in order, feeding each to [observer] first. Returns the
-   controller and the number of ops replayed. *)
-let replay ?fabric_hooks ?observer ~keep snap suffix =
+(* The one replay: restore [snap], then re-execute every [suffix] op in
+   order, feeding each to [observer] first. *)
+let replay ?fabric_hooks ?observer snap suffix =
   let ctrl = Controller.restore ?fabric_hooks snap in
-  let replayed =
-    List.fold_left
-      (fun n e ->
-        if not (keep e) then n
-        else begin
-          Option.iter (fun f -> f e.Journal.e_op) observer;
-          Journal.apply ctrl e.Journal.e_op;
-          n + 1
-        end)
-      0 suffix
-  in
-  (ctrl, replayed)
+  List.iter
+    (fun op ->
+      Option.iter (fun f -> f op) observer;
+      Journal.apply ctrl op)
+    suffix;
+  Obs.observe "replica.replayed_ops" (float_of_int (List.length suffix));
+  ctrl
 
 (* The replica's own log always loads with a snapshot: it opens with the
    genesis one, and every record in it was appended here. *)
@@ -111,58 +72,7 @@ let own_log t =
 let recovered t =
   Obs.with_span "replica.recover" (fun () ->
       let snap, suffix = own_log t in
-      let ctrl, replayed =
-        replay ?fabric_hooks:t.fabric_hooks ~keep:(fun _ -> true) snap suffix
-      in
-      Obs.observe "replica.replayed_ops" (float_of_int replayed);
-      ctrl)
-
-(* Shard-scoped recovery: replay only the suffix ops that can touch
-   [pod]'s shard — its transitive component. Connectivity must be
-   transitive because group ops chain: a join's tag shares pods with the
-   preceding membership ops of the same group, so any op affecting a
-   component group pulls in the whole chain that built that group's
-   state. Global (untagged) ops always replay. For every group whose
-   members stay inside the component, the recovered controller is
-   bit-identical to a full {!recovered} — skipped ops touch only disjoint
-   pods, which the per-pod commit confinement keeps invisible to the
-   component (global counters and out-of-component groups may differ). *)
-let recover_shard t ~pod =
-  Obs.with_span "replica.recover_shard" ~attrs:[ ("pod", Obs.Int pod) ]
-  @@ fun () ->
-  let snap, suffix = own_log t in
-  let in_comp = Array.make (Controller.topology t.ctrl).Topology.pods false in
-  in_comp.(pod) <- true;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun e ->
-        match e.Journal.e_pods with
-        | None -> ()
-        | Some ps ->
-            if List.exists (fun p -> in_comp.(p)) ps then
-              List.iter
-                (fun p ->
-                  if not in_comp.(p) then begin
-                    in_comp.(p) <- true;
-                    changed := true
-                  end)
-                ps)
-      suffix
-  done;
-  let relevant e =
-    match e.Journal.e_pods with
-    | None -> true
-    | Some ps -> List.exists (fun p -> in_comp.(p)) ps
-  in
-  let ctrl, replayed =
-    replay ?fabric_hooks:t.fabric_hooks ~keep:relevant snap suffix
-  in
-  Obs.observe "replica.shard_replayed_ops" (float_of_int replayed);
-  Obs.observe "replica.shard_skipped_ops"
-    (float_of_int (List.length suffix - replayed));
-  ctrl
+      replay ?fabric_hooks:t.fabric_hooks snap suffix)
 
 let crash t = t.ctrl <- recovered t
 
@@ -181,11 +91,7 @@ let of_wire ?(snapshot_every = 64) ?fabric_hooks ?observer ?epoch
       else
         match
           Obs.with_span "replica.of_wire" @@ fun () ->
-          let ctrl, replayed =
-            replay ?fabric_hooks ?observer ~keep:(fun _ -> true) snap
-              l.Wire.l_suffix
-          in
-          Obs.observe "replica.replayed_ops" (float_of_int replayed);
+          let ctrl = replay ?fabric_hooks ?observer snap l.Wire.l_suffix in
           (* Seed a fresh wire with the post-replay state: the new log is
              self-contained and the old (possibly corrupt) bytes are never
              appended to. *)

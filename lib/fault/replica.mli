@@ -7,9 +7,9 @@
     its record {e before} executing it, and appends a snapshot record
     written from the live controller ({!Controller.write_snapshot}) every
     [snapshot_every] ops. The replica keeps no snapshot of its own: the
-    log's bytes are the only copy. Every recovery — {!recovered},
-    {!recover_shard}, {!of_wire} — is {!Wire.load} followed by the same
-    replay: restore the chosen snapshot, then re-execute the suffix ops.
+    log's bytes are the only copy. Both recoveries — {!recovered} and
+    {!of_wire} — are {!Wire.load} followed by the same replay: restore the
+    chosen snapshot, then re-execute every suffix op.
     Because the controller is deterministic in its op order, the recovered
     instance is bit-identical (s-rule occupancy, per-group headers, churn
     counters) to one that never crashed — the property the crash-recovery
@@ -62,17 +62,9 @@ val wire : t -> Wire.t option
 (** The replica's log; always [Some] (the option is kept for callers
     written when the log was optional). *)
 
-val epoch : t -> int
-(** The fencing epoch stamped on appended records. *)
-
-val set_epoch : t -> int -> unit
-(** Raise the fencing epoch (monotonic; raises [Invalid_argument] on
-    regression). *)
-
 val apply : t -> Journal.op -> unit
 (** Admit the op ({!Journal.admit}: an op the controller refuses raises
-    its exception and is neither logged nor executed), append its record
-    tagged with the pods it can touch (computed against the pre-op state),
+    its exception and is neither logged nor executed), append its record,
     notify the observer, execute, auto-checkpoint. *)
 
 val checkpoint : t -> unit
@@ -84,16 +76,6 @@ val recovered : t -> Controller.t
     latest snapshot + the op suffix after it. The live controller is
     untouched (use this to {e compare} recovery against the never-crashed
     instance). *)
-
-val recover_shard : t -> pod:int -> Controller.t
-(** Shard-scoped recovery: rebuild from the log's latest snapshot,
-    replaying only the suffix ops whose pod tags are {e transitively
-    connected} to [pod] (ops sharing a pod chain into one component) plus
-    every global op. For groups whose members stay inside that component
-    the result is bit-identical to {!recovered} — skipped ops touch only
-    disjoint pods, which the per-pod commit confinement keeps invisible —
-    while replaying a fraction of the suffix after localized churn.
-    Out-of-component groups and global counters may differ. *)
 
 val crash : t -> unit
 (** Replace the live controller with {!recovered} — the crash itself. *)

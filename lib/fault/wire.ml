@@ -5,7 +5,7 @@
    collision — which the matrix test's bit-flip arm measures, not
    assumes). *)
 
-let magic = "ELMOWAL1"
+let magic = "ELMOWAL2"
 let magic_len = 8
 let prefix_len = 8 (* len + crc *)
 let covered_len = 13 (* kind + epoch + seq *)
@@ -52,9 +52,9 @@ let append_record t ~kind ~epoch payload =
   t.last_epoch <- epoch;
   t.nrecords <- t.nrecords + 1
 
-let append_op t ~epoch entry =
+let append_op t ~epoch op =
   let w = Byteio.Writer.create () in
-  Journal.write_entry w entry;
+  Journal.write_op w op;
   append_record t ~kind:kind_op ~epoch (Byteio.Writer.to_bytes w)
 
 let append_snapshot t ~epoch ctrl =
@@ -82,7 +82,7 @@ type loaded = {
   l_snapshot : Controller.snapshot option;
   l_snapshot_epoch : int;
   l_replay_base_ops : int;
-  l_suffix : Journal.entry list;
+  l_suffix : Journal.op list;
   l_epoch : int;
   l_records : record list;
   l_truncated_at : int option;
@@ -165,11 +165,11 @@ let decode_snapshot data r =
 let decode_op ~topo data r =
   match
     let rd = payload_reader data r in
-    let e = Journal.read_entry ~topo rd in
+    let op = Journal.read_op ~topo rd in
     Byteio.Reader.check (Byteio.Reader.remaining rd = 0);
-    e
+    op
   with
-  | e -> Some e
+  | op -> Some op
   | exception _ -> None
 
 let load data =
@@ -219,7 +219,7 @@ let load data =
               if r.r_seq < snap_rec.r_seq then incr base
               else if !replaying then
                 match decode_op ~topo data r with
-                | Some e -> suffix := e :: !suffix
+                | Some op -> suffix := op :: !suffix
                 | None ->
                     (* A framed-but-undecodable op after the snapshot:
                        everything from here on is suspect — truncate. *)

@@ -1,7 +1,7 @@
 (** Durable byte-level wire format for journals and snapshots.
 
     A wire log is the crash-safe persistent form of a {!Replica}: an
-    8-byte magic ["ELMOWAL1"] followed by length-prefixed records, each
+    8-byte magic ["ELMOWAL2"] followed by length-prefixed records, each
     carrying a CRC32 and a monotonic epoch/seq header.
 
     Record layout (all integers little-endian):
@@ -16,14 +16,16 @@
 
     A snapshot payload is a live controller's checkpoint as
     {!Controller.write_snapshot} writes it; an op payload is one
-    {!Journal.entry}.
+    {!Journal.op}. The magic names the record format: a change to what a
+    record carries bumps it, so a log in a retired format is refused
+    rather than read as corrupt.
 
     {!load} is total over arbitrary bytes (modulo a recognizable magic):
     it scans records in order and {e truncates} — treats the log as ending
     — at the first torn or corrupt record: a short header, a length
     overrunning the buffer, a CRC mismatch, a sequence gap, an epoch
     regression, an unknown kind, or an op payload that fails validated
-    decoding. Snapshot payloads are decoded lazily, newest first: a
+    decoding or leaves bytes unread. Snapshot payloads are decoded lazily, newest first: a
     corrupt snapshot payload falls back to the previous good snapshot
     (counted in [dropped_snapshots]) rather than truncating the log.
     Recovery never guesses: a record is either replayed exactly or the log
@@ -35,7 +37,7 @@ type t
 val create : unit -> t
 (** An empty log: magic only, next seq 0. *)
 
-val append_op : t -> epoch:int -> Journal.entry -> unit
+val append_op : t -> epoch:int -> Journal.op -> unit
 val append_snapshot : t -> epoch:int -> Controller.t -> unit
 (** Append one record; a snapshot record holds the controller's
     checkpoint as {!Controller.write_snapshot} writes it. Epochs must be
@@ -73,9 +75,9 @@ type loaded = {
   l_replay_base_ops : int;
       (** structurally valid op records {e before} the chosen snapshot —
           ops its state already includes *)
-  l_suffix : Journal.entry list;
-      (** decoded op entries after the chosen snapshot, in order — the
-          replay suffix *)
+  l_suffix : Journal.op list;
+      (** decoded ops after the chosen snapshot, in order — the replay
+          suffix *)
   l_epoch : int;  (** highest epoch among accepted records *)
   l_records : record list;
       (** every structurally accepted record, in order *)

@@ -654,82 +654,42 @@ let test_fault_run_zero_rate_self_check () =
   Alcotest.(check int) "no degradations" 0
     r.Churn.install.Controller.degradations
 
-(* {1 Pod-scoped crash recovery (Replica.recover_shard)} *)
-
-let pod_topo =
-  Topology.create ~pods:2 ~leaves_per_pod:2 ~spines_per_pod:2 ~hosts_per_leaf:4
-    ~cores_per_plane:1
-
-let pod_params = Params.create ~fmax:50 ()
-
-let host_in pod i =
-  List.init (Topology.num_hosts pod_topo) Fun.id
-  |> List.filter (fun h -> Topology.pod_of_host pod_topo h = pod)
-  |> fun hs -> List.nth hs i
-
-let members_of ctrl group =
-  match Controller.members ctrl ~group with
-  | ms -> Some (List.sort compare ms)
-  | exception Not_found -> None
-
-let test_recover_shard_skips_disjoint_pods () =
-  let replica = Replica.create ~snapshot_every:1000 pod_topo pod_params in
+(* Recovery has one replay: every op after the checkpoint is re-executed,
+   whichever pods it touches — ops confined to one pod, a leave from a
+   group the checkpoint holds, and a group spanning two pods. *)
+let test_recovery_replays_every_pod () =
+  let host_in pod i = (pod * 2 * h) + i in
+  let replica = Replica.create ~snapshot_every:1000 topo tight_params in
   let add group hosts =
     Replica.apply replica
-      (Journal.Add_group
-         { group; members = List.map (fun h -> (h, Controller.Both)) hosts })
+      (Journal.Add_group { group; members = members_both hosts })
   in
   add 1 [ host_in 0 0; host_in 0 1 ];
   add 2 [ host_in 1 0; host_in 1 1 ];
   Replica.checkpoint replica;
-  (* Post-checkpoint: churn in pod 0, plus pod-1-only ops that a pod-0
-     shard recovery must be free to skip. *)
   Replica.apply replica
     (Journal.Join { group = 1; host = host_in 0 2; role = Controller.Both });
   add 3 [ host_in 1 2; host_in 1 3 ];
   Replica.apply replica (Journal.Leave { group = 2; host = host_in 1 0 });
-  let full = Replica.recovered replica in
-  let shard0 = Replica.recover_shard replica ~pod:0 in
-  Alcotest.(check bool)
-    "component group bit-identical to full recovery" true
-    (members_of full 1 = members_of shard0 1);
-  (* The component group's delivery predicate matches exactly. *)
+  add 4 [ host_in 0 3; host_in 2 3 ];
+  let recovered = Replica.recovered replica in
+  let live = Replica.controller replica in
+  Alcotest.(check bool) "every group bit-identical to the live controller"
+    true
+    (same_state_on_groups recovered live [ 1; 2; 3; 4 ]);
+  Alcotest.(check (list int)) "the post-checkpoint leave is replayed"
+    [ host_in 1 1 ]
+    (List.map fst (Controller.members recovered ~group:2));
   let ctx = Pred.create_ctx () in
-  Alcotest.(check bool)
-    "component group predicate identical" true
-    (Verify.equiv
-       (Verify.compile ctx (Controller.installed_config full) ~group:1)
-       (Verify.compile ctx (Controller.installed_config shard0) ~group:1));
-  Alcotest.(check bool)
-    "out-of-component group added post-checkpoint is skipped" true
-    (members_of shard0 3 = None && members_of full 3 <> None);
-  Alcotest.(check bool)
-    "out-of-component leave is skipped (checkpoint state kept)" true
-    (members_of shard0 2 <> members_of full 2)
-
-let test_recover_shard_transitive_component () =
-  (* A cross-pod group op connects the pods, so recovery from pod 0 must
-     transitively pull in the pod-1 ops too. *)
-  let replica = Replica.create ~snapshot_every:1000 pod_topo pod_params in
-  let add group hosts =
-    Replica.apply replica
-      (Journal.Add_group
-         { group; members = List.map (fun h -> (h, Controller.Both)) hosts })
-  in
-  add 1 [ host_in 0 0 ];
-  Replica.checkpoint replica;
-  add 4 [ host_in 0 1; host_in 1 1 ];
-  (* spans both pods *)
-  add 3 [ host_in 1 2; host_in 1 3 ];
-  let full = Replica.recovered replica in
-  let shard0 = Replica.recover_shard replica ~pod:0 in
   List.iter
     (fun group ->
       Alcotest.(check bool)
-        (Printf.sprintf "group %d identical under transitive recovery" group)
+        (Printf.sprintf "group %d predicate identical" group)
         true
-        (members_of full group = members_of shard0 group))
-    [ 1; 3; 4 ]
+        (Verify.equiv
+           (Verify.compile ctx (Replica.installed_config replica) ~group)
+           (Verify.compile ctx (Controller.installed_config recovered) ~group)))
+    [ 1; 2; 3; 4 ]
 
 let tests =
   [
@@ -752,8 +712,6 @@ let tests =
       test_fault_run_no_blackholes;
     Alcotest.test_case "fault_run: rate 0 is a perfect twin" `Quick
       test_fault_run_zero_rate_self_check;
-    Alcotest.test_case "recovery: shard skips disjoint pods" `Quick
-      test_recover_shard_skips_disjoint_pods;
-    Alcotest.test_case "recovery: transitive pod component" `Quick
-      test_recover_shard_transitive_component;
+    Alcotest.test_case "recovery: every pod's ops replay" `Quick
+      test_recovery_replays_every_pod;
   ]

@@ -105,7 +105,7 @@ let test_reader_int_rejects_out_of_range () =
         (Byteio.Reader.int (Byteio.Reader.of_bytes (Byteio.Writer.to_bytes w))))
     [ 0; 5; -1; -5; max_int; min_int ]
 
-(* {1 Record / entry codec} *)
+(* {1 Op codec} *)
 
 let all_ops =
   [
@@ -122,35 +122,27 @@ let all_ops =
     Journal.Recover_link { leaf = 3; plane = 1 };
   ]
 
-let test_entry_codec_round_trip () =
+let test_op_codec_round_trip () =
   List.iteri
     (fun i op ->
-      List.iter
-        (fun pods ->
-          let e = { Journal.e_op = op; e_pods = pods } in
-          let w = Byteio.Writer.create () in
-          Journal.write_entry w e;
-          let r = Byteio.Reader.of_bytes (Byteio.Writer.to_bytes w) in
-          let e' = Journal.read_entry ~topo r in
-          Alcotest.(check bool)
-            (Printf.sprintf "op %d round-trips" i)
-            true (e = e');
-          Alcotest.(check int) "fully consumed" 0 (Byteio.Reader.remaining r))
-        [ None; Some []; Some [ 0; 2 ] ])
+      let w = Byteio.Writer.create () in
+      Journal.write_op w op;
+      let r = Byteio.Reader.of_bytes (Byteio.Writer.to_bytes w) in
+      let op' = Journal.read_op ~topo r in
+      Alcotest.(check bool)
+        (Printf.sprintf "op %d round-trips" i)
+        true (op = op');
+      Alcotest.(check int) "fully consumed" 0 (Byteio.Reader.remaining r))
     all_ops
 
-let test_entry_codec_rejects_out_of_range () =
-  (* A structurally intact entry whose ids exceed the topology must be
+let test_op_codec_rejects_out_of_range () =
+  (* A structurally intact op whose ids exceed the topology must be
      rejected at decode time, not blow up controller replay later. *)
   let w = Byteio.Writer.create () in
-  Journal.write_entry w
-    {
-      Journal.e_op = Journal.Fail_spine (Topology.num_spines topo + 3);
-      e_pods = None;
-    };
+  Journal.write_op w (Journal.Fail_spine (Topology.num_spines topo + 3));
   let r = Byteio.Reader.of_bytes (Byteio.Writer.to_bytes w) in
   Alcotest.check_raises "spine id out of range" Byteio.Reader.Corrupt
-    (fun () -> ignore (Journal.read_entry ~topo r))
+    (fun () -> ignore (Journal.read_op ~topo r))
 
 (* {1 Snapshot codec} *)
 
@@ -216,7 +208,7 @@ let test_empty_log () =
       Alcotest.(check bool) "no truncation" true (l.Wire.l_truncated_at = None)
 
 let test_bad_magic () =
-  (match Wire.load (Bytes.of_string "ELMOWAL2") with
+  (match Wire.load (Bytes.of_string "ELMOWAL1") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong magic accepted");
   (match Wire.load (Bytes.of_string "ELMO") with
@@ -349,6 +341,41 @@ let test_snapshot_fallback_on_forged_payload () =
       Alcotest.(check bool) "fallback recovery is bit-identical" true
         (Test_fault.same_controller_state (Replica.controller rep)
            (Replica.controller replica) ~groups:2)
+
+(* [bytes] with its last record's payload replaced by [payload], framed
+   with a recomputed CRC. *)
+let reframe_last bytes (last : Wire.record) payload =
+  let off = last.Wire.r_off and plen = Bytes.length payload in
+  let forged = Bytes.extend (Bytes.sub bytes 0 (off + 21)) 0 plen in
+  Bytes.blit payload 0 forged (off + 21) plen;
+  Bytes.set_int32_le forged off (Int32.of_int plen);
+  Bytes.set_int32_le forged (off + 4)
+    (Int32.of_int (Byteio.crc32 forged ~pos:(off + 8) ~len:(13 + plen)));
+  forged
+
+let test_trailing_byte_after_op_truncates () =
+  (* A valid op followed by one zero byte — the [None] pod tag every op
+     record carried under the retired "ELMOWAL1" format — framed with a
+     valid CRC: the payload is not one op, so the log ends before it. *)
+  let replica = seeded_replica () in
+  Replica.apply replica (Journal.Fail_spine 0);
+  let bytes = Wire.contents (Option.get (Replica.wire replica)) in
+  let full = Result.get_ok (Wire.load bytes) in
+  let nrecs = List.length full.Wire.l_records in
+  let last = List.nth full.Wire.l_records (nrecs - 1) in
+  Alcotest.(check bool) "last record is an op" true (last.Wire.r_kind = Wire.Op);
+  let w = Byteio.Writer.create () in
+  Journal.write_op w (Journal.Fail_spine 0);
+  Byteio.Writer.u8 w 0;
+  let forged = reframe_last bytes last (Byteio.Writer.to_bytes w) in
+  let l = Result.get_ok (Wire.load forged) in
+  Alcotest.(check int) "the record is framed" nrecs
+    (List.length l.Wire.l_records);
+  Alcotest.(check bool) "truncated at the record" true
+    (l.Wire.l_truncated_at = Some last.Wire.r_off);
+  Alcotest.(check int) "its op is not replayed"
+    (List.length full.Wire.l_suffix - 1)
+    (List.length l.Wire.l_suffix)
 
 (* {1 Crash / corruption matrix}
 
@@ -1061,7 +1088,7 @@ let test_pinned_recovery_fixture () =
   check_pinned "recovery fixture"
     (Recovery_fixture.churn ~checkpoint_at:100 ~snapshot_every:1_000_000
        ~events:200 ~seed:7 ())
-    ~size:16_408 ~records:150 ~crc:3045102744
+    ~size:11_508 ~records:150 ~crc:1695514284
 
 (* A log whose snapshots carry nonzero install counters, degradations,
    a compensated stale entry and failure overrides: the scripted removal
@@ -1113,7 +1140,7 @@ let test_pinned_faulty_log () =
   Alcotest.(check int) "one stale entry" 1 st.Controller.stale_entries;
   check_pinned "faulty log"
     (Option.get (Replica.wire replica))
-    ~size:4_223 ~records:9 ~crc:792742959
+    ~size:4_073 ~records:9 ~crc:3559183493
 
 let tests =
   [
@@ -1124,10 +1151,10 @@ let tests =
     QCheck_alcotest.to_alcotest prop_crc_matches_reference;
     Alcotest.test_case "reader int rejects out-of-range words" `Quick
       test_reader_int_rejects_out_of_range;
-    Alcotest.test_case "entry codec round-trip" `Quick
-      test_entry_codec_round_trip;
-    Alcotest.test_case "entry codec rejects out-of-range" `Quick
-      test_entry_codec_rejects_out_of_range;
+    Alcotest.test_case "op codec round-trip" `Quick
+      test_op_codec_round_trip;
+    Alcotest.test_case "op codec rejects out-of-range" `Quick
+      test_op_codec_rejects_out_of_range;
     Alcotest.test_case "snapshot codec round-trip" `Quick
       test_snapshot_codec_round_trip;
     Alcotest.test_case "snapshot codec rejects bit flips" `Quick
@@ -1178,4 +1205,6 @@ let tests =
     Alcotest.test_case "encode_into zero-alloc (wide bitmaps)" `Quick
       test_encode_into_wide_zero_alloc;
     Alcotest.test_case "wire file round-trip" `Quick test_file_round_trip;
+    Alcotest.test_case "trailing byte after an op truncates" `Quick
+      test_trailing_byte_after_op_truncates;
   ]
