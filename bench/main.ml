@@ -686,8 +686,16 @@ let recovery () =
      canonical log; every recovered outcome is re-verified, and detected
      corruption must be reported (truncation/fallback), never silent. *)
   let canonical = build ~snapshot_every:64 in
+  let canonical_records =
+    match Wire.load canonical with
+    | Ok l -> List.length l.Wire.l_records
+    | Error e ->
+        printf "the canonical log does not load: %s@." e;
+        exit 1
+  in
   let rng = Rng.create 31 in
   let full = ref 0
+  and boundary_cut = ref 0
   and truncated = ref 0
   and fallback = ref 0
   and unrecoverable = ref 0 in
@@ -707,12 +715,16 @@ let recovery () =
         let l = o.Supervisor.loaded in
         if l.Wire.l_dropped_snapshots > 0 then incr fallback
         else if Option.is_some l.Wire.l_truncated_at then incr truncated
+        else if List.length l.Wire.l_records < canonical_records then
+          (* A torn write on a record boundary: every record left is
+             whole, so the log loads without a report, but shorter. *)
+          incr boundary_cut
         else incr full
   done;
   printf
-    "@.corruption matrix: %d trials — %d full, %d truncated, %d snapshot \
-     fallback, %d unrecoverable, %d violations@."
-    trials !full !truncated !fallback !unrecoverable !violations;
+    "@.corruption matrix: %d trials — %d full, %d boundary cut, %d truncated, \
+     %d snapshot fallback, %d unrecoverable, %d violations@."
+    trials !full !boundary_cut !truncated !fallback !unrecoverable !violations;
   let sweep_json (snapshot_every, nrec, nbytes, suffix, dt, ops_s) =
     Jsonx.Obj
       [
@@ -735,12 +747,16 @@ let recovery () =
           [
             ("trials", Int trials);
             ("full", Int !full);
+            ("boundary_cut", Int !boundary_cut);
             ("truncated", Int !truncated);
             ("snapshot_fallback", Int !fallback);
             ("unrecoverable", Int !unrecoverable);
             ("violations", Int !violations);
           ] );
       ("zero_violations", gate "zero_violations" (!violations = 0));
+      (* Every mutated log differs from the one written, so none may load
+         whole and unreported. *)
+      ("zero_silent", gate "zero_silent" (!full = 0));
     ]
 
 (* {1 Symbolic verification: compile+check throughput} *)

@@ -174,32 +174,55 @@ module Sink = struct
     t.byte
 end
 
-(* A run of bits kept at all eight alignments: [at.(a)] holds the run
-   from bit [a] of its first byte (the [a] bits before it zero, the tail
-   zero-padded). A sink holding [a] pending bits ORs them into [at.(a)]'s
-   first byte and blits the rest, so appending a whole run shifts nothing. *)
+(* A run of bits kept at the alignments it will be appended at: [at.(a)]
+   holds the run from bit [a] of its first byte (the [a] bits before it
+   zero, the tail zero-padded) when bit [a] of [built] is set. A sink
+   holding [a] pending bits ORs them into [at.(a)]'s first byte and blits
+   the rest, so appending a whole run at a built alignment shifts nothing;
+   at any other alignment it is [Sink.append]'s shifted copy of [at.(0)],
+   which is always built. *)
 module Run = struct
-  type t = { len : int; at : bytes array }
+  type t = { len : int; built : int; at : bytes array }
 
-  let make src ~len =
-    let at =
-      Array.init 8 (fun a ->
-          let b = Bytes.create ((a + len + 7) / 8) in
-          let s = Sink.of_bytes b in
-          Sink.bits s 0 a;
-          Sink.append s src ~off:0 ~len;
-          ignore (Sink.finish s : int);
-          b)
-    in
-    { len; at }
+  (* The first [len] bits of [src] from bit [a] of a fresh buffer, the [a]
+     bits before them and the tail zero: each source byte lands across two
+     output bytes. *)
+  let copy_at src ~len a =
+    let b = Bytes.make ((a + len + 7) / 8) '\000' in
+    let n = (len + 7) / 8 in
+    for i = 0 to n - 1 do
+      let x = Char.code (Bytes.get src i) in
+      let x = if i = n - 1 then x land (0xff lsl ((8 * n) - len)) land 0xff else x in
+      Bytes.set b i (Char.unsafe_chr (Char.code (Bytes.get b i) lor (x lsr a)));
+      if a > 0 && i + 1 < Bytes.length b then
+        Bytes.set b (i + 1) (Char.unsafe_chr ((x lsl (8 - a)) land 0xff))
+    done;
+    b
+
+  let rec build_at at src ~len built = function
+    | [] -> built
+    | a :: rest ->
+        if a < 0 || a > 7 then invalid_arg "Bitio.Run.make: alignment out of range";
+        if built land (1 lsl a) <> 0 then build_at at src ~len built rest
+        else begin
+          at.(a) <- copy_at src ~len a;
+          build_at at src ~len (built lor (1 lsl a)) rest
+        end
+
+  let make ~aligns src ~len =
+    if len < 0 || len > 8 * Bytes.length src then
+      invalid_arg "Bitio.Run.make: source shorter than the run";
+    let at = Array.make 8 (copy_at src ~len 0) in
+    { len; built = build_at at src ~len 1 aligns; at }
 
   let bytes r = r.at.(0)
 
   (* elmo-lint: zero-alloc *)
   let append (s : Sink.t) r ~off =
-    if off <> 0 then Sink.append s (Array.unsafe_get r.at 0) ~off ~len:(r.len - off)
+    let a = s.Sink.used in
+    if off <> 0 || r.built land (1 lsl a) = 0 then
+      Sink.append s (Array.unsafe_get r.at 0) ~off ~len:(r.len - off)
     else begin
-      let a = s.Sink.used in
       let src = Array.unsafe_get r.at a in
       let total = a + r.len in
       let complete = total lsr 3 in

@@ -82,26 +82,33 @@ module Sink : sig
 end
 
 module Run : sig
-  (** A run of bits encoded once and appended many times: the run is kept
-      at all eight bit alignments, so appending it whole to a {!Sink} at any
-      alignment is one OR into the sink's pending byte and a blit, never a
-      shift. The shared downstream sections of an Elmo header are one. *)
+  (** A run of bits encoded once and appended many times. The run is kept
+      at the bit alignments its appends will find the sink at (always 0,
+      plus those given to {!make}), so appending it whole to a {!Sink} at
+      one of them is one OR into the sink's pending byte and a blit, never
+      a shift; at any other alignment it is {!Sink.append}'s shifted copy.
+      Both give the same bits. The shared downstream sections of an Elmo
+      header are one, built at the alignments a header prefix can end
+      at. *)
 
   type t
 
-  val make : bytes -> len:int -> t
-  (** [make src ~len] copies the first [len] bits of [src] at every
-      alignment. Raises [Invalid_argument] if [src] is shorter. *)
+  val make : aligns:int list -> bytes -> len:int -> t
+  (** [make ~aligns src ~len] copies the first [len] bits of [src] at
+      alignment 0 and at each alignment in [aligns]. Raises
+      [Invalid_argument] if [src] is shorter or an alignment is outside
+      0..7. *)
 
   val bytes : t -> bytes
   (** The run from bit 0, zero-padded to a byte. Do not mutate it. *)
 
   val append : Sink.t -> t -> off:int -> unit
   (** [append s r ~off] appends bits [off .. length r) of [r]: the whole
-      run ([off = 0]) by a blit of the copy at the sink's alignment, a
-      suffix by {!Sink.append}'s shifted copy. Allocation-free, under the
-      [zero-alloc] lint rule. Raises [Invalid_argument] if the sink's
-      buffer is too small or [off] is outside the run. *)
+      run ([off = 0]) at a built alignment by a blit of the copy at the
+      sink's alignment, a suffix or an unbuilt alignment by {!Sink.append}'s
+      shifted copy. Allocation-free, under the [zero-alloc] lint rule.
+      Raises [Invalid_argument] if the sink's buffer is too small or [off]
+      is outside the run. *)
 end
 
 module Reader : sig

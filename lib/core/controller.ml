@@ -164,10 +164,7 @@ let senders st =
     (fun (h, r) -> match r with Sender | Both -> Some h | Receiver -> None)
     st.members
 
-let find_group t group =
-  match Hashtbl.find_opt t.groups group with
-  | Some st -> st
-  | None -> raise Not_found
+let find_group t group = Hashtbl.find t.groups group
 
 (* {1 Dirty-group tracking}
 
@@ -528,6 +525,40 @@ let refresh_overrides t ~group st =
           (senders st)
       end
 
+let override_equal a b =
+  Bitmap.equal a.up_leaf_ports b.up_leaf_ports
+  && a.unicast = b.unicast
+  &&
+  match (a.up_spine_ports, b.up_spine_ports) with
+  | None, None -> true
+  | Some x, Some y -> Bitmap.equal x y
+  | None, Some _ | Some _, None -> false
+
+(* [refresh_overrides], returning the senders whose override appeared,
+   changed or was withdrawn (multipath re-enabled): their headers changed,
+   so their hypervisors must be updated. *)
+let refresh_overrides_diff t ~group st =
+  let before = Hashtbl.copy st.applied in
+  refresh_overrides t ~group st;
+  let changed =
+    Hashtbl.fold
+      (fun host ov acc ->
+        match Hashtbl.find_opt before host with
+        | Some old when override_equal old ov -> acc
+        | Some _ | None -> host :: acc)
+      st.applied []
+  in
+  Hashtbl.fold
+    (fun host _ acc -> if Hashtbl.mem st.applied host then acc else host :: acc)
+    before changed
+
+(* After a membership change: the senders whose override changed, when an
+   override is live or the fabric is degraded; nothing to do otherwise. *)
+let changed_overrides t ~group st =
+  if Hashtbl.length st.applied > 0 || not (all_healthy t) then
+    refresh_overrides_diff t ~group st
+  else []
+
 (* {1 Group encoding and diffing} *)
 
 let srule_ok_leaf t l = not t.denied_leaf.(l)
@@ -715,8 +746,10 @@ let reencode t ~group st ~changed_host =
   (match old_enc with Some e -> uninstall_enc t ~group e | None -> ());
   encode_group t st;
   install_with_degrade t ~group st;
-  if Hashtbl.length st.applied > 0 || not (all_healthy t) then
-    refresh_overrides t ~group st;
+  (match (old_enc, st.enc) with
+  | Some from, Some enc -> Encoding.inherit_caches ~from enc
+  | None, _ | _, None -> ());
+  let overridden = changed_overrides t ~group st in
   let new_tree = Option.map (fun e -> e.Encoding.tree) st.enc in
   let tree_changed =
     match (old_tree, new_tree) with
@@ -727,7 +760,11 @@ let reencode t ~group st ~changed_host =
     | None, Some _ | Some _, None -> true
   in
   if not tree_changed then
-    { hypervisors = [ changed_host ]; leaves = []; pods = [] }
+    {
+      hypervisors = List.sort_uniq Int.compare (changed_host :: overridden);
+      leaves = [];
+      pods = [];
+    }
   else begin
     let common_changed =
       match (old_enc, st.enc) with
@@ -763,7 +800,7 @@ let reencode t ~group st ~changed_host =
       | None -> []
     in
     {
-      hypervisors = List.sort_uniq compare (changed_host :: hyp);
+      hypervisors = List.sort_uniq Int.compare ((changed_host :: hyp) @ overridden);
       leaves = srule_diff old_leaf_srules new_leaf_srules;
       pods = srule_diff old_pod_srules new_pod_srules;
     }
@@ -828,17 +865,23 @@ let try_fast_delta t ~group st ~host ~joining =
                which the fast path never changes — so when the common
                downstream section is untouched, only senders co-located on
                the flipped leaf (their own downstream leaf rule embeds its
-               port bitmap) need fresh headers. *)
-            let hyp =
-              if a.Encoding.header_changed then senders st
-              else
-                List.filter
-                  (fun h -> Topology.leaf_of_host t.topo h = dleaf)
-                  (senders st)
-            in
+               port bitmap) need fresh headers. The failure overrides
+               depend on the same sets, so none changes. *)
+            let hyp = Bitmap.create (Topology.num_hosts t.topo) in
+            Bitmap.set hyp host;
+            List.iter
+              (fun (h, r) ->
+                match r with
+                | Receiver -> ()
+                | Sender | Both ->
+                    if
+                      a.Encoding.header_changed
+                      || Topology.leaf_of_host t.topo h = dleaf
+                    then Bitmap.set hyp h)
+              st.members;
             Some
               {
-                hypervisors = List.sort_uniq compare (host :: hyp);
+                hypervisors = Bitmap.to_list hyp;
                 leaves =
                   (match a.Encoding.site with
                   | Encoding.Site_srule -> [ dleaf ]
@@ -994,12 +1037,19 @@ let remove_group t ~group =
   }
 
 (* A join or leave, once [st.members] has changed. A sender's tree is
-   unchanged: only its own encap rule is (un)installed. A receiver event
-   tries the fast path and falls back to a full re-encode. *)
+   unchanged: only its own encap rule is (un)installed, and under a
+   failure its override is set or dropped. A receiver event tries the fast
+   path and falls back to a full re-encode. *)
 let member_event t ~group st ~host ~role ~joining =
   let u =
     match role with
-    | Sender -> { hypervisors = [ host ]; leaves = []; pods = [] }
+    | Sender ->
+        {
+          hypervisors =
+            List.sort_uniq Int.compare (host :: changed_overrides t ~group st);
+          leaves = [];
+          pods = [];
+        }
     | Receiver | Both -> (
         match try_fast_delta t ~group st ~host ~joining with
         | Some u -> u
@@ -1087,50 +1137,20 @@ type failure_report = {
   unicast_fallbacks : int;
 }
 
-let overrides_snapshot st = Hashtbl.copy st.applied
-
-let override_equal a b =
-  Bitmap.equal a.up_leaf_ports b.up_leaf_ports
-  && a.unicast = b.unicast
-  &&
-  match (a.up_spine_ports, b.up_spine_ports) with
-  | None, None -> true
-  | Some x, Some y -> Bitmap.equal x y
-  | None, Some _ | Some _, None -> false
-
 let refresh_all t =
   let affected = ref 0 in
   let hyp_hosts = Hashtbl.create 256 in
   let unicast = ref 0 in
   Hashtbl.iter
     (fun group st ->
-      let before = overrides_snapshot st in
-      refresh_overrides t ~group st;
-      (* A hypervisor is updated when its flow's override appears, changes,
-         or is withdrawn (multipath re-enabled after recovery). *)
-      let changed = ref [] in
-      let consider host ov_opt =
-        let changed_here =
-          match (Hashtbl.find_opt before host, ov_opt) with
-          | None, None -> false
-          | Some a, Some b -> not (override_equal a b)
-          | None, Some _ | Some _, None -> true
-        in
-        if changed_here && not (List.mem host !changed) then
-          changed := host :: !changed
-      in
-      Hashtbl.iter (fun host ov -> consider host (Some ov)) st.applied;
-      Hashtbl.iter
-        (fun host _ ->
-          if not (Hashtbl.mem st.applied host) then consider host None)
-        before;
-      if !changed <> [] then begin
+      let changed = refresh_overrides_diff t ~group st in
+      if changed <> [] then begin
         incr affected;
         List.iter
           (fun h ->
             Hashtbl.replace hyp_hosts h
               (1 + Option.value ~default:0 (Hashtbl.find_opt hyp_hosts h)))
-          !changed;
+          changed;
         if Hashtbl.fold (fun _ ov acc -> acc || ov.unicast) st.applied false
         then incr unicast
       end)

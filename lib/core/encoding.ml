@@ -21,8 +21,25 @@ type t = {
   scratch_b : Bitmap.t;
   (* The downstream sections every sender's header shares: built from
      copies of the rule bitmaps by the first [header_for_sender] of this
-     version, dropped by every committed fast-path mutation. *)
+     version, marked stale by every committed fast-path mutation. The next
+     down reuses the stale one's copies of the rules that did not change. *)
   mutable down : Prule.down option;
+  mutable down_stale : bool;
+  (* The header parts that depend only on the sender's leaf, allocated by
+     the first [header_for_sender]. *)
+  mutable upper : memo option;
+}
+
+(* A slot holds [blank] until its leaf's first header. The fast path never
+   changes the leaf or pod set, so a filled slot stays right for as long
+   as the encoding lives. Every header shares the two empty up-port
+   bitmaps. *)
+and memo = { slots : upper array; leaf_up : Bitmap.t; spine_up : Bitmap.t }
+
+and upper = {
+  multipath : bool;
+  u_spine : Prule.uprule option;
+  core : Bitmap.t option;
 }
 
 exception Internal_error of string
@@ -35,6 +52,7 @@ let kind_default = '\003'
 
 let dummy_bm = Bitmap.create 0
 let dummy_prule = { Prule.bitmap = dummy_bm; switches = [] }
+let blank = { multipath = false; u_spine = None; core = None }
 
 (* Build the per-leaf dispatch index. Write order default → s-rules →
    p-rules so a p-rule wins any (never expected) overlap — the same
@@ -183,6 +201,8 @@ let encode ?(legacy_leaf = no_legacy) ?(legacy_pod = no_legacy)
     scratch_a = Bitmap.create scratch_width;
     scratch_b = Bitmap.create scratch_width;
     down = None;
+    down_stale = false;
+    upper = None;
   }
 
 (* {1 Incremental deltas (§3.3 rule-update locality)}
@@ -329,7 +349,7 @@ let apply_event t joining host leaf port =
             (* elmo-lint: allow zero-alloc — defensive invariant breach, cold *)
             raise (Internal_error "apply_delta: tree delta rejected");
           t.stale <- t.stale + 1;
-          t.down <- None;
+          t.down_stale <- true;
           if kind = kind_prule then begin
             let site_bm = r.Prule.bitmap in
             let aliased = site_bm == exact in
@@ -414,59 +434,72 @@ let release srules t =
   List.iter (fun (l, _) -> Srule_state.release_leaf srules l) t.d_leaf.Clustering.srules;
   List.iter (fun (p, _) -> Srule_state.release_pod srules p) t.d_spine.Clustering.srules
 
-(* This version's down, built on first use. Its bitmaps are copies: the
-   fast path flips the rule bitmaps in place, which must never reach a
-   down (and its wire) that headers already carry. *)
+(* Copies of [rules] for a down: a rule that still equals its copy in
+   [prev] (the previous down's rules: position by position, the same
+   switches and an equal bitmap) keeps that copy; the others are copied
+   afresh. The fast path flips the rule bitmaps in place, which must never
+   reach a down (and its wire) that headers already carry; no down's copy
+   is ever mutated, so two downs may share one. *)
+let copy_rule (r : Prule.prule) = { r with Prule.bitmap = Bitmap.copy r.Prule.bitmap }
+
+let same_rule (r : Prule.prule) (c : Prule.prule) =
+  (r.Prule.switches == c.Prule.switches
+  || List.equal Int.equal r.Prule.switches c.Prule.switches)
+  && Bitmap.equal r.Prule.bitmap c.Prule.bitmap
+
+let rec copy_rules rules prev =
+  match (rules, prev) with
+  | [], _ -> []
+  | r :: rest, c :: prev_rest ->
+      (if same_rule r c then c else copy_rule r) :: copy_rules rest prev_rest
+  | r :: rest, [] -> copy_rule r :: copy_rules rest []
+
+let copy_default (res : Clustering.result) prev =
+  match (res.Clustering.default, prev) with
+  | None, _ -> None
+  | Some (_, bm), Some c when Bitmap.equal bm c -> prev
+  | Some (_, bm), (Some _ | None) -> Some (Bitmap.copy bm)
+
+(* This version's down, built on first use. *)
 let shared_down t =
   match t.down with
-  | Some d -> d
-  | None ->
-      let prules =
-        List.map (fun (r : Prule.prule) ->
-            { r with Prule.bitmap = Bitmap.copy r.Prule.bitmap })
-      in
-      let default (res : Clustering.result) =
-        Option.map (fun (_, bm) -> Bitmap.copy bm) res.Clustering.default
+  | Some d when not t.down_stale -> d
+  | prev ->
+      let spine, spine_default, leaf, leaf_default =
+        match prev with
+        | Some p -> Prule.(p.d_spine, p.d_spine_default, p.d_leaf, p.d_leaf_default)
+        | None -> ([], None, [], None)
       in
       let d =
         Prule.down t.tree.Tree.topo
-          ~d_spine:(prules t.d_spine.Clustering.prules)
-          ~d_spine_default:(default t.d_spine)
-          ~d_leaf:(prules t.d_leaf.Clustering.prules)
-          ~d_leaf_default:(default t.d_leaf)
+          ~d_spine:(copy_rules t.d_spine.Clustering.prules spine)
+          ~d_spine_default:(copy_default t.d_spine spine_default)
+          ~d_leaf:(copy_rules t.d_leaf.Clustering.prules leaf)
+          ~d_leaf_default:(copy_default t.d_leaf leaf_default)
       in
       t.down <- Some d;
+      t.down_stale <- false;
       d
 
-let header_for_sender t ~sender =
+let rec other_leaf_in_pod topo sl sp = function
+  | [] -> false
+  | (l, _) :: rest ->
+      (l <> sl && Topology.pod_of_leaf topo l = sp) || other_leaf_in_pod topo sl sp rest
+
+let rec other_pod sp = function
+  | [] -> false
+  | (p, _) :: rest -> p <> sp || other_pod sp rest
+
+(* The parts of a header that depend only on the sender's leaf [sl]:
+   whether the tree reaches beyond it (multipath), the upstream spine rule
+   (the pod's spine bitmap minus [sl]'s port) and the core rule (the pod
+   set minus [sl]'s pod). *)
+let build_upper t m sl =
   let tree = t.tree in
   let topo = tree.Tree.topo in
-  let sl = Topology.leaf_of_host topo sender in
   let sp = Topology.pod_of_leaf topo sl in
-  let other_leaves_in_pod =
-    List.exists
-      (fun (l, _) -> l <> sl && Topology.pod_of_leaf topo l = sp)
-      tree.Tree.leaf_bitmaps
-  in
-  let other_pods = List.exists (fun (p, _) -> p <> sp) tree.Tree.spine_bitmaps in
-  let beyond_leaf = other_leaves_in_pod || other_pods in
-  (* Upstream leaf rule: local member ports minus the sender itself; the
-     source hypervisor delivers to co-resident member VMs directly. *)
-  let u_leaf_down =
-    match Tree.leaf_bitmap tree sl with
-    | None -> Bitmap.create (Topology.leaf_downstream_width topo)
-    | Some bm ->
-        let bm = Bitmap.copy bm in
-        Bitmap.clear bm (Topology.host_port_on_leaf topo sender);
-        bm
-  in
-  let u_leaf =
-    {
-      Prule.down = u_leaf_down;
-      up = Bitmap.create (Topology.leaf_upstream_width topo);
-      multipath = beyond_leaf;
-    }
-  in
+  let other_pods = other_pod sp tree.Tree.spine_bitmaps in
+  let beyond_leaf = other_pods || other_leaf_in_pod topo sl sp tree.Tree.leaf_bitmaps in
   let u_spine =
     if not beyond_leaf then None
     else begin
@@ -478,12 +511,7 @@ let header_for_sender t ~sender =
             Bitmap.clear bm (Topology.leaf_port_on_spine topo sl);
             bm
       in
-      Some
-        {
-          Prule.down;
-          up = Bitmap.create (Topology.spine_upstream_width topo);
-          multipath = other_pods;
-        }
+      Some { Prule.down; up = m.spine_up; multipath = other_pods }
     end
   in
   let core =
@@ -494,7 +522,85 @@ let header_for_sender t ~sender =
       Some bm
     end
   in
-  { Prule.u_leaf; u_spine; core; downstream = shared_down t }
+  { multipath = beyond_leaf; u_spine; core }
+
+let memo t =
+  match t.upper with
+  | Some m -> m
+  | None ->
+      let topo = t.tree.Tree.topo in
+      let m =
+        {
+          slots = Array.make (Topology.num_leaves topo) blank;
+          leaf_up = Bitmap.create (Topology.leaf_upstream_width topo);
+          spine_up = Bitmap.create (Topology.spine_upstream_width topo);
+        }
+      in
+      t.upper <- Some m;
+      m
+
+let inherit_caches ~from t =
+  if Option.is_none t.down then begin
+    t.down <- from.down;
+    t.down_stale <- true
+  end;
+  match from.upper with
+  | Some m
+    when Option.is_none t.upper
+         && Bitmap.equal from.tree.Tree.core_bitmap t.tree.Tree.core_bitmap ->
+      let topo = t.tree.Tree.topo in
+      let same_pod =
+        Array.init topo.Topology.pods (fun p ->
+            Option.equal Bitmap.equal (Tree.spine_bitmap from.tree p)
+              (Tree.spine_bitmap t.tree p))
+      in
+      (* With every pod's spine bitmap unchanged, so are the leaf and pod
+         sets: a slot either encoding fills is right for both, so they
+         share the memo. *)
+      if Array.for_all Fun.id same_pod then t.upper <- from.upper
+      else
+        t.upper <-
+          Some
+            {
+              m with
+              slots =
+                Array.mapi
+                  (fun l u -> if same_pod.(Topology.pod_of_leaf topo l) then u else blank)
+                  m.slots;
+            }
+  | Some _ | None -> ()
+
+let header_for_sender t ~sender =
+  let topo = t.tree.Tree.topo in
+  let sl = Topology.leaf_of_host topo sender in
+  let m = memo t in
+  let u =
+    let u = m.slots.(sl) in
+    if u != blank then u
+    else begin
+      let u = build_upper t m sl in
+      m.slots.(sl) <- u;
+      u
+    end
+  in
+  (* Upstream leaf rule: local member ports minus the sender itself; the
+     source hypervisor delivers to co-resident member VMs directly. It is
+     the one part built per sender. *)
+  let exact = t.idx_exact.(sl) in
+  let down =
+    if exact == dummy_bm then Bitmap.create (Topology.leaf_downstream_width topo)
+    else begin
+      let bm = Bitmap.copy exact in
+      Bitmap.clear bm (Topology.host_port_on_leaf topo sender);
+      bm
+    end
+  in
+  {
+    Prule.u_leaf = { Prule.down; up = m.leaf_up; multipath = u.multipath };
+    u_spine = u.u_spine;
+    core = u.core;
+    downstream = shared_down t;
+  }
 
 let header_bytes t ~sender =
   Prule.header_bytes t.tree.Tree.topo (header_for_sender t ~sender)
@@ -700,4 +806,6 @@ let read topo r =
     scratch_a = Bitmap.create scratch_width;
     scratch_b = Bitmap.create scratch_width;
     down = None;
+    down_stale = false;
+    upper = None;
   }

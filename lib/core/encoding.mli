@@ -4,7 +4,8 @@
     The downstream spine and leaf layers are clustered once per group
     (Algorithm 1) and shared by all senders; the upstream leaf/spine rules
     and the core rule are sender-specific and synthesized on demand by
-    {!header_for_sender} (§3.1 D2b–c). *)
+    {!header_for_sender} (§3.1 D2b–c), all but the sender's own leaf ports
+    once per sender leaf. *)
 
 type t = {
   mutable tree : Tree.t;  (** kept current across {!apply_delta} fast paths *)
@@ -25,14 +26,33 @@ type t = {
   scratch_a : Bitmap.t;  (** scratch for the prospective budget check *)
   scratch_b : Bitmap.t;  (** scratch for rule refreshes *)
   mutable down : Prule.down option;
-      (** this version's shared downstream sections, once built *)
+      (** the last shared downstream sections built *)
+  mutable down_stale : bool;
+      (** has a fast-path mutation outdated [down]? *)
+  mutable upper : memo option;
+      (** the header parts that depend only on the sender's leaf, once the
+          first {!header_for_sender} asked for them *)
 }
 (** The [idx_*] arrays and scratch bitmaps are internal to the
     {!apply_delta} fast path: a flat per-leaf index (rebuilt by every
     from-scratch encode and by {!read}) that makes steady-state delta
     application allocation-free — no list scans, no option wrapping, no
-    fresh bitmaps. [down] is {!header_for_sender}'s cache. Treat them all
-    as private. *)
+    fresh bitmaps. [down], [down_stale] and [upper] are
+    {!header_for_sender}'s caches. Treat them all as private. *)
+
+and memo = private {
+  slots : upper array;  (** per leaf; a shared blank until its first header *)
+  leaf_up : Bitmap.t;  (** the empty up ports of every upstream leaf rule *)
+  spine_up : Bitmap.t;  (** the empty up ports of every upstream spine rule *)
+}
+
+and upper = private {
+  multipath : bool;  (** does the tree reach beyond the leaf? *)
+  u_spine : Prule.uprule option;
+  core : Bitmap.t option;
+}
+(** What every header of senders on one leaf shares: all of it depends on
+    the tree's leaf and pod sets, which {!apply_delta} never changes. *)
 
 exception Internal_error of string
 (** Raised only when an internal invariant is violated (a pre-checked
@@ -114,7 +134,7 @@ val apply_delta : t -> delta -> outcome
 (** Applies a membership delta in place when the fast path holds. On
     [Applied] the encoding {e and its tree} reflect the new membership (the
     tree's member buffer is updated in place; [stale] is incremented) and
-    the shared down is dropped (one field store), so the next
+    the shared down is marked stale (one field store), so the next
     {!header_for_sender} builds a new one; headers built before keep the
     old one, unchanged. On [Reencode _] {b nothing was mutated} — the
     caller must run {!encode} on the new membership and release/diff this
@@ -131,13 +151,36 @@ val header_for_sender : t -> sender:int -> Prule.header
 (** The full header the sender's hypervisor pushes. [sender] is a host; it
     need not host a member VM.
 
-    Only the upstream rules and the core rule are built per sender. The
-    downstream sections are one {!Prule.down} per encoding version, shared
-    [==] by every sender's header: the first call after {!encode},
-    {!apply_delta} or {!read} builds it (and encodes its wire), from
-    copies of the rule bitmaps, so the fast path's in-place flips never
-    reach a down a header already carries. {!encode} itself does not
-    build it. *)
+    Only the upstream leaf rule's down ports are built per sender: a copy
+    of the leaf's member ports with the sender's own port cleared, never
+    shared between two headers. The rest is shared, under one contract:
+    no caller mutates a header's bitmaps.
+    - The downstream sections are one {!Prule.down} per encoding version,
+      shared [==] by every sender's header: the first call after
+      {!encode}, {!apply_delta} or {!read} builds it (and encodes its
+      wire), from copies of the rule bitmaps, so the fast path's in-place
+      flips never reach a down a header already carries. A rule the fast
+      path left unchanged keeps the previous down's copy: no down's copy
+      is ever mutated, so two downs may share it.
+    - The upstream leaf rule's up ports and multipath flag, the upstream
+      spine rule and the core rule depend only on the sender's leaf. The
+      first header of each leaf builds them, from copies; every later
+      header of a sender on that leaf shares them [==], for as long as the
+      encoding lives (and beyond, through {!inherit_caches}).
+
+    {!encode} itself builds neither, so installing a group pays for them
+    only when its first header is asked for. *)
+
+val inherit_caches : from:t -> t -> unit
+(** [inherit_caches ~from t] hands [from]'s header caches to [t], a later
+    encoding of the same group that has not built a header yet, so that
+    [t]'s first headers rebuild only what changed:
+    - [t]'s first down keeps the copies of [from]'s last down's rules that
+      still equal [t]'s rules (same position, switches and bitmap);
+    - a leaf's memoized upper parts depend only on the tree's pod set and
+      the leaf's pod's spine bitmap, so [t] keeps those of the leaves
+      whose pod's spine bitmap is unchanged, when the pod set is too.
+    Whatever is kept is shared, under {!header_for_sender}'s contract. *)
 
 val header_bytes : t -> sender:int -> int
 

@@ -45,22 +45,44 @@ let default_rule_bits topo layer =
   let width, _ = layer_widths topo layer in
   1 + width
 
+let rec rules_bits ~width ~id_bits acc = function
+  | [] -> acc
+  | r :: rest ->
+      rules_bits ~width ~id_bits (acc + rule_bits ~width ~id_bits (List.length r.switches)) rest
+
 (* Whole downstream section: rules, terminator, default. Total: a rule with
    no switch identifiers counts its marker and bitmap, so sizing a down
    never raises before its writer reports the malformed rule. *)
 let section_bits topo layer rules default =
   let width, id_bits = layer_widths topo layer in
-  let rules_bits =
-    List.fold_left
-      (fun acc r -> acc + rule_bits ~width ~id_bits (List.length r.switches))
-      0 rules
-  in
+  let rules_bits = rules_bits ~width ~id_bits 0 rules in
   let default_bits =
     match default with
     | Some _ -> default_rule_bits topo layer
     | None -> 1 (* just the absent flag *)
   in
   rules_bits + 1 (* section terminator *) + default_bits
+
+(* The bit alignments at which a sender's full header reaches its down:
+   the upstream leaf rule, the spine presence bit and rule, the core
+   presence bit and bitmap. [Encoding.header_for_sender] sets a core rule
+   only with a spine rule, so three prefix lengths occur; the down's wire
+   is built at those alignments and at 0 (a down from the start of a
+   buffer: a popped stage past the core). *)
+let prefix_aligns topo =
+  let u_spine =
+    uprule_bits
+      ~down_width:(Topology.spine_downstream_width topo)
+      ~up_width:(Topology.spine_upstream_width topo)
+  in
+  let bare =
+    uprule_bits
+      ~down_width:(Topology.leaf_downstream_width topo)
+      ~up_width:(Topology.leaf_upstream_width topo)
+    + 2
+  in
+  let core = bare + u_spine + Topology.core_downstream_width topo in
+  [ bare land 7; (bare + u_spine) land 7; core land 7 ]
 
 (* {1 The downstream sections}
 
@@ -129,7 +151,7 @@ let down topo ~d_spine ~d_spine_default ~d_leaf ~d_leaf_default =
     d_leaf_default;
     spine_bits;
     bits;
-    wire = Bitio.Run.make wire ~len:bits;
+    wire = Bitio.Run.make ~aligns:(prefix_aligns topo) wire ~len:bits;
   }
 
 let u_leaf_bits topo =

@@ -31,8 +31,9 @@ type down = private {
   spine_bits : int;  (** wire length of the downstream spine section *)
   bits : int;  (** wire length of both sections *)
   wire : Bitio.Run.t;
-      (** both sections as they go on the wire, [bits] long, kept at every
-          bit alignment so any prefix length splices them with a blit *)
+      (** both sections as they go on the wire, [bits] long, kept at the bit
+          alignments a sender's prefix can end at (and 0), so a full header
+          splices them with a blit *)
 }
 (** The downstream sections (D1, D3, D4): a property of the group's tree,
     the same bits in every sender's header. Only {!val-down} builds one, and

@@ -254,7 +254,10 @@ let test_bitmap_truncated () =
    [Run.append] of a run's suffix from [off], behind every sink alignment,
    against the hand-packed stream (alignment prefix, the source bits, a
    101 trailer). The source holds [off + len] random bits and ends there,
-   so a shifted read past it would be caught. *)
+   so a shifted read past it would be caught. Runs are built at every
+   alignment, at 0 only, at the sink's alignment only, and at all but the
+   sink's alignment, so both the blit and the shifted fallback are
+   checked. *)
 let test_append_every_offset () =
   let rand = Random.State.make [| 17 |] in
   List.iter
@@ -286,17 +289,78 @@ let test_append_every_offset () =
                   (Bytes.get buf (Bytes.length expected))
               in
               splice " (sink)" (fun s -> Bitio.Sink.append s src ~off ~len);
-              let run = Bitio.Run.make src ~len:(off + len) in
-              splice " (run)" (fun s -> Bitio.Run.append s run ~off))
+              List.iter
+                (fun (what, aligns) ->
+                  let run = Bitio.Run.make ~aligns src ~len:(off + len) in
+                  splice (" (run" ^ what ^ ")") (fun s -> Bitio.Run.append s run ~off))
+                [
+                  ("", [ 1; 2; 3; 4; 5; 6; 7 ]);
+                  (" at 0", []);
+                  (" at the sink's alignment", [ align ]);
+                  (" at the others", List.filter (fun a -> a <> align) [ 1; 2; 3; 4; 5; 6; 7 ]);
+                ])
             [ 0; 1; 7; 8; 9; 15; 16; 17; 63; 130 ])
         [ 0; 1; 3; 7; 8; 13 ])
     offsets
+
+(* Appending a run at an alignment it was not built at takes the shifted
+   copy, which allocates nothing either; nor does a header encode whose
+   down lands at such an alignment (bits written ahead of the header move
+   it there). *)
+let test_unbuilt_alignment_zero_alloc () =
+  let rand = Random.State.make [| 5 |] in
+  let src = Bytes.init 40 (fun _ -> Char.chr (Random.State.int rand 256)) in
+  let run = Bitio.Run.make ~aligns:[ 4 ] src ~len:301 in
+  let buf = Bytes.create 64 in
+  let sink = Bitio.Sink.of_bytes buf in
+  let zero what (report : Allocs.report) =
+    match report.Allocs.first_alloc with
+    | None -> Alcotest.(check (float 0.0)) (what ^ ": zero words") 0.0 report.Allocs.per_event
+    | Some (event, words) ->
+        Alcotest.failf "%s allocated %d words at event %d" what words event
+  in
+  zero "Run.append at alignment 3"
+    (Allocs.probe ~warmup:16 ~events:1024 (fun _ ->
+         Bitio.Sink.reset sink ~pos:0;
+         Bitio.Sink.bits sink 0 3;
+         Bitio.Run.append sink run ~off:0));
+  let topo = Topology.running_example () in
+  let hd = Test_codec.gen_header topo rand in
+  let hbuf = Bytes.create 1024 in
+  let hsink = Bitio.Sink.of_bytes hbuf in
+  for lead = 1 to 7 do
+    let encode () =
+      Bitio.Sink.reset hsink ~pos:0;
+      Bitio.Sink.bits hsink 0 lead;
+      ignore (Header_codec.encode_into topo hd hsink : int)
+    in
+    (* The same bits as encode, [lead] zero bits later. *)
+    encode ();
+    let expected =
+      let w = Bitio.Writer.create () in
+      Bitio.Writer.bits w 0 lead;
+      let r = Bitio.Reader.of_bytes (Header_codec.encode topo hd) in
+      for _ = 1 to Header_codec.stage_bits topo Header_codec.Full hd do
+        Bitio.Writer.bit w (Bitio.Reader.bit r)
+      done;
+      Bitio.Writer.to_bytes w
+    in
+    Alcotest.(check bytes)
+      (Printf.sprintf "encode_into %d bits in" lead)
+      expected
+      (Bytes.sub hbuf 0 (Bytes.length expected));
+    zero
+      (Printf.sprintf "encode_into %d bits in" lead)
+      (Allocs.probe ~warmup:16 ~events:1024 (fun _ -> encode ()))
+  done
 
 let tests =
   [
     Alcotest.test_case "bitmap at every offset" `Quick test_bitmap_every_offset;
     Alcotest.test_case "append and runs at every offset" `Quick
       test_append_every_offset;
+    Alcotest.test_case "runs at an unbuilt alignment allocate nothing" `Quick
+      test_unbuilt_alignment_zero_alloc;
     Alcotest.test_case "bits at every offset" `Quick test_bits_every_offset;
     Alcotest.test_case "bitmap cut short raises" `Quick test_bitmap_truncated;
     Alcotest.test_case "simple roundtrip" `Quick test_simple_roundtrip;

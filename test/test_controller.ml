@@ -229,6 +229,41 @@ let test_churn_under_failure_keeps_overrides_fresh () =
   Alcotest.(check bool) "delivers to grown group under failure" true
     (send_ok ctrl fabric ~group:1 ~sender:0)
 
+(* A sender that joins while a spine is down gets the header it would get
+   had it been in the group when the spine failed, and its join reports
+   it. *)
+let test_sender_join_under_failure () =
+  let members =
+    List.map
+      (fun x -> (x, Controller.Receiver))
+      [ 0; h; 3 * h; (5 * h) + 1 ]
+  in
+  let sender = 1 in
+  let header ctrl =
+    Option.map (Header_codec.encode topo) (Controller.header ctrl ~group:1 ~sender)
+  in
+  let overridden = ref 0 in
+  for spine = 0 to Topology.num_spines topo - 1 do
+    let late = Controller.create topo Params.default in
+    ignore (Controller.add_group late ~group:1 members);
+    ignore (Controller.fail_spine late spine);
+    let u = Controller.join late ~group:1 ~host:sender ~role:Controller.Sender in
+    Alcotest.(check (list int)) "the join updates the sender" [ sender ]
+      u.Controller.hypervisors;
+    let early = Controller.create topo Params.default in
+    ignore (Controller.fail_spine early spine);
+    ignore
+      (Controller.add_group early ~group:1 (members @ [ (sender, Controller.Sender) ]));
+    Alcotest.(check (option bytes))
+      (Printf.sprintf "spine %d down: the late sender's header" spine)
+      (header early) (header late);
+    let healthy = Controller.create topo Params.default in
+    ignore
+      (Controller.add_group healthy ~group:1 (members @ [ (sender, Controller.Sender) ]));
+    if not (Option.equal Bytes.equal (header healthy) (header late)) then incr overridden
+  done;
+  Alcotest.(check bool) "some failure overrides the sender's path" true (!overridden > 0)
+
 let tests =
   [
     Alcotest.test_case "add group" `Quick test_add_group_basic;
@@ -251,6 +286,7 @@ let tests =
       test_all_pod_spines_dead_degrades_to_unicast;
     Alcotest.test_case "churn under failure" `Quick
       test_churn_under_failure_keeps_overrides_fresh;
+    Alcotest.test_case "sender join under failure" `Quick test_sender_join_under_failure;
   ]
 
 (* Model-based property: a random interleaving of join/leave operations

@@ -221,21 +221,28 @@ let run_stream ~seed ~events params =
     let members = Controller.members ctrl ~group in
     let count = List.length members in
     let want_join = count = 0 || (count < n && Rng.bool rng) in
-    if want_join then begin
-      let rec fresh () =
-        let host = Rng.int rng n in
-        if List.mem_assoc host members then fresh () else host
-      in
-      ignore (Controller.join ctrl ~group ~host:(fresh ()) ~role:(random_role rng))
-    end
-    else begin
-      let host, _ = List.nth members (Rng.int rng count) in
-      ignore (Controller.leave ctrl ~group ~host)
-    end;
+    let host, u =
+      if want_join then begin
+        let rec fresh () =
+          let host = Rng.int rng n in
+          if List.mem_assoc host members then fresh () else host
+        in
+        (* The role is drawn before the host, as the arguments of one
+           application evaluate right to left. *)
+        let role = random_role rng in
+        let host = fresh () in
+        (host, Controller.join ctrl ~group ~host ~role)
+      end
+      else begin
+        let host, _ = List.nth members (Rng.int rng count) in
+        (host, Controller.leave ctrl ~group ~host)
+      end
+    in
     let msg = Printf.sprintf "seed %d event %d" seed ev in
     check_symbolic cache msg ctrl;
     Test_verify.check_view_memo msg ctrl;
-    Test_verify.check_shared_down downs msg ctrl ~groups:[ group ];
+    Test_verify.check_shared_down ~event:(group, host, u) downs msg ctrl
+      ~groups:[ group ];
     if ev mod 50 = 0 || ev = events then check_equivalent msg params ctrl ~group;
     if ev mod 100 = 0 || ev = events then check_delivery msg ctrl fabric ~group
   done;

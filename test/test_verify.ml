@@ -194,7 +194,14 @@ let check_view_memo msg ctrl =
      re-encode) yields a new down, one that did not keeps it;
    - the down seen before the event is unchanged, bytes and bitmaps, and a
      hypervisor holding the old header that was not re-installed still
-     encapsulates and injects exactly the bytes it was given. *)
+     encapsulates and injects exactly the bytes it was given;
+   - [Encoding.header_for_sender]'s upstream rules and core rule equal
+     [reference_prefix]'s, field by field; senders on one leaf share their
+     upstream spine and core rules ([==]), and no two senders share an
+     upstream leaf down.
+   Given the update a join or leave returned, it also checks the update
+   set: sorted, unique, holding the event's host and every sender whose
+   [Controller.header] bytes changed. *)
 
 type seen_down = {
   enc : Encoding.t;
@@ -205,18 +212,160 @@ type seen_down = {
   hv : Hypervisor.t;  (** holds [header], never re-installed *)
 }
 
-type down_oracle = { scratch : Fabric.t; seen : (int, seen_down) Hashtbl.t }
+type down_oracle = {
+  scratch : Fabric.t;
+  seen : (int, seen_down) Hashtbl.t;
+  sent : (int * int, bytes option) Hashtbl.t;
+      (** (group, sender) -> [Controller.header]'s bytes when last checked *)
+}
 
-let down_oracle () = { scratch = Fabric.create topo; seen = Hashtbl.create 8 }
+let down_oracle () =
+  { scratch = Fabric.create topo; seen = Hashtbl.create 8; sent = Hashtbl.create 64 }
 
 let same_rules a b = List.equal Prule.equal a b
 
 let same_default a (res : Clustering.result) =
   Option.equal Bitmap.equal a (Option.map snd res.Clustering.default)
 
-let check_shared_down oracle msg ctrl ~groups =
+(* The reference per-sender prefix: every part built from the live tree on
+   every call, with nothing memoized or shared. *)
+let reference_prefix (enc : Encoding.t) ~sender =
+  let tree = enc.Encoding.tree in
+  let sl = Topology.leaf_of_host topo sender in
+  let sp = Topology.pod_of_leaf topo sl in
+  let other_leaves_in_pod =
+    List.exists
+      (fun (l, _) -> l <> sl && Topology.pod_of_leaf topo l = sp)
+      tree.Tree.leaf_bitmaps
+  in
+  let other_pods = List.exists (fun (p, _) -> p <> sp) tree.Tree.spine_bitmaps in
+  let beyond_leaf = other_leaves_in_pod || other_pods in
+  let u_leaf_down =
+    match Tree.leaf_bitmap tree sl with
+    | None -> Bitmap.create (Topology.leaf_downstream_width topo)
+    | Some bm ->
+        let bm = Bitmap.copy bm in
+        Bitmap.clear bm (Topology.host_port_on_leaf topo sender);
+        bm
+  in
+  let u_leaf =
+    {
+      Prule.down = u_leaf_down;
+      up = Bitmap.create (Topology.leaf_upstream_width topo);
+      multipath = beyond_leaf;
+    }
+  in
+  let u_spine =
+    if not beyond_leaf then None
+    else begin
+      let down =
+        match Tree.spine_bitmap tree sp with
+        | None -> Bitmap.create (Topology.spine_downstream_width topo)
+        | Some bm ->
+            let bm = Bitmap.copy bm in
+            Bitmap.clear bm (Topology.leaf_port_on_spine topo sl);
+            bm
+      in
+      Some
+        {
+          Prule.down;
+          up = Bitmap.create (Topology.spine_upstream_width topo);
+          multipath = other_pods;
+        }
+    end
+  in
+  let core =
+    if not other_pods then None
+    else begin
+      let bm = Bitmap.copy tree.Tree.core_bitmap in
+      Bitmap.clear bm sp;
+      Some bm
+    end
+  in
+  (u_leaf, u_spine, core)
+
+let same_uprule (a : Prule.uprule) (b : Prule.uprule) =
+  Bitmap.equal a.Prule.down b.Prule.down
+  && Bitmap.equal a.Prule.up b.Prule.up
+  && Bool.equal a.Prule.multipath b.Prule.multipath
+
+(* Each sender's prefix against the reference, and the sharing contract
+   between the headers of [senders]. *)
+let check_prefixes msg ~group enc senders =
+  let fail fmt = Alcotest.failf ("%s: group %d: " ^^ fmt) msg group in
+  let headers =
+    List.map (fun s -> (s, Encoding.header_for_sender enc ~sender:s)) senders
+  in
+  List.iter
+    (fun (s, (h : Prule.header)) ->
+      let u_leaf, u_spine, core = reference_prefix enc ~sender:s in
+      if not (same_uprule h.Prule.u_leaf u_leaf) then
+        fail "sender %d: upstream leaf rule differs from the reference" s;
+      if not (Option.equal same_uprule h.Prule.u_spine u_spine) then
+        fail "sender %d: upstream spine rule differs from the reference" s;
+      if not (Option.equal Bitmap.equal h.Prule.core core) then
+        fail "sender %d: core rule differs from the reference" s;
+      let leaf = Topology.leaf_of_host topo s in
+      List.iter
+        (fun (s', (h' : Prule.header)) ->
+          if s <> s' then begin
+            if h.Prule.u_leaf.Prule.down == h'.Prule.u_leaf.Prule.down then
+              fail "senders %d and %d share an upstream leaf down" s s';
+            if
+              Topology.leaf_of_host topo s' = leaf
+              && not
+                   (h.Prule.u_spine == h'.Prule.u_spine
+                   && h.Prule.core == h'.Prule.core)
+            then fail "senders %d and %d on one leaf do not share their upper rules" s s'
+          end)
+        headers)
+    headers
+
+let group_senders ctrl ~group =
+  List.filter_map
+    (fun (h, r) ->
+      match r with
+      | Controller.Sender | Controller.Both -> Some h
+      | Controller.Receiver -> None)
+    (Controller.members ctrl ~group)
+
+let sent_bytes ctrl ~group ~sender =
+  Option.map (Header_codec.encode topo) (Controller.header ctrl ~group ~sender)
+
+(* The update a join or leave of [host] returned, against the bytes each
+   sender's header had before it. *)
+let check_update_set oracle msg ctrl ~group ~host (u : Controller.updates) =
+  let fail fmt = Alcotest.failf ("%s: group %d: " ^^ fmt) msg group in
+  let hyp = u.Controller.hypervisors in
+  if not (List.equal Int.equal (List.sort_uniq Int.compare hyp) hyp) then
+    fail "the update set is not sorted and unique";
+  if not (List.mem host hyp) then fail "the update set misses the event's host %d" host;
+  List.iter
+    (fun s ->
+      let before = Hashtbl.find_opt oracle.sent (group, s) in
+      let now = sent_bytes ctrl ~group ~sender:s in
+      if
+        not (Option.equal (Option.equal Bytes.equal) before (Some now))
+        && not (List.mem s hyp)
+      then fail "sender %d's header changed but the update set misses it" s)
+    (group_senders ctrl ~group)
+
+let record_sent oracle ctrl ~group =
+  Hashtbl.filter_map_inplace
+    (fun (g, _) b -> if g = group then None else Some b)
+    oracle.sent;
+  List.iter
+    (fun s ->
+      Hashtbl.replace oracle.sent (group, s) (sent_bytes ctrl ~group ~sender:s))
+    (group_senders ctrl ~group)
+
+let check_shared_down ?event oracle msg ctrl ~groups =
+  (match event with
+  | None -> ()
+  | Some (group, host, u) -> check_update_set oracle msg ctrl ~group ~host u);
   List.iter
     (fun group ->
+      record_sent oracle ctrl ~group;
       let fail fmt = Alcotest.failf ("%s: group %d: " ^^ fmt) msg group in
       (match Hashtbl.find_opt oracle.seen group with
       | None -> ()
@@ -230,15 +379,9 @@ let check_shared_down oracle msg ctrl ~groups =
           | Some _ | None -> fail "a hypervisor not re-installed changed its blob");
       match (Controller.encoding ctrl ~group, Controller.members ctrl ~group) with
       | None, _ | _, [] -> Hashtbl.remove oracle.seen group
-      | Some enc, ((first, _) :: _ as members) ->
-          let senders =
-            List.filter_map
-              (fun (h, r) ->
-                match r with
-                | Controller.Sender | Controller.Both -> Some h
-                | Controller.Receiver -> None)
-              members
-          in
+      | Some enc, (first, _) :: _ ->
+          let senders = group_senders ctrl ~group in
+          check_prefixes msg ~group enc senders;
           let base = Encoding.header_for_sender enc ~sender:first in
           let down = base.Prule.downstream in
           let headers =
@@ -331,6 +474,7 @@ let view_memo_fault_stream ~seed ~events =
   and wedged = ref false in
   let saw_stale = ref false and saw_failure = ref false in
   for ev = 1 to events do
+    let event = ref None in
     (match Rng.int rng 10 with
     | 0 ->
         let s = Rng.int rng spines in
@@ -361,14 +505,17 @@ let view_memo_fault_stream ~seed ~events =
         let host = Rng.int rng n in
         match List.assoc_opt host members with
         | Some _ when List.length members > 1 ->
-            ignore (Controller.leave ctrl ~group ~host)
+            event := Some (group, host, Controller.leave ctrl ~group ~host)
         | Some _ -> ()
         | None ->
-            ignore
-              (Controller.join ctrl ~group ~host ~role:roles.(Rng.int rng 3))));
+            event :=
+              Some
+                ( group,
+                  host,
+                  Controller.join ctrl ~group ~host ~role:roles.(Rng.int rng 3) )));
     check_view_memo (Printf.sprintf "seed %d event %d" seed ev) ctrl;
-    check_shared_down downs (Printf.sprintf "seed %d event %d" seed ev) ctrl
-      ~groups:all_groups;
+    check_shared_down ?event:!event downs (Printf.sprintf "seed %d event %d" seed ev)
+      ctrl ~groups:all_groups;
     if (Controller.install_stats ctrl).Controller.stale_entries > 0 then
       saw_stale := true;
     if
