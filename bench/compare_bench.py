@@ -18,7 +18,7 @@ import re
 import sys
 
 TIMING = re.compile(
-    r"(events_per_sec|_us$|_s$|speedup|groups_per_sec|failover_ms|ops_per_sec"
+    r"(events_per_sec|_us$|_s$|speedup|groups_per_sec|failover_ms|prove_ms|ops_per_sec"
     r"|ns_per_event|^provenance\.git_rev$|^gc\.|^metrics\.)"
 )
 

@@ -650,10 +650,12 @@ let recovery () =
     end
   in
   (* Failover latency vs snapshot cadence: sparse snapshots mean long
-     replay suffixes; every recovery is re-verified against its intent. *)
+     replay suffixes; every recovery is re-verified against its intent.
+     [prove_ms] is the failover's last step alone: the zero-blackhole
+     proof on the recovered view, timed over the same reps. *)
   let reps = 20 in
-  printf "@.%-15s %-9s %-9s %-11s %-12s %-14s@." "snapshot_every" "records"
-    "bytes" "suffix_ops" "failover_ms" "replay ops/s";
+  printf "@.%-15s %-9s %-9s %-11s %-12s %-9s %-14s@." "snapshot_every"
+    "records" "bytes" "suffix_ops" "failover_ms" "prove_ms" "replay ops/s";
   let sweep =
     List.map
       (fun snapshot_every ->
@@ -673,13 +675,19 @@ let recovery () =
           ignore (run ())
         done;
         let dt = (Unix.gettimeofday () -. t0) /. float_of_int reps in
+        let cfg = Replica.installed_config o0.Supervisor.replica in
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to reps do
+          ignore (Verify.sender_blackholes cfg)
+        done;
+        let prove = (Unix.gettimeofday () -. t0) /. float_of_int reps in
         let loaded = o0.Supervisor.loaded in
         let nrec = List.length loaded.Wire.l_records in
         let suffix = List.length loaded.Wire.l_suffix in
         let ops_s = float_of_int suffix /. dt in
-        printf "%-15d %-9d %-9d %-11d %-12.3f %-14.0f@." snapshot_every nrec
-          (Bytes.length bytes) suffix (1e3 *. dt) ops_s;
-        (snapshot_every, nrec, Bytes.length bytes, suffix, dt, ops_s))
+        printf "%-15d %-9d %-9d %-11d %-12.3f %-9.3f %-14.0f@." snapshot_every
+          nrec (Bytes.length bytes) suffix (1e3 *. dt) (1e3 *. prove) ops_s;
+        (snapshot_every, nrec, Bytes.length bytes, suffix, dt, prove, ops_s))
       [ 8; 32; 128; 1_000_000 ]
   in
   (* Corruption tolerance: seeded bit flips and torn writes over one
@@ -725,7 +733,7 @@ let recovery () =
     "@.corruption matrix: %d trials — %d full, %d boundary cut, %d truncated, \
      %d snapshot fallback, %d unrecoverable, %d violations@."
     trials !full !boundary_cut !truncated !fallback !unrecoverable !violations;
-  let sweep_json (snapshot_every, nrec, nbytes, suffix, dt, ops_s) =
+  let sweep_json (snapshot_every, nrec, nbytes, suffix, dt, prove, ops_s) =
     Jsonx.Obj
       [
         ("snapshot_every", Int snapshot_every);
@@ -733,6 +741,7 @@ let recovery () =
         ("bytes", Int nbytes);
         ("suffix_ops", Int suffix);
         ("failover_ms", Num (1e3 *. dt));
+        ("prove_ms", Num (1e3 *. prove));
         ("replay_ops_per_sec", Num ops_s);
       ]
   in

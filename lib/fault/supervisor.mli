@@ -17,8 +17,9 @@
       would be the unsound direction), and remove true orphans the
       recovered state knows nothing about;
     + prove the result: {!Verify.sender_blackholes} shows that every
-      (group, sender) reaches all its receivers, checking each sender
-      against its group's memoized route parts.
+      (group, sender) reaches all its receivers, checking each sender's
+      receiver leaves against the leaf sets its group's route parts
+      reach, memoized per (sender pod, plane).
 
     The outcome reports everything a caller needs to decide whether the
     takeover is safe to serve from: what the log recovered, what the sweep

@@ -146,10 +146,11 @@ let intent ctx cfg ~group = spec_pred ctx cfg ~group (fun _ -> true)
      pod [p] other than [sp]. It is the same for every live core on the
      plane.
 
-   [compile_sender] interns that union; [sender_blackholes] memoizes the
-   keyed parts per group, so a group's senders share them. Each part
-   reports its edges through [add]; [cross_part] hands each pod's
-   sub-part to [pod]. *)
+   [compile_sender] interns that union; [sender_blackholes] memoizes, per
+   group, the leaves the in-pod and cross-pod parts reach, by (sender pod,
+   plane), so a group's senders share them. Each part reports its edges
+   through [add]; [cross_part] hands each pod's sub-part to [pod], and
+   [live_leaves] walks the link-gated leaves both parts descend to. *)
 
 type route = {
   r_cfg : Installed_config.t;
@@ -197,42 +198,41 @@ let local_part r ~sender add =
       let sport = Topology.host_port_on_leaf topo sender in
       Bitmap.iter (fun q -> if q <> sport then add (Pred.Leaf sl) q) bm
 
+(* The leaves of [pod] among [ports] (leaf ports on its spine) whose link
+   on [plane] is up, each passed to [f] as its port and its id. *)
+let live_leaves cfg ~pod ~plane f ports =
+  let lpp = cfg.Installed_config.topo.Topology.leaves_per_pod in
+  Bitmap.iter
+    (fun lp ->
+      let leaf = (pod * lpp) + lp in
+      if Installed_config.link_ok cfg ~leaf ~plane then f lp leaf)
+    ports
+
 (* In-pod downstream: the sender pod's tree leaves minus the sender's own,
    link-gated on [plane]. *)
 let in_pod_part r ~sl ~plane add =
-  let cfg = r.r_cfg in
-  let topo = cfg.Installed_config.topo in
-  let sp = Topology.pod_of_leaf topo sl in
+  let sp = Topology.pod_of_leaf r.r_cfg.Installed_config.topo sl in
   match Tree.spine_bitmap r.r_enc.Encoding.tree sp with
   | None -> ()
   | Some bm ->
-      let slp = Topology.leaf_port_on_spine topo sl in
-      Bitmap.iter
-        (fun lp ->
-          if lp <> slp then begin
-            let leaf = (sp * topo.Topology.leaves_per_pod) + lp in
-            if Installed_config.link_ok cfg ~leaf ~plane then begin
-              add (Pred.Spine sp) lp;
-              leaf_down r leaf add
-            end
+      live_leaves r.r_cfg ~pod:sp ~plane
+        (fun lp leaf ->
+          if leaf <> sl then begin
+            add (Pred.Spine sp) lp;
+            leaf_down r leaf add
           end)
         bm
 
 (* A remote pod's spine on [plane] forwarding down: the pod's spine
    assignment, link-gated. *)
 let pod_down r ~pod ~plane add =
-  let cfg = r.r_cfg in
-  let lpp = cfg.Installed_config.topo.Topology.leaves_per_pod in
   match site_assigned r (Srule_state.Pod pod) with
   | None -> ()
   | Some bm ->
-      Bitmap.iter
-        (fun lp ->
-          let leaf = (pod * lpp) + lp in
-          if Installed_config.link_ok cfg ~leaf ~plane then begin
-            add (Pred.Spine pod) lp;
-            leaf_down r leaf add
-          end)
+      live_leaves r.r_cfg ~pod ~plane
+        (fun lp leaf ->
+          add (Pred.Spine pod) lp;
+          leaf_down r leaf add)
         bm
 
 (* Cross-pod downstream from a live core on [plane]: the header's core
@@ -478,66 +478,102 @@ let check_config cfg =
 
    Every sender's delivery edges must cover its receiver endpoints. The
    obligation has only [Leaf] edges, whose canonical order is ascending
-   host order, so the first receiver (other than the sender) missing from
-   the sender's covered host set is exactly the witness [check_subsumes]
-   gives on [compile_sender] and [receiver_endpoints]. The covered set is
-   the sender's own host (it owes itself nothing) and local ports ORed
-   with the group's memoized in-pod and cross-pod parts, each kept as a
-   host bitmap of its [Leaf] edges. A subset test against the group's
-   receiver bitmap passes most senders; only a failing one scans its
-   receivers for the witness. No per-sender predicate is built. *)
+   host order, so the first receiver (other than the sender) that the
+   sender's route misses is exactly the witness [check_subsumes] gives on
+   [compile_sender] and [receiver_endpoints]. A receiver on leaf [l] is
+   covered when it is the sender; when [l] is the sender's leaf [sl] and
+   its port is in the tree's leaf bitmap ([local_part]); or when [l] is
+   another leaf one of the sender's parts reaches and the port is in
+   [assigned (Leaf l)] (the part's [leaf_down]).
+
+   So senders are decided on leaf sets. One pass over a group's receivers
+   records [want], the receiver leaves; the bad leaves, whose assignment
+   misses a receiver's port; and the local-bad leaves, whose tree leaf
+   bitmap does. The leaves a part reaches depend on the sender only
+   through (sender pod, plane) once the in-pod part's skip of [sl] is
+   dropped, and [sl] is decided by the local rule anyway; so they are
+   memoized per group. A sender on [sl] passes when [sl] is not
+   local-bad, no leaf other than [sl] is bad, and [want] lies within its
+   parts' reach plus [sl]. Only a sender failing that test scans its
+   receivers under the exact rule for the witness. No per-sender
+   predicate is built. *)
 
 let sender_blackholes cfg =
   current cfg;
   let topo = cfg.Installed_config.topo in
-  let hosts = Topology.num_hosts topo in
-  let hpl = topo.Topology.hosts_per_leaf in
+  let leaves = Topology.num_leaves topo in
   let planes = topo.Topology.spines_per_pod in
-  let leaves = Topology.num_leaves topo and pods = topo.Topology.pods in
-  let covered = Bitmap.create hosts in
-  let leaf_hosts hs sw port =
-    match sw with
-    | Pred.Leaf l -> Bitmap.set hs ((l * hpl) + port)
-    | Pred.Core | Pred.Spine _ -> ()
+  let slots = topo.Topology.pods * planes in
+  let want = Bitmap.create leaves and local_bad = Bitmap.create leaves in
+  let reach = Bitmap.create leaves in
+  (* The group's reach memo: the in-pod part of (sender pod [sp], [plane])
+     at slot [(sp * planes) + plane], its cross-pod part [slots] further
+     on. [filled] holds the number of the group a slot was built for. *)
+  let memo = Array.init (2 * slots) (fun _ -> Bitmap.create leaves) in
+  let filled = Array.make (2 * slots) (-1) and group_no = ref (-1) in
+  let reached slot build =
+    let bm = memo.(slot) in
+    if filled.(slot) <> !group_no then begin
+      Bitmap.reset bm;
+      build (fun _ leaf -> Bitmap.set bm leaf);
+      filled.(slot) <- !group_no
+    end;
+    bm
   in
-  (* The group's parts as host bitmaps, built on first use. Keys: in-pod
-     parts by (leaf, plane), then cross-pod parts by (pod, plane), then
-     [pod_down] sub-parts by (pod, plane). *)
-  let parts = Hashtbl.create 64 in
-  let part ~base site plane build =
-    let key = ((base + site) * planes) + plane in
-    match Hashtbl.find_opt parts key with
-    | Some hs -> hs
-    | None ->
-        let hs = Bitmap.create hosts in
-        build hs;
-        Hashtbl.add parts key hs;
-        hs
+  let in_pod_reach r ~sp ~plane =
+    reached ((sp * planes) + plane) (fun set ->
+        Option.iter
+          (live_leaves cfg ~pod:sp ~plane set)
+          (Tree.spine_bitmap r.r_enc.Encoding.tree sp))
   in
-  let in_pod_hosts r ~sl ~plane =
-    part ~base:0 sl plane (fun hs -> in_pod_part r ~sl ~plane (leaf_hosts hs))
+  let cross_reach r ~sp ~plane =
+    reached (slots + (sp * planes) + plane) (fun set ->
+        cross_part r ~sp ~plane (fun _ _ -> ()) ~pod:(fun pod ->
+            Option.iter
+              (live_leaves cfg ~pod ~plane set)
+              (site_assigned r (Srule_state.Pod pod))))
   in
-  let pod_hosts r ~pod ~plane =
-    part ~base:(leaves + pods) pod plane (fun hs ->
-        pod_down r ~pod ~plane (leaf_hosts hs))
-  in
-  let cross_hosts r ~sp ~plane =
-    part ~base:leaves sp plane (fun hs ->
-        cross_part r ~sp ~plane (leaf_hosts hs) ~pod:(fun pod ->
-            Bitmap.union_into ~dst:hs (pod_hosts r ~pod ~plane)))
-  in
-  let wanted = Bitmap.create hosts in
-  let first_uncovered receivers =
-    if Bitmap.subset wanted covered then None
-    else List.find_opt (fun h -> not (Bitmap.get covered h)) receivers
+  let first_uncovered r (g : Installed_config.group_view) ~sender ~sl =
+    let local = Tree.leaf_bitmap r.r_enc.Encoding.tree sl in
+    List.find_opt
+      (fun h ->
+        let l = Topology.leaf_of_host topo h in
+        let q = Topology.host_port_on_leaf topo h in
+        h <> sender
+        && not
+             (if l = sl then bitmap_opt_get local q
+              else
+                Bitmap.get reach l
+                && bitmap_opt_get (site_assigned r (Srule_state.Leaf l)) q))
+      g.Installed_config.receivers
   in
   let check_group acc (g : Installed_config.group_view) =
     match route cfg g with
     | None -> acc
     | Some r ->
-        Hashtbl.reset parts;
-        Bitmap.reset wanted;
-        List.iter (Bitmap.set wanted) g.Installed_config.receivers;
+        incr group_no;
+        let tree = r.r_enc.Encoding.tree in
+        Bitmap.reset want;
+        Bitmap.reset local_bad;
+        (* The bad leaves: how many, and the last one. *)
+        let bad = ref 0 and bad_leaf = ref (-1) in
+        let leaf = ref (-1) and down = ref None and ports = ref None in
+        List.iter
+          (fun h ->
+            let l = Topology.leaf_of_host topo h in
+            if l <> !leaf then begin
+              leaf := l;
+              Bitmap.set want l;
+              down := site_assigned r (Srule_state.Leaf l);
+              ports := Tree.leaf_bitmap tree l
+            end;
+            let q = Topology.host_port_on_leaf topo h in
+            if (not (bitmap_opt_get !down q)) && !bad_leaf <> l then begin
+              incr bad;
+              bad_leaf := l
+            end;
+            if not (bitmap_opt_get !ports q) then Bitmap.set local_bad l)
+          g.Installed_config.receivers;
         List.fold_left
           (fun acc sender ->
             match sender_planes r ~sender with
@@ -545,22 +581,27 @@ let sender_blackholes cfg =
             | Some route_planes -> (
                 let sl = Topology.leaf_of_host topo sender in
                 let sp = Topology.pod_of_leaf topo sl in
-                Bitmap.reset covered;
-                Bitmap.set covered sender;
-                local_part r ~sender (leaf_hosts covered);
+                Bitmap.reset reach;
+                Bitmap.set reach sl;
                 List.iter
                   (fun (plane, via_core) ->
-                    Bitmap.union_into ~dst:covered (in_pod_hosts r ~sl ~plane);
+                    Bitmap.union_into ~dst:reach (in_pod_reach r ~sp ~plane);
                     if via_core then
-                      Bitmap.union_into ~dst:covered (cross_hosts r ~sp ~plane))
+                      Bitmap.union_into ~dst:reach (cross_reach r ~sp ~plane))
                   route_planes;
-                match first_uncovered g.Installed_config.receivers with
-                | None -> acc
-                | Some h ->
-                    witness ~group:g.Installed_config.gid
-                      ( Pred.Leaf (Topology.leaf_of_host topo h),
-                        Topology.host_port_on_leaf topo h )
-                    :: acc))
+                if
+                  (not (Bitmap.get local_bad sl))
+                  && (!bad = 0 || (!bad = 1 && !bad_leaf = sl))
+                  && Bitmap.subset want reach
+                then acc
+                else
+                  match first_uncovered r g ~sender ~sl with
+                  | None -> acc
+                  | Some h ->
+                      witness ~group:g.Installed_config.gid
+                        ( Pred.Leaf (Topology.leaf_of_host topo h),
+                          Topology.host_port_on_leaf topo h )
+                      :: acc))
           acc g.Installed_config.senders
   in
   Array.fold_left check_group [] cfg.Installed_config.groups |> List.rev

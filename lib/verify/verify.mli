@@ -84,8 +84,8 @@ val compile_sender :
     ports minus the sender's own; per live upstream plane, the in-pod part
     of (sender leaf, plane); and, when a chosen core on that plane is
     alive, the cross-pod part of (sender pod, plane), which is the same
-    for every live core on the plane. {!sender_blackholes} evaluates the
-    same parts. *)
+    for every live core on the plane. {!sender_blackholes} walks the same
+    parts for the leaves they reach. *)
 
 val receiver_endpoints :
   Pred.ctx -> Installed_config.t -> group:int -> sender:int -> Pred.t
@@ -172,11 +172,19 @@ val sender_blackholes : Installed_config.t -> witness list
     ([compile_sender = None]: no encoding, or unicast-degraded). Empty is
     the proof.
 
-    It evaluates the same route parts as {!compile_sender}, but memoizes
-    them per group: the in-pod part per (sender leaf, plane) and the
-    cross-pod part per (sender pod, plane). Each sender's check is then an
-    OR of a few host bitmaps and one pass over the receivers, and no
-    per-sender predicate is interned. *)
+    It decides each sender on leaf sets. One pass over a group's
+    receivers records the receiver leaves, the leaves whose assignment
+    misses a receiver's port ("bad") and the leaves whose tree leaf bitmap
+    does ("local-bad"). The leaves {!compile_sender}'s in-pod and
+    cross-pod parts reach are memoized per group by (sender pod, plane),
+    link- and spine-gated as the parts are. A sender on leaf [sl] passes
+    when [sl] is not local-bad, no leaf other than [sl] is bad, and every
+    receiver leaf is [sl] or reached on one of the sender's planes. A
+    sender that fails this test scans its receivers in ascending order
+    for the first one not covered: not the sender itself, on [sl] with its
+    port outside the tree's leaf bitmap, or on another leaf that is
+    unreached or whose assignment lacks the port. No per-sender predicate
+    is built. *)
 
 (** {1 Incremental checking}
 

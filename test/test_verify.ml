@@ -745,11 +745,11 @@ let prop_symbolic_agrees_with_injection =
 
 (* {1 Zero-blackhole sweep vs. the per-sender fold}
 
-   [Verify.sender_blackholes] memoizes route parts per group and checks
-   host bitmaps; the reference below interns one [compile_sender] and one
-   [receiver_endpoints] predicate per (group, sender), in ascending gid and
-   then sender order, and keeps the first missing edge of each. The two
-   must agree witness for witness. *)
+   [Verify.sender_blackholes] decides each sender on the leaf sets its
+   group's route parts reach; the reference below interns one
+   [compile_sender] and one [receiver_endpoints] predicate per (group,
+   sender), in ascending gid and then sender order, and keeps the first
+   missing edge of each. The two must agree witness for witness. *)
 
 let reference_blackholes cfg =
   let ctx = Pred.create_ctx () in
@@ -925,6 +925,122 @@ let test_sweep_multi_group_order () =
   check_sweep "sabotaged groups 1 and 3"
     [ "1/leaf1/0"; "3/leaf2/0"; "3/leaf3/0"; "3/leaf2/0" ]
     (view ~edit groups)
+
+(* {2 The leaf-set test's failure paths}
+
+   The sweep passes a sender on leaf [sl] when [sl]'s tree bitmap holds
+   every receiver port on it, no other leaf's assignment misses one, and
+   the sender's parts reach every other receiver leaf. Each case below
+   fails one of the three, or reaches a leaf on one plane only. The
+   edits put fresh bitmaps in fresh records, so the tree and the rules,
+   which can share a bitmap, are sabotaged one at a time. *)
+
+let without port bm =
+  let bm = Bitmap.copy bm in
+  Bitmap.clear bm port;
+  bm
+
+let edit_enc ~group f (g : Installed_config.group_view) =
+  match g.Installed_config.enc with
+  | Some enc when g.Installed_config.gid = group ->
+      { g with Installed_config.enc = Some (f enc) }
+  | Some _ | None -> g
+
+(* [port] cleared from leaf [leaf]'s tree bitmap; its rules keep it. *)
+let drop_tree_port ~group ~leaf port =
+  edit_enc ~group (fun enc ->
+      let tree = enc.Encoding.tree in
+      let leaf_bitmaps =
+        List.map
+          (fun (l, bm) -> (l, if l = leaf then without port bm else bm))
+          tree.Tree.leaf_bitmaps
+      in
+      { enc with Encoding.tree = { tree with Tree.leaf_bitmaps } })
+
+(* [port] cleared from every rule of [site]'s layer that can assign the
+   switch: its p-rules, its s-rule and the default. *)
+let drop_assigned_port ~group site port =
+  edit_enc ~group (fun enc ->
+      let drop (layer : Clustering.result) id =
+        {
+          Clustering.prules =
+            List.map
+              (fun (r : Prule.prule) ->
+                if Prule.rule_mem r id then
+                  { r with Prule.bitmap = without port r.Prule.bitmap }
+                else r)
+              layer.Clustering.prules;
+          srules =
+            List.map
+              (fun (i, bm) -> (i, if i = id then without port bm else bm))
+              layer.Clustering.srules;
+          default =
+            Option.map
+              (fun (ids, bm) -> (ids, without port bm))
+              layer.Clustering.default;
+        }
+      in
+      match site with
+      | Srule_state.Leaf l -> { enc with Encoding.d_leaf = drop enc.Encoding.d_leaf l }
+      | Srule_state.Pod p ->
+          { enc with Encoding.d_spine = drop enc.Encoding.d_spine p })
+
+(* Hosts 0, 1 and 2 share leaf 0; host 1's port leaves the tree's leaf
+   bitmap but not the leaf's rules. Senders 0 and 2 lose host 1; sender 1
+   owes itself nothing, and sender [h] reaches it through leaf 0's rules. *)
+let test_sweep_local_bad_leaf () =
+  let groups = [ (0, both [ 0; 1; 2; h ]) ] in
+  check_sweep "healthy" [] (view groups);
+  check_sweep "receiver outside the sender leaf's tree bitmap"
+    [ "0/leaf0/1"; "0/leaf0/1" ]
+    (view ~edit:(drop_tree_port ~group:0 ~leaf:0 1) groups)
+
+(* Host 1's port leaves leaf 0's rules but not its tree bitmap: the
+   co-located senders 0 and 1 still cover it, sender [h] does not, unless
+   it is degraded to unicast. *)
+let test_sweep_bad_own_leaf () =
+  let groups = [ (0, both [ 0; 1; h ]) ] in
+  let edit = drop_assigned_port ~group:0 (Srule_state.Leaf 0) 1 in
+  check_sweep "only the sender's own leaf is bad" [ "0/leaf0/1" ]
+    (view ~edit groups);
+  let unicast =
+    {
+      Installed_config.up_leaf_ports =
+        Bitmap.create topo.Topology.spines_per_pod;
+      up_spine_ports = None;
+      unicast = true;
+    }
+  in
+  check_sweep "the remote sender degraded to unicast" []
+    (view ~edit:(fun g -> g |> edit |> with_overrides [ (h, unicast) ]) groups)
+
+(* Sender 0 climbs on both planes of pod 0; receivers 8 and 9 sit on leaf
+   1 of the same pod. A dead leaf-1 link on either plane alone leaves the
+   other plane's spine to reach it. *)
+let test_sweep_one_plane_reaches () =
+  let up_leaf_ports = Bitmap.create topo.Topology.spines_per_pod in
+  List.iter (Bitmap.set up_leaf_ports) [ 0; 1 ];
+  let ov =
+    { Installed_config.up_leaf_ports; up_spine_ports = None; unicast = false }
+  in
+  let groups = [ (0, senders [ 0 ] @ receivers [ h; h + 1 ]) ] in
+  let edit = with_overrides [ (0, ov) ] in
+  check_sweep "plane 0's link dead: plane 1 reaches" []
+    (view ~edit ~dead_links:[ (1, 0) ] groups);
+  check_sweep "plane 1's link dead: plane 0 reaches" []
+    (view ~edit ~dead_links:[ (1, 1) ] groups);
+  check_sweep "both dead" [ "0/leaf1/0" ]
+    (view ~edit ~dead_links:[ (1, 0); (1, 1) ] groups)
+
+(* Receivers on leaves 2 and 3 (pod 1), pod 1's spine assignment without
+   leaf 3's port. Sender 0 (pod 0) goes through that assignment and
+   misses leaf 3; sender [2h + 1] stays in pod 1, where the tree's own
+   spine bitmap routes. *)
+let test_sweep_remote_pod_omits_leaf () =
+  let groups = [ (0, senders [ 0; (2 * h) + 1 ] @ receivers [ 2 * h; 3 * h ]) ] in
+  check_sweep "healthy" [] (view groups);
+  check_sweep "remote spine assignment omits a tree leaf" [ "0/leaf3/0" ]
+    (view ~edit:(drop_assigned_port ~group:0 (Srule_state.Pod 1) 1) groups)
 
 (* Random views on the running example or, for [single_pod], a two-tier
    leaf-spine fabric (no cross-pod reachability): up to three groups
@@ -1331,4 +1447,12 @@ let tests =
     Alcotest.test_case "verify cache: incremental hits" `Quick
       test_verify_cache_incremental;
     Alcotest.test_case "stale view raises" `Quick test_stale_view_raises;
+    Alcotest.test_case "sweep: receiver outside the local tree bitmap" `Quick
+      test_sweep_local_bad_leaf;
+    Alcotest.test_case "sweep: the sender's own leaf is the bad one" `Quick
+      test_sweep_bad_own_leaf;
+    Alcotest.test_case "sweep: a leaf reached on one plane only" `Quick
+      test_sweep_one_plane_reaches;
+    Alcotest.test_case "sweep: remote pod assignment omits a leaf" `Quick
+      test_sweep_remote_pod_omits_leaf;
   ]
