@@ -311,9 +311,10 @@ let verify_cmd =
     let corrupt (g : Installed_config.group_view) =
       match (g.Installed_config.enc, g.Installed_config.receivers) with
       | Some enc, host :: _ :: _ ->
-          let w = Byteio.Writer.create () in
-          Encoding.write w enc;
-          let enc = Encoding.read topo Byteio.(Reader.of_bytes (Writer.to_bytes w)) in
+          let codec = Encoding.codec topo in
+          let enc =
+            Byteio.Codec.(of_bytes codec.read (to_bytes codec.write enc))
+          in
           let leaf = Topology.leaf_of_host topo host in
           let port = Topology.host_port_on_leaf topo host in
           let layer = enc.Encoding.d_leaf in

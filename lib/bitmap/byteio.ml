@@ -70,7 +70,6 @@ module Writer = struct
   type t = Buffer.t
 
   let create () = Buffer.create 256
-  let length = Buffer.length
 
   let u8 t v =
     if v < 0 || v > 0xff then
@@ -89,31 +88,9 @@ module Writer = struct
   let float t v = Buffer.add_int64_le t (Int64.bits_of_float v)
   let raw t b = Buffer.add_bytes t b
 
-  let bytes_field t b =
-    u32 t (Bytes.length b);
-    raw t b
-
   let bitmap t bm =
     u32 t (Bitmap.width bm);
     raw t (Bitmap.to_bytes bm)
-
-  let option t f = function
-    | None -> bool t false
-    | Some v ->
-        bool t true;
-        f t v
-
-  let list t f xs =
-    u32 t (List.length xs);
-    List.iter (fun x -> f t x) xs
-
-  let int_array t a =
-    u32 t (Array.length a);
-    Array.iter (fun v -> int t v) a
-
-  let bool_array t a =
-    u32 t (Array.length a);
-    Array.iter (fun v -> bool t v) a
 
   let to_bytes = Buffer.to_bytes
 end
@@ -130,7 +107,6 @@ module Reader = struct
       (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
     else { data = b; limit = pos + len; pos }
 
-  let pos t = t.pos
   let remaining t = t.limit - t.pos
   let check cond = if not cond then raise Corrupt
 
@@ -173,10 +149,6 @@ module Reader = struct
     t.pos <- t.pos + n;
     b
 
-  let bytes_field t =
-    let n = u32 t in
-    raw t n
-
   let bitmap t =
     let width = u32 t in
     (* Guard before allocating: a hostile width field must not trigger a
@@ -184,39 +156,191 @@ module Reader = struct
     let nbytes = (width + 7) / 8 in
     need t nbytes;
     let packed = raw t nbytes in
-    (* of_bytes masks padding bits of the last byte, so hostile padding
-       cannot violate the bitmap's width invariant. *)
+    (* [Bitmap.of_bytes] would mask set padding bits of the last byte,
+       decoding two byte strings to one bitmap; refuse them instead. *)
+    check
+      (width land 7 = 0
+      || Char.code (Bytes.get packed (nbytes - 1)) lsr (width land 7) = 0);
     match Bitmap.of_bytes width packed with
     | bm -> bm
     | exception Invalid_argument _ -> raise Corrupt
+end
 
-  let option t f = if bool t then Some (f t) else None
+module Codec = struct
+  type 'a t = { write : Writer.t -> 'a -> unit; read : Reader.t -> 'a }
+
+  let where ok c =
+    {
+      c with
+      read =
+        (fun r ->
+          let v = c.read r in
+          Reader.check (ok v);
+          v);
+    }
+
+  let int = { write = Writer.int; read = Reader.int }
+  let nat = where (fun v -> v >= 0) int
+  let index n = where (fun v -> 0 <= v && v < n) int
+  let bool = { write = Writer.bool; read = Reader.bool }
+  let float = { write = Writer.float; read = Reader.float }
+
+  let bitmap ~width =
+    where
+      (fun bm -> Bitmap.width bm = width)
+      { write = Writer.bitmap; read = Reader.bitmap }
+
+  let option c =
+    {
+      write =
+        (fun w -> function
+          | None -> Writer.bool w false
+          | Some v ->
+              Writer.bool w true;
+              c.write w v);
+      read = (fun r -> if Reader.bool r then Some (c.read r) else None);
+    }
 
   (* Counted reads evaluate elements with an explicit in-order loop
      (List.init / Array.init evaluation order is unspecified) and guard the
      count against the bytes remaining before allocating: each element
      consumes at least one byte, so count <= remaining is a sound bound. *)
-  let list t f =
-    let n = u32 t in
-    check (n <= remaining t);
-    let rec go acc i = if i = 0 then List.rev acc else go (f t :: acc) (i - 1) in
-    go [] n
+  let count r =
+    let n = Reader.u32 r in
+    Reader.check (n <= Reader.remaining r);
+    n
 
-  let int_array t =
-    let n = u32 t in
-    check (n * 8 <= remaining t);
-    let a = Array.make (max n 1) 0 in
-    for i = 0 to n - 1 do
-      a.(i) <- int t
-    done;
-    if n = 0 then [||] else a
+  let list c =
+    {
+      write =
+        (fun w xs ->
+          Writer.u32 w (List.length xs);
+          List.iter (c.write w) xs);
+      read =
+        (fun r ->
+          let rec go acc i =
+            if i = 0 then List.rev acc else go (c.read r :: acc) (i - 1)
+          in
+          go [] (count r));
+    }
 
-  let bool_array t =
-    let n = u32 t in
-    check (n <= remaining t);
-    let a = Array.make (max n 1) false in
-    for i = 0 to n - 1 do
-      a.(i) <- bool t
-    done;
-    if n = 0 then [||] else a
+  let ascending key c =
+    let rec strict = function
+      | a :: (b :: _ as rest) -> key a < key b && strict rest
+      | [ _ ] | [] -> true
+    in
+    where strict (list c)
+
+  let array ~len c =
+    {
+      write =
+        (fun w a ->
+          Writer.u32 w (Array.length a);
+          Array.iter (c.write w) a);
+      read =
+        (fun r ->
+          let n = count r in
+          Reader.check (n = len);
+          if n = 0 then [||]
+          else begin
+            let a = Array.make n (c.read r) in
+            for i = 1 to n - 1 do
+              a.(i) <- c.read r
+            done;
+            a
+          end);
+    }
+
+  let enum values =
+    {
+      write =
+        (fun w v ->
+          let i = ref 0 in
+          while values.(!i) != v do
+            incr i
+          done;
+          Writer.u8 w !i);
+      read =
+        (fun r ->
+          let i = Reader.u8 r in
+          Reader.check (i < Array.length values);
+          values.(i));
+    }
+
+  type 'a case = Case : 'b t * ('b -> 'a) * ('a -> 'b option) -> 'a case
+
+  let case c inj proj = Case (c, inj, proj)
+
+  let variant cases =
+    let cases = Array.of_list cases in
+    {
+      write =
+        (fun w v ->
+          let rec go i =
+            match cases.(i) with
+            | Case (c, _, proj) -> (
+                match proj v with
+                | Some b ->
+                    Writer.u8 w i;
+                    c.write w b
+                | None -> go (i + 1))
+          in
+          go 0);
+      read =
+        (fun r ->
+          let i = Reader.u8 r in
+          Reader.check (i < Array.length cases);
+          match cases.(i) with Case (c, inj, _) -> inj (c.read r));
+    }
+
+  type ('r, 'a) fields = { put : Writer.t -> 'r -> unit; get : Reader.t -> 'a }
+
+  let field proj c = { put = (fun w v -> c.write w (proj v)); get = c.read }
+
+  let ( and+ ) a b =
+    {
+      put =
+        (fun w v ->
+          a.put w v;
+          b.put w v);
+      get =
+        (fun r ->
+          let x = a.get r in
+          let y = b.get r in
+          (x, y));
+    }
+
+  let ( let+ ) fields build =
+    {
+      write = fields.put;
+      read =
+        (fun r ->
+          match build (fields.get r) with
+          | v -> v
+          | exception Invalid_argument _ -> raise Reader.Corrupt);
+    }
+
+  let pair a b =
+    {
+      write =
+        (fun w (x, y) ->
+          a.write w x;
+          b.write w y);
+      read =
+        (fun r ->
+          let x = a.read r in
+          let y = b.read r in
+          (x, y));
+    }
+
+  let to_bytes write v =
+    let w = Writer.create () in
+    write w v;
+    Writer.to_bytes w
+
+  let of_bytes ?pos ?len read b =
+    let r = Reader.of_bytes ?pos ?len b in
+    let v = read r in
+    Reader.check (Reader.remaining r = 0);
+    v
 end

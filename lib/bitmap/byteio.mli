@@ -2,9 +2,17 @@
     wire format (journal records, controller snapshots).
 
     {!Bitio} serializes the bit-packed Elmo {e packet} header; this module
-    serializes the {e durable} byte stream the controller persists. Both
-    sides are deterministic: a value writes to one byte sequence and reads
-    back from exactly that sequence.
+    serializes the {e durable} byte stream the controller persists.
+
+    Codec contract. Each durable record kind is described once, as a
+    {!Codec.t} value: its writer and its validating reader come from that
+    one definition, so the reader is the writer's inverse and never
+    restates its field order.
+    Both sides are deterministic, and decoding accepts only canonical
+    input: a byte string that decodes re-encodes to exactly those bytes.
+    Sets and maps travel as strictly ascending lists, bitmaps with zero
+    padding bits, booleans as 0 or 1, ints as the sign extension of an
+    OCaml int; anything else is refused.
 
     Robustness contract: a {!Reader} over hostile bytes either returns a
     structurally valid value or raises {!Reader.Corrupt} — it never reads
@@ -36,7 +44,6 @@ module Writer : sig
   type t
 
   val create : unit -> t
-  val length : t -> int
 
   val u8 : t -> int -> unit
   (** Raises [Invalid_argument] unless [0 <= v < 256]. *)
@@ -47,26 +54,8 @@ module Writer : sig
   val int : t -> int -> unit
   (** Full OCaml int as 8 bytes little-endian (two's complement). *)
 
-  val bool : t -> bool -> unit
-  val float : t -> float -> unit
-  (** IEEE-754 bits, 8 bytes little-endian. *)
-
   val raw : t -> bytes -> unit
   (** The bytes verbatim, no length prefix. *)
-
-  val bytes_field : t -> bytes -> unit
-  (** u32 length prefix + the bytes. *)
-
-  val bitmap : t -> Bitmap.t -> unit
-  (** u32 width + packed bits ({!Bitmap.to_bytes}). *)
-
-  val option : t -> (t -> 'a -> unit) -> 'a option -> unit
-  val list : t -> (t -> 'a -> unit) -> 'a list -> unit
-  (** u32 count + elements in order. *)
-
-  val int_array : t -> int array -> unit
-  val bool_array : t -> bool array -> unit
-  (** u32 count + one byte per element. *)
 
   val to_bytes : t -> bytes
 end
@@ -76,17 +65,13 @@ module Reader : sig
 
   exception Corrupt
   (** Truncated or malformed input: a read past the end of the slice, a
-      length prefix exceeding the bytes remaining, a byte that is not a
-      valid [bool], or a failed invariant in a caller's codec. *)
+      length prefix exceeding the bytes remaining, a non-canonical field
+      (a [bool] byte above 1, a set bitmap padding bit), or a failed
+      invariant in a record's codec. *)
 
   val of_bytes : ?pos:int -> ?len:int -> bytes -> t
   (** A reader over [b[pos .. pos+len)] (default: the whole buffer).
       Raises [Invalid_argument] on an out-of-range slice. *)
-
-  val pos : t -> int
-  (** Absolute offset of the next byte in the underlying buffer. *)
-
-  val remaining : t -> int
 
   val u8 : t -> int
   val u32 : t -> int
@@ -95,20 +80,90 @@ module Reader : sig
   (** Raises {!Corrupt} unless the 8 bytes are the sign extension of an
       OCaml int, i.e. what {!Writer.int} writes. *)
 
-  val bool : t -> bool
-  val float : t -> float
-
-  val raw : t -> int -> bytes
-  (** [raw r n] reads exactly [n] bytes. *)
-
-  val bytes_field : t -> bytes
-  val bitmap : t -> Bitmap.t
-  val option : t -> (t -> 'a) -> 'a option
-  val list : t -> (t -> 'a) -> 'a list
-  val int_array : t -> int array
-  val bool_array : t -> bool array
-
   val check : bool -> unit
   (** [check cond] raises {!Corrupt} unless [cond] — for codec-level
-      invariants (array lengths, value ranges) beyond raw framing. *)
+      invariants beyond raw framing. *)
+end
+
+(** {1 Codecs}
+
+    A codec pairs a writer with the reader that inverts it. The
+    combinators below are the ones durable records share; a record's
+    codec is built from them once, and its reader validates as it goes
+    (ranges, lengths, ordering, constructor checks). *)
+module Codec : sig
+  type 'a t = { write : Writer.t -> 'a -> unit; read : Reader.t -> 'a }
+
+  val where : ('a -> bool) -> 'a t -> 'a t
+  (** The same bytes; the reader raises {!Reader.Corrupt} on a decoded
+      value the predicate refuses. *)
+
+  val int : int t
+  val nat : int t
+  (** An [int], refused when negative. *)
+
+  val index : int -> int t
+  (** [index n]: an [int] in [\[0, n)]. *)
+
+  val bool : bool t
+  (** One byte, 0 or 1. *)
+
+  val float : float t
+  (** IEEE-754 bits, 8 bytes little-endian. *)
+
+  val bitmap : width:int -> Bitmap.t t
+  (** u32 width + packed bits ({!Bitmap.to_bytes}); refused unless the
+      width is [width] and every padding bit past it is clear. *)
+
+  val option : 'a t -> 'a option t
+  (** A [bool] presence flag, then the value. *)
+
+  val list : 'a t -> 'a list t
+  (** u32 count + elements in order. The count is checked against the
+      bytes remaining before anything is read, which is sound because every
+      element codec here consumes at least one byte. *)
+
+  val ascending : ('a -> int) -> 'a t -> 'a list t
+  (** {!list} whose keys must be strictly ascending: the form of a set or
+      a map, so a duplicate or reordered entry is refused rather than
+      merged. *)
+
+  val array : len:int -> 'a t -> 'a array t
+  (** u32 count + elements in order; the count must equal [len]. *)
+
+  val enum : 'a array -> 'a t
+  (** A u8 index into [values], which must be constant constructors
+      (compared with [==]). *)
+
+  type 'a case
+
+  val case : 'b t -> ('b -> 'a) -> ('a -> 'b option) -> 'a case
+  (** [case payload inj proj]: the constructor [proj] recognises, carrying
+      [payload]. *)
+
+  val variant : 'a case list -> 'a t
+  (** A u8 tag, the position of the first case whose [proj] accepts the
+      value, then that case's payload. *)
+
+  (** {2 Records}
+
+      [let+ a = field get_a ca and+ b = field get_b cb in make a b] writes
+      and reads the fields in order and builds the value with [make]. An
+      [Invalid_argument] from [make] (a constructor's validation) is
+      raised as {!Reader.Corrupt}. *)
+
+  type ('r, 'a) fields
+
+  val field : ('r -> 'a) -> 'a t -> ('r, 'a) fields
+  val ( and+ ) : ('r, 'a) fields -> ('r, 'b) fields -> ('r, 'a * 'b) fields
+  val ( let+ ) : ('r, 'a) fields -> ('a -> 'r) -> 'r t
+
+  val pair : 'a t -> 'b t -> ('a * 'b) t
+
+  val to_bytes : (Writer.t -> 'a -> unit) -> 'a -> bytes
+  (** The bytes one write produces. *)
+
+  val of_bytes : ?pos:int -> ?len:int -> (Reader.t -> 'a) -> bytes -> 'a
+  (** One read over [b[pos .. pos+len)], which must consume the slice
+      exactly: leftover bytes raise {!Reader.Corrupt}. *)
 end

@@ -53,6 +53,60 @@ type group_state = {
          flows whose ECMP choice traverses a failed switch get one *)
 }
 
+(* {1 Durable forms}
+
+   The codecs of a group's checkpoint segment and its parts; the
+   checkpoint itself is written and read at the end of this file. *)
+
+(* A group's installed overrides, ascending by sender host. *)
+let sorted_overrides st =
+  Hashtbl.fold (fun host ov acc -> (host, ov) :: acc) st.applied []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+let role_codec = Byteio.Codec.enum [| Sender; Receiver; Both |]
+
+let site_codec ~topo =
+  let open Byteio.Codec in
+  variant
+    [
+      case
+        (index (Topology.num_leaves topo))
+        (fun l -> Srule_state.Leaf l)
+        (function Srule_state.Leaf l -> Some l | Srule_state.Pod _ -> None);
+      case (index topo.Topology.pods)
+        (fun p -> Srule_state.Pod p)
+        (function Srule_state.Pod p -> Some p | Srule_state.Leaf _ -> None);
+    ]
+
+let override_codec ~topo =
+  let open Byteio.Codec in
+  let+ up_leaf_ports =
+    field
+      (fun ov -> ov.up_leaf_ports)
+      (bitmap ~width:(Topology.leaf_upstream_width topo))
+  and+ up_spine_ports =
+    field
+      (fun ov -> ov.up_spine_ports)
+      (option (bitmap ~width:(Topology.spine_upstream_width topo)))
+  and+ unicast = field (fun ov -> ov.unicast) bool in
+  { up_leaf_ports; up_spine_ports; unicast }
+
+(* One group's segment: its gid, members, encoding and overrides. *)
+let group_codec ~topo =
+  let open Byteio.Codec in
+  let host = index (Topology.num_hosts topo) in
+  let+ gid = field fst nat
+  and+ members = field (fun (_, st) -> st.members) (list (pair host role_codec))
+  and+ enc = field (fun (_, st) -> st.enc) (option (Encoding.codec topo))
+  and+ overrides =
+    field
+      (fun (_, st) -> sorted_overrides st)
+      (ascending fst (pair host (override_codec ~topo)))
+  in
+  let applied = Hashtbl.create (max 1 (List.length overrides)) in
+  List.iter (fun (h, ov) -> Hashtbl.replace applied h ov) overrides;
+  (gid, { members; enc; applied })
+
 type churn_stats = { fast_path : int; reencoded : int }
 
 type install_stats = {
@@ -111,6 +165,7 @@ type t = {
   segments : (int, bytes) Hashtbl.t;
       (* [write_snapshot]'s bytes of every group unchanged since they were
          last written; [mark_dirty] evicts from both memos *)
+  segment_codec : (int * group_state) Byteio.Codec.t;
 }
 
 let create ?fabric_hooks ?clock ?(incremental = true) topo params =
@@ -148,6 +203,7 @@ let create ?fabric_hooks ?clock ?(incremental = true) topo params =
     generation = ref 0;
     views = Hashtbl.create 1024;
     segments = Hashtbl.create 1024;
+    segment_codec = group_codec ~topo;
   }
 
 let topology t = t.topo
@@ -1223,11 +1279,6 @@ let recover_core t c =
    counter, which [mark_dirty] bumps, so a view read after a mutation is
    refused instead of seeing half-old, half-new state. *)
 
-(* A group's installed overrides, ascending by sender host. *)
-let sorted_overrides st =
-  Hashtbl.fold (fun host ov acc -> (host, ov) :: acc) st.applied []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
 let group_view t gid st =
   match Hashtbl.find_opt t.views gid with
   | Some v -> v
@@ -1260,7 +1311,7 @@ let installed_config t =
 
    A checkpoint is the byte-level form of everything recovery needs to
    continue bit-identically: membership, encodings (with their bitmap
-   aliasing preserved — see {!Encoding.write}), installed overrides, the
+   aliasing preserved — see {!Encoding.codec}), installed overrides, the
    s-rule ledger, health/denial state, stale markers and the counter
    block. [write_snapshot] writes it straight from the live controller;
    each group's segment is memoized until [mark_dirty] evicts it, so a
@@ -1275,7 +1326,9 @@ let installed_config t =
    [read_snapshot] is a hostile-input boundary: every switch id, bitmap
    width, array length, and stale key is validated against the topology
    decoded from the same record — in particular the boolean state arrays,
-   which the restored controller indexes by switch. All violations raise
+   which the restored controller indexes by switch. Gids, override hosts
+   and stale keys must be strictly ascending, so a repeated entry cannot
+   shadow or silently replace another. All violations raise
    [Byteio.Reader.Corrupt], which Wire.load turns into fallback to the
    previous good snapshot. *)
 
@@ -1295,54 +1348,15 @@ type snapshot = {
   mutable snap_restored : bool;
 }
 
-let write_role w = function
-  | Sender -> Byteio.Writer.u8 w 0
-  | Receiver -> Byteio.Writer.u8 w 1
-  | Both -> Byteio.Writer.u8 w 2
-
-let read_role r =
-  match Byteio.Reader.u8 r with
-  | 0 -> Sender
-  | 1 -> Receiver
-  | 2 -> Both
-  | _ -> raise Byteio.Reader.Corrupt (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-
-let write_site w = function
-  | Srule_state.Leaf l ->
-      Byteio.Writer.u8 w 0;
-      Byteio.Writer.int w l
-  | Srule_state.Pod p ->
-      Byteio.Writer.u8 w 1;
-      Byteio.Writer.int w p
-
-let read_site ~topo r =
-  match Byteio.Reader.u8 r with
-  | 0 ->
-      let l = Byteio.Reader.int r in
-      Byteio.Reader.check (0 <= l && l < Topology.num_leaves topo);
-      Srule_state.Leaf l
-  | 1 ->
-      let p = Byteio.Reader.int r in
-      Byteio.Reader.check (0 <= p && p < topo.Topology.pods);
-      Srule_state.Pod p
-  | _ -> raise Byteio.Reader.Corrupt (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-
-let write_override w ov =
-  Byteio.Writer.bitmap w ov.up_leaf_ports;
-  Byteio.Writer.option w Byteio.Writer.bitmap ov.up_spine_ports;
-  Byteio.Writer.bool w ov.unicast
-
-let read_override ~topo r =
-  let up_leaf_ports = Byteio.Reader.bitmap r in
-  Byteio.Reader.check
-    (Bitmap.width up_leaf_ports = Topology.leaf_upstream_width topo);
-  let up_spine_ports = Byteio.Reader.option r Byteio.Reader.bitmap in
-  (match up_spine_ports with
-  | Some bm ->
-      Byteio.Reader.check (Bitmap.width bm = Topology.spine_upstream_width topo)
-  | None -> ());
-  let unicast = Byteio.Reader.bool r in
-  { up_leaf_ports; up_spine_ports; unicast }
+(* A stale entry's key is derived state: the reader recomputes it and
+   refuses a stored key that differs. *)
+let stale_codec ~topo =
+  let open Byteio.Codec in
+  let stride = (2 * max (Topology.num_leaves topo) topo.Topology.pods) + 2 in
+  where
+    (fun (key, (group, site)) ->
+      key = (group * stride) + Srule_state.site_key site)
+    (pair int (pair nat (site_codec ~topo)))
 
 (* A group's segment depends on the group alone (an encoding's aliasing
    pool is per encoding), so it is encoded once per change of the group
@@ -1351,117 +1365,71 @@ let segment t gid st =
   match Hashtbl.find_opt t.segments gid with
   | Some b -> b
   | None ->
-      let w = Byteio.Writer.create () in
-      Byteio.Writer.int w gid;
-      Byteio.Writer.list w
-        (fun w (host, role) ->
-          Byteio.Writer.int w host;
-          write_role w role)
-        st.members;
-      Byteio.Writer.option w (fun w enc -> Encoding.write w enc) st.enc;
-      Byteio.Writer.list w
-        (fun w (host, ov) ->
-          Byteio.Writer.int w host;
-          write_override w ov)
-        (sorted_overrides st);
-      let b = Byteio.Writer.to_bytes w in
+      let b = Byteio.Codec.to_bytes t.segment_codec.write (gid, st) in
       Hashtbl.replace t.segments gid b;
       b
 
+let flags_codec n = Byteio.Codec.(array ~len:n bool)
+
 let write_snapshot w t =
-  Topology.write w t.topo;
-  Params.write w t.params;
-  Byteio.Writer.bool w t.incremental;
+  let open Byteio.Codec in
+  let topo = t.topo in
+  let blit_segments =
+    {
+      t.segment_codec with
+      write = (fun w (gid, st) -> Byteio.Writer.raw w (segment t gid st));
+    }
+  in
+  Topology.codec.write w topo;
+  Params.codec.write w t.params;
+  bool.write w t.incremental;
   Hashtbl.fold (fun gid st acc -> (gid, st) :: acc) t.groups []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> Byteio.Writer.list w (fun w (gid, st) ->
-         Byteio.Writer.raw w (segment t gid st));
-  Srule_state.write w t.srules;
+  |> (list blit_segments).write w;
+  (Srule_state.codec ~topo).write w t.srules;
   let c = t.counters in
-  Byteio.Writer.int w c.fast_hits;
-  Byteio.Writer.int w c.reencodes;
-  Byteio.Writer.bool_array w t.spine_ok;
-  Byteio.Writer.bool_array w t.core_ok;
-  Byteio.Writer.bool_array w t.link_ok;
-  Byteio.Writer.bool_array w t.denied_leaf;
-  Byteio.Writer.bool_array w t.denied_pod;
+  int.write w c.fast_hits;
+  int.write w c.reencodes;
+  let flags a = (flags_codec (Array.length a)).write w a in
+  flags t.spine_ok;
+  flags t.core_ok;
+  flags t.link_ok;
+  flags t.denied_leaf;
+  flags t.denied_pod;
   Hashtbl.fold (fun key e acc -> (key, e) :: acc) t.stale []
   |> List.sort (fun (k1, _) (k2, _) -> Int.compare k1 k2)
-  |> Byteio.Writer.list w (fun w (key, (group, site)) ->
-         Byteio.Writer.int w key;
-         Byteio.Writer.int w group;
-         write_site w site);
-  Byteio.Writer.int w c.install_attempts;
-  Byteio.Writer.int w c.install_retries;
-  Byteio.Writer.int w c.install_exhausted;
-  Byteio.Writer.int w c.degraded;
-  Byteio.Writer.int w c.compensated
+  |> (list (stale_codec ~topo)).write w;
+  int.write w c.install_attempts;
+  int.write w c.install_retries;
+  int.write w c.install_exhausted;
+  int.write w c.degraded;
+  int.write w c.compensated
 
 let snapshot_topology snap = snap.snap_topo
 
 let read_snapshot r =
-  let topo = Topology.read r in
-  let params = Params.read r in
-  let incremental = Byteio.Reader.bool r in
-  let host rd =
-    let h = Byteio.Reader.int rd in
-    Byteio.Reader.check (0 <= h && h < Topology.num_hosts topo);
-    h
-  in
-  let groups =
-    Byteio.Reader.list r (fun rd ->
-        let gid = Byteio.Reader.int rd in
-        Byteio.Reader.check (gid >= 0);
-        let members =
-          Byteio.Reader.list rd (fun rd ->
-              let h = host rd in
-              let role = read_role rd in
-              (h, role))
-        in
-        let enc = Byteio.Reader.option rd (fun rd -> Encoding.read topo rd) in
-        let overrides =
-          Byteio.Reader.list rd (fun rd ->
-              let h = host rd in
-              let ov = read_override ~topo rd in
-              (h, ov))
-        in
-        let applied = Hashtbl.create (max 1 (List.length overrides)) in
-        List.iter (fun (h, ov) -> Hashtbl.replace applied h ov) overrides;
-        (gid, { members; enc; applied }))
-  in
-  let srules = Srule_state.read ~topo r in
-  let fast_hits = Byteio.Reader.int r in
-  let reencodes = Byteio.Reader.int r in
-  let barray expect rd =
-    let a = Byteio.Reader.bool_array rd in
-    Byteio.Reader.check (Array.length a = expect);
-    a
-  in
-  let spine_ok = barray (Topology.num_spines topo) r in
-  let core_ok = barray (max 1 (Topology.num_cores topo)) r in
+  let open Byteio.Codec in
+  let topo = Topology.codec.read r in
+  let params = Params.codec.read r in
+  let incremental = bool.read r in
+  let groups = (ascending fst (group_codec ~topo)).read r in
+  let srules = (Srule_state.codec ~topo).read r in
+  let fast_hits = int.read r in
+  let reencodes = int.read r in
+  let flags n = (flags_codec n).read r in
+  let spine_ok = flags (Topology.num_spines topo) in
+  let core_ok = flags (max 1 (Topology.num_cores topo)) in
   let link_ok =
-    barray (Topology.num_leaves topo * topo.Topology.spines_per_pod) r
+    flags (Topology.num_leaves topo * topo.Topology.spines_per_pod)
   in
-  let denied_leaf = barray (Topology.num_leaves topo) r in
-  let denied_pod = barray topo.Topology.pods r in
-  let stale_stride = (2 * max (Topology.num_leaves topo) topo.Topology.pods) + 2 in
-  let stale =
-    Byteio.Reader.list r (fun rd ->
-        let key = Byteio.Reader.int rd in
-        let group = Byteio.Reader.int rd in
-        Byteio.Reader.check (group >= 0);
-        let site = read_site ~topo rd in
-        (* The key is derived state; recompute and compare rather than
-           trusting the stored value. *)
-        Byteio.Reader.check
-          (key = (group * stale_stride) + Srule_state.site_key site);
-        (key, (group, site)))
-  in
-  let install_attempts = Byteio.Reader.int r in
-  let install_retries = Byteio.Reader.int r in
-  let install_exhausted = Byteio.Reader.int r in
-  let degraded = Byteio.Reader.int r in
-  let compensated = Byteio.Reader.int r in
+  let denied_leaf = flags (Topology.num_leaves topo) in
+  let denied_pod = flags topo.Topology.pods in
+  let stale = (ascending fst (stale_codec ~topo)).read r in
+  let install_attempts = int.read r in
+  let install_retries = int.read r in
+  let install_exhausted = int.read r in
+  let degraded = int.read r in
+  let compensated = int.read r in
   {
     snap_topo = topo;
     snap_params = params;

@@ -17,6 +17,10 @@ val log_src : Logs.src
 
 type role = Sender | Receiver | Both
 
+val role_codec : role Byteio.Codec.t
+(** The one durable form of a role (a u8: 0, 1, 2), shared by checkpoint
+    and journal records. *)
+
 type updates = {
   hypervisors : int list;  (** hosts whose hypervisor flow rules changed *)
   leaves : int list;  (** leaf switches with group-table (s-rule) changes *)
@@ -275,7 +279,7 @@ val installed_config : t -> Installed_config.t
 val write_snapshot : Byteio.Writer.t -> t -> unit
 (** The controller's checkpoint bytes, for the crash-safe wire format
     ([lib/fault]'s [Wire]). Encoding aliasing graphs are preserved (see
-    {!Encoding.write}), so a checkpoint restores bit-identically. Each
+    {!Encoding.codec}), so a checkpoint restores bit-identically. Each
     group's segment is encoded once and memoized until a mutation marks
     the group dirty, so a checkpoint encodes only the groups changed since
     the previous one, plus the s-rule ledger, health, denial and
@@ -287,8 +291,10 @@ type snapshot
 val read_snapshot : Byteio.Reader.t -> snapshot
 (** Inverse of {!write_snapshot}. A hostile-input boundary: every switch
     id, bitmap width, array length, and stale key is validated against the
-    topology decoded from the same record; raises {!Byteio.Reader.Corrupt}
-    on any violation (never a partial or silently wrong snapshot). *)
+    topology decoded from the same record, and only canonical bytes decode
+    (gids, override hosts and stale keys strictly ascending, bitmap padding
+    clear); raises {!Byteio.Reader.Corrupt} on any violation (never a
+    partial or silently wrong snapshot). *)
 
 val snapshot_topology : snapshot -> Topology.t
 (** The topology captured in the snapshot — what journal-op payloads

@@ -7,7 +7,7 @@ type t = {
   d_leaf : Clustering.result;
   mutable stale : int;
   (* Fast-path leaf index, built by every from-scratch encode (and by
-     [read]): O(1) per-leaf dispatch with no list scans and no option
+     the codec's reader): O(1) per-leaf dispatch with no list scans and no option
      allocation. [idx_kind] holds one dispatch byte per leaf; the arrays
      hold the leaf's exact tree bitmap, its p-rule (when in one), and the
      site bitmap to mutate. Absent slots carry the shared dummies. *)
@@ -633,146 +633,109 @@ let prule_count t =
    exact bitmaps and rule bitmaps (singleton p-rules and s-rules alias the
    tree's leaf bitmaps), so the serialized form carries the aliasing graph
    explicitly. Each distinct bitmap object is written inline exactly once,
-   at its first occurrence, and every later occurrence is a
-   back-reference into the pool of bitmaps written so far ([==]-keyed on
-   the write side, index-keyed on the read side). Reading therefore reconstructs the exact object graph, which is
-   what makes a restored encoding bit-identical — predicate-pointer-
-   identical under lib/verify — to the never-crashed original. *)
+   at its first occurrence, and every later occurrence is a back-reference
+   into the pool of bitmaps seen so far ([==]-keyed when writing,
+   index-keyed when reading). Reading therefore reconstructs the exact
+   object graph, which is what makes a restored encoding bit-identical —
+   predicate-pointer-identical under lib/verify — to the never-crashed
+   original. *)
 
-let write_bm pool w bm =
-  let rec find i = function
-    | [] -> -1
-    | o :: _ when o == bm -> i
-    | _ :: rest -> find (i + 1) rest
-  in
-  (* The pool list is newest-first; stored indices count from the oldest so
-     both sides agree without reversing. *)
-  match find 0 !pool with
-  | -1 ->
-      pool := bm :: !pool;
-      Byteio.Writer.u8 w 0;
-      Byteio.Writer.bitmap w bm
-  | i ->
-      Byteio.Writer.u8 w 1;
-      Byteio.Writer.u32 w (List.length !pool - 1 - i)
+(* Newest first; an index counts from the oldest, so both sides agree
+   without reversing. The pool holds one encoding's bitmaps at a time. *)
+type pool = { mutable seen : Bitmap.t list; mutable size : int }
 
-let read_bm pool ~width r =
-  match Byteio.Reader.u8 r with
-  | 0 ->
-      let bm = Byteio.Reader.bitmap r in
-      Byteio.Reader.check (Bitmap.width bm = width);
-      pool := bm :: !pool;
-      bm
-  | 1 ->
-      let n = List.length !pool in
-      let idx = Byteio.Reader.u32 r in
-      Byteio.Reader.check (idx < n);
-      let bm = List.nth !pool (n - 1 - idx) in
-      Byteio.Reader.check (Bitmap.width bm = width);
-      bm
-  | _ -> raise Byteio.Reader.Corrupt (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
+let pooled pool ~width =
+  let inline = Byteio.Codec.bitmap ~width in
+  let add bm =
+    pool.seen <- bm :: pool.seen;
+    pool.size <- pool.size + 1
+  in
+  {
+    Byteio.Codec.write =
+      (fun w bm ->
+        let rec find i = function
+          | [] -> -1
+          | o :: _ when o == bm -> i
+          | _ :: rest -> find (i + 1) rest
+        in
+        match find 0 pool.seen with
+        | -1 ->
+            add bm;
+            Byteio.Writer.u8 w 0;
+            inline.write w bm
+        | i ->
+            Byteio.Writer.u8 w 1;
+            Byteio.Writer.u32 w (pool.size - 1 - i));
+    read =
+      (fun r ->
+        match Byteio.Reader.u8 r with
+        | 0 ->
+            let bm = inline.read r in
+            add bm;
+            bm
+        | 1 ->
+            let idx = Byteio.Reader.u32 r in
+            Byteio.Reader.check (idx < pool.size);
+            let bm = List.nth pool.seen (pool.size - 1 - idx) in
+            Byteio.Reader.check (Bitmap.width bm = width);
+            bm
+        | _ -> raise Byteio.Reader.Corrupt);
+  }
 
-let write_result pool w (res : Clustering.result) =
-  Byteio.Writer.list w
-    (fun w (r : Prule.prule) ->
-      write_bm pool w r.Prule.bitmap;
-      Byteio.Writer.list w Byteio.Writer.int r.Prule.switches)
-    res.Clustering.prules;
-  Byteio.Writer.list w
-    (fun w (id, bm) ->
-      Byteio.Writer.int w id;
-      write_bm pool w bm)
-    res.Clustering.srules;
-  Byteio.Writer.option w
-    (fun w (ids, bm) ->
-      Byteio.Writer.list w Byteio.Writer.int ids;
-      write_bm pool w bm)
-    res.Clustering.default
-
-let read_result pool ~width ~nswitches r =
-  let switch_id rd =
-    let id = Byteio.Reader.int rd in
-    Byteio.Reader.check (0 <= id && id < nswitches);
-    id
+let result_codec ~bm ~nswitches =
+  let open Byteio.Codec in
+  let id = index nswitches in
+  let prule =
+    let+ bitmap = field (fun (r : Prule.prule) -> r.bitmap) bm
+    and+ switches = field (fun (r : Prule.prule) -> r.switches) (list id) in
+    { Prule.bitmap; switches }
   in
-  let prules =
-    Byteio.Reader.list r (fun rd ->
-        let bitmap = read_bm pool ~width rd in
-        let switches = Byteio.Reader.list rd switch_id in
-        { Prule.bitmap; switches })
-  in
-  let srules =
-    Byteio.Reader.list r (fun rd ->
-        let id = switch_id rd in
-        let bm = read_bm pool ~width rd in
-        (id, bm))
-  in
-  let default =
-    Byteio.Reader.option r (fun rd ->
-        let ids = Byteio.Reader.list rd switch_id in
-        let bm = read_bm pool ~width rd in
-        (ids, bm))
+  let+ prules = field (fun (res : Clustering.result) -> res.prules) (list prule)
+  and+ srules =
+    field (fun (res : Clustering.result) -> res.srules) (list (pair id bm))
+  and+ default =
+    field
+      (fun (res : Clustering.result) -> res.default)
+      (option (pair (list id) bm))
   in
   { Clustering.prules; srules; default }
 
-let write w t =
-  let pool = ref [] in
-  let tree = t.tree in
-  Params.write w t.params;
-  Byteio.Writer.list w
-    (fun w (l, bm) ->
-      Byteio.Writer.int w l;
-      write_bm pool w bm)
-    tree.Tree.leaf_bitmaps;
-  Byteio.Writer.list w
-    (fun w (p, bm) ->
-      Byteio.Writer.int w p;
-      write_bm pool w bm)
-    tree.Tree.spine_bitmaps;
-  write_bm pool w tree.Tree.core_bitmap;
-  Byteio.Writer.list w Byteio.Writer.int (Tree.member_list tree);
-  write_result pool w t.d_spine;
-  write_result pool w t.d_leaf;
-  Byteio.Writer.int w t.stale
-
-let read topo r =
-  let pool = ref [] in
-  let params = Params.read r in
-  let site ~count rd =
-    let id = Byteio.Reader.int rd in
-    Byteio.Reader.check (0 <= id && id < count);
-    id
-  in
+(* The structural invariants of [Tree.t] hold on every decoded value:
+   leaf and spine sections and members strictly ascending, no empty
+   tree. *)
+let codec_with pool topo =
+  let open Byteio.Codec in
   let leaf_width = Topology.leaf_downstream_width topo in
-  let spine_width = Topology.spine_downstream_width topo in
-  let leaf_bitmaps =
-    Byteio.Reader.list r (fun rd ->
-        let l = site ~count:(Topology.num_leaves topo) rd in
-        let bm = read_bm pool ~width:leaf_width rd in
-        (l, bm))
-  in
-  let spine_bitmaps =
-    Byteio.Reader.list r (fun rd ->
-        let p = site ~count:topo.Topology.pods rd in
-        let bm = read_bm pool ~width:spine_width rd in
-        (p, bm))
-  in
-  let core_bitmap = read_bm pool ~width:topo.Topology.pods r in
-  let members =
-    Byteio.Reader.list r (fun rd -> site ~count:(Topology.num_hosts topo) rd)
-  in
-  (* Structural invariants of Tree.t: ids strictly ascending (leaf/spine
-     sections and the sorted members prefix), no empty tree. *)
-  let rec ascending = function
-    | a :: (b :: _ as rest) ->
-        if a < b then ascending rest else raise Byteio.Reader.Corrupt (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-    | _ -> ()
-  in
-  ascending (List.map fst leaf_bitmaps);
-  ascending (List.map fst spine_bitmaps);
-  ascending members;
-  Byteio.Reader.check (match members with [] -> false | _ :: _ -> true);
-  Byteio.Reader.check (match leaf_bitmaps with [] -> false | _ :: _ -> true);
+  let leaf_bm = pooled pool ~width:leaf_width in
+  let spine_bm = pooled pool ~width:(Topology.spine_downstream_width topo) in
+  let nonempty = function [] -> false | _ :: _ -> true in
+  let+ params = field (fun t -> t.params) Params.codec
+  and+ leaf_bitmaps =
+    field
+      (fun t -> t.tree.Tree.leaf_bitmaps)
+      (where nonempty
+         (ascending fst (pair (index (Topology.num_leaves topo)) leaf_bm)))
+  and+ spine_bitmaps =
+    field
+      (fun t -> t.tree.Tree.spine_bitmaps)
+      (ascending fst (pair (index topo.Topology.pods) spine_bm))
+  and+ core_bitmap =
+    field
+      (fun t -> t.tree.Tree.core_bitmap)
+      (pooled pool ~width:topo.Topology.pods)
+  and+ members =
+    field
+      (fun t -> Tree.member_list t.tree)
+      (where nonempty (ascending Fun.id (index (Topology.num_hosts topo))))
+  and+ d_spine =
+    field
+      (fun t -> t.d_spine)
+      (result_codec ~bm:spine_bm ~nswitches:topo.Topology.pods)
+  and+ d_leaf =
+    field
+      (fun t -> t.d_leaf)
+      (result_codec ~bm:leaf_bm ~nswitches:(Topology.num_leaves topo))
+  and+ stale = field (fun t -> t.stale) nat in
   let tree =
     {
       Tree.topo;
@@ -783,16 +746,7 @@ let read topo r =
       core_bitmap;
     }
   in
-  let d_spine =
-    read_result pool ~width:spine_width ~nswitches:topo.Topology.pods r
-  in
-  let d_leaf =
-    read_result pool ~width:leaf_width ~nswitches:(Topology.num_leaves topo) r
-  in
-  let stale = Byteio.Reader.int r in
-  Byteio.Reader.check (stale >= 0);
   let idx_kind, idx_exact, idx_rule, idx_site_bm = build_index d_leaf tree in
-  let scratch_width = leaf_width in
   {
     tree;
     params;
@@ -803,9 +757,32 @@ let read topo r =
     idx_exact;
     idx_rule;
     idx_site_bm;
-    scratch_a = Bitmap.create scratch_width;
-    scratch_b = Bitmap.create scratch_width;
+    scratch_a = Bitmap.create leaf_width;
+    scratch_b = Bitmap.create leaf_width;
     down = None;
     down_stale = false;
     upper = None;
+  }
+
+(* The pool is emptied before and after each use, so a codec value can
+   be built once and reused without holding on to bitmaps. *)
+let codec topo =
+  let pool = { seen = []; size = 0 } in
+  let body = codec_with pool topo in
+  let clear () =
+    pool.seen <- [];
+    pool.size <- 0
+  in
+  {
+    Byteio.Codec.write =
+      (fun w t ->
+        clear ();
+        body.write w t;
+        clear ());
+    read =
+      (fun r ->
+        clear ();
+        let t = body.read r in
+        clear ();
+        t);
   }

@@ -35,8 +35,8 @@ type t = {
 }
 (** The [idx_*] arrays and scratch bitmaps are internal to the
     {!apply_delta} fast path: a flat per-leaf index (rebuilt by every
-    from-scratch encode and by {!read}) that makes steady-state delta
-    application allocation-free — no list scans, no option wrapping, no
+    from-scratch encode and by {!codec}'s reader) that makes steady-state
+    delta application allocation-free — no list scans, no option wrapping, no
     fresh bitmaps. [down], [down_stale] and [upper] are
     {!header_for_sender}'s caches. Treat them all as private. *)
 
@@ -157,8 +157,8 @@ val header_for_sender : t -> sender:int -> Prule.header
     no caller mutates a header's bitmaps.
     - The downstream sections are one {!Prule.down} per encoding version,
       shared [==] by every sender's header: the first call after
-      {!encode}, {!apply_delta} or {!read} builds it (and encodes its
-      wire), from copies of the rule bitmaps, so the fast path's in-place
+      {!encode}, {!apply_delta} or {!codec}'s reader builds it (and encodes
+      its wire), from copies of the rule bitmaps, so the fast path's in-place
       flips never reach a down a header already carries. A rule the fast
       path left unchanged keeps the previous down's copy: no down's copy
       is ever mutated, so two downs may share it.
@@ -200,17 +200,16 @@ val srule_entries : t -> int
 val prule_count : t -> int
 (** Downstream p-rules in the header (both layers, excluding defaults). *)
 
-val write : Byteio.Writer.t -> t -> unit
+val codec : Topology.t -> t Byteio.Codec.t
 (** Durable wire codec. Each distinct bitmap object is written inline once
     and back-referenced thereafter, so the serialized form carries the
-    encoding's aliasing graph and {!read} reconstructs the exact object
+    encoding's aliasing graph and the reader reconstructs the exact object
     structure (which is what makes a restored controller
     predicate-pointer-identical to the original). A write/read round trip
-    is also how a caller takes a private deep copy of an encoding. *)
+    is also how a caller takes a private deep copy of an encoding.
 
-val read : Topology.t -> Byteio.Reader.t -> t
-(** Inverse of {!write}. Validates every switch id, bitmap width, and
-    structural invariant (ascending tree sections, sorted members, stale
-    count) against the topology; raises {!Byteio.Reader.Corrupt} on any
-    malformed or hostile input. Rebuilds the fast-path leaf index and fresh
-    scratch bitmaps. *)
+    The reader validates every switch id, bitmap width, and structural
+    invariant (ascending tree sections, sorted members, stale count)
+    against the topology; it raises {!Byteio.Reader.Corrupt} on any
+    malformed or hostile input. It rebuilds the fast-path leaf index and
+    fresh scratch bitmaps. *)

@@ -26,7 +26,7 @@
     dirty). Treat views as read-only — altering an encoding reached through
     a view alters the controller's installed state. A test that sabotages
     a view takes a private copy of the encoding first (a round trip through
-    {!Encoding.write} and {!Encoding.read}). *)
+    {!Encoding.codec}). *)
 
 type override = {
   up_leaf_ports : Bitmap.t;  (** planes the sender's leaf forwards up on *)

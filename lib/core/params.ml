@@ -40,40 +40,20 @@ let with_r t r = { t with r = (if r < 0 then invalid_arg "Params.with_r" else r)
 (* Durable wire codec: reconstruction goes back through [create] so every
    persisted value re-passes the same validation as a fresh one; a shape
    [create] rejects marks the containing record as corrupt. *)
-let write w t =
-  Byteio.Writer.int w t.r;
-  Byteio.Writer.u8 w (match t.r_semantics with Sum -> 0 | Per_bitmap -> 1);
-  Byteio.Writer.int w t.hmax_leaf;
-  Byteio.Writer.int w t.hmax_spine;
-  Byteio.Writer.option w Byteio.Writer.int t.header_budget;
-  Byteio.Writer.int w t.kmax;
-  Byteio.Writer.int w t.fmax;
-  Byteio.Writer.int w t.staleness_limit;
-  Byteio.Writer.int w t.install_retries;
-  Byteio.Writer.int w t.install_backoff_us
-
-let read r =
-  let red = Byteio.Reader.int r in
-  let r_semantics =
-    match Byteio.Reader.u8 r with
-    | 0 -> Sum
-    | 1 -> Per_bitmap
-    | _ -> raise Byteio.Reader.Corrupt
-  in
-  let hmax_leaf = Byteio.Reader.int r in
-  let hmax_spine = Byteio.Reader.int r in
-  let header_budget = Byteio.Reader.option r Byteio.Reader.int in
-  let kmax = Byteio.Reader.int r in
-  let fmax = Byteio.Reader.int r in
-  let staleness_limit = Byteio.Reader.int r in
-  let install_retries = Byteio.Reader.int r in
-  let install_backoff_us = Byteio.Reader.int r in
-  match
-    create ~r:red ~r_semantics ~hmax_leaf ~hmax_spine ~header_budget ~kmax
-      ~fmax ~staleness_limit ~install_retries ~install_backoff_us ()
-  with
-  | t -> t
-  | exception Invalid_argument _ -> raise Byteio.Reader.Corrupt
+let codec =
+  let open Byteio.Codec in
+  let+ r = field (fun t -> t.r) int
+  and+ r_semantics = field (fun t -> t.r_semantics) (enum [| Sum; Per_bitmap |])
+  and+ hmax_leaf = field (fun t -> t.hmax_leaf) int
+  and+ hmax_spine = field (fun t -> t.hmax_spine) int
+  and+ header_budget = field (fun t -> t.header_budget) (option int)
+  and+ kmax = field (fun t -> t.kmax) int
+  and+ fmax = field (fun t -> t.fmax) int
+  and+ staleness_limit = field (fun t -> t.staleness_limit) int
+  and+ install_retries = field (fun t -> t.install_retries) int
+  and+ install_backoff_us = field (fun t -> t.install_backoff_us) int in
+  create ~r ~r_semantics ~hmax_leaf ~hmax_spine ~header_budget ~kmax ~fmax
+    ~staleness_limit ~install_retries ~install_backoff_us ()
 
 let pp ppf t =
   Format.fprintf ppf "R=%d(%s) Hmax=(leaf %d, spine %d%s) Kmax=%d Fmax=%d" t.r

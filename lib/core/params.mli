@@ -65,11 +65,9 @@ val create :
     [install_retries] or non-positive [hmax_leaf]/[hmax_spine]/[kmax]/
     [install_backoff_us]. *)
 
-val write : Byteio.Writer.t -> t -> unit
-(** Durable wire codec (snapshot records). *)
-
-val read : Byteio.Reader.t -> t
-(** Inverse of {!write}; re-validates through {!create} and raises
-    {!Byteio.Reader.Corrupt} on malformed or semantically invalid input. *)
+val codec : t Byteio.Codec.t
+(** Durable wire codec (snapshot records). The reader re-validates
+    through {!create} and raises {!Byteio.Reader.Corrupt} on malformed or
+    semantically invalid input. *)
 
 val pp : Format.formatter -> t -> unit

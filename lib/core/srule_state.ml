@@ -66,21 +66,15 @@ let check t =
   ok t.leaf_used && ok t.pod_used
 
 (* Durable wire codec: the occupancy arrays are dimensioned by the
-   topology, so [read] takes the already-decoded topology and validates the
-   persisted array lengths against it — a short corrupt array must not
-   silently partial-restore. *)
-let write w t =
-  Byteio.Writer.int w t.fmax;
-  Byteio.Writer.int_array w t.leaf_used;
-  Byteio.Writer.int_array w t.pod_used
-
-let read ~topo r =
-  let fmax = Byteio.Reader.int r in
-  let leaf_used = Byteio.Reader.int_array r in
-  let pod_used = Byteio.Reader.int_array r in
-  Byteio.Reader.check (fmax >= 0);
-  Byteio.Reader.check (Array.length leaf_used = Topology.num_leaves topo);
-  Byteio.Reader.check (Array.length pod_used = topo.Topology.pods);
-  let t = { topo; fmax; leaf_used; pod_used } in
-  Byteio.Reader.check (check t);
-  t
+   topology, so the reader takes the already-decoded topology and refuses
+   arrays of any other length — a short corrupt array must not silently
+   partial-restore. *)
+let codec ~topo =
+  let open Byteio.Codec in
+  let counters len = array ~len int in
+  where check
+    (let+ fmax = field (fun t -> t.fmax) nat
+     and+ leaf_used =
+       field (fun t -> t.leaf_used) (counters (Topology.num_leaves topo))
+     and+ pod_used = field (fun t -> t.pod_used) (counters topo.Topology.pods) in
+     { topo; fmax; leaf_used; pod_used })

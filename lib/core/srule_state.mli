@@ -57,12 +57,9 @@ val total_srules : t -> int
 
 val check : t -> bool
 (** Invariant: [0 <= used <= fmax] on every leaf and pod counter. Checked
-    on restore ({!read}), by the controller's invariants and in tests. *)
+    on restore ({!codec}), by the controller's invariants and in tests. *)
 
-val write : Byteio.Writer.t -> t -> unit
-(** Durable wire codec (snapshot records). *)
-
-val read : topo:Topology.t -> Byteio.Reader.t -> t
-(** Inverse of {!write}. Validates the persisted array lengths against
-    [topo] and re-checks the occupancy invariant; raises
-    {!Byteio.Reader.Corrupt} on any violation. *)
+val codec : topo:Topology.t -> t Byteio.Codec.t
+(** Durable wire codec (snapshot records). The reader refuses array
+    lengths other than [topo]'s and re-checks the occupancy invariant;
+    it raises {!Byteio.Reader.Corrupt} on any violation. *)

@@ -71,102 +71,50 @@ let admit ctrl op =
   if not (valid_op ~topo:(Controller.topology ctrl) op) then
     invalid_arg "index out of bounds"
 
-(* {1 Durable wire codec} *)
+(* {1 Durable wire codec}
 
-let write_role w = function
-  | Controller.Sender -> Byteio.Writer.u8 w 0
-  | Controller.Receiver -> Byteio.Writer.u8 w 1
-  | Controller.Both -> Byteio.Writer.u8 w 2
+   An op's tag is its constructor's position in [op]: Add_group is 0,
+   Recover_link 9. *)
 
-let read_role r =
-  match Byteio.Reader.u8 r with
-  | 0 -> Controller.Sender
-  | 1 -> Controller.Receiver
-  | 2 -> Controller.Both
-  | _ -> raise Byteio.Reader.Corrupt
+let op_shape =
+  let open Byteio.Codec in
+  let member = pair int Controller.role_codec in
+  let one = case int and two = case (pair int int) in
+  variant
+    [
+      case (pair int (list member))
+        (fun (group, members) -> Add_group { group; members })
+        (function
+          | Add_group { group; members } -> Some (group, members) | _ -> None);
+      one
+        (fun group -> Remove_group { group })
+        (function Remove_group { group } -> Some group | _ -> None);
+      case (pair int member)
+        (fun (group, (host, role)) -> Join { group; host; role })
+        (function
+          | Join { group; host; role } -> Some (group, (host, role))
+          | _ -> None);
+      two
+        (fun (group, host) -> Leave { group; host })
+        (function Leave { group; host } -> Some (group, host) | _ -> None);
+      one (fun s -> Fail_spine s) (function Fail_spine s -> Some s | _ -> None);
+      one
+        (fun s -> Recover_spine s)
+        (function Recover_spine s -> Some s | _ -> None);
+      one (fun c -> Fail_core c) (function Fail_core c -> Some c | _ -> None);
+      one
+        (fun c -> Recover_core c)
+        (function Recover_core c -> Some c | _ -> None);
+      two
+        (fun (leaf, plane) -> Fail_link { leaf; plane })
+        (function Fail_link { leaf; plane } -> Some (leaf, plane) | _ -> None);
+      two
+        (fun (leaf, plane) -> Recover_link { leaf; plane })
+        (function
+          | Recover_link { leaf; plane } -> Some (leaf, plane) | _ -> None);
+    ]
 
-let write_op w op =
-  match op with
-  | Add_group { group; members } ->
-      Byteio.Writer.u8 w 0;
-      Byteio.Writer.int w group;
-      Byteio.Writer.list w
-        (fun w (h, role) ->
-          Byteio.Writer.int w h;
-          write_role w role)
-        members
-  | Remove_group { group } ->
-      Byteio.Writer.u8 w 1;
-      Byteio.Writer.int w group
-  | Join { group; host; role } ->
-      Byteio.Writer.u8 w 2;
-      Byteio.Writer.int w group;
-      Byteio.Writer.int w host;
-      write_role w role
-  | Leave { group; host } ->
-      Byteio.Writer.u8 w 3;
-      Byteio.Writer.int w group;
-      Byteio.Writer.int w host
-  | Fail_spine s ->
-      Byteio.Writer.u8 w 4;
-      Byteio.Writer.int w s
-  | Recover_spine s ->
-      Byteio.Writer.u8 w 5;
-      Byteio.Writer.int w s
-  | Fail_core c ->
-      Byteio.Writer.u8 w 6;
-      Byteio.Writer.int w c
-  | Recover_core c ->
-      Byteio.Writer.u8 w 7;
-      Byteio.Writer.int w c
-  | Fail_link { leaf; plane } ->
-      Byteio.Writer.u8 w 8;
-      Byteio.Writer.int w leaf;
-      Byteio.Writer.int w plane
-  | Recover_link { leaf; plane } ->
-      Byteio.Writer.u8 w 9;
-      Byteio.Writer.int w leaf;
-      Byteio.Writer.int w plane
-
-let read_op ~topo r =
-  let int = Byteio.Reader.int in
-  let op =
-    match Byteio.Reader.u8 r with
-    | 0 ->
-        let group = int r in
-        let members =
-          Byteio.Reader.list r (fun rd ->
-              let h = int rd in
-              let role = read_role rd in
-              (h, role))
-        in
-        Add_group { group; members }
-    | 1 -> Remove_group { group = int r }
-    | 2 ->
-        let group = int r in
-        let host = int r in
-        let role = read_role r in
-        Join { group; host; role }
-    | 3 ->
-        let group = int r in
-        let host = int r in
-        Leave { group; host }
-    | 4 -> Fail_spine (int r)
-    | 5 -> Recover_spine (int r)
-    | 6 -> Fail_core (int r)
-    | 7 -> Recover_core (int r)
-    | 8 ->
-        let leaf = int r in
-        let plane = int r in
-        Fail_link { leaf; plane }
-    | 9 ->
-        let leaf = int r in
-        let plane = int r in
-        Recover_link { leaf; plane }
-    | _ -> raise Byteio.Reader.Corrupt
-  in
-  Byteio.Reader.check (valid_op ~topo op);
-  op
+let op_codec ~topo = Byteio.Codec.where (valid_op ~topo) op_shape
 
 let pp_op ppf = function
   | Add_group { group; members } ->

@@ -31,18 +31,15 @@ val admit : Controller.t -> op -> unit
     its siblings: [Invalid_argument] or [Not_found]), then
     [Invalid_argument "index out of bounds"] when a group, host, switch or
     link id is out of range for the controller's topology (group ids must
-    be non-negative) — the same id check {!read_op} makes. A replica
+    be non-negative) — the same id check {!op_codec}'s reader makes. A replica
     admits every op before its write-ahead append, so an op
     the controller refuses is neither logged nor executed. *)
 
-val write_op : Byteio.Writer.t -> op -> unit
-(** Durable wire codec for one op (the payload of a [Wire] op record). *)
-
-val read_op : topo:Topology.t -> Byteio.Reader.t -> op
-(** Inverse of {!write_op}. Validates the op's ids against [topo] as
-    {!admit} does — replay re-executes controller entry points, which
-    raise on out-of-range arguments, so a flipped bit must surface as
-    {!Byteio.Reader.Corrupt} at load time rather than an exception
-    mid-replay. *)
+val op_codec : topo:Topology.t -> op Byteio.Codec.t
+(** Durable wire codec for one op (the payload of a [Wire] op record). The
+    reader validates the op's ids against [topo] as {!admit} does — replay
+    re-executes controller entry points, which raise on out-of-range
+    arguments, so a flipped bit must surface as {!Byteio.Reader.Corrupt}
+    at load time rather than an exception mid-replay. *)
 
 val pp_op : Format.formatter -> op -> unit

@@ -43,7 +43,7 @@ let apply t op =
   Journal.admit t.ctrl op;
   (* Write-ahead: the op record is durable before execution, so a crash
      mid-execute replays it rather than losing it. *)
-  Wire.append_op t.wire ~epoch:t.epoch op;
+  Wire.append_op t.wire ~epoch:t.epoch ~topo:(Controller.topology t.ctrl) op;
   Option.iter (fun f -> f op) t.observer;
   Journal.apply t.ctrl op;
   t.since_snap <- t.since_snap + 1;

@@ -52,15 +52,13 @@ let append_record t ~kind ~epoch payload =
   t.last_epoch <- epoch;
   t.nrecords <- t.nrecords + 1
 
-let append_op t ~epoch op =
-  let w = Byteio.Writer.create () in
-  Journal.write_op w op;
-  append_record t ~kind:kind_op ~epoch (Byteio.Writer.to_bytes w)
+let append_op t ~epoch ~topo op =
+  append_record t ~kind:kind_op ~epoch
+    (Byteio.Codec.to_bytes (Journal.op_codec ~topo).write op)
 
 let append_snapshot t ~epoch ctrl =
-  let w = Byteio.Writer.create () in
-  Controller.write_snapshot w ctrl;
-  append_record t ~kind:kind_snapshot ~epoch (Byteio.Writer.to_bytes w)
+  append_record t ~kind:kind_snapshot ~epoch
+    (Byteio.Codec.to_bytes Controller.write_snapshot ctrl)
 
 let contents t = Buffer.to_bytes t.buf
 let size t = Buffer.length t.buf
@@ -146,31 +144,19 @@ let scan data =
   done;
   (List.rev !recs, !truncated, !prev_epoch)
 
-let payload_reader data r =
-  Byteio.Reader.of_bytes ~pos:(r.r_off + header_len) ~len:r.r_payload_len data
-
-let decode_snapshot data r =
-  (* Catch-all on purpose: a snapshot payload of hostile bytes must never
-     take recovery down — any decoding exception means "this candidate is
-     corrupt, fall back to the previous one". *)
+let decode read data r =
+  (* Catch-all on purpose: a payload of hostile bytes must never take
+     recovery down — any decoding exception means "this record is
+     corrupt" (a snapshot falls back to the previous one). *)
   match
-    let rd = payload_reader data r in
-    let s = Controller.read_snapshot rd in
-    Byteio.Reader.check (Byteio.Reader.remaining rd = 0);
-    s
+    Byteio.Codec.of_bytes ~pos:(r.r_off + header_len) ~len:r.r_payload_len read
+      data
   with
-  | s -> Some s
+  | v -> Some v
   | exception _ -> None
 
-let decode_op ~topo data r =
-  match
-    let rd = payload_reader data r in
-    let op = Journal.read_op ~topo rd in
-    Byteio.Reader.check (Byteio.Reader.remaining rd = 0);
-    op
-  with
-  | op -> Some op
-  | exception _ -> None
+let decode_snapshot data r = decode Controller.read_snapshot data r
+let decode_op ~topo data r = decode (Journal.op_codec ~topo).read data r
 
 let load data =
   if

@@ -37,9 +37,10 @@ type t
 val create : unit -> t
 (** An empty log: magic only, next seq 0. *)
 
-val append_op : t -> epoch:int -> Journal.op -> unit
+val append_op : t -> epoch:int -> topo:Topology.t -> Journal.op -> unit
 val append_snapshot : t -> epoch:int -> Controller.t -> unit
-(** Append one record; a snapshot record holds the controller's
+(** Append one record; an op record holds the op as
+    [Journal.op_codec ~topo] writes it, a snapshot record the controller's
     checkpoint as {!Controller.write_snapshot} writes it. Epochs must be
     non-decreasing across appends and [0 <= epoch < 2^32]; raises
     [Invalid_argument] otherwise. *)

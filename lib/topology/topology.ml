@@ -109,32 +109,21 @@ let bits_needed n = if n <= 1 then 1 else bits_needed_loop n 1 2
 let leaf_id_bits t = bits_needed (num_leaves t)
 let spine_id_bits t = bits_needed t.pods
 
-(* Durable wire codec. [read] funnels both framing errors and semantic
-   violations (a shape [create] would reject) into Byteio.Reader.Corrupt so
-   Wire.load can treat the record as torn. *)
-let write w t =
-  Byteio.Writer.int w t.pods;
-  Byteio.Writer.int w t.leaves_per_pod;
-  Byteio.Writer.int w t.spines_per_pod;
-  Byteio.Writer.int w t.hosts_per_leaf;
-  Byteio.Writer.int w t.cores_per_plane;
-  Byteio.Writer.float w t.link_gbps
-
-let read r =
-  let pods = Byteio.Reader.int r in
-  let leaves_per_pod = Byteio.Reader.int r in
-  let spines_per_pod = Byteio.Reader.int r in
-  let hosts_per_leaf = Byteio.Reader.int r in
-  let cores_per_plane = Byteio.Reader.int r in
-  let link_gbps = Byteio.Reader.float r in
-  match
-    with_link_gbps
-      (create ~pods ~leaves_per_pod ~spines_per_pod ~hosts_per_leaf
-         ~cores_per_plane)
-      link_gbps
-  with
-  | t -> t
-  | exception Invalid_argument _ -> raise Byteio.Reader.Corrupt
+(* Durable wire codec: reconstruction goes back through [create], so a
+   shape it rejects reads as Byteio.Reader.Corrupt and Wire.load treats
+   the record as torn. *)
+let codec =
+  let open Byteio.Codec in
+  let+ pods = field (fun t -> t.pods) int
+  and+ leaves_per_pod = field (fun t -> t.leaves_per_pod) int
+  and+ spines_per_pod = field (fun t -> t.spines_per_pod) int
+  and+ hosts_per_leaf = field (fun t -> t.hosts_per_leaf) int
+  and+ cores_per_plane = field (fun t -> t.cores_per_plane) int
+  and+ link_gbps = field (fun t -> t.link_gbps) float in
+  with_link_gbps
+    (create ~pods ~leaves_per_pod ~spines_per_pod ~hosts_per_leaf
+       ~cores_per_plane)
+    link_gbps
 
 let pp ppf t =
   Format.fprintf ppf

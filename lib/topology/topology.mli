@@ -112,12 +112,9 @@ val validate : t -> unit
 (** Re-checks internal invariants; raises [Invalid_argument] on violation.
     Used by property tests. *)
 
-val write : Byteio.Writer.t -> t -> unit
-(** Durable wire codec (snapshot records). *)
-
-val read : Byteio.Reader.t -> t
-(** Inverse of {!write}; validates through {!create} and raises
-    {!Byteio.Reader.Corrupt} on any malformed or semantically invalid
-    input. *)
+val codec : t Byteio.Codec.t
+(** Durable wire codec (snapshot records). The reader validates through
+    {!create} and raises {!Byteio.Reader.Corrupt} on any malformed or
+    semantically invalid input. *)
 
 val pp : Format.formatter -> t -> unit

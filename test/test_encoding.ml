@@ -336,16 +336,14 @@ let test_ledger_pod_capacity () =
     (fun () -> Srule_state.release_pod s 1);
   Alcotest.(check int) "empty again" 0 (Srule_state.total_srules s)
 
-let ledger_bytes s =
-  let w = Byteio.Writer.create () in
-  Srule_state.write w s;
-  Byteio.Writer.to_bytes w
+let ledger_bytes s = Byteio.Codec.to_bytes (Srule_state.codec ~topo).write s
+let read_ledger b = Byteio.Codec.of_bytes (Srule_state.codec ~topo).read b
 
 let test_ledger_codec_roundtrip () =
   let s = Srule_state.create topo ~fmax:4 in
   List.iter (Srule_state.reserve_leaf s) [ 0; 0; 5; 7 ];
   Srule_state.reserve_pod s 3;
-  let r = Srule_state.read ~topo (Byteio.Reader.of_bytes (ledger_bytes s)) in
+  let r = read_ledger (ledger_bytes s) in
   Alcotest.(check int) "fmax" 4 (Srule_state.fmax r);
   Alcotest.(check (array int)) "leaves" (Srule_state.leaf_occupancy s)
     (Srule_state.leaf_occupancy r);
@@ -355,22 +353,27 @@ let test_ledger_codec_roundtrip () =
 
 let test_ledger_codec_rejects_corrupt () =
   let over =
-    let w = Byteio.Writer.create () in
-    Byteio.Writer.int w 1;
-    Byteio.Writer.int_array w
-      (Array.init (Topology.num_leaves topo) (fun l -> if l = 0 then 2 else 0));
-    Byteio.Writer.int_array w (Array.make topo.Topology.pods 0);
-    Byteio.Writer.to_bytes w
+    let open Byteio.Codec in
+    let leaves =
+      Array.init (Topology.num_leaves topo) (fun l -> if l = 0 then 2 else 0)
+    in
+    let pods = Array.make topo.Topology.pods 0 in
+    to_bytes
+      (fun w () ->
+        int.write w 1;
+        (array ~len:(Array.length leaves) int).write w leaves;
+        (array ~len:(Array.length pods) int).write w pods)
+      ()
   in
   Alcotest.check_raises "counter above fmax" Byteio.Reader.Corrupt (fun () ->
-      ignore (Srule_state.read ~topo (Byteio.Reader.of_bytes over)));
+      ignore (read_ledger over));
   let other =
     Topology.create ~pods:2 ~leaves_per_pod:2 ~spines_per_pod:2 ~hosts_per_leaf:4
       ~cores_per_plane:1
   in
   let wrong = ledger_bytes (Srule_state.create other ~fmax:1) in
   Alcotest.check_raises "arrays sized for another topology" Byteio.Reader.Corrupt
-    (fun () -> ignore (Srule_state.read ~topo (Byteio.Reader.of_bytes wrong)))
+    (fun () -> ignore (read_ledger wrong))
 
 let test_site_key_injective () =
   let leaves = List.init (Topology.num_leaves topo) (fun l -> Srule_state.Leaf l) in

@@ -265,13 +265,8 @@ let same_state_on_groups a b gids =
 let same_controller_state a b ~groups =
   same_state_on_groups a b (List.init groups Fun.id)
 
-let snapshot_bytes ctrl =
-  let w = Byteio.Writer.create () in
-  Controller.write_snapshot w ctrl;
-  Byteio.Writer.to_bytes w
-
-let decode_snapshot bytes =
-  Controller.read_snapshot (Byteio.Reader.of_bytes bytes)
+let snapshot_bytes ctrl = Byteio.Codec.to_bytes Controller.write_snapshot ctrl
+let decode_snapshot bytes = Byteio.Codec.of_bytes Controller.read_snapshot bytes
 
 let test_crash_recovery_bit_identical () =
   let rng = Rng.create 1234 in

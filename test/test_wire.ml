@@ -122,27 +122,62 @@ let all_ops =
     Journal.Recover_link { leaf = 3; plane = 1 };
   ]
 
+let op_bytes op = Byteio.Codec.to_bytes (Journal.op_codec ~topo).write op
+let decode_op b = Byteio.Codec.of_bytes (Journal.op_codec ~topo).read b
+
 let test_op_codec_round_trip () =
   List.iteri
     (fun i op ->
-      let w = Byteio.Writer.create () in
-      Journal.write_op w op;
-      let r = Byteio.Reader.of_bytes (Byteio.Writer.to_bytes w) in
-      let op' = Journal.read_op ~topo r in
       Alcotest.(check bool)
-        (Printf.sprintf "op %d round-trips" i)
-        true (op = op');
-      Alcotest.(check int) "fully consumed" 0 (Byteio.Reader.remaining r))
+        (Printf.sprintf "op %d round-trips, fully consumed" i)
+        true
+        (op = decode_op (op_bytes op)))
     all_ops
 
 let test_op_codec_rejects_out_of_range () =
   (* A structurally intact op whose ids exceed the topology must be
      rejected at decode time, not blow up controller replay later. *)
-  let w = Byteio.Writer.create () in
-  Journal.write_op w (Journal.Fail_spine (Topology.num_spines topo + 3));
-  let r = Byteio.Reader.of_bytes (Byteio.Writer.to_bytes w) in
+  let b = op_bytes (Journal.Fail_spine (Topology.num_spines topo + 3)) in
   Alcotest.check_raises "spine id out of range" Byteio.Reader.Corrupt
-    (fun () -> ignore (Journal.read_op ~topo r))
+    (fun () -> ignore (decode_op b))
+
+let fuzz_inputs () =
+  match Sys.getenv_opt "ELMO_FUZZ_INPUTS" with
+  | Some s -> (try max 100 (int_of_string s) with Failure _ -> 5_000)
+  | None -> 5_000
+
+(* The canonical-decode property of a codec under single-bit flips: a
+   mutated payload either raises Corrupt or decodes to a value whose
+   re-encoding is exactly the mutated bytes, never any other exception. *)
+let check_flips ~what ~flips ~valid ~reencode =
+  let rng = Rng.create 77 in
+  let corrupt = ref 0 and survived = ref 0 in
+  for i = 1 to flips do
+    let bytes = valid i in
+    let bit = Rng.int rng (8 * Bytes.length bytes) in
+    let mutated = Wire.flip_bit bytes bit in
+    match reencode mutated with
+    | again ->
+        incr survived;
+        if not (Bytes.equal again mutated) then
+          Alcotest.failf "%s, bit %d: decodes but re-encodes to other bytes"
+            what bit
+    | exception Byteio.Reader.Corrupt -> incr corrupt
+    | exception exn ->
+        Alcotest.failf "%s, bit %d: unexpected exception %s" what bit
+          (Printexc.to_string exn)
+  done;
+  (!corrupt, !survived)
+
+let test_op_codec_canonical_under_bit_flips () =
+  let ops = Array.of_list all_ops in
+  let corrupt, survived =
+    check_flips ~what:"op" ~flips:(fuzz_inputs ())
+      ~valid:(fun i -> op_bytes ops.(i mod Array.length ops))
+      ~reencode:(fun b -> op_bytes (decode_op b))
+  in
+  Alcotest.(check bool) "flips both caught and survived" true
+    (corrupt > 0 && survived > 0)
 
 (* {1 Snapshot codec} *)
 
@@ -164,9 +199,7 @@ let test_snapshot_codec_round_trip () =
     (Journal.Join { group = 1; host = (2 * h) + 1; role = Controller.Both });
   Replica.checkpoint replica;
   let bytes = Test_fault.snapshot_bytes (Replica.controller replica) in
-  let r = Byteio.Reader.of_bytes bytes in
-  let snap = Controller.read_snapshot r in
-  Alcotest.(check int) "fully consumed" 0 (Byteio.Reader.remaining r);
+  let snap = Test_fault.decode_snapshot bytes in
   let restored = Controller.restore snap in
   Alcotest.(check bool) "bit-identical controller state" true
     (Test_fault.same_controller_state restored (Replica.controller replica)
@@ -177,24 +210,145 @@ let test_snapshot_codec_round_trip () =
     (Bytes.equal bytes (Test_fault.snapshot_bytes restored))
 
 let test_snapshot_codec_rejects_bit_flips () =
-  (* Every single-bit flip of a serialized snapshot either still decodes
-     (flips in dead padding) or raises Corrupt — never any other
-     exception. Sampled positions keep the test fast. *)
+  (* Every single-bit flip of a serialized snapshot either raises Corrupt
+     or decodes, restores and re-serializes to exactly the mutated bytes:
+     no flip lands in dead padding. *)
   let replica = seeded_replica () in
+  Replica.apply replica (Journal.Fail_spine 1);
   let bytes = Test_fault.snapshot_bytes (Replica.controller replica) in
-  let rng = Rng.create 77 in
-  let corrupt = ref 0 and survived = ref 0 in
-  for _ = 1 to 300 do
-    let bit = Rng.int rng (8 * Bytes.length bytes) in
-    let mutated = Wire.flip_bit bytes bit in
-    match Controller.read_snapshot (Byteio.Reader.of_bytes mutated) with
-    | (_ : Controller.snapshot) -> incr survived
-    | exception Byteio.Reader.Corrupt -> incr corrupt
-    | exception exn ->
-        Alcotest.failf "bit %d: unexpected exception %s" bit
-          (Printexc.to_string exn)
-  done;
-  Alcotest.(check bool) "flips are mostly caught" true (!corrupt > !survived)
+  let corrupt, survived =
+    check_flips ~what:"snapshot" ~flips:(fuzz_inputs ())
+      ~valid:(fun _ -> bytes)
+      ~reencode:(fun b ->
+        Test_fault.snapshot_bytes
+          (Controller.restore (Test_fault.decode_snapshot b)))
+  in
+  Alcotest.(check bool) "flips are mostly caught" true (corrupt > survived)
+
+(* {2 Forged payloads}
+
+   Snapshots built around an empty controller's: its group list (a u32
+   count right after the topology, params and incremental flag) and its
+   stale list (a u32 count right before the five trailing counter ints)
+   are both empty, so a forged list is spliced in at a known offset. Each
+   forgery is a well-framed value the old readers merged or masked; each
+   one's sorted or zero-padded twin decodes. *)
+
+let empty_snapshot () =
+  Test_fault.snapshot_bytes (Controller.create topo tight_params)
+
+let splice_empty_list bytes ~at items =
+  Alcotest.(check int32) "an empty list at the splice point" 0l
+    (Bytes.get_int32_le bytes at);
+  Bytes.concat Bytes.empty
+    [ Bytes.sub bytes 0 at; items;
+      Bytes.sub bytes (at + 4) (Bytes.length bytes - at - 4) ]
+
+let with_groups segments =
+  let prefix =
+    Bytes.length (Byteio.Codec.to_bytes Topology.codec.write topo)
+    + Bytes.length (Byteio.Codec.to_bytes Params.codec.write tight_params)
+    + 1
+  in
+  splice_empty_list (empty_snapshot ()) ~at:prefix
+    (Byteio.Codec.to_bytes
+       (fun w segs ->
+         Byteio.Writer.u32 w (List.length segs);
+         List.iter (Byteio.Writer.raw w) segs)
+       segments)
+
+(* A group with no members and no encoding, carrying one all-clear
+   override per listed host, laid out as the group segment is: gid,
+   members, encoding option, overrides. *)
+let bare_segment ?(overrides = []) gid =
+  let open Byteio.Codec in
+  let ov =
+    pair
+      (bitmap ~width:(Topology.leaf_upstream_width topo))
+      (pair (option (bitmap ~width:(Topology.spine_upstream_width topo))) bool)
+  in
+  let clear = Bitmap.create (Topology.leaf_upstream_width topo) in
+  to_bytes
+    (fun w () ->
+      int.write w gid;
+      (list int).write w [];
+      bool.write w false;
+      (list (pair int ov)).write w
+        (List.map (fun host -> (host, (clear, (None, false)))) overrides))
+    ()
+
+let decodes bytes =
+  match Test_fault.decode_snapshot bytes with
+  | (_ : Controller.snapshot) -> true
+  | exception Byteio.Reader.Corrupt -> false
+
+let test_forged_duplicate_gid () =
+  Alcotest.(check bool) "gids 0, 1 decode" true
+    (decodes (with_groups [ bare_segment 0; bare_segment 1 ]));
+  Alcotest.check_raises "gid 0 twice" Byteio.Reader.Corrupt (fun () ->
+      ignore
+        (Test_fault.decode_snapshot
+           (with_groups [ bare_segment 0; bare_segment 0 ])))
+
+let test_forged_duplicate_override_host () =
+  Alcotest.(check bool) "overrides on hosts 0, 1 decode" true
+    (decodes (with_groups [ bare_segment ~overrides:[ 0; 1 ] 0 ]));
+  Alcotest.check_raises "two overrides on host 0" Byteio.Reader.Corrupt
+    (fun () ->
+      ignore
+        (Test_fault.decode_snapshot
+           (with_groups [ bare_segment ~overrides:[ 0; 0 ] 0 ])))
+
+let test_forged_unsorted_stale_list () =
+  (* Stale entries for group 0 on leaves 0 and 1: key, group, site tag
+     (0 = leaf), leaf id. The key is [group * stride + 2 * leaf]. *)
+  let with_stale leaves =
+    let bytes = empty_snapshot () in
+    Byteio.Codec.to_bytes
+      (fun w leaves ->
+        Byteio.Writer.u32 w (List.length leaves);
+        List.iter
+          (fun l ->
+            Byteio.Writer.int w (2 * l);
+            Byteio.Writer.int w 0;
+            Byteio.Writer.u8 w 0;
+            Byteio.Writer.int w l)
+          leaves)
+      leaves
+    |> splice_empty_list bytes ~at:(Bytes.length bytes - 44)
+  in
+  Alcotest.(check bool) "leaves 0, 1 decode" true
+    (decodes (with_stale [ 0; 1 ]));
+  Alcotest.check_raises "leaves 1, 0" Byteio.Reader.Corrupt (fun () ->
+      ignore (Test_fault.decode_snapshot (with_stale [ 1; 0 ])))
+
+let test_forged_core_padding_bit () =
+  (* A group spanning every pod: the encoding's core bitmap is 4 bits
+     wide, so its one byte has 4 padding bits. It is written inline after
+     the params and the leaf and spine sections, whose entries are all
+     first occurrences: id (8), inline tag (1), width (4), one byte. *)
+  let ctrl = Controller.create topo tight_params in
+  let members = List.init topo.Topology.pods (fun p -> p * 2 * h) in
+  ignore (Controller.add_group ctrl ~group:0 (members_both members));
+  let enc = Option.get (Controller.encoding ctrl ~group:0) in
+  let codec = Encoding.codec topo in
+  let bytes = Byteio.Codec.to_bytes codec.write enc in
+  let tree = enc.Encoding.tree in
+  let core =
+    Bytes.length (Byteio.Codec.to_bytes Params.codec.write tight_params)
+    + 4 + (14 * List.length tree.Tree.leaf_bitmaps)
+    + 4 + (14 * List.length tree.Tree.spine_bitmaps)
+  in
+  Alcotest.(check int) "core bitmap written inline" 0
+    (Bytes.get_uint8 bytes core);
+  Alcotest.(check int32) "core bitmap width" 4l
+    (Bytes.get_int32_le bytes (core + 1));
+  let byte = core + 5 in
+  Alcotest.(check int) "padding clear" 0 (Bytes.get_uint8 bytes byte lsr 4);
+  let forged = Bytes.copy bytes in
+  Bytes.set_uint8 forged byte (Bytes.get_uint8 bytes byte lor 0x80);
+  Alcotest.check_raises "padding bit 7 set" Byteio.Reader.Corrupt (fun () ->
+      ignore (Byteio.Codec.of_bytes codec.read forged))
 
 (* {1 Wire framing edge cases} *)
 
@@ -364,10 +518,10 @@ let test_trailing_byte_after_op_truncates () =
   let nrecs = List.length full.Wire.l_records in
   let last = List.nth full.Wire.l_records (nrecs - 1) in
   Alcotest.(check bool) "last record is an op" true (last.Wire.r_kind = Wire.Op);
-  let w = Byteio.Writer.create () in
-  Journal.write_op w (Journal.Fail_spine 0);
-  Byteio.Writer.u8 w 0;
-  let forged = reframe_last bytes last (Byteio.Writer.to_bytes w) in
+  let forged =
+    reframe_last bytes last
+      (Bytes.cat (op_bytes (Journal.Fail_spine 0)) (Bytes.make 1 '\000'))
+  in
   let l = Result.get_ok (Wire.load forged) in
   Alcotest.(check int) "the record is framed" nrecs
     (List.length l.Wire.l_records);
@@ -906,11 +1060,6 @@ let test_decode_checked_trailing_bits () =
         Header_codec.pp_decode_error e
   | Ok _ -> Alcotest.fail "nonzero trailing bytes accepted"
 
-let fuzz_inputs () =
-  match Sys.getenv_opt "ELMO_FUZZ_INPUTS" with
-  | Some s -> (try max 100 (int_of_string s) with Failure _ -> 5_000)
-  | None -> 5_000
-
 let test_decode_fuzz_no_exceptions_no_over_delivery () =
   let ctrl = header_setup () in
   let ctx = Pred.create_ctx () in
@@ -1155,10 +1304,20 @@ let tests =
       test_op_codec_round_trip;
     Alcotest.test_case "op codec rejects out-of-range" `Quick
       test_op_codec_rejects_out_of_range;
+    Alcotest.test_case "op codec canonical under bit flips" `Quick
+      test_op_codec_canonical_under_bit_flips;
     Alcotest.test_case "snapshot codec round-trip" `Quick
       test_snapshot_codec_round_trip;
     Alcotest.test_case "snapshot codec rejects bit flips" `Quick
       test_snapshot_codec_rejects_bit_flips;
+    Alcotest.test_case "forged snapshot: duplicate gid" `Quick
+      test_forged_duplicate_gid;
+    Alcotest.test_case "forged snapshot: duplicate override host" `Quick
+      test_forged_duplicate_override_host;
+    Alcotest.test_case "forged snapshot: unsorted stale list" `Quick
+      test_forged_unsorted_stale_list;
+    Alcotest.test_case "forged encoding: core padding bit" `Quick
+      test_forged_core_padding_bit;
     Alcotest.test_case "empty log" `Quick test_empty_log;
     Alcotest.test_case "bad magic" `Quick test_bad_magic;
     Alcotest.test_case "snapshot-only load" `Quick test_snapshot_only_load;
