@@ -1,4 +1,4 @@
-.PHONY: all check test lint bench bench-e2e bench-churn bench-hotpath bench-faults bench-recovery bench-telemetry bench-verify clean
+.PHONY: all check test lint bench bench-e2e bench-churn bench-hotpath bench-faults bench-recovery bench-telemetry bench-verify bench-footprint clean
 
 all:
 	dune build
@@ -62,6 +62,14 @@ bench-telemetry:
 # writes BENCH_verify.json (ELMO_VERIFY_GROUPS scales the group count).
 bench-verify:
 	dune exec bench/main.exe -- verify
+
+# Per-group controller footprint: installs 10k groups on the Facebook
+# fabric at P=12 and P=1 and reports live words per group (between two
+# Gc.compact calls), minor words per group and groups/s; writes
+# BENCH_footprint.json and exits nonzero above 600 live words per group
+# at P=12.
+bench-footprint:
+	dune exec bench/main.exe -- footprint
 
 clean:
 	dune clean

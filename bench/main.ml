@@ -5,7 +5,7 @@
    Usage: main.exe [target ...]
    Targets: fig4 fig5 uniform constrained table2 failures fig6 sflow fig7
             table3 ablation twotier nonclos legacy bisection strawman churn
-            hotpath faults recovery te-baseline verify micro all
+            hotpath faults recovery te-baseline verify footprint micro all
             (default: all)
 
    Scale: ELMO_GROUPS=<n> sets the sampled group count (default 100_000);
@@ -928,6 +928,112 @@ let verify () =
       ("verified_ok", gate "verified_ok" ok);
     ]
 
+(* {1 Group footprint} *)
+
+(* What one installed group costs the controller on the Facebook fabric
+   (576 leaves), where a leaf index sized by the fabric rather than the
+   group would dominate: 10k groups from the scalability sweep's tenants
+   and group-size distribution, installed with [install_all] on a
+   hook-free controller (no headers built), at P=12 and at P=1. Live
+   words are measured between two compactions, with the batch handed to
+   [install_all] live on both sides: the difference is what the
+   controller adds to the member lists it is given and keeps as its
+   own. Those lists are reported beside it. Minor words and the rate
+   cover [install_all] alone. *)
+let footprint_groups = 10_000
+
+(* Live words per group allowed at P=12; a leaf index sized by the fabric
+   holds over 1,800 on its own. *)
+let footprint_bound = 600.0
+
+let footprint_run topo params ~strategy =
+  let seed = 42 in
+  let rng = Rng.create seed in
+  let tenant_sizes = Vm_placement.default_tenant_sizes rng 3_000 in
+  let placement =
+    Vm_placement.place rng topo ~strategy ~host_capacity:20 ~tenant_sizes
+  in
+  let groups =
+    Workload.generate (Rng.create (seed + 1)) placement ~kind:Group_dist.Wve
+      ~total_groups:footprint_groups
+  in
+  let batch =
+    Array.to_list
+      (Array.map
+         (fun (g : Workload.group) ->
+           ( g.Workload.group_id,
+             Array.to_list
+               (Array.map (fun h -> (h, Controller.Both)) g.Workload.member_hosts) ))
+         groups)
+  in
+  let ctrl = Controller.create topo params in
+  Gc.compact ();
+  let live0 = (Gc.stat ()).Gc.live_words in
+  let minor0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  ignore (Controller.install_all ctrl batch);
+  let t1 = Unix.gettimeofday () in
+  let minor = Gc.minor_words () -. minor0 in
+  Gc.compact ();
+  let live1 = (Gc.stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity ctrl);
+  let per_group x = x /. float_of_int footprint_groups in
+  let install_s = t1 -. t0 in
+  ( per_group (float_of_int (live1 - live0)),
+    per_group (float_of_int (Obj.reachable_words (Obj.repr batch))),
+    per_group minor,
+    (if install_s > 0.0 then float_of_int footprint_groups /. install_s else 0.0),
+    install_s )
+
+let footprint () =
+  hr "Footprint: live and allocated words per installed group (BENCH_footprint.json)";
+  let topo = Topology.facebook_fabric () in
+  (* The sweeps' s-rule capacity, scaled from 30,000 at 1M groups. *)
+  let params = Params.create ~fmax:300 () in
+  printf "topology: %a; %d groups per placement@." Topology.pp topo
+    footprint_groups;
+  printf "@.%-10s %-18s %-18s %-18s %-12s@." "placement" "live words/group"
+    "member lists" "minor words/group" "groups/s";
+  let runs =
+    List.map
+      (fun (label, p) ->
+        let live, lists, minor, rate, install_s =
+          footprint_run topo params ~strategy:(Vm_placement.Pack_up_to p)
+        in
+        printf "%-10s %-18.0f %-18.0f %-18.0f %-12.0f@." label live lists minor
+          rate;
+        (label, live, lists, minor, rate, install_s))
+      [ ("P=12", 12); ("P=1", 1) ]
+  in
+  let live_p12 =
+    List.fold_left
+      (fun acc (label, live, _, _, _, _) -> if label = "P=12" then live else acc)
+      0.0 runs
+  in
+  printf "bound: at most %.0f live words per group at P=12@." footprint_bound;
+  write_bench "BENCH_footprint.json" ~benchmark:"footprint" ~topo ~seed:42
+    ~params:(params_string params)
+    [
+      ("groups", Int footprint_groups);
+      ( "runs",
+        List
+          (List.map
+             (fun (label, live, lists, minor, rate, install_s) ->
+               Jsonx.Obj
+                 [
+                   ("placement", Str label);
+                   ("live_words_per_group", Num live);
+                   ("member_list_words_per_group", Num lists);
+                   ("minor_words_per_group", Num minor);
+                   ("groups_per_sec", Num rate);
+                   ("install_s", Num install_s);
+                 ])
+             runs) );
+      ("live_words_bound_p12", Num footprint_bound);
+      ( "live_words_within_bound",
+        gate "live_words_within_bound" (live_p12 <= footprint_bound) );
+    ]
+
 (* {1 Bechamel micro-benchmarks} *)
 
 let micro () =
@@ -1297,6 +1403,7 @@ let targets =
     ("recovery", recovery);
     ("te-baseline", te_baseline);
     ("verify", verify);
+    ("footprint", footprint);
     ("micro", micro);
   ]
 

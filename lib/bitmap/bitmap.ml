@@ -41,12 +41,24 @@ let get t i =
   check_index t i;
   t.words.(i / word_bits) land (1 lsl (i mod word_bits)) <> 0
 
-(* elmo-lint: zero-alloc *)
-let rec popcount_word_loop w acc =
-  if w = 0 then acc else popcount_word_loop (w land (w - 1)) (acc + 1)
+(* SWAR popcount of one 63-bit word, in constant time: sum adjacent bits
+   into 2-bit counts, those into 4-bit and then 8-bit counts, and let one
+   multiply add every byte into the top one. The masks are the 64-bit ones
+   truncated to 63 bits; [lsr] is logical on the 63-bit value, so a word
+   with bit 62 set (a negative int) counts like any other. The top field
+   is shorter than the others (bit 62 alone, then bits 60-62, then 56-62)
+   and never overflows: it holds at most 63. *)
+let m1 = 0x5555_5555_5555_5555
+let m2 = 0x3333_3333_3333_3333
+let m4 = 0x0f0f_0f0f_0f0f_0f0f
+let h01 = 0x0101_0101_0101_0101
 
 (* elmo-lint: zero-alloc *)
-let popcount_word w = popcount_word_loop w 0
+let popcount_word w =
+  let w = w - ((w lsr 1) land m1) in
+  let w = (w land m2) + ((w lsr 2) land m2) in
+  let w = (w + (w lsr 4)) land m4 in
+  (w * h01) lsr 56
 
 (* elmo-lint: zero-alloc *)
 let rec popcount_loop words i acc =
@@ -147,8 +159,9 @@ let of_list width indices =
   t
 
 (* Word-wise set-bit traversal: peel the lowest set bit with [w land (-w)];
-   its index is the popcount of [lsb - 1] (the trailing-zero count). Only
-   O(set bits) work instead of one bounds-checked [get] per position. *)
+   its index is the popcount of [lsb - 1] (the trailing-zero count), in
+   constant time. O(words + set bits) work instead of one bounds-checked
+   [get] per position. *)
 let iter f t =
   let n = Array.length t.words in
   for wi = 0 to n - 1 do

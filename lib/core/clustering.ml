@@ -17,6 +17,19 @@ let rule_within_budget ~r ~semantics ~exacts output =
       List.fold_left (fun acc bm -> acc + Bitmap.hamming bm output) 0 exacts
       <= r
 
+(* Drop the [chosen] entries from the first [live] of [layer], keeping
+   the others in order, and clear [chosen]; the new live count. *)
+let compact layer chosen live =
+  let j = ref 0 in
+  for i = 0 to live - 1 do
+    if chosen.(i) then chosen.(i) <- false
+    else begin
+      layer.(!j) <- layer.(i);
+      incr j
+    end
+  done;
+  !j
+
 module Obs = Elmo_obs.Obs
 
 let run ~r ~semantics ~hmax ~kmax ~has_srule_space layer =
@@ -39,38 +52,37 @@ let run ~r ~semantics ~hmax ~kmax ~has_srule_space layer =
         default = None;
       }
   | _ :: _ ->
-      let unassigned = ref (Array.of_list layer) in
+      (* The switches still unassigned are the first [!live] entries of
+         [unassigned], in layer order; a pick is removed by a stable
+         in-place compaction, so every Min_k_union call sees the same
+         candidates in the same order as a fresh array would give it. *)
+      let unassigned = Array.of_list layer in
+      let live = ref (Array.length unassigned) in
+      let chosen = Array.make !live false in
       let prules = ref [] in
       let nprules = ref 0 in
       let k = ref kmax in
-      let remove indices =
-        (* [indices] are positions into the current [!unassigned] array. *)
-        let drop = Array.make (Array.length !unassigned) false in
-        List.iter (fun i -> drop.(i) <- true) indices;
-        let keep = ref [] in
-        Array.iteri
-          (fun i sw -> if not drop.(i) then keep := sw :: !keep)
-          !unassigned;
-        unassigned := Array.of_list (List.rev !keep)
-      in
       let continue = ref true in
       let iterations = ref 0 in
-      while !continue && Array.length !unassigned > 0 && !nprules < hmax do
+      while !continue && !live > 0 && !nprules < hmax do
         iterations := !iterations + 1;
-        let kk = min !k (Array.length !unassigned) in
-        let indices, output = Min_k_union.choose ~k:kk !unassigned in
+        let kk = min !k !live in
+        let indices, output =
+          Min_k_union.choose_prefix ~k:kk ~n:!live ~chosen unassigned
+        in
         let within_budget =
           rule_within_budget ~r ~semantics
-            ~exacts:(List.map (fun i -> snd !unassigned.(i)) indices)
+            ~exacts:(List.map (fun i -> snd unassigned.(i)) indices)
             output
         in
         if within_budget then begin
-          let switches = List.map (fun i -> fst !unassigned.(i)) indices in
+          let switches = List.map (fun i -> fst unassigned.(i)) indices in
           prules := { Prule.bitmap = output; switches } :: !prules;
           incr nprules;
-          remove indices
+          live := compact unassigned chosen !live
         end
         else begin
+          List.iter (fun i -> chosen.(i) <- false) indices;
           Obs.incr "clustering.budget_rejections";
           if kk = 1 then
             (* A singleton always has distance 0; unreachable, but keep the
@@ -82,7 +94,7 @@ let run ~r ~semantics ~hmax ~kmax ~has_srule_space layer =
       Obs.observe "clustering.iterations" (float_of_int !iterations);
       (* Hmax exhausted (or nothing left): spill to s-rules, else default. *)
       let leftovers =
-        Array.to_list !unassigned
+        List.init !live (Array.get unassigned)
         |> List.sort (fun (a, _) (b, _) -> compare a b)
       in
       let srules = ref [] in

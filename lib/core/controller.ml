@@ -91,12 +91,23 @@ let override_codec ~topo =
   and+ unicast = field (fun ov -> ov.unicast) bool in
   { up_leaf_ports; up_spine_ports; unicast }
 
+(* No host appears twice among a group's members. The members stay in
+   insertion order on the wire, so the check sorts a copy of the hosts:
+   no scratch sized by the topology, whose dimensions a hostile snapshot
+   chooses. *)
+let distinct_hosts members =
+  List.compare_lengths (List.sort_uniq Int.compare (List.map fst members)) members
+  = 0
+
 (* One group's segment: its gid, members, encoding and overrides. *)
 let group_codec ~topo =
   let open Byteio.Codec in
   let host = index (Topology.num_hosts topo) in
   let+ gid = field fst nat
-  and+ members = field (fun (_, st) -> st.members) (list (pair host role_codec))
+  and+ members =
+    field
+      (fun (_, st) -> st.members)
+      (where distinct_hosts (list (pair host role_codec)))
   and+ enc = field (fun (_, st) -> st.enc) (option (Encoding.codec topo))
   and+ overrides =
     field
@@ -143,6 +154,9 @@ type t = {
   spine_ok : bool array;
   core_ok : bool array;
   link_ok : bool array;  (* leaf <-> pod-spine links, index leaf * spp + plane *)
+  mutable healthy : bool;
+      (* every flag above is true; recomputed by [refresh_after] and
+         [restore], the only places that follow a flag's change *)
   denied_leaf : bool array;
       (* switches whose s-rule installs exhausted the retry budget; excluded
          from s-rule eligibility until the controller is rebuilt *)
@@ -194,6 +208,7 @@ let create ?fabric_hooks ?clock ?(incremental = true) topo params =
     core_ok = Array.make (max 1 (Topology.num_cores topo)) true;
     link_ok =
       Array.make (Topology.num_leaves topo * topo.Topology.spines_per_pod) true;
+    healthy = true;
     denied_leaf = Array.make (Topology.num_leaves topo) false;
     denied_pod = Array.make topo.Topology.pods false;
     stale = Hashtbl.create 8;
@@ -525,10 +540,13 @@ let choose_upstream t ~tree ~sender =
             }
       | Some _ | None -> Some unicast_override)
 
-let all_healthy t =
-  Array.for_all Fun.id t.spine_ok
-  && Array.for_all Fun.id t.core_ok
-  && Array.for_all Fun.id t.link_ok
+let recompute_health t =
+  t.healthy <-
+    Array.for_all Fun.id t.spine_ok
+    && Array.for_all Fun.id t.core_ok
+    && Array.for_all Fun.id t.link_ok
+
+let all_healthy t = t.healthy
 
 (* Does the (group, sender) flow's ECMP path traverse a failed switch or
    link? This is the paper's notion of an "impacted" group member: only
@@ -1227,6 +1245,7 @@ let refresh_all t =
    s-rule ledger is untouched — but the invariant re-check after each one is
    cheap and catches any drift introduced while the fabric was degraded. *)
 let refresh_after t ~op =
+  recompute_health t;
   let r = refresh_all t in
   check_invariants t ~op;
   r
@@ -1473,6 +1492,7 @@ let restore ?fabric_hooks ?clock snap =
       denied_pod = snap.snap_denied_pod;
     }
   in
+  recompute_health t;
   List.iter (fun (gid, st) -> Hashtbl.add t.groups gid st) snap.snap_groups;
   List.iter (fun (key, e) -> Hashtbl.replace t.stale key e) snap.snap_stale;
   (* A restored controller is a new instance: any predicate cache keyed to

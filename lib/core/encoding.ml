@@ -7,10 +7,13 @@ type t = {
   d_leaf : Clustering.result;
   mutable stale : int;
   (* Fast-path leaf index, built by every from-scratch encode (and by
-     the codec's reader): O(1) per-leaf dispatch with no list scans and no option
-     allocation. [idx_kind] holds one dispatch byte per leaf; the arrays
-     hold the leaf's exact tree bitmap, its p-rule (when in one), and the
-     site bitmap to mutate. Absent slots carry the shared dummies. *)
+     the codec's reader), sized by the tree, not the fabric: [idx_leaves]
+     holds the tree's leaves in ascending order, and a leaf's slot is its
+     position there (found by [slot], a binary search). Per slot,
+     [idx_kind] holds one dispatch byte; the arrays hold the leaf's exact
+     tree bitmap, its p-rule (when in one), and the site bitmap to mutate.
+     Absent entries carry the shared dummies. *)
+  idx_leaves : int array;
   idx_kind : Bytes.t;
   idx_exact : Bitmap.t array;
   idx_rule : Prule.prule array;
@@ -30,11 +33,18 @@ type t = {
   mutable upper : memo option;
 }
 
-(* A slot holds [blank] until its leaf's first header. The fast path never
-   changes the leaf or pod set, so a filled slot stays right for as long
-   as the encoding lives. Every header shares the two empty up-port
-   bitmaps. *)
-and memo = { slots : upper array; leaf_up : Bitmap.t; spine_up : Bitmap.t }
+(* One slot per tree leaf, as in the leaf index; a slot holds [blank]
+   until its leaf's first header. Sender leaves the tree does not span
+   (sender-only members) are kept in [off_tree], by leaf id. The fast
+   path never changes the leaf or pod set, so a filled entry stays right
+   for as long as the encoding lives. Every header shares the two empty
+   up-port bitmaps. *)
+and memo = {
+  slots : upper array;
+  mutable off_tree : (int * upper) list;
+  leaf_up : Bitmap.t;
+  spine_up : Bitmap.t;
+}
 
 and upper = {
   multipath : bool;
@@ -54,39 +64,62 @@ let dummy_bm = Bitmap.create 0
 let dummy_prule = { Prule.bitmap = dummy_bm; switches = [] }
 let blank = { multipath = false; u_spine = None; core = None }
 
-(* Build the per-leaf dispatch index. Write order default → s-rules →
-   p-rules so a p-rule wins any (never expected) overlap — the same
-   precedence the old list-scan dispatch had. *)
+(* elmo-lint: zero-alloc *)
+let rec slot_search (a : int array) l lo hi =
+  if lo > hi then -1
+  else begin
+    let mid = (lo + hi) / 2 in
+    let v = Array.unsafe_get a mid in
+    if v = l then mid
+    else if v < l then slot_search a l (mid + 1) hi
+    else slot_search a l lo (mid - 1)
+  end
+
+(* The position of leaf [l] in the ascending [leaves], or -1 when the
+   tree does not span it. *)
+(* elmo-lint: zero-alloc *)
+let slot_in leaves l = slot_search leaves l 0 (Array.length leaves - 1)
+
+(* Build the slot-indexed dispatch index of [d_leaf] over [tree]. Write
+   order default → s-rules → p-rules so a p-rule wins any (never
+   expected) overlap — the same precedence the old list-scan dispatch
+   had. A rule switch the tree does not span (only a hostile decode
+   names one) has no slot and is left out. *)
 let build_index (d_leaf : Clustering.result) (tree : Tree.t) =
-  let nleaves = Topology.num_leaves tree.Tree.topo in
-  let idx_kind = Bytes.make nleaves kind_none in
-  let idx_exact = Array.make nleaves dummy_bm in
-  let idx_rule = Array.make nleaves dummy_prule in
-  let idx_site_bm = Array.make nleaves dummy_bm in
-  List.iter (fun (l, bm) -> idx_exact.(l) <- bm) tree.Tree.leaf_bitmaps;
+  let n = List.length tree.Tree.leaf_bitmaps in
+  let idx_leaves = Array.make n 0 in
+  let idx_kind = Bytes.make n kind_none in
+  let idx_exact = Array.make n dummy_bm in
+  List.iteri
+    (fun s (l, bm) ->
+      idx_leaves.(s) <- l;
+      idx_exact.(s) <- bm)
+    tree.Tree.leaf_bitmaps;
+  let idx_rule = Array.make n dummy_prule in
+  let idx_site_bm = Array.make n dummy_bm in
+  let mark l kind bm =
+    let s = slot_in idx_leaves l in
+    if s >= 0 then begin
+      Bytes.set idx_kind s kind;
+      idx_site_bm.(s) <- bm
+    end;
+    s
+  in
   (match d_leaf.Clustering.default with
-  | Some (ids, bm) ->
-      List.iter
-        (fun l ->
-          Bytes.set idx_kind l kind_default;
-          idx_site_bm.(l) <- bm)
-        ids
+  | Some (ids, bm) -> List.iter (fun l -> ignore (mark l kind_default bm)) ids
   | None -> ());
   List.iter
-    (fun (l, bm) ->
-      Bytes.set idx_kind l kind_srule;
-      idx_site_bm.(l) <- bm)
+    (fun (l, bm) -> ignore (mark l kind_srule bm))
     d_leaf.Clustering.srules;
   List.iter
     (fun r ->
       List.iter
         (fun l ->
-          Bytes.set idx_kind l kind_prule;
-          idx_rule.(l) <- r;
-          idx_site_bm.(l) <- r.Prule.bitmap)
+          let s = mark l kind_prule r.Prule.bitmap in
+          if s >= 0 then idx_rule.(s) <- r)
         r.Prule.switches)
     d_leaf.Clustering.prules;
-  (idx_kind, idx_exact, idx_rule, idx_site_bm)
+  (idx_leaves, idx_kind, idx_exact, idx_rule, idx_site_bm)
 
 (* Per-group Hmax within the byte budget (§3.2): worst-case rule sizes are
    known a priori (Kmax identifiers each), the upstream and core sections are
@@ -186,7 +219,9 @@ let encode ?(legacy_leaf = no_legacy) ?(legacy_pod = no_legacy)
         (Clustering.run ~r:params.r ~semantics:params.r_semantics
            ~hmax:hmax_spine ~kmax:params.kmax ~has_srule_space:reserve_pod)
   in
-  let idx_kind, idx_exact, idx_rule, idx_site_bm = build_index d_leaf tree in
+  let idx_leaves, idx_kind, idx_exact, idx_rule, idx_site_bm =
+    build_index d_leaf tree
+  in
   let scratch_width = Topology.leaf_downstream_width tree.Tree.topo in
   {
     tree;
@@ -194,6 +229,7 @@ let encode ?(legacy_leaf = no_legacy) ?(legacy_pod = no_legacy)
     d_spine;
     d_leaf;
     stale = 0;
+    idx_leaves;
     idx_kind;
     idx_exact;
     idx_rule;
@@ -248,11 +284,20 @@ let delta_of_host topo ~joining host =
   if joining then Join { host; leaf; port } else Leave { host; leaf; port }
 
 (* elmo-lint: zero-alloc *)
+let slot t l = slot_in t.idx_leaves l
+
+(* The exact tree bitmap of leaf [l], the width-0 dummy off the tree. *)
+(* elmo-lint: zero-alloc *)
+let exact_of t l =
+  let s = slot t l in
+  if s < 0 then dummy_bm else Array.unsafe_get t.idx_exact s
+
+(* elmo-lint: zero-alloc *)
 let rec or_exacts t leaves dst =
   match leaves with
   | [] -> ()
   | l :: rest ->
-      Bitmap.union_into ~dst (Array.unsafe_get t.idx_exact l);
+      Bitmap.union_into ~dst (exact_of t l);
       or_exacts t rest dst
 
 (* Recompute [dst] as the OR of the exact bitmaps of [leaves], reporting
@@ -269,7 +314,7 @@ let refresh_rule_bitmap t leaves dst =
    other sharing leaf is unchanged. *)
 (* elmo-lint: zero-alloc *)
 let prospective_exact t leaf port l =
-  let e = Array.unsafe_get t.idx_exact l in
+  let e = exact_of t l in
   if l = leaf then begin
     Bitmap.copy_into ~dst:t.scratch_b e;
     Bitmap.set t.scratch_b port;
@@ -312,20 +357,20 @@ let shared_join_within_budget t r leaf port =
    can diff the old encoding against a fresh one honestly. *)
 (* elmo-lint: zero-alloc *)
 let apply_event t joining host leaf port =
+  let s = slot t leaf in
   if t.stale >= t.params.Params.staleness_limit then re_stale
-  else if leaf < 0 || leaf >= Array.length t.idx_exact then re_new_leaf
+  else if s < 0 then re_new_leaf
   else begin
-    let exact = Array.unsafe_get t.idx_exact leaf in
-    if exact == dummy_bm then re_new_leaf
-    else if (not joining) && Bitmap.popcount exact <= 1 then re_emptied
+    let exact = Array.unsafe_get t.idx_exact s in
+    if (not joining) && Bitmap.popcount exact <= 1 then re_emptied
     else begin
-      let kind = Bytes.unsafe_get t.idx_kind leaf in
+      let kind = Bytes.unsafe_get t.idx_kind s in
       if kind = kind_none then
         (* Rules out of sync with the tree — cannot happen after a
            from-scratch encode; rebuild defensively. *)
         re_new_leaf
       else begin
-        let r = Array.unsafe_get t.idx_rule leaf in
+        let r = Array.unsafe_get t.idx_rule s in
         (* Prospective redundancy check for joins into a shared rule,
            before committing anything. *)
         let budget_ok =
@@ -369,13 +414,13 @@ let apply_event t joining host leaf port =
           end
           else if kind = kind_srule then begin
             (* s-rules are exact per-switch bitmaps. *)
-            let bm = Array.unsafe_get t.idx_site_bm leaf in
+            let bm = Array.unsafe_get t.idx_site_bm s in
             if not (bm == exact) then
               if joining then Bitmap.set bm port else Bitmap.clear bm port;
             a_srule
           end
           else begin
-            let bm = Array.unsafe_get t.idx_site_bm leaf in
+            let bm = Array.unsafe_get t.idx_site_bm s in
             let header_changed =
               if joining then begin
                 let fresh = not (Bitmap.get bm port) in
@@ -531,7 +576,8 @@ let memo t =
       let topo = t.tree.Tree.topo in
       let m =
         {
-          slots = Array.make (Topology.num_leaves topo) blank;
+          slots = Array.make (Array.length t.idx_leaves) blank;
+          off_tree = [];
           leaf_up = Bitmap.create (Topology.leaf_upstream_width topo);
           spine_up = Bitmap.create (Topology.spine_upstream_width topo);
         }
@@ -555,41 +601,59 @@ let inherit_caches ~from t =
               (Tree.spine_bitmap t.tree p))
       in
       (* With every pod's spine bitmap unchanged, so are the leaf and pod
-         sets: a slot either encoding fills is right for both, so they
-         share the memo. *)
+         sets: an entry either encoding fills is right for both, so they
+         share the memo. Otherwise a leaf keeps [from]'s entry, matched by
+         leaf id, when its pod's spine bitmap is unchanged. *)
       if Array.for_all Fun.id same_pod then t.upper <- from.upper
-      else
+      else begin
+        let kept l = same_pod.(Topology.pod_of_leaf topo l) in
+        let inherited l =
+          let s = slot from l in
+          if not (kept l) then blank
+          else if s >= 0 then m.slots.(s)
+          else Option.value ~default:blank (List.assoc_opt l m.off_tree)
+        in
         t.upper <-
           Some
             {
               m with
-              slots =
-                Array.mapi
-                  (fun l u -> if same_pod.(Topology.pod_of_leaf topo l) then u else blank)
-                  m.slots;
+              slots = Array.map inherited t.idx_leaves;
+              off_tree =
+                List.filter (fun (l, _) -> kept l && slot t l < 0) m.off_tree;
             }
+      end
   | Some _ | None -> ()
 
 let header_for_sender t ~sender =
   let topo = t.tree.Tree.topo in
   let sl = Topology.leaf_of_host topo sender in
+  let s = slot t sl in
   let m = memo t in
   let u =
-    let u = m.slots.(sl) in
-    if u != blank then u
-    else begin
-      let u = build_upper t m sl in
-      m.slots.(sl) <- u;
-      u
+    if s >= 0 then begin
+      let u = m.slots.(s) in
+      if u != blank then u
+      else begin
+        let u = build_upper t m sl in
+        m.slots.(s) <- u;
+        u
+      end
     end
+    else
+      match List.assoc_opt sl m.off_tree with
+      | Some u -> u
+      | None ->
+          let u = build_upper t m sl in
+          m.off_tree <- (sl, u) :: m.off_tree;
+          u
   in
   (* Upstream leaf rule: local member ports minus the sender itself; the
      source hypervisor delivers to co-resident member VMs directly. It is
      the one part built per sender. *)
-  let exact = t.idx_exact.(sl) in
   let down =
-    if exact == dummy_bm then Bitmap.create (Topology.leaf_downstream_width topo)
+    if s < 0 then Bitmap.create (Topology.leaf_downstream_width topo)
     else begin
+      let exact = t.idx_exact.(s) in
       let bm = Bitmap.copy exact in
       Bitmap.clear bm (Topology.host_port_on_leaf topo sender);
       bm
@@ -746,13 +810,16 @@ let codec_with pool topo =
       core_bitmap;
     }
   in
-  let idx_kind, idx_exact, idx_rule, idx_site_bm = build_index d_leaf tree in
+  let idx_leaves, idx_kind, idx_exact, idx_rule, idx_site_bm =
+    build_index d_leaf tree
+  in
   {
     tree;
     params;
     d_spine;
     d_leaf;
     stale;
+    idx_leaves;
     idx_kind;
     idx_exact;
     idx_rule;

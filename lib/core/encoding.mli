@@ -14,15 +14,22 @@ type t = {
   d_leaf : Clustering.result;  (** leaf layer, ids are global leaf numbers *)
   mutable stale : int;
       (** fast-path mutations applied since the last from-scratch encode *)
+  idx_leaves : int array;
+      (** the tree's leaves, ascending: a leaf's {e slot} is its position
+          here, found by binary search. The other [idx_*] arrays have one
+          entry per slot, so the index is sized by the tree, not the
+          fabric. *)
   idx_kind : Bytes.t;
-      (** per-leaf dispatch byte: 0 = not in tree, 1 = p-rule, 2 = s-rule,
-          3 = default rule *)
+      (** per-slot dispatch byte: 0 = in no rule (only after a hostile
+          decode), 1 = p-rule, 2 = s-rule, 3 = default rule *)
   idx_exact : Bitmap.t array;
-      (** per-leaf exact tree bitmap (a shared width-0 dummy when absent) *)
+      (** per-slot exact tree bitmap, the tree's own (aliased, not
+          copied) *)
   idx_rule : Prule.prule array;
-      (** per-leaf containing p-rule (a shared dummy when not in one) *)
+      (** per-slot containing p-rule (a shared dummy when not in one) *)
   idx_site_bm : Bitmap.t array;
-      (** per-leaf rule bitmap the fast path mutates *)
+      (** per-slot rule bitmap the fast path mutates (a shared dummy when
+          in no rule) *)
   scratch_a : Bitmap.t;  (** scratch for the prospective budget check *)
   scratch_b : Bitmap.t;  (** scratch for rule refreshes *)
   mutable down : Prule.down option;
@@ -34,14 +41,19 @@ type t = {
           first {!header_for_sender} asked for them *)
 }
 (** The [idx_*] arrays and scratch bitmaps are internal to the
-    {!apply_delta} fast path: a flat per-leaf index (rebuilt by every
-    from-scratch encode and by {!codec}'s reader) that makes steady-state
-    delta application allocation-free — no list scans, no option wrapping, no
-    fresh bitmaps. [down], [down_stale] and [upper] are
+    {!apply_delta} fast path: a flat index over the tree's leaves (rebuilt
+    by every from-scratch encode and by {!codec}'s reader) that makes
+    steady-state delta application allocation-free — no list scans, no
+    option wrapping, no fresh bitmaps. [down], [down_stale] and [upper] are
     {!header_for_sender}'s caches. Treat them all as private. *)
 
 and memo = private {
-  slots : upper array;  (** per leaf; a shared blank until its first header *)
+  slots : upper array;
+      (** per tree slot (as [idx_leaves]); a shared blank until the leaf's
+          first header *)
+  mutable off_tree : (int * upper) list;
+      (** the sender leaves the tree does not span (sender-only members),
+          by leaf id, each added by its first header *)
   leaf_up : Bitmap.t;  (** the empty up ports of every upstream leaf rule *)
   spine_up : Bitmap.t;  (** the empty up ports of every upstream spine rule *)
 }
@@ -164,9 +176,11 @@ val header_for_sender : t -> sender:int -> Prule.header
       is ever mutated, so two downs may share it.
     - The upstream leaf rule's up ports and multipath flag, the upstream
       spine rule and the core rule depend only on the sender's leaf. The
-      first header of each leaf builds them, from copies; every later
-      header of a sender on that leaf shares them [==], for as long as the
-      encoding lives (and beyond, through {!inherit_caches}).
+      first header of each leaf the tree spans builds them, from copies;
+      every later header of a sender on that leaf shares them [==], for as
+      long as the encoding lives (and beyond, through {!inherit_caches}).
+      The leaves of sender-only members, which the tree does not span, are
+      memoized the same way, in a list beside the slots.
 
     {!encode} itself builds neither, so installing a group pays for them
     only when its first header is asked for. *)

@@ -158,16 +158,31 @@ type route = {
   r_enc : Encoding.t;
   r_assigned : (int, Bitmap.t option) Hashtbl.t;
       (* [assigned] by [Srule_state.site_key], filled on first visit *)
+  r_spines : Bitmap.t array;
+      (* each pod's tree spine bitmap (its tree leaves), [no_spine] for a
+         pod the tree does not reach *)
+  r_pods : int;  (* the tree's pods *)
 }
+
+let no_spine = Bitmap.create 0
 
 let route cfg (g : Installed_config.group_view) =
   Option.map
     (fun enc ->
+      let spines = Array.make cfg.Installed_config.topo.Topology.pods no_spine in
+      let pods = ref 0 in
+      List.iter
+        (fun (p, bm) ->
+          spines.(p) <- bm;
+          incr pods)
+        enc.Encoding.tree.Tree.spine_bitmaps;
       {
         r_cfg = cfg;
         r_group = g;
         r_enc = enc;
         r_assigned = Hashtbl.create 16;
+        r_spines = spines;
+        r_pods = !pods;
       })
     g.Installed_config.enc
 
@@ -212,16 +227,13 @@ let live_leaves cfg ~pod ~plane f ports =
    link-gated on [plane]. *)
 let in_pod_part r ~sl ~plane add =
   let sp = Topology.pod_of_leaf r.r_cfg.Installed_config.topo sl in
-  match Tree.spine_bitmap r.r_enc.Encoding.tree sp with
-  | None -> ()
-  | Some bm ->
-      live_leaves r.r_cfg ~pod:sp ~plane
-        (fun lp leaf ->
-          if leaf <> sl then begin
-            add (Pred.Spine sp) lp;
-            leaf_down r leaf add
-          end)
-        bm
+  live_leaves r.r_cfg ~pod:sp ~plane
+    (fun lp leaf ->
+      if leaf <> sl then begin
+        add (Pred.Spine sp) lp;
+        leaf_down r leaf add
+      end)
+    r.r_spines.(sp)
 
 (* A remote pod's spine on [plane] forwarding down: the pod's spine
    assignment, link-gated. *)
@@ -260,17 +272,16 @@ let sender_planes r ~sender =
   | ov ->
       let cfg = r.r_cfg in
       let topo = cfg.Installed_config.topo in
-      let tree = r.r_enc.Encoding.tree in
       let sl = Topology.leaf_of_host topo sender in
       let sp = Topology.pod_of_leaf topo sl in
-      let other_leaves_in_pod =
-        List.exists
-          (fun (l, _) -> l <> sl && Topology.pod_of_leaf topo l = sp)
-          tree.Tree.leaf_bitmaps
+      (* The pod's spine bitmap has one bit per tree leaf in the pod. *)
+      let spine = r.r_spines.(sp) in
+      let in_pod = Bitmap.popcount spine in
+      let own =
+        in_pod > 0 && Bitmap.get spine (Topology.leaf_port_on_spine topo sl)
       in
-      let other_pods =
-        List.exists (fun (p, _) -> p <> sp) tree.Tree.spine_bitmaps
-      in
+      let other_leaves_in_pod = in_pod - Bool.to_int own > 0 in
+      let other_pods = r.r_pods - Bool.to_int (in_pod > 0) > 0 in
       if not (other_leaves_in_pod || other_pods) then Some []
       else begin
         let hash = Ecmp.flow_hash ~group:g.Installed_config.gid ~sender in
@@ -522,9 +533,7 @@ let sender_blackholes cfg =
   in
   let in_pod_reach r ~sp ~plane =
     reached ((sp * planes) + plane) (fun set ->
-        Option.iter
-          (live_leaves cfg ~pod:sp ~plane set)
-          (Tree.spine_bitmap r.r_enc.Encoding.tree sp))
+        live_leaves cfg ~pod:sp ~plane set r.r_spines.(sp))
   in
   let cross_reach r ~sp ~plane =
     reached (slots + (sp * planes) + plane) (fun set ->

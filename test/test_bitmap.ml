@@ -145,6 +145,52 @@ let prop_compare_consistent =
       let ba = bm_of w a and bb = bm_of w b in
       Bitmap.equal ba bb = (Bitmap.compare ba bb = 0))
 
+(* Bitmaps of widths 1-200 (up to four 63-bit words) whose words often
+   have bit 62 set (the sign bit of an OCaml int) or are full: the
+   positions the constant-time popcount's masks must get right. *)
+let arb_wide_bitmap =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 200 >>= fun w ->
+    let top_bits = List.filter (fun i -> i < w) [ 62; 125; 188 ] in
+    let full_word = List.init (min w 63) Fun.id in
+    frequency
+      [ (3, list_size (int_range 0 40) (int_range 0 (w - 1)));
+        (1, return full_word);
+        (1, return (List.init w Fun.id)) ]
+    >>= fun bits ->
+    list_size (return (List.length top_bits)) bool >|= fun flags ->
+    ( w,
+      bits
+      @ List.concat (List.map2 (fun b f -> if f then [ b ] else []) top_bits flags)
+    )
+  in
+  QCheck.make gen
+    ~print:QCheck.Print.(pair int (list int))
+
+(* The word kernels against one bounds-checked [get] per position. *)
+let by_get b = List.filter (Bitmap.get b) (List.init (Bitmap.width b) Fun.id)
+
+let prop_popcount_iter_by_get =
+  QCheck.Test.make ~name:"popcount and iter agree with a get scan" ~count:1000
+    arb_wide_bitmap (fun (w, bits) ->
+      let b = bm_of w bits in
+      let seen = ref [] in
+      Bitmap.iter (fun i -> seen := i :: !seen) b;
+      let expected = by_get b in
+      Bitmap.popcount b = List.length expected && List.rev !seen = expected)
+
+let prop_hamming_cost_by_get =
+  QCheck.Test.make ~name:"hamming and union_cost agree with a get scan"
+    ~count:500 (QCheck.pair arb_wide_bitmap arb_wide_bitmap)
+    (fun ((w, a), (_, b)) ->
+      let ba = bm_of w a in
+      let bb = bm_of w (List.filter (fun i -> i < w) b) in
+      let count p = List.length (List.filter p (List.init w Fun.id)) in
+      Bitmap.hamming ba bb = count (fun i -> Bitmap.get ba i <> Bitmap.get bb i)
+      && Bitmap.union_cost ba bb
+         = count (fun i -> Bitmap.get ba i && not (Bitmap.get bb i)))
+
 let tests =
   [
     Alcotest.test_case "create/get/set/clear" `Quick test_create_and_get;
@@ -164,4 +210,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_union_cost;
     QCheck_alcotest.to_alcotest prop_subset_union;
     QCheck_alcotest.to_alcotest prop_compare_consistent;
+    QCheck_alcotest.to_alcotest prop_popcount_iter_by_get;
+    QCheck_alcotest.to_alcotest prop_hamming_cost_by_get;
   ]

@@ -349,3 +349,171 @@ let tests =
       Alcotest.test_case "min-k-union tight k*OPT instances" `Quick
         test_mku_k_times_optimal;
     ]
+
+(* {1 Algorithm 1 against the list-rebuilding reference}
+
+   The loop as it stood before [Clustering.run] kept its unassigned
+   switches in one array compacted in place: each pick rebuilds the
+   candidates as a fresh list and array, and every MIN-K-UNION call
+   allocates its own [chosen] marks. Kept here only as the reference the
+   rewritten loop must match exactly — picks, tie-breaks, budget
+   rejections (which never restore [k]) and the order of the s-rule
+   capacity probes. *)
+
+let reference_choose ~k candidates =
+  let n = Array.length candidates in
+  let chosen = Array.make n false in
+  let seed = ref 0 in
+  let seed_count = ref max_int in
+  Array.iteri
+    (fun i (_, b) ->
+      let c = Bitmap.popcount b in
+      if c < !seed_count then begin
+        seed := i;
+        seed_count := c
+      end)
+    candidates;
+  chosen.(!seed) <- true;
+  let acc = Bitmap.copy (snd candidates.(!seed)) in
+  let picked = ref [ !seed ] in
+  for _ = 2 to k do
+    let best = ref (-1) in
+    let best_cost = ref max_int in
+    Array.iteri
+      (fun i (_, b) ->
+        if not chosen.(i) then begin
+          let cost = Bitmap.union_cost b acc in
+          if cost < !best_cost then begin
+            best := i;
+            best_cost := cost
+          end
+        end)
+      candidates;
+    chosen.(!best) <- true;
+    Bitmap.union_into ~dst:acc (snd candidates.(!best));
+    picked := !best :: !picked
+  done;
+  (List.rev !picked, acc)
+
+let reference_run ~r ~semantics ~hmax ~kmax ~has_srule_space layer =
+  match layer with
+  | [] -> { Clustering.prules = []; srules = []; default = None }
+  | _ :: _ when List.length layer <= hmax ->
+      {
+        Clustering.prules =
+          List.map (fun (id, b) -> { Prule.bitmap = b; switches = [ id ] }) layer;
+        srules = [];
+        default = None;
+      }
+  | _ :: _ ->
+      let unassigned = ref (Array.of_list layer) in
+      let prules = ref [] and nprules = ref 0 and k = ref kmax in
+      let remove indices =
+        let drop = Array.make (Array.length !unassigned) false in
+        List.iter (fun i -> drop.(i) <- true) indices;
+        let keep = ref [] in
+        Array.iteri (fun i sw -> if not drop.(i) then keep := sw :: !keep) !unassigned;
+        unassigned := Array.of_list (List.rev !keep)
+      in
+      let continue = ref true in
+      while !continue && Array.length !unassigned > 0 && !nprules < hmax do
+        let kk = min !k (Array.length !unassigned) in
+        let indices, output = reference_choose ~k:kk !unassigned in
+        if
+          Clustering.rule_within_budget ~r ~semantics
+            ~exacts:(List.map (fun i -> snd !unassigned.(i)) indices)
+            output
+        then begin
+          let switches = List.map (fun i -> fst !unassigned.(i)) indices in
+          prules := { Prule.bitmap = output; switches } :: !prules;
+          incr nprules;
+          remove indices
+        end
+        else if kk = 1 then continue := false
+        else k := kk - 1
+      done;
+      let leftovers =
+        Array.to_list !unassigned |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      let srules = ref [] and default_switches = ref [] and default_bm = ref None in
+      List.iter
+        (fun (id, b) ->
+          if has_srule_space id then srules := (id, b) :: !srules
+          else begin
+            default_switches := id :: !default_switches;
+            match !default_bm with
+            | None -> default_bm := Some (Bitmap.copy b)
+            | Some acc -> Bitmap.union_into ~dst:acc b
+          end)
+        leftovers;
+      {
+        Clustering.prules = List.rev !prules;
+        srules = List.rev !srules;
+        default =
+          Option.map (fun b -> (List.rev !default_switches, b)) !default_bm;
+      }
+
+let same_result (a : Clustering.result) (b : Clustering.result) =
+  List.equal
+    (fun (x : Prule.prule) (y : Prule.prule) ->
+      List.equal Int.equal x.switches y.switches && Bitmap.equal x.bitmap y.bitmap)
+    a.prules b.prules
+  && List.equal
+       (fun (i, x) (j, y) -> i = j && Bitmap.equal x y)
+       a.srules b.srules
+  && Clustering.equal_default a.default b.default
+
+(* A layer whose switches mostly draw their bitmaps from a small pool, so
+   equal bitmaps (ties at every greedy step) are common; Hmax mostly
+   below the layer size, so the greedy loop runs; the s-rule capacity an
+   arbitrary predicate on the switch id. *)
+let arb_layer_case =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 70 >>= fun w ->
+    let bits = list_size (int_range 0 5) (int_range 0 (w - 1)) in
+    list_size (int_range 1 4) bits >>= fun pool ->
+    let npool = List.length pool in
+    int_range 1 20 >>= fun n ->
+    list_repeat n
+      (frequency
+         [ (3, int_bound (npool - 1) >|= List.nth pool); (1, bits) ])
+    >>= fun sets ->
+    int_range 1 (max 1 (n - 1)) >>= fun hmax ->
+    int_range 1 4 >>= fun kmax ->
+    int_range 0 6 >>= fun r ->
+    bool >>= fun sum ->
+    list_repeat n bool >|= fun space ->
+    (w, sets, hmax, kmax, r, sum, space)
+  in
+  QCheck.make gen
+    ~print:(fun (w, sets, hmax, kmax, r, sum, space) ->
+      Printf.sprintf "w=%d hmax=%d kmax=%d r=%d %s sets=%s space=%s" w hmax
+        kmax r
+        (if sum then "Sum" else "Per_bitmap")
+        (QCheck.Print.(list (list int)) sets)
+        (QCheck.Print.(list bool) space))
+
+let prop_run_matches_reference =
+  QCheck.Test.make ~name:"Clustering.run = reference greedy" ~count:1000
+    arb_layer_case (fun (w, sets, hmax, kmax, r, sum, space) ->
+      let layer = List.mapi (fun i l -> ((3 * i) + 1, bm w l)) sets in
+      let semantics = if sum then Params.Sum else Params.Per_bitmap in
+      let has_space = Array.of_list space in
+      let probe calls id =
+        calls := id :: !calls;
+        has_space.((id - 1) / 3)
+      in
+      let calls = ref [] and ref_calls = ref [] in
+      let got =
+        Clustering.run ~r ~semantics ~hmax ~kmax ~has_srule_space:(probe calls)
+          layer
+      in
+      let want =
+        reference_run ~r ~semantics ~hmax ~kmax
+          ~has_srule_space:(probe ref_calls) layer
+      in
+      same_result got want && List.equal Int.equal !calls !ref_calls)
+
+let tests =
+  tests @ [ QCheck_alcotest.to_alcotest prop_run_matches_reference ]

@@ -447,3 +447,80 @@ let tests =
       QCheck_alcotest.to_alcotest prop_streamed_encodes_respect_fmax;
       QCheck_alcotest.to_alcotest prop_ineligible_never_reserves;
     ]
+
+(* {1 Tree-sized footprint}
+
+   An encoding's leaf index and upper-rule memo have one entry per leaf
+   of its tree, not per leaf of the fabric: the same tree shape takes the
+   same words on the benchmark's 64-leaf Clos as on the 576-leaf
+   Facebook fabric. Every bitmap involved is one word wide on both. *)
+
+let clos64 =
+  Topology.create ~pods:8 ~leaves_per_pod:8 ~spines_per_pod:4 ~hosts_per_leaf:32
+    ~cores_per_plane:4
+
+let test_footprint_independent_of_fabric () =
+  let words topo =
+    let lpp = topo.Topology.leaves_per_pod in
+    let host leaf port = (leaf * topo.Topology.hosts_per_leaf) + port in
+    let members =
+      [ host 0 0; host 0 1; host 1 3; host (lpp + 2) 5; host (2 * lpp) 7 ]
+    in
+    let params = Params.create ~header_budget:None () in
+    let srules = Srule_state.create topo ~fmax:params.Params.fmax in
+    let enc = Encoding.encode params srules (Tree.of_members topo members) in
+    (* The topology record is shared, not the encoding's own. *)
+    let own = Obj.reachable_words (Obj.repr enc) - Obj.reachable_words (Obj.repr topo) in
+    ignore (Encoding.header_for_sender enc ~sender:(host 0 0));
+    ignore (Encoding.header_for_sender enc ~sender:(host 3 0));
+    (own, Obj.reachable_words (Obj.repr enc.Encoding.upper))
+  in
+  Alcotest.(check (pair int int))
+    "encoding and upper memo words: 64-leaf Clos = Facebook fabric"
+    (words clos64) (words fabric)
+
+(* A sender-only member on a leaf the tree does not span has no slot in
+   the index; its header must still equal the one a fresh encode of the
+   same membership builds, before and after fast-path joins. Leaf 1
+   shares pod 0 with tree leaf 0; leaf 2 is in pod 1, off the tree. *)
+let test_off_tree_sender_header () =
+  let receivers = [ 0; 1; (5 * h) + 2 ] in
+  let senders = [ h + 4; (2 * h) + 3 ] in
+  let fresh members = fst (encode (Tree.of_members topo members)) in
+  let wire enc s = Header_codec.encode topo (Encoding.header_for_sender enc ~sender:s) in
+  let check_against msg enc members =
+    let reference = fresh members in
+    List.iter
+      (fun s ->
+        Alcotest.(check bool) (Printf.sprintf "%s: sender %d" msg s) true
+          (Bytes.equal (wire enc s) (wire reference s));
+        let a = Encoding.header_for_sender enc ~sender:s in
+        let b = Encoding.header_for_sender enc ~sender:s in
+        Alcotest.(check bool) (Printf.sprintf "%s: sender %d memoized" msg s) true
+          (a.Prule.u_spine == b.Prule.u_spine && a.Prule.core == b.Prule.core))
+      senders
+  in
+  let enc = fresh receivers in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) "off the tree" true
+        (Tree.leaf_bitmap enc.Encoding.tree (Topology.leaf_of_host topo s) = None))
+    senders;
+  check_against "fresh" enc receivers;
+  let joined = [ 2; (5 * h) + 4 ] in
+  List.iter
+    (fun host ->
+      match Encoding.apply_delta enc (Encoding.delta_of_host topo ~joining:true host) with
+      | Encoding.Applied _ -> ()
+      | Encoding.Reencode _ -> Alcotest.failf "join of %d left the fast path" host)
+    joined;
+  check_against "after joins" enc (receivers @ joined)
+
+let tests =
+  tests
+  @ [
+      Alcotest.test_case "footprint independent of fabric size" `Quick
+        test_footprint_independent_of_fabric;
+      Alcotest.test_case "off-tree sender header" `Quick
+        test_off_tree_sender_header;
+    ]

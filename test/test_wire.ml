@@ -257,10 +257,10 @@ let with_groups segments =
          List.iter (Byteio.Writer.raw w) segs)
        segments)
 
-(* A group with no members and no encoding, carrying one all-clear
-   override per listed host, laid out as the group segment is: gid,
-   members, encoding option, overrides. *)
-let bare_segment ?(overrides = []) gid =
+(* A group with no encoding, the listed sender-only members and one
+   all-clear override per listed host, laid out as the group segment is:
+   gid, members, encoding option, overrides. *)
+let bare_segment ?(members = []) ?(overrides = []) gid =
   let open Byteio.Codec in
   let ov =
     pair
@@ -271,7 +271,12 @@ let bare_segment ?(overrides = []) gid =
   to_bytes
     (fun w () ->
       int.write w gid;
-      (list int).write w [];
+      Byteio.Writer.u32 w (List.length members);
+      List.iter
+        (fun host ->
+          int.write w host;
+          Byteio.Writer.u8 w 0 (* Sender *))
+        members;
       bool.write w false;
       (list (pair int ov)).write w
         (List.map (fun host -> (host, (clear, (None, false)))) overrides))
@@ -298,6 +303,16 @@ let test_forged_duplicate_override_host () =
       ignore
         (Test_fault.decode_snapshot
            (with_groups [ bare_segment ~overrides:[ 0; 0 ] 0 ])))
+
+(* Members keep their insertion order on the wire, so the reader cannot
+   ask for ascending hosts; it refuses a repeated one. *)
+let test_forged_duplicate_member_host () =
+  Alcotest.(check bool) "members 3, 0 decode" true
+    (decodes (with_groups [ bare_segment ~members:[ 3; 0 ] 0 ]));
+  Alcotest.check_raises "host 3 twice" Byteio.Reader.Corrupt (fun () ->
+      ignore
+        (Test_fault.decode_snapshot
+           (with_groups [ bare_segment ~members:[ 3; 0; 3 ] 0 ])))
 
 let test_forged_unsorted_stale_list () =
   (* Stale entries for group 0 on leaves 0 and 1: key, group, site tag
@@ -1314,6 +1329,8 @@ let tests =
       test_forged_duplicate_gid;
     Alcotest.test_case "forged snapshot: duplicate override host" `Quick
       test_forged_duplicate_override_host;
+    Alcotest.test_case "forged snapshot: duplicate member host" `Quick
+      test_forged_duplicate_member_host;
     Alcotest.test_case "forged snapshot: unsorted stale list" `Quick
       test_forged_unsorted_stale_list;
     Alcotest.test_case "forged encoding: core padding bit" `Quick
