@@ -810,7 +810,9 @@ let verify () =
          (List.map (fun h -> (h, Controller.Both)) members))
   done;
   let t1 = Unix.gettimeofday () in
+  let view_words0 = Gc.minor_words () in
   let cfg = Controller.installed_config ctrl in
+  let view_words = Gc.minor_words () -. view_words0 in
   let t2 = Unix.gettimeofday () in
   (* Compile-only pass: one shared universe, so recurring delivery shapes
      hash-cons to the same predicate. *)
@@ -888,7 +890,9 @@ let verify () =
     (Printf.sprintf "%.0f" (rate ngroups check_s));
   printf "%-24s %-10.3f %-14s@." "reference fold" reference_s
     (Printf.sprintf "%.0f" (rate ngroups reference_s));
-  printf "check: %.0f minor words per group; agrees with the reference: %b@."
+  printf "view: %.0f, check: %.0f minor words per group; agrees with the \
+          reference: %b@."
+    (view_words /. float_of_int ngroups)
     (check_words /. float_of_int ngroups)
     agrees;
   printf "%-24s %-10.3f %-14s@." "cached warm (all miss)" cached_warm_s
@@ -916,6 +920,7 @@ let verify () =
       ("compile_groups_per_sec", Num (rate ngroups compile_s));
       ("check_s", Num check_s);
       ("check_groups_per_sec", Num (rate ngroups check_s));
+      ("view_words_per_group", Num (view_words /. float_of_int ngroups));
       ("check_words_per_group", Num (check_words /. float_of_int ngroups));
       ("reference_check_s", Num reference_s);
       ("reference_agrees", gate "reference_agrees" agrees);

@@ -87,7 +87,7 @@ let find_group t group =
   | None -> raise Not_found
 
 let multicast t st ~dc_idx ~sender ~group =
-  let enc = List.assoc dc_idx st.encodings in
+  let enc = Int_list.assoc dc_idx st.encodings in
   let header = Encoding.header_for_sender enc ~sender in
   Fabric.inject t.dcs.(dc_idx).fabric ~sender ~group ~header ~payload:0
 
@@ -96,7 +96,7 @@ let send t ~group ~sender_dc ~sender =
   if sender_dc < 0 || sender_dc >= Array.length t.dcs then
     invalid_arg "Multidc.send: unknown datacenter";
   let local =
-    if List.mem_assoc sender_dc st.encodings then
+    if Int_list.mem_assoc sender_dc st.encodings then
       multicast t st ~dc_idx:sender_dc ~sender ~group
     else
       { Fabric.delivered = []; transmissions = 0; header_bytes = 0; lost = 0 }
@@ -119,14 +119,14 @@ let deliveries_correct t ~group ~sender_dc ~sender report =
   let st = find_group t group in
   let got dc host =
     if dc = sender_dc then
-      Option.value ~default:0 (List.assoc_opt host report.local.Fabric.delivered)
+      Option.value ~default:0 (Int_list.assoc_opt host report.local.Fabric.delivered)
     else begin
-      match List.assoc_opt dc report.remote with
+      match Int_list.assoc_opt dc report.remote with
       | None -> 0
       | Some r ->
           let relay = Option.get (relay_of st dc) in
           let wan = if host = relay then 1 else 0 in
-          wan + Option.value ~default:0 (List.assoc_opt host r.Fabric.delivered)
+          wan + Option.value ~default:0 (Int_list.assoc_opt host r.Fabric.delivered)
     end
   in
   List.for_all

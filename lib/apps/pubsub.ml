@@ -24,7 +24,7 @@ let derive_rates ~streams ~packets_per_message =
 
 let check_subscribers ~publisher subscribers =
   if subscribers = [] then invalid_arg "Pubsub.run: no subscribers";
-  if List.mem publisher subscribers then
+  if Int_list.mem publisher subscribers then
     invalid_arg "Pubsub.run: publisher cannot subscribe to itself";
   if
     List.length (List.sort_uniq compare subscribers)

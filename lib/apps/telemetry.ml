@@ -11,7 +11,7 @@ let per_stream_kbps = 5.8
 
 let run fabric ~agent ~collectors mode =
   if collectors = [] then invalid_arg "Telemetry.run: no collectors";
-  if List.mem agent collectors then
+  if Int_list.mem agent collectors then
     invalid_arg "Telemetry.run: agent cannot collect from itself";
   let topo = Fabric.topology fabric in
   let n = List.length collectors in

@@ -181,6 +181,38 @@ let to_list t =
   iter (fun i -> acc := i :: !acc) t;
   List.rev !acc
 
+(* Index of the highest set bit of a non-zero word: a binary search on
+   its halves, six steps for 63 bits. *)
+let rec top_bit w n s =
+  if s = 0 then n
+  else if w lsr s <> 0 then top_bit (w lsr s) (n + s) (s lsr 1)
+  else top_bit w n (s lsr 1)
+
+(* Words from [hi]'s down to [lo]'s, each word's bits from the top down,
+   so consing yields the ascending list without a reversal. *)
+let drain t ~lo ~hi =
+  if lo > hi then []
+  else begin
+    check_index t lo;
+    check_index t hi;
+    let acc = ref [] in
+    for wi = hi / word_bits downto lo / word_bits do
+      let base = wi * word_bits in
+      let mask =
+        (-1 lsl Int.max 0 (lo - base))
+        land (-1 lsr (word_bits - 1 - Int.min (word_bits - 1) (hi - base)))
+      in
+      let w = ref (t.words.(wi) land mask) in
+      t.words.(wi) <- t.words.(wi) land lnot mask;
+      while !w <> 0 do
+        let b = top_bit !w 0 32 in
+        acc := (base + b) :: !acc;
+        w := !w lxor (1 lsl b)
+      done
+    done;
+    !acc
+  end
+
 let union_all width ts =
   let out = create width in
   List.iter (fun t -> union_into ~dst:out t) ts;

@@ -64,6 +64,14 @@ val to_list : t -> int list
 val iter : (int -> unit) -> t -> unit
 (** Applies the function to each set-bit index, ascending. *)
 
+val drain : t -> lo:int -> hi:int -> int list
+(** [drain t ~lo ~hi] is the set bits of [t] in [\[lo, hi\]], ascending,
+    and clears them. It is the read-out of a counting sort: set the keys,
+    drain their range, and the bitmap is clear again for the next sort.
+    O((hi - lo) / 63 + bits returned); no comparison sort. [[]] when
+    [lo > hi]. Raises [Invalid_argument] if [lo] or [hi] is out of range
+    otherwise. *)
+
 val union_all : int -> t list -> t
 (** [union_all width ts] ORs all bitmaps ([create width] if the list is
     empty). *)

@@ -306,7 +306,7 @@ let fault_run ?flight ~seed topo params ~groups ~group_size ~events ~rate
     ignore (Controller.add_group faulty ~group:g ms : Controller.updates);
     record_op (Journal.Add_group { group = g; members = ms })
   done;
-  let is_member g h = List.exists (fun x -> x = h) members.(g) in
+  let is_member g h = Int_list.mem h members.(g) in
   let pick_non_member g =
     if List.length members.(g) >= num_hosts then None
     else begin

@@ -119,16 +119,16 @@ let run ~r ~semantics ~hmax ~kmax ~has_srule_space layer =
 
 let assigned_bitmap t id =
   let in_prule =
-    List.find_opt (fun r -> List.mem id r.Prule.switches) t.prules
+    List.find_opt (fun r -> Int_list.mem id r.Prule.switches) t.prules
   in
   match in_prule with
   | Some r -> Some r.Prule.bitmap
   | None -> (
-      match List.assoc_opt id t.srules with
+      match Int_list.assoc_opt id t.srules with
       | Some bm -> Some bm
       | None -> (
           match t.default with
-          | Some (ids, bm) when List.mem id ids -> Some bm
+          | Some (ids, bm) when Int_list.mem id ids -> Some bm
           | Some _ | None -> None))
 
 let redundancy layer t =

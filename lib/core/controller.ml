@@ -176,6 +176,9 @@ type t = {
   views : (int, Installed_config.group_view) Hashtbl.t;
       (* [installed_config]'s sorted member and override lists of every
          group unchanged since they were last built *)
+  view_hosts : Bitmap.t;
+      (* one bit per host: [group_view]'s counting sort of a group's
+         members, all clear between calls *)
   segments : (int, bytes) Hashtbl.t;
       (* [write_snapshot]'s bytes of every group unchanged since they were
          last written; [mark_dirty] evicts from both memos *)
@@ -217,6 +220,7 @@ let create ?fabric_hooks ?clock ?(incremental = true) topo params =
     dirty = Hashtbl.create 64;
     generation = ref 0;
     views = Hashtbl.create 1024;
+    view_hosts = Bitmap.create (Topology.num_hosts topo);
     segments = Hashtbl.create 1024;
     segment_codec = group_codec ~topo;
   }
@@ -225,15 +229,15 @@ let topology t = t.topo
 let params t = t.params
 let srule_state t = t.srules
 
+let receives = function Receiver | Both -> true | Sender -> false
+let sends = function Sender | Both -> true | Receiver -> false
+let only_both = function Both -> true | Sender | Receiver -> false
+
 let receivers st =
-  List.filter_map
-    (fun (h, r) -> match r with Receiver | Both -> Some h | Sender -> None)
-    st.members
+  List.filter_map (fun (h, r) -> if receives r then Some h else None) st.members
 
 let senders st =
-  List.filter_map
-    (fun (h, r) -> match r with Sender | Both -> Some h | Receiver -> None)
-    st.members
+  List.filter_map (fun (h, r) -> if sends r then Some h else None) st.members
 
 let find_group t group = Hashtbl.find t.groups group
 
@@ -495,7 +499,7 @@ let choose_upstream t ~tree ~sender =
             List.fold_left
               (fun acc ((_, _, covered) as cand) ->
                 let gain =
-                  List.length (List.filter (fun p -> List.mem p remaining) covered)
+                  List.length (List.filter (fun p -> Int_list.mem p remaining) covered)
                 in
                 match acc with
                 | Some (best_gain, _) when best_gain >= gain -> acc
@@ -507,7 +511,7 @@ let choose_upstream t ~tree ~sender =
           | None -> None
           | Some (_, ((_, _, covered) as cand)) ->
               let remaining =
-                List.filter (fun p -> not (List.mem p covered)) remaining
+                List.filter (fun p -> not (Int_list.mem p covered)) remaining
               in
               cover remaining (cand :: chosen)
         end
@@ -765,14 +769,14 @@ let srule_diff old_srules new_srules =
   let changed =
     List.filter
       (fun (id, bm) ->
-        match List.assoc_opt id old_srules with
+        match Int_list.assoc_opt id old_srules with
         | Some bm' -> not (Bitmap.equal bm bm')
         | None -> true)
       new_srules
     |> List.map fst
   in
   let removed =
-    List.filter (fun (id, _) -> not (List.mem_assoc id new_srules)) old_srules
+    List.filter (fun (id, _) -> not (Int_list.mem_assoc id new_srules)) old_srules
     |> List.map fst
   in
   List.sort_uniq compare (changed @ removed)
@@ -790,7 +794,7 @@ let affected_senders t old_tree new_tree senders =
     let ids = List.sort_uniq compare (List.map fst bm1 @ List.map fst bm2) in
     List.filter
       (fun l ->
-        match (List.assoc_opt l bm1, List.assoc_opt l bm2) with
+        match (Int_list.assoc_opt l bm1, Int_list.assoc_opt l bm2) with
         | Some a, Some b -> not (Bitmap.equal a b)
         | None, None -> false
         | Some _, None | None, Some _ -> true)
@@ -807,8 +811,8 @@ let affected_senders t old_tree new_tree senders =
         in
         List.filter
           (fun h ->
-            List.mem (Topology.leaf_of_host t.topo h) leaves
-            || List.mem (Topology.pod_of_host t.topo h) pods)
+            Int_list.mem (Topology.leaf_of_host t.topo h) leaves
+            || Int_list.mem (Topology.pod_of_host t.topo h) pods)
           senders
       end
 
@@ -914,7 +918,7 @@ let try_fast_delta t ~group st ~host ~joining =
                      the bitmap by reference), but mirror it through the hook
                      so installs stay explicit, verified and accounted. *)
                   let bm =
-                    List.assoc dleaf enc.Encoding.d_leaf.Clustering.srules
+                    Int_list.assoc dleaf enc.Encoding.d_leaf.Clustering.srules
                   in
                   match
                     reliable t hooks ~group (Op_install_leaf (dleaf, bm))
@@ -1016,11 +1020,11 @@ let check_add_group t ~group members =
 let check_remove_group t ~group = ignore (find_group t group : group_state)
 
 let check_join t ~group ~host =
-  if List.mem_assoc host (find_group t group).members then
+  if Int_list.mem_assoc host (find_group t group).members then
     invalid_arg "Controller.join: host already a member" (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
 
 let check_leave t ~group ~host =
-  if not (List.mem_assoc host (find_group t group).members) then
+  if not (Int_list.mem_assoc host (find_group t group).members) then
     raise Not_found
 
 let srule_sites st =
@@ -1148,12 +1152,12 @@ let join t ~group ~host ~role =
 let leave t ~group ~host =
   check_leave t ~group ~host;
   let st = find_group t group in
-  let role = List.assoc host st.members in
+  let role = Int_list.assoc host st.members in
   Obs.with_span "controller.leave"
     ~attrs:[ ("group", Obs.Int group); ("host", Obs.Int host) ]
   @@ fun () ->
   mark_dirty t group;
-  st.members <- List.remove_assoc host st.members;
+  st.members <- Int_list.remove_assoc host st.members;
   member_event t ~group st ~host ~role ~joining:false
 
 let encoding t ~group = (find_group t group).enc
@@ -1298,15 +1302,39 @@ let recover_core t c =
    counter, which [mark_dirty] bumps, so a view read after a mutation is
    refused instead of seeing half-old, half-new state. *)
 
+(* The hosts of the members whose role [keep] admits, ascending: set
+   their bits in [t.view_hosts] and drain the span between the least and
+   the greatest, which clears it for the next call. O(members + span /
+   63), no comparison sort. *)
+let sorted_hosts t members keep =
+  let rec mark lo hi = function
+    | [] -> Bitmap.drain t.view_hosts ~lo ~hi
+    | (h, r) :: rest ->
+        if keep r then begin
+          Bitmap.set t.view_hosts h;
+          mark (Int.min lo h) (Int.max hi h) rest
+        end
+        else mark lo hi rest
+  in
+  mark max_int (-1) members
+
+(* The lists come from the membership, never from the encoder's tree, so
+   the check stays independent of what it checks. When every member is
+   [Both] the two lists are equal and share one list. *)
 let group_view t gid st =
   match Hashtbl.find_opt t.views gid with
   | Some v -> v
   | None ->
+      let receivers = sorted_hosts t st.members receives in
+      let senders =
+        if List.for_all (fun (_, r) -> only_both r) st.members then receivers
+        else sorted_hosts t st.members sends
+      in
       let v =
         {
           Installed_config.gid;
-          receivers = List.sort_uniq Int.compare (receivers st);
-          senders = List.sort_uniq Int.compare (senders st);
+          receivers;
+          senders;
           enc = st.enc;
           overrides = sorted_overrides st;
         }

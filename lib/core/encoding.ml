@@ -83,8 +83,8 @@ let slot_in leaves l = slot_search leaves l 0 (Array.length leaves - 1)
 (* Build the slot-indexed dispatch index of [d_leaf] over [tree]. Write
    order default → s-rules → p-rules so a p-rule wins any (never
    expected) overlap — the same precedence the old list-scan dispatch
-   had. A rule switch the tree does not span (only a hostile decode
-   names one) has no slot and is left out. *)
+   had. Every rule switch is a tree leaf: clustering runs over the
+   tree's leaves, and the codec's reader refuses any other. *)
 let build_index (d_leaf : Clustering.result) (tree : Tree.t) =
   let n = List.length tree.Tree.leaf_bitmaps in
   let idx_leaves = Array.make n 0 in
@@ -99,10 +99,8 @@ let build_index (d_leaf : Clustering.result) (tree : Tree.t) =
   let idx_site_bm = Array.make n dummy_bm in
   let mark l kind bm =
     let s = slot_in idx_leaves l in
-    if s >= 0 then begin
-      Bytes.set idx_kind s kind;
-      idx_site_bm.(s) <- bm
-    end;
+    Bytes.set idx_kind s kind;
+    idx_site_bm.(s) <- bm;
     s
   in
   (match d_leaf.Clustering.default with
@@ -116,7 +114,7 @@ let build_index (d_leaf : Clustering.result) (tree : Tree.t) =
       List.iter
         (fun l ->
           let s = mark l kind_prule r.Prule.bitmap in
-          if s >= 0 then idx_rule.(s) <- r)
+          idx_rule.(s) <- r)
         r.Prule.switches)
     d_leaf.Clustering.prules;
   (idx_leaves, idx_kind, idx_exact, idx_rule, idx_site_bm)
@@ -611,7 +609,7 @@ let inherit_caches ~from t =
           let s = slot from l in
           if not (kept l) then blank
           else if s >= 0 then m.slots.(s)
-          else Option.value ~default:blank (List.assoc_opt l m.off_tree)
+          else Option.value ~default:blank (Int_list.assoc_opt l m.off_tree)
         in
         t.upper <-
           Some
@@ -640,7 +638,7 @@ let header_for_sender t ~sender =
       end
     end
     else
-      match List.assoc_opt sl m.off_tree with
+      match Int_list.assoc_opt sl m.off_tree with
       | Some u -> u
       | None ->
           let u = build_upper t m sl in
@@ -764,9 +762,22 @@ let result_codec ~bm ~nswitches =
   in
   { Clustering.prules; srules; default }
 
+(* Does every switch [res]'s rules name satisfy [spans]? *)
+let names_within spans (res : Clustering.result) =
+  List.for_all (fun (r : Prule.prule) -> List.for_all spans r.switches) res.prules
+  && List.for_all (fun (id, _) -> spans id) res.srules
+  && match res.default with Some (ids, _) -> List.for_all spans ids | None -> true
+
+(* A membership test for the keys of [keyed], ids below [width]. *)
+let keys_of width keyed =
+  let bm = Bitmap.create width in
+  List.iter (fun (k, _) -> Bitmap.set bm k) keyed;
+  Bitmap.get bm
+
 (* The structural invariants of [Tree.t] hold on every decoded value:
    leaf and spine sections and members strictly ascending, no empty
-   tree. *)
+   tree. Every leaf rule names a leaf of the tree and every spine rule
+   one of its pods, as the encoder's do. *)
 let codec_with pool topo =
   let open Byteio.Codec in
   let leaf_width = Topology.leaf_downstream_width topo in
@@ -810,6 +821,9 @@ let codec_with pool topo =
       core_bitmap;
     }
   in
+  Byteio.Reader.check
+    (names_within (keys_of (Topology.num_leaves topo) leaf_bitmaps) d_leaf
+    && names_within (keys_of topo.Topology.pods spine_bitmaps) d_spine);
   let idx_leaves, idx_kind, idx_exact, idx_rule, idx_site_bm =
     build_index d_leaf tree
   in

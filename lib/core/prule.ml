@@ -18,7 +18,7 @@ type header = {
   downstream : down;
 }
 
-let rule_mem r id = List.mem id r.switches
+let rule_mem r id = Int_list.mem id r.switches
 
 let equal a b =
   Bitmap.equal a.bitmap b.bitmap && List.equal Int.equal a.switches b.switches

@@ -93,8 +93,8 @@ let rec mem_search (a : int array) h lo hi =
 (* elmo-lint: zero-alloc *)
 let mem_host t h = mem_search t.members h 0 (t.nmembers - 1) >= 0
 
-let leaf_bitmap t l = List.assoc_opt l t.leaf_bitmaps
-let spine_bitmap t p = List.assoc_opt p t.spine_bitmaps
+let leaf_bitmap t l = Int_list.assoc_opt l t.leaf_bitmaps
+let spine_bitmap t p = Int_list.assoc_opt p t.spine_bitmaps
 
 let equal_bitmaps a b =
   List.equal (fun (i, x) (j, y) -> i = j && Bitmap.equal x y) a b

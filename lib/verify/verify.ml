@@ -13,33 +13,42 @@ let current cfg =
 let bitmap_opt_get bm i =
   match bm with Some bm -> Bitmap.get bm i | None -> false
 
+(* The output bitmap of the first p-rule naming switch [id]. *)
+let rec prule_bitmap id = function
+  | [] -> None
+  | r :: rest -> if Prule.rule_mem r id then Some r.Prule.bitmap else prule_bitmap id rest
+
+(* The tree's own bitmap at a site: what a stale site's compensated
+   entry holds. *)
+let truthful tree = function
+  | Srule_state.Leaf l -> Tree.leaf_bitmap tree l
+  | Srule_state.Pod p -> Tree.spine_bitmap tree p
+
 (* Downstream assignment of one logical switch under the installed state,
    resolved as the switch parser does: p-rule identifier scan, then the
    group-table entry — the compensated truthful bitmap when the site is
    stale, the clustering's s-rule otherwise — then the default p-rule,
    which applies to any switch falling through. [None] means the switch
-   forwards nothing (equivalently, an empty bitmap). *)
-let assigned cfg ~group ~site (enc : Encoding.t) =
-  let layer, id, truthful =
-    match site with
-    | Srule_state.Leaf l ->
-        (enc.Encoding.d_leaf, l, Tree.leaf_bitmap enc.Encoding.tree l)
-    | Srule_state.Pod p ->
-        (enc.Encoding.d_spine, p, Tree.spine_bitmap enc.Encoding.tree p)
-  in
-  match
-    List.find_opt (fun r -> Prule.rule_mem r id) layer.Clustering.prules
-  with
-  | Some r -> Some r.Prule.bitmap
+   forwards nothing (equivalently, an empty bitmap). [layer] and [id] are
+   the site's layer of [enc] and its switch id. *)
+let assigned_in cfg ~group ~site (enc : Encoding.t) (layer : Clustering.result) id =
+  match prule_bitmap id layer.Clustering.prules with
+  | Some _ as bm -> bm
   | None ->
-      if Installed_config.is_stale cfg ~group site then truthful
+      if Installed_config.is_stale cfg ~group site then
+        truthful enc.Encoding.tree site
       else (
-        match List.assoc_opt id layer.Clustering.srules with
-        | Some bm -> Some bm
+        match Int_list.assoc_opt id layer.Clustering.srules with
+        | Some _ as bm -> bm
         | None -> (
             match layer.Clustering.default with
             | Some (_, bm) -> Some bm
             | None -> None))
+
+let assigned cfg ~group ~site (enc : Encoding.t) =
+  match site with
+  | Srule_state.Leaf l -> assigned_in cfg ~group ~site enc enc.Encoding.d_leaf l
+  | Srule_state.Pod p -> assigned_in cfg ~group ~site enc enc.Encoding.d_spine p
 
 (* {1 The spec walk}
 
@@ -267,7 +276,7 @@ let cross_part r ~sp ~plane ~pod add =
    no planes when the tree never leaves the sender's leaf. *)
 let sender_planes r ~sender =
   let g = r.r_group in
-  match List.assoc_opt sender g.Installed_config.overrides with
+  match Int_list.assoc_opt sender g.Installed_config.overrides with
   | Some o when o.Installed_config.unicast -> None
   | ov ->
       let cfg = r.r_cfg in

@@ -191,6 +191,28 @@ let prop_hamming_cost_by_get =
       && Bitmap.union_cost ba bb
          = count (fun i -> Bitmap.get ba i && not (Bitmap.get bb i)))
 
+(* [drain] returns the set bits in [lo, hi] ascending and clears exactly
+   those, whatever the range's word alignment: widths up to 200 put the
+   range's ends in any of four 63-bit words. *)
+let prop_drain =
+  QCheck.Test.make ~name:"drain = set bits in range, ascending, cleared"
+    ~count:500
+    (QCheck.make
+       ~print:(fun ((w, bits), (lo, hi)) ->
+         Printf.sprintf "width=%d bits=[%s] lo=%d hi=%d" w
+           (String.concat ";" (List.map string_of_int bits))
+           lo hi)
+       QCheck.Gen.(
+         gen_bitmap >>= fun (w, bits) ->
+         pair (int_range 0 (w - 1)) (int_range 0 (w - 1)) >>= fun range ->
+         return ((w, bits), range)))
+    (fun ((w, bits), (lo, hi)) ->
+      let b = bm_of w bits in
+      let inside i = lo <= i && i <= hi in
+      let expected = List.filter inside (Bitmap.to_list b) in
+      let left = List.filter (fun i -> not (inside i)) (Bitmap.to_list b) in
+      Bitmap.drain b ~lo ~hi = expected && Bitmap.to_list b = left)
+
 let tests =
   [
     Alcotest.test_case "create/get/set/clear" `Quick test_create_and_get;
@@ -212,4 +234,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_compare_consistent;
     QCheck_alcotest.to_alcotest prop_popcount_iter_by_get;
     QCheck_alcotest.to_alcotest prop_hamming_cost_by_get;
+    QCheck_alcotest.to_alcotest prop_drain;
   ]

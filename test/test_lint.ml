@@ -52,6 +52,19 @@ let test_poly_compare () =
     ]
     (analyze [ "bad_poly_compare" ])
 
+let test_poly_lookup () =
+  (* Int keys too: the stdlib lookups call caml_compare at every type. A
+     lookup through a monomorphic equality passes. *)
+  check "bad_poly_lookup"
+    [
+      (src "bad_poly_lookup", 3, "poly-lookup");
+      (src "bad_poly_lookup", 4, "poly-lookup");
+      (src "bad_poly_lookup", 5, "poly-lookup");
+      (src "bad_poly_lookup", 6, "poly-lookup");
+      (src "bad_poly_lookup", 7, "poly-lookup");
+    ]
+    (analyze [ "bad_poly_lookup" ])
+
 let test_exception_discipline () =
   check "bad_failwith"
     [
@@ -167,6 +180,7 @@ let all_fixtures =
     "bad_failwith";
     "bad_no_mli";
     "bad_poly_compare";
+    "bad_poly_lookup";
     "bad_random";
     "clean";
     "suppressed_bare";
@@ -191,6 +205,11 @@ let test_aggregate () =
       (src "bad_poly_compare", 5, "poly-compare");
       (src "bad_poly_compare", 6, "poly-compare");
       (src "bad_poly_compare", 7, "poly-compare");
+      (src "bad_poly_lookup", 3, "poly-lookup");
+      (src "bad_poly_lookup", 4, "poly-lookup");
+      (src "bad_poly_lookup", 5, "poly-lookup");
+      (src "bad_poly_lookup", 6, "poly-lookup");
+      (src "bad_poly_lookup", 7, "poly-lookup");
       (src "bad_random", 2, "determinism");
       (src "bad_random", 3, "determinism");
       (src "bad_random", 4, "determinism");
@@ -212,6 +231,7 @@ let test_rule_id_roundtrip () =
     [
       Lint.Determinism;
       Lint.Poly_compare;
+      Lint.Poly_lookup;
       Lint.Exception_discipline;
       Lint.Interface_hygiene;
       Lint.Zero_alloc;
@@ -259,4 +279,5 @@ let tests =
     Alcotest.test_case "aggregate ordering" `Quick test_aggregate;
     Alcotest.test_case "rule id roundtrip" `Quick test_rule_id_roundtrip;
     Alcotest.test_case "finding format" `Quick test_pp_finding;
+    Alcotest.test_case "poly-lookup rule" `Quick test_poly_lookup;
   ]

@@ -1,5 +1,6 @@
 (* Coverage for small public utilities: pretty-printers, update-set algebra,
-   and multi-datacenter fan-out beyond two sites. *)
+   the int-keyed list lookups, and multi-datacenter fan-out beyond two
+   sites. *)
 
 let topo = Topology.running_example ()
 
@@ -105,6 +106,22 @@ let test_sim_verify_cli () =
   Alcotest.(check bool) "prints a gid/switch/port counterexample" true
     (Astring.String.is_infix ~affix:"counterexample: 0/leaf" bad_out)
 
+(* [Int_list] is the stdlib's lookups at int keys. Keys and elements
+   come from a range narrower than the lists are long, so lists repeat
+   keys and probes miss about as often as they hit. *)
+let prop_int_list_is_stdlib =
+  let small = QCheck.int_range (-4) 8 in
+  QCheck.Test.make ~name:"int helpers = stdlib" ~count:500
+    QCheck.(pair small (list_of_size Gen.(int_range 0 12) (pair small small)))
+    (fun (x, pairs) ->
+      let keys = List.map fst pairs in
+      let find f = match f x pairs with v -> Some v | exception Not_found -> None in
+      Int_list.mem x keys = List.mem x keys
+      && find Int_list.assoc = find List.assoc
+      && Int_list.assoc_opt x pairs = List.assoc_opt x pairs
+      && Int_list.mem_assoc x pairs = List.mem_assoc x pairs
+      && Int_list.remove_assoc x pairs = List.remove_assoc x pairs)
+
 let tests =
   [
     Alcotest.test_case "update-set algebra" `Quick test_update_algebra;
@@ -112,4 +129,5 @@ let tests =
     Alcotest.test_case "multi-DC with three sites" `Quick test_multidc_three_sites;
     Alcotest.test_case "validate and ECMP ranges" `Quick test_tree_validate_and_ecmp_ranges;
     Alcotest.test_case "elmo-sim verify CLI" `Quick test_sim_verify_cli;
+    QCheck_alcotest.to_alcotest prop_int_list_is_stdlib;
   ]

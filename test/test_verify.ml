@@ -1340,6 +1340,68 @@ let test_sweep_oracle_not_vacuous () =
   some "a single-pod check witness" !single_pod;
   some "a check witness on receivers with no encoding" !dropped
 
+(* {1 View lists} *)
+
+(* A random stream of membership events over three groups on every host
+   of the running example: each step names a group, a host and a role; it
+   adds the group if it is new, makes the host leave if it is a member,
+   and joins it with the role otherwise. After every event each group's
+   view lists must be the sorted, role-filtered membership, whatever the
+   mix of Sender-only, Receiver-only and Both members. *)
+let prop_view_lists =
+  let roles = [| Controller.Sender; Controller.Receiver; Controller.Both |] in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 60)
+        (triple (int_bound 2) (int_bound (Topology.num_hosts topo - 1))
+           (int_bound 2)))
+  in
+  QCheck.Test.make ~name:"view lists = sorted role-filtered members" ~count:150
+    (QCheck.make ~print:QCheck.Print.(list (triple int int int)) gen)
+    (fun steps ->
+      let ctrl = Controller.create topo Params.default in
+      let hosts keep members =
+        List.filter_map (fun (h, r) -> if keep r then Some h else None) members
+        |> List.sort_uniq Int.compare
+      in
+      let receives = function
+        | Controller.Receiver | Controller.Both -> true
+        | Controller.Sender -> false
+      and sends = function
+        | Controller.Sender | Controller.Both -> true
+        | Controller.Receiver -> false
+      in
+      let live = ref [] in
+      List.iter
+        (fun (group, host, r) ->
+          let role = roles.(r) in
+          (if not (List.mem group !live) then begin
+             ignore (Controller.add_group ctrl ~group [ (host, role) ]);
+             live := group :: !live
+           end
+           else if
+             List.exists (fun (x, _) -> x = host) (Controller.members ctrl ~group)
+           then ignore (Controller.leave ctrl ~group ~host)
+           else ignore (Controller.join ctrl ~group ~host ~role));
+          let cfg = Controller.installed_config ctrl in
+          List.iter
+            (fun group ->
+              let members = Controller.members ctrl ~group in
+              match Installed_config.group cfg group with
+              | None -> QCheck.Test.fail_reportf "group %d has no view" group
+              | Some g ->
+                  if g.Installed_config.receivers <> hosts receives members then
+                    QCheck.Test.fail_reportf "group %d: receivers [%s]" group
+                      (String.concat "; "
+                         (List.map string_of_int g.Installed_config.receivers));
+                  if g.Installed_config.senders <> hosts sends members then
+                    QCheck.Test.fail_reportf "group %d: senders [%s]" group
+                      (String.concat "; "
+                         (List.map string_of_int g.Installed_config.senders)))
+            !live)
+        steps;
+      true)
+
 (* {1 Header-only interpretation} *)
 
 let test_header_pred_walks_the_header () =
@@ -1454,4 +1516,5 @@ let tests =
       test_sweep_one_plane_reaches;
     Alcotest.test_case "sweep: remote pod assignment omits a leaf" `Quick
       test_sweep_remote_pod_omits_leaf;
+    QCheck_alcotest.to_alcotest prop_view_lists;
   ]

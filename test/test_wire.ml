@@ -365,6 +365,53 @@ let test_forged_core_padding_bit () =
   Alcotest.check_raises "padding bit 7 set" Byteio.Reader.Corrupt (fun () ->
       ignore (Byteio.Codec.of_bytes codec.read forged))
 
+(* A group on leaves 0-2 (pods 0 and 1) with two members per leaf. Under
+   [tight_params] leaves 0 and 1 share one p-rule and pod 1 has one. A
+   forged copy adds an off-tree switch to the first rule of a layer:
+   leaf 7, or pod 3. Each is well framed and in range, and is refused;
+   the on-tree twin decodes, and a fast-path [Leave] on it applies.
+   Unrefused, the forged leaf rule decodes, and that [Leave] recomputes
+   the shared rule over leaf 7, which has no exact bitmap, and raises
+   [Invalid_argument]. *)
+let test_forged_off_tree_switch () =
+  let ctrl = Controller.create topo tight_params in
+  ignore
+    (Controller.add_group ctrl ~group:0
+       (members_both [ 0; 1; h; h + 1; 2 * h; (2 * h) + 1 ]));
+  let enc = Option.get (Controller.encoding ctrl ~group:0) in
+  let codec = Encoding.codec topo in
+  let round_trip e =
+    Byteio.Codec.of_bytes codec.read (Byteio.Codec.to_bytes codec.write e)
+  in
+  let switches (res : Clustering.result) =
+    List.map (fun (r : Prule.prule) -> r.switches) res.prules
+  in
+  Alcotest.(check (list (list int))) "leaf p-rules" [ [ 0; 1 ] ]
+    (switches enc.Encoding.d_leaf);
+  Alcotest.(check (list (list int))) "spine p-rules" [ [ 1 ] ]
+    (switches enc.Encoding.d_spine);
+  let add_switch id (res : Clustering.result) =
+    match res.prules with
+    | r :: rest ->
+        { res with prules = { r with switches = r.switches @ [ id ] } :: rest }
+    | [] -> res
+  in
+  Alcotest.check_raises "leaf rule names leaf 7" Byteio.Reader.Corrupt
+    (fun () ->
+      ignore
+        (round_trip { enc with d_leaf = add_switch 7 enc.Encoding.d_leaf }));
+  Alcotest.check_raises "spine rule names pod 3" Byteio.Reader.Corrupt
+    (fun () ->
+      ignore
+        (round_trip { enc with d_spine = add_switch 3 enc.Encoding.d_spine }));
+  let twin = round_trip enc in
+  Alcotest.(check bool) "the on-tree twin's Leave applies in place" true
+    (match
+       Encoding.apply_delta twin (Encoding.delta_of_host topo ~joining:false 1)
+     with
+    | Encoding.Applied _ -> true
+    | Encoding.Reencode _ -> false)
+
 (* {1 Wire framing edge cases} *)
 
 let test_empty_log () =
@@ -1383,4 +1430,6 @@ let tests =
     Alcotest.test_case "wire file round-trip" `Quick test_file_round_trip;
     Alcotest.test_case "trailing byte after an op truncates" `Quick
       test_trailing_byte_after_op_truncates;
+    Alcotest.test_case "forged encoding: rule names a switch off the tree"
+      `Quick test_forged_off_tree_switch;
   ]

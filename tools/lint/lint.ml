@@ -6,6 +6,7 @@
 type rule =
   | Determinism
   | Poly_compare
+  | Poly_lookup
   | Exception_discipline
   | Interface_hygiene
   | Zero_alloc
@@ -14,6 +15,7 @@ type rule =
 let rule_id = function
   | Determinism -> "determinism"
   | Poly_compare -> "poly-compare"
+  | Poly_lookup -> "poly-lookup"
   | Exception_discipline -> "exception-discipline"
   | Interface_hygiene -> "interface-hygiene"
   | Zero_alloc -> "zero-alloc"
@@ -22,6 +24,7 @@ let rule_id = function
 let rule_of_id = function
   | "determinism" -> Some Determinism
   | "poly-compare" -> Some Poly_compare
+  | "poly-lookup" -> Some Poly_lookup
   | "exception-discipline" -> Some Exception_discipline
   | "interface-hygiene" -> Some Interface_hygiene
   | "zero-alloc" -> Some Zero_alloc
@@ -233,6 +236,13 @@ let deterministic_banned name =
   || name = "Stdlib.Hashtbl.randomize"
 
 let poly_compare_ops = [ "Stdlib.="; "Stdlib.<>"; "Stdlib.compare" ]
+
+(* The stdlib list lookups compare keys with polymorphic compare at every
+   element type, so [poly-compare]'s type test cannot clear them: even at
+   [int] each step is a [caml_compare] call. *)
+let poly_lookups =
+  [ "Stdlib.List.mem"; "Stdlib.List.assoc"; "Stdlib.List.assoc_opt";
+    "Stdlib.List.mem_assoc"; "Stdlib.List.remove_assoc" ]
 let banned_raisers = [ "Stdlib.failwith"; "Stdlib.invalid_arg" ]
 
 let short_name name =
@@ -274,6 +284,12 @@ let scan_expressions str =
                 compare/equal)"
                (short_name name) (type_str arg))
       | _ -> ());
+    if List.mem name poly_lookups then
+      add line Poly_lookup
+        (Printf.sprintf
+           "%s compares with polymorphic compare at any key type (use \
+            Elmo_prelude's Int_list at int keys, or a dedicated equality)"
+           (short_name name));
     if name = "Stdlib.Hashtbl.create" then (
       match Types.get_desc (result_type ty) with
       | Types.Tconstr (_, key :: _, _) when not (type_primitive key) ->
@@ -778,7 +794,7 @@ let analyze ?(config = default_config) ?source_root ~targets ?(deps = []) ()
               let in_scope =
                 match rule with
                 | Determinism -> config.determinism_scope src
-                | Poly_compare -> config.poly_scope src
+                | Poly_compare | Poly_lookup -> config.poly_scope src
                 | Exception_discipline -> config.exn_scope src
                 | _ -> false
               in
@@ -851,7 +867,7 @@ let analyze ?(config = default_config) ?source_root ~targets ?(deps = []) ()
                         Printf.sprintf
                           "allow names unknown rule '%s' — nothing is \
                            suppressed (known rules: determinism, \
-                           poly-compare, exception-discipline, \
+                           poly-compare, poly-lookup, exception-discipline, \
                            interface-hygiene, zero-alloc)"
                           a.a_rule;
                     }

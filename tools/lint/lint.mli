@@ -26,6 +26,12 @@ type rule =
           non-primitive type, and no [Hashtbl.create] keyed by one: abstract
           types ([Bitmap.t]) and records with cached fields compare wrongly
           under structural equality. *)
+  | Poly_lookup
+      (** No [Stdlib.List.mem] / [assoc] / [assoc_opt] / [mem_assoc] /
+          [remove_assoc]: they compare with polymorphic compare whatever
+          the element type, which [Poly_compare]'s per-type test cannot
+          see. Int keys go through [Elmo_prelude]'s [Int_list]. Same
+          scope as [Poly_compare]. *)
   | Exception_discipline
       (** No [failwith] / [invalid_arg] / [assert false]: failures must use
           the module's declared exception constructors. [Invalid_argument]
@@ -75,8 +81,8 @@ type config = {
     the [.cmt] and decides whether the rule applies to that file. *)
 
 val default_config : config
-(** The repo policy: determinism / poly-compare / interface-hygiene over
-    [lib/]; exception-discipline over [lib/core/]
+(** The repo policy: determinism / poly-compare / poly-lookup /
+    interface-hygiene over [lib/]; exception-discipline over [lib/core/]
     and [lib/dataplane/] only. *)
 
 val all_config : config
