@@ -1133,6 +1133,81 @@ let churn_reference_events_per_sec () =
         float_of_string_opt
           (Astring.String.take ~sat:(fun c -> c <> ',' && c <> '}') rest))
 
+(* The packet path under the same probe: [Hypervisor.send] (the sender
+   table lookup, then [Fabric.inject_wire]) for every (group, sender) pair
+   of the first groups of perfbench's `clos` scenario on this Clos: 200
+   tenants packed at most 12 to a rack, 2,000 WVE groups installed with
+   default parameters, so s-rules are plentiful. What a packet may
+   allocate is its report, [Some] of a record with a cons cell and a pair
+   per distinct delivered host: 7 + 6 words per host. Returns the pairs
+   probed, the words per packet and the words per packet beyond the
+   report. *)
+let packet_probe topo =
+  let tenant_sizes = Vm_placement.default_tenant_sizes (Rng.create 42) 200 in
+  let placement =
+    Vm_placement.place (Rng.create 44) topo ~strategy:(Vm_placement.Pack_up_to 12)
+      ~host_capacity:20 ~tenant_sizes
+  in
+  let groups =
+    Workload.generate (Rng.create 43) placement ~kind:Group_dist.Wve ~total_groups:2_000
+  in
+  let fabric = Fabric.create topo in
+  let ctrl =
+    Controller.create ~fabric_hooks:(Fabric.controller_hooks fabric) topo (Params.create ())
+  in
+  ignore
+    (Controller.install_all ctrl
+       (Array.to_list
+          (Array.map
+             (fun (g : Workload.group) ->
+               ( g.Workload.group_id,
+                 Array.to_list
+                   (Array.map (fun h -> (h, Controller.Both)) g.Workload.member_hosts) ))
+             groups))
+      : Controller.updates);
+  let hypervisors = Hashtbl.create 256 in
+  let hypervisor host =
+    match Hashtbl.find_opt hypervisors host with
+    | Some hv -> hv
+    | None ->
+        let hv = Hypervisor.create fabric ~host in
+        Hashtbl.add hypervisors host hv;
+        hv
+  in
+  let sends =
+    Array.sub groups 0 64
+    |> Array.to_list
+    |> List.concat_map (fun (g : Workload.group) ->
+           let group = g.Workload.group_id in
+           List.filter_map
+             (fun host ->
+               Option.map
+                 (fun hd ->
+                   let hv = hypervisor host in
+                   Hypervisor.install_sender hv ~group hd;
+                   (hv, group))
+                 (Controller.header ctrl ~group ~sender:host))
+             (Array.to_list g.Workload.member_hosts))
+    |> Array.of_list
+  in
+  let n = Array.length sends in
+  let send i =
+    let hv, group = sends.(i mod n) in
+    Hypervisor.send hv ~group ~payload:64
+  in
+  let report_words i =
+    match send i with
+    | Some r -> 7 + (6 * List.length r.Fabric.delivered)
+    | None -> 0
+  in
+  let report = Allocs.probe ~warmup:n ~events:n (fun i -> ignore (send i)) in
+  let expected = ref 0 in
+  for i = n to (2 * n) - 1 do
+    expected := !expected + report_words i
+  done;
+  let per_packet = report.Allocs.per_event in
+  (n, per_packet, per_packet -. (float_of_int !expected /. float_of_int n))
+
 let hotpath () =
   hr "Hot path: zero-alloc apply_delta churn kernel (BENCH_hotpath.json)";
   let topo = clos_2048 () in
@@ -1189,6 +1264,11 @@ let hotpath () =
   | None ->
       printf "allocation probe: %.1f minor words over 4096 events — clean@."
         report.Allocs.total_words);
+  let packets, words_per_packet, words_beyond_report = packet_probe topo in
+  printf
+    "packet probe: %d (group, sender) pairs, %.1f minor words per packet, %.1f \
+     beyond the report@."
+    packets words_per_packet words_beyond_report;
   (* Throughput + GC accounting over the full run. *)
   let gc0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
@@ -1248,6 +1328,15 @@ let hotpath () =
             ("minor_words_total", Num report.total_words);
             ("minor_words_per_event", Num report.per_event);
             ("clean", gate "probe.clean" (Option.is_none report.first_alloc));
+          ] );
+      ( "inject",
+        Obj
+          [
+            ("packets", Int packets);
+            ("words_per_packet", Num words_per_packet);
+            ("words_beyond_report", Num words_beyond_report);
+            ( "report_only",
+              gate "inject.words_beyond_report" (words_beyond_report <= 0.0) );
           ] );
       ( "gc",
         Obj

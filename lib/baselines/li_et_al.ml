@@ -95,13 +95,13 @@ let update t ~group ~old_tree ~new_tree =
      addresses by aggregation, any such change forces the group's address to
      be reassigned — rewriting the entry on EVERY switch of the old and new
      trees (the cascading updates the paper criticizes). *)
-  let find entries layer id =
+  let layer_rank = function `Leaf -> 0 | `Spine -> 1 | `Core -> 2 in
+  let find entries layer (id : int) =
     List.find_map
-      (fun (l, i, k) -> if l = layer && i = id then Some k else None)
+      (fun (l, i, k) -> if layer_rank l = layer_rank layer && i = id then Some k else None)
       entries
   in
   let ids entries = List.map (fun (l, i, _) -> (l, i)) entries in
-  let layer_rank = function `Leaf -> 0 | `Spine -> 1 | `Core -> 2 in
   let compare_site (l1, i1) (l2, i2) =
     match Int.compare (layer_rank l1) (layer_rank l2) with
     | 0 -> Int.compare i1 i2

@@ -342,18 +342,39 @@ module Reader = struct
     if n < 0 || t.pos + n > Bytes.length t.data * 8 then raise Truncated;
     t.pos <- t.pos + n
 
-  (* Chunk [j]'s stream bits hold bitmap bits [8j ..], the first in the
-     chunk's top bit; only nonzero chunks are scanned bit by bit. *)
-  let iter_bitmap data ~off width f =
+  (* [leading.[v]]: the leading zero bits of the 8-bit value [v] (8 for 0),
+     which is where the first set stream bit of a byte lies. *)
+  let leading =
+    String.init 256 (fun v ->
+        let rec zeros k = if k < 8 && v land (0x80 lsr k) = 0 then zeros (k + 1) else k in
+        Char.chr (zeros 0))
+
+  (* The first set stream bit of [data] in [pos, stop), or -1: a byte per
+     step, the bits before [pos] masked off its first byte. *)
+  (* elmo-lint: zero-alloc *)
+  let rec next_stream_bit data pos stop =
+    if pos >= stop then -1
+    else begin
+      let byte = pos lsr 3 in
+      let v = Char.code (Bytes.unsafe_get data byte) land (0xff lsr (pos land 7)) in
+      if v = 0 then next_stream_bit data ((byte + 1) lsl 3) stop
+      else
+        let p = (byte lsl 3) + Char.code (String.unsafe_get leading v) in
+        if p < stop then p else -1
+    end
+
+  (* A bitmap's bit [i] is stream bit [off + i]: a bitmap goes on the wire
+     bit 0 first. *)
+  (* elmo-lint: zero-alloc *)
+  let next_set data ~off width i =
     if off < 0 || width < 0 || off + width > Bytes.length data * 8 then raise Truncated;
-    for j = 0 to ((width + 7) / 8) - 1 do
-      let n = Chunk.width width j in
-      let v = window data (off + (8 * j)) n in
-      if v <> 0 then
-        for k = 0 to n - 1 do
-          if v land (1 lsl (n - 1 - k)) <> 0 then f ((8 * j) + k)
-        done
-    done
+    let p = next_stream_bit data (off + i) (off + width) in
+    if p < 0 then -1 else p - off
+
+  (* elmo-lint: zero-alloc *)
+  let bit_at data pos =
+    if pos < 0 || pos >= Bytes.length data * 8 then raise Truncated;
+    Char.code (Bytes.unsafe_get data (pos lsr 3)) land (0x80 lsr (pos land 7)) <> 0
 
   let align_byte t = t.pos <- (t.pos + 7) / 8 * 8
 

@@ -127,12 +127,19 @@ module Reader : sig
   (** [skip r n] moves past [n] bits without reading them. Raises
       [Truncated] if the input ends inside them, like reading them would. *)
 
-  val iter_bitmap : bytes -> off:int -> int -> (int -> unit) -> unit
-  (** [iter_bitmap data ~off width f] calls [f] on the index of every set
-      bit of the [width]-bit bitmap written at bit [off] of [data], in
-      ascending order: the indices {!bitmap} would set, without building
-      the bitmap. It reads [data] directly, so [f] may use any reader.
+  val next_set : bytes -> off:int -> int -> int -> int
+  (** [next_set data ~off width i] is the lowest set bit at or above
+      [i >= 0] of the [width]-bit bitmap written at bit [off] of [data], or [-1] if
+      there is none: {!Bitmap.next_set} on the bitmap {!bitmap} would
+      read, without building it. A loop from [next_set data ~off width 0]
+      visits the set bits in ascending order with no closure. It reads
+      [data] directly, whatever any reader's position. Allocation-free.
       Raises [Truncated] if [data] ends inside the bitmap. *)
+
+  val bit_at : bytes -> int -> bool
+  (** [bit_at data pos] is stream bit [pos] of [data], as {!bit} would
+      read it there. Allocation-free. Raises [Truncated] if [pos] is
+      outside [data]. *)
 
   val align_byte : t -> unit
 

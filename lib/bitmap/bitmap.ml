@@ -176,6 +176,21 @@ let iter f t =
     end
   done
 
+(* The lowest set bit of [words.(wi)] at or above in-word position
+   [from], else of a later word; -1 past the last word. *)
+(* elmo-lint: zero-alloc *)
+let rec next_in_words words wi from =
+  if wi >= Array.length words then -1
+  else begin
+    let w = Array.unsafe_get words wi land (-1 lsl from) in
+    if w = 0 then next_in_words words (wi + 1) 0
+    else (wi * word_bits) + popcount_word ((w land -w) - 1)
+  end
+
+(* elmo-lint: zero-alloc *)
+let next_set t i =
+  if i >= t.width then -1 else next_in_words t.words (i / word_bits) (i mod word_bits)
+
 let to_list t =
   let acc = ref [] in
   iter (fun i -> acc := i :: !acc) t;

@@ -64,6 +64,11 @@ val to_list : t -> int list
 val iter : (int -> unit) -> t -> unit
 (** Applies the function to each set-bit index, ascending. *)
 
+val next_set : t -> int -> int
+(** [next_set t i] is the lowest set bit at or above [i >= 0], or [-1] if
+    there is none. A loop from [next_set t 0] visits what {!iter} visits,
+    with no closure. Allocation-free, O(words skipped). *)
+
 val drain : t -> lo:int -> hi:int -> int list
 (** [drain t ~lo ~hi] is the set bits of [t] in [\[lo, hi\]], ascending,
     and clears them. It is the read-out of a counting sort: set the keys,

@@ -224,7 +224,7 @@ module Codec = struct
           go [] (count r));
     }
 
-  let ascending key c =
+  let ascending (key : 'a -> int) c =
     let rec strict = function
       | a :: (b :: _ as rest) -> key a < key b && strict rest
       | [ _ ] | [] -> true

@@ -64,21 +64,10 @@ let dummy_bm = Bitmap.create 0
 let dummy_prule = { Prule.bitmap = dummy_bm; switches = [] }
 let blank = { multipath = false; u_spine = None; core = None }
 
-(* elmo-lint: zero-alloc *)
-let rec slot_search (a : int array) l lo hi =
-  if lo > hi then -1
-  else begin
-    let mid = (lo + hi) / 2 in
-    let v = Array.unsafe_get a mid in
-    if v = l then mid
-    else if v < l then slot_search a l (mid + 1) hi
-    else slot_search a l lo (mid - 1)
-  end
-
 (* The position of leaf [l] in the ascending [leaves], or -1 when the
    tree does not span it. *)
 (* elmo-lint: zero-alloc *)
-let slot_in leaves l = slot_search leaves l 0 (Array.length leaves - 1)
+let slot_in leaves l = Int_array.search leaves l ~lo:0 ~hi:(Array.length leaves - 1)
 
 (* Build the slot-indexed dispatch index of [d_leaf] over [tree]. Write
    order default → s-rules → p-rules so a p-rule wins any (never
@@ -529,7 +518,7 @@ let rec other_leaf_in_pod topo sl sp = function
   | (l, _) :: rest ->
       (l <> sl && Topology.pod_of_leaf topo l = sp) || other_leaf_in_pod topo sl sp rest
 
-let rec other_pod sp = function
+let rec other_pod (sp : int) = function
   | [] -> false
   | (p, _) :: rest -> p <> sp || other_pod sp rest
 

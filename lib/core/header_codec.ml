@@ -26,9 +26,8 @@ let has_d_spine = function After_d_spine -> false | _ -> true
 (* {1 Per-section readers}
 
    One reader per section, each starting at the section's first bit. The
-   decoders below are these readers in wire order; [Fabric.inject] calls
-   the upstream ones alone, at the section's offset in the packet's wire,
-   and indexes a downstream section in place ([index_section] below). *)
+   decoders below are these readers in wire order. [Fabric.inject] reads
+   its fields in place instead ([uprule_at] .. [default_at] below). *)
 
 let read_uprule r ~down_width ~up_width =
   let down = Bitio.Reader.bitmap r down_width in
@@ -290,7 +289,7 @@ let write_stage_into topo stage (h : Prule.header) s =
   if has_core stage then write_core_into s h.Prule.core;
   let d = h.Prule.downstream in
   Bitio.Run.append s d.Prule.wire
-    ~off:(if has_d_spine stage then 0 else d.Prule.spine_bits)
+    ~off:(if has_d_spine stage then 0 else Prule.leaf_from d.Prule.index)
 
 (* elmo-lint: zero-alloc *)
 let encode_into topo h s =
@@ -314,37 +313,58 @@ let encode topo h = encode_stage topo Full h
 
    The bytes [encode] writes and the bit where each stage's first section
    starts, both taken from one header by [to_wire]: the type is abstract,
-   so no offset can belong to other bytes. *)
+   so no offset can belong to other bytes. The down's index, shared by
+   every sender of its version, holds the rest: where the leaf section
+   starts, the wire's length and every downstream rule's offset. *)
 
 type wire = {
   bytes : bytes;
-  bits : int;
   u_spine_at : int;
   core_at : int;
   d_spine_at : int;
-  d_leaf_at : int;
+  index : Prule.index;
 }
 
 let to_wire topo h =
   let bits = Prule.header_bits topo h in
   {
     bytes = encode topo h;
-    bits;
     u_spine_at = bits - Prule.remaining_bits_after topo h `U_leaf;
     core_at = bits - Prule.remaining_bits_after topo h `U_spine;
     d_spine_at = bits - Prule.remaining_bits_after topo h `Core;
-    d_leaf_at = bits - Prule.remaining_bits_after topo h `D_spine;
+    index = h.Prule.downstream.Prule.index;
   }
 
 let wire_bytes w = w.bytes
-let wire_bits w = w.bits
+let wire_bits w = w.d_spine_at + Prule.down_bits w.index
 
 let stage_offset w = function
   | Full -> 0
   | After_u_leaf -> w.u_spine_at
   | After_u_spine -> w.core_at
   | After_core -> w.d_spine_at
-  | After_d_spine -> w.d_leaf_at
+  | After_d_spine -> w.d_spine_at + Prule.leaf_from w.index
+
+(* A present section is longer than its presence bit; its field follows
+   that bit. The down's offsets count from the down's first bit. *)
+
+(* elmo-lint: zero-alloc *)
+let uprule_at w = function
+  | `Leaf -> 0
+  | `Spine -> if w.core_at - w.u_spine_at > 1 then w.u_spine_at + 1 else -1
+
+(* elmo-lint: zero-alloc *)
+let core_at w = if w.d_spine_at - w.core_at > 1 then w.core_at + 1 else -1
+
+(* elmo-lint: zero-alloc *)
+let rule_at w layer id =
+  let at = Prule.rule_at w.index layer id in
+  if at < 0 then -1 else w.d_spine_at + at
+
+(* elmo-lint: zero-alloc *)
+let default_at w layer =
+  let at = Prule.default_at w.index layer in
+  if at < 0 then -1 else w.d_spine_at + at
 
 let encode_parts topo (h : Prule.header) =
   (* One byte-aligned buffer per section/rule - the unit of a "write call"
@@ -384,8 +404,9 @@ let encode_parts topo (h : Prule.header) =
     sink_bytes (stage_bits topo After_u_spine h - stage_bits topo After_core h)
       (fun s -> write_core_into s h.Prule.core)
   in
-  let d_spine = section `Spine d.Prule.d_spine ~off:0 ~stop:d.Prule.spine_bits in
+  let spine_bits = Prule.leaf_from d.Prule.index in
+  let d_spine = section `Spine d.Prule.d_spine ~off:0 ~stop:spine_bits in
   let d_leaf =
-    section `Leaf d.Prule.d_leaf ~off:d.Prule.spine_bits ~stop:d.Prule.bits
+    section `Leaf d.Prule.d_leaf ~off:spine_bits ~stop:(Prule.down_bits d.Prule.index)
   in
   (u_leaf :: u_spine :: core :: d_spine) @ d_leaf

@@ -43,10 +43,9 @@ val header_length : Topology.t -> bytes -> int
 
     Each reader parses one section starting at the reader's position,
     which must be the section's first bit. The decoders are these readers
-    in wire order. An upstream switch in [Fabric.inject] calls only the
-    one its layer reads, at the section's offset in the packet's wire; a
-    downstream switch reads its section in place ({!index_section}). All
-    raise [Bitio.Reader.Truncated] on short input. *)
+    in wire order. [Fabric.inject] calls none of them: a switch reads its
+    field in place ({!uprule_at}, {!core_at}, {!rule_at}). All raise
+    [Bitio.Reader.Truncated] on short input. *)
 
 val read_u_leaf : Topology.t -> Bitio.Reader.t -> Prule.uprule
 val read_u_spine : Topology.t -> Bitio.Reader.t -> Prule.uprule option
@@ -62,13 +61,14 @@ val read_section :
   Prule.prule list * Bitmap.t option
 (** A downstream section: its p-rules and optional default bitmap. *)
 
-(** {1 A downstream section read in place}
+(** {1 A downstream section indexed by its parser}
 
     What a switch parser does with its layer's section (§4.1): find the
-    rule naming its own identifier and forward on that rule's bitmap where
-    it lies in the packet. {!index_section} walks the section's framing
-    once, skipping every bitmap, and records where the bitmaps are; the
-    bits themselves are read with {!Bitio.Reader.iter_bitmap}. *)
+    rule naming its own identifier. {!index_section} walks the section's
+    framing once, skipping every bitmap, and records where the bitmaps
+    are. The fabric does not: it reads the index {!Prule.val-down} built
+    with the wire ({!rule_at}). This parser-built index is the oracle that
+    index is checked against. *)
 
 type section_index
 (** For each switch of a layer, the bit offset of the bitmap of the first
@@ -77,18 +77,19 @@ type section_index
 
 val index_section :
   Topology.t -> [ `Spine | `Leaf ] -> Bitio.Reader.t -> section_index
-(** Indexes the downstream section starting at the reader's position,
+(** test-only: the oracle for {!Prule.index} and {!rule_at} (test_codec).
+    Indexes the downstream section starting at the reader's position,
     which ends after the section. The section is {!read_section}'s: a
     rule's bitmap at [rule_offset ix id] is the bitmap of the first rule
     whose switches include [id], the one at [default_offset ix] is its
     default. Raises [Bitio.Reader.Truncated] on short input. *)
 
 val rule_offset : section_index -> int -> int
-(** [rule_offset ix id] is the offset of the first p-rule naming switch
+(** test-only: with {!index_section}. [rule_offset ix id] is the offset of the first p-rule naming switch
     [id], or [-1] if none does (also for an [id] outside the layer). *)
 
 val default_offset : section_index -> int
-(** The default bitmap's offset, or [-1] if the section has none. *)
+(** test-only: with {!index_section}. The default bitmap's offset, or [-1] if the section has none. *)
 
 (** {1 Hostile-input decoding} *)
 
@@ -175,6 +176,32 @@ val wire_bits : wire -> int
 val stage_offset : wire -> stage -> int
 (** [stage_bits topo Full h - stage_bits topo stage h]: the bit of
     {!wire_bytes} at which the sections remaining at [stage] begin. *)
+
+(** {2 Fields in place}
+
+    Where a switch finds the field its layer reads, as a bit offset of
+    {!wire_bytes}, from the stage offsets and the down's {!Prule.index}:
+    nothing is parsed. [Fabric.inject_wire] reads the bits there
+    ({!Bitio.Reader.next_set}, {!Bitio.Reader.bit_at}). All are
+    allocation-free. *)
+
+val uprule_at : wire -> [ `Leaf | `Spine ] -> int
+(** The offset of the layer's upstream rule, or [-1] if the header has
+    none (the leaf's is 0): its down bitmap, then its up bitmap after the
+    layer's downstream width, then the multipath flag after both widths
+    ({!Prule.uprule_bits}). *)
+
+val core_at : wire -> int
+(** The offset of the core bitmap, or [-1] if the header has none. *)
+
+val rule_at : wire -> [ `Spine | `Leaf ] -> int -> int
+(** [rule_at w layer id] is the offset of the bitmap of the first p-rule of
+    [layer]'s downstream section naming switch [id], or [-1] if none does:
+    {!Prule.rule_at} on the down's index, moved to the down's stage
+    offset. *)
+
+val default_at : wire -> [ `Spine | `Leaf ] -> int
+(** The offset of [layer]'s default bitmap, or [-1] if there is none. *)
 
 val encode_parts : Topology.t -> Prule.header -> bytes list
 (** The header split into separately byte-aligned parts, one per section or

@@ -1,14 +1,19 @@
 type uprule = { down : Bitmap.t; up : Bitmap.t; multipath : bool }
 type prule = { bitmap : Bitmap.t; switches : int list }
 
+(* One int array: the spine and leaf defaults' offsets, where the leaf
+   section starts, the down's length, how many spine entries follow; then
+   the spine section's entries and the leaf section's, each ascending (see
+   [index] below). *)
+type index = int array
+
 type down = {
   d_spine : prule list;
   d_spine_default : Bitmap.t option;
   d_leaf : prule list;
   d_leaf_default : Bitmap.t option;
-  spine_bits : int;
-  bits : int;
   wire : Bitio.Run.t;
+  index : index;
 }
 
 type header = {
@@ -134,6 +139,113 @@ let write_section s width id_bits rules default =
       Bitio.Sink.bit s true;
       Bitio.Sink.bitmap s bm
 
+(* {2 Where each switch's rule lies}
+
+   A section's rule [k] starts with its marker bit, so its bitmap lies one
+   bit after the sizes of the rules before it; the default's bitmap, when
+   present, ends the section. A switch's entry is the
+   first rule naming it, packed into one int: the id in the high bits, the
+   bitmap's offset in the low [pack_shift]. Entries sort by id and, within
+   an id, by offset, which is section order. *)
+
+let pack_shift = 32
+let offset_mask = (1 lsl pack_shift) - 1
+let id_of entry = entry lsr pack_shift
+
+(* The header slots, then the entries from [entries_from]. *)
+let spine_default_slot = 0
+let leaf_default_slot = 1
+let leaf_from_slot = 2
+let bits_slot = 3
+let spines_slot = 4
+let entries_from = 5
+
+let rec put_ids (ix : index) k at = function
+  | [] -> k
+  | id :: rest ->
+      ix.(k) <- (id lsl pack_shift) lor at;
+      put_ids ix (k + 1) at rest
+
+(* The entries of [rules], the first rule starting at bit [at], into
+   [ix] from slot [k]; returns the slot after the last. *)
+let rec put_rules ix k ~width ~id_bits at = function
+  | [] -> k
+  | r :: rest ->
+      let k = put_ids ix k (at + 1) r.switches in
+      put_rules ix k ~width ~id_bits (at + rule_bits ~width ~id_bits (List.length r.switches)) rest
+
+(* Sorts [ix.(lo) .. ix.(hi - 1)] by insertion, at [int]: a section
+   names a handful of switches. *)
+let sort_entries (ix : index) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let e = ix.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && ix.(!j) > e do
+      ix.(!j + 1) <- ix.(!j);
+      decr j
+    done;
+    ix.(!j + 1) <- e
+  done
+
+(* Keeps the first entry of each id of the sorted [ix.(lo) .. ix.(hi -
+   1)], moved down from [lo]; returns the slot after the last kept. *)
+let rec keep_firsts (ix : index) lo i hi kept =
+  if i >= hi then kept
+  else if kept > lo && id_of ix.(kept - 1) = id_of ix.(i) then keep_firsts ix lo (i + 1) hi kept
+  else begin
+    ix.(kept) <- ix.(i);
+    keep_firsts ix lo (i + 1) hi (kept + 1)
+  end
+
+(* The section in bits [from, until) into [ix] from slot [k]: its
+   entries, ascending, one per switch; returns the slot after them and the
+   default's offset (or -1), the section's last [width] bits. *)
+let put_section topo layer ix k ~from ~until rules default =
+  let width, id_bits = layer_widths topo layer in
+  let stop = put_rules ix k ~width ~id_bits from rules in
+  sort_entries ix k stop;
+  (keep_firsts ix k k stop k, match default with None -> -1 | Some _ -> until - width)
+
+let index topo ~spine_bits ~bits ~d_spine ~d_spine_default ~d_leaf ~d_leaf_default =
+  let ids rules = List.fold_left (fun n r -> n + List.length r.switches) 0 rules in
+  let ix = Array.make (entries_from + ids d_spine + ids d_leaf) 0 in
+  let spine_end, spine_default =
+    put_section topo `Spine ix entries_from ~from:0 ~until:spine_bits d_spine d_spine_default
+  in
+  let leaf_end, leaf_default =
+    put_section topo `Leaf ix spine_end ~from:spine_bits ~until:bits d_leaf d_leaf_default
+  in
+  ix.(spine_default_slot) <- spine_default;
+  ix.(leaf_default_slot) <- leaf_default;
+  ix.(leaf_from_slot) <- spine_bits;
+  ix.(bits_slot) <- bits;
+  ix.(spines_slot) <- spine_end - entries_from;
+  if leaf_end = Array.length ix then ix else Array.sub ix 0 leaf_end
+
+(* elmo-lint: zero-alloc *)
+let entry_offset (ix : index) id ~lo ~hi =
+  let i = Int_array.lower_bound ix (id lsl pack_shift) ~lo ~hi in
+  if i <= hi && id_of (Array.unsafe_get ix i) = id then Array.unsafe_get ix i land offset_mask
+  else -1
+
+(* elmo-lint: zero-alloc *)
+let rule_at (ix : index) layer id =
+  let spines = Array.unsafe_get ix spines_slot in
+  match layer with
+  | `Spine -> entry_offset ix id ~lo:entries_from ~hi:(entries_from + spines - 1)
+  | `Leaf -> entry_offset ix id ~lo:(entries_from + spines) ~hi:(Array.length ix - 1)
+
+(* elmo-lint: zero-alloc *)
+let default_at (ix : index) = function
+  | `Spine -> Array.unsafe_get ix spine_default_slot
+  | `Leaf -> Array.unsafe_get ix leaf_default_slot
+
+(* elmo-lint: zero-alloc *)
+let leaf_from (ix : index) = Array.unsafe_get ix leaf_from_slot
+
+(* elmo-lint: zero-alloc *)
+let down_bits (ix : index) = Array.unsafe_get ix bits_slot
+
 let down topo ~d_spine ~d_spine_default ~d_leaf ~d_leaf_default =
   let spine_bits = section_bits topo `Spine d_spine d_spine_default in
   let bits = spine_bits + section_bits topo `Leaf d_leaf d_leaf_default in
@@ -149,9 +261,8 @@ let down topo ~d_spine ~d_spine_default ~d_leaf ~d_leaf_default =
     d_spine_default;
     d_leaf;
     d_leaf_default;
-    spine_bits;
-    bits;
     wire = Bitio.Run.make ~aligns:(prefix_aligns topo) wire ~len:bits;
+    index = index topo ~spine_bits ~bits ~d_spine ~d_spine_default ~d_leaf ~d_leaf_default;
   }
 
 let u_leaf_bits topo =
@@ -174,7 +285,7 @@ let core_bits topo header =
 
 let header_bits topo header =
   u_leaf_bits topo + u_spine_bits topo header + core_bits topo header
-  + header.downstream.bits
+  + down_bits header.downstream.index
 
 let header_bytes topo header = (header_bits topo header + 7) / 8
 
@@ -200,10 +311,10 @@ let max_header_bytes topo (params : Params.t) =
   (bits + 7) / 8
 
 let remaining_bits_after topo header = function
-  | `U_leaf -> u_spine_bits topo header + core_bits topo header + header.downstream.bits
-  | `U_spine -> core_bits topo header + header.downstream.bits
-  | `Core -> header.downstream.bits
-  | `D_spine -> header.downstream.bits - header.downstream.spine_bits
+  | `U_leaf -> u_spine_bits topo header + core_bits topo header + down_bits header.downstream.index
+  | `U_spine -> core_bits topo header + down_bits header.downstream.index
+  | `Core -> down_bits header.downstream.index
+  | `D_spine -> down_bits header.downstream.index - leaf_from header.downstream.index
   | `All -> 0
 
 let pp_uprule ppf u =

@@ -23,17 +23,27 @@ type prule = {
   switches : int list;  (** logical-switch identifiers sharing the rule *)
 }
 
+type index
+(** Where a down's wire puts each switch's rule (§4.1: a switch finds the
+    p-rule naming it where it sits in the header). For each downstream
+    layer, the switch ids named by some p-rule, ascending, with the bit
+    offset of the bitmap of the first rule naming each; and the default's
+    offset. Sized by the rules, not the fabric: one int array holding,
+    per section, one sorted entry for each switch a rule names. Built by
+    {!val-down} with the wire, so the two agree. *)
+
 type down = private {
   d_spine : prule list;
   d_spine_default : Bitmap.t option;
   d_leaf : prule list;
   d_leaf_default : Bitmap.t option;
-  spine_bits : int;  (** wire length of the downstream spine section *)
-  bits : int;  (** wire length of both sections *)
   wire : Bitio.Run.t;
-      (** both sections as they go on the wire, [bits] long, kept at the bit
+      (** both sections as they go on the wire, {!down_bits} long, kept at the bit
           alignments a sender's prefix can end at (and 0), so a full header
           splices them with a blit *)
+  index : index;
+      (** the sections' lengths and the rules' offsets in [wire]; every
+          sender of the version shares it *)
 }
 (** The downstream sections (D1, D3, D4): a property of the group's tree,
     the same bits in every sender's header. Only {!val-down} builds one, and
@@ -61,6 +71,25 @@ val down :
     disagree with [wire], so a caller that keeps mutating its rules
     ({!Encoding}) passes copies. Raises [Invalid_argument] if a p-rule has
     an empty switch list or a bitmap of the wrong width for its layer. *)
+
+val rule_at : index -> [ `Spine | `Leaf ] -> int -> int
+(** [rule_at ix layer id] is the bit offset in the down's [wire] of the
+    bitmap of the first p-rule of [layer]'s section whose switches include
+    [id], or [-1] if none does (also for an [id] outside the layer). A
+    binary search over the named ids ({!Int_array.lower_bound}).
+    Allocation-free. *)
+
+val default_at : index -> [ `Spine | `Leaf ] -> int
+(** The bit offset in the down's [wire] of [layer]'s default bitmap, or
+    [-1] if the section has none. *)
+
+val leaf_from : index -> int
+(** The bit of the down's [wire] where the leaf section starts: the spine
+    section's length. *)
+
+val down_bits : index -> int
+(** The length of the down's [wire], both sections. A sender keeps the
+    index, not the down, and finds its header's length from it. *)
 
 val rule_mem : prule -> int -> bool
 (** Does the rule's identifier list include the switch? *)

@@ -15,6 +15,26 @@ type telemetry = {
   tel_packet : group:int -> sender:int -> bytes:int -> unit;
 }
 
+(* One packet's walk state. A fabric owns one and reuses it for every
+   packet, so a walk allocates only its report (and, when observed, its
+   hops): nothing is kept from one packet to the next but the buffers'
+   capacity. A telemetry hook must therefore not re-enter [inject] on the
+   same fabric. *)
+type walk = {
+  mutable group : int;
+  mutable sender : int;
+  mutable payload : int;
+  mutable tel : telemetry option;  (* the fabric's for [inject], none for [trace] *)
+  mutable tracing : bool;
+  mutable transmissions : int;
+  mutable header_bytes : int;
+  mutable lost : int;
+  mutable hosts : int array;  (* deliveries so far, in [0, n_hosts) *)
+  mutable merged : int array;  (* the delivery sort's other buffer, as long *)
+  mutable n_hosts : int;
+  mutable hops : hop list;  (* reversed; built only when [tracing] *)
+}
+
 type t = {
   topo : Topology.t;
   leaf_tables : (int, Bitmap.t) Hashtbl.t array;
@@ -29,6 +49,7 @@ type t = {
       (* minimum controller epoch whose mutations the fabric accepts; a
          fenced ex-primary's late installs bounce off it *)
   mutable fenced : int;  (* mutations refused below the fence, cumulative *)
+  walk : walk;
 }
 
 let create topo =
@@ -45,6 +66,21 @@ let create topo =
     telemetry = None;
     fence_epoch = 0;
     fenced = 0;
+    walk =
+      {
+        group = 0;
+        sender = 0;
+        payload = 0;
+        tel = None;
+        tracing = false;
+        transmissions = 0;
+        header_bytes = 0;
+        lost = 0;
+        hosts = Array.make 64 0;
+        merged = Array.make 64 0;
+        n_hosts = 0;
+        hops = [];
+      };
   }
 
 let topology t = t.topo
@@ -233,9 +269,13 @@ let pp_trace ppf hops =
 
 (* {1 One packet's walk}
 
-   [inject_wire] and [trace] make the same walk. A hop's ends travel as a
-   kind and an id; the [hop] record and its [node]s are built only when
-   someone observes them, a telemetry hook or a trace. *)
+   [inject_wire] and [trace] make the same walk. Every switch reads the
+   field its layer reads where it lies in the wire ([Header_codec.uprule_at]
+   .. [default_at]) and forwards out of the ports set there, visited by
+   [next_set] loops: no section is parsed, no bitmap or closure built. A
+   hop's ends travel as a kind and an id; the [hop] record and its [node]s
+   are built only when someone observes them, a telemetry hook or a
+   trace. *)
 
 type kind = Host | Leaf | Spine | Core
 
@@ -246,30 +286,8 @@ let node kind id =
   | Spine -> Spine_node id
   | Core -> Core_node id
 
-type walk = {
-  fabric : t;
-  group : int;
-  sender : int;
-  wire : Header_codec.wire;
-  data : bytes;  (* the wire's bytes, which every switch reads in place *)
-  (* Each section is read at most once per packet, by the first switch
-     that needs it, at its stage's offset in [data]. *)
-  u_spine : Prule.uprule option Lazy.t;
-  core : Bitmap.t option Lazy.t;
-  d_spine : Header_codec.section_index Lazy.t;
-  d_leaf : Header_codec.section_index Lazy.t;
-  mutable transmissions : int;
-  mutable header_bytes : int;
-  mutable lost : int;
-  mutable hosts : int array;  (* deliveries so far, in [0, n_hosts) *)
-  mutable n_hosts : int;
-  tracing : bool;
-  mutable hops : hop list;  (* reversed; built only when [tracing] *)
-  tel : telemetry option;
-  payload : int;
-}
-
-let link w src_kind src dst_kind dst bytes =
+let link t src_kind src dst_kind dst bytes =
+  let w = t.walk in
   w.transmissions <- w.transmissions + 1;
   w.header_bytes <- w.header_bytes + bytes;
   if w.tracing || Option.is_some w.tel then begin
@@ -280,169 +298,175 @@ let link w src_kind src dst_kind dst bytes =
     match w.tel with None -> () | Some tel -> tel.tel_hop ~payload:w.payload h
   end
 
-let lose w = w.lost <- w.lost + 1
+let lose t = t.walk.lost <- t.walk.lost + 1
 
-let deliver w leaf port =
-  let host = (leaf * w.fabric.topo.Topology.hosts_per_leaf) + port in
-  link w Leaf leaf Host host 0;
+let deliver t leaf port =
+  let w = t.walk in
+  let host = (leaf * t.topo.Topology.hosts_per_leaf) + port in
+  link t Leaf leaf Host host 0;
   if w.n_hosts = Array.length w.hosts then begin
     let grown = Array.make (2 * w.n_hosts) 0 in
     Array.blit w.hosts 0 grown 0 w.n_hosts;
-    w.hosts <- grown
+    w.hosts <- grown;
+    w.merged <- Array.make (2 * w.n_hosts) 0
   end;
   w.hosts.(w.n_hosts) <- host;
   w.n_hosts <- w.n_hosts + 1
 
 (* Header bytes on a hop after [stage]: the wire from the stage's offset,
    rounded up to a byte. *)
-let stage_bytes w stage =
-  (Header_codec.wire_bits w.wire - Header_codec.stage_offset w.wire stage + 7) / 8
+let stage_bytes wire stage =
+  (Header_codec.wire_bits wire - Header_codec.stage_offset wire stage + 7) / 8
 
-let section wire stage read =
-  lazy
-    (let r = Bitio.Reader.of_bytes (Header_codec.wire_bytes wire) in
-     Bitio.Reader.seek r (Header_codec.stage_offset wire stage);
-     read r)
+(* What a switch's output port [p] leads to. *)
+type out =
+  | Hosts  (* leaf [sw]: its host [p] *)
+  | Pod_leaves  (* spine [sw], downstream: leaf [p] of its pod *)
+  | Pod_spines  (* core [sw]: the spine of its plane in pod [p] *)
+  | Up_spines  (* sender leaf [sw]: spine [p] of its pod *)
+  | Up_cores  (* sender-pod spine [sw]: core [p] of its plane *)
+
+let rec send t wire out sw p =
+  let topo = t.topo in
+  match out with
+  | Hosts -> deliver t sw p
+  | Pod_leaves -> spine_to_leaf t wire sw p
+  | Pod_spines ->
+      let s = (p * topo.Topology.spines_per_pod) + (sw / topo.Topology.cores_per_plane) in
+      link t Core sw Spine s (stage_bytes wire Header_codec.After_core);
+      if t.spine_up.(s) then at_spine_down t wire s else lose t
+  | Up_spines ->
+      let pod = sw / topo.Topology.leaves_per_pod in
+      leaf_to_spine t wire sw ((pod * topo.Topology.spines_per_pod) + p)
+  | Up_cores ->
+      let plane = sw mod topo.Topology.spines_per_pod in
+      spine_to_core t wire sw ((plane * topo.Topology.cores_per_plane) + p)
+
+(* Sends out of every port set in the [width]-bit bitmap at bit [off] of
+   the wire, from port [p] on. *)
+and wire_ports t wire out sw ~off width p =
+  if p >= 0 then begin
+    send t wire out sw p;
+    wire_ports t wire out sw ~off width
+      (Bitio.Reader.next_set (Header_codec.wire_bytes wire) ~off width (p + 1))
+  end
+
+and each_wire_port t wire out sw ~off width =
+  wire_ports t wire out sw ~off width
+    (Bitio.Reader.next_set (Header_codec.wire_bytes wire) ~off width 0)
+
+and table_ports t wire out sw bm p =
+  if p >= 0 then begin
+    send t wire out sw p;
+    table_ports t wire out sw bm (Bitmap.next_set bm (p + 1))
+  end
 
 (* Forwards on the group's entry in [table]; false if there is none. *)
-let table_hit w table f =
-  match Hashtbl.find_opt table w.group with
-  | Some bm ->
-      Bitmap.iter f bm;
+and table_hit t wire out sw table =
+  match Hashtbl.find table t.walk.group with
+  | bm ->
+      table_ports t wire out sw bm (Bitmap.next_set bm 0);
       true
-  | None -> false
+  | exception Not_found -> false
 
 (* The ports a downstream switch forwards on, as its parser finds them
    (§4.1): the p-rule naming [id], read where it lies in the wire; then the
    group table; then the section's default. A legacy switch cannot parse
    the header at all: group table or drop. *)
-let forward w ~legacy table index ~id ~width f =
-  if legacy then ignore (table_hit w table f : bool)
+and forward t wire out sw ~legacy table layer ~id ~width =
+  if legacy then ignore (table_hit t wire out sw table : bool)
   else begin
-    let ix = Lazy.force index in
-    let at = Header_codec.rule_offset ix id in
-    if at >= 0 then Bitio.Reader.iter_bitmap w.data ~off:at width f
-    else if not (table_hit w table f) then begin
-      let at = Header_codec.default_offset ix in
-      if at >= 0 then Bitio.Reader.iter_bitmap w.data ~off:at width f
+    let at = Header_codec.rule_at wire layer id in
+    if at >= 0 then each_wire_port t wire out sw ~off:at width
+    else if not (table_hit t wire out sw table) then begin
+      let at = Header_codec.default_at wire layer in
+      if at >= 0 then each_wire_port t wire out sw ~off:at width
     end
   end
 
-let at_leaf_down w leaf =
-  let f = w.fabric in
-  forward w ~legacy:f.leaf_legacy.(leaf) f.leaf_tables.(leaf) w.d_leaf ~id:leaf
-    ~width:(Topology.leaf_downstream_width f.topo) (deliver w leaf)
+and at_leaf_down t wire leaf =
+  forward t wire Hosts leaf ~legacy:t.leaf_legacy.(leaf) t.leaf_tables.(leaf) `Leaf ~id:leaf
+    ~width:(Topology.leaf_downstream_width t.topo)
 
-(* A spine sends to leaf [port] of pod [p] over its [plane]'s link. *)
-let spine_to_leaf w s ~pod ~plane bytes port =
-  let leaf = (pod * w.fabric.topo.Topology.leaves_per_pod) + port in
-  link w Spine s Leaf leaf bytes;
-  if link_ok w.fabric ~leaf ~plane then at_leaf_down w leaf else lose w
+(* Spine [s] sends to leaf [port] of its pod over its plane's link. *)
+and spine_to_leaf t wire s port =
+  let topo = t.topo in
+  let pod = s / topo.Topology.spines_per_pod in
+  let leaf = (pod * topo.Topology.leaves_per_pod) + port in
+  link t Spine s Leaf leaf (stage_bytes wire Header_codec.After_d_spine);
+  if link_ok t ~leaf ~plane:(s mod topo.Topology.spines_per_pod) then at_leaf_down t wire leaf
+  else lose t
 
-(* Downstream spine (physical [s]) in pod [p]. *)
-let at_spine_down w s p =
-  let f = w.fabric in
-  let topo = f.topo in
-  forward w ~legacy:f.spine_legacy.(s) f.spine_tables.(s) w.d_spine ~id:p
+(* Downstream spine (physical [s]). *)
+and at_spine_down t wire s =
+  let topo = t.topo in
+  forward t wire Pod_leaves s ~legacy:t.spine_legacy.(s) t.spine_tables.(s) `Spine
+    ~id:(s / topo.Topology.spines_per_pod)
     ~width:(Topology.spine_downstream_width topo)
-    (spine_to_leaf w s ~pod:p ~plane:(s mod topo.Topology.spines_per_pod)
-       (stage_bytes w Header_codec.After_d_spine))
 
-let at_core w c =
-  let f = w.fabric in
-  if not f.core_up.(c) then lose w
-  else
-    match Lazy.force w.core with
-    | None -> ()
-    | Some bm ->
-        let plane = c / f.topo.Topology.cores_per_plane in
-        let to_spine = stage_bytes w Header_codec.After_core in
-        Bitmap.iter
-          (fun p ->
-            let s = (p * f.topo.Topology.spines_per_pod) + plane in
-            link w Core c Spine s to_spine;
-            if f.spine_up.(s) then at_spine_down w s p else lose w)
-          bm
+and spine_to_core t wire s c =
+  link t Spine s Core c (stage_bytes wire Header_codec.After_u_spine);
+  if not t.core_up.(c) then lose t
+  else begin
+    let at = Header_codec.core_at wire in
+    if at >= 0 then
+      each_wire_port t wire Pod_spines c ~off:at (Topology.core_downstream_width t.topo)
+  end
 
 (* Sender-pod spine (physical [s]): upstream processing. *)
-let at_spine_up w ~pod s =
-  let f = w.fabric in
-  let topo = f.topo in
-  if not f.spine_up.(s) then lose w
-  else
-    match Lazy.force w.u_spine with
-    | None -> ()
-    | Some u ->
-        let plane = s mod topo.Topology.spines_per_pod in
-        Bitmap.iter
-          (spine_to_leaf w s ~pod ~plane (stage_bytes w Header_codec.After_d_spine))
-          u.Prule.down;
-        let to_core = stage_bytes w Header_codec.After_u_spine in
-        let send_core c =
-          link w Spine s Core c to_core;
-          at_core w c
-        in
-        if u.Prule.multipath then begin
-          if topo.Topology.cores_per_plane > 0 then
-            send_core
-              (Ecmp.core_choice topo ~hash:(Ecmp.flow_hash ~group:w.group ~sender:w.sender)
-                 ~plane)
-        end
-        else
-          Bitmap.iter
-            (fun port -> send_core ((plane * topo.Topology.cores_per_plane) + port))
-            u.Prule.up
+and at_spine_up t wire s =
+  let topo = t.topo in
+  let at = Header_codec.uprule_at wire `Spine in
+  if not t.spine_up.(s) then lose t
+  else if at >= 0 then begin
+    let down = Topology.spine_downstream_width topo in
+    let up = Topology.spine_upstream_width topo in
+    each_wire_port t wire Pod_leaves s ~off:at down;
+    if Bitio.Reader.bit_at (Header_codec.wire_bytes wire) (at + down + up) then begin
+      if topo.Topology.cores_per_plane > 0 then
+        spine_to_core t wire s
+          (Ecmp.core_choice topo
+             ~hash:(Ecmp.flow_hash ~group:t.walk.group ~sender:t.walk.sender)
+             ~plane:(s mod topo.Topology.spines_per_pod))
+    end
+    else each_wire_port t wire Up_cores s ~off:(at + down) up
+  end
+
+and leaf_to_spine t wire sl s =
+  link t Leaf sl Spine s (stage_bytes wire Header_codec.After_u_leaf);
+  if link_ok t ~leaf:sl ~plane:(s mod t.topo.Topology.spines_per_pod) then
+    at_spine_up t wire s
+  else lose t
 
 (* Sender leaf: upstream processing of the full header. *)
-let at_leaf_up w =
-  let f = w.fabric in
-  let topo = f.topo in
+let at_leaf_up t wire =
+  let topo = t.topo in
+  let w = t.walk in
+  let data = Header_codec.wire_bytes wire in
   let sl = Topology.leaf_of_host topo w.sender in
-  let sp = Topology.pod_of_leaf topo sl in
-  link w Host w.sender Leaf sl (Bytes.length w.data);
-  let u = Header_codec.read_u_leaf topo (Bitio.Reader.of_bytes w.data) in
-  Bitmap.iter (deliver w sl) u.Prule.down;
-  let to_spine = stage_bytes w Header_codec.After_u_leaf in
-  let send_spine s =
-    link w Leaf sl Spine s to_spine;
-    if link_ok f ~leaf:sl ~plane:(s mod topo.Topology.spines_per_pod) then
-      at_spine_up w ~pod:sp s
-    else lose w
-  in
-  let first = sp * topo.Topology.spines_per_pod in
-  if u.Prule.multipath then
-    send_spine
-      (first + Ecmp.spine_choice topo ~hash:(Ecmp.flow_hash ~group:w.group ~sender:w.sender))
-  else Bitmap.iter (fun port -> send_spine (first + port)) u.Prule.up
+  link t Host w.sender Leaf sl (Bytes.length data);
+  let down = Topology.leaf_downstream_width topo in
+  let up = Topology.leaf_upstream_width topo in
+  each_wire_port t wire Hosts sl ~off:0 down;
+  if Bitio.Reader.bit_at data (down + up) then
+    leaf_to_spine t wire sl
+      ((Topology.pod_of_leaf topo sl * topo.Topology.spines_per_pod)
+      + Ecmp.spine_choice topo ~hash:(Ecmp.flow_hash ~group:w.group ~sender:w.sender))
+  else each_wire_port t wire Up_spines sl ~off:down up
 
 let walk t ~sender ~group ~wire ~payload ~tel ~tracing =
-  let topo = t.topo in
-  let w =
-    {
-      fabric = t;
-      group;
-      sender;
-      wire;
-      data = Header_codec.wire_bytes wire;
-      u_spine = section wire Header_codec.After_u_leaf (Header_codec.read_u_spine topo);
-      core = section wire Header_codec.After_u_spine (Header_codec.read_core topo);
-      d_spine =
-        section wire Header_codec.After_core (Header_codec.index_section topo `Spine);
-      d_leaf =
-        section wire Header_codec.After_d_spine (Header_codec.index_section topo `Leaf);
-      transmissions = 0;
-      header_bytes = 0;
-      lost = 0;
-      hosts = Array.make 16 0;
-      n_hosts = 0;
-      tracing;
-      hops = [];
-      tel;
-      payload;
-    }
-  in
-  at_leaf_up w;
-  w
+  let w = t.walk in
+  w.group <- group;
+  w.sender <- sender;
+  w.payload <- payload;
+  w.tel <- tel;
+  w.tracing <- tracing;
+  w.transmissions <- 0;
+  w.header_bytes <- 0;
+  w.lost <- 0;
+  w.n_hosts <- 0;
+  w.hops <- [];
+  at_leaf_up t wire
 
 (* {2 Deliveries, sorted once}
 
@@ -450,14 +474,15 @@ let walk t ~sender ~group ~wire ~payload ~tel ~tracing =
    mostly in ascending order (the sender's leaf and pod come first), so
    the deliveries arrive as a few ascending runs. A merge sort over those
    natural runs takes a pass or two where a comparison sort takes
-   [log n]. *)
+   [log n]. Everything is at [int]: one machine comparison per step. *)
 
 (* The end of the ascending run of [a] that starts at [i]. *)
-let rec run_end a i n = if i + 1 < n && a.(i) <= a.(i + 1) then run_end a (i + 1) n else i + 1
+let rec run_end (a : int array) i n =
+  if i + 1 < n && a.(i) <= a.(i + 1) then run_end a (i + 1) n else i + 1
 
 (* Merges [src.(i) .. src.(mid - 1)] and [src.(j) .. src.(hi - 1)] into
    [dst], from [dst.(k)] on. *)
-let rec merge src dst i mid j hi k =
+let rec merge (src : int array) (dst : int array) i mid j hi k =
   if i < mid && (j >= hi || src.(i) <= src.(j)) then begin
     dst.(k) <- src.(i);
     merge src dst (i + 1) mid j hi (k + 1)
@@ -469,7 +494,7 @@ let rec merge src dst i mid j hi k =
 
 (* Merges each pair of adjacent runs of [src.(lo) .. src.(n - 1)] into
    [dst]; returns how many merged runs that makes, plus [runs]. *)
-let rec merge_pass src dst lo n runs =
+let rec merge_pass (src : int array) (dst : int array) lo n runs =
   if lo >= n then runs
   else begin
     let mid = run_end src lo n in
@@ -479,43 +504,50 @@ let rec merge_pass src dst lo n runs =
   end
 
 (* [a.(0) .. a.(n - 1)] sorted, in [a] or in [tmp]. *)
-let rec sort_runs a tmp n = if merge_pass a tmp 0 n 0 <= 1 then tmp else sort_runs tmp a n
+let rec sort_runs (a : int array) (tmp : int array) n =
+  if merge_pass a tmp 0 n 0 <= 1 then tmp else sort_runs tmp a n
 
 (* The first index at or before [j] of the run of [h]s ending at [j]. *)
-let rec run_start a h j = if j > 0 && a.(j - 1) = h then run_start a h (j - 1) else j
+let rec run_start (a : int array) (h : int) j =
+  if j > 0 && a.(j - 1) = h then run_start a h (j - 1) else j
 
-(* (host, copies), ascending, counted from the end. *)
+(* (host, copies) of the ascending [a.(0) .. a.(i)], onto [acc]. *)
+let rec counts (a : int array) i acc =
+  if i < 0 then acc
+  else
+    let j = run_start a a.(i) i in
+    counts a (j - 1) ((a.(i), i - j + 1) :: acc)
+
 let delivered w =
-  let n = w.n_hosts in
-  let a = sort_runs w.hosts (Array.make n 0) n in
-  let rec runs i acc =
-    if i < 0 then acc
-    else
-      let j = run_start a a.(i) i in
-      runs (j - 1) ((a.(i), i - j + 1) :: acc)
-  in
-  runs (n - 1) []
+  counts (sort_runs w.hosts w.merged w.n_hosts) (w.n_hosts - 1) []
 
 let inject_wire t ~sender ~group ~wire ~payload =
-  let w = walk t ~sender ~group ~wire ~payload ~tel:t.telemetry ~tracing:false in
+  walk t ~sender ~group ~wire ~payload ~tel:t.telemetry ~tracing:false;
+  let w = t.walk in
+  let report =
+    {
+      delivered = delivered w;
+      transmissions = w.transmissions;
+      header_bytes = w.header_bytes;
+      lost = w.lost;
+    }
+  in
   (match t.telemetry with
   | None -> ()
   | Some tel ->
       tel.tel_packet ~group ~sender
-        ~bytes:((payload * w.transmissions) + w.header_bytes));
-  {
-    delivered = delivered w;
-    transmissions = w.transmissions;
-    header_bytes = w.header_bytes;
-    lost = w.lost;
-  }
+        ~bytes:((payload * report.transmissions) + report.header_bytes));
+  report
 
 let inject t ~sender ~group ~header ~payload =
   inject_wire t ~sender ~group ~wire:(Header_codec.to_wire t.topo header) ~payload
 
 let trace t ~sender ~group ~header =
   let wire = Header_codec.to_wire t.topo header in
-  List.rev (walk t ~sender ~group ~wire ~payload:0 ~tel:None ~tracing:true).hops
+  walk t ~sender ~group ~wire ~payload:0 ~tel:None ~tracing:true;
+  let hops = List.rev t.walk.hops in
+  t.walk.hops <- [];
+  hops
 
 (* Both lists ascend: one merge, skipping deliveries to non-members. *)
 let deliveries_correct report ~tree ~sender =

@@ -154,7 +154,10 @@ type telemetry = {
 val set_telemetry : t -> telemetry option -> unit
 (** Attach ([Some]) or detach ([None]) the telemetry hook. [create] starts
     with no hook; with none attached, [inject] behaves identically to a
-    build without telemetry. *)
+    build without telemetry. A hook must not call {!inject},
+    {!inject_wire} or {!trace} on the same fabric: a walk keeps its state
+    in the fabric (see {!inject_wire}), and a nested one would overwrite
+    it. Another fabric is fine. *)
 
 val inject :
   t -> sender:int -> group:int -> header:Prule.header -> payload:int -> report
@@ -173,15 +176,29 @@ val inject_wire :
 (** {!inject} for a header already on the wire, as a hypervisor holds it.
     A later stage is not re-encoded: it is a bit-offset view of the wire,
     the suffix from {!Header_codec.stage_offset}, and a hop's header bytes
-    are that suffix rounded up to a byte. Each switch reads only the
-    section its layer reads, at that offset, and each section is read at
-    most once per packet, by the first switch that needs it. The upstream
-    sections are parsed ({!Header_codec.read_u_leaf}, [read_u_spine],
-    [read_core]); a downstream section is indexed
-    ({!Header_codec.index_section}) and a switch forwards on the bits of
-    its rule, its group-table entry or the default, in that order, read
-    where they lie in the wire ({!Bitio.Reader.iter_bitmap}). Nothing is
-    kept from one packet to the next. *)
+    are that suffix rounded up to a byte.
+
+    Each switch reads only the field its layer reads, in place, and
+    nothing is parsed. The upstream leaf rule, upstream spine rule and
+    core bitmap lie at their stage offsets ({!Header_codec.uprule_at},
+    [core_at]). A downstream switch finds the first rule naming it, or
+    the default, through the down's index, built once per
+    {!Prule.val-down} and shared by every sender of the version
+    ({!Header_codec.rule_at}, [default_at]); it forwards on that rule's
+    bits, its group-table entry or the default's bits, in that order. A
+    switch's output ports are visited by a loop over
+    {!Bitio.Reader.next_set} (or {!Bitmap.next_set} for a group-table
+    entry), with no closure and no bitmap built.
+
+    The walk's counters, its delivered hosts and the sort's second buffer
+    live in the fabric and are reused by every packet (they grow, once,
+    when a packet delivers more copies than any before). A packet
+    therefore allocates its report and nothing else: a record, and a cons
+    cell and a pair per distinct delivered host (tested with
+    [Allocs.probe], and gated at 0 words beyond the report by
+    [bench hotpath]). The deliveries are sorted at [int] by a merge of the
+    ascending runs they arrive in. A telemetry hook must not re-enter the
+    fabric ({!set_telemetry}). *)
 
 val trace :
   t -> sender:int -> group:int -> header:Prule.header -> hop list

@@ -167,11 +167,11 @@ let decap_vxlan t packet =
               in
               Some (group, vms, payload))
 
+(* [find], not [find_opt]: a send allocates only the fabric's report. *)
 let send t ~group ~payload =
-  match Hashtbl.find_opt t.senders group with
-  | None -> None
-  | Some r ->
-      Some (Fabric.inject_wire t.fabric ~sender:t.host ~group ~wire:r.wire ~payload)
+  match Hashtbl.find t.senders group with
+  | exception Not_found -> None
+  | r -> Some (Fabric.inject_wire t.fabric ~sender:t.host ~group ~wire:r.wire ~payload)
 
 let deliver t ~group =
   Option.value ~default:0 (Hashtbl.find_opt t.receivers group)

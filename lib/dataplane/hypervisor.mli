@@ -27,9 +27,10 @@ val install_sender : t -> group:int -> Prule.header -> unit
     ({!Prule.down}, one per encoding version, the same value in every
     sender's header) are spliced in from their cached wire, so an install
     costs the prefix and a blit, not a walk of the downstream rules. The
-    rule keeps that wire ({!Header_codec.to_wire}: the bytes and their
-    stage offsets), not the header, so the header's bitmaps are garbage as
-    soon as the install returns. The per-rule parts of {!encap_per_rule}
+    rule keeps that wire ({!Header_codec.to_wire}: the bytes, their
+    stage offsets and the version's shared {!Prule.index}), not the
+    header, so the header's bitmaps are garbage as soon as the install
+    returns. The per-rule parts of {!encap_per_rule}
     are built from the wire on its first use for the rule, not here. A
     rule keeps the bytes it was given: a later change to the group's
     encoding builds a new down and reaches this host only through another
@@ -97,7 +98,8 @@ val encap_per_rule : t -> group:int -> payload:bytes -> bytes option
 
 val send : t -> group:int -> payload:int -> Fabric.report option
 (** Encapsulates and injects into the fabric: {!Fabric.inject_wire} on the
-    installed wire, so a send encodes nothing. *)
+    installed wire, so a send encodes nothing and allocates only the
+    report and its [Some]. *)
 
 val deliver : t -> group:int -> int
 (** Copies handed to local VMs on receive; 0 = discarded. *)

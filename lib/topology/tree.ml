@@ -80,24 +80,13 @@ let leaf_count t = List.length t.leaf_bitmaps
 let pod_count t = List.length t.spine_bitmaps
 
 (* elmo-lint: zero-alloc *)
-let rec mem_search (a : int array) h lo hi =
-  if lo > hi then -1
-  else begin
-    let mid = (lo + hi) / 2 in
-    let v = Array.unsafe_get a mid in
-    if v = h then mid
-    else if v < h then mem_search a h (mid + 1) hi
-    else mem_search a h lo (mid - 1)
-  end
-
-(* elmo-lint: zero-alloc *)
-let mem_host t h = mem_search t.members h 0 (t.nmembers - 1) >= 0
+let mem_host t h = Int_array.search t.members h ~lo:0 ~hi:(t.nmembers - 1) >= 0
 
 let leaf_bitmap t l = Int_list.assoc_opt l t.leaf_bitmaps
 let spine_bitmap t p = Int_list.assoc_opt p t.spine_bitmaps
 
 let equal_bitmaps a b =
-  List.equal (fun (i, x) (j, y) -> i = j && Bitmap.equal x y) a b
+  List.equal (fun ((i : int), x) (j, y) -> i = j && Bitmap.equal x y) a b
 
 let copy t =
   {
@@ -159,7 +148,7 @@ let add_member t h =
 
 (* elmo-lint: zero-alloc *)
 let remove_member t h =
-  let pos = mem_search t.members h 0 (t.nmembers - 1) in
+  let pos = Int_array.search t.members h ~lo:0 ~hi:(t.nmembers - 1) in
   if pos < 0 then
     (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
     invalid_arg "Tree.remove_member: not a member";

@@ -198,7 +198,17 @@ let test_bitmap_every_offset () =
         (Bitio.Reader.bits r offset);
       Alcotest.(check (list int)) (name ^ ": bitmap") set
         (Bitmap.to_list (Bitio.Reader.bitmap r width));
-      Alcotest.(check int) (name ^ ": trailer") 0b101 (Bitio.Reader.bits r 3))
+      Alcotest.(check int) (name ^ ": trailer") 0b101 (Bitio.Reader.bits r 3);
+      (* In place: the set bits as [next_set] visits them, and every bit,
+         with the set trailer right after the bitmap. *)
+      let rec visited i =
+        let p = Bitio.Reader.next_set expected ~off:offset width i in
+        if p < 0 then [] else p :: visited (p + 1)
+      in
+      Alcotest.(check (list int)) (name ^ ": next_set") set (visited 0);
+      Alcotest.(check (list bool)) (name ^ ": bit_at")
+        (List.init width (fun i -> List.mem i set))
+        (List.init width (fun i -> Bitio.Reader.bit_at expected (offset + i))))
 
 (* Word-wide [bits] fields at every alignment, up to the 62-bit limit. *)
 let test_bits_every_offset () =

@@ -213,6 +213,20 @@ let prop_drain =
       let left = List.filter (fun i -> not (inside i)) (Bitmap.to_list b) in
       Bitmap.drain b ~lo ~hi = expected && Bitmap.to_list b = left)
 
+(* [next_set] from every start, the width and one past it included, is
+   the first set bit of [to_list] at or above it. *)
+let prop_next_set =
+  QCheck.Test.make ~name:"next_set = first of to_list at or above" ~count:300
+    (QCheck.make gen_bitmap) (fun (w, bits) ->
+      let b = bm_of w bits in
+      List.for_all
+        (fun i ->
+          let expected =
+            match List.filter (fun j -> j >= i) (Bitmap.to_list b) with j :: _ -> j | [] -> -1
+          in
+          Bitmap.next_set b i = expected)
+        (List.init (w + 2) Fun.id))
+
 let tests =
   [
     Alcotest.test_case "create/get/set/clear" `Quick test_create_and_get;
@@ -235,4 +249,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_popcount_iter_by_get;
     QCheck_alcotest.to_alcotest prop_hamming_cost_by_get;
     QCheck_alcotest.to_alcotest prop_drain;
+    QCheck_alcotest.to_alcotest prop_next_set;
   ]

@@ -323,7 +323,10 @@ let prop_prefix_truncated =
    downstream layer, the bitmap at the index's offset is the one
    [List.find_opt] picks from [read_section]'s rules (the first rule naming
    the switch), read both as a bitmap and port by port; the default's
-   offset reads back the default; both readers end at the same bit. *)
+   offset reads back the default; both readers end at the same bit. The
+   index the down built with its wire ([Header_codec.rule_at],
+   [default_at]) gives the parser's offsets for every switch, and -1 past
+   the layer. *)
 let prop_index_section t name =
   QCheck.Test.make ~name ~count:300 (arb_header t) (fun h ->
       let w = Header_codec.to_wire t h in
@@ -339,10 +342,11 @@ let prop_index_section t name =
           let r = Bitio.Reader.of_bytes b in
           Bitio.Reader.seek r off;
           let bm = Bitio.Reader.bitmap r width in
-          let ports = ref [] in
-          Bitio.Reader.iter_bitmap b ~off width (fun p -> ports := p :: !ports);
-          if List.rev !ports <> Bitmap.to_list bm then
-            QCheck.Test.fail_reportf "iter_bitmap at %d disagrees with bitmap" off;
+          let rec ports p =
+            if p < 0 then [] else p :: ports (Bitio.Reader.next_set b ~off width (p + 1))
+          in
+          if ports (Bitio.Reader.next_set b ~off width 0) <> Bitmap.to_list bm then
+            QCheck.Test.fail_reportf "next_set at %d disagrees with bitmap" off;
           Some bm
         end
       in
@@ -353,7 +357,11 @@ let prop_index_section t name =
         let ix = Header_codec.index_section t layer r' in
         Bitio.Reader.pos r = Bitio.Reader.pos r'
         && same (read width (Header_codec.default_offset ix)) default
+        && Header_codec.default_at w layer = Header_codec.default_offset ix
         && Header_codec.rule_offset ix switches = -1
+        && List.for_all
+             (fun id -> Header_codec.rule_at w layer id = Header_codec.rule_offset ix id)
+             (List.init (switches + 1) Fun.id)
         && List.for_all
              (fun id ->
                same

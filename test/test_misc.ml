@@ -122,6 +122,24 @@ let prop_int_list_is_stdlib =
       && Int_list.mem_assoc x pairs = List.mem_assoc x pairs
       && Int_list.remove_assoc x pairs = List.remove_assoc x pairs)
 
+(* [Int_array]'s binary searches against a scan, over any window of a
+   sorted array with repeats, for values in and around it. *)
+let prop_int_array_is_scan =
+  QCheck.Test.make ~name:"int array searches = scan" ~count:500
+    QCheck.(triple (list_of_size Gen.(int_range 0 12) (int_range 0 9)) (int_range (-1) 10) small_nat)
+    (fun (l, x, cut) ->
+      let a = Array.of_list (List.sort compare l) in
+      let n = Array.length a in
+      let lo = if n = 0 then 0 else cut mod (n + 1) in
+      let hi = n - 1 in
+      let window = List.filteri (fun i _ -> i >= lo) (Array.to_list a) in
+      let rec first i = if i > hi || a.(i) >= x then i else first (i + 1) in
+      Int_array.lower_bound a x ~lo ~hi = first lo
+      &&
+      match Int_array.search a x ~lo ~hi with
+      | -1 -> not (List.mem x window)
+      | i -> i >= lo && i <= hi && a.(i) = x)
+
 let tests =
   [
     Alcotest.test_case "update-set algebra" `Quick test_update_algebra;
@@ -130,4 +148,5 @@ let tests =
     Alcotest.test_case "validate and ECMP ranges" `Quick test_tree_validate_and_ecmp_ranges;
     Alcotest.test_case "elmo-sim verify CLI" `Quick test_sim_verify_cli;
     QCheck_alcotest.to_alcotest prop_int_list_is_stdlib;
+    QCheck_alcotest.to_alcotest prop_int_array_is_scan;
   ]

@@ -486,3 +486,280 @@ let test_inject_golden () =
 
 let tests =
   tests @ [ Alcotest.test_case "inject golden digest" `Quick test_inject_golden ]
+
+(* {1 The walk against a parser oracle}
+
+   A scenario is a golden-generator header, a sender, group tables and
+   failures, recorded here as well as installed in a fabric. The reference
+   walk forwards on [Header_codec.decode]'s rules, as the fabric did before
+   it read fields in place: each switch takes the first decoded rule naming
+   it, then its group table, then the default; a hop carries the header
+   bits [Prule.remaining_bits_after] its layer, rounded up. *)
+
+type scenario = {
+  sc_topo : Topology.t;
+  sc_header : Prule.header;
+  sc_sender : int;
+  sc_group : int;
+  sc_leaf_srules : (int * Bitmap.t) list;  (* one entry per leaf *)
+  sc_pod_srules : (int * Bitmap.t) list;  (* one entry per pod *)
+  sc_failed_spines : int list;
+  sc_failed_cores : int list;
+  sc_failed_links : (int * int) list;  (* (leaf, plane) *)
+  sc_legacy_leaves : int list;
+  sc_legacy_spines : int list;
+}
+
+(* The last entry per key, as [Hashtbl.replace] would keep it. *)
+let last_per_key entries =
+  List.fold_left (fun acc (k, v) -> (k, v) :: List.remove_assoc k acc) [] entries
+
+let gen_scenario =
+  let open QCheck.Gen in
+  int_range 0 (Array.length Test_codec.golden_topos - 1) >>= fun ti ->
+  let t = Test_codec.golden_topos.(ti) in
+  let pick n = int_range 0 (n - 1) in
+  let bitmap width =
+    list_size (int_range 0 (min width 6)) (int_range 0 (width - 1)) >|= Bitmap.of_list width
+  in
+  let some n g = int_range 0 n >>= fun k -> list_repeat k g in
+  Test_codec.gen_header t >>= fun header ->
+  pick (Topology.num_hosts t) >>= fun sender ->
+  int_range 1 4 >>= fun group ->
+  some 4 (pair (pick (Topology.num_leaves t)) (bitmap (Topology.leaf_downstream_width t)))
+  >>= fun leaf_srules ->
+  some 3 (pair (pick t.Topology.pods) (bitmap (Topology.spine_downstream_width t)))
+  >>= fun pod_srules ->
+  some 2 (pick (Topology.num_spines t)) >>= fun failed_spines ->
+  (if Topology.num_cores t > 0 then some 2 (pick (Topology.num_cores t)) else return [])
+  >>= fun failed_cores ->
+  some 3 (pair (pick (Topology.num_leaves t)) (pick t.Topology.spines_per_pod))
+  >>= fun failed_links ->
+  some 2 (pick (Topology.num_leaves t)) >>= fun legacy_leaves ->
+  some 1 (pick (Topology.num_spines t)) >>= fun legacy_spines ->
+  return
+    {
+      sc_topo = t;
+      sc_header = header;
+      sc_sender = sender;
+      sc_group = group;
+      sc_leaf_srules = last_per_key leaf_srules;
+      sc_pod_srules = last_per_key pod_srules;
+      sc_failed_spines = failed_spines;
+      sc_failed_cores = failed_cores;
+      sc_failed_links = failed_links;
+      sc_legacy_leaves = legacy_leaves;
+      sc_legacy_spines = legacy_spines;
+    }
+
+(* The scenario with the sender's port cleared wherever a leaf could
+   forward to it: its upstream leaf rule, every downstream leaf rule and
+   default, and every leaf group-table entry. Nothing then names the
+   sender. *)
+let without_sender sc =
+  let t = sc.sc_topo in
+  let port = Topology.host_port_on_leaf t sc.sc_sender in
+  let clear bm =
+    let c = Bitmap.copy bm in
+    Bitmap.clear c port;
+    c
+  in
+  let h = sc.sc_header in
+  let d = h.Prule.downstream in
+  {
+    sc with
+    sc_header =
+      {
+        h with
+        Prule.u_leaf = { h.Prule.u_leaf with Prule.down = clear h.Prule.u_leaf.Prule.down };
+        downstream =
+          Prule.down t ~d_spine:d.Prule.d_spine ~d_spine_default:d.Prule.d_spine_default
+            ~d_leaf:(List.map (fun r -> { r with Prule.bitmap = clear r.Prule.bitmap }) d.Prule.d_leaf)
+            ~d_leaf_default:(Option.map clear d.Prule.d_leaf_default);
+      };
+    sc_leaf_srules = List.map (fun (l, bm) -> (l, clear bm)) sc.sc_leaf_srules;
+  }
+
+let fabric_of sc =
+  let f = Fabric.create sc.sc_topo in
+  let group = sc.sc_group in
+  List.iter (fun (leaf, bm) -> Fabric.install_leaf_srule f ~leaf ~group bm) sc.sc_leaf_srules;
+  List.iter (fun (pod, bm) -> Fabric.install_pod_srule f ~pod ~group bm) sc.sc_pod_srules;
+  List.iter (Fabric.fail_spine f) sc.sc_failed_spines;
+  List.iter (Fabric.fail_core f) sc.sc_failed_cores;
+  List.iter (fun (leaf, plane) -> Fabric.fail_link f ~leaf ~plane) sc.sc_failed_links;
+  List.iter (fun l -> Fabric.set_leaf_legacy f l true) sc.sc_legacy_leaves;
+  List.iter (fun s -> Fabric.set_spine_legacy f s true) sc.sc_legacy_spines;
+  f
+
+let reference_walk sc =
+  let t = sc.sc_topo in
+  let bytes = Header_codec.encode t sc.sc_header in
+  let h = Header_codec.decode t bytes in
+  let d = h.Prule.downstream in
+  let spp = t.Topology.spines_per_pod and cpp = t.Topology.cores_per_plane in
+  let after layer = (Prule.remaining_bits_after t h layer + 7) / 8 in
+  let tx = ref 0 and hb = ref 0 and lost = ref 0 and got = ref [] in
+  let hop b =
+    incr tx;
+    hb := !hb + b
+  in
+  let lose () = incr lost in
+  let ports bm f = List.iter f (Bitmap.to_list bm) in
+  let hash = Ecmp.flow_hash ~group:sc.sc_group ~sender:sc.sc_sender in
+  let link_ok leaf plane = not (List.mem (leaf, plane) sc.sc_failed_links) in
+  let spine_up s = not (List.mem s sc.sc_failed_spines) in
+  let downstream ~legacy ~table rules default id f =
+    let from_table () = Option.iter (fun bm -> ports bm f) table in
+    if legacy then from_table ()
+    else
+      match List.find_opt (fun (r : Prule.prule) -> List.mem id r.Prule.switches) rules with
+      | Some r -> ports r.Prule.bitmap f
+      | None ->
+          if Option.is_some table then from_table ()
+          else Option.iter (fun bm -> ports bm f) default
+  in
+  let deliver leaf port =
+    hop 0;
+    got := ((leaf * t.Topology.hosts_per_leaf) + port) :: !got
+  in
+  let at_leaf_down leaf =
+    downstream
+      ~legacy:(List.mem leaf sc.sc_legacy_leaves)
+      ~table:(List.assoc_opt leaf sc.sc_leaf_srules)
+      d.Prule.d_leaf d.Prule.d_leaf_default leaf (deliver leaf)
+  in
+  let spine_to_leaf s port =
+    let leaf = (s / spp * t.Topology.leaves_per_pod) + port in
+    hop (after `D_spine);
+    if link_ok leaf (s mod spp) then at_leaf_down leaf else lose ()
+  in
+  let at_spine_down s =
+    downstream
+      ~legacy:(List.mem s sc.sc_legacy_spines)
+      ~table:(List.assoc_opt (s / spp) sc.sc_pod_srules)
+      d.Prule.d_spine d.Prule.d_spine_default (s / spp) (spine_to_leaf s)
+  in
+  let to_core c =
+    hop (after `U_spine);
+    if List.mem c sc.sc_failed_cores then lose ()
+    else
+      Option.iter
+        (fun bm ->
+          ports bm (fun p ->
+              let s' = (p * spp) + (c / cpp) in
+              hop (after `Core);
+              if spine_up s' then at_spine_down s' else lose ()))
+        h.Prule.core
+  in
+  let at_spine_up s =
+    if not (spine_up s) then lose ()
+    else
+      Option.iter
+        (fun (u : Prule.uprule) ->
+          ports u.Prule.down (spine_to_leaf s);
+          let plane = s mod spp in
+          if u.Prule.multipath then begin
+            if cpp > 0 then to_core (Ecmp.core_choice t ~hash ~plane)
+          end
+          else ports u.Prule.up (fun p -> to_core ((plane * cpp) + p)))
+        h.Prule.u_spine
+  in
+  let sl = Topology.leaf_of_host t sc.sc_sender in
+  let first = Topology.pod_of_leaf t sl * spp in
+  let to_spine s =
+    hop (after `U_leaf);
+    if link_ok sl (s mod spp) then at_spine_up s else lose ()
+  in
+  hop (Bytes.length bytes);
+  ports h.Prule.u_leaf.Prule.down (deliver sl);
+  if h.Prule.u_leaf.Prule.multipath then to_spine (first + Ecmp.spine_choice t ~hash)
+  else ports h.Prule.u_leaf.Prule.up (fun p -> to_spine (first + p));
+  let rec count = function
+    | [] -> []
+    | x :: rest ->
+        let same, others = List.partition (( = ) x) rest in
+        (x, 1 + List.length same) :: count others
+  in
+  {
+    Fabric.delivered = count (List.sort compare !got);
+    transmissions = !tx;
+    header_bytes = !hb;
+    lost = !lost;
+  }
+
+let pp_report ppf (r : Fabric.report) =
+  Format.fprintf ppf "delivered [%s] tx %d hb %d lost %d"
+    (String.concat "; " (List.map (fun (h, n) -> Printf.sprintf "%d:%d" h n) r.Fabric.delivered))
+    r.Fabric.transmissions r.Fabric.header_bytes r.Fabric.lost
+
+let check_against_reference sc =
+  let fabric = fabric_of sc in
+  let wire = Header_codec.to_wire sc.sc_topo sc.sc_header in
+  let report =
+    Fabric.inject_wire fabric ~sender:sc.sc_sender ~group:sc.sc_group ~wire ~payload:100
+  in
+  let reference = reference_walk sc in
+  if report <> reference then
+    QCheck.Test.fail_reportf "inject_wire: %a@.reference: %a" pp_report report pp_report
+      reference;
+  report
+
+let prop_walk_reference =
+  QCheck.Test.make ~name:"inject_wire = walk over the decoded rules" ~count:500
+    (QCheck.make
+       ~print:(fun sc ->
+         Format.asprintf "sender %d group %d@.%a" sc.sc_sender sc.sc_group
+           (Prule.pp sc.sc_topo) sc.sc_header)
+       gen_scenario)
+    (fun sc ->
+      ignore (check_against_reference sc : Fabric.report);
+      let report = check_against_reference (without_sender sc) in
+      if List.mem_assoc sc.sc_sender report.Fabric.delivered then
+        QCheck.Test.fail_reportf "the sender %d is delivered to" sc.sc_sender;
+      true)
+
+(* What a packet allocates is its report: a record, and a cons cell and
+   a pair per distinct delivered host. At most 6 words per host plus a
+   constant, on the running example, on the Facebook fabric and on a
+   240-leaf fabric with a three-member group. [Allocs.probe] counts minor
+   words, and an array over 256 words (one per leaf of the Facebook
+   fabric) goes straight to the major heap, out of its sight: the 240-leaf
+   case is the one a per-packet array sized by the fabric fails. *)
+let test_inject_allocs () =
+  let spread t n =
+    let rand = Random.State.make [| 34 |] in
+    List.sort_uniq compare
+      (List.init n (fun _ -> Random.State.int rand (Topology.num_hosts t)))
+  in
+  List.iter
+    (fun (name, t, members) ->
+      let sender = List.hd members in
+      let _, enc, fabric = setup t members in
+      let wire = Header_codec.to_wire t (Encoding.header_for_sender enc ~sender) in
+      let send () = Fabric.inject_wire fabric ~sender ~group:1 ~wire ~payload:100 in
+      let hosts = List.length (send ()).Fabric.delivered in
+      let words =
+        (Allocs.probe ~warmup:8 ~events:256 (fun _ -> ignore (send () : Fabric.report)))
+          .Allocs.per_event
+      in
+      let bound = (6.0 *. float_of_int hosts) +. 32.0 in
+      if hosts = 0 || words > bound then
+        Alcotest.failf "%s: %.1f words per packet for %d hosts (bound %.0f)" name words hosts
+          bound)
+    [
+      ("running example", topo, fig3_members);
+      ("facebook fabric", fabric_topo, spread fabric_topo 400);
+      (let t =
+         Topology.create ~pods:24 ~leaves_per_pod:10 ~spines_per_pod:2 ~hosts_per_leaf:8
+           ~cores_per_plane:2
+       in
+       ("240-leaf fabric", t, [ 0; 85; 1900 ]));
+    ]
+
+let tests =
+  tests
+  @ [
+      QCheck_alcotest.to_alcotest prop_walk_reference;
+      Alcotest.test_case "inject allocates its report" `Quick test_inject_allocs;
+    ]

@@ -203,20 +203,21 @@ let named_containers =
    deterministic and means what the author thinks: base types and tuples /
    lists / options / arrays / refs / results thereof. Everything else —
    abstract types, records (cached fields!), variants, functions — must go
-   through a dedicated compare/equal. Type variables pass: a genuinely
-   polymorphic context cannot be judged here, and every monomorphic use
-   site is checked on its own. *)
-let rec type_primitive ty =
+   through a dedicated compare/equal. A type variable passes only where
+   [vars] says so: a [Hashtbl] keyed at one is judged at its monomorphic
+   use sites, but a comparison at one is [caml_compare] at every type the
+   code is ever used at, [int] included. *)
+let rec type_primitive ~vars ty =
   match Types.get_desc ty with
-  | Types.Tvar _ | Types.Tunivar _ -> true
-  | Types.Ttuple tys -> List.for_all type_primitive tys
-  | Types.Tpoly (t, _) -> type_primitive t
+  | Types.Tvar _ | Types.Tunivar _ -> vars
+  | Types.Ttuple tys -> List.for_all (type_primitive ~vars) tys
+  | Types.Tpoly (t, _) -> type_primitive ~vars t
   | Types.Tconstr (p, args, _) ->
       if List.exists (Path.same p) primitive_paths then true
       else if List.exists (Path.same p) container_paths then
-        List.for_all type_primitive args
+        List.for_all (type_primitive ~vars) args
       else if List.mem (Path.name p) named_containers then
-        List.for_all type_primitive args
+        List.for_all (type_primitive ~vars) args
       else false
   | _ -> false
 
@@ -235,7 +236,9 @@ let deterministic_banned name =
   || name = "Stdlib.Hashtbl.seeded_hash"
   || name = "Stdlib.Hashtbl.randomize"
 
-let poly_compare_ops = [ "Stdlib.="; "Stdlib.<>"; "Stdlib.compare" ]
+let poly_compare_ops =
+  [ "Stdlib.="; "Stdlib.<>"; "Stdlib.compare"; "Stdlib.<"; "Stdlib.<=";
+    "Stdlib.>"; "Stdlib.>="; "Stdlib.min"; "Stdlib.max" ]
 
 (* The stdlib list lookups compare keys with polymorphic compare at every
    element type, so [poly-compare]'s type test cannot clear them: even at
@@ -277,11 +280,11 @@ let scan_expressions str =
            (short_name name));
     if List.mem name poly_compare_ops then (
       match first_arg_type ty with
-      | Some arg when not (type_primitive arg) ->
+      | Some arg when not (type_primitive ~vars:false arg) ->
           add line Poly_compare
             (Printf.sprintf
                "polymorphic %s at type %s (use the module's dedicated \
-                compare/equal)"
+                compare/equal, or annotate the type)"
                (short_name name) (type_str arg))
       | _ -> ());
     if List.mem name poly_lookups then
@@ -292,7 +295,7 @@ let scan_expressions str =
            (short_name name));
     if name = "Stdlib.Hashtbl.create" then (
       match Types.get_desc (result_type ty) with
-      | Types.Tconstr (_, key :: _, _) when not (type_primitive key) ->
+      | Types.Tconstr (_, key :: _, _) when not (type_primitive ~vars:true key) ->
           add line Poly_compare
             (Printf.sprintf
                "Hashtbl.create keyed by non-primitive type %s (polymorphic \
