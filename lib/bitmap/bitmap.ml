@@ -1,45 +1,55 @@
-(* Bits are stored little-endian within an int array: bit [i] lives in word
-   [i / word_bits] at position [i mod word_bits]. Trailing bits of the last
-   word are kept at zero as an invariant so popcount/equal can work
-   word-wise. *)
+(* One block per bitmap: slot 0 of an int array holds the width and
+   slots 1.. hold the bits, little-endian: bit [i] lives in slot
+   [1 + i / word_bits] at position [i mod word_bits]. A bitmap of at most
+   63 bits is three words, and every kernel reaches its words without a
+   second indirection. Trailing bits of the last word are kept at zero as
+   an invariant so popcount/equal can work word-wise; no kernel writes
+   slot 0 after [create]. *)
 
 let word_bits = 63 (* OCaml native ints; avoid the tag bit complications *)
 
-type t = { width : int; words : int array }
+type t = int array
 
 let words_for width = (width + word_bits - 1) / word_bits
 
 let create width =
   if width < 0 then invalid_arg "Bitmap.create: negative width";
-  { width; words = Array.make (max 1 (words_for width)) 0 }
+  let t = Array.make (1 + max 1 (words_for width)) 0 in
+  Array.unsafe_set t 0 width;
+  t
 
-let width t = t.width
-let copy t = { width = t.width; words = Array.copy t.words }
+(* elmo-lint: zero-alloc *)
+let width (t : t) = Array.unsafe_get t 0
+
+let copy (t : t) = Array.copy t
 
 (* The kernels below are the innermost loops of apply_delta / clustering
    and carry zero-alloc obligations: top-level tail-recursive loops over
-   the word arrays (no closures, no refs), checked by elmo-lint and by the
-   Gc.minor_words harness in test_zero_alloc.ml. *)
+   the word slots (no closures, no refs), checked by elmo-lint and by the
+   Gc.minor_words harness in test_zero_alloc.ml. A word loop runs its slot
+   index from the last slot down to 1; slot 0 is the width. *)
 
 let check_index t i =
-  if i < 0 || i >= t.width then
+  if i < 0 || i >= width t then
     (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
     invalid_arg "Bitmap: index out of bounds"
 
 (* elmo-lint: zero-alloc *)
 let set t i =
   check_index t i;
-  t.words.(i / word_bits) <- t.words.(i / word_bits) lor (1 lsl (i mod word_bits))
+  let s = 1 + (i / word_bits) in
+  Array.unsafe_set t s (Array.unsafe_get t s lor (1 lsl (i mod word_bits)))
 
 (* elmo-lint: zero-alloc *)
 let clear t i =
   check_index t i;
-  t.words.(i / word_bits) <- t.words.(i / word_bits) land lnot (1 lsl (i mod word_bits))
+  let s = 1 + (i / word_bits) in
+  Array.unsafe_set t s (Array.unsafe_get t s land lnot (1 lsl (i mod word_bits)))
 
 (* elmo-lint: zero-alloc *)
 let get t i =
   check_index t i;
-  t.words.(i / word_bits) land (1 lsl (i mod word_bits)) <> 0
+  Array.unsafe_get t (1 + (i / word_bits)) land (1 lsl (i mod word_bits)) <> 0
 
 (* SWAR popcount of one 63-bit word, in constant time: sum adjacent bits
    into 2-bit counts, those into 4-bit and then 8-bit counts, and let one
@@ -61,41 +71,50 @@ let popcount_word w =
   (w * h01) lsr 56
 
 (* elmo-lint: zero-alloc *)
-let rec popcount_loop words i acc =
-  if i < 0 then acc
-  else popcount_loop words (i - 1) (acc + popcount_word (Array.unsafe_get words i))
+let rec popcount_loop (t : t) s acc =
+  if s < 1 then acc
+  else popcount_loop t (s - 1) (acc + popcount_word (Array.unsafe_get t s))
 
 (* elmo-lint: zero-alloc *)
-let popcount t = popcount_loop t.words (Array.length t.words - 1) 0
+let popcount t = popcount_loop t (Array.length t - 1) 0
 
 (* elmo-lint: zero-alloc *)
-let rec all_zero words i =
-  i < 0 || (Array.unsafe_get words i = 0 && all_zero words (i - 1))
+let rec all_zero (t : t) s = s < 1 || (Array.unsafe_get t s = 0 && all_zero t (s - 1))
 
 (* elmo-lint: zero-alloc *)
-let is_empty t = all_zero t.words (Array.length t.words - 1)
+let is_empty t = all_zero t (Array.length t - 1)
+
+(* Slot 0 included: equal blocks have equal widths. *)
+(* elmo-lint: zero-alloc *)
+let rec slots_equal (a : t) b s =
+  s < 0 || (Array.unsafe_get a s = Array.unsafe_get b s && slots_equal a b (s - 1))
 
 (* elmo-lint: zero-alloc *)
-let rec words_equal (a : int array) b i =
-  i < 0 || (Array.unsafe_get a i = Array.unsafe_get b i && words_equal a b (i - 1))
+let equal (a : t) b =
+  Array.length a = Array.length b && slots_equal a b (Array.length a - 1)
 
-(* Widths equal implies equal word counts, so one length suffices. *)
-(* elmo-lint: zero-alloc *)
-let equal a b =
-  a.width = b.width && words_equal a.words b.words (Array.length a.words - 1)
+(* Width first, then the words from the lowest: slot order. Equal widths
+   mean equal lengths, so the walk stops at a difference or the end. *)
+let rec compare_slots (a : t) b s =
+  if s >= Array.length a || s >= Array.length b then 0
+  else
+    let c = Int.compare (Array.unsafe_get a s) (Array.unsafe_get b s) in
+    if c <> 0 then c else compare_slots a b (s + 1)
 
-let compare a b =
-  let c = Stdlib.compare a.width b.width in
-  if c <> 0 then c else Stdlib.compare a.words b.words
+let compare a b = compare_slots a b 0
 
 let check_width a b =
-  if a.width <> b.width then
+  if width a <> width b then
     (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
     invalid_arg "Bitmap: width mismatch"
 
 let map2 f a b =
   check_width a b;
-  { width = a.width; words = Array.map2 f a.words b.words }
+  let out = Array.make (Array.length a) (width a) in
+  for s = 1 to Array.length a - 1 do
+    Array.unsafe_set out s (f (Array.unsafe_get a s) (Array.unsafe_get b s))
+  done;
+  out
 
 let union a b = map2 ( lor ) a b
 let inter a b = map2 ( land ) a b
@@ -104,58 +123,64 @@ let diff a b = map2 (fun x y -> x land lnot y) a b
 (* elmo-lint: zero-alloc *)
 let union_into ~dst src =
   check_width dst src;
-  for i = 0 to Array.length src.words - 1 do
-    Array.unsafe_set dst.words i
-      (Array.unsafe_get dst.words i lor Array.unsafe_get src.words i)
+  for s = 1 to Array.length src - 1 do
+    Array.unsafe_set dst s (Array.unsafe_get dst s lor Array.unsafe_get src s)
   done
 
 (* elmo-lint: zero-alloc *)
-let rec subset_loop a b i =
-  i < 0
-  || (Array.unsafe_get a i land lnot (Array.unsafe_get b i) = 0
-     && subset_loop a b (i - 1))
+let rec subset_loop (a : t) b s =
+  s < 1
+  || (Array.unsafe_get a s land lnot (Array.unsafe_get b s) = 0
+     && subset_loop a b (s - 1))
 
 (* elmo-lint: zero-alloc *)
 let subset a b =
   check_width a b;
-  subset_loop a.words b.words (Array.length a.words - 1)
+  subset_loop a b (Array.length a - 1)
 
 (* elmo-lint: zero-alloc *)
-let rec hamming_words a b i acc =
-  if i < 0 then acc
+let rec hamming_words (a : t) b s acc =
+  if s < 1 then acc
   else
-    hamming_words a b (i - 1)
-      (acc + popcount_word (Array.unsafe_get a i lxor Array.unsafe_get b i))
+    hamming_words a b (s - 1)
+      (acc + popcount_word (Array.unsafe_get a s lxor Array.unsafe_get b s))
 
 (* elmo-lint: zero-alloc *)
 let hamming a b =
   check_width a b;
-  hamming_words a.words b.words (Array.length a.words - 1) 0
+  hamming_words a b (Array.length a - 1) 0
 
 (* elmo-lint: zero-alloc *)
-let rec cost_words a acc_w i acc =
-  if i < 0 then acc
+let rec cost_words (a : t) acc_bm s acc =
+  if s < 1 then acc
   else
-    cost_words a acc_w (i - 1)
+    cost_words a acc_bm (s - 1)
       (acc
-      + popcount_word (Array.unsafe_get a i land lnot (Array.unsafe_get acc_w i)))
+      + popcount_word (Array.unsafe_get a s land lnot (Array.unsafe_get acc_bm s)))
 
 (* elmo-lint: zero-alloc *)
 let union_cost a acc_bm =
   check_width a acc_bm;
-  cost_words a.words acc_bm.words (Array.length a.words - 1) 0
+  cost_words a acc_bm (Array.length a - 1) 0
 
 (* elmo-lint: zero-alloc *)
-let reset t = Array.fill t.words 0 (Array.length t.words) 0
+let reset t = Array.fill t 1 (Array.length t - 1) 0
 
 (* elmo-lint: zero-alloc *)
 let copy_into ~dst src =
   check_width dst src;
-  Array.blit src.words 0 dst.words 0 (Array.length src.words)
+  Array.blit src 1 dst 1 (Array.length src - 1)
 
 let of_list width indices =
   let t = create width in
   List.iter (set t) indices;
+  t
+
+let of_slice width hosts ~pos ~len ~base =
+  let t = create width in
+  for i = pos to pos + len - 1 do
+    set t (hosts.(i) - base)
+  done;
   t
 
 (* Word-wise set-bit traversal: peel the lowest set bit with [w land (-w)];
@@ -163,11 +188,10 @@ let of_list width indices =
    constant time. O(words + set bits) work instead of one bounds-checked
    [get] per position. *)
 let iter f t =
-  let n = Array.length t.words in
-  for wi = 0 to n - 1 do
-    let w = ref t.words.(wi) in
+  for s = 1 to Array.length t - 1 do
+    let w = ref (Array.unsafe_get t s) in
     if !w <> 0 then begin
-      let base = wi * word_bits in
+      let base = (s - 1) * word_bits in
       while !w <> 0 do
         let lsb = !w land - !w in
         f (base + popcount_word (lsb - 1));
@@ -176,20 +200,20 @@ let iter f t =
     end
   done
 
-(* The lowest set bit of [words.(wi)] at or above in-word position
-   [from], else of a later word; -1 past the last word. *)
+(* The lowest set bit of slot [s] at or above in-word position [from],
+   else of a later slot; -1 past the last slot. *)
 (* elmo-lint: zero-alloc *)
-let rec next_in_words words wi from =
-  if wi >= Array.length words then -1
+let rec next_in_words (t : t) s from =
+  if s >= Array.length t then -1
   else begin
-    let w = Array.unsafe_get words wi land (-1 lsl from) in
-    if w = 0 then next_in_words words (wi + 1) 0
-    else (wi * word_bits) + popcount_word ((w land -w) - 1)
+    let w = Array.unsafe_get t s land (-1 lsl from) in
+    if w = 0 then next_in_words t (s + 1) 0
+    else ((s - 1) * word_bits) + popcount_word ((w land -w) - 1)
   end
 
 (* elmo-lint: zero-alloc *)
 let next_set t i =
-  if i >= t.width then -1 else next_in_words t.words (i / word_bits) (i mod word_bits)
+  if i >= width t then -1 else next_in_words t (1 + (i / word_bits)) (i mod word_bits)
 
 let to_list t =
   let acc = ref [] in
@@ -203,6 +227,13 @@ let rec top_bit w n s =
   else if w lsr s <> 0 then top_bit (w lsr s) (n + s) (s lsr 1)
   else top_bit w n (s lsr 1)
 
+(* The bits of the word starting at bit [base] that lie in [\[lo, hi\]]. *)
+(* elmo-lint: zero-alloc *)
+let span_mask ~lo ~hi base =
+  let below = if lo > base then lo - base else 0 in
+  let top = if hi - base < word_bits - 1 then hi - base else word_bits - 1 in
+  (-1 lsl below) land (-1 lsr (word_bits - 1 - top))
+
 (* Words from [hi]'s down to [lo]'s, each word's bits from the top down,
    so consing yields the ascending list without a reversal. *)
 let drain t ~lo ~hi =
@@ -213,12 +244,9 @@ let drain t ~lo ~hi =
     let acc = ref [] in
     for wi = hi / word_bits downto lo / word_bits do
       let base = wi * word_bits in
-      let mask =
-        (-1 lsl Int.max 0 (lo - base))
-        land (-1 lsr (word_bits - 1 - Int.min (word_bits - 1) (hi - base)))
-      in
-      let w = ref (t.words.(wi) land mask) in
-      t.words.(wi) <- t.words.(wi) land lnot mask;
+      let mask = span_mask ~lo ~hi base in
+      let w = ref (t.(wi + 1) land mask) in
+      t.(wi + 1) <- t.(wi + 1) land lnot mask;
       while !w <> 0 do
         let b = top_bit !w 0 32 in
         acc := (base + b) :: !acc;
@@ -226,6 +254,35 @@ let drain t ~lo ~hi =
       done
     done;
     !acc
+  end
+
+(* elmo-lint: zero-alloc *)
+let rec peel_into (dst : int array) base w n =
+  if w = 0 then n
+  else begin
+    let lsb = w land -w in
+    dst.(n) <- base + popcount_word (lsb - 1);
+    peel_into dst base (w lxor lsb) (n + 1)
+  end
+
+(* elmo-lint: zero-alloc *)
+let rec drain_words t dst ~lo ~hi wi last n =
+  if wi > last then n
+  else begin
+    let base = wi * word_bits in
+    let mask = span_mask ~lo ~hi base in
+    let w = Array.unsafe_get t (wi + 1) land mask in
+    Array.unsafe_set t (wi + 1) (Array.unsafe_get t (wi + 1) land lnot mask);
+    drain_words t dst ~lo ~hi (wi + 1) last (peel_into dst base w n)
+  end
+
+(* elmo-lint: zero-alloc *)
+let drain_into t ~lo ~hi dst =
+  if lo > hi then 0
+  else begin
+    check_index t lo;
+    check_index t hi;
+    drain_words t dst ~lo ~hi (lo / word_bits) (hi / word_bits) 0
   end
 
 let union_all width ts =
@@ -245,11 +302,11 @@ let union_all width ts =
 let get_byte t j =
   check_index t (8 * j);
   let pos = 8 * j in
-  let wi = pos / word_bits and off = pos mod word_bits in
-  let v = Array.unsafe_get t.words wi lsr off in
+  let s = 1 + (pos / word_bits) and off = pos mod word_bits in
+  let v = Array.unsafe_get t s lsr off in
   let v =
-    if off > word_bits - 8 && wi + 1 < Array.length t.words then
-      v lor (Array.unsafe_get t.words (wi + 1) lsl (word_bits - off))
+    if off > word_bits - 8 && s + 1 < Array.length t then
+      v lor (Array.unsafe_get t (s + 1) lsl (word_bits - off))
     else v
   in
   v land 0xff
@@ -260,18 +317,18 @@ let get_byte t j =
 let or_byte t j v =
   check_index t (8 * j);
   let pos = 8 * j in
-  let live = t.width - pos in
+  let live = width t - pos in
   let v = if live < 8 then v land ((1 lsl live) - 1) else v land 0xff in
   if v <> 0 then begin
-    let wi = pos / word_bits and off = pos mod word_bits in
-    Array.unsafe_set t.words wi (Array.unsafe_get t.words wi lor (v lsl off));
-    if off > word_bits - 8 && wi + 1 < Array.length t.words then
-      Array.unsafe_set t.words (wi + 1)
-        (Array.unsafe_get t.words (wi + 1) lor (v lsr (word_bits - off)))
+    let s = 1 + (pos / word_bits) and off = pos mod word_bits in
+    Array.unsafe_set t s (Array.unsafe_get t s lor (v lsl off));
+    if off > word_bits - 8 && s + 1 < Array.length t then
+      Array.unsafe_set t (s + 1)
+        (Array.unsafe_get t (s + 1) lor (v lsr (word_bits - off)))
   end
 
 let to_bytes t =
-  let b = Bytes.create ((t.width + 7) / 8) in
+  let b = Bytes.create ((width t + 7) / 8) in
   for j = 0 to Bytes.length b - 1 do
     Bytes.unsafe_set b j (Char.unsafe_chr (get_byte t j))
   done;
@@ -286,5 +343,5 @@ let of_bytes width b =
   done;
   t
 
-let to_string t = String.init t.width (fun i -> if get t i then '1' else '0')
+let to_string t = String.init (width t) (fun i -> if get t i then '1' else '0')
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -3,7 +3,8 @@
     A p-rule's payload is a bitmap over a switch's ports (§3.1 D1 of the
     paper); sharing decisions are made on bitwise OR and Hamming distance of
     these bitmaps (§3.2). Width is fixed at creation and all binary operations
-    require equal widths. *)
+    require equal widths. A bitmap is one heap block: its width and then its
+    63-bit words, so one of at most 63 bits takes three words. *)
 
 type t
 
@@ -58,6 +59,12 @@ val union_cost : t -> t -> int
 val of_list : int -> int list -> t
 (** [of_list width indices]. *)
 
+val of_slice : int -> int array -> pos:int -> len:int -> base:int -> t
+(** [of_slice width a ~pos ~len ~base] has bit [a.(i) - base] set for every
+    [i] in [\[pos, pos + len)]: one call builds a leaf's bitmap from its run
+    of sorted host ids. Raises [Invalid_argument] if a bit falls outside
+    [\[0, width)] or the slice outside [a]. *)
+
 val to_list : t -> int list
 (** Indices of set bits, ascending. *)
 
@@ -76,6 +83,13 @@ val drain : t -> lo:int -> hi:int -> int list
     O((hi - lo) / 63 + bits returned); no comparison sort. [[]] when
     [lo > hi]. Raises [Invalid_argument] if [lo] or [hi] is out of range
     otherwise. *)
+
+val drain_into : t -> lo:int -> hi:int -> int array -> int
+(** [drain_into t ~lo ~hi dst] is {!drain} written into [dst]: the set bits
+    of [t] in [\[lo, hi\]] go ascending into [dst.(0)], [dst.(1)], ...,
+    are cleared, and their count is returned. Allocation-free. Raises
+    [Invalid_argument] as {!drain} does, and if [dst] is too short, which
+    leaves [t] partly drained. *)
 
 val union_all : int -> t list -> t
 (** [union_all width ts] ORs all bitmaps ([create width] if the list is

@@ -4,14 +4,15 @@
    bounds-checked, and all failures funnel into the single exception
    [Corrupt] that Wire.load catches at the record boundary. *)
 
-(* Reflected CRC-32, polynomial 0xEDB88320, sliced by 8: [crc_tables] holds
-   eight 256-entry tables back to back. Table 0 is the classic bytewise
-   table; entry [n] of table [k] is the CRC register after feeding byte [n]
-   followed by [k] zero bytes, so one lookup per byte of an 8-byte word
-   folds the whole word at once. A top-level immutable array is
-   domain-safe (written once at module init, read-only afterwards). *)
+(* Reflected CRC-32, polynomial 0xEDB88320, sliced by 16: [crc_tables]
+   holds sixteen 256-entry tables back to back. Table 0 is the classic
+   bytewise table; entry [n] of table [k] is the CRC register after feeding
+   byte [n] followed by [k] zero bytes, so one lookup per byte of a
+   16-byte block folds the whole block at once. A top-level immutable
+   array is domain-safe (written once at module init, read-only
+   afterwards). *)
 let crc_tables =
-  let t = Array.make (8 * 256) 0 in
+  let t = Array.make (16 * 256) 0 in
   for n = 0 to 255 do
     let c = ref n in
     for _ = 0 to 7 do
@@ -20,7 +21,7 @@ let crc_tables =
     done;
     t.(n) <- !c
   done;
-  for k = 1 to 7 do
+  for k = 1 to 15 do
     for n = 0 to 255 do
       let prev = t.(((k - 1) * 256) + n) in
       t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
@@ -42,21 +43,32 @@ let crc32_feed crc b ~pos ~len =
        index below 256. *)
     let crc = ref (crc land 0xFFFFFFFF) in
     let i = ref pos in
-    let words_end = pos + (len land lnot 7) in
-    while !i < words_end do
-      let one = u32_le b !i lxor !crc and two = u32_le b (!i + 4) in
+    let blocks_end = pos + (len land lnot 15) in
+    while !i < blocks_end do
+      let one = u32_le b !i lxor !crc
+      and two = u32_le b (!i + 4)
+      and three = u32_le b (!i + 8)
+      and four = u32_le b (!i + 12) in
       crc :=
-        Array.unsafe_get t ((7 * 256) + (one land 0xff))
-        lxor Array.unsafe_get t ((6 * 256) + ((one lsr 8) land 0xff))
-        lxor Array.unsafe_get t ((5 * 256) + ((one lsr 16) land 0xff))
-        lxor Array.unsafe_get t ((4 * 256) + (one lsr 24))
-        lxor Array.unsafe_get t ((3 * 256) + (two land 0xff))
-        lxor Array.unsafe_get t ((2 * 256) + ((two lsr 8) land 0xff))
-        lxor Array.unsafe_get t (256 + ((two lsr 16) land 0xff))
-        lxor Array.unsafe_get t (two lsr 24);
-      i := !i + 8
+        Array.unsafe_get t ((15 * 256) + (one land 0xff))
+        lxor Array.unsafe_get t ((14 * 256) + ((one lsr 8) land 0xff))
+        lxor Array.unsafe_get t ((13 * 256) + ((one lsr 16) land 0xff))
+        lxor Array.unsafe_get t ((12 * 256) + (one lsr 24))
+        lxor Array.unsafe_get t ((11 * 256) + (two land 0xff))
+        lxor Array.unsafe_get t ((10 * 256) + ((two lsr 8) land 0xff))
+        lxor Array.unsafe_get t ((9 * 256) + ((two lsr 16) land 0xff))
+        lxor Array.unsafe_get t ((8 * 256) + (two lsr 24))
+        lxor Array.unsafe_get t ((7 * 256) + (three land 0xff))
+        lxor Array.unsafe_get t ((6 * 256) + ((three lsr 8) land 0xff))
+        lxor Array.unsafe_get t ((5 * 256) + ((three lsr 16) land 0xff))
+        lxor Array.unsafe_get t ((4 * 256) + (three lsr 24))
+        lxor Array.unsafe_get t ((3 * 256) + (four land 0xff))
+        lxor Array.unsafe_get t ((2 * 256) + ((four lsr 8) land 0xff))
+        lxor Array.unsafe_get t (256 + ((four lsr 16) land 0xff))
+        lxor Array.unsafe_get t (four lsr 24);
+      i := !i + 16
     done;
-    for j = words_end to pos + len - 1 do
+    for j = blocks_end to pos + len - 1 do
       let byte = Char.code (Bytes.unsafe_get b j) in
       crc := Array.unsafe_get t ((!crc lxor byte) land 0xff) lxor (!crc lsr 8)
     done;

@@ -24,8 +24,8 @@
 (** {1 CRC32}
 
     The reflected CRC-32 (polynomial [0xEDB88320], the Ethernet/zip one),
-    table-driven and sliced by 8: one 8-byte word per step, bytewise for
-    the tail. Values are the low 32 bits of an [int]. *)
+    table-driven and sliced by 16: one 16-byte block per step, bytewise
+    for the tail. Values are the low 32 bits of an [int]. *)
 
 val crc32_init : int
 (** Initial running state. *)

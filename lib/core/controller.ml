@@ -176,9 +176,11 @@ type t = {
   views : (int, Installed_config.group_view) Hashtbl.t;
       (* [installed_config]'s sorted member and override lists of every
          group unchanged since they were last built *)
-  view_hosts : Bitmap.t;
-      (* one bit per host: [group_view]'s counting sort of a group's
-         members, all clear between calls *)
+  host_scratch : Bitmap.t;
+      (* one bit per host: the counting sort of a group's hosts (the tree's
+         receivers, the update's hypervisors, the view's lists) and the
+         guard's duplicate check; all clear between calls, also after a
+         guard raises *)
   segments : (int, bytes) Hashtbl.t;
       (* [write_snapshot]'s bytes of every group unchanged since they were
          last written; [mark_dirty] evicts from both memos *)
@@ -220,7 +222,7 @@ let create ?fabric_hooks ?clock ?(incremental = true) topo params =
     dirty = Hashtbl.create 64;
     generation = ref 0;
     views = Hashtbl.create 1024;
-    view_hosts = Bitmap.create (Topology.num_hosts topo);
+    host_scratch = Bitmap.create (Topology.num_hosts topo);
     segments = Hashtbl.create 1024;
     segment_codec = group_codec ~topo;
   }
@@ -233,13 +235,45 @@ let receives = function Receiver | Both -> true | Sender -> false
 let sends = function Sender | Both -> true | Receiver -> false
 let only_both = function Both -> true | Sender | Receiver -> false
 
-let receivers st =
-  List.filter_map (fun (h, r) -> if receives r then Some h else None) st.members
+let any_role (_ : role) = true
 
 let senders st =
   List.filter_map (fun (h, r) -> if sends r then Some h else None) st.members
 
 let find_group t group = Hashtbl.find t.groups group
+
+(* {1 Sorted host lists}
+
+   A group's hosts come out ascending through [t.host_scratch]: set the
+   bits of the members whose role [keep] admits, then drain the span
+   between the least and the greatest, which clears it for the next call.
+   O(members + span / 63), no comparison sort. The members hold no host
+   twice (the guard and the snapshot codec refuse repeats). *)
+
+let rec sorted_hosts_from t keep lo hi = function
+  | [] -> Bitmap.drain t.host_scratch ~lo ~hi
+  | (h, r) :: rest ->
+      if keep r then begin
+        Bitmap.set t.host_scratch h;
+        sorted_hosts_from t keep (Int.min lo h) (Int.max hi h) rest
+      end
+      else sorted_hosts_from t keep lo hi rest
+
+let sorted_hosts t members keep = sorted_hosts_from t keep max_int (-1) members
+
+(* The same read-out into a fresh array sized by the count, which
+   [Tree.of_sorted] keeps as the tree's member buffer. *)
+let rec sorted_array_from t keep lo hi n = function
+  | [] ->
+      let a = Array.make n 0 in
+      ignore (Bitmap.drain_into t.host_scratch ~lo ~hi a : int);
+      a
+  | (h, r) :: rest ->
+      if keep r then begin
+        Bitmap.set t.host_scratch h;
+        sorted_array_from t keep (Int.min lo h) (Int.max hi h) (n + 1) rest
+      end
+      else sorted_array_from t keep lo hi n rest
 
 (* {1 Dirty-group tracking}
 
@@ -650,10 +684,10 @@ let deny t site =
   | Srule_state.Pod p -> t.denied_pod.(p) <- true
 
 let encode_group t st =
-  let rcvs = receivers st in
-  if rcvs = [] then st.enc <- None
+  let rcvs = sorted_array_from t receives max_int (-1) 0 st.members in
+  if Array.length rcvs = 0 then st.enc <- None
   else begin
-    let tree = Tree.of_members t.topo rcvs in
+    let tree = Tree.of_sorted t.topo rcvs in
     st.enc <-
       Some
         (Encoding.encode
@@ -996,26 +1030,42 @@ let check_invariants t ~op =
    any state. They are exposed so that a write-ahead log can refuse an op
    before recording it. *)
 
-(* [op] names the entry point in the raised message. The returned host
-   bitmap is the group's members, which are the hypervisors its install
-   updates. *)
+(* An out-of-range host raises [Topology]'s own error, through the one
+   call made only then. *)
+let rec mark_distinct ~op t nhosts = function
+  | [] -> ()
+  | (h, _) :: rest ->
+      if h < 0 || h >= nhosts then ignore (Topology.leaf_of_host t.topo h : int);
+      if Bitmap.get t.host_scratch h then
+        invalid_arg (op ^ ": duplicate member host"); (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
+      Bitmap.set t.host_scratch h;
+      mark_distinct ~op t nhosts rest
+
+(* Clears every in-range member's bit. After [mark_distinct] stopped
+   anywhere, that is exactly the bits it set: the scratch was clear
+   before, and a bit it did not reach stays clear. *)
+let rec unmark t nhosts = function
+  | [] -> ()
+  | (h, _) :: rest ->
+      if h >= 0 && h < nhosts then Bitmap.clear t.host_scratch h;
+      unmark t nhosts rest
+
+(* [op] names the entry point in the raised message. One bit per host in
+   the controller's scratch: a replica runs this guard before its entry
+   point runs it again, so it must cost O(members), not a sort, and it
+   leaves the scratch clear whether it returns or raises. *)
 let check_new_group ~op t ~group members =
   if Hashtbl.mem t.groups group then
     invalid_arg (op ^ ": group exists"); (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-  (* One bit per host: a replica runs this guard before its entry point
-     runs it again, so it must cost O(members), not a sort. *)
-  let seen = Bitmap.create (Topology.num_hosts t.topo) in
-  List.iter
-    (fun (h, _) ->
-      ignore (Topology.leaf_of_host t.topo h : int);
-      if Bitmap.get seen h then
-        invalid_arg (op ^ ": duplicate member host"); (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-      Bitmap.set seen h)
-    members;
-  seen
+  let nhosts = Bitmap.width t.host_scratch in
+  match mark_distinct ~op t nhosts members with
+  | () -> unmark t nhosts members
+  | exception e ->
+      unmark t nhosts members;
+      raise e
 
 let check_add_group t ~group members =
-  ignore (check_new_group ~op:"Controller.add_group" t ~group members : Bitmap.t)
+  check_new_group ~op:"Controller.add_group" t ~group members
 
 let check_remove_group t ~group = ignore (find_group t group : group_state)
 
@@ -1038,10 +1088,7 @@ let srule_sites st =
    share it. *)
 let install_group t ~group members =
   Log.debug (fun m -> m "add_group %d with %d members" group (List.length members));
-  Obs.with_span "controller.add_group"
-    ~attrs:
-      [ ("group", Obs.Int group); ("members", Obs.Int (List.length members)) ]
-  @@ fun () ->
+  Obs.with_span "controller.add_group" @@ fun () ->
   let st = { members; enc = None; applied = Hashtbl.create 1 } in
   Hashtbl.add t.groups group st;
   mark_dirty t group;
@@ -1053,10 +1100,16 @@ let install_group t ~group members =
   st
 
 let add_group t ~group members =
-  let hosts = check_new_group ~op:"Controller.add_group" t ~group members in
+  check_new_group ~op:"Controller.add_group" t ~group members;
   let st = install_group t ~group members in
   let leaves, pods = srule_sites st in
-  { hypervisors = Bitmap.to_list hosts; leaves; pods }
+  { hypervisors = sorted_hosts t members any_role; leaves; pods }
+
+let rec set_hosts bm = function
+  | [] -> ()
+  | (h, _) :: rest ->
+      Bitmap.set bm h;
+      set_hosts bm rest
 
 (* Batch group setup (§5.1.3's controller workload): one pass of
    Algorithm 1 per group against the live s-rule ledger, in ascending gid
@@ -1073,8 +1126,8 @@ let install_all t batch =
         | (next, _) :: _ when next = group ->
             invalid_arg "Controller.install_all: group exists" (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
         | _ -> ());
-        Bitmap.union_into ~dst:hosts
-          (check_new_group ~op:"Controller.install_all" t ~group members);
+        check_new_group ~op:"Controller.install_all" t ~group members;
+        set_hosts hosts members;
         validate rest
   in
   validate batch;
@@ -1109,7 +1162,7 @@ let remove_group t ~group =
   reconcile t;
   check_invariants t ~op:"remove_group";
   {
-    hypervisors = List.sort_uniq compare (List.map fst st.members);
+    hypervisors = sorted_hosts t st.members any_role;
     leaves = srule_leaves;
     pods = srule_pods;
   }
@@ -1301,22 +1354,6 @@ let recover_core t c =
    records of unchanged groups. The view is stamped with the generation
    counter, which [mark_dirty] bumps, so a view read after a mutation is
    refused instead of seeing half-old, half-new state. *)
-
-(* The hosts of the members whose role [keep] admits, ascending: set
-   their bits in [t.view_hosts] and drain the span between the least and
-   the greatest, which clears it for the next call. O(members + span /
-   63), no comparison sort. *)
-let sorted_hosts t members keep =
-  let rec mark lo hi = function
-    | [] -> Bitmap.drain t.view_hosts ~lo ~hi
-    | (h, r) :: rest ->
-        if keep r then begin
-          Bitmap.set t.view_hosts h;
-          mark (Int.min lo h) (Int.max hi h) rest
-        end
-        else mark lo hi rest
-  in
-  mark max_int (-1) members
 
 (* The lists come from the membership, never from the encoder's tree, so
    the check stays independent of what it checks. When every member is

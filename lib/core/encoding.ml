@@ -149,25 +149,33 @@ let budgeted_hmax topo (params : Params.t) tree =
 let no_legacy _ = false
 let all_ok _ = true
 
+let rec any_legacy legacy = function
+  | [] -> false
+  | ((id : int), _) :: rest -> legacy id || any_legacy legacy rest
+
 (* Merge the clustering of modern switches with forced s-rules (or default
-   fallback) for legacy ones. *)
+   fallback) for legacy ones. A layer with no legacy switch is clustered
+   as it is, without a partitioned copy. *)
 let with_legacy ~legacy ~reserve layer cluster =
-  let legacy_switches, modern = List.partition (fun (id, _) -> legacy id) layer in
-  let res = cluster modern in
-  List.fold_left
-    (fun acc (id, bm) ->
-      if reserve id then { acc with Clustering.srules = (id, bm) :: acc.Clustering.srules }
-      else begin
-        let default =
-          match acc.Clustering.default with
-          | None -> Some ([ id ], Bitmap.copy bm)
-          | Some (ids, dbm) ->
-              Bitmap.union_into ~dst:dbm bm;
-              Some (id :: ids, dbm)
-        in
-        { acc with Clustering.default }
-      end)
-    res legacy_switches
+  if not (any_legacy legacy layer) then cluster layer
+  else begin
+    let legacy_switches, modern = List.partition (fun (id, _) -> legacy id) layer in
+    let res = cluster modern in
+    List.fold_left
+      (fun acc (id, bm) ->
+        if reserve id then { acc with Clustering.srules = (id, bm) :: acc.Clustering.srules }
+        else begin
+          let default =
+            match acc.Clustering.default with
+            | None -> Some ([ id ], Bitmap.copy bm)
+            | Some (ids, dbm) ->
+                Bitmap.union_into ~dst:dbm bm;
+                Some (id :: ids, dbm)
+          in
+          { acc with Clustering.default }
+        end)
+      res legacy_switches
+  end
 
 (* The only external state a group encode consults is switch capacity, on
    the live ledger: every probe that finds space reserves it at once.

@@ -10,57 +10,72 @@ type t = {
   core_bitmap : Bitmap.t;
 }
 
-(* One bit per host orders and dedups the members. Leaf and pod ids are
-   monotone in host id, so the upward walk meets each leaf, and each pod,
-   in one run, and every bitmap list comes out ascending without a sort. *)
-let of_members topo member_list =
-  if member_list = [] then invalid_arg "Tree.of_members: empty group";
-  let nhosts = Topology.num_hosts topo in
-  let hosts = Bitmap.create nhosts in
-  List.iter
-    (fun h ->
-      if h < 0 || h >= nhosts then invalid_arg "Tree.of_members: host out of range";
-      Bitmap.set hosts h)
-    member_list;
-  let members = Array.make (Bitmap.popcount hosts) 0 in
-  let leaf_width = Topology.leaf_downstream_width topo in
-  let spine_width = Topology.spine_downstream_width topo in
+(* The end of the run of [a.(i..n-1)] below [limit]. *)
+(* elmo-lint: zero-alloc *)
+let rec run_end (a : int array) n limit i =
+  if i < n && Array.unsafe_get a i < limit then run_end a n limit (i + 1) else i
+
+(* Leaf and pod ids are monotone in host id, so an ascending host array
+   meets each leaf in one run and each pod in one run of leaves: one
+   division and one bitmap per leaf, and every bitmap list comes out
+   ascending without a sort. *)
+let of_sorted topo hosts =
+  let n = Array.length hosts in
+  if n = 0 then invalid_arg "Tree.of_sorted: empty group";
+  for i = 1 to n - 1 do
+    if hosts.(i) <= hosts.(i - 1) then
+      invalid_arg "Tree.of_sorted: hosts not ascending and distinct"
+  done;
+  if hosts.(0) < 0 || hosts.(n - 1) >= Topology.num_hosts topo then
+    invalid_arg "Tree.of_sorted: host out of range";
+  let hpl = topo.Topology.hosts_per_leaf in
+  let lpp = topo.Topology.leaves_per_pod in
   let core_bitmap = Bitmap.create (Topology.core_downstream_width topo) in
-  let n = ref 0 and leaves = ref [] and spines = ref [] in
-  Bitmap.iter
-    (fun h ->
-      members.(!n) <- h;
-      incr n;
-      let l = Topology.leaf_of_host topo h in
-      let leaf_bm =
-        match !leaves with
-        | (l', bm) :: _ when l' = l -> bm
-        | _ ->
-            let bm = Bitmap.create leaf_width in
-            leaves := (l, bm) :: !leaves;
-            let p = Topology.pod_of_leaf topo l in
-            let spine_bm =
-              match !spines with
-              | (p', bm) :: _ when p' = p -> bm
-              | _ ->
-                  let bm = Bitmap.create spine_width in
-                  spines := (p, bm) :: !spines;
-                  Bitmap.set core_bitmap p;
-                  bm
-            in
-            Bitmap.set spine_bm (Topology.leaf_port_on_spine topo l);
-            bm
-      in
-      Bitmap.set leaf_bm (Topology.host_port_on_leaf topo h))
-    hosts;
+  let leaves = ref [] and spines = ref [] and i = ref 0 in
+  while !i < n do
+    let l = hosts.(!i) / hpl in
+    let base = l * hpl in
+    let j = run_end hosts n (base + hpl) (!i + 1) in
+    leaves := (l, Bitmap.of_slice hpl hosts ~pos:!i ~len:(j - !i) ~base) :: !leaves;
+    let p = l / lpp in
+    let spine_bm =
+      match !spines with
+      | (p', bm) :: _ when p' = p -> bm
+      | _ ->
+          let bm = Bitmap.create lpp in
+          spines := (p, bm) :: !spines;
+          Bitmap.set core_bitmap p;
+          bm
+    in
+    Bitmap.set spine_bm (l - (p * lpp));
+    i := j
+  done;
   {
     topo;
-    members;
-    nmembers = Array.length members;
+    members = hosts;
+    nmembers = n;
     leaf_bitmaps = List.rev !leaves;
     spine_bitmaps = List.rev !spines;
     core_bitmap;
   }
+
+(* A counting sort over the list's span: one bit per host between the
+   least and the greatest member orders and dedups them, so a group's
+   scratch is sized by how far its hosts spread, never by the fabric. *)
+let of_members topo member_list =
+  if member_list = [] then invalid_arg "Tree.of_members: empty group";
+  let lo = List.fold_left Int.min max_int member_list in
+  let hi = List.fold_left Int.max min_int member_list in
+  if lo < 0 || hi >= Topology.num_hosts topo then
+    invalid_arg "Tree.of_members: host out of range";
+  let seen = Bitmap.create (hi - lo + 1) in
+  List.iter (fun h -> Bitmap.set seen (h - lo)) member_list;
+  let hosts = Array.make (Bitmap.popcount seen) 0 in
+  ignore (Bitmap.drain_into seen ~lo:0 ~hi:(hi - lo) hosts : int);
+  for i = 0 to Array.length hosts - 1 do
+    hosts.(i) <- hosts.(i) + lo
+  done;
+  of_sorted topo hosts
 
 let leaves t = List.map fst t.leaf_bitmaps
 let pods t = List.map fst t.spine_bitmaps

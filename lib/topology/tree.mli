@@ -22,9 +22,19 @@ type t = {
   core_bitmap : Bitmap.t;  (** pods participating, width [pods] *)
 }
 
+val of_sorted : Topology.t -> int array -> t
+(** [of_sorted topo hosts] builds the tree of the given member hosts, which
+    must be ascending and distinct. One pass, one bitmap per leaf and per
+    pod, no host-sized scratch. The tree keeps [hosts] as its member
+    buffer, without a copy: the caller must not use the array afterwards.
+    Raises [Invalid_argument] if [hosts] is empty, not strictly ascending,
+    or holds an out-of-range host. *)
+
 val of_members : Topology.t -> int list -> t
-(** Builds the tree for the given member hosts. Duplicates are removed.
-    Raises [Invalid_argument] if the member list is empty or contains an
+(** Builds the tree for the given member hosts, in any order. Duplicates
+    are removed. {!of_sorted} over the hosts ordered by a counting sort
+    whose scratch spans the least to the greatest member. Raises
+    [Invalid_argument] if the member list is empty or contains an
     out-of-range host. *)
 
 val leaves : t -> int list

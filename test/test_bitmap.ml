@@ -211,7 +211,14 @@ let prop_drain =
       let inside i = lo <= i && i <= hi in
       let expected = List.filter inside (Bitmap.to_list b) in
       let left = List.filter (fun i -> not (inside i)) (Bitmap.to_list b) in
-      Bitmap.drain b ~lo ~hi = expected && Bitmap.to_list b = left)
+      let b' = Bitmap.copy b in
+      let dst = Array.make (List.length expected) (-1) in
+      let n = Bitmap.drain_into b' ~lo ~hi dst in
+      Bitmap.drain b ~lo ~hi = expected
+      && Bitmap.to_list b = left
+      && n = List.length expected
+      && Array.to_list dst = expected
+      && Bitmap.to_list b' = left)
 
 (* [next_set] from every start, the width and one past it included, is
    the first set bit of [to_list] at or above it. *)
@@ -226,6 +233,61 @@ let prop_next_set =
           in
           Bitmap.next_set b i = expected)
         (List.init (w + 2) Fun.id))
+
+(* The order [compare] promises, stated on its own: width first, then the
+   63-bit words from the lowest as signed ints, lexicographically. Bit 62
+   of a word is its sign bit, so the top bits of each word are drawn
+   often; most pairs share a width (else the words are never compared),
+   and some are equal or differ in one bit. *)
+let reference_words w bits =
+  let words = Array.make (max 1 ((w + 62) / 63)) 0 in
+  List.iter (fun i -> words.(i / 63) <- words.(i / 63) lor (1 lsl (i mod 63))) bits;
+  words
+
+let reference_compare (wa, a) (wb, b) =
+  let c = Int.compare wa wb in
+  if c <> 0 then c
+  else
+    let wa = reference_words wa a and wb = reference_words wb b in
+    let rec go i =
+      if i >= Array.length wa then 0
+      else
+        let c = Int.compare wa.(i) wb.(i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
+
+let prop_compare_reference =
+  let open QCheck.Gen in
+  let bits w =
+    if w = 0 then return []
+    else
+      let tops = List.filter (fun i -> i < w) [ 61; 62; 63; 124; 125; 126; 188 ] in
+      list_size (int_range 0 12) (oneof [ int_range 0 (w - 1); oneofl (0 :: tops) ])
+  in
+  let gen =
+    int_range 0 200 >>= fun wa ->
+    frequency [ (4, return wa); (1, int_range 0 200) ] >>= fun wb ->
+    bits wa >>= fun a ->
+    frequency
+      [ (3, bits wb);
+        (1, return (List.filter (fun i -> i < wb) a));
+        ( 1,
+          if wb = 0 then return []
+          else int_range 0 (wb - 1) >|= fun i -> i :: List.filter (fun j -> j < wb) a ) ]
+    >|= fun b -> ((wa, a), (wb, b))
+  in
+  let print ((wa, a), (wb, b)) =
+    let l = QCheck.Print.(list int) in
+    Printf.sprintf "width %d %s vs width %d %s" wa (l a) wb (l b)
+  in
+  QCheck.Test.make ~name:"compare/equal = width-then-words reference" ~count:1000
+    (QCheck.make ~print gen) (fun ((wa, a), (wb, b)) ->
+      let ba = bm_of wa a and bb = bm_of wb b in
+      let expect = reference_compare (wa, a) (wb, b) in
+      Int.compare (Bitmap.compare ba bb) 0 = expect
+      && Int.compare (Bitmap.compare bb ba) 0 = - expect
+      && Bitmap.equal ba bb = (expect = 0))
 
 let tests =
   [
@@ -246,6 +308,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_union_cost;
     QCheck_alcotest.to_alcotest prop_subset_union;
     QCheck_alcotest.to_alcotest prop_compare_consistent;
+    QCheck_alcotest.to_alcotest prop_compare_reference;
     QCheck_alcotest.to_alcotest prop_popcount_iter_by_get;
     QCheck_alcotest.to_alcotest prop_hamming_cost_by_get;
     QCheck_alcotest.to_alcotest prop_drain;

@@ -223,10 +223,109 @@ let prop_add_group_hypervisors =
       let u = Controller.add_group ctrl ~group:0 members in
       u.Controller.hypervisors = List.sort_uniq compare (List.map fst members))
 
+(* {1 The controller's host scratch}
+
+   One host bitmap orders a group's receivers for its tree, its
+   hypervisors for the update and the view's lists, and checks a new
+   group for repeated hosts. A bit left set by a refused call would show
+   up in the next group's tree, hypervisors or view, or refuse the next
+   group that holds the host. The probe group spans the first to the last
+   host, so every bit of the scratch lies in the range it drains. *)
+
+let probe_group =
+  [
+    (0, Controller.Both);
+    (5, Controller.Receiver);
+    (6, Controller.Receiver);
+    (3, Controller.Sender);
+    (9, Controller.Sender);
+    (12, Controller.Both);
+    (15, Controller.Receiver);
+  ]
+
+let sorted_role keep members =
+  List.sort Int.compare (List.filter_map (fun (h, r) -> if keep r then Some h else None) members)
+
+let receives = function Controller.Receiver | Controller.Both -> true | Controller.Sender -> false
+let sends = function Controller.Sender | Controller.Both -> true | Controller.Receiver -> false
+
+let check_views what ctrl =
+  Array.iter
+    (fun (v : Installed_config.group_view) ->
+      let members = Controller.members ctrl ~group:v.Installed_config.gid in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: group %d receivers" what v.Installed_config.gid)
+        (sorted_role receives members) v.Installed_config.receivers;
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: group %d senders" what v.Installed_config.gid)
+        (sorted_role sends members) v.Installed_config.senders)
+    (Controller.installed_config ctrl).Installed_config.groups
+
+let test_host_scratch_stays_clear () =
+  let n = Topology.num_hosts topo in
+  let m = [ (1, Controller.Both); (2, Controller.Receiver) ] in
+  let refusals =
+    [
+      ("add_group: repeated host", fun c ->
+          Controller.add_group c ~group:50
+            [ (3, Controller.Both); (7, Controller.Receiver); (14, Controller.Sender); (3, Controller.Sender) ]);
+      ("add_group: host past the last", fun c ->
+          Controller.add_group c ~group:50 [ (2, Controller.Both); (11, Controller.Receiver); (n, Controller.Receiver) ]);
+      ("add_group: negative host", fun c ->
+          Controller.add_group c ~group:50 [ (4, Controller.Receiver); (13, Controller.Both); (-1, Controller.Both) ]);
+      ("add_group: existing gid", fun c -> Controller.add_group c ~group:1 [ (8, Controller.Both) ]);
+      ("install_all: existing gid", fun c ->
+          Controller.install_all c [ (51, [ (6, Controller.Both) ]); (1, [ (8, Controller.Both) ]) ]);
+      ("install_all: gid repeated in the batch", fun c ->
+          Controller.install_all c [ (52, [ (10, Controller.Both) ]); (52, [ (11, Controller.Receiver) ]) ]);
+      ("install_all: bad group last", fun c ->
+          Controller.install_all c
+            [ (53, [ (7, Controller.Both); (9, Controller.Receiver) ]);
+              (54, [ (10, Controller.Receiver) ]);
+              (55, [ (12, Controller.Both); (15, Controller.Sender); (12, Controller.Receiver) ]) ]);
+      ("install_all: host out of range last", fun c ->
+          Controller.install_all c
+            [ (56, [ (4, Controller.Both) ]); (57, [ (5, Controller.Receiver); (n + 3, Controller.Both) ]) ]);
+    ]
+  in
+  List.iteri
+    (fun i (what, refuse) ->
+      (* [twin] sees the same successful calls and none of the refusals. *)
+      let ctrl = Controller.create topo params and twin = Controller.create topo params in
+      ignore (Controller.add_group ctrl ~group:1 m);
+      ignore (Controller.add_group twin ~group:1 m);
+      (match refuse ctrl with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check int) (what ^ ": nothing installed") 1 (Controller.group_count ctrl);
+      let g = 100 + i in
+      let u = Controller.add_group ctrl ~group:g probe_group in
+      let expect = Controller.add_group twin ~group:g probe_group in
+      Alcotest.(check (list int)) (what ^ ": hypervisors") expect.Controller.hypervisors
+        u.Controller.hypervisors;
+      Alcotest.(check (list int)) (what ^ ": hypervisors = sorted hosts")
+        (sorted_role (fun _ -> true) probe_group) u.Controller.hypervisors;
+      (match (Controller.encoding ctrl ~group:g, Controller.encoding twin ~group:g) with
+      | Some a, Some b ->
+          Alcotest.(check bool) (what ^ ": encoding") true (encoding_eq a b);
+          Alcotest.(check (array int)) (what ^ ": tree members")
+            (Tree.member_array b.Encoding.tree) (Tree.member_array a.Encoding.tree)
+      | _ -> Alcotest.failf "%s: probe group has no encoding" what);
+      check_views what ctrl;
+      (* A group on two of the refused hosts installs and is removed (both
+         entry points sort through the scratch); the views stay exact. *)
+      ignore (Controller.add_group ctrl ~group:(g + 100) [ (7, Controller.Both); (3, Controller.Receiver) ]);
+      let r = Controller.remove_group ctrl ~group:(g + 100) in
+      Alcotest.(check (list int)) (what ^ ": remove_group hypervisors") [ 3; 7 ]
+        r.Controller.hypervisors;
+      check_views (what ^ ", after more calls") ctrl)
+    refusals
+
 let tests =
   [
     Alcotest.test_case "install_all: duplicate validation" `Quick
       test_install_all_rejects_duplicates;
+    Alcotest.test_case "host scratch stays clear" `Quick test_host_scratch_stays_clear;
     Alcotest.test_case "install_all: empty and sender-only" `Quick
       test_install_all_empty_and_senders_only;
     Alcotest.test_case "install_all: any batch order == gid-ordered loop" `Slow

@@ -209,6 +209,75 @@ let prop_of_members_matches_reference (name, topo) =
           && distinct_bitmaps t.Tree.leaf_bitmaps
       | _ -> false)
 
+(* Hosts where runs start and end: the first and last host of a leaf and
+   of a pod, and the first and last host of the fabric. *)
+let boundary_hosts topo =
+  let hpl = topo.Topology.hosts_per_leaf in
+  let per_pod = hpl * topo.Topology.leaves_per_pod in
+  let n = Topology.num_hosts topo in
+  List.sort_uniq Int.compare
+    ([ 0; n - 1 ]
+    @ List.concat_map
+        (fun l -> [ l * hpl; (l * hpl) + hpl - 1 ])
+        (List.init (Topology.num_leaves topo) Fun.id)
+    @ List.concat_map
+        (fun p -> [ p * per_pod; (p * per_pod) + per_pod - 1 ])
+        (List.init topo.Topology.pods Fun.id))
+
+(* Unsorted lists with repeats, drawn from the boundary hosts and at
+   random, plus a single host and a full leaf (with a neighbour's host). *)
+let gen_boundary_members topo =
+  let n = Topology.num_hosts topo and hpl = topo.Topology.hosts_per_leaf in
+  let edges = boundary_hosts topo in
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          let* k = int_range 1 50 in
+          let* hosts = list_repeat k (oneof [ oneofl edges; int_range 0 (n - 1) ]) in
+          let* dups = list_repeat (k / 4) (oneofl hosts) in
+          shuffle_l (dups @ hosts) );
+        (1, map (fun h -> [ h ]) (oneof [ oneofl edges; int_range 0 (n - 1) ]));
+        ( 1,
+          let* l = int_range 0 (Topology.num_leaves topo - 1) in
+          let* extra = int_range 0 (n - 1) in
+          shuffle_l (extra :: List.init hpl (fun i -> (l * hpl) + i)) );
+      ])
+
+let same_tree a b =
+  Tree.member_array a = Tree.member_array b
+  && Tree.equal_bitmaps a.Tree.leaf_bitmaps b.Tree.leaf_bitmaps
+  && Tree.equal_bitmaps a.Tree.spine_bitmaps b.Tree.spine_bitmaps
+  && Bitmap.equal a.Tree.core_bitmap b.Tree.core_bitmap
+  && distinct_bitmaps a.Tree.leaf_bitmaps
+
+let prop_of_sorted_matches (name, topo) =
+  QCheck.Test.make ~name:("of_sorted = of_members = hash-table reference: " ^ name)
+    ~count:300
+    (QCheck.make ~print:QCheck.Print.(list int) (gen_boundary_members topo))
+    (fun members ->
+      let sorted = Array.of_list (List.sort_uniq Int.compare members) in
+      let reference = reference_of_members topo members in
+      same_tree (Tree.of_sorted topo sorted) reference
+      && same_tree (Tree.of_members topo members) reference)
+
+let test_of_sorted_refuses () =
+  let n = Topology.num_hosts topo in
+  let refuses what msg hosts =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+        ignore (Tree.of_sorted topo hosts))
+  in
+  refuses "empty" "Tree.of_sorted: empty group" [||];
+  List.iter
+    (fun hosts -> refuses "unsorted" "Tree.of_sorted: hosts not ascending and distinct" hosts)
+    [ [| 3; 1 |]; [| 0; 9; 8; 20 |]; [| 5; 6; 7; 0 |] ];
+  List.iter
+    (fun hosts -> refuses "duplicate" "Tree.of_sorted: hosts not ascending and distinct" hosts)
+    [ [| 1; 1 |]; [| 0; 8; 8; 9 |] ];
+  List.iter
+    (fun hosts -> refuses "out of range" "Tree.of_sorted: host out of range" hosts)
+    [ [| -1 |]; [| n |]; [| -3; 0; 5 |]; [| 0; 5; n + 7 |] ]
+
 let tests =
   [
     Alcotest.test_case "fig3 structure" `Quick test_structure;
@@ -216,6 +285,7 @@ let tests =
     Alcotest.test_case "mem_host" `Quick test_mem_host;
     Alcotest.test_case "dedup and sort" `Quick test_dedup_and_sort;
     Alcotest.test_case "invalid input" `Quick test_invalid;
+    Alcotest.test_case "of_sorted refuses bad arrays" `Quick test_of_sorted_refuses;
     Alcotest.test_case "ideal: single leaf" `Quick test_ideal_single_leaf;
     Alcotest.test_case "ideal: same pod" `Quick test_ideal_same_pod;
     Alcotest.test_case "ideal: cross pod" `Quick test_ideal_cross_pod;
@@ -232,4 +302,13 @@ let tests =
             ~cores_per_plane:4 );
         ("leaf-spine", Topology.leaf_spine ~leaves:8 ~spines:4 ~hosts_per_leaf:8);
         ("running example", Topology.running_example ());
+      ]
+  @ List.map
+      (fun fabric -> QCheck_alcotest.to_alcotest (prop_of_sorted_matches fabric))
+      [
+        ("running example", Topology.running_example ());
+        ( "clos",
+          Topology.create ~pods:8 ~leaves_per_pod:8 ~spines_per_pod:4 ~hosts_per_leaf:32
+            ~cores_per_plane:4 );
+        ("facebook_fabric", fabric);
       ]

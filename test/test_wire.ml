@@ -50,9 +50,11 @@ let test_crc_known_vectors () =
   Alcotest.(check int) "pangram" 0x414FA339
     (crc "The quick brown fox jumps over the lazy dog")
 
-(* Random buffers, an unaligned start, lengths both around the 8-byte
-   word boundary (0-40) and large, fed in one call or chained at random
-   split points: always the reference's value. *)
+(* Random buffers, an unaligned start, lengths both around the 16-byte
+   block boundary (0-40) and large, fed in one call or chained at random
+   split points: always the reference's value. Every prefix of 0-40 bytes
+   from the start is checked as well, so each tail length after zero, one
+   and two whole blocks is covered in every case. *)
 let prop_crc_matches_reference =
   let gen =
     QCheck.Gen.(
@@ -81,7 +83,12 @@ let prop_crc_matches_reference =
         Byteio.crc32_finish
           (Byteio.crc32_feed crc b ~pos:(pos + last) ~len:(len - last))
       in
-      Byteio.crc32 b ~pos ~len = expect && chained = expect)
+      let prefixes_agree =
+        List.for_all
+          (fun l -> Byteio.crc32 b ~pos ~len:l = ref_crc32 b ~pos ~len:l)
+          (List.init (Int.min 41 (len + 1)) Fun.id)
+      in
+      Byteio.crc32 b ~pos ~len = expect && chained = expect && prefixes_agree)
 
 (* [Int64.to_int] drops bit 63, so without a range check a forged word
    with that bit set would decode to the same int as the valid one. *)
