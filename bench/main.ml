@@ -788,6 +788,69 @@ let reference_check cfg =
   in
   go 0 (Installed_config.group_ids cfg)
 
+(* The per-event oracle at scale: on the Facebook fabric (P=12, WVE
+   groups, s-rule capacity scaled from 30,000 at 1M groups), one
+   membership event followed by the view, the drain and the cached check
+   of that view, after a warm-up check of every group. Each event is a
+   leave of a random group's member, or the join that puts it back; the
+   row reports the median over [fabric_events] such re-checks. A view and
+   check that cost the dirty groups, not the group table, read about the
+   same at 10k and 100k groups. *)
+let fabric_events = 64
+let fabric_recheck_bound_us = 500.0
+
+let fabric_recheck topo ngroups =
+  let params = Params.create ~fmax:(ngroups * 3 / 100) () in
+  let seed = 42 in
+  let rng = Rng.create seed in
+  let tenant_sizes = Vm_placement.default_tenant_sizes rng 3_000 in
+  let placement =
+    Vm_placement.place rng topo ~strategy:(Vm_placement.Pack_up_to 12)
+      ~host_capacity:20 ~tenant_sizes
+  in
+  let ctrl = Controller.create topo params in
+  Workload.iter (Rng.create (seed + 1)) placement ~kind:Group_dist.Wve
+    ~total_groups:ngroups (fun (g : Workload.group) ->
+      ignore
+        (Controller.add_group ctrl ~group:g.Workload.group_id
+           (Array.to_list
+              (Array.map (fun h -> (h, Controller.Both)) g.Workload.member_hosts))));
+  let cache = Verify.create_cache () in
+  (* Nanosecond reads: one re-check takes a few microseconds. *)
+  let recheck () =
+    let t0 = Monotonic_clock.now () in
+    let cfg = Controller.installed_config ctrl in
+    let dirty = Controller.drain_dirty ctrl in
+    let res = Verify.check_config_cached cache cfg ~dirty in
+    (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9, res)
+  in
+  let all_pass = function Ok n -> n = ngroups | Error _ -> false in
+  let warm_s, warm = recheck () in
+  let ok = ref (all_pass warm) in
+  let events = Rng.create 7 in
+  let left = ref None in
+  let times =
+    Array.init fabric_events (fun _ ->
+        (match !left with
+        | Some (group, host) ->
+            ignore (Controller.join ctrl ~group ~host ~role:Controller.Both);
+            left := None
+        | None -> (
+            let group = Rng.int events ngroups in
+            match Controller.members ctrl ~group with
+            | (host, _) :: _ :: _ ->
+                ignore (Controller.leave ctrl ~group ~host);
+                left := Some (group, host)
+            | [ _ ] | [] -> ()));
+        let s, res = recheck () in
+        if not (all_pass res) then ok := false;
+        s)
+  in
+  Array.sort Float.compare times;
+  let median_us = 1e6 *. Stats.percentile times 0.5 in
+  let hits, misses = Verify.cache_stats cache in
+  (warm_s, median_us, hits, misses, !ok)
+
 let verify () =
   hr
     "Verify: symbolic delivery predicates, compile+check throughput \
@@ -910,6 +973,27 @@ let verify () =
     (if ok then
        Printf.sprintf "%d groups verified, installed state == intent" checked
      else "COUNTEREXAMPLE - installed state loses a receiver");
+  let fabric = Topology.facebook_fabric () in
+  printf "@.per-event re-check on %a (P=12, WVE): view + drain + cached check@."
+    Topology.pp fabric;
+  printf "%-8s %-14s %-18s %-12s@." "groups" "warm check s" "1 event p50 us"
+    "hits/misses";
+  let rows =
+    List.map
+      (fun groups ->
+        let warm_s, p50_us, hits, misses, ok = fabric_recheck fabric groups in
+        printf "%-8d %-14.3f %-18.1f %d/%d@." groups warm_s p50_us hits misses;
+        Gc.compact ();
+        (groups, warm_s, p50_us, hits, misses, ok))
+      [ 10_000; 100_000 ]
+  in
+  let p50_at n =
+    List.fold_left (fun acc (g, _, ms, _, _, _) -> if g = n then ms else acc) 0.0 rows
+  in
+  let p50_10k = p50_at 10_000 and p50_100k = p50_at 100_000 in
+  printf "bound: under %.0f us at 100k groups, and within 2x of 10k (%.2fx)@."
+    fabric_recheck_bound_us
+    (if p50_10k > 0.0 then p50_100k /. p50_10k else 0.0);
   write_bench "BENCH_verify.json" ~benchmark:"verify" ~topo ~seed:41
     ~params:(params_string params)
     [
@@ -931,6 +1015,26 @@ let verify () =
       ("cache_hits", Int hits);
       ("cache_misses", Int misses);
       ("verified_ok", gate "verified_ok" ok);
+      ( "facebook_fabric_recheck",
+        List
+          (List.map
+             (fun (groups, warm_s, p50_us, hits, misses, ok) ->
+               Jsonx.Obj
+                 [
+                   ("groups", Int groups);
+                   ("events", Int fabric_events);
+                   ("warm_check_s", Num warm_s);
+                   ("recheck_p50_us", Num p50_us);
+                   ("cache_hits", Int hits);
+                   ("cache_misses", Int misses);
+                   ("verified_ok", gate "facebook_fabric_verified_ok" ok);
+                 ])
+             rows) );
+      ("recheck_bound_us", Num fabric_recheck_bound_us);
+      ( "recheck_100k_within_bound",
+        gate "recheck_100k_within_bound" (p50_100k < fabric_recheck_bound_us) );
+      ( "recheck_100k_within_2x_10k",
+        gate "recheck_100k_within_2x_10k" (p50_100k <= 2.0 *. p50_10k) );
     ]
 
 (* {1 Group footprint} *)

@@ -333,7 +333,7 @@ let verify_cmd =
           Some { g with Installed_config.enc = Some enc }
       | _ -> None
     in
-    let groups = Array.copy cfg.Installed_config.groups in
+    let groups = Array.copy (Installed_config.groups cfg) in
     let rec first i =
       if i = Array.length groups then begin
         Format.printf "--corrupt: no multicast group to corrupt@.";
@@ -345,7 +345,7 @@ let verify_cmd =
         | None -> first (i + 1)
     in
     first 0;
-    { cfg with Installed_config.groups }
+    Installed_config.with_groups cfg groups
   in
   let run groups seed corrupt example =
     let topo =

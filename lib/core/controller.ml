@@ -173,9 +173,20 @@ type t = {
   generation : int ref;
       (* bumped by every [mark_dirty]: stamps [installed_config] views,
          which borrow the groups' live encodings and overrides *)
-  views : (int, Installed_config.group_view) Hashtbl.t;
-      (* [installed_config]'s sorted member and override lists of every
-         group unchanged since they were last built *)
+  mutable gids : int array;
+      (* every group's gid, ascending, when [index] was built whole; views
+         handed out share it, so it is replaced, never written *)
+  mutable index : Installed_config.group_view Pvec.t;
+      (* [installed_config]'s view of group [gids.(i)] in slot [i]: the
+         sorted member and override lists beside the borrowed encoding.
+         Built whole on the first call and after the group set changes,
+         then kept: a call replaces only the slots [mark_dirty] marked *)
+  mutable index_stale : Bitmap.t;
+      (* one bit per slot: its group was marked since the slot was built *)
+  mutable stale_slots : int list;  (* the set bits of [index_stale] *)
+  mutable regroup : bool;
+      (* a group was added or removed since [index] was built: the next
+         call builds it whole, reusing the clean slots' views *)
   host_scratch : Bitmap.t;
       (* one bit per host: the counting sort of a group's hosts (the tree's
          receivers, the update's hypervisors, the view's lists) and the
@@ -183,7 +194,7 @@ type t = {
          guard raises *)
   segments : (int, bytes) Hashtbl.t;
       (* [write_snapshot]'s bytes of every group unchanged since they were
-         last written; [mark_dirty] evicts from both memos *)
+         last written; [mark_dirty] evicts it *)
   segment_codec : (int * group_state) Byteio.Codec.t;
 }
 
@@ -221,7 +232,11 @@ let create ?fabric_hooks ?clock ?(incremental = true) topo params =
       (2 * max (Topology.num_leaves topo) topo.Topology.pods) + 2;
     dirty = Hashtbl.create 64;
     generation = ref 0;
-    views = Hashtbl.create 1024;
+    gids = [||];
+    index = Pvec.of_array [||];
+    index_stale = Bitmap.create 0;
+    stale_slots = [];
+    regroup = true;
     host_scratch = Bitmap.create (Topology.num_hosts topo);
     segments = Hashtbl.create 1024;
     segment_codec = group_codec ~topo;
@@ -281,16 +296,24 @@ let rec sorted_array_from t keep lo hi n = function
    encoding, overrides, stale markers — marks the group dirty. The verify
    layer drains the set to invalidate exactly the cached checks that
    could have changed, instead of re-checking every group after every
-   event, [installed_config] re-sorts only the marked groups' lists and
-   [write_snapshot] re-encodes only their segments. Each mark also bumps
-   the generation counter, so every view taken before it stops being
-   current. Marking is conservative: a marked group whose view happens to
-   be unchanged merely costs one re-check, one re-sort and one segment. *)
+   event, [installed_config] rebuilds only the marked groups' slots of its
+   gid-ordered index and [write_snapshot] re-encodes only their segments,
+   so one event's view and re-check cost the groups it touched, not the
+   group table. Each mark also bumps the generation counter, so every view
+   taken before it stops being current. Marking is conservative: a marked
+   group whose view happens to be unchanged merely costs one re-check, one
+   re-sort and one segment. Adding or removing a group changes the index's
+   shape; [regroup] then makes the next view one full build. *)
 
 let mark_dirty t group =
   incr t.generation;
   Hashtbl.replace t.dirty group ();
-  Hashtbl.remove t.views group;
+  (let last = Array.length t.gids - 1 in
+   let slot = Int_array.search t.gids group ~lo:0 ~hi:last in
+   if slot >= 0 && not (Bitmap.get t.index_stale slot) then begin
+     Bitmap.set t.index_stale slot;
+     t.stale_slots <- slot :: t.stale_slots
+   end);
   Hashtbl.remove t.segments group
 
 let drain_dirty t =
@@ -298,7 +321,7 @@ let drain_dirty t =
   Hashtbl.reset t.dirty;
   List.sort Int.compare gids
 
-let memoized_views t = Hashtbl.length t.views
+let memoized_views t = Array.length t.gids - List.length t.stale_slots
 
 (* {1 Reliable rule installation}
 
@@ -1091,6 +1114,7 @@ let install_group t ~group members =
   Obs.with_span "controller.add_group" @@ fun () ->
   let st = { members; enc = None; applied = Hashtbl.create 1 } in
   Hashtbl.add t.groups group st;
+  t.regroup <- true;
   mark_dirty t group;
   encode_group t st;
   install_with_degrade t ~group st;
@@ -1158,6 +1182,7 @@ let remove_group t ~group =
   (match st.enc with Some e -> uninstall_enc t ~group e | None -> ());
   let srule_leaves, srule_pods = srule_sites st in
   Hashtbl.remove t.groups group;
+  t.regroup <- true;
   mark_dirty t group;
   reconcile t;
   check_invariants t ~op:"remove_group";
@@ -1349,47 +1374,85 @@ let recover_core t c =
 
    The read-only [Installed_config.t] view feeds the symbolic verification layer
    ([lib/verify]). Each group's view borrows the group's live encoding
-   and override records; its sorted member and override lists are
-   memoized until [mark_dirty] evicts them, so successive views share the
-   records of unchanged groups. The view is stamped with the generation
-   counter, which [mark_dirty] bumps, so a view read after a mutation is
-   refused instead of seeing half-old, half-new state. *)
+   and override records; its sorted member and override lists live in the
+   gid-ordered [index] until [mark_dirty] marks the slot, so successive
+   views share the records of unchanged groups. The index is persistent:
+   replacing a slot copies one path of it, so a call costs the marked
+   slots, and a view already handed out never changes. Each view is
+   stamped with the generation counter, which [mark_dirty] bumps, so a
+   view read after a mutation is refused instead of seeing half-old,
+   half-new state. *)
 
 (* The lists come from the membership, never from the encoder's tree, so
    the check stays independent of what it checks. When every member is
    [Both] the two lists are equal and share one list. *)
-let group_view t gid st =
-  match Hashtbl.find_opt t.views gid with
-  | Some v -> v
-  | None ->
-      let receivers = sorted_hosts t st.members receives in
-      let senders =
-        if List.for_all (fun (_, r) -> only_both r) st.members then receivers
-        else sorted_hosts t st.members sends
-      in
-      let v =
-        {
-          Installed_config.gid;
-          receivers;
-          senders;
-          enc = st.enc;
-          overrides = sorted_overrides st;
-        }
-      in
-      Hashtbl.replace t.views gid v;
-      v
+let build_view t gid st =
+  let receivers = sorted_hosts t st.members receives in
+  let senders =
+    if List.for_all (fun (_, r) -> only_both r) st.members then receivers
+    else sorted_hosts t st.members sends
+  in
+  {
+    Installed_config.gid;
+    receivers;
+    senders;
+    enc = st.enc;
+    overrides = sorted_overrides st;
+  }
+
+let no_view =
+  {
+    Installed_config.gid = -1;
+    receivers = [];
+    senders = [];
+    enc = None;
+    overrides = [];
+  }
+
+(* One fold over the group table and one sort by gid; a group whose slot
+   in the old index is clean keeps its view record. *)
+let build_index t =
+  let views = Array.make (Hashtbl.length t.groups) no_view in
+  let old_gids = t.gids in
+  let last = Array.length old_gids - 1 in
+  ignore
+    (Hashtbl.fold
+       (fun gid st i ->
+         let slot = Int_array.search old_gids gid ~lo:0 ~hi:last in
+         views.(i) <-
+           (if slot >= 0 && not (Bitmap.get t.index_stale slot) then
+              Pvec.get t.index slot
+            else build_view t gid st);
+         i + 1)
+       t.groups 0
+      : int);
+  Array.sort
+    (fun (a : Installed_config.group_view) b -> Int.compare a.gid b.gid)
+    views;
+  t.gids <- Array.map (fun (v : Installed_config.group_view) -> v.gid) views;
+  t.index <- Pvec.of_array views;
+  t.index_stale <- Bitmap.create (Array.length views);
+  t.stale_slots <- [];
+  t.regroup <- false
+
+let refresh_index t =
+  List.iter
+    (fun slot ->
+      let gid = t.gids.(slot) in
+      t.index <- Pvec.set t.index slot (build_view t gid (find_group t gid));
+      Bitmap.clear t.index_stale slot)
+    t.stale_slots;
+  t.stale_slots <- []
 
 let installed_config t =
-  let groups =
-    Hashtbl.fold (fun gid st acc -> group_view t gid st :: acc) t.groups []
-  in
-  Installed_config.make ~generation:t.generation
+  if t.regroup then build_index t else refresh_index t;
+  Installed_config.of_index ~generation:t.generation
     ~spine_ok:(Array.copy t.spine_ok)
     ~core_ok:(Array.copy t.core_ok) ~link_ok:(Array.copy t.link_ok)
     ~denied_leaf:(Array.copy t.denied_leaf)
     ~denied_pod:(Array.copy t.denied_pod)
     ~stale_sites:(Hashtbl.fold (fun _ e acc -> e :: acc) t.stale [])
-    t.topo t.params groups
+    t.topo t.params ~gids:t.gids t.index
 
 (* {1 Crash-consistent checkpoints}
 

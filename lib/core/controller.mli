@@ -162,7 +162,9 @@ val churn_stats : t -> churn_stats
     encoding, overrides, stale markers — marks the group dirty. The verify
     layer drains the set to invalidate exactly the cached checks that
     could have changed ([Verify.check_config_cached]) instead of
-    re-checking every group after every event. *)
+    re-checking every group after every event, and {!installed_config}
+    rebuilds only the marked groups' views, so one event's view and
+    re-check cost the groups it touched. *)
 
 val drain_dirty : t -> int list
 (** Groups marked dirty since the last drain, sorted ascending; clears the
@@ -170,9 +172,10 @@ val drain_dirty : t -> int list
     it holds. *)
 
 val memoized_views : t -> int
-(** Number of groups whose {!installed_config} view record — the sorted
-    member and override lists beside the borrowed encoding — is memoized,
-    i.e. unchanged since it was last built. Zero on a fresh or {!restore}d
+(** test-only: view-memo oracle (test_verify). Number of clean slots
+    in {!installed_config}'s gid-ordered index: groups whose view record —
+    the sorted member and override lists beside the borrowed encoding — is
+    unchanged since it was last built. Zero on a fresh or {!restore}d
     controller. *)
 
 (** {1 Reliable installation, degradation and reconciliation}
@@ -255,13 +258,18 @@ val recover_link : t -> leaf:int -> plane:int -> failure_report
 val installed_config : t -> Installed_config.t
 (** The live controller's current installed configuration, to be read
     before the next mutation. Each group's [enc] and overrides are the
-    live records, not copies: treat them as read-only. The sorted member
-    and override lists are built once and memoized until a mutation marks
-    the group dirty (see {!drain_dirty}; the memo is independent of
-    draining), so views from successive calls share the [group_view]
-    record of every unchanged group. One call costs the lists of each
-    group changed since the previous call, O(groups) small words to index
-    the rest, and a copy of the health, denial and stale-site state. *)
+    live records, not copies: treat them as read-only. The controller
+    keeps every group's view in one persistent gid-ordered index
+    ({!Installed_config.index}); a mutation marks the group's slot (see
+    {!drain_dirty}; the index is independent of draining), so views from
+    successive calls share the [group_view] record of every unchanged
+    group. One call rebuilds the marked slots' sorted member and override
+    lists and replaces them in the index, copying one O(log groups) path
+    per slot, so a view already handed out never changes; beside that it
+    copies the health, denial and stale-site state. Nothing is paid per
+    clean group. After {!add_group}, {!remove_group}, {!install_all} or
+    {!restore} the next call builds the index whole: one fold over the
+    groups and one sort by gid, reusing the views of unchanged groups. *)
 
 (** {1 Crash-consistent checkpoints}
 

@@ -16,10 +16,16 @@ type group_view = {
   overrides : (int * override) list;
 }
 
+type index = {
+  gids : int array;  (* ascending; never written once built *)
+  views : group_view Pvec.t;  (* slot-aligned with [gids] *)
+  flat : group_view array Lazy.t;  (* [views] as one array *)
+}
+
 type t = {
   topo : Topology.t;
   params : Params.t;
-  groups : group_view array;
+  index : index;
   spine_ok : bool array;
   core_ok : bool array;
   link_ok : bool array;
@@ -36,20 +42,26 @@ let compare_stale (g1, s1) (g2, s2) =
   | c -> c
 
 (* Heap sort in place: the array is fresh, so sorting it allocates nothing
-   more — [Controller.installed_config] relies on that to stay O(groups)
-   small words per call. *)
+   more. *)
 let sorted cmp l =
   let a = Array.of_list l in
   Array.sort cmp a;
   a
 
-let make ?(generation = ref 0) ?spine_ok ?core_ok ?link_ok ?denied_leaf
-    ?denied_pod ?(stale_sites = []) topo params groups =
+let index_of_array groups =
+  {
+    gids = Array.map (fun g -> g.gid) groups;
+    views = Pvec.of_array groups;
+    flat = Lazy.from_val groups;
+  }
+
+let build ?(generation = ref 0) ?spine_ok ?core_ok ?link_ok ?denied_leaf
+    ?denied_pod ?(stale_sites = []) topo params index =
   let default len v = function Some a -> a | None -> Array.make len v in
   {
     topo;
     params;
-    groups = sorted (fun a b -> Int.compare a.gid b.gid) groups;
+    index;
     spine_ok = default (Topology.num_spines topo) true spine_ok;
     core_ok = default (max 1 (Topology.num_cores topo)) true core_ok;
     link_ok =
@@ -63,7 +75,28 @@ let make ?(generation = ref 0) ?spine_ok ?core_ok ?link_ok ?denied_leaf
     stamp = !generation;
   }
 
+let make ?generation ?spine_ok ?core_ok ?link_ok ?denied_leaf ?denied_pod
+    ?stale_sites topo params groups =
+  build ?generation ?spine_ok ?core_ok ?link_ok ?denied_leaf ?denied_pod
+    ?stale_sites topo params
+    (index_of_array (sorted (fun a b -> Int.compare a.gid b.gid) groups))
+
+let of_index ?generation ?spine_ok ?core_ok ?link_ok ?denied_leaf ?denied_pod
+    ?stale_sites topo params ~gids views =
+  build ?generation ?spine_ok ?core_ok ?link_ok ?denied_leaf ?denied_pod
+    ?stale_sites topo params
+    { gids; views; flat = lazy (Pvec.to_array views) }
+
+let with_groups t groups = { t with index = index_of_array groups }
 let is_current t = !(t.generation) = t.stamp
+let groups t = Lazy.force t.index.flat
+let count t = Array.length t.index.gids
+
+let slot t gid =
+  let gids = t.index.gids in
+  Int_array.search gids gid ~lo:0 ~hi:(Array.length gids - 1)
+
+let nth t i = Pvec.get t.index.views i
 
 (* An element of the sorted array [a] for which [cmp] returns 0, if any
    ([cmp x] orders the probe against element [x]). *)
@@ -79,8 +112,11 @@ let bsearch a cmp =
   in
   go 0 (Array.length a)
 
-let group t gid = bsearch t.groups (fun g -> Int.compare gid g.gid)
-let group_ids t = Array.fold_right (fun g acc -> g.gid :: acc) t.groups []
+let group t gid =
+  let i = slot t gid in
+  if i < 0 then None else Some (nth t i)
+
+let group_ids t = Array.to_list t.index.gids
 
 let link_ok t ~leaf ~plane =
   t.link_ok.((leaf * t.topo.Topology.spines_per_pod) + plane)

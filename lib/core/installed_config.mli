@@ -6,7 +6,7 @@
     per-group memberships and encodings (p-rules, s-rules, defaults),
     per-sender upstream overrides, switch/link health as the controller
     believes it, switches denied for s-rule installs, and stale fabric
-    sites carrying compensated (truthful) entries. It is a plain record —
+    sites carrying compensated (truthful) entries. It is a plain value —
     no hooks, no clocks, no ledger — so it can be produced equally by a
     live {!Controller.t} (one restored from a checkpoint included), a
     {!Replica.t}, or built by hand in tests.
@@ -20,13 +20,14 @@
     a view raises [Invalid_argument] on one that is no longer current. The
     health, denial and stale-site arrays are copied for each view.
 
-    Views from successive calls share the [group_view] record of every
-    group that did not change in between (the controller memoizes each
-    group's sorted member and override lists until the group is marked
-    dirty). Treat views as read-only — altering an encoding reached through
-    a view alters the controller's installed state. A test that sabotages
-    a view takes a private copy of the encoding first (a round trip through
-    {!Encoding.codec}). *)
+    The group views sit in a persistent gid-ordered index ({!Pvec}): views
+    from successive calls share the [group_view] record of every group
+    that did not change in between, and all but the changed paths of the
+    index, yet no later call alters a view already handed out. Treat views
+    as read-only — altering an encoding reached through a view alters the
+    controller's installed state. A test that sabotages a view takes a
+    private copy of the encoding first (a round trip through
+    {!Encoding.codec}) and builds the sabotaged view with {!with_groups}. *)
 
 type override = {
   up_leaf_ports : Bitmap.t;  (** planes the sender's leaf forwards up on *)
@@ -50,12 +51,14 @@ type group_view = {
       (** sender host -> installed override, ascending by host *)
 }
 
-type t = {
+type index
+(** The group views: slot [i] holds the [i]-th smallest gid's. Read it
+    through {!groups}, {!count}, {!slot} and {!nth}. *)
+
+type t = private {
   topo : Topology.t;
   params : Params.t;
-  groups : group_view array;
-      (** ascending by [gid], one entry per group: {!group} is a binary
-          search *)
+  index : index;  (** one view per group, ascending by [gid] *)
   spine_ok : bool array;  (** per physical spine *)
   core_ok : bool array;  (** per physical core (length ≥ 1) *)
   link_ok : bool array;  (** leaf↔plane links, index [leaf * spp + plane] *)
@@ -92,9 +95,48 @@ val make :
     [!generation]; without [generation] it gets a counter of its own, so a
     view built by hand never goes stale. *)
 
+val of_index :
+  ?generation:int ref ->
+  ?spine_ok:bool array ->
+  ?core_ok:bool array ->
+  ?link_ok:bool array ->
+  ?denied_leaf:bool array ->
+  ?denied_pod:bool array ->
+  ?stale_sites:(int * Srule_state.site) list ->
+  Topology.t ->
+  Params.t ->
+  gids:int array ->
+  group_view Pvec.t ->
+  t
+(** {!make} over an index already built: slot [i] of the vector holds the
+    view of group [gids.(i)], and [gids] ascends and is as long as the
+    vector (neither checked). Both are kept as given, so the caller must
+    never write [gids]. O(1) beside the health and stale-site
+    arguments. *)
+
+val with_groups : t -> group_view array -> t
+(** The same view — topology, health, stale sites, generation and stamp —
+    over other group views, ascending by [gid] (not checked). For tests
+    and demos that sabotage a copy of a controller's view. *)
+
 val is_current : t -> bool
 (** Has the producing controller not mutated any group since the view was
     taken? O(1). *)
+
+val groups : t -> group_view array
+(** The group views ascending by [gid], one per group. Built from the
+    index on a view's first call, O(groups), and the same array after;
+    do not write it. *)
+
+val count : t -> int
+(** Number of groups; O(1). *)
+
+val slot : t -> int -> int
+(** The slot of group [gid] in the index, or [-1]; O(log groups),
+    allocation-free. *)
+
+val nth : t -> int -> group_view
+(** The view in slot [i] (the [i]-th smallest gid's); O(log32 groups). *)
 
 val group : t -> int -> group_view option
 (** The view of one group, if present; O(log groups). *)

@@ -64,7 +64,7 @@ let reconcile_sweep fabric (hooks : Controller.fabric_hooks)
                     (hooks.Controller.install_pod ~pod ~group:gv.gid
                        (Bitmap.copy bm)))
             enc.Encoding.d_spine.Clustering.srules)
-    cfg.Installed_config.groups;
+    (Installed_config.groups cfg);
   Array.iter
     (fun (group, site) ->
       Hashtbl.replace expected (key group site) ();

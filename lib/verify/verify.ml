@@ -465,7 +465,7 @@ let admit_header ctx topo ~intent ~sender data =
 (* Walk the view's groups in ascending gid order until [step] returns a
    witness; [Ok n] counts the groups walked. *)
 let walk_groups cfg step =
-  let groups = cfg.Installed_config.groups in
+  let groups = Installed_config.groups cfg in
   let rec go i =
     if i = Array.length groups then Ok i
     else
@@ -622,47 +622,111 @@ let sender_blackholes cfg =
                       :: acc))
           acc g.Installed_config.senders
   in
-  Array.fold_left check_group [] cfg.Installed_config.groups |> List.rev
+  Array.fold_left check_group [] (Installed_config.groups cfg) |> List.rev
 
 (* {1 Incremental checking}
 
    A group's check depends only on its own view (members, encoding) and
    the stale table — never on another group and never on the health
    arrays — so a group whose view did not change since it last passed
-   still passes. The cache keeps the set of gids whose last check passed;
-   a check then re-walks only the groups the caller marked dirty (e.g.
-   from [Controller.drain_dirty]), making the per-event oracle cost
-   proportional to the event's footprint instead of the total group
-   count. *)
+   still passes. The cache keeps the set of gids whose last check passed
+   and the verdict of its last call. When that call passed every group of
+   a view of the same controller, a check re-walks only the groups the
+   caller marked dirty (e.g. from [Controller.drain_dirty]) that the view
+   still lists, found by binary search: the per-event oracle costs the
+   event's footprint, not the group table. Otherwise it walks every group
+   in gid order, accepting the cached ones. *)
 
 type cache = {
   c_passed : (int, unit) Hashtbl.t;
       (* gids whose last check passed and that are not dirty since *)
+  mutable c_owner : int ref;
+      (* generation counter of the views last checked: identifies their
+         controller *)
+  mutable c_clean : bool;  (* the last call returned [Ok] *)
   mutable c_hits : int;
   mutable c_misses : int;
 }
 
-let create_cache () = { c_passed = Hashtbl.create 256; c_hits = 0; c_misses = 0 }
+let create_cache () =
+  {
+    c_passed = Hashtbl.create 256;
+    c_owner = ref 0;
+    c_clean = false;
+    c_hits = 0;
+    c_misses = 0;
+  }
+
 let is_cached cache gid = Hashtbl.mem cache.c_passed gid
 let cache_stats cache = (cache.c_hits, cache.c_misses)
 
-let check_config_cached cache cfg ~dirty =
-  current cfg;
-  (* Dirty groups (including removed ones, which the view no longer
-     lists) drop out of the cache before the walk. *)
-  List.iter (fun gid -> Hashtbl.remove cache.c_passed gid) dirty;
+let recheck cache cfg g =
+  cache.c_misses <- cache.c_misses + 1;
+  let res = check_group cfg g in
+  if Result.is_ok res then Hashtbl.replace cache.c_passed g.Installed_config.gid ();
+  res
+
+let full_walk cache cfg =
   walk_groups cfg (fun g ->
-      let gid = g.Installed_config.gid in
-      if is_cached cache gid then begin
+      if is_cached cache g.Installed_config.gid then begin
         cache.c_hits <- cache.c_hits + 1;
         Ok ()
       end
-      else begin
-        cache.c_misses <- cache.c_misses + 1;
-        let res = check_group cfg g in
-        if Result.is_ok res then Hashtbl.replace cache.c_passed gid ();
-        res
-      end)
+      else recheck cache cfg g)
+
+let rec ascending = function
+  | (a : int) :: (b :: _ as rest) -> a < b && ascending rest
+  | [ _ ] | [] -> true
+
+(* Every group outside [slots] (ascending positions in the view) passed
+   last time: re-check those in order, and count the rest as hits up to
+   the first failure, as the full walk would. *)
+let dirty_walk cache cfg slots =
+  let n = Installed_config.count cfg in
+  let rec go rechecked = function
+    | [] ->
+        cache.c_hits <- cache.c_hits + n - rechecked;
+        Ok n
+    | slot :: rest -> (
+        match recheck cache cfg (Installed_config.nth cfg slot) with
+        | Ok () -> go (rechecked + 1) rest
+        | Error _ as e ->
+            cache.c_hits <- cache.c_hits + slot - rechecked;
+            e)
+  in
+  go 0 slots
+
+let check_config_cached cache cfg ~dirty =
+  current cfg;
+  let same_owner = cache.c_owner == cfg.Installed_config.generation in
+  (* Dirty groups (including removed ones, which the view no longer
+     lists) drop out of the cache before the walk; a cache last used on
+     another controller's views knows none of this one's groups. *)
+  if same_owner then List.iter (Hashtbl.remove cache.c_passed) dirty
+  else Hashtbl.reset cache.c_passed;
+  let dirty = if ascending dirty then dirty else List.sort_uniq Int.compare dirty in
+  let slots =
+    List.filter_map
+      (fun gid ->
+        let slot = Installed_config.slot cfg gid in
+        if slot < 0 then None else Some slot)
+      dirty
+  in
+  let res =
+    if
+      same_owner && cache.c_clean
+      && Hashtbl.length cache.c_passed + List.length slots = Installed_config.count cfg
+    then dirty_walk cache cfg slots
+    else begin
+      (* The cache cannot vouch for every other group: a cold cache, a
+         failure last time, or a passed set that does not match the view. *)
+      if same_owner && cache.c_clean then Hashtbl.reset cache.c_passed;
+      full_walk cache cfg
+    end
+  in
+  cache.c_owner <- cfg.Installed_config.generation;
+  cache.c_clean <- Result.is_ok res;
+  res
 
 let check_controller ctrl = check_config (Controller.installed_config ctrl)
 

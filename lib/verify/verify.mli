@@ -191,10 +191,10 @@ val sender_blackholes : Installed_config.t -> witness list
     A group's check depends only on its own view and the stale table —
     never on another group, never on the health arrays — so an untouched
     group that passed last time still passes. A {!cache} keeps the set of
-    gids whose last check passed; re-checking after an event then
-    re-walks only the groups the caller marks dirty, making the per-event
-    oracle cost proportional to the event's footprint instead of the total
-    group count. *)
+    gids whose last check passed and the verdict of its last call;
+    re-checking after an event then re-walks only the groups the caller
+    marks dirty, making the per-event oracle cost proportional to the
+    event's footprint instead of the total group count. *)
 
 type cache
 
@@ -205,16 +205,28 @@ val is_cached : cache -> int -> bool
     invalidation since? *)
 
 val cache_stats : cache -> int * int
-(** Cumulative (hits, misses): groups accepted from cache vs re-checked. *)
+(** Cumulative (hits, misses): groups accepted from cache vs re-checked.
+    A walk that stops at a witness counts only the groups before it. *)
 
 val check_config_cached :
   cache -> Installed_config.t -> dirty:int list -> (int, witness) result
 (** {!check_config} through the cache: every group in [dirty] is dropped
     and re-checked (a removed group is simply dropped — the view no longer
     lists it); every other cached group passes without a re-check.
-    Equivalent to {!check_config} whenever [dirty] includes every group
-    whose view changed since the previous call on this cache —
-    {!Controller.drain_dirty} provides exactly that set. *)
+    Equivalent to {!check_config} — the same [Ok n], or the same witness —
+    whenever [dirty] includes every group whose view changed since the
+    previous call on this cache; {!Controller.drain_dirty} provides
+    exactly that set.
+
+    When the previous call passed every group of a view with the same
+    producing controller (the same generation counter), and the cached
+    gids and the dirty ones the view lists add up to the view's groups,
+    the call costs O(dirty · log groups) plus the dirty groups' checks,
+    nothing per clean group. Otherwise it walks every group in gid order,
+    accepting the cached ones: after a cold start or a witness last time
+    the cached gids stand; for a view from another controller (a view
+    built by hand included) or one the cached and dirty gids do not add
+    up to, they are dropped first. *)
 
 val check_controller_cached : cache -> Controller.t -> (int, witness) result
 (** [check_config_cached] on the controller's own view, draining the

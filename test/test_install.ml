@@ -259,7 +259,7 @@ let check_views what ctrl =
       Alcotest.(check (list int))
         (Printf.sprintf "%s: group %d senders" what v.Installed_config.gid)
         (sorted_role sends members) v.Installed_config.senders)
-    (Controller.installed_config ctrl).Installed_config.groups
+    (Installed_config.groups (Controller.installed_config ctrl))
 
 let test_host_scratch_stays_clear () =
   let n = Topology.num_hosts topo in

@@ -140,6 +140,39 @@ let prop_int_array_is_scan =
       | -1 -> not (List.mem x window)
       | i -> i >= lo && i <= hi && a.(i) = x)
 
+(* [Pvec] against an array model: every version reads what a copy of the
+   array would after the same writes, and a write leaves the versions
+   before it as they were. Lengths reach three trie levels (over 1,024). *)
+let prop_pvec_is_array =
+  QCheck.Test.make ~name:"persistent vector = array copies" ~count:200
+    QCheck.(
+      pair (int_range 0 1100)
+        (list_of_size Gen.(int_range 0 40) (pair small_nat small_nat)))
+    (fun (n, writes) ->
+      let model = Array.init n (fun i -> i) in
+      let v = Pvec.of_array model in
+      let versions, _ =
+        List.fold_left
+          (fun (acc, v) (i, x) ->
+            if n = 0 then (acc, v)
+            else
+              let i = (i * 37) mod n in
+              let prev = Array.copy (fst (List.hd acc)) in
+              prev.(i) <- x;
+              let v = Pvec.set v i x in
+              ((prev, v) :: acc, v))
+          ([ (Array.copy model, v) ], v)
+          writes
+      in
+      let bad_index = try ignore (Pvec.get v n); false with Invalid_argument _ -> true in
+      bad_index
+      && List.for_all
+           (fun (want, v) ->
+             Pvec.length v = n
+             && Pvec.to_array v = want
+             && List.for_all (fun i -> Pvec.get v i = want.(i)) (List.init n Fun.id))
+           versions)
+
 let tests =
   [
     Alcotest.test_case "update-set algebra" `Quick test_update_algebra;
@@ -149,4 +182,5 @@ let tests =
     Alcotest.test_case "elmo-sim verify CLI" `Quick test_sim_verify_cli;
     QCheck_alcotest.to_alcotest prop_int_list_is_stdlib;
     QCheck_alcotest.to_alcotest prop_int_array_is_scan;
+    QCheck_alcotest.to_alcotest prop_pvec_is_array;
   ]

@@ -95,7 +95,9 @@ let test_check_config_finds_lost_receiver () =
           enc.Encoding.d_leaf.Clustering.srules;
         { g with Installed_config.enc = Some enc }
   in
-  let cfg = { cfg with Installed_config.groups = Array.map corrupt cfg.Installed_config.groups } in
+  let cfg =
+    Installed_config.with_groups cfg (Array.map corrupt (Installed_config.groups cfg))
+  in
   (match Verify.check_config cfg with
   | Ok _ -> Alcotest.fail "corrupted config must fail the check"
   | Error w ->
@@ -128,19 +130,43 @@ let test_snapshot_view_matches_live () =
 
 (* {1 Memoized views and segments}
 
-   [Controller.installed_config] hands out one memoized view record per
-   group (sorted member and override lists beside the borrowed encoding)
-   and [Controller.write_snapshot] one memoized segment per group; only
-   [mark_dirty] evicts either, so a mutation that forgot to mark its group
-   would serve stale lists or stale bytes — and the predicate-cache
-   oracle, which trusts [drain_dirty] too, would not notice. The oracle
-   compares every view against the live controller's own accessors (role
-   host lists and the encoding itself, [==]), and, for members and
-   overrides, the header bytes of every (group, sender) of a controller
-   restored from the live controller's checkpoint. *)
+   [Controller.installed_config] hands out one kept view record per group
+   (sorted member and override lists beside the borrowed encoding, in a
+   gid-ordered index) and [Controller.write_snapshot] one memoized segment
+   per group; only [mark_dirty] marks either stale, so a mutation that
+   forgot to mark its group would serve stale lists or stale bytes — and
+   the predicate-cache oracle, which trusts [drain_dirty] too, would not
+   notice. The oracle compares every view against the live controller's
+   own accessors (role host lists and the encoding itself, [==]), and, for
+   members and overrides, the header bytes of every (group, sender) of a
+   controller restored from the live controller's checkpoint. *)
+
+let render_verdict = function
+  | Ok n -> string_of_int n
+  | Error w -> Format.asprintf "%a" Verify.pp_witness w
+
+(* The cached check of the controller's fresh view, with the drained
+   dirty set, says what a full [check_config] of the same view says: the
+   same [Ok n] or the same witness; a passing call counts every group
+   once, as a hit or a miss. *)
+let check_cached_oracle msg cache ctrl =
+  let cfg = Controller.installed_config ctrl in
+  let dirty = Controller.drain_dirty ctrl in
+  let hits0, misses0 = Verify.cache_stats cache in
+  let cached = Verify.check_config_cached cache cfg ~dirty in
+  let hits1, misses1 = Verify.cache_stats cache in
+  let full = Verify.check_config cfg in
+  if not (String.equal (render_verdict cached) (render_verdict full)) then
+    Alcotest.failf "%s: cached check %s, full check %s" msg
+      (render_verdict cached) (render_verdict full);
+  (match cached with
+  | Ok n when hits1 - hits0 + (misses1 - misses0) <> n ->
+      Alcotest.failf "%s: %d hits + %d misses for %d groups" msg
+        (hits1 - hits0) (misses1 - misses0) n
+  | Ok _ | Error _ -> ())
 
 let check_view_memo msg ctrl =
-  let views = (Controller.installed_config ctrl).Installed_config.groups in
+  let views = Installed_config.groups (Controller.installed_config ctrl) in
   let gids =
     Array.to_list (Array.map (fun v -> v.Installed_config.gid) views)
   in
@@ -460,6 +486,8 @@ let view_memo_fault_stream ~seed ~events =
     ignore (Controller.add_group ctrl ~group (random_members ()))
   done;
   check_view_memo (Printf.sprintf "seed %d setup" seed) ctrl;
+  let cache = Verify.create_cache () in
+  check_cached_oracle (Printf.sprintf "seed %d setup" seed) cache ctrl;
   let downs = down_oracle () in
   let all_groups = List.init groups Fun.id in
   check_shared_down downs (Printf.sprintf "seed %d setup" seed) ctrl ~groups:all_groups;
@@ -513,6 +541,7 @@ let view_memo_fault_stream ~seed ~events =
                   host,
                   Controller.join ctrl ~group ~host ~role:roles.(Rng.int rng 3) )));
     check_view_memo (Printf.sprintf "seed %d event %d" seed ev) ctrl;
+    check_cached_oracle (Printf.sprintf "seed %d event %d" seed ev) cache ctrl;
     check_shared_down ?event:!event downs (Printf.sprintf "seed %d event %d" seed ev)
       ctrl ~groups:all_groups;
     if (Controller.install_stats ctrl).Controller.stale_entries > 0 then
@@ -556,7 +585,7 @@ let test_view_memo_identity_and_allocation () =
   let v1 = Controller.installed_config ctrl in
   let v2 = Controller.installed_config ctrl in
   Alcotest.(check bool) "no mutation: every record shared" true
-    (Array.for_all2 ( == ) v1.Installed_config.groups v2.Installed_config.groups);
+    (Array.for_all2 ( == ) (Installed_config.groups v1) (Installed_config.groups v2));
   Alcotest.(check int) "every group memoized" groups
     (Controller.memoized_views ctrl);
   let joined = 17 in
@@ -571,8 +600,8 @@ let test_view_memo_identity_and_allocation () =
       Alcotest.(check bool)
         (Printf.sprintf "group %d shared iff untouched" g.Installed_config.gid)
         (g.Installed_config.gid <> joined)
-        (g == v2.Installed_config.groups.(i)))
-    v3.Installed_config.groups;
+        (g == (Installed_config.groups v2).(i)))
+    (Installed_config.groups v3);
   let report =
     Allocs.probe ~warmup:1 ~events:1 (fun _ ->
         ignore (Sys.opaque_identity (Controller.installed_config ctrl)))
@@ -589,8 +618,206 @@ let test_view_memo_identity_and_allocation () =
     (Controller.memoized_views restored);
   Alcotest.(check bool) "restored views are the restored controller's own" true
     (Array.for_all2 ( != )
-       (Controller.installed_config restored).Installed_config.groups
-       v3.Installed_config.groups)
+       (Installed_config.groups (Controller.installed_config restored))
+       (Installed_config.groups v3))
+
+(* Churn mixed with group additions and removals, and now and then a
+   controller restored from the live one's checkpoint (its views come
+   from another generation counter, so the cache must walk them whole).
+   After every event: the cached verdict equals a full check of the same
+   view; a clean re-check on the same controller re-checks exactly the
+   dirty groups the view lists; and every view taken so far still holds
+   the very records it was handed, although the index behind it moved
+   on. *)
+let view_index_churn ~seed ~events =
+  let rng = Rng.create seed in
+  let n = Topology.num_hosts topo in
+  let roles = [| Controller.Sender; Controller.Receiver; Controller.Both |] in
+  let random_members () =
+    List.init (2 + Rng.int rng 8) (fun _ -> Rng.int rng n)
+    |> List.sort_uniq Int.compare
+    |> List.map (fun host -> (host, roles.(Rng.int rng 3)))
+  in
+  let ctrl = ref (Controller.create topo Params.default) in
+  let next_gid = ref 0 in
+  let add () =
+    ignore (Controller.add_group !ctrl ~group:!next_gid (random_members ()));
+    incr next_gid
+  in
+  for _ = 1 to 24 do
+    add ()
+  done;
+  let cache = Verify.create_cache () in
+  let held = ref [] and restores = ref 0 and regroups = ref 0 in
+  for ev = 1 to events do
+    let msg = Printf.sprintf "seed %d event %d" seed ev in
+    let gids = Installed_config.group_ids (Controller.installed_config !ctrl) in
+    let pick () = List.nth gids (Rng.int rng (List.length gids)) in
+    let restored = ref false in
+    (match Rng.int rng 12 with
+    | 0 ->
+        add ();
+        incr regroups
+    | 1 when List.length gids > 8 ->
+        ignore (Controller.remove_group !ctrl ~group:(pick ()));
+        incr regroups
+    | 2 ->
+        let group = pick () in
+        ignore (Controller.remove_group !ctrl ~group);
+        ignore (Controller.add_group !ctrl ~group (random_members ()));
+        incr regroups
+    | 3 ->
+        ctrl :=
+          Controller.restore
+            (Test_fault.decode_snapshot (Test_fault.snapshot_bytes !ctrl));
+        restored := true;
+        incr restores
+    | _ -> (
+        let group = pick () in
+        let members = Controller.members !ctrl ~group in
+        let host = Rng.int rng n in
+        match List.assoc_opt host members with
+        | Some _ when List.length members > 1 ->
+            ignore (Controller.leave !ctrl ~group ~host)
+        | Some _ -> ()
+        | None ->
+            ignore
+              (Controller.join !ctrl ~group ~host ~role:roles.(Rng.int rng 3))));
+    let before = Verify.cache_stats cache in
+    let cfg = Controller.installed_config !ctrl in
+    let dirty = Controller.drain_dirty !ctrl in
+    let listed =
+      List.length
+        (List.filter (fun gid -> Option.is_some (Installed_config.group cfg gid)) dirty)
+    in
+    (* A restored controller's own dirty set names every group; handing
+       over none shows that the cache still trusts nothing it passed on
+       another controller. *)
+    let cached =
+      Verify.check_config_cached cache cfg ~dirty:(if !restored then [] else dirty)
+    in
+    let full = Verify.check_config cfg in
+    if not (String.equal (render_verdict cached) (render_verdict full)) then
+      Alcotest.failf "%s: cached check %s, full check %s" msg
+        (render_verdict cached) (render_verdict full);
+    let groups = Array.length (Installed_config.groups cfg) in
+    let hits, misses = Verify.cache_stats cache in
+    let hits = hits - fst before and misses = misses - snd before in
+    let want = if !restored then (0, groups) else (groups - listed, listed) in
+    if (hits, misses) <> want then
+      Alcotest.failf "%s: %d hits / %d misses, want %d / %d" msg hits misses
+        (fst want) (snd want);
+    held :=
+      (msg, cfg, Array.init (Installed_config.count cfg) (Installed_config.nth cfg))
+      :: !held;
+    List.iter
+      (fun (at, (v : Installed_config.t), records) ->
+        let same i r =
+          r == Installed_config.nth v i
+          &&
+          match Installed_config.group v r.Installed_config.gid with
+          | Some g -> g == r
+          | None -> false
+        in
+        if
+          not
+            (Array.for_all2 ( == ) (Installed_config.groups v) records
+            && Array.for_all Fun.id (Array.mapi same records))
+        then Alcotest.failf "%s: the view taken at %s changed" msg at)
+      !held
+  done;
+  (* A fresh cache trusts nothing: even with nothing dirty it checks every
+     group. *)
+  let cfg = Controller.installed_config !ctrl in
+  let fresh = Verify.create_cache () in
+  let groups = Array.length (Installed_config.groups cfg) in
+  Alcotest.(check string)
+    (Printf.sprintf "seed %d: fresh cache verdict" seed)
+    (render_verdict (Verify.check_config cfg))
+    (render_verdict (Verify.check_config_cached fresh cfg ~dirty:[]));
+  Alcotest.(check (pair int int))
+    (Printf.sprintf "seed %d: fresh cache checks every group" seed)
+    (0, groups) (Verify.cache_stats fresh);
+  (!restores, !regroups)
+
+let test_view_index_churn () =
+  let runs =
+    List.map (fun seed -> view_index_churn ~seed ~events:120) [ 1; 2; 3; 4 ]
+  in
+  Alcotest.(check bool) "restores were live" true
+    (List.exists (fun (r, _) -> r > 0) runs);
+  Alcotest.(check bool) "group-set changes were live" true
+    (List.exists (fun (_, g) -> g > 0) runs)
+
+(* The cached check's dirty-only walk returns the full walk's witness:
+   that of the smallest failing gid. Two dirty groups are sabotaged (in
+   private copies, in a view that shares the controller's generation, so
+   the cache takes its dirty-only path) and the dirty list is handed over
+   unsorted. The walk stops at the first: the groups before it count as
+   hits, the two dirty ones up to it as misses. The next call walks whole,
+   since a group failed. *)
+let test_verify_cache_dirty_witness () =
+  let ctrl, _ = mk_ctrl Params.default in
+  let members g = [ g mod h; h + (g mod h); (3 * h) + (g mod h) ] in
+  for group = 0 to 9 do
+    ignore (Controller.add_group ctrl ~group (both (members group)))
+  done;
+  let cache = Verify.create_cache () in
+  ignore (Verify.check_controller_cached cache ctrl);
+  Alcotest.(check (pair int int)) "cold: every group re-checked" (0, 10)
+    (Verify.cache_stats cache);
+  let joined = [ 4; 7 ] in
+  List.iter
+    (fun group ->
+      ignore (Controller.join ctrl ~group ~host:((6 * h) + group) ~role:Controller.Both))
+    joined;
+  let cfg = Controller.installed_config ctrl in
+  let dirty = Controller.drain_dirty ctrl in
+  Alcotest.(check (list int)) "the joins dirtied their groups" joined dirty;
+  let sabotage (g : Installed_config.group_view) =
+    if not (List.mem g.Installed_config.gid joined) then g
+    else
+      let enc = private_copy (Option.get g.Installed_config.enc) in
+      let host = (6 * h) + g.Installed_config.gid in
+      let leaf = Topology.leaf_of_host topo host
+      and port = Topology.host_port_on_leaf topo host in
+      let layer = enc.Encoding.d_leaf in
+      List.iter
+        (fun (r : Prule.prule) ->
+          if Prule.rule_mem r leaf then Bitmap.clear r.Prule.bitmap port)
+        layer.Clustering.prules;
+      List.iter
+        (fun (l, bm) -> if l = leaf then Bitmap.clear bm port)
+        layer.Clustering.srules;
+      (match layer.Clustering.default with
+      | Some (_, bm) -> Bitmap.clear bm port
+      | None -> ());
+      { g with Installed_config.enc = Some enc }
+  in
+  let bad =
+    Installed_config.with_groups cfg (Array.map sabotage (Installed_config.groups cfg))
+  in
+  let full = Verify.check_config bad in
+  Alcotest.(check string) "the full walk names group 4" "4/leaf6/4"
+    (render_verdict full);
+  Alcotest.(check string) "the dirty-only walk names the same witness"
+    (render_verdict full)
+    (render_verdict (Verify.check_config_cached cache bad ~dirty:(List.rev dirty)));
+  Alcotest.(check (pair int int)) "one event: hits before the witness, misses up to it"
+    (4, 11) (Verify.cache_stats cache);
+  Alcotest.(check bool) "the failing group left the cache" false
+    (Verify.is_cached cache 4);
+  Alcotest.(check string) "after a failure the next call walks every group" "10"
+    (render_verdict (Verify.check_config_cached cache cfg ~dirty:[]));
+  Alcotest.(check (pair int int)) "the walk re-checks groups 4 and 7 only" (12, 13)
+    (Verify.cache_stats cache);
+  (* A dirty list that misses a new group does not add up to the view: the
+     cache drops what it passed and walks every group. *)
+  ignore (Controller.add_group ctrl ~group:10 (both (members 10)));
+  Alcotest.(check string) "a short dirty list: every group checked" "11"
+    (render_verdict
+       (Verify.check_config_cached cache (Controller.installed_config ctrl) ~dirty:[]));
+  Alcotest.(check (pair int int)) "eleven re-checks" (12, 24) (Verify.cache_stats cache)
 
 (* A view borrows the controller's encodings, so it is read before the
    next mutation: after a join, every [Verify] entry point refuses the
@@ -604,7 +831,7 @@ let test_stale_view_raises () =
   let old = Controller.installed_config ctrl in
   let twin = Test_fault.(decode_snapshot (snapshot_bytes ctrl)) in
   let hand =
-    Controller.(installed_config (restore twin)).Installed_config.groups
+    Installed_config.groups Controller.(installed_config (restore twin))
     |> Array.to_list |> Installed_config.make topo Params.default
   in
   ignore (Controller.join ctrl ~group:1 ~host:(2 * h) ~role:Controller.Both);
@@ -800,7 +1027,7 @@ let view ?(dead_cores = []) ?(dead_links = []) ?(stale_sites = [])
          (Topology.num_leaves topo * spp)
          (List.map (fun (leaf, plane) -> (leaf * spp) + plane) dead_links))
     ~stale_sites topo Params.default
-    (List.map edit (Array.to_list cfg.Installed_config.groups))
+    (List.map edit (Array.to_list (Installed_config.groups cfg)))
 
 (* The group's encoding with [leaves] dropped from the leaf layer's
    p-rules and s-rules: with no default p-rule, those switches forward
@@ -1187,7 +1414,7 @@ let sweep_case_view c =
     (fun core -> ignore (Controller.fail_core ctrl core))
     (uniq Int.compare c.dead_cores);
   let cfg = Controller.installed_config ctrl in
-  let groups = Array.copy cfg.Installed_config.groups in
+  let groups = Array.copy (Installed_config.groups cfg) in
   let pick k f =
     if Array.length groups > 0 then
       let i = k mod Array.length groups in
@@ -1312,7 +1539,7 @@ let test_sweep_oracle_not_vacuous () =
               if o.Installed_config.unicast then incr unicast
               else incr overrides)
             g.Installed_config.overrides)
-        cfg.Installed_config.groups;
+        (Installed_config.groups cfg);
       match check_agrees cfg with
       | Ok _ -> ()
       | Error w ->
@@ -1507,6 +1734,10 @@ let tests =
       test_segment_memo_cached_bytes;
     Alcotest.test_case "verify cache: incremental hits" `Quick
       test_verify_cache_incremental;
+    Alcotest.test_case "view index: churn, regroups and restores" `Quick
+      test_view_index_churn;
+    Alcotest.test_case "verify cache: dirty-only walk's witness" `Quick
+      test_verify_cache_dirty_witness;
     Alcotest.test_case "stale view raises" `Quick test_stale_view_raises;
     Alcotest.test_case "sweep: receiver outside the local tree bitmap" `Quick
       test_sweep_local_bad_leaf;
