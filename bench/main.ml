@@ -910,22 +910,17 @@ let verify () =
   (match Controller.members ctrl ~group:0 with
   | (host, _) :: _ -> ignore (Controller.leave ctrl ~group:0 ~host)
   | [] -> ());
-  (* The per-event oracle's real cost includes building the view it
-     checks: time view + drain + cached check together too. *)
-  let t5' = Unix.gettimeofday () in
+  (* The per-event cost is timed by the [facebook_fabric_recheck] rows
+     below, with a nanosecond clock and over 64 events. *)
   let cfg' = Controller.installed_config ctrl in
   let dirty = Controller.drain_dirty ctrl in
-  let t6 = Unix.gettimeofday () in
   let recheck = Verify.check_config_cached cache cfg' ~dirty in
-  let t7 = Unix.gettimeofday () in
   let install_s = t1 -. t0
   and view_s = t2 -. t1
   and compile_s = t3 -. t2
   and check_s = t4 -. t3
   and reference_s = t4_ref -. t4
-  and cached_warm_s = t5 -. t4_ref
-  and cached_recheck_s = t7 -. t6
-  and cached_recheck_with_view_s = t7 -. t5' in
+  and cached_warm_s = t5 -. t4_ref in
   let rate groups s = if s > 0.0 then float_of_int groups /. s else 0.0 in
   let checked, ok =
     match result with
@@ -960,15 +955,7 @@ let verify () =
     agrees;
   printf "%-24s %-10.3f %-14s@." "cached warm (all miss)" cached_warm_s
     (Printf.sprintf "%.0f" (rate ngroups cached_warm_s));
-  printf "%-24s %-10.3f %-14s@." "cached re-check (1 ev)" cached_recheck_s
-    (Printf.sprintf "%.0f" (rate ngroups cached_recheck_s));
-  printf "%-24s %-10.3f %-14s@." "  + view and drain" cached_recheck_with_view_s
-    (Printf.sprintf "%.0f" (rate ngroups cached_recheck_with_view_s));
-  let recheck_speedup =
-    if cached_recheck_s > 0.0 then check_s /. cached_recheck_s else 0.0
-  in
-  printf "cache after re-check: %d hits / %d misses; re-check speedup %.1fx@."
-    hits misses recheck_speedup;
+  printf "cache after one event's re-check: %d hits / %d misses@." hits misses;
   printf "result: %s@."
     (if ok then
        Printf.sprintf "%d groups verified, installed state == intent" checked
@@ -1009,9 +996,6 @@ let verify () =
       ("reference_check_s", Num reference_s);
       ("reference_agrees", gate "reference_agrees" agrees);
       ("cached_warm_s", Num cached_warm_s);
-      ("cached_recheck_s", Num cached_recheck_s);
-      ("cached_recheck_with_view_s", Num cached_recheck_with_view_s);
-      ("cached_recheck_speedup", Num recheck_speedup);
       ("cache_hits", Int hits);
       ("cache_misses", Int misses);
       ("verified_ok", gate "verified_ok" ok);
@@ -1362,15 +1346,15 @@ let hotpath () =
   (match report.Allocs.first_alloc with
   | Some (event, words) ->
       printf
-        "FAIL: apply_delta allocated %d minor words at probe event %d (%.1f \
+        "FAIL: apply_delta allocated %d words at probe event %d (%.1f \
          words total)@."
         words event report.Allocs.total_words
   | None ->
-      printf "allocation probe: %.1f minor words over 4096 events — clean@."
+      printf "allocation probe: %.1f words over 4096 events — clean@."
         report.Allocs.total_words);
   let packets, words_per_packet, words_beyond_report = packet_probe topo in
   printf
-    "packet probe: %d (group, sender) pairs, %.1f minor words per packet, %.1f \
+    "packet probe: %d (group, sender) pairs, %.1f words per packet, %.1f \
      beyond the report@."
     packets words_per_packet words_beyond_report;
   (* Throughput + GC accounting over the full run. *)

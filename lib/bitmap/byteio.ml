@@ -89,21 +89,7 @@ module Writer = struct
       (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
     else Buffer.add_char t (Char.chr v)
 
-  let u32 t v =
-    if v < 0 || v > 0xFFFFFFFF then
-      invalid_arg "Byteio.Writer.u32: out of range"
-      (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-    else Buffer.add_int32_le t (Int32.of_int v)
-
-  let int t v = Buffer.add_int64_le t (Int64.of_int v)
-  let bool t v = Buffer.add_char t (if v then '\001' else '\000')
-  let float t v = Buffer.add_int64_le t (Int64.bits_of_float v)
   let raw t b = Buffer.add_bytes t b
-
-  let bitmap t bm =
-    u32 t (Bitmap.width bm);
-    raw t (Bitmap.to_bytes bm)
-
   let to_bytes = Buffer.to_bytes
 end
 
@@ -124,58 +110,14 @@ module Reader = struct
 
   let need t n = if n < 0 || t.limit - t.pos < n then raise Corrupt
 
+  (* Byte [i] past the position, once [need t (i + 1)] has held. *)
+  let byte t i = Char.code (Bytes.unsafe_get t.data (t.pos + i))
+
   let u8 t =
     need t 1;
-    let v = Char.code (Bytes.unsafe_get t.data t.pos) in
+    let v = byte t 0 in
     t.pos <- t.pos + 1;
     v
-
-  let u32 t =
-    need t 4;
-    let v = Int32.to_int (Bytes.get_int32_le t.data t.pos) land 0xFFFFFFFF in
-    t.pos <- t.pos + 4;
-    v
-
-  (* [Int64.to_int] drops bit 63, so a forged word that differs from a
-     valid one only there would otherwise decode to the same int. *)
-  let int t =
-    need t 8;
-    let raw = Bytes.get_int64_le t.data t.pos in
-    let v = Int64.to_int raw in
-    check (Int64.equal (Int64.of_int v) raw);
-    t.pos <- t.pos + 8;
-    v
-
-  let bool t =
-    match u8 t with 0 -> false | 1 -> true | _ -> raise Corrupt
-
-  let float t =
-    need t 8;
-    let v = Int64.float_of_bits (Bytes.get_int64_le t.data t.pos) in
-    t.pos <- t.pos + 8;
-    v
-
-  let raw t n =
-    need t n;
-    let b = Bytes.sub t.data t.pos n in
-    t.pos <- t.pos + n;
-    b
-
-  let bitmap t =
-    let width = u32 t in
-    (* Guard before allocating: a hostile width field must not trigger a
-       huge allocation the input bytes cannot back. *)
-    let nbytes = (width + 7) / 8 in
-    need t nbytes;
-    let packed = raw t nbytes in
-    (* [Bitmap.of_bytes] would mask set padding bits of the last byte,
-       decoding two byte strings to one bitmap; refuse them instead. *)
-    check
-      (width land 7 = 0
-      || Char.code (Bytes.get packed (nbytes - 1)) lsr (width land 7) = 0);
-    match Bitmap.of_bytes width packed with
-    | bm -> bm
-    | exception Invalid_argument _ -> raise Corrupt
 end
 
 module Codec = struct
@@ -191,49 +133,132 @@ module Codec = struct
           v);
     }
 
-  let int = { write = Writer.int; read = Reader.int }
-  let nat = where (fun v -> v >= 0) int
-  let index n = where (fun v -> 0 <= v && v < n) int
-  let bool = { write = Writer.bool; read = Reader.bool }
-  let float = { write = Writer.float; read = Reader.float }
+  (* LEB128 of the 63-bit pattern: [lsr] clears a negative one's sign,
+     so at most nine bytes. The reader takes only the canonical form: a
+     form of two or more bytes does not end in a zero byte, and a ninth
+     byte carries bits 56-62 and does not continue. *)
+  let rec put_leb w v =
+    if v lsr 7 = 0 then Buffer.add_char w (Char.unsafe_chr v)
+    else begin
+      Buffer.add_char w (Char.unsafe_chr (v land 0x7f lor 0x80));
+      put_leb w (v lsr 7)
+    end
 
+  let rec get_leb r acc shift =
+    let b = Reader.u8 r in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b < 0x80 then (Reader.check (b <> 0 || shift = 0); acc)
+    else (Reader.check (shift < 56); get_leb r acc (shift + 7))
+
+  let nat = where (fun v -> v >= 0) { write = put_leb; read = (fun r -> get_leb r 0 0) }
+
+  (* Zigzag: 0, -1, 1, -2 ... travel as 0, 1, 2, 3 ... *)
+  let int =
+    {
+      write = (fun w v -> put_leb w ((v lsl 1) lxor (v asr (Sys.int_size - 1))));
+      read = (fun r -> let z = get_leb r 0 0 in (z lsr 1) lxor (-(z land 1)));
+    }
+
+  (* The bytes [n - 1] needs, at least one, so a counted list of indexes
+     spends a byte per element. An eighth byte above 0x3f would shift
+     bits out of the int. *)
+  let index n =
+    let rec width k = if k < 8 && (n - 1) lsr (8 * k) <> 0 then width (k + 1) else k in
+    let nbytes = width 1 in
+    {
+      write =
+        (fun w v ->
+          if v < 0 || v >= n then
+            invalid_arg "Byteio.Codec.index: out of range"
+            (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
+          else
+            for i = 0 to nbytes - 1 do
+              Buffer.add_char w (Char.unsafe_chr ((v lsr (8 * i)) land 0xff))
+            done);
+      read =
+        (fun r ->
+          Reader.need r nbytes;
+          let v = ref 0 in
+          for i = nbytes - 1 downto 0 do
+            v := (!v lsl 8) lor Reader.byte r i
+          done;
+          Reader.check (!v < n && (nbytes < 8 || Reader.byte r 7 < 0x40));
+          r.pos <- r.pos + nbytes;
+          !v);
+    }
+
+  let enum values =
+    let tag = index (Array.length values) in
+    let rec find v i = if values.(i) == v then i else find v (i + 1) in
+    { write = (fun w v -> tag.write w (find v 0)); read = (fun r -> values.(tag.read r)) }
+
+  let bool = enum [| false; true |]
+
+  let float =
+    {
+      write = (fun w v -> Buffer.add_int64_le w (Int64.bits_of_float v));
+      read =
+        (fun r ->
+          Reader.need r 8;
+          r.pos <- r.pos + 8;
+          Int64.float_of_bits (Bytes.get_int64_le r.data (r.pos - 8)));
+    }
+
+  (* [Bitmap.or_byte] would keep set padding bits past the width, so two
+     byte strings would decode to one bitmap unless refused here. The
+     guard comes before allocating: a hostile topology's width must not
+     trigger an allocation the input bytes cannot back. *)
   let bitmap ~width =
-    where
-      (fun bm -> Bitmap.width bm = width)
-      { write = Writer.bitmap; read = Reader.bitmap }
+    let nbytes = (width + 7) / 8 in
+    {
+      write =
+        (fun w bm ->
+          if Bitmap.width bm <> width then
+            invalid_arg "Byteio.Codec.bitmap: width"
+            (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
+          else
+            for j = 0 to nbytes - 1 do
+              Buffer.add_char w (Char.unsafe_chr (Bitmap.get_byte bm j))
+            done);
+      read =
+        (fun r ->
+          Reader.need r nbytes;
+          Reader.check (width land 7 = 0 || Reader.byte r (nbytes - 1) lsr (width land 7) = 0);
+          let bm = Bitmap.create width in
+          for j = 0 to nbytes - 1 do
+            Bitmap.or_byte bm j (Reader.byte r j)
+          done;
+          r.pos <- r.pos + nbytes;
+          bm);
+    }
 
   let option c =
     {
       write =
-        (fun w -> function
-          | None -> Writer.bool w false
-          | Some v ->
-              Writer.bool w true;
-              c.write w v);
-      read = (fun r -> if Reader.bool r then Some (c.read r) else None);
+        (fun w v ->
+          bool.write w (Option.is_some v);
+          Option.iter (c.write w) v);
+      read = (fun r -> if bool.read r then Some (c.read r) else None);
     }
 
-  (* Counted reads evaluate elements with an explicit in-order loop
-     (List.init / Array.init evaluation order is unspecified) and guard the
-     count against the bytes remaining before allocating: each element
+  (* A counted read evaluates elements with an explicit in-order loop
+     (List.init evaluation order is unspecified) and guards the count
+     against the bytes remaining before reading any: each element
      consumes at least one byte, so count <= remaining is a sound bound. *)
-  let count r =
-    let n = Reader.u32 r in
-    Reader.check (n <= Reader.remaining r);
-    n
-
   let list c =
     {
       write =
         (fun w xs ->
-          Writer.u32 w (List.length xs);
+          nat.write w (List.length xs);
           List.iter (c.write w) xs);
       read =
         (fun r ->
           let rec go acc i =
             if i = 0 then List.rev acc else go (c.read r :: acc) (i - 1)
           in
-          go [] (count r));
+          let n = nat.read r in
+          Reader.check (n <= Reader.remaining r);
+          go [] n);
     }
 
   let ascending (key : 'a -> int) c =
@@ -243,48 +268,13 @@ module Codec = struct
     in
     where strict (list c)
 
-  let array ~len c =
-    {
-      write =
-        (fun w a ->
-          Writer.u32 w (Array.length a);
-          Array.iter (c.write w) a);
-      read =
-        (fun r ->
-          let n = count r in
-          Reader.check (n = len);
-          if n = 0 then [||]
-          else begin
-            let a = Array.make n (c.read r) in
-            for i = 1 to n - 1 do
-              a.(i) <- c.read r
-            done;
-            a
-          end);
-    }
-
-  let enum values =
-    {
-      write =
-        (fun w v ->
-          let i = ref 0 in
-          while values.(!i) != v do
-            incr i
-          done;
-          Writer.u8 w !i);
-      read =
-        (fun r ->
-          let i = Reader.u8 r in
-          Reader.check (i < Array.length values);
-          values.(i));
-    }
-
   type 'a case = Case : 'b t * ('b -> 'a) * ('a -> 'b option) -> 'a case
 
   let case c inj proj = Case (c, inj, proj)
 
   let variant cases =
     let cases = Array.of_list cases in
+    let tag = index (Array.length cases) in
     {
       write =
         (fun w v ->
@@ -293,16 +283,13 @@ module Codec = struct
             | Case (c, _, proj) -> (
                 match proj v with
                 | Some b ->
-                    Writer.u8 w i;
+                    tag.write w i;
                     c.write w b
                 | None -> go (i + 1))
           in
           go 0);
       read =
-        (fun r ->
-          let i = Reader.u8 r in
-          Reader.check (i < Array.length cases);
-          match cases.(i) with Case (c, inj, _) -> inj (c.read r));
+        (fun r -> match cases.(tag.read r) with Case (c, inj, _) -> inj (c.read r));
     }
 
   type ('r, 'a) fields = { put : Writer.t -> 'r -> unit; get : Reader.t -> 'a }
@@ -343,6 +330,22 @@ module Codec = struct
           let x = a.read r in
           let y = b.read r in
           (x, y));
+    }
+
+  let array ~len c =
+    let+ l =
+      field Array.to_list (where (fun l -> List.compare_length_with l len = 0) (list c))
+    in
+    Array.of_list l
+
+  let with_bytes c =
+    {
+      write = (fun w (_, b) -> Writer.raw w b);
+      read =
+        (fun r ->
+          let start = r.pos in
+          let v = c.read r in
+          (v, Bytes.sub r.data start (r.pos - start)));
     }
 
   let to_bytes write v =

@@ -11,8 +11,13 @@
     Both sides are deterministic, and decoding accepts only canonical
     input: a byte string that decodes re-encodes to exactly those bytes.
     Sets and maps travel as strictly ascending lists, bitmaps with zero
-    padding bits, booleans as 0 or 1, ints as the sign extension of an
-    OCaml int; anything else is refused.
+    padding bits, booleans as 0 or 1, ints and counts as shortest LEB128
+    forms of at most 63 bits, indexes in exactly the bytes their bound
+    needs; anything else is refused.
+
+    Each field is as wide as its information: the reader knows every
+    bound and width from the codec (and the topology decoded before it),
+    so none of them travels on the wire.
 
     Robustness contract: a {!Reader} over hostile bytes either returns a
     structurally valid value or raises {!Reader.Corrupt} — it never reads
@@ -48,12 +53,6 @@ module Writer : sig
   val u8 : t -> int -> unit
   (** Raises [Invalid_argument] unless [0 <= v < 256]. *)
 
-  val u32 : t -> int -> unit
-  (** Little-endian. Raises [Invalid_argument] unless [0 <= v < 2^32]. *)
-
-  val int : t -> int -> unit
-  (** Full OCaml int as 8 bytes little-endian (two's complement). *)
-
   val raw : t -> bytes -> unit
   (** The bytes verbatim, no length prefix. *)
 
@@ -66,19 +65,15 @@ module Reader : sig
   exception Corrupt
   (** Truncated or malformed input: a read past the end of the slice, a
       length prefix exceeding the bytes remaining, a non-canonical field
-      (a [bool] byte above 1, a set bitmap padding bit), or a failed
-      invariant in a record's codec. *)
+      (a [bool] byte above 1, a set bitmap padding bit, an overlong or
+      over-63-bit LEB128 form), or a failed invariant in a record's
+      codec. *)
 
   val of_bytes : ?pos:int -> ?len:int -> bytes -> t
   (** A reader over [b[pos .. pos+len)] (default: the whole buffer).
       Raises [Invalid_argument] on an out-of-range slice. *)
 
   val u8 : t -> int
-  val u32 : t -> int
-
-  val int : t -> int
-  (** Raises {!Corrupt} unless the 8 bytes are the sign extension of an
-      OCaml int, i.e. what {!Writer.int} writes. *)
 
   val check : bool -> unit
   (** [check cond] raises {!Corrupt} unless [cond] — for codec-level
@@ -99,29 +94,40 @@ module Codec : sig
       value the predicate refuses. *)
 
   val int : int t
+  (** Zigzag LEB128: 1 byte for [-64 .. 63], at most 9 for any OCaml int.
+      A multi-byte form ending in a zero byte, or a ninth byte with its
+      continuation bit set, is refused. *)
+
   val nat : int t
-  (** An [int], refused when negative. *)
+  (** LEB128 of a non-negative int: 1 byte below 128, at most 9; refused
+      when overlong or above [max_int]. *)
 
   val index : int -> int t
-  (** [index n]: an [int] in [\[0, n)]. *)
+  (** [index n]: an int in [\[0, n)] as the fewest little-endian bytes
+      that hold [n - 1], at least one (1 byte for [n <= 256], 2 for
+      [n <= 65_536]); refused when [>= n]. The writer raises
+      [Invalid_argument] on a value out of range. *)
 
   val bool : bool t
-  (** One byte, 0 or 1. *)
+  (** [enum [| false; true |]]: one byte, 0 or 1. *)
 
   val float : float t
   (** IEEE-754 bits, 8 bytes little-endian. *)
 
   val bitmap : width:int -> Bitmap.t t
-  (** u32 width + packed bits ({!Bitmap.to_bytes}); refused unless the
-      width is [width] and every padding bit past it is clear. *)
+  (** The packed bits alone, [(width + 7) / 8] bytes as
+      {!Bitmap.to_bytes} lays them out; refused unless every padding bit
+      past [width] is clear. The writer raises [Invalid_argument] on a
+      bitmap of another width. *)
 
   val option : 'a t -> 'a option t
   (** A [bool] presence flag, then the value. *)
 
   val list : 'a t -> 'a list t
-  (** u32 count + elements in order. The count is checked against the
+  (** {!nat} count + elements in order. The count is checked against the
       bytes remaining before anything is read, which is sound because every
-      element codec here consumes at least one byte. *)
+      element codec here consumes at least one byte ([bitmap ~width:0]
+      does not; no list holds one). *)
 
   val ascending : ('a -> int) -> 'a t -> 'a list t
   (** {!list} whose keys must be strictly ascending: the form of a set or
@@ -129,10 +135,11 @@ module Codec : sig
       merged. *)
 
   val array : len:int -> 'a t -> 'a array t
-  (** u32 count + elements in order; the count must equal [len]. *)
+  (** {!nat} count + elements in order; the count must equal [len]. *)
 
   val enum : 'a array -> 'a t
-  (** A u8 index into [values], which must be constant constructors
+  (** [index (Array.length values)] of the value's position in [values]
+      (one byte up to 256 values), which must be constant constructors
       (compared with [==]). *)
 
   type 'a case
@@ -142,8 +149,9 @@ module Codec : sig
       [payload]. *)
 
   val variant : 'a case list -> 'a t
-  (** A u8 tag, the position of the first case whose [proj] accepts the
-      value, then that case's payload. *)
+  (** A tag, the position of the first case whose [proj] accepts the
+      value as an {!index} of the case count (one byte up to 256 cases),
+      then that case's payload. *)
 
   (** {2 Records}
 
@@ -159,6 +167,12 @@ module Codec : sig
   val ( let+ ) : ('r, 'a) fields -> ('a -> 'r) -> 'r t
 
   val pair : 'a t -> 'b t -> ('a * 'b) t
+
+  val with_bytes : 'a t -> ('a * bytes) t
+  (** A value with its encoding: [with_bytes c] reads what [c] reads and
+      a copy of the bytes it read it from, and writes the bytes verbatim,
+      which must be [c]'s encoding of the value. As decoding is canonical,
+      a decoded value keeps the bytes that re-encode it. *)
 
   val to_bytes : (Writer.t -> 'a -> unit) -> 'a -> bytes
   (** The bytes one write produces. *)

@@ -1464,16 +1464,19 @@ let installed_config t =
    each group's segment is memoized until [mark_dirty] evicts it, so a
    checkpoint encodes only the groups changed since the previous one.
 
-   [read_snapshot] decodes one into fresh values and [restore] takes them
-   as the new controller's own, once. Restoring does {e not} re-emit
+   [read_snapshot] decodes one into fresh values, each group with the
+   bytes it was read from, and [restore] takes them as the new
+   controller's own, once; the bytes become its memoized segments.
+   Restoring does {e not} re-emit
    fabric installs: the fabric's state survives a controller crash, and
    the journal replay that follows a restore re-issues exactly the
    operations the crashed controller had not yet checkpointed.
 
-   [read_snapshot] is a hostile-input boundary: every switch id, bitmap
-   width, array length, and stale key is validated against the topology
-   decoded from the same record — in particular the boolean state arrays,
-   which the restored controller indexes by switch. Gids, override hosts
+   [read_snapshot] is a hostile-input boundary: every switch and host id,
+   array length, and stale key is validated against the topology decoded
+   from the same record — in particular the boolean state arrays, which
+   the restored controller indexes by switch — and every bitmap is read
+   at the width that topology gives it. Gids, override hosts
    and stale keys must be strictly ascending, so a repeated entry cannot
    shadow or silently replace another. All violations raise
    [Byteio.Reader.Corrupt], which Wire.load turns into fallback to the
@@ -1483,7 +1486,8 @@ type snapshot = {
   snap_topo : Topology.t;
   snap_params : Params.t;
   snap_incremental : bool;
-  snap_groups : (int * group_state) list;  (* ascending by gid *)
+  snap_groups : ((int * group_state) * bytes) list;
+      (* ascending by gid, each with the bytes it was decoded from *)
   snap_srules : Srule_state.t;
   snap_counters : counters;
   snap_spine_ok : bool array;
@@ -1508,31 +1512,29 @@ let stale_codec ~topo =
 (* A group's segment depends on the group alone (an encoding's aliasing
    pool is per encoding), so it is encoded once per change of the group
    and blitted by every later checkpoint. *)
+let encode_segment t gid st = Byteio.Codec.to_bytes t.segment_codec.write (gid, st)
+
 let segment t gid st =
   match Hashtbl.find_opt t.segments gid with
   | Some b -> b
   | None ->
-      let b = Byteio.Codec.to_bytes t.segment_codec.write (gid, st) in
+      let b = encode_segment t gid st in
       Hashtbl.replace t.segments gid b;
       b
 
 let flags_codec n = Byteio.Codec.(array ~len:n bool)
 
-let write_snapshot w t =
+(* [segment] gives each group's bytes: the memo for a checkpoint, a
+   fresh encoding for the oracle. *)
+let write_with segment w t =
   let open Byteio.Codec in
   let topo = t.topo in
-  let blit_segments =
-    {
-      t.segment_codec with
-      write = (fun w (gid, st) -> Byteio.Writer.raw w (segment t gid st));
-    }
-  in
   Topology.codec.write w topo;
   Params.codec.write w t.params;
   bool.write w t.incremental;
-  Hashtbl.fold (fun gid st acc -> (gid, st) :: acc) t.groups []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> (list blit_segments).write w;
+  Hashtbl.fold (fun gid st acc -> ((gid, st), segment t gid st) :: acc) t.groups []
+  |> List.sort (fun ((a, _), _) ((b, _), _) -> Int.compare a b)
+  |> (list (with_bytes t.segment_codec)).write w;
   (Srule_state.codec ~topo).write w t.srules;
   let c = t.counters in
   int.write w c.fast_hits;
@@ -1552,6 +1554,12 @@ let write_snapshot w t =
   int.write w c.degraded;
   int.write w c.compensated
 
+let write_snapshot = write_with segment
+
+let write_snapshot_cold = write_with encode_segment
+
+let memoized_segments t = Hashtbl.length t.segments
+
 let snapshot_topology snap = snap.snap_topo
 
 let read_snapshot r =
@@ -1559,7 +1567,9 @@ let read_snapshot r =
   let topo = Topology.codec.read r in
   let params = Params.codec.read r in
   let incremental = bool.read r in
-  let groups = (ascending fst (group_codec ~topo)).read r in
+  let groups =
+    (ascending (fun ((gid, _), _) -> gid) (with_bytes (group_codec ~topo))).read r
+  in
   let srules = (Srule_state.codec ~topo).read r in
   let fast_hits = int.read r in
   let reencodes = int.read r in
@@ -1621,9 +1631,12 @@ let restore ?fabric_hooks ?clock snap =
     }
   in
   recompute_health t;
-  List.iter (fun (gid, st) -> Hashtbl.add t.groups gid st) snap.snap_groups;
+  List.iter (fun ((gid, st), _) -> Hashtbl.add t.groups gid st) snap.snap_groups;
   List.iter (fun (key, e) -> Hashtbl.replace t.stale key e) snap.snap_stale;
   (* A restored controller is a new instance: any predicate cache keyed to
      it starts cold, and every group counts as dirty until drained. *)
   Hashtbl.iter (fun g _ -> mark_dirty t g) t.groups;
+  (* Canonical decoding makes each group's decoded bytes its encoding, so
+     they seed the segment memo: the next checkpoint blits them. *)
+  List.iter (fun ((gid, _), b) -> Hashtbl.replace t.segments gid b) snap.snap_groups;
   t

@@ -293,15 +293,26 @@ val write_snapshot : Byteio.Writer.t -> t -> unit
     the previous one, plus the s-rule ledger, health, denial and
     stale-site state. *)
 
+val write_snapshot_cold : Byteio.Writer.t -> t -> unit
+(** test-only: the canonical-decode oracle (test_wire). {!write_snapshot}
+    with every group's segment encoded afresh; the memo is neither read
+    nor filled, so a memoized segment that is not its group's encoding
+    shows as a byte difference between the two. *)
+
+val memoized_segments : t -> int
+(** test-only: segment-memo oracle (test_wire). Number of groups whose
+    checkpoint segment is memoized. *)
+
 type snapshot
 (** A decoded checkpoint, not yet restored. *)
 
 val read_snapshot : Byteio.Reader.t -> snapshot
 (** Inverse of {!write_snapshot}. A hostile-input boundary: every switch
-    id, bitmap width, array length, and stale key is validated against the
-    topology decoded from the same record, and only canonical bytes decode
-    (gids, override hosts and stale keys strictly ascending, bitmap padding
-    clear); raises {!Byteio.Reader.Corrupt} on any violation (never a
+    and host id, array length, and stale key is validated against the
+    topology decoded from the same record, every bitmap is read at the
+    width it gives, and only canonical bytes decode (gids, override hosts
+    and stale keys strictly ascending, bitmap padding clear, shortest
+    integer forms); it keeps each group's bytes for {!restore}; raises {!Byteio.Reader.Corrupt} on any violation (never a
     partial or silently wrong snapshot). *)
 
 val snapshot_topology : snapshot -> Topology.t
@@ -314,5 +325,7 @@ val restore :
     encodings, ledger and arrays as its own, without copying them, so a
     snapshot restores once: a second [restore] of the same snapshot raises
     [Invalid_argument]. Decode the bytes again for a second controller.
-    The restored controller starts with nothing memoized and every group
-    dirty. *)
+    The restored controller starts with every group dirty and its view
+    index cold. Its checkpoint segments are the bytes each group was
+    decoded from (decoding is canonical, so they are its encoding), so
+    its first checkpoint re-encodes only the groups changed since. *)

@@ -724,7 +724,7 @@ let pooled pool ~width =
             inline.write w bm
         | i ->
             Byteio.Writer.u8 w 1;
-            Byteio.Writer.u32 w (pool.size - 1 - i));
+            Byteio.Codec.nat.write w (pool.size - 1 - i));
     read =
       (fun r ->
         match Byteio.Reader.u8 r with
@@ -733,7 +733,7 @@ let pooled pool ~width =
             add bm;
             bm
         | 1 ->
-            let idx = Byteio.Reader.u32 r in
+            let idx = Byteio.Codec.nat.read r in
             Byteio.Reader.check (idx < pool.size);
             let bm = List.nth pool.seen (pool.size - 1 - idx) in
             Byteio.Reader.check (Bitmap.width bm = width);

@@ -5,7 +5,7 @@
    collision — which the matrix test's bit-flip arm measures, not
    assumes). *)
 
-let magic = "ELMOWAL2"
+let magic = "ELMOWAL3"
 let magic_len = 8
 let prefix_len = 8 (* len + crc *)
 let covered_len = 13 (* kind + epoch + seq *)
@@ -30,22 +30,20 @@ let append_record t ~kind ~epoch payload =
   if epoch < 0 || epoch > 0xFFFFFFFF then
     invalid_arg "Wire: epoch out of u32 range";
   if epoch < t.last_epoch then invalid_arg "Wire: epoch regression";
-  let covered = Byteio.Writer.create () in
-  Byteio.Writer.u8 covered kind;
-  Byteio.Writer.u32 covered epoch;
-  Byteio.Writer.int covered t.next_seq;
-  let covered = Byteio.Writer.to_bytes covered in
   let plen = Bytes.length payload in
+  if plen > 0xFFFFFFFF then invalid_arg "Wire: payload over u32 length";
+  let covered = Bytes.create covered_len in
+  Bytes.set_uint8 covered 0 kind;
+  Bytes.set_int32_le covered 1 (Int32.of_int epoch);
+  Bytes.set_int64_le covered 5 (Int64.of_int t.next_seq);
   let crc =
     Byteio.crc32_finish
       (Byteio.crc32_feed
          (Byteio.crc32_feed Byteio.crc32_init covered ~pos:0 ~len:covered_len)
          payload ~pos:0 ~len:plen)
   in
-  let prefix = Byteio.Writer.create () in
-  Byteio.Writer.u32 prefix plen;
-  Byteio.Writer.u32 prefix crc;
-  Buffer.add_bytes t.buf (Byteio.Writer.to_bytes prefix);
+  Buffer.add_int32_le t.buf (Int32.of_int plen);
+  Buffer.add_int32_le t.buf (Int32.of_int crc);
   Buffer.add_bytes t.buf covered;
   Buffer.add_bytes t.buf payload;
   t.next_seq <- t.next_seq + 1;

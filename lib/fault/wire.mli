@@ -1,7 +1,7 @@
 (** Durable byte-level wire format for journals and snapshots.
 
     A wire log is the crash-safe persistent form of a {!Replica}: an
-    8-byte magic ["ELMOWAL2"] followed by length-prefixed records, each
+    8-byte magic ["ELMOWAL3"] followed by length-prefixed records, each
     carrying a CRC32 and a monotonic epoch/seq header.
 
     Record layout (all integers little-endian):
@@ -16,9 +16,15 @@
 
     A snapshot payload is a live controller's checkpoint as
     {!Controller.write_snapshot} writes it; an op payload is one
-    {!Journal.op}. The magic names the record format: a change to what a
-    record carries bumps it, so a log in a retired format is refused
-    rather than read as corrupt.
+    {!Journal.op}. Payload fields are {!Byteio.Codec} values, each as wide
+    as its information: a switch or host id is an index in the fewest
+    bytes its bound needs (one per leaf or pod, two per host on a
+    2,048-host Clos), a gid, count or counter a LEB128 (an [int] zigzagged
+    first), a bitmap its [(width + 7) / 8] packed bytes with no width, and
+    booleans and tags one byte. The magic names the record format: a
+    change to what a record carries or how wide bumps it (["ELMOWAL2"]
+    wrote every integer and bitmap width as 8 or 4 bytes), so a log in a
+    retired format is refused rather than read as corrupt.
 
     {!load} is total over arbitrary bytes (modulo a recognizable magic):
     it scans records in order and {e truncates} — treats the log as ending

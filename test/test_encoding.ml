@@ -351,22 +351,26 @@ let test_ledger_codec_roundtrip () =
     (Srule_state.spine_occupancy r);
   Alcotest.(check bool) "reserves after restore" true (Srule_state.leaf_has_space r 0)
 
-let test_ledger_codec_rejects_corrupt () =
-  let over =
-    let open Byteio.Codec in
-    let leaves =
-      Array.init (Topology.num_leaves topo) (fun l -> if l = 0 then 2 else 0)
-    in
-    let pods = Array.make topo.Topology.pods 0 in
-    to_bytes
-      (fun w () ->
-        int.write w 1;
-        (array ~len:(Array.length leaves) int).write w leaves;
-        (array ~len:(Array.length pods) int).write w pods)
-      ()
+(* A ledger laid out as the codec writes it: fmax, then the leaf and pod
+   counters; leaf 0 holds [leaf0]. *)
+let forged_ledger ~fmax ~leaf0 =
+  let open Byteio.Codec in
+  let leaves =
+    Array.init (Topology.num_leaves topo) (fun l -> if l = 0 then leaf0 else 0)
   in
+  let pods = Array.make topo.Topology.pods 0 in
+  to_bytes
+    (fun w () ->
+      nat.write w fmax;
+      (array ~len:(Array.length leaves) int).write w leaves;
+      (array ~len:(Array.length pods) int).write w pods)
+    ()
+
+let test_ledger_codec_rejects_corrupt () =
+  Alcotest.(check int) "a counter at fmax decodes" 1
+    (Srule_state.leaf_used (read_ledger (forged_ledger ~fmax:1 ~leaf0:1)) 0);
   Alcotest.check_raises "counter above fmax" Byteio.Reader.Corrupt (fun () ->
-      ignore (read_ledger over));
+      ignore (read_ledger (forged_ledger ~fmax:1 ~leaf0:2)));
   let other =
     Topology.create ~pods:2 ~leaves_per_pod:2 ~spines_per_pod:2 ~hosts_per_leaf:4
       ~cores_per_plane:1

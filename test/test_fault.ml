@@ -268,6 +268,20 @@ let same_controller_state a b ~groups =
 let snapshot_bytes ctrl = Byteio.Codec.to_bytes Controller.write_snapshot ctrl
 let decode_snapshot bytes = Byteio.Codec.of_bytes Controller.read_snapshot bytes
 
+(* The checkpoint with every segment encoded afresh: the canonical-decode
+   oracle, which no memoized (or restored) segment can short-cut. *)
+let cold_snapshot_bytes ctrl =
+  Byteio.Codec.to_bytes Controller.write_snapshot_cold ctrl
+
+(* Every memoized checkpoint segment of [ctrl] is its group's encoding:
+   the checkpoint that blits them equals one encoded afresh. Returns how
+   many segments were memoized before the check (which fills the rest). *)
+let check_segment_memo msg ctrl =
+  let memoized = Controller.memoized_segments ctrl in
+  if not (Bytes.equal (cold_snapshot_bytes ctrl) (snapshot_bytes ctrl)) then
+    Alcotest.failf "%s: a memoized segment is not its group's encoding" msg;
+  memoized
+
 let test_crash_recovery_bit_identical () =
   let rng = Rng.create 1234 in
   let groups = 10 and events = 600 in

@@ -500,46 +500,78 @@ let view_memo_fault_stream ~seed ~events =
   and link_ok = Array.make (leaves * planes) true
   and wedged = ref false in
   let saw_stale = ref false and saw_failure = ref false in
+  (* A controller restored from the live one's checkpoint (again every 20
+     events) replays each event as a journal op: its memo starts as the
+     segments it was decoded from, and replay evicts what it touches. *)
+  let restore_twin () =
+    Controller.restore (Test_fault.decode_snapshot (Test_fault.snapshot_bytes ctrl))
+  in
+  let twin = ref (restore_twin ()) in
+  let mirror op = Journal.apply !twin op in
   for ev = 1 to events do
     let event = ref None in
     (match Rng.int rng 10 with
     | 0 ->
         let s = Rng.int rng spines in
-        if spine_ok.(s) then ignore (Controller.fail_spine ctrl s)
-        else ignore (Controller.recover_spine ctrl s);
+        if spine_ok.(s) then begin
+          ignore (Controller.fail_spine ctrl s);
+          mirror (Journal.Fail_spine s)
+        end
+        else begin
+          ignore (Controller.recover_spine ctrl s);
+          mirror (Journal.Recover_spine s)
+        end;
         spine_ok.(s) <- not spine_ok.(s)
     | 1 ->
         let c = Rng.int rng cores in
-        if core_ok.(c) then ignore (Controller.fail_core ctrl c)
-        else ignore (Controller.recover_core ctrl c);
+        if core_ok.(c) then begin
+          ignore (Controller.fail_core ctrl c);
+          mirror (Journal.Fail_core c)
+        end
+        else begin
+          ignore (Controller.recover_core ctrl c);
+          mirror (Journal.Recover_core c)
+        end;
         core_ok.(c) <- not core_ok.(c)
     | 2 ->
         let leaf = Rng.int rng leaves and plane = Rng.int rng planes in
         let i = (leaf * planes) + plane in
-        if link_ok.(i) then ignore (Controller.fail_link ctrl ~leaf ~plane)
-        else ignore (Controller.recover_link ctrl ~leaf ~plane);
+        if link_ok.(i) then begin
+          ignore (Controller.fail_link ctrl ~leaf ~plane);
+          mirror (Journal.Fail_link { leaf; plane })
+        end
+        else begin
+          ignore (Controller.recover_link ctrl ~leaf ~plane);
+          mirror (Journal.Recover_link { leaf; plane })
+        end;
         link_ok.(i) <- not link_ok.(i)
     | 3 ->
         wedged := not !wedged;
         Fault.wedge_leaf fault 0 !wedged
     | 4 ->
         let group = Rng.int rng groups in
+        let members = random_members () in
         ignore (Controller.remove_group ctrl ~group);
-        ignore (Controller.add_group ctrl ~group (random_members ()))
+        ignore (Controller.add_group ctrl ~group members);
+        mirror (Journal.Remove_group { group });
+        mirror (Journal.Add_group { group; members })
     | _ -> (
         let group = Rng.int rng groups in
         let members = Controller.members ctrl ~group in
         let host = Rng.int rng n in
         match List.assoc_opt host members with
         | Some _ when List.length members > 1 ->
-            event := Some (group, host, Controller.leave ctrl ~group ~host)
+            event := Some (group, host, Controller.leave ctrl ~group ~host);
+            mirror (Journal.Leave { group; host })
         | Some _ -> ()
         | None ->
-            event :=
-              Some
-                ( group,
-                  host,
-                  Controller.join ctrl ~group ~host ~role:roles.(Rng.int rng 3) )));
+            let role = roles.(Rng.int rng 3) in
+            event := Some (group, host, Controller.join ctrl ~group ~host ~role);
+            mirror (Journal.Join { group; host; role })));
+    let msg = Printf.sprintf "seed %d event %d" seed ev in
+    ignore (Test_fault.check_segment_memo (msg ^ ", restored twin") !twin : int);
+    ignore (Test_fault.check_segment_memo msg ctrl : int);
+    if ev mod 20 = 0 then twin := restore_twin ();
     check_view_memo (Printf.sprintf "seed %d event %d" seed ev) ctrl;
     check_cached_oracle (Printf.sprintf "seed %d event %d" seed ev) cache ctrl;
     check_shared_down ?event:!event downs (Printf.sprintf "seed %d event %d" seed ev)
@@ -857,8 +889,8 @@ let test_stale_view_raises () =
 
 (* The same for checkpoint segments: a clean re-write gives the same
    bytes; after a join, the cached segments of the untouched groups write
-   the bytes a cold controller writes; a restored controller starts with
-   nothing memoized. *)
+   the bytes of every segment encoded afresh; a restored controller starts
+   with no view memoized and every segment it was decoded from. *)
 let test_segment_memo_cached_bytes () =
   let ctrl = Controller.create topo Params.default in
   let rng = Rng.create 37 in
@@ -885,10 +917,15 @@ let test_segment_memo_cached_bytes () =
   let cached = Test_fault.snapshot_bytes ctrl in
   Alcotest.(check bool) "the join changed the checkpoint" false
     (Bytes.equal cold cached);
-  let restored = Controller.restore (Test_fault.decode_snapshot cached) in
-  Alcotest.(check int) "restored controller: empty memo" 0
-    (Controller.memoized_views restored);
   Alcotest.(check bool) "cached segments write a cold controller's bytes" true
+    (Bytes.equal cached (Test_fault.cold_snapshot_bytes ctrl));
+  let restored = Controller.restore (Test_fault.decode_snapshot cached) in
+  Alcotest.(check int) "restored controller: no view memoized" 0
+    (Controller.memoized_views restored);
+  Alcotest.(check int) "restored controller: every decoded segment memoized"
+    groups
+    (Test_fault.check_segment_memo "restored" restored);
+  Alcotest.(check bool) "restored segments write the checkpoint's bytes" true
     (Bytes.equal cached (Test_fault.snapshot_bytes restored))
 
 (* {1 Symbolic walk vs. packet injection} *)

@@ -90,27 +90,92 @@ let prop_crc_matches_reference =
       in
       Byteio.crc32 b ~pos ~len = expect && chained = expect && prefixes_agree)
 
-(* [Int64.to_int] drops bit 63, so without a range check a forged word
-   with that bit set would decode to the same int as the valid one. *)
-let test_reader_int_rejects_out_of_range () =
-  let read raw =
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 raw;
-    Byteio.Reader.int (Byteio.Reader.of_bytes b)
-  in
-  Alcotest.check_raises "5 with bit 63 set" Byteio.Reader.Corrupt (fun () ->
-      ignore (read 0x8000000000000005L));
-  Alcotest.check_raises "2^62 (no OCaml int)" Byteio.Reader.Corrupt (fun () ->
-      ignore (read 0x4000000000000000L));
+(* Codec primitives: one byte string per value, each field as wide as
+   its information. *)
+
+let encode c v = Byteio.Codec.to_bytes c.Byteio.Codec.write v
+let decode c b = Byteio.Codec.of_bytes c.Byteio.Codec.read b
+let bytes_of l = Bytes.of_seq (Seq.map Char.chr (List.to_seq l))
+
+let refuses what c l =
+  Alcotest.check_raises what Byteio.Reader.Corrupt (fun () ->
+      ignore (decode c (bytes_of l)))
+
+(* The LEB128 edges (one byte up to 63 or 127, two from 64 or 128, nine
+   at the extremes) among arbitrary ints: each round-trips, fully
+   consumed, in the shortest form. *)
+let leb_edges = [ 0; 1; -1; 63; 64; -64; -65; 127; 128; 16_383; 16_384; max_int; min_int ]
+
+let leb_length v =
+  let rec go v n = if v land lnot 0x7f = 0 then n else go (v lsr 7) (n + 1) in
+  go v 1
+
+let prop_int_nat_round_trip =
+  let gen = QCheck.Gen.(oneof [ oneofl leb_edges; int; small_signed_int ]) in
+  QCheck.Test.make ~name:"codec int/nat: round-trip in the shortest LEB128"
+    ~count:2_000 (QCheck.make ~print:string_of_int gen) (fun v ->
+      let open Byteio.Codec in
+      let zigzag = (v lsl 1) lxor (v asr (Sys.int_size - 1)) in
+      let bi = encode int v in
+      decode int bi = v
+      && Bytes.length bi = leb_length zigzag
+      && (v < 0
+         ||
+         let bn = encode nat v in
+         decode nat bn = v && Bytes.length bn = leb_length v))
+
+let test_codec_primitive_edges () =
+  let open Byteio.Codec in
+  Alcotest.(check (list int)) "int edges: 1, 1, 2, 9, 9 bytes" [ 1; 1; 2; 9; 9 ]
+    (List.map (fun v -> Bytes.length (encode int v)) [ 0; -64; 64; max_int; min_int ]);
+  Alcotest.(check int) "nat 127 in one byte" 1 (Bytes.length (encode nat 127));
+  Alcotest.(check int) "nat 128 in two" 2 (Bytes.length (encode nat 128));
+  (* Overlong forms: a multi-byte form ending in a zero byte. *)
+  refuses "nat 0 as 80 00" nat [ 0x80; 0x00 ];
+  refuses "nat 1 as 81 00" nat [ 0x81; 0x00 ];
+  refuses "int 0 as 80 80 00" int [ 0x80; 0x80; 0x00 ];
+  refuses "count 0 as 80 00" (list bool) [ 0x80; 0x00 ];
+  (* Past 63 bits: a ninth byte that continues. *)
+  let nine = List.init 8 (fun _ -> 0xff) in
+  refuses "nat with a tenth byte" nat (nine @ [ 0x80; 0x01 ]);
+  refuses "int with a tenth byte" int (nine @ [ 0x80; 0x01 ]);
+  refuses "nat 2^62 (above max_int)" nat (nine @ [ 0x40 ]);
+  Alcotest.(check int) "int's widest form is min_int" min_int
+    (decode int (bytes_of (nine @ [ 0x7f ])));
+  Alcotest.(check int) "nat's widest form is max_int" max_int
+    (decode nat (bytes_of (nine @ [ 0x3f ])));
+  (* [index n] at the byte-width boundaries. *)
   List.iter
-    (fun v ->
-      let w = Byteio.Writer.create () in
-      Byteio.Writer.int w v;
-      Alcotest.(check int)
-        (Printf.sprintf "%d round-trips" v)
-        v
-        (Byteio.Reader.int (Byteio.Reader.of_bytes (Byteio.Writer.to_bytes w))))
-    [ 0; 5; -1; -5; max_int; min_int ]
+    (fun (n, width) ->
+      let c = index n in
+      Alcotest.(check int) (Printf.sprintf "index %d: %d bytes" n width) width
+        (Bytes.length (encode c (n - 1)));
+      Alcotest.(check int) (Printf.sprintf "index %d: n - 1 round-trips" n) (n - 1)
+        (decode c (encode c (n - 1)));
+      (* At 257 and 65,537 the bytes hold [n] itself; at 256 and 65,536
+         every byte string is an index, and one byte more is refused. *)
+      if n lsr (8 * width) = 0 then
+        refuses (Printf.sprintf "index %d: n" n) c
+          (List.init width (fun i -> (n lsr (8 * i)) land 0xff))
+      else refuses (Printf.sprintf "index %d: a byte wider" n) c (List.init (width + 1) (fun _ -> 0));
+      refuses (Printf.sprintf "index %d: short" n) c (List.init (width - 1) (fun _ -> 0));
+      Alcotest.check_raises (Printf.sprintf "index %d: writer refuses n" n)
+        (Invalid_argument "Byteio.Codec.index: out of range") (fun () ->
+          ignore (encode c n)))
+    [ (256, 1); (257, 2); (65_536, 2); (65_537, 3) ];
+  (* A 12-bit bitmap is two bytes with 4 padding bits and no width. *)
+  let bm = bitmap ~width:12 in
+  Alcotest.(check (list int)) "bits 0 and 11" [ 0; 11 ]
+    (Bitmap.to_list (decode bm (bytes_of [ 0x01; 0x08 ])));
+  refuses "padding bit 12 set" bm [ 0x01; 0x10 ];
+  refuses "padding bit 15 set" bm [ 0x00; 0x80 ];
+  refuses "a width prefix is not a bitmap" bm [ 0x0c; 0x00; 0x00; 0x00; 0x01; 0x08 ];
+  (* Counts: at most the bytes remaining, checked before reading. *)
+  Alcotest.(check (list bool)) "4 bools in 4 bytes" [ true; false; true; false ]
+    (decode (list bool) (bytes_of [ 4; 1; 0; 1; 0 ]));
+  refuses "5 bools in 4 bytes" (list bool) [ 5; 1; 0; 1; 0 ];
+  refuses "a count of max_int" (list bool) (nine @ [ 0x3f ]);
+  refuses "array of 3 where 4 are due" (array ~len:4 bool) [ 3; 1; 0; 1 ]
 
 (* {1 Op codec} *)
 
@@ -212,14 +277,19 @@ let test_snapshot_codec_round_trip () =
     (Test_fault.same_controller_state restored (Replica.controller replica)
        ~groups:2);
   (* Deterministic bytes: snapshot of the restored controller re-serializes
-     to the identical byte sequence (aliasing pool included). *)
+     to the identical byte sequence (aliasing pool included), whether its
+     segments are encoded afresh or blitted from what it was decoded from. *)
   Alcotest.(check bool) "canonical bytes" true
+    (Bytes.equal bytes (Test_fault.cold_snapshot_bytes restored));
+  Alcotest.(check bool) "decoded segments blit the same bytes" true
     (Bytes.equal bytes (Test_fault.snapshot_bytes restored))
 
 let test_snapshot_codec_rejects_bit_flips () =
   (* Every single-bit flip of a serialized snapshot either raises Corrupt
      or decodes, restores and re-serializes to exactly the mutated bytes:
-     no flip lands in dead padding. *)
+     no flip lands in dead padding. The re-serialization encodes every
+     segment afresh: a restored controller's memo holds the (mutated)
+     bytes its groups were decoded from, which would blit back unchecked. *)
   let replica = seeded_replica () in
   Replica.apply replica (Journal.Fail_spine 1);
   let bytes = Test_fault.snapshot_bytes (Replica.controller replica) in
@@ -227,29 +297,55 @@ let test_snapshot_codec_rejects_bit_flips () =
     check_flips ~what:"snapshot" ~flips:(fuzz_inputs ())
       ~valid:(fun _ -> bytes)
       ~reencode:(fun b ->
-        Test_fault.snapshot_bytes
+        Test_fault.cold_snapshot_bytes
           (Controller.restore (Test_fault.decode_snapshot b)))
   in
   Alcotest.(check bool) "flips are mostly caught" true (corrupt > survived)
 
+(* A restored controller's memo holds the bytes each group was decoded
+   from. On the recovery fixture's log, after restoring its snapshot and
+   after each op of the replayed suffix, every memoized segment is its
+   group's encoding. *)
+let test_restored_segments_are_encodings () =
+  let wire =
+    Recovery_fixture.churn ~checkpoint_at:100 ~snapshot_every:1_000_000
+      ~events:200 ~seed:7 ()
+  in
+  let l = Result.get_ok (Wire.load (Wire.contents wire)) in
+  let ctrl = Controller.restore (Option.get l.Wire.l_snapshot) in
+  let groups = Controller.group_count ctrl in
+  Alcotest.(check int) "every decoded segment is memoized" groups
+    (Test_fault.check_segment_memo "restored" ctrl);
+  Alcotest.(check bool) "a suffix to replay" true (List.length l.Wire.l_suffix > 10);
+  let kept =
+    List.mapi
+      (fun i op ->
+        Journal.apply ctrl op;
+        Test_fault.check_segment_memo (Printf.sprintf "suffix op %d" i) ctrl)
+      l.Wire.l_suffix
+  in
+  Alcotest.(check bool) "replay evicts the groups it touches" true
+    (List.exists (fun k -> k < groups) kept)
+
 (* {2 Forged payloads}
 
-   Snapshots built around an empty controller's: its group list (a u32
-   count right after the topology, params and incremental flag) and its
-   stale list (a u32 count right before the five trailing counter ints)
-   are both empty, so a forged list is spliced in at a known offset. Each
-   forgery is a well-framed value the old readers merged or masked; each
-   one's sorted or zero-padded twin decodes. *)
+   Snapshots built around an empty controller's: its group list (a
+   one-byte zero count right after the topology, params and incremental
+   flag) and its stale list (a one-byte zero count right before the five
+   trailing counters, one zero byte each) are both empty, so a forged
+   list is spliced in at a known offset. Each forgery is a well-framed
+   value the old readers merged or masked; each one's sorted or
+   zero-padded twin decodes. *)
 
 let empty_snapshot () =
   Test_fault.snapshot_bytes (Controller.create topo tight_params)
 
 let splice_empty_list bytes ~at items =
-  Alcotest.(check int32) "an empty list at the splice point" 0l
-    (Bytes.get_int32_le bytes at);
+  Alcotest.(check int) "an empty list at the splice point" 0
+    (Bytes.get_uint8 bytes at);
   Bytes.concat Bytes.empty
     [ Bytes.sub bytes 0 at; items;
-      Bytes.sub bytes (at + 4) (Bytes.length bytes - at - 4) ]
+      Bytes.sub bytes (at + 1) (Bytes.length bytes - at - 1) ]
 
 let with_groups segments =
   let prefix =
@@ -260,7 +356,7 @@ let with_groups segments =
   splice_empty_list (empty_snapshot ()) ~at:prefix
     (Byteio.Codec.to_bytes
        (fun w segs ->
-         Byteio.Writer.u32 w (List.length segs);
+         Byteio.Codec.nat.write w (List.length segs);
          List.iter (Byteio.Writer.raw w) segs)
        segments)
 
@@ -269,6 +365,7 @@ let with_groups segments =
    gid, members, encoding option, overrides. *)
 let bare_segment ?(members = []) ?(overrides = []) gid =
   let open Byteio.Codec in
+  let host = index (Topology.num_hosts topo) in
   let ov =
     pair
       (bitmap ~width:(Topology.leaf_upstream_width topo))
@@ -277,16 +374,16 @@ let bare_segment ?(members = []) ?(overrides = []) gid =
   let clear = Bitmap.create (Topology.leaf_upstream_width topo) in
   to_bytes
     (fun w () ->
-      int.write w gid;
-      Byteio.Writer.u32 w (List.length members);
+      nat.write w gid;
+      nat.write w (List.length members);
       List.iter
-        (fun host ->
-          int.write w host;
+        (fun h ->
+          host.write w h;
           Byteio.Writer.u8 w 0 (* Sender *))
         members;
       bool.write w false;
-      (list (pair int ov)).write w
-        (List.map (fun host -> (host, (clear, (None, false)))) overrides))
+      (list (pair host ov)).write w
+        (List.map (fun h -> (h, (clear, (None, false)))) overrides))
     ()
 
 let decodes bytes =
@@ -325,19 +422,23 @@ let test_forged_unsorted_stale_list () =
   (* Stale entries for group 0 on leaves 0 and 1: key, group, site tag
      (0 = leaf), leaf id. The key is [group * stride + 2 * leaf]. *)
   let with_stale leaves =
+    let open Byteio.Codec in
     let bytes = empty_snapshot () in
-    Byteio.Codec.to_bytes
+    Alcotest.(check string) "five zero counters close the snapshot"
+      (String.make 5 '\000')
+      (Bytes.sub_string bytes (Bytes.length bytes - 5) 5);
+    to_bytes
       (fun w leaves ->
-        Byteio.Writer.u32 w (List.length leaves);
+        nat.write w (List.length leaves);
         List.iter
           (fun l ->
-            Byteio.Writer.int w (2 * l);
-            Byteio.Writer.int w 0;
+            int.write w (2 * l);
+            nat.write w 0;
             Byteio.Writer.u8 w 0;
-            Byteio.Writer.int w l)
+            (index (Topology.num_leaves topo)).write w l)
           leaves)
       leaves
-    |> splice_empty_list bytes ~at:(Bytes.length bytes - 44)
+    |> splice_empty_list bytes ~at:(Bytes.length bytes - 6)
   in
   Alcotest.(check bool) "leaves 0, 1 decode" true
     (decodes (with_stale [ 0; 1 ]));
@@ -347,8 +448,9 @@ let test_forged_unsorted_stale_list () =
 let test_forged_core_padding_bit () =
   (* A group spanning every pod: the encoding's core bitmap is 4 bits
      wide, so its one byte has 4 padding bits. It is written inline after
-     the params and the leaf and spine sections, whose entries are all
-     first occurrences: id (8), inline tag (1), width (4), one byte. *)
+     the params and the leaf and spine sections (each a one-byte count),
+     whose entries are all first occurrences: a one-byte id, the inline
+     tag and the bitmap's bytes, no width. *)
   let ctrl = Controller.create topo tight_params in
   let members = List.init topo.Topology.pods (fun p -> p * 2 * h) in
   ignore (Controller.add_group ctrl ~group:0 (members_both members));
@@ -356,16 +458,22 @@ let test_forged_core_padding_bit () =
   let codec = Encoding.codec topo in
   let bytes = Byteio.Codec.to_bytes codec.write enc in
   let tree = enc.Encoding.tree in
+  let entry width = 2 + ((width + 7) / 8) in
   let core =
     Bytes.length (Byteio.Codec.to_bytes Params.codec.write tight_params)
-    + 4 + (14 * List.length tree.Tree.leaf_bitmaps)
-    + 4 + (14 * List.length tree.Tree.spine_bitmaps)
+    + 1
+    + (entry (Topology.leaf_downstream_width topo)
+      * List.length tree.Tree.leaf_bitmaps)
+    + 1
+    + (entry (Topology.spine_downstream_width topo)
+      * List.length tree.Tree.spine_bitmaps)
   in
   Alcotest.(check int) "core bitmap written inline" 0
     (Bytes.get_uint8 bytes core);
-  Alcotest.(check int32) "core bitmap width" 4l
-    (Bytes.get_int32_le bytes (core + 1));
-  let byte = core + 5 in
+  let byte = core + 1 in
+  Alcotest.(check string) "core bitmap's one byte"
+    (Bytes.to_string (Bitmap.to_bytes tree.Tree.core_bitmap))
+    (Bytes.sub_string bytes byte 1);
   Alcotest.(check int) "padding clear" 0 (Bytes.get_uint8 bytes byte lsr 4);
   let forged = Bytes.copy bytes in
   Bytes.set_uint8 forged byte (Bytes.get_uint8 bytes byte lor 0x80);
@@ -434,6 +542,13 @@ let test_bad_magic () =
   (match Wire.load (Bytes.of_string "ELMOWAL1") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong magic accepted");
+  (* A whole log under the retired fixed-width format's magic: refused
+     as not a log, never read as corrupt records. *)
+  let log = Wire.contents (Option.get (Replica.wire (seeded_replica ()))) in
+  Bytes.blit_string "ELMOWAL2" 0 log 0 8;
+  (match Wire.load log with
+  | Error e -> Alcotest.(check string) "ELMOWAL2 refused" "bad magic: not a wire log" e
+  | Ok _ -> Alcotest.fail "an ELMOWAL2 log accepted");
   (match Wire.load (Bytes.of_string "ELMO") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "short magic accepted");
@@ -1306,7 +1421,7 @@ let test_pinned_recovery_fixture () =
   check_pinned "recovery fixture"
     (Recovery_fixture.churn ~checkpoint_at:100 ~snapshot_every:1_000_000
        ~events:200 ~seed:7 ())
-    ~size:11_508 ~records:150 ~crc:1695514284
+    ~size:5_023 ~records:150 ~crc:1681517339
 
 (* A log whose snapshots carry nonzero install counters, degradations,
    a compensated stale entry and failure overrides: the scripted removal
@@ -1358,7 +1473,7 @@ let test_pinned_faulty_log () =
   Alcotest.(check int) "one stale entry" 1 st.Controller.stale_entries;
   check_pinned "faulty log"
     (Option.get (Replica.wire replica))
-    ~size:4_073 ~records:9 ~crc:3559183493
+    ~size:1_069 ~records:9 ~crc:1810231888
 
 let tests =
   [
@@ -1367,8 +1482,9 @@ let tests =
     Alcotest.test_case "pinned bytes: faulty log" `Quick test_pinned_faulty_log;
     Alcotest.test_case "crc32 known vectors" `Quick test_crc_known_vectors;
     QCheck_alcotest.to_alcotest prop_crc_matches_reference;
-    Alcotest.test_case "reader int rejects out-of-range words" `Quick
-      test_reader_int_rejects_out_of_range;
+    QCheck_alcotest.to_alcotest prop_int_nat_round_trip;
+    Alcotest.test_case "codec primitives: LEB128, index, bitmap and count edges"
+      `Quick test_codec_primitive_edges;
     Alcotest.test_case "op codec round-trip" `Quick
       test_op_codec_round_trip;
     Alcotest.test_case "op codec rejects out-of-range" `Quick
@@ -1379,6 +1495,8 @@ let tests =
       test_snapshot_codec_round_trip;
     Alcotest.test_case "snapshot codec rejects bit flips" `Quick
       test_snapshot_codec_rejects_bit_flips;
+    Alcotest.test_case "restored segments are their groups' encodings" `Quick
+      test_restored_segments_are_encodings;
     Alcotest.test_case "forged snapshot: duplicate gid" `Quick
       test_forged_duplicate_gid;
     Alcotest.test_case "forged snapshot: duplicate override host" `Quick

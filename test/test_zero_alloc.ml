@@ -96,6 +96,25 @@ let test_probe_detects_allocation () =
   Alcotest.(check bool) "per-event words visible" true
     (report.Allocs.per_event > 0.0)
 
+(* A block over [Max_young_wosize] words is allocated straight in the
+   major heap, where [Gc.minor_words] does not count it. The aliased
+   p-rule churn plus one 577-word array per event (about one packet
+   report on perfbench's [clos]) over 1,024 events must read 578 words
+   per event (the array and its header), pinned to the first event. *)
+let test_probe_sees_major_allocation () =
+  let churn = churn_fn (enc_of (params ()) [ 0; 1; h ]) 2 in
+  let sink = ref [||] in
+  let report =
+    Allocs.probe ~warmup ~events:1_024 (fun i ->
+        churn i;
+        sink := Array.make 577 i)
+  in
+  Alcotest.(check (float 1.0)) "words per event" 578.0 report.Allocs.per_event;
+  match report.Allocs.first_alloc with
+  | Some (0, words) -> Alcotest.(check int) "first event's words" 578 words
+  | Some (event, _) -> Alcotest.failf "first offender misattributed to %d" event
+  | None -> Alcotest.fail "major-heap allocation reported clean"
+
 let tests =
   [
     Alcotest.test_case "aliased p-rule churn is zero-alloc" `Quick
@@ -106,4 +125,6 @@ let tests =
       test_default_site;
     Alcotest.test_case "probe detects an allocating loop" `Quick
       test_probe_detects_allocation;
+    Alcotest.test_case "probe sees major-heap allocation" `Quick
+      test_probe_sees_major_allocation;
   ]
