@@ -450,9 +450,10 @@ let churn () =
   printf "topology: %a; %d groups x %d members; %d events@." Topology.pp topo
     ngroups group_size events;
   (* Same seed on both runs: role assignment and membership evolution do not
-     depend on the controller mode, so the event streams are identical. *)
-  let run label ~incremental =
-    let ctrl = Controller.create ~incremental topo params in
+     depend on the controller mode, so the event streams are identical. The
+     baseline's staleness limit of 0 declines every fast path. *)
+  let run label params =
+    let ctrl = Controller.create topo params in
     let rng = Rng.create 97 in
     let n = Topology.num_hosts topo in
     for g = 0 to ngroups - 1 do
@@ -506,8 +507,8 @@ let churn () =
       total_s = total;
     }
   in
-  let inc = run "incremental" ~incremental:true in
-  let base = run "always-re-encode" ~incremental:false in
+  let inc = run "incremental" params in
+  let base = run "always-re-encode" { params with Params.staleness_limit = 0 } in
   let hit_rate r =
     let n = r.fast + r.slow in
     if n = 0 then 0.0 else 100.0 *. float_of_int r.fast /. float_of_int n
@@ -545,6 +546,7 @@ let churn () =
       ("events", Int events);
       ("runs", List [ run_json inc; run_json base ]);
       ("speedup", Num speedup);
+      ("baseline_takes_no_fast_path", gate "baseline_takes_no_fast_path" (base.fast = 0));
     ]
 
 (* {1 Fault tolerance: degradation-induced traffic vs fault rate} *)

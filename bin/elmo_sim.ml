@@ -305,15 +305,15 @@ let verify_cmd =
      first multicast group: p-rules covering its leaf, the leaf's s-rule,
      and the default p-rule. The symbolic check must then name exactly
      that endpoint. The corruption goes into a private copy of that
-     group's encoding (a wire round trip): the view borrows the
-     controller's live encodings. *)
+     group's encoding (its choices over a copy of its tree): the view
+     borrows the controller's live encodings. *)
   let sabotage topo (cfg : Installed_config.t) =
     let corrupt (g : Installed_config.group_view) =
       match (g.Installed_config.enc, g.Installed_config.receivers) with
       | Some enc, host :: _ :: _ ->
-          let codec = Encoding.codec topo in
           let enc =
-            Byteio.Codec.(of_bytes codec.read (to_bytes codec.write enc))
+            Encoding.(
+              of_choices enc.params (Tree.copy enc.tree) (choices enc))
           in
           let leaf = Topology.leaf_of_host topo host in
           let port = Topology.host_port_on_leaf topo host in

@@ -91,28 +91,48 @@ let override_codec ~topo =
   and+ unicast = field (fun ov -> ov.unicast) bool in
   { up_leaf_ports; up_spine_ports; unicast }
 
-(* No host appears twice among a group's members. The members stay in
-   insertion order on the wire, so the check sorts a copy of the hosts:
-   no scratch sized by the topology, whose dimensions a hostile snapshot
-   chooses. *)
-let distinct_hosts members =
-  List.compare_lengths (List.sort_uniq Int.compare (List.map fst members)) members
-  = 0
+let receives = function Receiver | Both -> true | Sender -> false
 
-(* One group's segment: its gid, members, encoding and overrides. *)
-let group_codec ~topo =
+(* The receiving hosts of a decoded member list, ascending, refusing a
+   host that appears twice. The members stay in insertion order on the
+   wire, so this sorts a copy: no scratch sized by the topology, whose
+   dimensions a hostile snapshot chooses. *)
+let decoded_receivers members =
+  let rec go (prev : int) acc = function
+    | [] -> Array.of_list (List.rev acc)
+    | (h, r) :: rest ->
+        Byteio.Reader.check (h <> prev);
+        go h (if receives r then h :: acc else acc) rest
+  in
+  go (-1) [] (List.sort (fun (a, _) (b, _) -> Int.compare a b) members)
+
+(* One group's segment: its gid, members, Algorithm 1's choices and
+   overrides. The reader derives the encoding: the tree of the receivers,
+   under the choices and the checkpoint's [params]. A group has an
+   encoding exactly when it has a receiver. *)
+let group_codec ~topo ~params =
   let open Byteio.Codec in
   let host = index (Topology.num_hosts topo) in
   let+ gid = field fst nat
-  and+ members =
+  and+ members = field (fun (_, st) -> st.members) (list (pair host role_codec))
+  and+ choices =
     field
-      (fun (_, st) -> st.members)
-      (where distinct_hosts (list (pair host role_codec)))
-  and+ enc = field (fun (_, st) -> st.enc) (option (Encoding.codec topo))
+      (fun (_, st) -> Option.map Encoding.choices st.enc)
+      (option (Encoding.choices_codec topo))
   and+ overrides =
     field
       (fun (_, st) -> sorted_overrides st)
       (ascending fst (pair host (override_codec ~topo)))
+  in
+  let rcvs = decoded_receivers members in
+  let enc =
+    match choices with
+    | None ->
+        Byteio.Reader.check (Array.length rcvs = 0);
+        None
+    | Some c ->
+        Byteio.Reader.check (Array.length rcvs > 0);
+        Some (Encoding.of_choices params (Tree.of_sorted topo rcvs) c)
   in
   let applied = Hashtbl.create (max 1 (List.length overrides)) in
   List.iter (fun (h, ov) -> Hashtbl.replace applied h ov) overrides;
@@ -149,7 +169,6 @@ type t = {
   hooks : fabric_hooks option;
   clock : Elmo_obs.Clock.t;
   groups : (int, group_state) Hashtbl.t;
-  incremental : bool;
   counters : counters;
   spine_ok : bool array;
   core_ok : bool array;
@@ -198,7 +217,7 @@ type t = {
   segment_codec : (int * group_state) Byteio.Codec.t;
 }
 
-let create ?fabric_hooks ?clock ?(incremental = true) topo params =
+let create ?fabric_hooks ?clock topo params =
   let clock =
     match clock with Some c -> c | None -> Elmo_obs.Clock.logical ()
   in
@@ -209,7 +228,6 @@ let create ?fabric_hooks ?clock ?(incremental = true) topo params =
     hooks = fabric_hooks;
     clock;
     groups = Hashtbl.create 1024;
-    incremental;
     counters =
       {
         fast_hits = 0;
@@ -239,14 +257,13 @@ let create ?fabric_hooks ?clock ?(incremental = true) topo params =
     regroup = true;
     host_scratch = Bitmap.create (Topology.num_hosts topo);
     segments = Hashtbl.create 1024;
-    segment_codec = group_codec ~topo;
+    segment_codec = group_codec ~topo ~params;
   }
 
 let topology t = t.topo
 let params t = t.params
 let srule_state t = t.srules
 
-let receives = function Receiver | Both -> true | Sender -> false
 let sends = function Sender | Both -> true | Receiver -> false
 let only_both = function Both -> true | Sender | Receiver -> false
 
@@ -950,80 +967,78 @@ let reencode t ~group st ~changed_host =
    [Reencode _], so the old encoding still reflects the old membership and
    the diff in {!reencode} stays honest. *)
 let try_fast_delta t ~group st ~host ~joining =
-  if not t.incremental then None
-  else
-    match st.enc with
-    | None -> None
-    | Some enc -> (
-        let dleaf = Topology.leaf_of_host t.topo host in
-        let delta = Encoding.delta_of_host t.topo ~joining host in
-        match Encoding.apply_delta enc delta with
-        | Encoding.Reencode reason ->
-            Log.debug (fun m ->
-                m "group %d: fast path declined (%s); re-encoding" group
-                  (match reason with
-                  | Encoding.New_leaf -> "new leaf"
-                  | Encoding.Emptied_leaf -> "emptied leaf"
-                  | Encoding.Budget_exceeded -> "budget exceeded"
-                  | Encoding.Stale -> "stale"));
-            None
-        | Encoding.Applied a ->
-            let mirror_ok =
-              match (a.Encoding.site, t.hooks) with
-              | Encoding.Site_srule, Some hooks -> (
-                  (* The fabric usually already sees the mutation (it stores
-                     the bitmap by reference), but mirror it through the hook
-                     so installs stay explicit, verified and accounted. *)
-                  let bm =
-                    Int_list.assoc dleaf enc.Encoding.d_leaf.Clustering.srules
-                  in
-                  match
-                    reliable t hooks ~group (Op_install_leaf (dleaf, bm))
-                  with
-                  | Ok () ->
-                      unmark_stale t ~group (Srule_state.Leaf dleaf);
-                      true
-                  | Error () ->
-                      (* The leaf stopped accepting installs mid-run: deny it
-                         and fall back to a full re-encode, which will fold
-                         its traffic into the default p-rule. *)
-                      deny t (Srule_state.Leaf dleaf);
-                      false)
-              | _ -> true
-            in
-            if not mirror_ok then None
-            else begin
-            t.counters.fast_hits <- t.counters.fast_hits + 1;
-            if Hashtbl.length st.applied > 0 || not (all_healthy t) then
-              refresh_overrides t ~group st;
-            (* Upstream rules only depend on the tree's leaf and pod sets,
-               which the fast path never changes — so when the common
-               downstream section is untouched, only senders co-located on
-               the flipped leaf (their own downstream leaf rule embeds its
-               port bitmap) need fresh headers. The failure overrides
-               depend on the same sets, so none changes. *)
-            let hyp = Bitmap.create (Topology.num_hosts t.topo) in
-            Bitmap.set hyp host;
-            List.iter
-              (fun (h, r) ->
-                match r with
-                | Receiver -> ()
-                | Sender | Both ->
-                    if
-                      a.Encoding.header_changed
-                      || Topology.leaf_of_host t.topo h = dleaf
-                    then Bitmap.set hyp h)
-              st.members;
-            Some
-              {
-                hypervisors = Bitmap.to_list hyp;
-                leaves =
-                  (match a.Encoding.site with
-                  | Encoding.Site_srule -> [ dleaf ]
-                  | Encoding.Site_prule | Encoding.Site_default -> []);
-                pods = [];
-              }
-            end)
+  match st.enc with
+  | None -> None
+  | Some enc -> (
+      let dleaf = Topology.leaf_of_host t.topo host in
+      let delta = Encoding.delta_of_host t.topo ~joining host in
+      match Encoding.apply_delta enc delta with
+      | Encoding.Reencode reason ->
+          Log.debug (fun m ->
+              m "group %d: fast path declined (%s); re-encoding" group
+                (match reason with
+                | Encoding.New_leaf -> "new leaf"
+                | Encoding.Emptied_leaf -> "emptied leaf"
+                | Encoding.Budget_exceeded -> "budget exceeded"
+                | Encoding.Stale -> "stale"));
+          None
+      | Encoding.Applied a ->
+          let mirror_ok =
+            match (a.Encoding.site, t.hooks) with
+            | Encoding.Site_srule, Some hooks -> (
+                (* The fabric usually already sees the mutation (it stores
+                   the bitmap by reference), but mirror it through the hook
+                   so installs stay explicit, verified and accounted. *)
+                let bm =
+                  Int_list.assoc dleaf enc.Encoding.d_leaf.Clustering.srules
+                in
+                match
+                  reliable t hooks ~group (Op_install_leaf (dleaf, bm))
+                with
+                | Ok () ->
+                    unmark_stale t ~group (Srule_state.Leaf dleaf);
+                    true
+                | Error () ->
+                    (* The leaf stopped accepting installs mid-run: deny it
+                       and fall back to a full re-encode, which will fold
+                       its traffic into the default p-rule. *)
+                    deny t (Srule_state.Leaf dleaf);
+                    false)
+            | _ -> true
+          in
+          if not mirror_ok then None
+          else begin
+          t.counters.fast_hits <- t.counters.fast_hits + 1;
+          if Hashtbl.length st.applied > 0 || not (all_healthy t) then
+            refresh_overrides t ~group st;
+          (* Upstream rules only depend on the tree's leaf and pod sets,
+             which the fast path never changes — so when the common
+             downstream section is untouched, only senders co-located on
+             the flipped leaf (their own downstream leaf rule embeds its
+             port bitmap) need fresh headers. The failure overrides
+             depend on the same sets, so none changes. *)
+          let hyp = Bitmap.create (Topology.num_hosts t.topo) in
+          Bitmap.set hyp host;
+          List.iter
+            (fun (h, r) ->
+              match r with
+              | Receiver -> ()
+              | Sender | Both ->
+                  if
+                    a.Encoding.header_changed
+                    || Topology.leaf_of_host t.topo h = dleaf
+                  then Bitmap.set hyp h)
+            st.members;
+          Some
+            {
+              hypervisors = Bitmap.to_list hyp;
+              leaves =
+                (match a.Encoding.site with
+                | Encoding.Site_srule -> [ dleaf ]
+                | Encoding.Site_prule | Encoding.Site_default -> []);
+              pods = [];
+            }
+          end)
 
 (* {1 Public group lifecycle} *)
 
@@ -1457,10 +1472,12 @@ let installed_config t =
 (* {1 Crash-consistent checkpoints}
 
    A checkpoint is the byte-level form of everything recovery needs to
-   continue bit-identically: membership, encodings (with their bitmap
-   aliasing preserved — see {!Encoding.codec}), installed overrides, the
-   s-rule ledger, health/denial state, stale markers and the counter
-   block. [write_snapshot] writes it straight from the live controller;
+   continue bit-identically, each fact stated once: the params,
+   membership, Algorithm 1's choices per encoding (see
+   {!Encoding.of_choices}), installed overrides, health/denial state,
+   stale markers and the counter block. Trees, rule bitmaps and the
+   s-rule ledger are derived on read. [write_snapshot] writes it straight
+   from the live controller;
    each group's segment is memoized until [mark_dirty] evicts it, so a
    checkpoint encodes only the groups changed since the previous one.
 
@@ -1478,17 +1495,19 @@ let installed_config t =
    the restored controller indexes by switch — and every bitmap is read
    at the width that topology gives it. Gids, override hosts
    and stale keys must be strictly ascending, so a repeated entry cannot
-   shadow or silently replace another. All violations raise
+   shadow or silently replace another. Only states the controller can
+   reach decode: no member host twice, an encoding exactly when a group
+   has receivers, rules naming each tree switch exactly once, and at most
+   [fmax] s-rules per switch. All violations raise
    [Byteio.Reader.Corrupt], which Wire.load turns into fallback to the
    previous good snapshot. *)
 
 type snapshot = {
   snap_topo : Topology.t;
   snap_params : Params.t;
-  snap_incremental : bool;
   snap_groups : ((int * group_state) * bytes) list;
       (* ascending by gid, each with the bytes it was decoded from *)
-  snap_srules : Srule_state.t;
+  snap_srules : Srule_state.t;  (* derived from the groups' s-rules *)
   snap_counters : counters;
   snap_spine_ok : bool array;
   snap_core_ok : bool array;
@@ -1509,9 +1528,8 @@ let stale_codec ~topo =
       key = (group * stride) + Srule_state.site_key site)
     (pair int (pair nat (site_codec ~topo)))
 
-(* A group's segment depends on the group alone (an encoding's aliasing
-   pool is per encoding), so it is encoded once per change of the group
-   and blitted by every later checkpoint. *)
+(* A group's segment depends on the group alone, so it is encoded once
+   per change of the group and blitted by every later checkpoint. *)
 let encode_segment t gid st = Byteio.Codec.to_bytes t.segment_codec.write (gid, st)
 
 let segment t gid st =
@@ -1531,11 +1549,9 @@ let write_with segment w t =
   let topo = t.topo in
   Topology.codec.write w topo;
   Params.codec.write w t.params;
-  bool.write w t.incremental;
   Hashtbl.fold (fun gid st acc -> ((gid, st), segment t gid st) :: acc) t.groups []
   |> List.sort (fun ((a, _), _) ((b, _), _) -> Int.compare a b)
   |> (list (with_bytes t.segment_codec)).write w;
-  (Srule_state.codec ~topo).write w t.srules;
   let c = t.counters in
   int.write w c.fast_hits;
   int.write w c.reencodes;
@@ -1562,15 +1578,29 @@ let memoized_segments t = Hashtbl.length t.segments
 
 let snapshot_topology snap = snap.snap_topo
 
+(* The ledger the groups' encodings imply: one entry per s-rule at its
+   switch, refused above [fmax]. *)
+let derived_ledger topo params groups =
+  let srules = Srule_state.create topo ~fmax:params.Params.fmax in
+  match
+    List.iter
+      (fun ((_, st), _) -> Option.iter (Encoding.reserve srules) st.enc)
+      groups
+  with
+  | () -> srules
+  | exception Srule_state.Full _ -> raise Byteio.Reader.Corrupt
+
 let read_snapshot r =
   let open Byteio.Codec in
   let topo = Topology.codec.read r in
   let params = Params.codec.read r in
-  let incremental = bool.read r in
   let groups =
-    (ascending (fun ((gid, _), _) -> gid) (with_bytes (group_codec ~topo))).read r
+    (ascending
+       (fun ((gid, _), _) -> gid)
+       (with_bytes (group_codec ~topo ~params)))
+      .read r
   in
-  let srules = (Srule_state.codec ~topo).read r in
+  let srules = derived_ledger topo params groups in
   let fast_hits = int.read r in
   let reencodes = int.read r in
   let flags n = (flags_codec n).read r in
@@ -1590,7 +1620,6 @@ let read_snapshot r =
   {
     snap_topo = topo;
     snap_params = params;
-    snap_incremental = incremental;
     snap_groups = groups;
     snap_srules = srules;
     snap_counters =
@@ -1618,8 +1647,7 @@ let restore ?fabric_hooks ?clock snap =
   snap.snap_restored <- true;
   let t =
     {
-      (create ?fabric_hooks ?clock ~incremental:snap.snap_incremental
-         snap.snap_topo snap.snap_params)
+      (create ?fabric_hooks ?clock snap.snap_topo snap.snap_params)
       with
       srules = snap.snap_srules;
       counters = snap.snap_counters;

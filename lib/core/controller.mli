@@ -74,14 +74,13 @@ exception Invariant_violation of string
 val create :
   ?fabric_hooks:fabric_hooks ->
   ?clock:Elmo_obs.Clock.t ->
-  ?incremental:bool ->
   Topology.t -> Params.t -> t
-(** By default the controller is stand-alone (pure state) and
-    [incremental] (default [true]): receiver joins and leaves first try
-    {!Encoding.apply_delta}'s in-place fast path and fall back to a full
-    re-encode only on structural change, budget overflow, or staleness.
-    [~incremental:false] re-encodes every receiver membership event from
-    scratch — the baseline the churn benchmark compares against.
+(** By default the controller is stand-alone (pure state). Receiver joins
+    and leaves first try {!Encoding.apply_delta}'s in-place fast path and
+    fall back to a full re-encode only on structural change, budget
+    overflow, or staleness. [Params.staleness_limit = 0] re-encodes every
+    receiver membership event from scratch — the baseline the churn
+    benchmark compares against.
 
     [clock] (default: a fresh logical clock) paces the exponential backoff
     of the reliable installation path; on the default logical clock one
@@ -273,10 +272,11 @@ val installed_config : t -> Installed_config.t
 
 (** {1 Crash-consistent checkpoints}
 
-    A checkpoint holds everything recovery needs — membership, encodings
-    (bitmap aliasing preserved), overrides, the s-rule ledger,
+    A checkpoint holds everything recovery needs, each fact once — the
+    params, membership, Algorithm 1's choices per encoding, overrides,
     health/denial state, stale markers, and the counter block behind
-    {!churn_stats} and {!install_stats}. It exists only as bytes:
+    {!churn_stats} and {!install_stats}; trees, rule bitmaps and the
+    s-rule ledger are derived from them on read. It exists only as bytes:
     {!write_snapshot} writes the live controller, {!read_snapshot} decodes
     the bytes into a {!snapshot}, and {!restore} builds a controller from
     that without re-emitting fabric installs (fabric state survives a
@@ -286,12 +286,12 @@ val installed_config : t -> Installed_config.t
 
 val write_snapshot : Byteio.Writer.t -> t -> unit
 (** The controller's checkpoint bytes, for the crash-safe wire format
-    ([lib/fault]'s [Wire]). Encoding aliasing graphs are preserved (see
-    {!Encoding.codec}), so a checkpoint restores bit-identically. Each
-    group's segment is encoded once and memoized until a mutation marks
-    the group dirty, so a checkpoint encodes only the groups changed since
-    the previous one, plus the s-rule ledger, health, denial and
-    stale-site state. *)
+    ([lib/fault]'s [Wire]). A group's segment is its gid, its members in
+    insertion order, its encoding's {!Encoding.choices} and its overrides.
+    Each group's segment is encoded once and memoized until a mutation
+    marks the group dirty, so a checkpoint encodes only the groups changed
+    since the previous one, plus the health, denial and stale-site
+    state. *)
 
 val write_snapshot_cold : Byteio.Writer.t -> t -> unit
 (** test-only: the canonical-decode oracle (test_wire). {!write_snapshot}
@@ -312,7 +312,13 @@ val read_snapshot : Byteio.Reader.t -> snapshot
     topology decoded from the same record, every bitmap is read at the
     width it gives, and only canonical bytes decode (gids, override hosts
     and stale keys strictly ascending, bitmap padding clear, shortest
-    integer forms); it keeps each group's bytes for {!restore}; raises {!Byteio.Reader.Corrupt} on any violation (never a
+    integer forms). Only states a controller can reach decode: no member
+    host twice, an encoding exactly when the group has a receiver, built
+    by {!Encoding.of_choices} over the tree of its receivers (so each
+    layer names every tree switch exactly once) under the snapshot's
+    params, and an s-rule ledger, counted from the encodings, with at most
+    [fmax] entries per switch. It keeps each group's bytes for
+    {!restore}; raises {!Byteio.Reader.Corrupt} on any violation (never a
     partial or silently wrong snapshot). *)
 
 val snapshot_topology : snapshot -> Topology.t

@@ -7,7 +7,7 @@ type t = {
   d_leaf : Clustering.result;
   mutable stale : int;
   (* Fast-path leaf index, built by every from-scratch encode (and by
-     the codec's reader), sized by the tree, not the fabric: [idx_leaves]
+     [of_choices]), sized by the tree, not the fabric: [idx_leaves]
      holds the tree's leaves in ascending order, and a leaf's slot is its
      position there (found by [slot], a binary search). Per slot,
      [idx_kind] holds one dispatch byte; the arrays hold the leaf's exact
@@ -55,7 +55,6 @@ and upper = {
 exception Internal_error of string
 
 (* Leaf dispatch bytes for [idx_kind]. *)
-let kind_none = '\000'
 let kind_prule = '\001'
 let kind_srule = '\002'
 let kind_default = '\003'
@@ -69,15 +68,14 @@ let blank = { multipath = false; u_spine = None; core = None }
 (* elmo-lint: zero-alloc *)
 let slot_in leaves l = Int_array.search leaves l ~lo:0 ~hi:(Array.length leaves - 1)
 
-(* Build the slot-indexed dispatch index of [d_leaf] over [tree]. Write
-   order default → s-rules → p-rules so a p-rule wins any (never
-   expected) overlap — the same precedence the old list-scan dispatch
-   had. Every rule switch is a tree leaf: clustering runs over the
-   tree's leaves, and the codec's reader refuses any other. *)
+(* Build the slot-indexed dispatch index of [d_leaf] over [tree]. The
+   rules name each tree leaf exactly once — clustering places every leaf
+   it is given in one rule, and [of_choices] refuses anything else — so
+   every slot's kind is written below. *)
 let build_index (d_leaf : Clustering.result) (tree : Tree.t) =
   let n = List.length tree.Tree.leaf_bitmaps in
   let idx_leaves = Array.make n 0 in
-  let idx_kind = Bytes.make n kind_none in
+  let idx_kind = Bytes.create n in
   let idx_exact = Array.make n dummy_bm in
   List.iteri
     (fun s (l, bm) ->
@@ -177,6 +175,31 @@ let with_legacy ~legacy ~reserve layer cluster =
       res legacy_switches
   end
 
+(* An encoding of [tree] under the two layers' rules, with a fresh
+   fast-path index and scratch and no header caches. *)
+let make params (tree : Tree.t) ~d_spine ~d_leaf ~stale =
+  let idx_leaves, idx_kind, idx_exact, idx_rule, idx_site_bm =
+    build_index d_leaf tree
+  in
+  let scratch_width = Topology.leaf_downstream_width tree.Tree.topo in
+  {
+    tree;
+    params;
+    d_spine;
+    d_leaf;
+    stale;
+    idx_leaves;
+    idx_kind;
+    idx_exact;
+    idx_rule;
+    idx_site_bm;
+    scratch_a = Bitmap.create scratch_width;
+    scratch_b = Bitmap.create scratch_width;
+    down = None;
+    down_stale = false;
+    upper = None;
+  }
+
 (* The only external state a group encode consults is switch capacity, on
    the live ledger: every probe that finds space reserves it at once.
    Everything else is a pure function of (params, tree). *)
@@ -214,27 +237,7 @@ let encode ?(legacy_leaf = no_legacy) ?(legacy_pod = no_legacy)
         (Clustering.run ~r:params.r ~semantics:params.r_semantics
            ~hmax:hmax_spine ~kmax:params.kmax ~has_srule_space:reserve_pod)
   in
-  let idx_leaves, idx_kind, idx_exact, idx_rule, idx_site_bm =
-    build_index d_leaf tree
-  in
-  let scratch_width = Topology.leaf_downstream_width tree.Tree.topo in
-  {
-    tree;
-    params;
-    d_spine;
-    d_leaf;
-    stale = 0;
-    idx_leaves;
-    idx_kind;
-    idx_exact;
-    idx_rule;
-    idx_site_bm;
-    scratch_a = Bitmap.create scratch_width;
-    scratch_b = Bitmap.create scratch_width;
-    down = None;
-    down_stale = false;
-    upper = None;
-  }
+  make params tree ~d_spine ~d_leaf ~stale:0
 
 (* {1 Incremental deltas (§3.3 rule-update locality)}
 
@@ -360,75 +363,69 @@ let apply_event t joining host leaf port =
     if (not joining) && Bitmap.popcount exact <= 1 then re_emptied
     else begin
       let kind = Bytes.unsafe_get t.idx_kind s in
-      if kind = kind_none then
-        (* Rules out of sync with the tree — cannot happen after a
-           from-scratch encode; rebuild defensively. *)
-        re_new_leaf
+      let r = Array.unsafe_get t.idx_rule s in
+      (* Prospective redundancy check for joins into a shared rule,
+         before committing anything. *)
+      let budget_ok =
+        kind <> kind_prule
+        || (not joining)
+        || List.compare_length_with r.Prule.switches 1 <= 0
+        || shared_join_within_budget t r leaf port
+      in
+      if not budget_ok then re_budget
       else begin
-        let r = Array.unsafe_get t.idx_rule s in
-        (* Prospective redundancy check for joins into a shared rule,
-           before committing anything. *)
-        let budget_ok =
-          kind <> kind_prule
-          || (not joining)
-          || List.compare_length_with r.Prule.switches 1 <= 0
-          || shared_join_within_budget t r leaf port
+        (* Commit. The tree mutation flips the leaf's exact bitmap in
+           place; rules aliasing that bitmap (the encoder's singleton
+           p-rules and s-rules; [of_choices] aliases none) are already up
+           to date — mutate the rest explicitly. *)
+        let applied =
+          if joining then Tree.add_member t.tree host
+          else Tree.remove_member t.tree host
         in
-        if not budget_ok then re_budget
-        else begin
-          (* Commit. The tree mutation flips the leaf's exact bitmap in
-             place; rules aliasing that bitmap (singleton p-rules,
-             s-rules) are already up to date — mutate the rest
-             explicitly. *)
-          let applied =
-            if joining then Tree.add_member t.tree host
-            else Tree.remove_member t.tree host
-          in
-          if not applied then
-            (* Pre-checked above; keep the invariant anyway. *)
-            (* elmo-lint: allow zero-alloc — defensive invariant breach, cold *)
-            raise (Internal_error "apply_delta: tree delta rejected");
-          t.stale <- t.stale + 1;
-          t.down_stale <- true;
-          if kind = kind_prule then begin
-            let site_bm = r.Prule.bitmap in
-            let aliased = site_bm == exact in
-            if joining then begin
-              let header_changed = aliased || not (Bitmap.get site_bm port) in
-              if not aliased then Bitmap.set site_bm port;
-              if header_changed then a_prule_changed else a_prule_quiet
-            end
-            else begin
-              (* Leaving: the shared bitmap may only drop bits no remaining
-                 member needs — recompute the OR over the survivors. *)
-              let header_changed =
-                aliased || refresh_rule_bitmap t r.Prule.switches site_bm
-              in
-              if header_changed then a_prule_changed else a_prule_quiet
-            end
-          end
-          else if kind = kind_srule then begin
-            (* s-rules are exact per-switch bitmaps. *)
-            let bm = Array.unsafe_get t.idx_site_bm s in
-            if not (bm == exact) then
-              if joining then Bitmap.set bm port else Bitmap.clear bm port;
-            a_srule
+        if not applied then
+          (* Pre-checked above; keep the invariant anyway. *)
+          (* elmo-lint: allow zero-alloc — defensive invariant breach, cold *)
+          raise (Internal_error "apply_delta: tree delta rejected");
+        t.stale <- t.stale + 1;
+        t.down_stale <- true;
+        if kind = kind_prule then begin
+          let site_bm = r.Prule.bitmap in
+          let aliased = site_bm == exact in
+          if joining then begin
+            let header_changed = aliased || not (Bitmap.get site_bm port) in
+            if not aliased then Bitmap.set site_bm port;
+            if header_changed then a_prule_changed else a_prule_quiet
           end
           else begin
-            let bm = Array.unsafe_get t.idx_site_bm s in
+            (* Leaving: the shared bitmap may only drop bits no remaining
+               member needs — recompute the OR over the survivors. *)
             let header_changed =
-              if joining then begin
-                let fresh = not (Bitmap.get bm port) in
-                if fresh then Bitmap.set bm port;
-                fresh
-              end
-              else
-                match t.d_leaf.Clustering.default with
-                | Some (ids, _) -> refresh_rule_bitmap t ids bm
-                | None -> refresh_rule_bitmap t [] bm
+              aliased || refresh_rule_bitmap t r.Prule.switches site_bm
             in
-            if header_changed then a_default_changed else a_default_quiet
+            if header_changed then a_prule_changed else a_prule_quiet
           end
+        end
+        else if kind = kind_srule then begin
+          (* s-rules are exact per-switch bitmaps. *)
+          let bm = Array.unsafe_get t.idx_site_bm s in
+          if not (bm == exact) then
+            if joining then Bitmap.set bm port else Bitmap.clear bm port;
+          a_srule
+        end
+        else begin
+          let bm = Array.unsafe_get t.idx_site_bm s in
+          let header_changed =
+            if joining then begin
+              let fresh = not (Bitmap.get bm port) in
+              if fresh then Bitmap.set bm port;
+              fresh
+            end
+            else
+              match t.d_leaf.Clustering.default with
+              | Some (ids, _) -> refresh_rule_bitmap t ids bm
+              | None -> refresh_rule_bitmap t [] bm
+          in
+          if header_changed then a_default_changed else a_default_quiet
         end
       end
     end
@@ -473,6 +470,10 @@ let apply_delta t delta =
 let release srules t =
   List.iter (fun (l, _) -> Srule_state.release_leaf srules l) t.d_leaf.Clustering.srules;
   List.iter (fun (p, _) -> Srule_state.release_pod srules p) t.d_spine.Clustering.srules
+
+let reserve srules t =
+  List.iter (fun (l, _) -> Srule_state.reserve_leaf srules l) t.d_leaf.Clustering.srules;
+  List.iter (fun (p, _) -> Srule_state.reserve_pod srules p) t.d_spine.Clustering.srules
 
 (* Copies of [rules] for a down: a rule that still equals its copy in
    [prev] (the previous down's rules: position by position, the same
@@ -686,181 +687,89 @@ let srule_entries t =
 let prule_count t =
   List.length t.d_spine.Clustering.prules + List.length t.d_leaf.Clustering.prules
 
-(* {1 Durable wire codec}
+(* {1 Durable form}
 
-   The delta fast path depends on physical sharing between the tree's
-   exact bitmaps and rule bitmaps (singleton p-rules and s-rules alias the
-   tree's leaf bitmaps), so the serialized form carries the aliasing graph
-   explicitly. Each distinct bitmap object is written inline exactly once,
-   at its first occurrence, and every later occurrence is a back-reference
-   into the pool of bitmaps seen so far ([==]-keyed when writing,
-   index-keyed when reading). Reading therefore reconstructs the exact
-   object graph, which is what makes a restored encoding bit-identical —
-   predicate-pointer-identical under lib/verify — to the never-crashed
-   original. *)
+   An encoding is stated by its tree, which its members fix, and by
+   Algorithm 1's choices: which switches each rule names. Every rule
+   bitmap is the OR of its switches' tree bitmaps (the fast path keeps it
+   so), so the choices alone travel, and [of_choices] derives the rest. *)
 
-(* Newest first; an index counts from the oldest, so both sides agree
-   without reversing. The pool holds one encoding's bitmaps at a time. *)
-type pool = { mutable seen : Bitmap.t list; mutable size : int }
+type layer_choices = {
+  rule_switches : int list list;  (* each p-rule's switches, in order *)
+  srule_ids : int list;
+  default_ids : int list;  (* empty when the layer has no default rule *)
+}
 
-let pooled pool ~width =
-  let inline = Byteio.Codec.bitmap ~width in
-  let add bm =
-    pool.seen <- bm :: pool.seen;
-    pool.size <- pool.size + 1
-  in
+type choices = { spine : layer_choices; leaf : layer_choices; stale_count : int }
+
+let layer_choices (res : Clustering.result) =
   {
-    Byteio.Codec.write =
-      (fun w bm ->
-        let rec find i = function
-          | [] -> -1
-          | o :: _ when o == bm -> i
-          | _ :: rest -> find (i + 1) rest
-        in
-        match find 0 pool.seen with
-        | -1 ->
-            add bm;
-            Byteio.Writer.u8 w 0;
-            inline.write w bm
-        | i ->
-            Byteio.Writer.u8 w 1;
-            Byteio.Codec.nat.write w (pool.size - 1 - i));
-    read =
-      (fun r ->
-        match Byteio.Reader.u8 r with
-        | 0 ->
-            let bm = inline.read r in
-            add bm;
-            bm
-        | 1 ->
-            let idx = Byteio.Codec.nat.read r in
-            Byteio.Reader.check (idx < pool.size);
-            let bm = List.nth pool.seen (pool.size - 1 - idx) in
-            Byteio.Reader.check (Bitmap.width bm = width);
-            bm
-        | _ -> raise Byteio.Reader.Corrupt);
+    rule_switches = List.map (fun (r : Prule.prule) -> r.switches) res.prules;
+    srule_ids = List.map fst res.srules;
+    default_ids = (match res.default with Some (ids, _) -> ids | None -> []);
   }
 
-let result_codec ~bm ~nswitches =
+let choices t =
+  { spine = layer_choices t.d_spine; leaf = layer_choices t.d_leaf; stale_count = t.stale }
+
+let choices_codec topo =
   let open Byteio.Codec in
-  let id = index nswitches in
-  let prule =
-    let+ bitmap = field (fun (r : Prule.prule) -> r.bitmap) bm
-    and+ switches = field (fun (r : Prule.prule) -> r.switches) (list id) in
-    { Prule.bitmap; switches }
+  let layer nswitches =
+    let id = index nswitches in
+    let+ rule_switches = field (fun c -> c.rule_switches) (list (list id))
+    and+ srule_ids = field (fun c -> c.srule_ids) (list id)
+    and+ default_ids = field (fun c -> c.default_ids) (list id) in
+    { rule_switches; srule_ids; default_ids }
   in
-  let+ prules = field (fun (res : Clustering.result) -> res.prules) (list prule)
-  and+ srules =
-    field (fun (res : Clustering.result) -> res.srules) (list (pair id bm))
-  and+ default =
-    field
-      (fun (res : Clustering.result) -> res.default)
-      (option (pair (list id) bm))
+  let+ spine = field (fun c -> c.spine) (layer topo.Topology.pods)
+  and+ leaf = field (fun c -> c.leaf) (layer (Topology.num_leaves topo))
+  and+ stale_count = field (fun c -> c.stale_count) nat in
+  { spine; leaf; stale_count }
+
+(* One layer's rules over [section], the tree's ascending (switch, exact
+   bitmap) pairs of that layer: each p-rule and the default a fresh OR of
+   its switches' bitmaps, each s-rule a fresh copy of its switch's. The
+   choices must name every switch of [section] exactly once, and each
+   p-rule at least one. *)
+let layer_of_choices ~width section c =
+  let n = List.length section in
+  let ids = Array.of_list (List.map fst section) in
+  let exacts = Array.of_list (List.map snd section) in
+  let named = Bytes.make n '\000' in
+  let exact id =
+    let s = Int_array.search ids id ~lo:0 ~hi:(n - 1) in
+    Byteio.Reader.check (s >= 0 && Bytes.get named s = '\000');
+    Bytes.set named s '\001';
+    exacts.(s)
   in
+  let union switches =
+    let bm = Bitmap.create width in
+    List.iter (fun id -> Bitmap.union_into ~dst:bm (exact id)) switches;
+    bm
+  in
+  let prule switches =
+    Byteio.Reader.check (not (List.is_empty switches));
+    { Prule.bitmap = union switches; switches }
+  in
+  let prules = List.map prule c.rule_switches in
+  let srules = List.map (fun id -> (id, Bitmap.copy (exact id))) c.srule_ids in
+  let default =
+    match c.default_ids with [] -> None | ids -> Some (ids, union ids)
+  in
+  Byteio.Reader.check (not (Bytes.contains named '\000'));
   { Clustering.prules; srules; default }
 
-(* Does every switch [res]'s rules name satisfy [spans]? *)
-let names_within spans (res : Clustering.result) =
-  List.for_all (fun (r : Prule.prule) -> List.for_all spans r.switches) res.prules
-  && List.for_all (fun (id, _) -> spans id) res.srules
-  && match res.default with Some (ids, _) -> List.for_all spans ids | None -> true
-
-(* A membership test for the keys of [keyed], ids below [width]. *)
-let keys_of width keyed =
-  let bm = Bitmap.create width in
-  List.iter (fun (k, _) -> Bitmap.set bm k) keyed;
-  Bitmap.get bm
-
-(* The structural invariants of [Tree.t] hold on every decoded value:
-   leaf and spine sections and members strictly ascending, no empty
-   tree. Every leaf rule names a leaf of the tree and every spine rule
-   one of its pods, as the encoder's do. *)
-let codec_with pool topo =
-  let open Byteio.Codec in
-  let leaf_width = Topology.leaf_downstream_width topo in
-  let leaf_bm = pooled pool ~width:leaf_width in
-  let spine_bm = pooled pool ~width:(Topology.spine_downstream_width topo) in
-  let nonempty = function [] -> false | _ :: _ -> true in
-  let+ params = field (fun t -> t.params) Params.codec
-  and+ leaf_bitmaps =
-    field
-      (fun t -> t.tree.Tree.leaf_bitmaps)
-      (where nonempty
-         (ascending fst (pair (index (Topology.num_leaves topo)) leaf_bm)))
-  and+ spine_bitmaps =
-    field
-      (fun t -> t.tree.Tree.spine_bitmaps)
-      (ascending fst (pair (index topo.Topology.pods) spine_bm))
-  and+ core_bitmap =
-    field
-      (fun t -> t.tree.Tree.core_bitmap)
-      (pooled pool ~width:topo.Topology.pods)
-  and+ members =
-    field
-      (fun t -> Tree.member_list t.tree)
-      (where nonempty (ascending Fun.id (index (Topology.num_hosts topo))))
-  and+ d_spine =
-    field
-      (fun t -> t.d_spine)
-      (result_codec ~bm:spine_bm ~nswitches:topo.Topology.pods)
-  and+ d_leaf =
-    field
-      (fun t -> t.d_leaf)
-      (result_codec ~bm:leaf_bm ~nswitches:(Topology.num_leaves topo))
-  and+ stale = field (fun t -> t.stale) nat in
-  let tree =
-    {
-      Tree.topo;
-      members = Array.of_list members;
-      nmembers = List.length members;
-      leaf_bitmaps;
-      spine_bitmaps;
-      core_bitmap;
-    }
+let of_choices params (tree : Tree.t) c =
+  let topo = tree.Tree.topo in
+  Byteio.Reader.check (c.stale_count <= params.Params.staleness_limit);
+  let d_leaf =
+    layer_of_choices ~width:(Topology.leaf_downstream_width topo)
+      tree.Tree.leaf_bitmaps c.leaf
   in
-  Byteio.Reader.check
-    (names_within (keys_of (Topology.num_leaves topo) leaf_bitmaps) d_leaf
-    && names_within (keys_of topo.Topology.pods spine_bitmaps) d_spine);
-  let idx_leaves, idx_kind, idx_exact, idx_rule, idx_site_bm =
-    build_index d_leaf tree
+  let d_spine =
+    (* A two-tier fabric's encodings have no spine rules ([encode]). *)
+    layer_of_choices ~width:(Topology.spine_downstream_width topo)
+      (if Topology.is_two_tier topo then [] else tree.Tree.spine_bitmaps)
+      c.spine
   in
-  {
-    tree;
-    params;
-    d_spine;
-    d_leaf;
-    stale;
-    idx_leaves;
-    idx_kind;
-    idx_exact;
-    idx_rule;
-    idx_site_bm;
-    scratch_a = Bitmap.create leaf_width;
-    scratch_b = Bitmap.create leaf_width;
-    down = None;
-    down_stale = false;
-    upper = None;
-  }
-
-(* The pool is emptied before and after each use, so a codec value can
-   be built once and reused without holding on to bitmaps. *)
-let codec topo =
-  let pool = { seen = []; size = 0 } in
-  let body = codec_with pool topo in
-  let clear () =
-    pool.seen <- [];
-    pool.size <- 0
-  in
-  {
-    Byteio.Codec.write =
-      (fun w t ->
-        clear ();
-        body.write w t;
-        clear ());
-    read =
-      (fun r ->
-        clear ();
-        let t = body.read r in
-        clear ();
-        t);
-  }
+  make params tree ~d_spine ~d_leaf ~stale:c.stale_count

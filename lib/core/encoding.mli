@@ -20,8 +20,8 @@ type t = {
           entry per slot, so the index is sized by the tree, not the
           fabric. *)
   idx_kind : Bytes.t;
-      (** per-slot dispatch byte: 0 = in no rule (only after a hostile
-          decode), 1 = p-rule, 2 = s-rule, 3 = default rule *)
+      (** per-slot dispatch byte: 1 = p-rule, 2 = s-rule, 3 = default
+          rule (every tree leaf sits in exactly one rule) *)
   idx_exact : Bitmap.t array;
       (** per-slot exact tree bitmap, the tree's own (aliased, not
           copied) *)
@@ -42,7 +42,7 @@ type t = {
 }
 (** The [idx_*] arrays and scratch bitmaps are internal to the
     {!apply_delta} fast path: a flat index over the tree's leaves (rebuilt
-    by every from-scratch encode and by {!codec}'s reader) that makes
+    by every from-scratch encode and by {!of_choices}) that makes
     steady-state delta application allocation-free — no list scans, no
     option wrapping, no fresh bitmaps. [down], [down_stale] and [upper] are
     {!header_for_sender}'s caches. Treat them all as private. *)
@@ -159,6 +159,12 @@ val release : Srule_state.t -> t -> unit
 (** Returns the encoding's s-rule reservations (used on group removal or
     re-encoding during churn). *)
 
+val reserve : Srule_state.t -> t -> unit
+(** The inverse of {!release}: reserves one entry per s-rule of the
+    encoding, as {!encode} did — how a restored controller's ledger is
+    derived from its encodings. Raises {!Srule_state.Full} at a switch
+    already holding [fmax] entries; the entries before it stay reserved. *)
+
 val header_for_sender : t -> sender:int -> Prule.header
 (** The full header the sender's hypervisor pushes. [sender] is a host; it
     need not host a member VM.
@@ -169,7 +175,7 @@ val header_for_sender : t -> sender:int -> Prule.header
     no caller mutates a header's bitmaps.
     - The downstream sections are one {!Prule.down} per encoding version,
       shared [==] by every sender's header: the first call after
-      {!encode}, {!apply_delta} or {!codec}'s reader builds it (and encodes
+      {!encode}, {!apply_delta} or {!of_choices} builds it (and encodes
       its wire), from copies of the rule bitmaps, so the fast path's in-place
       flips never reach a down a header already carries. A rule the fast
       path left unchanged keeps the previous down's copy: no down's copy
@@ -214,16 +220,35 @@ val srule_entries : t -> int
 val prule_count : t -> int
 (** Downstream p-rules in the header (both layers, excluding defaults). *)
 
-val codec : Topology.t -> t Byteio.Codec.t
-(** Durable wire codec. Each distinct bitmap object is written inline once
-    and back-referenced thereafter, so the serialized form carries the
-    encoding's aliasing graph and the reader reconstructs the exact object
-    structure (which is what makes a restored controller
-    predicate-pointer-identical to the original). A write/read round trip
-    is also how a caller takes a private deep copy of an encoding.
+(** {1 Durable form}
 
-    The reader validates every switch id, bitmap width, and structural
-    invariant (ascending tree sections, sorted members, stale count)
-    against the topology; it raises {!Byteio.Reader.Corrupt} on any
-    malformed or hostile input. It rebuilds the fast-path leaf index and
-    fresh scratch bitmaps. *)
+    An encoding is stated by its tree, which the group's receivers fix,
+    and by Algorithm 1's choices: the switches each p-rule names, in
+    order, the s-rule switches and the default rule's switches, per
+    layer, plus the [stale] count. Every rule bitmap is the OR of its
+    switches' tree bitmaps — {!encode} makes it so and {!apply_delta}
+    keeps it so — so no bitmap travels. *)
+
+type choices
+(** Algorithm 1's choices for both downstream layers, and the stale
+    count. *)
+
+val choices : t -> choices
+
+val choices_codec : Topology.t -> choices Byteio.Codec.t
+(** Switch ids as indexes bounded by the topology, the stale count as a
+    LEB128. The reader checks ranges only; {!of_choices} checks that the
+    choices fit a tree. *)
+
+val of_choices : Params.t -> Tree.t -> choices -> t
+(** [of_choices params tree c] is the encoding of [tree] that makes the
+    choices [c], with every rule bitmap a fresh OR of its switches' tree
+    bitmaps (an s-rule's a copy of its switch's), a fresh fast-path index,
+    and no header caches. It takes [tree] as its own: pass a {!Tree.copy}
+    for a private copy of a live encoding ([of_choices e.params (Tree.copy
+    e.tree) (choices e)]). Raises {!Byteio.Reader.Corrupt} unless each
+    layer names every switch of the tree exactly once — the leaf layer its
+    leaves, the spine layer its pods (none on a two-tier fabric) — no
+    p-rule is empty, and the stale count is at most
+    [params.staleness_limit]: the states {!encode} and {!apply_delta}
+    produce. *)

@@ -26,8 +26,9 @@
     index, yet no later call alters a view already handed out. Treat views
     as read-only — altering an encoding reached through a view alters the
     controller's installed state. A test that sabotages a view takes a
-    private copy of the encoding first (a round trip through
-    {!Encoding.codec}) and builds the sabotaged view with {!with_groups}. *)
+    private copy of the encoding first ({!Encoding.of_choices} over a
+    {!Tree.copy} of its tree) and builds the sabotaged view with
+    {!with_groups}. *)
 
 type override = {
   up_leaf_ports : Bitmap.t;  (** planes the sender's leaf forwards up on *)

@@ -64,17 +64,3 @@ let total_srules t =
 let check t =
   let ok used = Array.for_all (fun u -> 0 <= u && u <= t.fmax) used in
   ok t.leaf_used && ok t.pod_used
-
-(* Durable wire codec: the occupancy arrays are dimensioned by the
-   topology, so the reader takes the already-decoded topology and refuses
-   arrays of any other length — a short corrupt array must not silently
-   partial-restore. *)
-let codec ~topo =
-  let open Byteio.Codec in
-  let counters len = array ~len int in
-  where check
-    (let+ fmax = field (fun t -> t.fmax) nat
-     and+ leaf_used =
-       field (fun t -> t.leaf_used) (counters (Topology.num_leaves topo))
-     and+ pod_used = field (fun t -> t.pod_used) (counters topo.Topology.pods) in
-     { topo; fmax; leaf_used; pod_used })

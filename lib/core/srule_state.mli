@@ -57,9 +57,6 @@ val total_srules : t -> int
 
 val check : t -> bool
 (** Invariant: [0 <= used <= fmax] on every leaf and pod counter. Checked
-    on restore ({!codec}), by the controller's invariants and in tests. *)
-
-val codec : topo:Topology.t -> t Byteio.Codec.t
-(** Durable wire codec (snapshot records). The reader refuses array
-    lengths other than [topo]'s and re-checks the occupancy invariant;
-    it raises {!Byteio.Reader.Corrupt} on any violation. *)
+    by the controller's invariants and in tests; a restored controller's
+    ledger is counted from its encodings' s-rules, and a snapshot whose
+    count exceeds [fmax] is refused. *)

@@ -31,10 +31,10 @@ let seeded ?fabric_hooks ?observer ~snapshot_every ~epoch ctrl =
     epoch;
   }
 
-let create ?(snapshot_every = 64) ?fabric_hooks ?(incremental = true)
-    ?durable:(_ : bool option) ?observer topo params =
+let create ?(snapshot_every = 64) ?fabric_hooks ?durable:(_ : bool option)
+    ?observer topo params =
   seeded ?fabric_hooks ?observer ~snapshot_every ~epoch:0
-    (Controller.create ?fabric_hooks ~incremental topo params)
+    (Controller.create ?fabric_hooks topo params)
 
 let controller t = t.ctrl
 let wire t = Some t.wire

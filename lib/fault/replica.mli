@@ -24,7 +24,6 @@ type t
 val create :
   ?snapshot_every:int ->
   ?fabric_hooks:Controller.fabric_hooks ->
-  ?incremental:bool ->
   ?durable:bool ->
   ?observer:(Journal.op -> unit) ->
   Topology.t ->

@@ -5,7 +5,7 @@
    collision — which the matrix test's bit-flip arm measures, not
    assumes). *)
 
-let magic = "ELMOWAL3"
+let magic = "ELMOWAL4"
 let magic_len = 8
 let prefix_len = 8 (* len + crc *)
 let covered_len = 13 (* kind + epoch + seq *)

@@ -1,7 +1,7 @@
 (** Durable byte-level wire format for journals and snapshots.
 
     A wire log is the crash-safe persistent form of a {!Replica}: an
-    8-byte magic ["ELMOWAL3"] followed by length-prefixed records, each
+    8-byte magic ["ELMOWAL4"] followed by length-prefixed records, each
     carrying a CRC32 and a monotonic epoch/seq header.
 
     Record layout (all integers little-endian):
@@ -23,8 +23,10 @@
     first), a bitmap its [(width + 7) / 8] packed bytes with no width, and
     booleans and tags one byte. The magic names the record format: a
     change to what a record carries or how wide bumps it (["ELMOWAL2"]
-    wrote every integer and bitmap width as 8 or 4 bytes), so a log in a
-    retired format is refused rather than read as corrupt.
+    wrote every integer and bitmap width as 8 or 4 bytes, ["ELMOWAL3"]
+    also wrote each encoding's tree, rule bitmaps and params and the
+    s-rule ledger), so a log in a retired format is refused rather than
+    read as corrupt.
 
     {!load} is total over arbitrary bytes (modulo a recognizable magic):
     it scans records in order and {e truncates} — treats the log as ending

@@ -336,49 +336,6 @@ let test_ledger_pod_capacity () =
     (fun () -> Srule_state.release_pod s 1);
   Alcotest.(check int) "empty again" 0 (Srule_state.total_srules s)
 
-let ledger_bytes s = Byteio.Codec.to_bytes (Srule_state.codec ~topo).write s
-let read_ledger b = Byteio.Codec.of_bytes (Srule_state.codec ~topo).read b
-
-let test_ledger_codec_roundtrip () =
-  let s = Srule_state.create topo ~fmax:4 in
-  List.iter (Srule_state.reserve_leaf s) [ 0; 0; 5; 7 ];
-  Srule_state.reserve_pod s 3;
-  let r = read_ledger (ledger_bytes s) in
-  Alcotest.(check int) "fmax" 4 (Srule_state.fmax r);
-  Alcotest.(check (array int)) "leaves" (Srule_state.leaf_occupancy s)
-    (Srule_state.leaf_occupancy r);
-  Alcotest.(check (array int)) "spines" (Srule_state.spine_occupancy s)
-    (Srule_state.spine_occupancy r);
-  Alcotest.(check bool) "reserves after restore" true (Srule_state.leaf_has_space r 0)
-
-(* A ledger laid out as the codec writes it: fmax, then the leaf and pod
-   counters; leaf 0 holds [leaf0]. *)
-let forged_ledger ~fmax ~leaf0 =
-  let open Byteio.Codec in
-  let leaves =
-    Array.init (Topology.num_leaves topo) (fun l -> if l = 0 then leaf0 else 0)
-  in
-  let pods = Array.make topo.Topology.pods 0 in
-  to_bytes
-    (fun w () ->
-      nat.write w fmax;
-      (array ~len:(Array.length leaves) int).write w leaves;
-      (array ~len:(Array.length pods) int).write w pods)
-    ()
-
-let test_ledger_codec_rejects_corrupt () =
-  Alcotest.(check int) "a counter at fmax decodes" 1
-    (Srule_state.leaf_used (read_ledger (forged_ledger ~fmax:1 ~leaf0:1)) 0);
-  Alcotest.check_raises "counter above fmax" Byteio.Reader.Corrupt (fun () ->
-      ignore (read_ledger (forged_ledger ~fmax:1 ~leaf0:2)));
-  let other =
-    Topology.create ~pods:2 ~leaves_per_pod:2 ~spines_per_pod:2 ~hosts_per_leaf:4
-      ~cores_per_plane:1
-  in
-  let wrong = ledger_bytes (Srule_state.create other ~fmax:1) in
-  Alcotest.check_raises "arrays sized for another topology" Byteio.Reader.Corrupt
-    (fun () -> ignore (read_ledger wrong))
-
 let test_site_key_injective () =
   let leaves = List.init (Topology.num_leaves topo) (fun l -> Srule_state.Leaf l) in
   let pods = List.init topo.Topology.pods (fun p -> Srule_state.Pod p) in
@@ -444,9 +401,6 @@ let tests =
         test_encodes_accumulate;
       Alcotest.test_case "re-encode after release" `Quick test_reencode_after_release;
       Alcotest.test_case "ledger pod capacity" `Quick test_ledger_pod_capacity;
-      Alcotest.test_case "ledger codec roundtrip" `Quick test_ledger_codec_roundtrip;
-      Alcotest.test_case "ledger codec rejects corrupt" `Quick
-        test_ledger_codec_rejects_corrupt;
       Alcotest.test_case "site_key injective" `Quick test_site_key_injective;
       QCheck_alcotest.to_alcotest prop_streamed_encodes_respect_fmax;
       QCheck_alcotest.to_alcotest prop_ineligible_never_reserves;

@@ -71,8 +71,7 @@ let test_compile_matches_intent_healthy () =
    controller's live encodings, so altering one in place would corrupt the
    controller itself. *)
 let private_copy (enc : Encoding.t) =
-  let codec = Encoding.codec enc.Encoding.tree.Tree.topo in
-  Byteio.Codec.(of_bytes codec.read (to_bytes codec.write enc))
+  Encoding.(of_choices enc.params (Tree.copy enc.tree) (choices enc))
 
 let test_check_config_finds_lost_receiver () =
   let ctrl, _ = mk_ctrl Params.default in

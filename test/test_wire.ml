@@ -277,19 +277,74 @@ let test_snapshot_codec_round_trip () =
     (Test_fault.same_controller_state restored (Replica.controller replica)
        ~groups:2);
   (* Deterministic bytes: snapshot of the restored controller re-serializes
-     to the identical byte sequence (aliasing pool included), whether its
-     segments are encoded afresh or blitted from what it was decoded from. *)
+     to the identical byte sequence, whether its segments are encoded
+     afresh or blitted from what it was decoded from. *)
   Alcotest.(check bool) "canonical bytes" true
     (Bytes.equal bytes (Test_fault.cold_snapshot_bytes restored));
   Alcotest.(check bool) "decoded segments blit the same bytes" true
     (Bytes.equal bytes (Test_fault.snapshot_bytes restored))
+
+(* A restored controller agrees with its members: each group has an
+   encoding exactly when it has receivers, over the tree [Tree.of_members]
+   builds from them, and the s-rule ledger counts its encodings' s-rules.
+   The receivers come from the membership, not from the tree. *)
+let agrees_with_members ctrl =
+  let leaf_rules = Array.make (Topology.num_leaves topo) 0 in
+  let pod_rules = Array.make topo.Topology.pods 0 in
+  let count counts = List.iter (fun (id, _) -> counts.(id) <- counts.(id) + 1) in
+  let group_ok (g : Installed_config.group_view) =
+    match (g.Installed_config.enc, g.Installed_config.receivers) with
+    | None, [] -> true
+    | Some enc, (_ :: _ as receivers) ->
+        count leaf_rules enc.Encoding.d_leaf.Clustering.srules;
+        count pod_rules enc.Encoding.d_spine.Clustering.srules;
+        let tree = enc.Encoding.tree and want = Tree.of_members topo receivers in
+        List.equal Int.equal (Tree.member_list tree) (Tree.member_list want)
+        && Tree.equal_bitmaps tree.Tree.leaf_bitmaps want.Tree.leaf_bitmaps
+        && Tree.equal_bitmaps tree.Tree.spine_bitmaps want.Tree.spine_bitmaps
+        && Bitmap.equal tree.Tree.core_bitmap want.Tree.core_bitmap
+    | None, _ :: _ | Some _, [] -> false
+  in
+  let ledger = Controller.srule_state ctrl in
+  Array.for_all group_ok (Installed_config.groups (Controller.installed_config ctrl))
+  && Array.for_all Fun.id
+       (Array.mapi (fun l n -> Srule_state.leaf_used ledger l = n) leaf_rules)
+  && Array.for_all Fun.id
+       (Array.mapi (fun p n -> Srule_state.pod_used ledger p = n) pod_rules)
+
+(* On a two-tier fabric an encoding has no spine rules, and the reader
+   refuses a spine layer that names a pod. *)
+let test_snapshot_two_tier_round_trip () =
+  let tt = Topology.leaf_spine ~leaves:4 ~spines:2 ~hosts_per_leaf:4 in
+  let ctrl = Controller.create tt tight_params in
+  ignore (Controller.add_group ctrl ~group:0 (members_both [ 0; 1; 5; 9; 14 ]));
+  let bytes = Test_fault.snapshot_bytes ctrl in
+  let restored = Controller.restore (Test_fault.decode_snapshot bytes) in
+  Alcotest.(check bool) "canonical bytes" true
+    (Bytes.equal bytes (Test_fault.cold_snapshot_bytes restored));
+  let header c =
+    Header_codec.encode tt (Option.get (Controller.header c ~group:0 ~sender:5))
+  in
+  Alcotest.(check bool) "same header" true
+    (Bytes.equal (header ctrl) (header restored));
+  let enc = Option.get (Controller.encoding ctrl ~group:0) in
+  Alcotest.(check int) "no spine rules" 0
+    (List.length enc.Encoding.d_spine.Clustering.prules);
+  let pod0 = { Prule.bitmap = Bitmap.create 0; switches = [ 0 ] } in
+  let forged = { enc with d_spine = { enc.Encoding.d_spine with prules = [ pod0 ] } } in
+  Alcotest.check_raises "a spine rule on pod 0" Byteio.Reader.Corrupt (fun () ->
+      ignore
+        (Encoding.of_choices tight_params
+           (Tree.copy enc.Encoding.tree)
+           (Encoding.choices forged)))
 
 let test_snapshot_codec_rejects_bit_flips () =
   (* Every single-bit flip of a serialized snapshot either raises Corrupt
      or decodes, restores and re-serializes to exactly the mutated bytes:
      no flip lands in dead padding. The re-serialization encodes every
      segment afresh: a restored controller's memo holds the (mutated)
-     bytes its groups were decoded from, which would blit back unchecked. *)
+     bytes its groups were decoded from, which would blit back unchecked.
+     Every restored controller agrees with its members. *)
   let replica = seeded_replica () in
   Replica.apply replica (Journal.Fail_spine 1);
   let bytes = Test_fault.snapshot_bytes (Replica.controller replica) in
@@ -297,8 +352,10 @@ let test_snapshot_codec_rejects_bit_flips () =
     check_flips ~what:"snapshot" ~flips:(fuzz_inputs ())
       ~valid:(fun _ -> bytes)
       ~reencode:(fun b ->
-        Test_fault.cold_snapshot_bytes
-          (Controller.restore (Test_fault.decode_snapshot b)))
+        let ctrl = Controller.restore (Test_fault.decode_snapshot b) in
+        if not (agrees_with_members ctrl) then
+          failwith "restored state disagrees with its members";
+        Test_fault.cold_snapshot_bytes ctrl)
   in
   Alcotest.(check bool) "flips are mostly caught" true (corrupt > survived)
 
@@ -330,12 +387,12 @@ let test_restored_segments_are_encodings () =
 (* {2 Forged payloads}
 
    Snapshots built around an empty controller's: its group list (a
-   one-byte zero count right after the topology, params and incremental
-   flag) and its stale list (a one-byte zero count right before the five
-   trailing counters, one zero byte each) are both empty, so a forged
-   list is spliced in at a known offset. Each forgery is a well-framed
-   value the old readers merged or masked; each one's sorted or
-   zero-padded twin decodes. *)
+   one-byte zero count right after the topology and params) and its
+   stale list (a one-byte zero count right before the five trailing
+   counters, one zero byte each) are both empty, so a forged list is
+   spliced in at a known offset. Each forgery is a well-framed value in
+   range that no controller can reach; each one's legitimate twin
+   decodes. *)
 
 let empty_snapshot () =
   Test_fault.snapshot_bytes (Controller.create topo tight_params)
@@ -351,7 +408,6 @@ let with_groups segments =
   let prefix =
     Bytes.length (Byteio.Codec.to_bytes Topology.codec.write topo)
     + Bytes.length (Byteio.Codec.to_bytes Params.codec.write tight_params)
-    + 1
   in
   splice_empty_list (empty_snapshot ()) ~at:prefix
     (Byteio.Codec.to_bytes
@@ -360,63 +416,67 @@ let with_groups segments =
          List.iter (Byteio.Writer.raw w) segs)
        segments)
 
-(* A group with no encoding, the listed sender-only members and one
-   all-clear override per listed host, laid out as the group segment is:
-   gid, members, encoding option, overrides. *)
-let bare_segment ?(members = []) ?(overrides = []) gid =
+let host_codec = Byteio.Codec.index (Topology.num_hosts topo)
+
+(* A group segment laid out as the codec writes it: gid, (host, role)
+   members, the encoding's choices (when given), then the overrides, each
+   already encoded. *)
+let segment ?(members = []) ?choices ?(overrides = []) gid =
   let open Byteio.Codec in
-  let host = index (Topology.num_hosts topo) in
-  let ov =
-    pair
-      (bitmap ~width:(Topology.leaf_upstream_width topo))
-      (pair (option (bitmap ~width:(Topology.spine_upstream_width topo))) bool)
-  in
-  let clear = Bitmap.create (Topology.leaf_upstream_width topo) in
   to_bytes
     (fun w () ->
       nat.write w gid;
-      nat.write w (List.length members);
-      List.iter
-        (fun h ->
-          host.write w h;
-          Byteio.Writer.u8 w 0 (* Sender *))
-        members;
-      bool.write w false;
-      (list (pair host ov)).write w
-        (List.map (fun h -> (h, (clear, (None, false)))) overrides))
+      (list (pair host_codec Controller.role_codec)).write w members;
+      (option (Encoding.choices_codec topo)).write w choices;
+      nat.write w (List.length overrides);
+      List.iter (Byteio.Writer.raw w) overrides)
     ()
+
+(* An override of [host] whose up-leaf-port bitmap is the one byte
+   [leaf_ports], with no up-spine ports and multipath kept. *)
+let override_bytes ?(leaf_ports = 0) host =
+  let open Byteio.Codec in
+  to_bytes
+    (fun w () ->
+      host_codec.write w host;
+      Byteio.Writer.u8 w leaf_ports;
+      (option (bitmap ~width:(Topology.spine_upstream_width topo))).write w None;
+      bool.write w false)
+    ()
+
+(* A group of sender-only members (no encoding) with one all-clear
+   override per listed host. *)
+let bare_segment ?(members = []) ?(overrides = []) gid =
+  segment gid
+    ~members:(List.map (fun h -> (h, Controller.Sender)) members)
+    ~overrides:(List.map override_bytes overrides)
 
 let decodes bytes =
   match Test_fault.decode_snapshot bytes with
   | (_ : Controller.snapshot) -> true
   | exception Byteio.Reader.Corrupt -> false
 
+let refused what bytes =
+  Alcotest.check_raises what Byteio.Reader.Corrupt (fun () ->
+      ignore (Test_fault.decode_snapshot bytes))
+
 let test_forged_duplicate_gid () =
   Alcotest.(check bool) "gids 0, 1 decode" true
     (decodes (with_groups [ bare_segment 0; bare_segment 1 ]));
-  Alcotest.check_raises "gid 0 twice" Byteio.Reader.Corrupt (fun () ->
-      ignore
-        (Test_fault.decode_snapshot
-           (with_groups [ bare_segment 0; bare_segment 0 ])))
+  refused "gid 0 twice" (with_groups [ bare_segment 0; bare_segment 0 ])
 
 let test_forged_duplicate_override_host () =
   Alcotest.(check bool) "overrides on hosts 0, 1 decode" true
     (decodes (with_groups [ bare_segment ~overrides:[ 0; 1 ] 0 ]));
-  Alcotest.check_raises "two overrides on host 0" Byteio.Reader.Corrupt
-    (fun () ->
-      ignore
-        (Test_fault.decode_snapshot
-           (with_groups [ bare_segment ~overrides:[ 0; 0 ] 0 ])))
+  refused "two overrides on host 0"
+    (with_groups [ bare_segment ~overrides:[ 0; 0 ] 0 ])
 
 (* Members keep their insertion order on the wire, so the reader cannot
    ask for ascending hosts; it refuses a repeated one. *)
 let test_forged_duplicate_member_host () =
   Alcotest.(check bool) "members 3, 0 decode" true
     (decodes (with_groups [ bare_segment ~members:[ 3; 0 ] 0 ]));
-  Alcotest.check_raises "host 3 twice" Byteio.Reader.Corrupt (fun () ->
-      ignore
-        (Test_fault.decode_snapshot
-           (with_groups [ bare_segment ~members:[ 3; 0; 3 ] 0 ])))
+  refused "host 3 twice" (with_groups [ bare_segment ~members:[ 3; 0; 3 ] 0 ])
 
 let test_forged_unsorted_stale_list () =
   (* Stale entries for group 0 on leaves 0 and 1: key, group, site tag
@@ -442,62 +502,27 @@ let test_forged_unsorted_stale_list () =
   in
   Alcotest.(check bool) "leaves 0, 1 decode" true
     (decodes (with_stale [ 0; 1 ]));
-  Alcotest.check_raises "leaves 1, 0" Byteio.Reader.Corrupt (fun () ->
-      ignore (Test_fault.decode_snapshot (with_stale [ 1; 0 ])))
+  refused "leaves 1, 0" (with_stale [ 1; 0 ])
 
-let test_forged_core_padding_bit () =
-  (* A group spanning every pod: the encoding's core bitmap is 4 bits
-     wide, so its one byte has 4 padding bits. It is written inline after
-     the params and the leaf and spine sections (each a one-byte count),
-     whose entries are all first occurrences: a one-byte id, the inline
-     tag and the bitmap's bytes, no width. *)
-  let ctrl = Controller.create topo tight_params in
-  let members = List.init topo.Topology.pods (fun p -> p * 2 * h) in
-  ignore (Controller.add_group ctrl ~group:0 (members_both members));
-  let enc = Option.get (Controller.encoding ctrl ~group:0) in
-  let codec = Encoding.codec topo in
-  let bytes = Byteio.Codec.to_bytes codec.write enc in
-  let tree = enc.Encoding.tree in
-  let entry width = 2 + ((width + 7) / 8) in
-  let core =
-    Bytes.length (Byteio.Codec.to_bytes Params.codec.write tight_params)
-    + 1
-    + (entry (Topology.leaf_downstream_width topo)
-      * List.length tree.Tree.leaf_bitmaps)
-    + 1
-    + (entry (Topology.spine_downstream_width topo)
-      * List.length tree.Tree.spine_bitmaps)
+(* An override's up-leaf-port bitmap is [spines_per_pod] = 2 bits wide,
+   so its one byte has 6 padding bits. *)
+let test_forged_override_padding_bit () =
+  let forged leaf_ports =
+    with_groups
+      [ segment 0 ~members:[ (0, Controller.Sender) ]
+          ~overrides:[ override_bytes ~leaf_ports 0 ] ]
   in
-  Alcotest.(check int) "core bitmap written inline" 0
-    (Bytes.get_uint8 bytes core);
-  let byte = core + 1 in
-  Alcotest.(check string) "core bitmap's one byte"
-    (Bytes.to_string (Bitmap.to_bytes tree.Tree.core_bitmap))
-    (Bytes.sub_string bytes byte 1);
-  Alcotest.(check int) "padding clear" 0 (Bytes.get_uint8 bytes byte lsr 4);
-  let forged = Bytes.copy bytes in
-  Bytes.set_uint8 forged byte (Bytes.get_uint8 bytes byte lor 0x80);
-  Alcotest.check_raises "padding bit 7 set" Byteio.Reader.Corrupt (fun () ->
-      ignore (Byteio.Codec.of_bytes codec.read forged))
+  Alcotest.(check bool) "planes 0 and 1 decode" true (decodes (forged 0b11));
+  refused "padding bit 7 set" (forged 0x81)
 
 (* A group on leaves 0-2 (pods 0 and 1) with two members per leaf. Under
-   [tight_params] leaves 0 and 1 share one p-rule and pod 1 has one. A
-   forged copy adds an off-tree switch to the first rule of a layer:
-   leaf 7, or pod 3. Each is well framed and in range, and is refused;
-   the on-tree twin decodes, and a fast-path [Leave] on it applies.
-   Unrefused, the forged leaf rule decodes, and that [Leave] recomputes
-   the shared rule over leaf 7, which has no exact bitmap, and raises
-   [Invalid_argument]. *)
-let test_forged_off_tree_switch () =
+   [tight_params] leaves 0 and 1 share one p-rule and pod 1 has one. *)
+let three_leaf_hosts = [ 0; 1; h; h + 1; 2 * h; (2 * h) + 1 ]
+
+let three_leaf_encoding () =
   let ctrl = Controller.create topo tight_params in
-  ignore
-    (Controller.add_group ctrl ~group:0
-       (members_both [ 0; 1; h; h + 1; 2 * h; (2 * h) + 1 ]));
+  ignore (Controller.add_group ctrl ~group:0 (members_both three_leaf_hosts));
   let enc = Option.get (Controller.encoding ctrl ~group:0) in
-  let codec = Encoding.codec topo in
-  let round_trip e =
-    Byteio.Codec.of_bytes codec.read (Byteio.Codec.to_bytes codec.write e)
-  in
   let switches (res : Clustering.result) =
     List.map (fun (r : Prule.prule) -> r.switches) res.prules
   in
@@ -505,27 +530,93 @@ let test_forged_off_tree_switch () =
     (switches enc.Encoding.d_leaf);
   Alcotest.(check (list (list int))) "spine p-rules" [ [ 1 ] ]
     (switches enc.Encoding.d_spine);
-  let add_switch id (res : Clustering.result) =
-    match res.prules with
-    | r :: rest ->
-        { res with prules = { r with switches = r.switches @ [ id ] } :: rest }
-    | [] -> res
+  enc
+
+(* The three-leaf group's snapshot, its encoding's choices made by [enc]. *)
+let three_leaf_snapshot (enc : Encoding.t) =
+  with_groups
+    [ segment 0 ~members:(members_both three_leaf_hosts)
+        ~choices:(Encoding.choices enc) ]
+
+(* The first p-rule of a layer with [f] applied to its switches. *)
+let first_rule f (res : Clustering.result) =
+  match res.prules with
+  | r :: rest -> { res with prules = { r with switches = f r.switches } :: rest }
+  | [] -> res
+
+(* A forged copy adds an off-tree switch to the first rule of a layer:
+   leaf 7, or pod 3. Each is well framed and in range, and is refused;
+   the on-tree twin decodes, and a fast-path [Leave] on it applies.
+   Unrefused, the forged leaf rule decodes, and that [Leave] recomputes
+   the shared rule over leaf 7, which has no exact bitmap, and raises
+   [Invalid_argument]. *)
+let test_forged_off_tree_switch () =
+  let enc = three_leaf_encoding () in
+  let add id = first_rule (fun s -> s @ [ id ]) in
+  refused "leaf rule names leaf 7"
+    (three_leaf_snapshot { enc with d_leaf = add 7 enc.Encoding.d_leaf });
+  refused "spine rule names pod 3"
+    (three_leaf_snapshot { enc with d_spine = add 3 enc.Encoding.d_spine });
+  let twin =
+    Controller.restore (Test_fault.decode_snapshot (three_leaf_snapshot enc))
   in
-  Alcotest.check_raises "leaf rule names leaf 7" Byteio.Reader.Corrupt
-    (fun () ->
-      ignore
-        (round_trip { enc with d_leaf = add_switch 7 enc.Encoding.d_leaf }));
-  Alcotest.check_raises "spine rule names pod 3" Byteio.Reader.Corrupt
-    (fun () ->
-      ignore
-        (round_trip { enc with d_spine = add_switch 3 enc.Encoding.d_spine }));
-  let twin = round_trip enc in
+  let twin_enc = Option.get (Controller.encoding twin ~group:0) in
   Alcotest.(check bool) "the on-tree twin's Leave applies in place" true
     (match
-       Encoding.apply_delta twin (Encoding.delta_of_host topo ~joining:false 1)
+       Encoding.apply_delta twin_enc (Encoding.delta_of_host topo ~joining:false 1)
      with
     | Encoding.Applied _ -> true
     | Encoding.Reencode _ -> false)
+
+(* Each layer names every switch of the tree exactly once: a forged copy
+   names leaf 0 twice, or leaf 1 (then pod 1) nowhere. *)
+let test_forged_layer_names_switch_once () =
+  let enc = three_leaf_encoding () in
+  let leaf f = { enc with d_leaf = first_rule f enc.Encoding.d_leaf } in
+  Alcotest.(check bool) "the encoder's choices decode" true
+    (decodes (three_leaf_snapshot enc));
+  refused "leaf 0 twice in one rule"
+    (three_leaf_snapshot (leaf (fun s -> s @ [ 0 ])));
+  refused "leaf 0 in a rule and an s-rule"
+    (three_leaf_snapshot
+       {
+         enc with
+         d_leaf =
+           {
+             enc.Encoding.d_leaf with
+             srules = (0, Bitmap.create 0) :: enc.Encoding.d_leaf.srules;
+           };
+       });
+  refused "leaf 1 named nowhere"
+    (three_leaf_snapshot (leaf (List.filter (fun l -> l <> 1))));
+  refused "pod 1 named nowhere"
+    (three_leaf_snapshot
+       { enc with d_spine = { enc.Encoding.d_spine with prules = [] } })
+
+(* A group on leaf 0 alone whose leaf layer is one s-rule, forged into
+   gids [0, n): the ledger it implies holds [n] entries at leaf 0, one
+   more than [fmax] at [n = 7]. *)
+let test_forged_srules_above_fmax () =
+  let ctrl = Controller.create topo tight_params in
+  ignore (Controller.add_group ctrl ~group:0 (members_both [ 0; 1 ]));
+  let enc = Option.get (Controller.encoding ctrl ~group:0) in
+  let srule =
+    {
+      enc with
+      d_leaf = { prules = []; srules = [ (0, Bitmap.create 0) ]; default = None };
+    }
+  in
+  let groups n =
+    with_groups
+      (List.init n (fun g ->
+           segment g ~members:(members_both [ 0; 1 ])
+             ~choices:(Encoding.choices srule)))
+  in
+  let fmax = tight_params.Params.fmax in
+  let at_fmax = Controller.restore (Test_fault.decode_snapshot (groups fmax)) in
+  Alcotest.(check int) "fmax s-rules at leaf 0 decode and count" fmax
+    (Srule_state.leaf_used (Controller.srule_state at_fmax) 0);
+  refused "fmax + 1 s-rules at leaf 0" (groups (fmax + 1))
 
 (* {1 Wire framing edge cases} *)
 
@@ -542,13 +633,18 @@ let test_bad_magic () =
   (match Wire.load (Bytes.of_string "ELMOWAL1") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong magic accepted");
-  (* A whole log under the retired fixed-width format's magic: refused
-     as not a log, never read as corrupt records. *)
+  (* A whole log under a retired format's magic (fixed-width fields, or
+     derived state on the wire): refused as not a log, never read as
+     corrupt records. *)
   let log = Wire.contents (Option.get (Replica.wire (seeded_replica ()))) in
-  Bytes.blit_string "ELMOWAL2" 0 log 0 8;
-  (match Wire.load log with
-  | Error e -> Alcotest.(check string) "ELMOWAL2 refused" "bad magic: not a wire log" e
-  | Ok _ -> Alcotest.fail "an ELMOWAL2 log accepted");
+  List.iter
+    (fun retired ->
+      Bytes.blit_string retired 0 log 0 8;
+      match Wire.load log with
+      | Error e ->
+          Alcotest.(check string) (retired ^ " refused") "bad magic: not a wire log" e
+      | Ok _ -> Alcotest.failf "an %s log accepted" retired)
+    [ "ELMOWAL2"; "ELMOWAL3" ];
   (match Wire.load (Bytes.of_string "ELMO") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "short magic accepted");
@@ -1421,7 +1517,7 @@ let test_pinned_recovery_fixture () =
   check_pinned "recovery fixture"
     (Recovery_fixture.churn ~checkpoint_at:100 ~snapshot_every:1_000_000
        ~events:200 ~seed:7 ())
-    ~size:5_023 ~records:150 ~crc:1681517339
+    ~size:4_598 ~records:150 ~crc:2552486893
 
 (* A log whose snapshots carry nonzero install counters, degradations,
    a compensated stale entry and failure overrides: the scripted removal
@@ -1473,7 +1569,7 @@ let test_pinned_faulty_log () =
   Alcotest.(check int) "one stale entry" 1 st.Controller.stale_entries;
   check_pinned "faulty log"
     (Option.get (Replica.wire replica))
-    ~size:1_069 ~records:9 ~crc:1810231888
+    ~size:754 ~records:9 ~crc:2903446316
 
 let tests =
   [
@@ -1493,6 +1589,8 @@ let tests =
       test_op_codec_canonical_under_bit_flips;
     Alcotest.test_case "snapshot codec round-trip" `Quick
       test_snapshot_codec_round_trip;
+    Alcotest.test_case "snapshot codec round-trip on a two-tier fabric" `Quick
+      test_snapshot_two_tier_round_trip;
     Alcotest.test_case "snapshot codec rejects bit flips" `Quick
       test_snapshot_codec_rejects_bit_flips;
     Alcotest.test_case "restored segments are their groups' encodings" `Quick
@@ -1505,8 +1603,8 @@ let tests =
       test_forged_duplicate_member_host;
     Alcotest.test_case "forged snapshot: unsorted stale list" `Quick
       test_forged_unsorted_stale_list;
-    Alcotest.test_case "forged encoding: core padding bit" `Quick
-      test_forged_core_padding_bit;
+    Alcotest.test_case "forged snapshot: override padding bit" `Quick
+      test_forged_override_padding_bit;
     Alcotest.test_case "empty log" `Quick test_empty_log;
     Alcotest.test_case "bad magic" `Quick test_bad_magic;
     Alcotest.test_case "snapshot-only load" `Quick test_snapshot_only_load;
@@ -1557,4 +1655,8 @@ let tests =
       test_trailing_byte_after_op_truncates;
     Alcotest.test_case "forged encoding: rule names a switch off the tree"
       `Quick test_forged_off_tree_switch;
+    Alcotest.test_case "forged encoding: a layer names a switch twice or not at all"
+      `Quick test_forged_layer_names_switch_once;
+    Alcotest.test_case "forged snapshot: s-rules above fmax" `Quick
+      test_forged_srules_above_fmax;
   ]
