@@ -66,8 +66,8 @@ bench-verify:
 # Per-group controller footprint: installs 10k groups on the Facebook
 # fabric at P=12 and P=1 and reports live words per group (between two
 # Gc.compact calls), minor words per group and groups/s; writes
-# BENCH_footprint.json and exits nonzero above 600 live words per group
-# at P=12.
+# BENCH_footprint.json and exits nonzero above 450 live words per group
+# at P=12 or 1,100 at P=1.
 bench-footprint:
 	dune exec bench/main.exe -- footprint
 

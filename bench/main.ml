@@ -801,13 +801,15 @@ let reference_check cfg =
 let fabric_events = 64
 let fabric_recheck_bound_us = 500.0
 
-let fabric_recheck topo ngroups =
+(* A controller holding [ngroups] WVE groups on [topo], at most [pack]
+   VMs of a tenant per rack. *)
+let fabric_controller topo ngroups ~pack =
   let params = Params.create ~fmax:(ngroups * 3 / 100) () in
   let seed = 42 in
   let rng = Rng.create seed in
   let tenant_sizes = Vm_placement.default_tenant_sizes rng 3_000 in
   let placement =
-    Vm_placement.place rng topo ~strategy:(Vm_placement.Pack_up_to 12)
+    Vm_placement.place rng topo ~strategy:(Vm_placement.Pack_up_to pack)
       ~host_capacity:20 ~tenant_sizes
   in
   let ctrl = Controller.create topo params in
@@ -817,6 +819,33 @@ let fabric_recheck topo ngroups =
         (Controller.add_group ctrl ~group:g.Workload.group_id
            (Array.to_list
               (Array.map (fun h -> (h, Controller.Both)) g.Workload.member_hosts))));
+  ctrl
+
+(* The full check's cost per group on the same groups, at P=12 and at
+   P=1, where trees span many more leaves: the median of
+   [fabric_check_runs] [check_config] timings of one view, and the
+   groups it passed. *)
+let fabric_check_groups = 10_000
+let fabric_check_runs = 5
+
+let fabric_check topo ~pack =
+  let ctrl = fabric_controller topo fabric_check_groups ~pack in
+  let cfg = Controller.installed_config ctrl in
+  let checked = ref 0 in
+  let times =
+    Array.init fabric_check_runs (fun _ ->
+        Gc.minor ();
+        let t0 = Monotonic_clock.now () in
+        let res = Verify.check_config cfg in
+        let dt = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9 in
+        checked := (match res with Ok n -> n | Error _ -> 0);
+        dt)
+  in
+  Array.sort Float.compare times;
+  (1e6 *. Stats.percentile times 0.5 /. float_of_int fabric_check_groups, !checked)
+
+let fabric_recheck topo ngroups =
+  let ctrl = fabric_controller topo ngroups ~pack:12 in
   let cache = Verify.create_cache () in
   (* Nanosecond reads: one re-check takes a few microseconds. *)
   let recheck () =
@@ -976,6 +1005,18 @@ let verify () =
         (groups, warm_s, p50_us, hits, misses, ok))
       [ 10_000; 100_000 ]
   in
+  printf "@.full check on %a, %d WVE groups: check_config per group@."
+    Topology.pp fabric fabric_check_groups;
+  printf "%-10s %-14s %-10s@." "placement" "us/group" "passed";
+  let check_rows =
+    List.map
+      (fun (label, pack) ->
+        let us, checked = fabric_check fabric ~pack in
+        printf "%-10s %-14.2f %d@." label us checked;
+        Gc.compact ();
+        (label, us, checked))
+      [ ("P=12", 12); ("P=1", 1) ]
+  in
   let p50_at n =
     List.fold_left (fun acc (g, _, ms, _, _, _) -> if g = n then ms else acc) 0.0 rows
   in
@@ -1016,6 +1057,18 @@ let verify () =
                    ("verified_ok", gate "facebook_fabric_verified_ok" ok);
                  ])
              rows) );
+      ( "facebook_fabric_check",
+        List
+          (List.map
+             (fun (label, us, checked) ->
+               Jsonx.Obj
+                 [
+                   ("placement", Str label);
+                   ("groups", Int fabric_check_groups);
+                   ("check_us_per_group", Num us);
+                   ("groups_passed", Int checked);
+                 ])
+             check_rows) );
       ("recheck_bound_us", Num fabric_recheck_bound_us);
       ( "recheck_100k_within_bound",
         gate "recheck_100k_within_bound" (p50_100k < fabric_recheck_bound_us) );
@@ -1037,9 +1090,11 @@ let verify () =
    cover [install_all] alone. *)
 let footprint_groups = 10_000
 
-(* Live words per group allowed at P=12; a leaf index sized by the fabric
-   holds over 1,800 on its own. *)
-let footprint_bound = 600.0
+(* Live words per group allowed at P=12 and at P=1, where trees span
+   many more leaves; a leaf index sized by the fabric holds over 1,800 on
+   its own. *)
+let footprint_bound = 450.0
+let footprint_bound_p1 = 1_100.0
 
 let footprint_run topo params ~strategy =
   let seed = 42 in
@@ -1100,12 +1155,14 @@ let footprint () =
         (label, live, lists, minor, rate, install_s))
       [ ("P=12", 12); ("P=1", 1) ]
   in
-  let live_p12 =
+  let live_at placement =
     List.fold_left
-      (fun acc (label, live, _, _, _, _) -> if label = "P=12" then live else acc)
+      (fun acc (label, live, _, _, _, _) -> if label = placement then live else acc)
       0.0 runs
   in
-  printf "bound: at most %.0f live words per group at P=12@." footprint_bound;
+  let live_p12 = live_at "P=12" and live_p1 = live_at "P=1" in
+  printf "bound: at most %.0f live words per group at P=12, %.0f at P=1@."
+    footprint_bound footprint_bound_p1;
   write_bench "BENCH_footprint.json" ~benchmark:"footprint" ~topo ~seed:42
     ~params:(params_string params)
     [
@@ -1127,6 +1184,9 @@ let footprint () =
       ("live_words_bound_p12", Num footprint_bound);
       ( "live_words_within_bound",
         gate "live_words_within_bound" (live_p12 <= footprint_bound) );
+      ("live_words_bound_p1", Num footprint_bound_p1);
+      ( "live_words_within_bound_p1",
+        gate "live_words_within_bound_p1" (live_p1 <= footprint_bound_p1) );
     ]
 
 (* {1 Bechamel micro-benchmarks} *)
@@ -1319,14 +1379,16 @@ let hotpath () =
      join is never New_leaf and the leave never Emptied_leaf. *)
   let churn_host =
     let found = ref (-1) in
-    List.iter
-      (fun (l, bm) ->
+    let tree = enc.Encoding.tree in
+    Array.iteri
+      (fun s l ->
+        let bm = tree.Tree.leaf_bms.(s) in
         if !found < 0 && Bitmap.popcount bm >= 2 then
           for port = 0 to topo.Topology.hosts_per_leaf - 1 do
             if !found < 0 && not (Bitmap.get bm port) then
               found := (l * topo.Topology.hosts_per_leaf) + port
           done)
-      enc.Encoding.tree.Tree.leaf_bitmaps;
+      tree.Tree.leaf_ids;
     if !found < 0 then begin
       printf "no churnable host found@.";
       exit 1

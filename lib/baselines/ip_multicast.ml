@@ -21,11 +21,11 @@ let hash_group g =
    fixed plane), and one core for multi-pod groups. *)
 let tree_switches t group tree =
   let plane = hash_group group mod t.topo.Topology.spines_per_pod in
-  let leaves = List.map (fun (l, _) -> `Leaf l) tree.Tree.leaf_bitmaps in
+  let leaves = List.map (fun l -> `Leaf l) (Tree.leaves tree) in
   let spines =
     List.map
-      (fun (p, _) -> `Spine ((p * t.topo.Topology.spines_per_pod) + plane))
-      tree.Tree.spine_bitmaps
+      (fun p -> `Spine ((p * t.topo.Topology.spines_per_pod) + plane))
+      (Tree.pods tree)
   in
   let cores =
     if Tree.pod_count tree > 1 && t.topo.Topology.cores_per_plane > 0 then

@@ -36,15 +36,14 @@ let key bm = Bytes.to_string (Bitmap.to_bytes bm)
 let pinned_entries t group tree =
   let plane = plane_of_group t group in
   let leaf_entries =
-    List.map
-      (fun (l, bm) -> (`Leaf, l, key bm))
-      tree.Tree.leaf_bitmaps
+    List.init (Tree.leaf_count tree) (fun s ->
+        (`Leaf, tree.Tree.leaf_ids.(s), key tree.Tree.leaf_bms.(s)))
   in
   let spine_entries =
-    List.map
-      (fun (p, bm) ->
-        (`Spine, (p * t.topo.Topology.spines_per_pod) + plane, key bm))
-      tree.Tree.spine_bitmaps
+    List.init (Tree.pod_count tree) (fun s ->
+        ( `Spine,
+          (tree.Tree.pod_ids.(s) * t.topo.Topology.spines_per_pod) + plane,
+          key tree.Tree.spine_bms.(s) ))
   in
   let core_entries =
     if Tree.pod_count tree > 1 then

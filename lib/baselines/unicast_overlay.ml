@@ -28,10 +28,10 @@ let overlay tree ~sender =
   let sl = Topology.leaf_of_host topo sender in
   let transmissions = ref 0 in
   let source_packets = ref 0 in
-  List.iter
-    (fun (leaf, bm) ->
+  Array.iteri
+    (fun s leaf ->
       let members =
-        Bitmap.to_list bm
+        Bitmap.to_list tree.Tree.leaf_bms.(s)
         |> List.map (fun port -> (leaf * topo.Topology.hosts_per_leaf) + port)
         |> List.filter (fun h -> h <> sender)
       in
@@ -55,7 +55,7 @@ let overlay tree ~sender =
                 transmissions := !transmissions + path_links topo ~src:relay ~dst:h)
               rest
           end)
-    tree.Tree.leaf_bitmaps;
+    tree.Tree.leaf_ids;
   { transmissions = !transmissions; source_packets = !source_packets }
 
 let overhead_vs_ideal tree ~sender cost =

@@ -1,8 +1,8 @@
 (** Algorithm 1: expressing one downstream layer of a group's multicast tree
     as p-rules, s-rules, and a default p-rule (§3.2).
 
-    Input is the layer's (switch identifier, exact output bitmap) pairs from
-    the multicast tree. When the layer fits in [hmax] singleton rules the
+    Input is the layer's switch identifiers and their exact output bitmaps
+    from the multicast tree, as two arrays of one length. When the layer fits in [hmax] singleton rules the
     result is exact (sharing exists to shrink headers — D3 — and buys
     nothing but spurious traffic below the budget); otherwise the algorithm
     greedily groups up to [kmax] switches whose bitmaps stay within the
@@ -38,14 +38,17 @@ val run :
   hmax:int ->
   kmax:int ->
   has_srule_space:(int -> bool) ->
-  (int * Bitmap.t) list ->
+  int array ->
+  Bitmap.t array ->
   result
-(** [run ~r ~semantics ~hmax ~kmax ~has_srule_space layer] never fails:
-    every input switch lands in exactly one of the three outputs. [has_srule_space id]
-    is consulted once per spilled switch, in ascending identifier order, so
-    the caller can account capacity as it is consumed. An empty input yields
-    the empty result. Raises [Invalid_argument] on non-positive [hmax]/[kmax]
-    or negative [r]. *)
+(** [run ~r ~semantics ~hmax ~kmax ~has_srule_space ids bitmaps] never
+    fails: [bitmaps.(i)] is switch [ids.(i)]'s exact bitmap, and every
+    input switch lands in exactly one of the three outputs.
+    [has_srule_space id] is consulted once per spilled switch, in
+    ascending identifier order, so the caller can account capacity as it
+    is consumed. Neither array is mutated. An empty input yields the empty
+    result. Raises [Invalid_argument] on non-positive [hmax]/[kmax] or
+    negative [r]. *)
 
 val assigned_bitmap : result -> int -> Bitmap.t option
 (** The bitmap switch [id] will forward on under this result: its (shared)

@@ -495,16 +495,24 @@ let plane_reaches_pod t plane pod =
 let link_alive t ~leaf ~plane =
   t.link_ok.((leaf * t.topo.Topology.spines_per_pod) + plane)
 
+(* Does [f] hold for every leaf of [tree] in [pod] but [skip]? A pod's
+   tree leaves are one run of the tree's ascending leaf slots. *)
+let pod_leaves_all t (tree : Tree.t) ~pod ~skip f =
+  let ids = tree.Tree.leaf_ids in
+  let n = Array.length ids in
+  let lpp = t.topo.Topology.leaves_per_pod in
+  let stop = (pod + 1) * lpp in
+  let rec from s =
+    s >= n || ids.(s) >= stop || ((ids.(s) = skip || f ids.(s)) && from (s + 1))
+  in
+  from (Int_array.lower_bound ids (pod * lpp) ~lo:0 ~hi:(n - 1))
+
 (* Can plane [pl] deliver to every receiver leaf of [tree] inside pod [p]?
    (Switch up, plus every spine->leaf link of the pod's participating
    leaves, excluding [skip_leaf] — the sender's own leaf, already served.) *)
 let plane_serves_pod t tree ~plane ~pod ~skip_leaf =
   plane_reaches_pod t plane pod
-  && List.for_all
-       (fun (l, _) ->
-         Topology.pod_of_leaf t.topo l <> pod || l = skip_leaf
-         || link_alive t ~leaf:l ~plane)
-       tree.Tree.leaf_bitmaps
+  && pod_leaves_all t tree ~pod ~skip:skip_leaf (fun l -> link_alive t ~leaf:l ~plane)
 
 (* Failure-time upstream assignment (§3.3). Preference order:
 
@@ -591,11 +599,8 @@ let choose_upstream t ~tree ~sender =
         end
       in
       let in_pod_leaves_covered chosen =
-        List.for_all
-          (fun (l, _) ->
-            Topology.pod_of_leaf t.topo l <> sp || l = sl
-            || List.exists (fun (pl, _, _) -> link_alive t ~leaf:l ~plane:pl) chosen)
-          tree.Tree.leaf_bitmaps
+        pod_leaves_all t tree ~pod:sp ~skip:sl (fun l ->
+            List.exists (fun (pl, _, _) -> link_alive t ~leaf:l ~plane:pl) chosen)
       in
       let unicast_override =
         { up_leaf_ports = Bitmap.create spp; up_spine_ports = None; unicast = true }
@@ -634,7 +639,7 @@ let flow_impacted t ~group tree ~sender =
   let sl = Topology.leaf_of_host topo sender in
   let sp = Topology.pod_of_leaf topo sl in
   let beyond_leaf =
-    List.exists (fun (l, _) -> l <> sl) tree.Tree.leaf_bitmaps
+    Tree.spans_other_pod tree sp || Tree.spans_other_leaf_in_pod tree sl
   in
   beyond_leaf
   &&
@@ -765,28 +770,21 @@ let rec install_with_degrade t ~group st =
    compensating overwrite of an unremovable entry must hold. Empty (correct
    width) when the group is gone or no longer reaches the switch. *)
 let truthful_bitmap t ~group site =
-  let enc =
+  let tree =
     match Hashtbl.find_opt t.groups group with
-    | Some st -> st.enc
-    | None -> None
+    | Some { enc = Some e; _ } -> Some e.Encoding.tree
+    | Some { enc = None; _ } | None -> None
   in
-  match site with
-  | Srule_state.Leaf l -> (
-      let w = Topology.leaf_downstream_width t.topo in
-      match enc with
-      | Some e -> (
-          match Tree.leaf_bitmap e.Encoding.tree l with
-          | Some bm -> Bitmap.copy bm
-          | None -> Bitmap.create w)
-      | None -> Bitmap.create w)
-  | Srule_state.Pod p -> (
-      let w = Topology.spine_downstream_width t.topo in
-      match enc with
-      | Some e -> (
-          match Tree.spine_bitmap e.Encoding.tree p with
-          | Some bm -> Bitmap.copy bm
-          | None -> Bitmap.create w)
-      | None -> Bitmap.create w)
+  let exact, width =
+    match site with
+    | Srule_state.Leaf l ->
+        ( Option.bind tree (fun tr -> Tree.leaf_bitmap tr l),
+          Topology.leaf_downstream_width t.topo )
+    | Srule_state.Pod p ->
+        ( Option.bind tree (fun tr -> Tree.spine_bitmap tr p),
+          Topology.spine_downstream_width t.topo )
+  in
+  match exact with Some bm -> Bitmap.copy bm | None -> Bitmap.create width
 
 (* Reconcile stale fabric entries, called after every public mutation (the
    common case — no stale entries — is a single hash-table length test).
@@ -862,17 +860,25 @@ let clustering_equal (a : Clustering.result) (b : Clustering.result) =
 (* Senders whose headers change when the tree changes but the common
    downstream sections do not: locality-based (§3.1 D2b-c). *)
 let affected_senders t old_tree new_tree senders =
-  let pods_changed tr1 tr2 = Tree.pods tr1 <> Tree.pods tr2 in
-  let changed_leaves tr1 tr2 =
-    let bm1 = tr1.Tree.leaf_bitmaps and bm2 = tr2.Tree.leaf_bitmaps in
-    let ids = List.sort_uniq compare (List.map fst bm1 @ List.map fst bm2) in
-    List.filter
-      (fun l ->
-        match (Int_list.assoc_opt l bm1, Int_list.assoc_opt l bm2) with
-        | Some a, Some b -> not (Bitmap.equal a b)
-        | None, None -> false
-        | Some _, None | None, Some _ -> true)
-      ids
+  (* A tree's core bitmap is its pod set. *)
+  let pods_changed (tr1 : Tree.t) (tr2 : Tree.t) =
+    not (Bitmap.equal tr1.Tree.core_bitmap tr2.Tree.core_bitmap)
+  in
+  (* One merge walk of the two trees' leaf slots: the leaves on one tree
+     only, and those whose bitmaps differ, ascending. *)
+  let changed_leaves (tr1 : Tree.t) (tr2 : Tree.t) =
+    let ids1 = tr1.Tree.leaf_ids and ids2 = tr2.Tree.leaf_ids in
+    let n1 = Array.length ids1 and n2 = Array.length ids2 in
+    let rec walk i j acc =
+      if i = n1 && j = n2 then List.rev acc
+      else if j = n2 || (i < n1 && ids1.(i) < ids2.(j)) then walk (i + 1) j (ids1.(i) :: acc)
+      else if i = n1 || ids2.(j) < ids1.(i) then walk i (j + 1) (ids2.(j) :: acc)
+      else
+        walk (i + 1) (j + 1)
+          (if Bitmap.equal tr1.Tree.leaf_bms.(i) tr2.Tree.leaf_bms.(j) then acc
+           else ids1.(i) :: acc)
+    in
+    walk 0 0 []
   in
   match (old_tree, new_tree) with
   | None, _ | _, None -> senders
@@ -906,9 +912,7 @@ let reencode t ~group st ~changed_host =
   let tree_changed =
     match (old_tree, new_tree) with
     | None, None -> false
-    | Some a, Some b ->
-        (not (Tree.equal_bitmaps a.Tree.leaf_bitmaps b.Tree.leaf_bitmaps))
-        || not (Tree.equal_bitmaps a.Tree.spine_bitmaps b.Tree.spine_bitmaps)
+    | Some a, Some b -> not (Tree.equal a b)
     | None, Some _ | Some _, None -> true
   in
   if not tree_changed then

@@ -1,21 +1,18 @@
 module Obs = Elmo_obs.Obs
 
 type t = {
-  mutable tree : Tree.t;
+  tree : Tree.t;
   params : Params.t;
   d_spine : Clustering.result;
   d_leaf : Clustering.result;
   mutable stale : int;
-  (* Fast-path leaf index, built by every from-scratch encode (and by
-     [of_choices]), sized by the tree, not the fabric: [idx_leaves]
-     holds the tree's leaves in ascending order, and a leaf's slot is its
-     position there (found by [slot], a binary search). Per slot,
-     [idx_kind] holds one dispatch byte; the arrays hold the leaf's exact
-     tree bitmap, its p-rule (when in one), and the site bitmap to mutate.
-     Absent entries carry the shared dummies. *)
-  idx_leaves : int array;
+  (* Fast-path rule dispatch, built by every from-scratch encode (and by
+     [of_choices]), one entry per slot of the tree's leaf index
+     ([Tree.leaf_slot]), so it is sized by the tree, not the fabric. Per
+     slot, [idx_kind] holds one dispatch byte; the arrays hold the leaf's
+     p-rule (when in one) and the site bitmap to mutate. Absent entries
+     carry the shared dummies. *)
   idx_kind : Bytes.t;
-  idx_exact : Bitmap.t array;
   idx_rule : Prule.prule array;
   idx_site_bm : Bitmap.t array;
   (* Reusable scratch bitmaps (leaf downstream width) for the prospective
@@ -33,7 +30,7 @@ type t = {
   mutable upper : memo option;
 }
 
-(* One slot per tree leaf, as in the leaf index; a slot holds [blank]
+(* One slot per tree leaf, as in the tree's index; a slot holds [blank]
    until its leaf's first header. Sender leaves the tree does not span
    (sender-only members) are kept in [off_tree], by leaf id. The fast
    path never changes the leaf or pod set, so a filled entry stays right
@@ -63,29 +60,17 @@ let dummy_bm = Bitmap.create 0
 let dummy_prule = { Prule.bitmap = dummy_bm; switches = [] }
 let blank = { multipath = false; u_spine = None; core = None }
 
-(* The position of leaf [l] in the ascending [leaves], or -1 when the
-   tree does not span it. *)
-(* elmo-lint: zero-alloc *)
-let slot_in leaves l = Int_array.search leaves l ~lo:0 ~hi:(Array.length leaves - 1)
-
-(* Build the slot-indexed dispatch index of [d_leaf] over [tree]. The
-   rules name each tree leaf exactly once — clustering places every leaf
-   it is given in one rule, and [of_choices] refuses anything else — so
-   every slot's kind is written below. *)
+(* Build the slot-indexed dispatch of [d_leaf] over [tree]'s leaf slots.
+   The rules name each tree leaf exactly once — clustering places every
+   leaf it is given in one rule, and [of_choices] refuses anything else —
+   so every slot's kind is written below. *)
 let build_index (d_leaf : Clustering.result) (tree : Tree.t) =
-  let n = List.length tree.Tree.leaf_bitmaps in
-  let idx_leaves = Array.make n 0 in
+  let n = Tree.leaf_count tree in
   let idx_kind = Bytes.create n in
-  let idx_exact = Array.make n dummy_bm in
-  List.iteri
-    (fun s (l, bm) ->
-      idx_leaves.(s) <- l;
-      idx_exact.(s) <- bm)
-    tree.Tree.leaf_bitmaps;
   let idx_rule = Array.make n dummy_prule in
   let idx_site_bm = Array.make n dummy_bm in
   let mark l kind bm =
-    let s = slot_in idx_leaves l in
+    let s = Tree.leaf_slot tree l in
     Bytes.set idx_kind s kind;
     idx_site_bm.(s) <- bm;
     s
@@ -104,7 +89,7 @@ let build_index (d_leaf : Clustering.result) (tree : Tree.t) =
           idx_rule.(s) <- r)
         r.Prule.switches)
     d_leaf.Clustering.prules;
-  (idx_leaves, idx_kind, idx_exact, idx_rule, idx_site_bm)
+  (idx_kind, idx_rule, idx_site_bm)
 
 (* Per-group Hmax within the byte budget (§3.2): worst-case rule sizes are
    known a priori (Kmax identifiers each), the upstream and core sections are
@@ -147,20 +132,20 @@ let budgeted_hmax topo (params : Params.t) tree =
 let no_legacy _ = false
 let all_ok _ = true
 
-let rec any_legacy legacy = function
-  | [] -> false
-  | ((id : int), _) :: rest -> legacy id || any_legacy legacy rest
-
 (* Merge the clustering of modern switches with forced s-rules (or default
-   fallback) for legacy ones. A layer with no legacy switch is clustered
-   as it is, without a partitioned copy. *)
-let with_legacy ~legacy ~reserve layer cluster =
-  if not (any_legacy legacy layer) then cluster layer
+   fallback) for legacy ones. A layer ([ids] and their exact [bms]) with
+   no legacy switch is clustered as it is, without a partitioned copy. *)
+let with_legacy ~legacy ~reserve ids bms cluster =
+  if not (Array.exists legacy ids) then cluster ids bms
   else begin
-    let legacy_switches, modern = List.partition (fun (id, _) -> legacy id) layer in
-    let res = cluster modern in
+    let legacy_slots, modern =
+      List.partition (fun s -> legacy ids.(s)) (List.init (Array.length ids) Fun.id)
+    in
+    let pick a = Array.of_list (List.map (Array.get a) modern) in
+    let res = cluster (pick ids) (pick bms) in
     List.fold_left
-      (fun acc (id, bm) ->
+      (fun acc s ->
+        let id = ids.(s) and bm = bms.(s) in
         if reserve id then { acc with Clustering.srules = (id, bm) :: acc.Clustering.srules }
         else begin
           let default =
@@ -172,15 +157,13 @@ let with_legacy ~legacy ~reserve layer cluster =
           in
           { acc with Clustering.default }
         end)
-      res legacy_switches
+      res legacy_slots
   end
 
 (* An encoding of [tree] under the two layers' rules, with a fresh
-   fast-path index and scratch and no header caches. *)
+   fast-path dispatch and scratch and no header caches. *)
 let make params (tree : Tree.t) ~d_spine ~d_leaf ~stale =
-  let idx_leaves, idx_kind, idx_exact, idx_rule, idx_site_bm =
-    build_index d_leaf tree
-  in
+  let idx_kind, idx_rule, idx_site_bm = build_index d_leaf tree in
   let scratch_width = Topology.leaf_downstream_width tree.Tree.topo in
   {
     tree;
@@ -188,9 +171,7 @@ let make params (tree : Tree.t) ~d_spine ~d_leaf ~stale =
     d_spine;
     d_leaf;
     stale;
-    idx_leaves;
     idx_kind;
-    idx_exact;
     idx_rule;
     idx_site_bm;
     scratch_a = Bitmap.create scratch_width;
@@ -222,7 +203,8 @@ let encode ?(legacy_leaf = no_legacy) ?(legacy_pod = no_legacy)
   in
   let hmax_spine, hmax_leaf = budgeted_hmax tree.Tree.topo params tree in
   let d_leaf =
-    with_legacy ~legacy:legacy_leaf ~reserve:reserve_leaf tree.Tree.leaf_bitmaps
+    with_legacy ~legacy:legacy_leaf ~reserve:reserve_leaf tree.Tree.leaf_ids
+      tree.Tree.leaf_bms
       (Clustering.run ~r:params.r ~semantics:params.r_semantics ~hmax:hmax_leaf
          ~kmax:params.kmax ~has_srule_space:reserve_leaf)
   in
@@ -233,7 +215,8 @@ let encode ?(legacy_leaf = no_legacy) ?(legacy_pod = no_legacy)
     if Topology.is_two_tier tree.Tree.topo then
       { Clustering.prules = []; srules = []; default = None }
     else
-      with_legacy ~legacy:legacy_pod ~reserve:reserve_pod tree.Tree.spine_bitmaps
+      with_legacy ~legacy:legacy_pod ~reserve:reserve_pod tree.Tree.pod_ids
+        tree.Tree.spine_bms
         (Clustering.run ~r:params.r ~semantics:params.r_semantics
            ~hmax:hmax_spine ~kmax:params.kmax ~has_srule_space:reserve_pod)
   in
@@ -282,13 +265,13 @@ let delta_of_host topo ~joining host =
   if joining then Join { host; leaf; port } else Leave { host; leaf; port }
 
 (* elmo-lint: zero-alloc *)
-let slot t l = slot_in t.idx_leaves l
+let slot t l = Tree.leaf_slot t.tree l
 
 (* The exact tree bitmap of leaf [l], the width-0 dummy off the tree. *)
 (* elmo-lint: zero-alloc *)
 let exact_of t l =
   let s = slot t l in
-  if s < 0 then dummy_bm else Array.unsafe_get t.idx_exact s
+  if s < 0 then dummy_bm else Array.unsafe_get t.tree.Tree.leaf_bms s
 
 (* elmo-lint: zero-alloc *)
 let rec or_exacts t leaves dst =
@@ -359,7 +342,7 @@ let apply_event t joining host leaf port =
   if t.stale >= t.params.Params.staleness_limit then re_stale
   else if s < 0 then re_new_leaf
   else begin
-    let exact = Array.unsafe_get t.idx_exact s in
+    let exact = Array.unsafe_get t.tree.Tree.leaf_bms s in
     if (not joining) && Bitmap.popcount exact <= 1 then re_emptied
     else begin
       let kind = Bytes.unsafe_get t.idx_kind s in
@@ -522,15 +505,6 @@ let shared_down t =
       t.down_stale <- false;
       d
 
-let rec other_leaf_in_pod topo sl sp = function
-  | [] -> false
-  | (l, _) :: rest ->
-      (l <> sl && Topology.pod_of_leaf topo l = sp) || other_leaf_in_pod topo sl sp rest
-
-let rec other_pod (sp : int) = function
-  | [] -> false
-  | (p, _) :: rest -> p <> sp || other_pod sp rest
-
 (* The parts of a header that depend only on the sender's leaf [sl]:
    whether the tree reaches beyond it (multipath), the upstream spine rule
    (the pod's spine bitmap minus [sl]'s port) and the core rule (the pod
@@ -539,8 +513,8 @@ let build_upper t m sl =
   let tree = t.tree in
   let topo = tree.Tree.topo in
   let sp = Topology.pod_of_leaf topo sl in
-  let other_pods = other_pod sp tree.Tree.spine_bitmaps in
-  let beyond_leaf = other_pods || other_leaf_in_pod topo sl sp tree.Tree.leaf_bitmaps in
+  let other_pods = Tree.spans_other_pod tree sp in
+  let beyond_leaf = other_pods || Tree.spans_other_leaf_in_pod tree sl in
   let u_spine =
     if not beyond_leaf then None
     else begin
@@ -572,7 +546,7 @@ let memo t =
       let topo = t.tree.Tree.topo in
       let m =
         {
-          slots = Array.make (Array.length t.idx_leaves) blank;
+          slots = Array.make (Tree.leaf_count t.tree) blank;
           off_tree = [];
           leaf_up = Bitmap.create (Topology.leaf_upstream_width topo);
           spine_up = Bitmap.create (Topology.spine_upstream_width topo);
@@ -590,19 +564,21 @@ let inherit_caches ~from t =
   | Some m
     when Option.is_none t.upper
          && Bitmap.equal from.tree.Tree.core_bitmap t.tree.Tree.core_bitmap ->
-      let topo = t.tree.Tree.topo in
-      let same_pod =
-        Array.init topo.Topology.pods (fun p ->
-            Option.equal Bitmap.equal (Tree.spine_bitmap from.tree p)
-              (Tree.spine_bitmap t.tree p))
-      in
+      (* Equal core bitmaps span the same pods, so the two trees' pod
+         arrays are equal and one walk pairs their spine bitmaps slot by
+         slot. *)
+      let same_pod = Array.map2 Bitmap.equal from.tree.Tree.spine_bms t.tree.Tree.spine_bms in
       (* With every pod's spine bitmap unchanged, so are the leaf and pod
          sets: an entry either encoding fills is right for both, so they
          share the memo. Otherwise a leaf keeps [from]'s entry, matched by
-         leaf id, when its pod's spine bitmap is unchanged. *)
+         leaf id, when its pod's spine bitmap is unchanged (or the pod is
+         on neither tree). *)
       if Array.for_all Fun.id same_pod then t.upper <- from.upper
       else begin
-        let kept l = same_pod.(Topology.pod_of_leaf topo l) in
+        let kept l =
+          let s = Tree.pod_slot t.tree (Topology.pod_of_leaf t.tree.Tree.topo l) in
+          s < 0 || same_pod.(s)
+        in
         let inherited l =
           let s = slot from l in
           if not (kept l) then blank
@@ -613,7 +589,7 @@ let inherit_caches ~from t =
           Some
             {
               m with
-              slots = Array.map inherited t.idx_leaves;
+              slots = Array.map inherited t.tree.Tree.leaf_ids;
               off_tree =
                 List.filter (fun (l, _) -> kept l && slot t l < 0) m.off_tree;
             }
@@ -649,7 +625,7 @@ let header_for_sender t ~sender =
   let down =
     if s < 0 then Bitmap.create (Topology.leaf_downstream_width topo)
     else begin
-      let exact = t.idx_exact.(s) in
+      let exact = t.tree.Tree.leaf_bms.(s) in
       let bm = Bitmap.copy exact in
       Bitmap.clear bm (Topology.host_port_on_leaf topo sender);
       bm
@@ -726,15 +702,13 @@ let choices_codec topo =
   and+ stale_count = field (fun c -> c.stale_count) nat in
   { spine; leaf; stale_count }
 
-(* One layer's rules over [section], the tree's ascending (switch, exact
-   bitmap) pairs of that layer: each p-rule and the default a fresh OR of
-   its switches' bitmaps, each s-rule a fresh copy of its switch's. The
-   choices must name every switch of [section] exactly once, and each
+(* One layer's rules over the tree's ascending switch [ids] of that layer
+   and their exact bitmaps [exacts]: each p-rule and the default a fresh
+   OR of its switches' bitmaps, each s-rule a fresh copy of its switch's.
+   The choices must name every switch of [ids] exactly once, and each
    p-rule at least one. *)
-let layer_of_choices ~width section c =
-  let n = List.length section in
-  let ids = Array.of_list (List.map fst section) in
-  let exacts = Array.of_list (List.map snd section) in
+let layer_of_choices ~width ids exacts c =
+  let n = Array.length ids in
   let named = Bytes.make n '\000' in
   let exact id =
     let s = Int_array.search ids id ~lo:0 ~hi:(n - 1) in
@@ -764,12 +738,14 @@ let of_choices params (tree : Tree.t) c =
   Byteio.Reader.check (c.stale_count <= params.Params.staleness_limit);
   let d_leaf =
     layer_of_choices ~width:(Topology.leaf_downstream_width topo)
-      tree.Tree.leaf_bitmaps c.leaf
+      tree.Tree.leaf_ids tree.Tree.leaf_bms c.leaf
   in
   let d_spine =
     (* A two-tier fabric's encodings have no spine rules ([encode]). *)
-    layer_of_choices ~width:(Topology.spine_downstream_width topo)
-      (if Topology.is_two_tier topo then [] else tree.Tree.spine_bitmaps)
-      c.spine
+    let ids, bms =
+      if Topology.is_two_tier topo then ([||], [||])
+      else (tree.Tree.pod_ids, tree.Tree.spine_bms)
+    in
+    layer_of_choices ~width:(Topology.spine_downstream_width topo) ids bms c.spine
   in
   make params tree ~d_spine ~d_leaf ~stale:c.stale_count

@@ -8,28 +8,24 @@
     once per sender leaf. *)
 
 type t = {
-  mutable tree : Tree.t;  (** kept current across {!apply_delta} fast paths *)
+  tree : Tree.t;
+      (** kept current across {!apply_delta} fast paths, in place; its
+          leaf index ({!Tree.leaf_slot}) is the encoding's too *)
   params : Params.t;
   d_spine : Clustering.result;  (** logical-spine layer, ids are pod numbers *)
   d_leaf : Clustering.result;  (** leaf layer, ids are global leaf numbers *)
   mutable stale : int;
       (** fast-path mutations applied since the last from-scratch encode *)
-  idx_leaves : int array;
-      (** the tree's leaves, ascending: a leaf's {e slot} is its position
-          here, found by binary search. The other [idx_*] arrays have one
-          entry per slot, so the index is sized by the tree, not the
-          fabric. *)
   idx_kind : Bytes.t;
-      (** per-slot dispatch byte: 1 = p-rule, 2 = s-rule, 3 = default
-          rule (every tree leaf sits in exactly one rule) *)
-  idx_exact : Bitmap.t array;
-      (** per-slot exact tree bitmap, the tree's own (aliased, not
-          copied) *)
+      (** per tree leaf slot, a dispatch byte: 1 = p-rule, 2 = s-rule,
+          3 = default rule (every tree leaf sits in exactly one rule). The
+          [idx_*] arrays have one entry per slot of [tree]'s leaf index,
+          so the dispatch is sized by the tree, not the fabric. *)
   idx_rule : Prule.prule array;
-      (** per-slot containing p-rule (a shared dummy when not in one) *)
+      (** per slot, the containing p-rule (a shared dummy when not in one) *)
   idx_site_bm : Bitmap.t array;
-      (** per-slot rule bitmap the fast path mutates (a shared dummy when
-          in no rule) *)
+      (** per slot, the rule bitmap the fast path mutates (a shared dummy
+          when in no rule) *)
   scratch_a : Bitmap.t;  (** scratch for the prospective budget check *)
   scratch_b : Bitmap.t;  (** scratch for rule refreshes *)
   mutable down : Prule.down option;
@@ -41,16 +37,17 @@ type t = {
           first {!header_for_sender} asked for them *)
 }
 (** The [idx_*] arrays and scratch bitmaps are internal to the
-    {!apply_delta} fast path: a flat index over the tree's leaves (rebuilt
-    by every from-scratch encode and by {!of_choices}) that makes
-    steady-state delta application allocation-free — no list scans, no
-    option wrapping, no fresh bitmaps. [down], [down_stale] and [upper] are
-    {!header_for_sender}'s caches. Treat them all as private. *)
+    {!apply_delta} fast path: the rule dispatch of each of the tree's leaf
+    slots (rebuilt by every from-scratch encode and by {!of_choices}) that
+    makes steady-state delta application allocation-free — no list scans,
+    no option wrapping, no fresh bitmaps. The leaf ids and their exact
+    bitmaps are the tree's own arrays. [down], [down_stale] and [upper]
+    are {!header_for_sender}'s caches. Treat them all as private. *)
 
 and memo = private {
   slots : upper array;
-      (** per tree slot (as [idx_leaves]); a shared blank until the leaf's
-          first header *)
+      (** per tree leaf slot ({!Tree.leaf_slot}); a shared blank until the
+          leaf's first header *)
   mutable off_tree : (int * upper) list;
       (** the sender leaves the tree does not span (sender-only members),
           by leaf id, each added by its first header *)
@@ -243,8 +240,8 @@ val choices_codec : Topology.t -> choices Byteio.Codec.t
 val of_choices : Params.t -> Tree.t -> choices -> t
 (** [of_choices params tree c] is the encoding of [tree] that makes the
     choices [c], with every rule bitmap a fresh OR of its switches' tree
-    bitmaps (an s-rule's a copy of its switch's), a fresh fast-path index,
-    and no header caches. It takes [tree] as its own: pass a {!Tree.copy}
+    bitmaps (an s-rule's a copy of its switch's), a fresh fast-path
+    dispatch over the tree's leaf slots, and no header caches. It takes [tree] as its own: pass a {!Tree.copy}
     for a private copy of a live encoding ([of_choices e.params (Tree.copy
     e.tree) (choices e)]). Raises {!Byteio.Reader.Corrupt} unless each
     layer names every switch of the tree exactly once — the leaf layer its

@@ -14,11 +14,11 @@ val choose : k:int -> (int * Bitmap.t) array -> int list * Bitmap.t
     looks only at bitmaps. *)
 
 val choose_prefix :
-  k:int -> n:int -> chosen:bool array -> (int * Bitmap.t) array -> int list * Bitmap.t
-(** [choose_prefix ~k ~n ~chosen candidates] is {!choose} over the first
-    [n] candidates, with [chosen] as the caller's scratch: its first [n]
-    entries must be [false] on entry, and on return exactly the chosen
-    indices are [true] (the caller clears them before the next call).
-    Algorithm 1's loop calls it on a shrinking prefix of one array, so it
-    allocates only the result. Requires [1 <= k <= n], [n] at most the
-    lengths of [candidates] and [chosen]. *)
+  k:int -> n:int -> chosen:bool array -> Bitmap.t array -> int list * Bitmap.t
+(** [choose_prefix ~k ~n ~chosen bitmaps] is {!choose} over the first
+    [n] bitmaps, untagged, with [chosen] as the caller's scratch: its
+    first [n] entries must be [false] on entry, and on return exactly the
+    chosen indices are [true] (the caller clears them before the next
+    call). Algorithm 1's loop calls it on a shrinking prefix of one array,
+    so it allocates only the result. Requires [1 <= k <= n], [n] at most
+    the lengths of [bitmaps] and [chosen]. *)

@@ -64,7 +64,8 @@ let encode ?(r = 0) ?(semantics = Params.Sum) ?(hmax = 64) ?(kmax = 2) _topo
   let rules =
     Clustering.run ~r ~semantics ~hmax ~kmax
       ~has_srule_space:(fun _ -> false)
-      tree.Flat_tree.bitmaps
+      (Array.of_list (List.map fst tree.Flat_tree.bitmaps))
+      (Array.of_list (List.map snd tree.Flat_tree.bitmaps))
   in
   { tree; rules }
 

@@ -5,8 +5,10 @@ type t = {
          hosts; the tail is scratch so the delta fast path never
          reallocates on the common case *)
   mutable nmembers : int;
-  leaf_bitmaps : (int * Bitmap.t) list;
-  spine_bitmaps : (int * Bitmap.t) list;
+  leaf_ids : int array;
+  leaf_bms : Bitmap.t array;
+  pod_ids : int array;
+  spine_bms : Bitmap.t array;
   core_bitmap : Bitmap.t;
 }
 
@@ -15,10 +17,19 @@ type t = {
 let rec run_end (a : int array) n limit i =
   if i < n && Array.unsafe_get a i < limit then run_end a n limit (i + 1) else i
 
+(* How many distinct values [f] takes along the ascending [a.(0..n-1)],
+   where [f] is monotone. *)
+let runs (f : int -> int) (a : int array) n =
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || f a.(i) <> f a.(i - 1) then incr count
+  done;
+  !count
+
 (* Leaf and pod ids are monotone in host id, so an ascending host array
    meets each leaf in one run and each pod in one run of leaves: one
-   division and one bitmap per leaf, and every bitmap list comes out
-   ascending without a sort. *)
+   division and one bitmap per leaf, and both layers come out ascending
+   without a sort, each in arrays sized by one counting pass. *)
 let of_sorted topo hosts =
   let n = Array.length hosts in
   if n = 0 then invalid_arg "Tree.of_sorted: empty group";
@@ -30,32 +41,42 @@ let of_sorted topo hosts =
     invalid_arg "Tree.of_sorted: host out of range";
   let hpl = topo.Topology.hosts_per_leaf in
   let lpp = topo.Topology.leaves_per_pod in
+  let nleaves = runs (fun h -> h / hpl) hosts n in
+  let leaf_ids = Array.make nleaves 0 in
+  let i = ref 0 in
+  let leaf_bms =
+    Array.init nleaves (fun s ->
+        let l = hosts.(!i) / hpl in
+        let base = l * hpl in
+        let j = run_end hosts n (base + hpl) (!i + 1) in
+        let bm = Bitmap.of_slice hpl hosts ~pos:!i ~len:(j - !i) ~base in
+        leaf_ids.(s) <- l;
+        i := j;
+        bm)
+  in
+  let npods = runs (fun l -> l / lpp) leaf_ids nleaves in
+  let pod_ids = Array.make npods 0 in
+  let spine_bms = Array.init npods (fun _ -> Bitmap.create lpp) in
   let core_bitmap = Bitmap.create (Topology.core_downstream_width topo) in
-  let leaves = ref [] and spines = ref [] and i = ref 0 in
-  while !i < n do
-    let l = hosts.(!i) / hpl in
-    let base = l * hpl in
-    let j = run_end hosts n (base + hpl) (!i + 1) in
-    leaves := (l, Bitmap.of_slice hpl hosts ~pos:!i ~len:(j - !i) ~base) :: !leaves;
-    let p = l / lpp in
-    let spine_bm =
-      match !spines with
-      | (p', bm) :: _ when p' = p -> bm
-      | _ ->
-          let bm = Bitmap.create lpp in
-          spines := (p, bm) :: !spines;
-          Bitmap.set core_bitmap p;
-          bm
-    in
-    Bitmap.set spine_bm (l - (p * lpp));
-    i := j
-  done;
+  let ps = ref (-1) in
+  Array.iter
+    (fun l ->
+      let p = l / lpp in
+      if !ps < 0 || pod_ids.(!ps) <> p then begin
+        incr ps;
+        pod_ids.(!ps) <- p;
+        Bitmap.set core_bitmap p
+      end;
+      Bitmap.set spine_bms.(!ps) (l - (p * lpp)))
+    leaf_ids;
   {
     topo;
     members = hosts;
     nmembers = n;
-    leaf_bitmaps = List.rev !leaves;
-    spine_bitmaps = List.rev !spines;
+    leaf_ids;
+    leaf_bms;
+    pod_ids;
+    spine_bms;
     core_bitmap;
   }
 
@@ -77,8 +98,8 @@ let of_members topo member_list =
   done;
   of_sorted topo hosts
 
-let leaves t = List.map fst t.leaf_bitmaps
-let pods t = List.map fst t.spine_bitmaps
+let leaves t = Array.to_list t.leaf_ids
+let pods t = Array.to_list t.pod_ids
 
 (* elmo-lint: zero-alloc *)
 let member_count t = t.nmembers
@@ -91,24 +112,54 @@ let iter_members f t =
     f (Array.unsafe_get t.members i)
   done
 
-let leaf_count t = List.length t.leaf_bitmaps
-let pod_count t = List.length t.spine_bitmaps
+let leaf_count t = Array.length t.leaf_ids
+let pod_count t = Array.length t.pod_ids
 
 (* elmo-lint: zero-alloc *)
 let mem_host t h = Int_array.search t.members h ~lo:0 ~hi:(t.nmembers - 1) >= 0
 
-let leaf_bitmap t l = Int_list.assoc_opt l t.leaf_bitmaps
-let spine_bitmap t p = Int_list.assoc_opt p t.spine_bitmaps
+(* elmo-lint: zero-alloc *)
+let leaf_slot t l = Int_array.search t.leaf_ids l ~lo:0 ~hi:(Array.length t.leaf_ids - 1)
 
-let equal_bitmaps a b =
-  List.equal (fun ((i : int), x) (j, y) -> i = j && Bitmap.equal x y) a b
+(* elmo-lint: zero-alloc *)
+let pod_slot t p = Int_array.search t.pod_ids p ~lo:0 ~hi:(Array.length t.pod_ids - 1)
+
+let leaf_bitmap t l =
+  let s = leaf_slot t l in
+  if s < 0 then None else Some t.leaf_bms.(s)
+
+let spine_bitmap t p =
+  let s = pod_slot t p in
+  if s < 0 then None else Some t.spine_bms.(s)
+
+let spans_other_pod t p = pod_count t > Bool.to_int (pod_slot t p >= 0)
+
+let spans_other_leaf_in_pod t l =
+  let topo = t.topo in
+  let s = pod_slot t (Topology.pod_of_leaf topo l) in
+  s >= 0
+  &&
+  let spine = t.spine_bms.(s) in
+  Bitmap.popcount spine
+  > Bool.to_int (Bitmap.get spine (Topology.leaf_port_on_spine topo l))
+
+let equal_layer ids bms ids' bms' =
+  Array.length ids = Array.length ids'
+  && Array.for_all2 Int.equal ids ids'
+  && Array.for_all2 Bitmap.equal bms bms'
+
+let equal a b =
+  equal_layer a.leaf_ids a.leaf_bms b.leaf_ids b.leaf_bms
+  && equal_layer a.pod_ids a.spine_bms b.pod_ids b.spine_bms
 
 let copy t =
   {
     t with
     members = member_array t;  (* compacts the capacity tail *)
-    leaf_bitmaps = List.map (fun (l, bm) -> (l, Bitmap.copy bm)) t.leaf_bitmaps;
-    spine_bitmaps = List.map (fun (p, bm) -> (p, Bitmap.copy bm)) t.spine_bitmaps;
+    leaf_ids = Array.copy t.leaf_ids;
+    leaf_bms = Array.map Bitmap.copy t.leaf_bms;
+    pod_ids = Array.copy t.pod_ids;
+    spine_bms = Array.map Bitmap.copy t.spine_bms;
     core_bitmap = Bitmap.copy t.core_bitmap;
   }
 
@@ -120,16 +171,6 @@ let copy t =
    zero-alloc lint rule and the Gc.minor_words harness). Both return
    [false] when the change is structural (a new leaf appears / a leaf
    empties) and leave the tree untouched; the caller must re-encode. *)
-
-(* Allocation-free assoc lookup for the leaf bitmap: [no_bitmap] is the
-   "leaf not participating" sentinel (an option result would allocate). *)
-let no_bitmap = Bitmap.create 0
-
-(* elmo-lint: zero-alloc *)
-let rec find_leaf_bm bms (l : int) =
-  match bms with
-  | [] -> no_bitmap
-  | (l', bm) :: rest -> if l' = l then bm else find_leaf_bm rest l
 
 (* elmo-lint: zero-alloc *)
 let rec insert_pos (a : int array) n h i =
@@ -149,10 +190,10 @@ let add_member t h =
   if mem_host t h then
     (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
     invalid_arg "Tree.add_member: already a member";
-  let bm = find_leaf_bm t.leaf_bitmaps (Topology.leaf_of_host t.topo h) in
-  if bm == no_bitmap then false
+  let s = leaf_slot t (Topology.leaf_of_host t.topo h) in
+  if s < 0 then false
   else begin
-    Bitmap.set bm (Topology.host_port_on_leaf t.topo h);
+    Bitmap.set (Array.unsafe_get t.leaf_bms s) (Topology.host_port_on_leaf t.topo h);
     if t.nmembers >= Array.length t.members then grow_members t;
     let pos = insert_pos t.members t.nmembers h 0 in
     Array.blit t.members pos t.members (pos + 1) (t.nmembers - pos);
@@ -167,55 +208,34 @@ let remove_member t h =
   if pos < 0 then
     (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
     invalid_arg "Tree.remove_member: not a member";
-  let bm = find_leaf_bm t.leaf_bitmaps (Topology.leaf_of_host t.topo h) in
-  if bm == no_bitmap || Bitmap.popcount bm <= 1 then false
+  let s = leaf_slot t (Topology.leaf_of_host t.topo h) in
+  if s < 0 || Bitmap.popcount (Array.unsafe_get t.leaf_bms s) <= 1 then false
   else begin
-    Bitmap.clear bm (Topology.host_port_on_leaf t.topo h);
+    Bitmap.clear (Array.unsafe_get t.leaf_bms s) (Topology.host_port_on_leaf t.topo h);
     Array.blit t.members (pos + 1) t.members pos (t.nmembers - pos - 1);
     t.nmembers <- t.nmembers - 1;
     true
   end
 
+(* Every tree leaf but the sender's costs the link down to it and one
+   per member behind it; the sender's leaf delivers to its members but
+   the sender. Reaching another leaf costs the climb to the pod spine,
+   and reaching another pod the climb to a core and one link down to
+   each other pod's spine. *)
 let ideal_link_transmissions t ~sender =
   let topo = t.topo in
   let sl = Topology.leaf_of_host topo sender in
-  let sp = Topology.pod_of_leaf topo sl in
   (* Hypervisor to leaf. *)
   let count = ref 1 in
-  let deliveries_at l =
-    match leaf_bitmap t l with Some bm -> Bitmap.popcount bm | None -> 0
+  Array.iteri
+    (fun s l ->
+      let members = Bitmap.popcount t.leaf_bms.(s) in
+      if l = sl then count := !count + members - Bool.to_int (mem_host t sender)
+      else count := !count + 1 + members)
+    t.leaf_ids;
+  let other_pods =
+    pod_count t - Bool.to_int (pod_slot t (Topology.pod_of_leaf topo sl) >= 0)
   in
-  (* Sender leaf delivers to local members, minus the sender itself. *)
-  let local = deliveries_at sl in
-  let local = if mem_host t sender then local - 1 else local in
-  count := !count + local;
-  let other_leaves_in_pod =
-    List.filter (fun (l, _) -> l <> sl && Topology.pod_of_leaf topo l = sp)
-      t.leaf_bitmaps
-  in
-  let other_pods = List.filter (fun (p, _) -> p <> sp) t.spine_bitmaps in
-  let beyond_leaf =
-    not (List.is_empty other_leaves_in_pod && List.is_empty other_pods)
-  in
-  if beyond_leaf then begin
-    (* Leaf up to one pod spine. *)
-    incr count;
-    List.iter
-      (fun (l, _) -> count := !count + 1 + deliveries_at l)
-      other_leaves_in_pod;
-    if not (List.is_empty other_pods) then begin
-      (* Spine up to one core. *)
-      incr count;
-      List.iter
-        (fun (p, spine_bm) ->
-          (* Core down to pod spine. *)
-          incr count;
-          Bitmap.iter
-            (fun port ->
-              let l = (p * topo.Topology.leaves_per_pod) + port in
-              count := !count + 1 + deliveries_at l)
-            spine_bm)
-        other_pods
-    end
-  end;
+  if leaf_count t > Bool.to_int (leaf_slot t sl >= 0) then incr count;
+  if other_pods > 0 then count := !count + 1 + other_pods;
   !count

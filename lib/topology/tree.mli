@@ -15,17 +15,28 @@ type t = {
           fast path stays allocation-free. Use {!member_array} /
           {!member_list} / {!iter_members} rather than reading the field. *)
   mutable nmembers : int;  (** live prefix length of [members] *)
-  leaf_bitmaps : (int * Bitmap.t) list;
-      (** (leaf id, downstream host-port bitmap), ascending by leaf id *)
-  spine_bitmaps : (int * Bitmap.t) list;
-      (** (pod id = logical spine id, downstream leaf-port bitmap) *)
+  leaf_ids : int array;
+      (** participating leaf ids, ascending: a leaf's {e slot} is its
+          position here ({!leaf_slot}) *)
+  leaf_bms : Bitmap.t array;
+      (** per leaf slot, the leaf's exact downstream host-port bitmap; no
+          two slots share one *)
+  pod_ids : int array;
+      (** participating pod ids (= logical spine ids), ascending: a pod's
+          slot is its position here ({!pod_slot}) *)
+  spine_bms : Bitmap.t array;
+      (** per pod slot, the logical spine's downstream leaf-port bitmap *)
   core_bitmap : Bitmap.t;  (** pods participating, width [pods] *)
 }
+(** The leaf and pod layers are each one ascending id array and one
+    bitmap array of the same length, built once by {!of_sorted}: the
+    tree is its own leaf and pod index, and every reader finds a switch
+    by its slot. *)
 
 val of_sorted : Topology.t -> int array -> t
 (** [of_sorted topo hosts] builds the tree of the given member hosts, which
-    must be ascending and distinct. One pass, one bitmap per leaf and per
-    pod, no host-sized scratch. The tree keeps [hosts] as its member
+    must be ascending and distinct. One bitmap per leaf and per pod and the
+    four layer arrays, no host-sized scratch. The tree keeps [hosts] as its member
     buffer, without a copy: the caller must not use the array afterwards.
     Raises [Invalid_argument] if [hosts] is empty, not strictly ascending,
     or holds an out-of-range host. *)
@@ -66,20 +77,40 @@ val ideal_link_transmissions : t -> sender:int -> int
     [sender]: host→leaf, up to spine/core as needed, and down the exact tree.
     [sender] need not be a member. Used as the traffic-overhead baseline. *)
 
+val leaf_slot : t -> int -> int
+(** [leaf_slot t l] is leaf [l]'s slot in [leaf_ids] and [leaf_bms], or
+    [-1] when the tree does not span it. A binary search; allocation-free.
+    The one way to find a leaf. *)
+
+val pod_slot : t -> int -> int
+(** [pod_slot t p] is pod [p]'s slot in [pod_ids] and [spine_bms], or [-1]
+    when the tree does not span it. Allocation-free. *)
+
 val leaf_bitmap : t -> int -> Bitmap.t option
 (** Exact downstream bitmap of a leaf, if participating. *)
 
+val spine_bitmap : t -> int -> Bitmap.t option
+(** Exact downstream bitmap of a pod's logical spine, if participating. *)
+
+val spans_other_pod : t -> int -> bool
+(** Does the tree span a pod other than the given one? *)
+
+val spans_other_leaf_in_pod : t -> int -> bool
+(** [spans_other_leaf_in_pod t l]: does the tree span a leaf of [l]'s pod
+    other than [l]? Read off the pod's spine bitmap. *)
+
 val copy : t -> t
-(** Deep copy (fresh bitmaps and a compacted members array) — a stable
-    snapshot across later in-place mutations by {!add_member} /
-    {!remove_member}. *)
+(** Deep copy (fresh layer arrays and bitmaps and a compacted members
+    array) — a stable snapshot across later in-place mutations by
+    {!add_member} / {!remove_member}. It shares no array and no bitmap
+    with the original. *)
 
 val add_member : t -> int -> bool
 (** [add_member t h] is the membership-delta fast path: when [h]'s leaf
-    already participates, sets the host's port bit {e in place} (aliasing
-    rule bitmaps see the flip too), splices the host into the sorted
-    members buffer without allocating (amortized — the capacity doubles on
-    the cold overflow path) and returns [true]. [false] — with the tree
+    already participates (found by {!leaf_slot}), sets the host's port bit
+    {e in place} (aliasing rule bitmaps see the flip too), splices the
+    host into the sorted members buffer without allocating (amortized —
+    the capacity doubles on the cold overflow path) and returns [true]. [false] — with the tree
     untouched — when the host's leaf does not participate (structural
     change: the caller must rebuild via {!of_members}). Raises
     [Invalid_argument] on an out-of-range or already-member host. *)
@@ -90,9 +121,6 @@ val remove_member : t -> int -> bool
     from the tree — structural). Raises [Invalid_argument] if not a
     member. *)
 
-val spine_bitmap : t -> int -> Bitmap.t option
-(** Exact downstream bitmap of a pod's logical spine, if participating. *)
-
-val equal_bitmaps : (int * Bitmap.t) list -> (int * Bitmap.t) list -> bool
-(** Same switch ids in order with equal bitmaps (by {!Bitmap.equal}) —
-    the comparison for [leaf_bitmaps] / [spine_bitmaps] sections. *)
+val equal : t -> t -> bool
+(** Same leaf and pod ids with equal bitmaps (by {!Bitmap.equal}): the
+    same member set. *)

@@ -167,32 +167,12 @@ type route = {
   r_enc : Encoding.t;
   r_assigned : (int, Bitmap.t option) Hashtbl.t;
       (* [assigned] by [Srule_state.site_key], filled on first visit *)
-  r_spines : Bitmap.t array;
-      (* each pod's tree spine bitmap (its tree leaves), [no_spine] for a
-         pod the tree does not reach *)
-  r_pods : int;  (* the tree's pods *)
 }
-
-let no_spine = Bitmap.create 0
 
 let route cfg (g : Installed_config.group_view) =
   Option.map
     (fun enc ->
-      let spines = Array.make cfg.Installed_config.topo.Topology.pods no_spine in
-      let pods = ref 0 in
-      List.iter
-        (fun (p, bm) ->
-          spines.(p) <- bm;
-          incr pods)
-        enc.Encoding.tree.Tree.spine_bitmaps;
-      {
-        r_cfg = cfg;
-        r_group = g;
-        r_enc = enc;
-        r_assigned = Hashtbl.create 16;
-        r_spines = spines;
-        r_pods = !pods;
-      })
+      { r_cfg = cfg; r_group = g; r_enc = enc; r_assigned = Hashtbl.create 16 })
     g.Installed_config.enc
 
 let site_assigned r site =
@@ -232,17 +212,22 @@ let live_leaves cfg ~pod ~plane f ports =
       if Installed_config.link_ok cfg ~leaf ~plane then f lp leaf)
     ports
 
+(* The tree leaves of [pod] among those whose link on [plane] is up, read
+   off the pod's tree spine bitmap: none when the tree does not reach it. *)
+let live_tree_leaves r ~pod ~plane f =
+  Option.iter
+    (live_leaves r.r_cfg ~pod ~plane f)
+    (Tree.spine_bitmap r.r_enc.Encoding.tree pod)
+
 (* In-pod downstream: the sender pod's tree leaves minus the sender's own,
    link-gated on [plane]. *)
 let in_pod_part r ~sl ~plane add =
   let sp = Topology.pod_of_leaf r.r_cfg.Installed_config.topo sl in
-  live_leaves r.r_cfg ~pod:sp ~plane
-    (fun lp leaf ->
+  live_tree_leaves r ~pod:sp ~plane (fun lp leaf ->
       if leaf <> sl then begin
         add (Pred.Spine sp) lp;
         leaf_down r leaf add
       end)
-    r.r_spines.(sp)
 
 (* A remote pod's spine on [plane] forwarding down: the pod's spine
    assignment, link-gated. *)
@@ -283,15 +268,9 @@ let sender_planes r ~sender =
       let topo = cfg.Installed_config.topo in
       let sl = Topology.leaf_of_host topo sender in
       let sp = Topology.pod_of_leaf topo sl in
-      (* The pod's spine bitmap has one bit per tree leaf in the pod. *)
-      let spine = r.r_spines.(sp) in
-      let in_pod = Bitmap.popcount spine in
-      let own =
-        in_pod > 0 && Bitmap.get spine (Topology.leaf_port_on_spine topo sl)
-      in
-      let other_leaves_in_pod = in_pod - Bool.to_int own > 0 in
-      let other_pods = r.r_pods - Bool.to_int (in_pod > 0) > 0 in
-      if not (other_leaves_in_pod || other_pods) then Some []
+      let tree = r.r_enc.Encoding.tree in
+      let other_pods = Tree.spans_other_pod tree sp in
+      if not (other_pods || Tree.spans_other_leaf_in_pod tree sl) then Some []
       else begin
         let hash = Ecmp.flow_hash ~group:g.Installed_config.gid ~sender in
         let cpp = topo.Topology.cores_per_plane in
@@ -541,8 +520,7 @@ let sender_blackholes cfg =
     bm
   in
   let in_pod_reach r ~sp ~plane =
-    reached ((sp * planes) + plane) (fun set ->
-        live_leaves cfg ~pod:sp ~plane set r.r_spines.(sp))
+    reached ((sp * planes) + plane) (live_tree_leaves r ~pod:sp ~plane)
   in
   let cross_reach r ~sp ~plane =
     reached (slots + (sp * planes) + plane) (fun set ->

@@ -50,7 +50,9 @@ let all_srules _ = true
 
 let run ?(r = 0) ?(semantics = Params.Sum) ?(hmax = 100) ?(kmax = 2)
     ?(has_srule_space = no_srules) layer =
-  Clustering.run ~r ~semantics ~hmax ~kmax ~has_srule_space layer
+  Clustering.run ~r ~semantics ~hmax ~kmax ~has_srule_space
+    (Array.of_list (List.map fst layer))
+    (Array.of_list (List.map snd layer))
 
 let ids_of_result res =
   let prule_ids = List.concat_map (fun r -> r.Prule.switches) res.Clustering.prules in
@@ -505,10 +507,7 @@ let prop_run_matches_reference =
         has_space.((id - 1) / 3)
       in
       let calls = ref [] and ref_calls = ref [] in
-      let got =
-        Clustering.run ~r ~semantics ~hmax ~kmax ~has_srule_space:(probe calls)
-          layer
-      in
+      let got = run ~r ~semantics ~hmax ~kmax ~has_srule_space:(probe calls) layer in
       let want =
         reference_run ~r ~semantics ~hmax ~kmax
           ~has_srule_space:(probe ref_calls) layer

@@ -77,6 +77,9 @@ let check_layer msg params (res : Clustering.result) exact_bitmaps =
 
 (* The live encoding must agree with a from-scratch tree of the same
    receiver set and respect every budget the encoder enforces. *)
+(* A tree layer as (switch id, exact bitmap) pairs, ascending. *)
+let pairs ids bms = List.combine (Array.to_list ids) (Array.to_list bms)
+
 let check_equivalent msg params ctrl ~group =
   let rcvs = receivers (Controller.members ctrl ~group) in
   match Controller.encoding ctrl ~group with
@@ -95,20 +98,20 @@ let check_equivalent msg params ctrl ~group =
           match Tree.leaf_bitmap tree l with
           | None -> Alcotest.fail (msg ^ ": leaf missing")
           | Some bm -> check_bool (msg ^ ": exact leaf bitmap") (Bitmap.equal exact bm))
-        oracle.Tree.leaf_bitmaps;
+        (pairs oracle.Tree.leaf_ids oracle.Tree.leaf_bms);
       List.iter
         (fun (p, exact) ->
           match Tree.spine_bitmap tree p with
           | None -> Alcotest.fail (msg ^ ": pod missing")
           | Some bm ->
               check_bool (msg ^ ": exact spine bitmap") (Bitmap.equal exact bm))
-        oracle.Tree.spine_bitmaps;
+        (pairs oracle.Tree.pod_ids oracle.Tree.spine_bms);
       check_bool (msg ^ ": core bitmap")
         (Bitmap.equal oracle.Tree.core_bitmap tree.Tree.core_bitmap);
       check_layer (msg ^ " [leaf]") params enc.Encoding.d_leaf
-        oracle.Tree.leaf_bitmaps;
+        (pairs oracle.Tree.leaf_ids oracle.Tree.leaf_bms);
       check_layer (msg ^ " [spine]") params enc.Encoding.d_spine
-        oracle.Tree.spine_bitmaps;
+        (pairs oracle.Tree.pod_ids oracle.Tree.spine_bms);
       (if params.Params.header_budget = None then begin
          check_bool
            (msg ^ ": hmax_leaf")

@@ -100,9 +100,7 @@ let prop_leaf_bitmaps_partition_members =
       QCheck.assume (members <> []);
       let t = Tree.of_members fabric members in
       let total =
-        List.fold_left
-          (fun acc (_, bm) -> acc + Bitmap.popcount bm)
-          0 t.Tree.leaf_bitmaps
+        Array.fold_left (fun acc bm -> acc + Bitmap.popcount bm) 0 t.Tree.leaf_bms
       in
       total = Tree.member_count t)
 
@@ -114,11 +112,11 @@ let prop_spine_bitmaps_cover_leaves =
       let t = Tree.of_members fabric members in
       let from_spines =
         List.concat_map
-          (fun (p, bm) ->
+          (fun s ->
             List.map
-              (fun port -> (p * fabric.Topology.leaves_per_pod) + port)
-              (Bitmap.to_list bm))
-          t.Tree.spine_bitmaps
+              (fun port -> (t.Tree.pod_ids.(s) * fabric.Topology.leaves_per_pod) + port)
+              (Bitmap.to_list t.Tree.spine_bms.(s)))
+          (List.init (Tree.pod_count t) Fun.id)
         |> List.sort compare
       in
       from_spines = Tree.leaves t)
@@ -163,21 +161,27 @@ let reference_of_members topo member_list =
   in
   let core_bitmap = Bitmap.create (Topology.core_downstream_width topo) in
   List.iter (fun (p, _) -> Bitmap.set core_bitmap p) spine_bitmaps;
+  let ids layer = Array.of_list (List.map fst layer) in
+  let bms layer = Array.of_list (List.map snd layer) in
   {
     Tree.topo;
     members;
     nmembers = Array.length members;
-    leaf_bitmaps;
-    spine_bitmaps;
+    leaf_ids = ids leaf_bitmaps;
+    leaf_bms = bms leaf_bitmaps;
+    pod_ids = ids spine_bitmaps;
+    spine_bms = bms spine_bitmaps;
     core_bitmap;
   }
 
 let outcome f = match f () with t -> Ok t | exception Invalid_argument m -> Error m
 
-let rec distinct_bitmaps = function
-  | [] -> true
-  | (_, bm) :: rest ->
-      List.for_all (fun (_, bm') -> bm != bm') rest && distinct_bitmaps rest
+(* No two of [bms] are one physical bitmap. *)
+let distinct_bitmaps bms =
+  let n = Array.length bms in
+  let rec from i = i >= n || (distinct_from i (i + 1) && from (i + 1))
+  and distinct_from i j = j >= n || (bms.(i) != bms.(j) && distinct_from i (j + 1)) in
+  from 0
 
 (* Unsorted host lists with repeats; a few draws carry an out-of-range host
    or are empty, so the raised messages are compared too. *)
@@ -201,12 +205,11 @@ let prop_of_members_matches_reference (name, topo) =
       | Error a, Error b -> a = b
       | Ok t, Ok r ->
           Tree.member_array t = Tree.member_array r
-          && Tree.equal_bitmaps t.Tree.leaf_bitmaps r.Tree.leaf_bitmaps
-          && Tree.equal_bitmaps t.Tree.spine_bitmaps r.Tree.spine_bitmaps
+          && Tree.equal t r
           && Bitmap.equal t.Tree.core_bitmap r.Tree.core_bitmap
           (* Encoding's fast path flips a leaf's bitmap in place through the
              rules aliasing it, so no two leaves may share one. *)
-          && distinct_bitmaps t.Tree.leaf_bitmaps
+          && distinct_bitmaps t.Tree.leaf_bms
       | _ -> false)
 
 (* Hosts where runs start and end: the first and last host of a leaf and
@@ -246,10 +249,9 @@ let gen_boundary_members topo =
 
 let same_tree a b =
   Tree.member_array a = Tree.member_array b
-  && Tree.equal_bitmaps a.Tree.leaf_bitmaps b.Tree.leaf_bitmaps
-  && Tree.equal_bitmaps a.Tree.spine_bitmaps b.Tree.spine_bitmaps
+  && Tree.equal a b
   && Bitmap.equal a.Tree.core_bitmap b.Tree.core_bitmap
-  && distinct_bitmaps a.Tree.leaf_bitmaps
+  && distinct_bitmaps a.Tree.leaf_bms
 
 let prop_of_sorted_matches (name, topo) =
   QCheck.Test.make ~name:("of_sorted = of_members = hash-table reference: " ^ name)
@@ -260,6 +262,145 @@ let prop_of_sorted_matches (name, topo) =
       let reference = reference_of_members topo members in
       same_tree (Tree.of_sorted topo sorted) reference
       && same_tree (Tree.of_members topo members) reference)
+
+(* {1 The tree's index against a linear scan}
+
+   After every [add_member]/[remove_member] of a random sequence, the
+   leaf and pod slots and bitmaps must be what a linear scan of
+   [member_array] gives, the id arrays strictly ascending, and a
+   [Tree.copy] must share no array and no bitmap with the tree. *)
+
+let position x l =
+  let rec go i = function
+    | [] -> -1
+    | y :: rest -> if y = x then i else go (i + 1) rest
+  in
+  go 0 l
+
+let scan_leaves topo members =
+  List.sort_uniq Int.compare
+    (List.map (Topology.leaf_of_host topo) (Array.to_list members))
+
+let scan_pods topo members =
+  List.sort_uniq Int.compare
+    (List.map (Topology.pod_of_leaf topo) (scan_leaves topo members))
+
+let scan_leaf_bitmap topo members l =
+  match
+    List.filter (fun h -> Topology.leaf_of_host topo h = l) (Array.to_list members)
+  with
+  | [] -> None
+  | hosts ->
+      Some
+        (Bitmap.of_list (Topology.leaf_downstream_width topo)
+           (List.map (Topology.host_port_on_leaf topo) hosts))
+
+let scan_spine_bitmap topo members p =
+  match
+    List.filter (fun l -> Topology.pod_of_leaf topo l = p) (scan_leaves topo members)
+  with
+  | [] -> None
+  | leaves ->
+      Some
+        (Bitmap.of_list (Topology.spine_downstream_width topo)
+           (List.map (Topology.leaf_port_on_spine topo) leaves))
+
+let rec strictly_ascending i (a : int array) =
+  i + 1 >= Array.length a || (a.(i) < a.(i + 1) && strictly_ascending (i + 1) a)
+
+(* The index agrees with the scan at the leaves in [probe] (and their
+   pods). *)
+let index_matches_scan topo t probe =
+  let members = Tree.member_array t in
+  let leaves = scan_leaves topo members and pods = scan_pods topo members in
+  let same_bm = Option.equal Bitmap.equal in
+  Array.to_list t.Tree.leaf_ids = leaves
+  && Array.to_list t.Tree.pod_ids = pods
+  && Array.length t.Tree.leaf_bms = List.length leaves
+  && Array.length t.Tree.spine_bms = List.length pods
+  && strictly_ascending 0 t.Tree.leaf_ids
+  && strictly_ascending 0 t.Tree.pod_ids
+  && List.for_all
+       (fun l ->
+         let p = Topology.pod_of_leaf topo l in
+         Tree.leaf_slot t l = position l leaves
+         && Tree.pod_slot t p = position p pods
+         && same_bm (Tree.leaf_bitmap t l) (scan_leaf_bitmap topo members l)
+         && same_bm (Tree.spine_bitmap t p) (scan_spine_bitmap topo members p))
+       probe
+
+let copy_shares_nothing (t : Tree.t) =
+  let c = Tree.copy t in
+  let bitmaps (t : Tree.t) =
+    (t.Tree.core_bitmap :: Array.to_list t.Tree.leaf_bms) @ Array.to_list t.Tree.spine_bms
+  in
+  Tree.equal c t
+  && Tree.member_array c = Tree.member_array t
+  && c.Tree.members != t.Tree.members
+  && c.Tree.leaf_ids != t.Tree.leaf_ids
+  && c.Tree.leaf_bms != t.Tree.leaf_bms
+  && c.Tree.pod_ids != t.Tree.pod_ids
+  && c.Tree.spine_bms != t.Tree.spine_bms
+  && List.for_all (fun bm -> not (List.memq bm (bitmaps t))) (bitmaps c)
+
+(* A boundary-straddling member set and a sequence of hosts to toggle:
+   mostly hosts on the set's own leaves (the fast path's case), the rest
+   boundary or random hosts. *)
+let gen_index_case topo =
+  let n = Topology.num_hosts topo and hpl = topo.Topology.hosts_per_leaf in
+  let edges = boundary_hosts topo in
+  QCheck.Gen.(
+    let* members = gen_boundary_members topo in
+    let* ops =
+      list_size (int_range 0 30)
+        (frequency
+           [
+             ( 3,
+               let* h = oneofl members in
+               let* port = int_range 0 (hpl - 1) in
+               return ((h / hpl * hpl) + port) );
+             (1, oneofl edges);
+             (1, int_range 0 (n - 1));
+           ])
+    in
+    return (members, ops))
+
+let prop_index_matches_scan (name, topo) =
+  QCheck.Test.make ~name:("tree index = linear reference: " ^ name) ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list int) (list int))
+       (gen_index_case topo))
+    (fun (members, ops) ->
+      let t = Tree.of_members topo members in
+      (* Every leaf a host of the case sits on, and its neighbours. *)
+      let probe =
+        List.concat_map
+          (fun h ->
+            let l = Topology.leaf_of_host topo h in
+            [ l - 1; l; l + 1 ])
+          (members @ ops)
+        |> List.filter (fun l -> l >= 0 && l < Topology.num_leaves topo)
+        |> List.sort_uniq Int.compare
+      in
+      let step ok h =
+        ok
+        &&
+        let members = Tree.member_array t in
+        let on_leaf =
+          Array.fold_left
+            (fun acc m ->
+              acc + Bool.to_int (Topology.leaf_of_host topo m = Topology.leaf_of_host topo h))
+            0 members
+        in
+        let applied, want =
+          if Tree.mem_host t h then (Tree.remove_member t h, on_leaf >= 2)
+          else (Tree.add_member t h, on_leaf >= 1)
+        in
+        applied = want && index_matches_scan topo t probe && copy_shares_nothing t
+      in
+      index_matches_scan topo t probe
+      && copy_shares_nothing t
+      && List.fold_left step true ops)
 
 let test_of_sorted_refuses () =
   let n = Topology.num_hosts topo in
@@ -302,6 +443,15 @@ let tests =
             ~cores_per_plane:4 );
         ("leaf-spine", Topology.leaf_spine ~leaves:8 ~spines:4 ~hosts_per_leaf:8);
         ("running example", Topology.running_example ());
+      ]
+  @ List.map
+      (fun fabric -> QCheck_alcotest.to_alcotest (prop_index_matches_scan fabric))
+      [
+        ("running example", Topology.running_example ());
+        ( "clos",
+          Topology.create ~pods:8 ~leaves_per_pod:8 ~spines_per_pod:4 ~hosts_per_leaf:32
+            ~cores_per_plane:4 );
+        ("facebook_fabric", fabric);
       ]
   @ List.map
       (fun fabric -> QCheck_alcotest.to_alcotest (prop_of_sorted_matches fabric))

@@ -259,10 +259,10 @@ let reference_prefix (enc : Encoding.t) ~sender =
   let sp = Topology.pod_of_leaf topo sl in
   let other_leaves_in_pod =
     List.exists
-      (fun (l, _) -> l <> sl && Topology.pod_of_leaf topo l = sp)
-      tree.Tree.leaf_bitmaps
+      (fun l -> l <> sl && Topology.pod_of_leaf topo l = sp)
+      (Tree.leaves tree)
   in
-  let other_pods = List.exists (fun (p, _) -> p <> sp) tree.Tree.spine_bitmaps in
+  let other_pods = List.exists (fun p -> p <> sp) (Tree.pods tree) in
   let beyond_leaf = other_leaves_in_pod || other_pods in
   let u_leaf_down =
     match Tree.leaf_bitmap tree sl with
@@ -1212,12 +1212,12 @@ let edit_enc ~group f (g : Installed_config.group_view) =
 let drop_tree_port ~group ~leaf port =
   edit_enc ~group (fun enc ->
       let tree = enc.Encoding.tree in
-      let leaf_bitmaps =
-        List.map
-          (fun (l, bm) -> (l, if l = leaf then without port bm else bm))
-          tree.Tree.leaf_bitmaps
+      let leaf_bms =
+        Array.mapi
+          (fun s bm -> if tree.Tree.leaf_ids.(s) = leaf then without port bm else bm)
+          tree.Tree.leaf_bms
       in
-      { enc with Encoding.tree = { tree with Tree.leaf_bitmaps } })
+      { enc with Encoding.tree = { tree with Tree.leaf_bms } })
 
 (* [port] cleared from every rule of [site]'s layer that can assign the
    switch: its p-rules, its s-rule and the default. *)
@@ -1409,8 +1409,8 @@ let prule_bitmaps (enc : Encoding.t) =
 
 let tree_bitmaps (enc : Encoding.t) =
   let tree = enc.Encoding.tree in
-  (tree.Tree.core_bitmap :: List.map snd tree.Tree.spine_bitmaps)
-  @ List.map snd tree.Tree.leaf_bitmaps
+  (tree.Tree.core_bitmap :: Array.to_list tree.Tree.spine_bms)
+  @ Array.to_list tree.Tree.leaf_bms
 
 let tree_sites (enc : Encoding.t) =
   let tree = enc.Encoding.tree in

@@ -300,8 +300,7 @@ let agrees_with_members ctrl =
         count pod_rules enc.Encoding.d_spine.Clustering.srules;
         let tree = enc.Encoding.tree and want = Tree.of_members topo receivers in
         List.equal Int.equal (Tree.member_list tree) (Tree.member_list want)
-        && Tree.equal_bitmaps tree.Tree.leaf_bitmaps want.Tree.leaf_bitmaps
-        && Tree.equal_bitmaps tree.Tree.spine_bitmaps want.Tree.spine_bitmaps
+        && Tree.equal tree want
         && Bitmap.equal tree.Tree.core_bitmap want.Tree.core_bitmap
     | None, _ :: _ | Some _, [] -> false
   in
