@@ -309,8 +309,9 @@ let verify_cmd =
      borrows the controller's live encodings. *)
   let sabotage topo (cfg : Installed_config.t) =
     let corrupt (g : Installed_config.group_view) =
-      match (g.Installed_config.enc, g.Installed_config.receivers) with
-      | Some enc, host :: _ :: _ ->
+      match g.Installed_config.enc with
+      | Some enc when Array.length g.Installed_config.receivers >= 2 ->
+          let host = g.Installed_config.receivers.(0) in
           let enc =
             Encoding.(
               of_choices enc.params (Tree.copy enc.tree) (choices enc))

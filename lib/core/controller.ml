@@ -197,7 +197,7 @@ type t = {
          handed out share it, so it is replaced, never written *)
   mutable index : Installed_config.group_view Pvec.t;
       (* [installed_config]'s view of group [gids.(i)] in slot [i]: the
-         sorted member and override lists beside the borrowed encoding.
+         sorted member arrays and override list beside the borrowed encoding.
          Built whole on the first call and after the group set changes,
          then kept: a call replaces only the slots [mark_dirty] marked *)
   mutable index_stale : Bitmap.t;
@@ -208,7 +208,7 @@ type t = {
          call builds it whole, reusing the clean slots' views *)
   host_scratch : Bitmap.t;
       (* one bit per host: the counting sort of a group's hosts (the tree's
-         receivers, the update's hypervisors, the view's lists) and the
+         receivers, the update's hypervisors, the view's member arrays) and the
          guard's duplicate check; all clear between calls, also after a
          guard raises *)
   segments : (int, bytes) Hashtbl.t;
@@ -294,7 +294,8 @@ let rec sorted_hosts_from t keep lo hi = function
 let sorted_hosts t members keep = sorted_hosts_from t keep max_int (-1) members
 
 (* The same read-out into a fresh array sized by the count, which
-   [Tree.of_sorted] keeps as the tree's member buffer. *)
+   [Tree.of_sorted] keeps as the tree's member buffer and a view as its
+   member arrays. *)
 let rec sorted_array_from t keep lo hi n = function
   | [] ->
       let a = Array.make n 0 in
@@ -306,6 +307,8 @@ let rec sorted_array_from t keep lo hi n = function
         sorted_array_from t keep (Int.min lo h) (Int.max hi h) (n + 1) rest
       end
       else sorted_array_from t keep lo hi n rest
+
+let sorted_array t members keep = sorted_array_from t keep max_int (-1) 0 members
 
 (* {1 Dirty-group tracking}
 
@@ -729,7 +732,7 @@ let deny t site =
   | Srule_state.Pod p -> t.denied_pod.(p) <- true
 
 let encode_group t st =
-  let rcvs = sorted_array_from t receives max_int (-1) 0 st.members in
+  let rcvs = sorted_array t st.members receives in
   if Array.length rcvs = 0 then st.enc <- None
   else begin
     let tree = Tree.of_sorted t.topo rcvs in
@@ -1393,7 +1396,7 @@ let recover_core t c =
 
    The read-only [Installed_config.t] view feeds the symbolic verification layer
    ([lib/verify]). Each group's view borrows the group's live encoding
-   and override records; its sorted member and override lists live in the
+   and override records; its sorted member arrays and override list live in the
    gid-ordered [index] until [mark_dirty] marks the slot, so successive
    views share the records of unchanged groups. The index is persistent:
    replacing a slot copies one path of it, so a call costs the marked
@@ -1402,14 +1405,14 @@ let recover_core t c =
    view read after a mutation is refused instead of seeing half-old,
    half-new state. *)
 
-(* The lists come from the membership, never from the encoder's tree, so
-   the check stays independent of what it checks. When every member is
-   [Both] the two lists are equal and share one list. *)
+(* The member arrays come from the membership, never from the encoder's
+   tree, so the check stays independent of what it checks. When every
+   member is [Both] the two are equal and share one array. *)
 let build_view t gid st =
-  let receivers = sorted_hosts t st.members receives in
+  let receivers = sorted_array t st.members receives in
   let senders =
     if List.for_all (fun (_, r) -> only_both r) st.members then receivers
-    else sorted_hosts t st.members sends
+    else sorted_array t st.members sends
   in
   {
     Installed_config.gid;
@@ -1422,8 +1425,8 @@ let build_view t gid st =
 let no_view =
   {
     Installed_config.gid = -1;
-    receivers = [];
-    senders = [];
+    receivers = [||];
+    senders = [||];
     enc = None;
     overrides = [];
   }

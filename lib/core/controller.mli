@@ -173,7 +173,7 @@ val drain_dirty : t -> int list
 val memoized_views : t -> int
 (** test-only: view-memo oracle (test_verify). Number of clean slots
     in {!installed_config}'s gid-ordered index: groups whose view record —
-    the sorted member and override lists beside the borrowed encoding — is
+    the sorted member arrays and override list beside the borrowed encoding — is
     unchanged since it was last built. Zero on a fresh or {!restore}d
     controller. *)
 
@@ -262,8 +262,8 @@ val installed_config : t -> Installed_config.t
     ({!Installed_config.index}); a mutation marks the group's slot (see
     {!drain_dirty}; the index is independent of draining), so views from
     successive calls share the [group_view] record of every unchanged
-    group. One call rebuilds the marked slots' sorted member and override
-    lists and replaces them in the index, copying one O(log groups) path
+    group. One call rebuilds the marked slots' sorted member arrays and
+    override lists and replaces them in the index, copying one O(log groups) path
     per slot, so a view already handed out never changes; beside that it
     copies the health, denial and stale-site state. Nothing is paid per
     clean group. After {!add_group}, {!remove_group}, {!install_all} or

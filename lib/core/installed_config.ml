@@ -10,8 +10,8 @@ type override = {
 
 type group_view = {
   gid : int;
-  receivers : int list;
-  senders : int list;
+  receivers : int array;
+  senders : int array;
   enc : Encoding.t option;
   overrides : (int * override) list;
 }
@@ -48,7 +48,22 @@ let sorted cmp l =
   Array.sort cmp a;
   a
 
-let index_of_array groups =
+(* The verifier walks [receivers] in leaf runs and names the first
+   uncovered host in array order, so a hand-built view must hand it
+   strictly ascending hosts of the topology. *)
+let rec ascending (a : int array) i =
+  i + 1 >= Array.length a || (a.(i) < a.(i + 1) && ascending a (i + 1))
+
+let hosts_ok topo a =
+  let n = Array.length a in
+  n = 0 || (a.(0) >= 0 && a.(n - 1) < Topology.num_hosts topo && ascending a 0)
+
+let check_members topo (g : group_view) =
+  if not (hosts_ok topo g.receivers && hosts_ok topo g.senders) then
+    invalid_arg "Installed_config: members not ascending hosts of the topology" (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
+
+let index_of_array topo groups =
+  Array.iter (check_members topo) groups;
   {
     gids = Array.map (fun g -> g.gid) groups;
     views = Pvec.of_array groups;
@@ -79,7 +94,7 @@ let make ?generation ?spine_ok ?core_ok ?link_ok ?denied_leaf ?denied_pod
     ?stale_sites topo params groups =
   build ?generation ?spine_ok ?core_ok ?link_ok ?denied_leaf ?denied_pod
     ?stale_sites topo params
-    (index_of_array (sorted (fun a b -> Int.compare a.gid b.gid) groups))
+    (index_of_array topo (sorted (fun a b -> Int.compare a.gid b.gid) groups))
 
 let of_index ?generation ?spine_ok ?core_ok ?link_ok ?denied_leaf ?denied_pod
     ?stale_sites topo params ~gids views =
@@ -87,7 +102,7 @@ let of_index ?generation ?spine_ok ?core_ok ?link_ok ?denied_leaf ?denied_pod
     ?stale_sites topo params
     { gids; views; flat = lazy (Pvec.to_array views) }
 
-let with_groups t groups = { t with index = index_of_array groups }
+let with_groups t groups = { t with index = index_of_array t.topo groups }
 let is_current t = !(t.generation) = t.stamp
 let groups t = Lazy.force t.index.flat
 let count t = Array.length t.index.gids

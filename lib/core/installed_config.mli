@@ -43,8 +43,12 @@ type override = {
 
 type group_view = {
   gid : int;
-  receivers : int list;  (** member hosts with a receiving role, ascending *)
-  senders : int list;  (** member hosts with a sending role, ascending *)
+  receivers : int array;
+      (** member hosts with a receiving role, strictly ascending; exactly
+          as long as their count *)
+  senders : int array;
+      (** member hosts with a sending role, strictly ascending; the
+          [receivers] array itself when every member is [Both] *)
   enc : Encoding.t option;
       (** the installed encoding; [None] when the group has no receivers
           (or was degraded to pure unicast) *)
@@ -90,7 +94,10 @@ val make :
   t
 (** Builds a view; health arrays default to all-healthy, denial arrays to
     all-allowed and [stale_sites] to empty. Group views are sorted by
-    [gid] and stale sites by (group, site key) into fresh arrays. The
+    [gid] and stale sites by (group, site key) into fresh arrays. Raises
+    [Invalid_argument] if a view's [receivers] or [senders] are not
+    strictly ascending hosts of the topology: the verifier walks them in
+    leaf runs. O(members) for the check. The
     health and denial arrays are used as given (not copied): callers
     constructing views by hand own them. The view is stamped with
     [!generation]; without [generation] it gets a counter of its own, so a
@@ -111,14 +118,17 @@ val of_index :
   t
 (** {!make} over an index already built: slot [i] of the vector holds the
     view of group [gids.(i)], and [gids] ascends and is as long as the
-    vector (neither checked). Both are kept as given, so the caller must
-    never write [gids]. O(1) beside the health and stale-site
-    arguments. *)
+    vector (neither checked), and the member arrays are not checked
+    either: the controller drains them ascending from its counting sort.
+    Both are kept as given, so the caller must never write [gids]. O(1)
+    beside the health and stale-site arguments. *)
 
 val with_groups : t -> group_view array -> t
 (** The same view — topology, health, stale sites, generation and stamp —
     over other group views, ascending by [gid] (not checked). For tests
-    and demos that sabotage a copy of a controller's view. *)
+    and demos that sabotage a copy of a controller's view. Raises
+    [Invalid_argument], as {!make} does, on member arrays that are not
+    strictly ascending hosts of the topology. *)
 
 val is_current : t -> bool
 (** Has the producing controller not mutated any group since the view was

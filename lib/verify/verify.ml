@@ -13,10 +13,81 @@ let current cfg =
 let bitmap_opt_get bm i =
   match bm with Some bm -> Bitmap.get bm i | None -> false
 
-(* The output bitmap of the first p-rule naming switch [id]. *)
-let rec prule_bitmap id = function
-  | [] -> None
-  | r :: rest -> if Prule.rule_mem r id then Some r.Prule.bitmap else prule_bitmap id rest
+(* {1 Installed assignments}
+
+   A switch resolves its downstream assignment as the switch parser does:
+   the first p-rule naming it, then the group-table entry — the
+   compensated truthful bitmap when the site is stale, the first s-rule
+   naming it otherwise — then the default p-rule, which applies to any
+   switch falling through. [None] means the switch forwards nothing.
+
+   [sites] holds, per layer, one slot per switch of the fabric. For the
+   group it last indexed it records, from the rule records themselves,
+   the bitmap of the first p-rule naming each switch (stamped [stamp]),
+   and of the first s-rule naming each switch no p-rule names (stamped
+   [stamp + 1]). Indexing a group costs the switch ids its rules name and
+   resolving a switch is then O(1) beside the stale lookup, where a scan
+   of the layer's rules per switch was O(rules). The encoding's own slot
+   dispatch ([Encoding.idx_*]) is not read: a check that trusted it would
+   miss a rule record edited behind it. One [sites] serves one group at a
+   time; a caller allocates it once per call and indexes each group
+   before resolving its switches. *)
+
+type layer_index = {
+  at : int array;  (* the stamp of the rule recorded at each switch *)
+  first : Bitmap.t array;  (* that rule's bitmap *)
+}
+
+type sites = {
+  leaf_ix : layer_index;
+  pod_ix : layer_index;
+  mutable stamp : int;  (* even; 2 more for each group indexed *)
+}
+
+let layer_index n = { at = Array.make n (-1); first = Array.make n (Bitmap.create 0) }
+
+let sites topo =
+  {
+    leaf_ix = layer_index (Topology.num_leaves topo);
+    pod_ix = layer_index topo.Topology.pods;
+    stamp = 0;
+  }
+
+(* Record [bm] at switch [id], stamped [mark], unless a rule of the group
+   stamped [stamp] is recorded there already; ids off the fabric name no
+   switch. *)
+let record ix stamp mark id bm =
+  if id >= 0 && id < Array.length ix.at && ix.at.(id) < stamp then begin
+    ix.at.(id) <- mark;
+    ix.first.(id) <- bm
+  end
+
+let rec record_ids ix stamp bm = function
+  | [] -> ()
+  | id :: rest ->
+      record ix stamp stamp id bm;
+      record_ids ix stamp bm rest
+
+let rec record_prules ix stamp = function
+  | [] -> ()
+  | (r : Prule.prule) :: rest ->
+      record_ids ix stamp r.Prule.bitmap r.Prule.switches;
+      record_prules ix stamp rest
+
+let rec record_srules ix stamp = function
+  | [] -> ()
+  | (id, bm) :: rest ->
+      record ix stamp (stamp + 1) id bm;
+      record_srules ix stamp rest
+
+let index_layer ix stamp (layer : Clustering.result) =
+  record_prules ix stamp layer.Clustering.prules;
+  record_srules ix stamp layer.Clustering.srules
+
+let index_group s (enc : Encoding.t) =
+  s.stamp <- s.stamp + 2;
+  index_layer s.leaf_ix s.stamp enc.Encoding.d_leaf;
+  index_layer s.pod_ix s.stamp enc.Encoding.d_spine
 
 (* The tree's own bitmap at a site: what a stale site's compensated
    entry holds. *)
@@ -24,108 +95,101 @@ let truthful tree = function
   | Srule_state.Leaf l -> Tree.leaf_bitmap tree l
   | Srule_state.Pod p -> Tree.spine_bitmap tree p
 
-(* Downstream assignment of one logical switch under the installed state,
-   resolved as the switch parser does: p-rule identifier scan, then the
-   group-table entry — the compensated truthful bitmap when the site is
-   stale, the clustering's s-rule otherwise — then the default p-rule,
-   which applies to any switch falling through. [None] means the switch
-   forwards nothing (equivalently, an empty bitmap). [layer] and [id] are
-   the site's layer of [enc] and its switch id. *)
-let assigned_in cfg ~group ~site (enc : Encoding.t) (layer : Clustering.result) id =
-  match prule_bitmap id layer.Clustering.prules with
-  | Some _ as bm -> bm
-  | None ->
-      if Installed_config.is_stale cfg ~group site then
-        truthful enc.Encoding.tree site
-      else (
-        match Int_list.assoc_opt id layer.Clustering.srules with
-        | Some _ as bm -> bm
-        | None -> (
-            match layer.Clustering.default with
-            | Some (_, bm) -> Some bm
-            | None -> None))
+let leaf_site l = Srule_state.Leaf l
+let pod_site p = Srule_state.Pod p
 
-let assigned cfg ~group ~site (enc : Encoding.t) =
-  match site with
-  | Srule_state.Leaf l -> assigned_in cfg ~group ~site enc enc.Encoding.d_leaf l
-  | Srule_state.Pod p -> assigned_in cfg ~group ~site enc enc.Encoding.d_spine p
+(* Switch [id]'s assignment in [layer] of the group [s] last indexed,
+   [enc]; [site] names the switch's site. *)
+let resolve s ix ~site cfg ~group (enc : Encoding.t) (layer : Clustering.result) id =
+  let at = ix.at.(id) in
+  if at = s.stamp then Some ix.first.(id)
+  else
+    let site = site id in
+    if Installed_config.is_stale cfg ~group site then
+      truthful enc.Encoding.tree site
+    else if at = s.stamp + 1 then Some ix.first.(id)
+    else Option.map snd layer.Clustering.default
+
+let leaf_assigned s cfg ~group (enc : Encoding.t) l =
+  resolve s s.leaf_ix ~site:leaf_site cfg ~group enc enc.Encoding.d_leaf l
+
+let pod_assigned s cfg ~group (enc : Encoding.t) p =
+  resolve s s.pod_ix ~site:pod_site cfg ~group enc enc.Encoding.d_spine p
 
 (* {1 The spec walk}
 
    [compile] never holds an edge [intent] lacks: every compiled edge is an
    edge of the receivers' specification tree that the installed state also
-   covers. [spec_walk] visits every spec edge — per receiver pod its core
-   edge (multi-pod topologies only), per receiver leaf its spine edge, per
-   receiver its leaf edge — and calls [edge sw port covered] with whether
-   the installed state covers it, each layer gated on its parent. [compile]
-   keeps the covered edges, [intent] all of them, and [check_config] only
-   the smallest uncovered one; none builds the spec [Tree.t]. Receivers
-   are ascending, so each pod's and leaf's installed state is looked up
-   once. *)
-let spec_walk cfg (g : Installed_config.group_view) edge =
+   covers. [spec_walk] visits every spec edge, each layer gated on its
+   parent: per receiver pod its core edge (multi-pod topologies only),
+   calling [core pod covered]; per receiver leaf its spine edge, calling
+   [spine pod leaf_port covered]; and per receiver leaf the run of its
+   receivers, calling [leaf l receivers base lo hi down ports]. The run is
+   [receivers.(lo) .. receivers.(hi - 1)], whose ports on [l] are the
+   hosts minus [base]; [down] is the leaf's installed assignment and
+   [ports] its tree bitmap, both [None] when the spine edge is uncovered.
+   A leaf edge is covered when its port is in both.
+
+   The receivers ascend, so a leaf's receivers are one run: the first
+   one's leaf gives the host range (one division per run, none per host),
+   and a binary search finds where the run ends. Each pod's and leaf's
+   installed state is looked up once.
+   [compile] and [intent] expand each run into its leaf edges and keep the
+   covered ones or all of them; [check_group] tests a run as one bitmap.
+   None builds the spec [Tree.t]. *)
+let spec_walk s cfg (g : Installed_config.group_view) ~core ~spine ~leaf =
   let topo = cfg.Installed_config.topo in
+  let hpl = topo.Topology.hosts_per_leaf and lpp = topo.Topology.leaves_per_pod in
   (* On a multi-pod topology some sender always sits outside any given
      pod, so cross-pod reachability (core bitmap + downstream spine
      assignment) is required for every receiver pod — the encoder sets the
      core bit even for single-pod trees. *)
   let cross_pod = topo.Topology.pods > 1 in
-  let enc = g.Installed_config.enc in
-  let site_assigned site =
-    match enc with
-    | Some enc -> assigned cfg ~group:g.Installed_config.gid ~site enc
-    | None -> None
-  in
-  let tree = Option.map (fun (e : Encoding.t) -> e.Encoding.tree) enc in
-  (* The current pod: its spine switch, whether the core forwards into it,
-     its in-pod tree ports and its downstream spine assignment. *)
-  let pod = ref (-1) and spine_sw = ref Pred.Core in
-  let core_covered = ref false in
+  let group = g.Installed_config.gid and enc = g.Installed_config.enc in
+  (match enc with Some e -> index_group s e | None -> ());
+  let rcv = g.Installed_config.receivers in
+  let last = Array.length rcv - 1 in
+  (* The current pod: its id and first leaf past it, whether the core
+     forwards into it, its in-pod tree ports and its downstream spine
+     assignment. *)
+  let pod = ref (-1) and pod_end = ref 0 and core_covered = ref false in
   let in_pod = ref None and down_spine = ref None in
-  (* The current leaf: its switch, and the installed ports that reach its
-     hosts — both [Some] only when its spine edge is covered. *)
-  let leaf = ref (-1) and leaf_sw = ref Pred.Core in
-  let down_leaf = ref None and tree_ports = ref None in
-  List.iter
-    (fun h ->
-      let l = Topology.leaf_of_host topo h in
-      if l <> !leaf then begin
-        let p = Topology.pod_of_leaf topo l in
-        if p <> !pod then begin
-          pod := p;
-          spine_sw := Pred.Spine p;
-          (core_covered :=
-             match tree with
-             | None -> false
-             | Some t -> (not cross_pod) || Bitmap.get t.Tree.core_bitmap p);
-          if cross_pod then edge Pred.Core p !core_covered;
-          (in_pod :=
-             match tree with Some t -> Tree.spine_bitmap t p | None -> None);
+  let lo = ref 0 in
+  while !lo <= last do
+    let l = rcv.(!lo) / hpl in
+    let base = l * hpl in
+    let hi = Int_array.lower_bound rcv (base + hpl) ~lo:(!lo + 1) ~hi:last in
+    if l >= !pod_end then begin
+      let p = l / lpp in
+      pod := p;
+      pod_end := (p + 1) * lpp;
+      (match enc with
+      | None ->
+          core_covered := false;
+          in_pod := None;
+          down_spine := None
+      | Some e ->
+          let t = e.Encoding.tree in
+          core_covered := (not cross_pod) || Bitmap.get t.Tree.core_bitmap p;
+          in_pod := Tree.spine_bitmap t p;
           down_spine :=
-            if cross_pod then site_assigned (Srule_state.Pod p) else None
-        end;
-        leaf := l;
-        leaf_sw := Pred.Leaf l;
-        let lp = Topology.leaf_port_on_spine topo l in
-        let spine_covered =
-          bitmap_opt_get !in_pod lp
-          && ((not cross_pod)
-             || (!core_covered && bitmap_opt_get !down_spine lp))
-        in
-        edge !spine_sw lp spine_covered;
-        if spine_covered then begin
-          down_leaf := site_assigned (Srule_state.Leaf l);
-          tree_ports :=
-            match tree with Some t -> Tree.leaf_bitmap t l | None -> None
-        end
-        else begin
-          down_leaf := None;
-          tree_ports := None
-        end
-      end;
-      let q = Topology.host_port_on_leaf topo h in
-      edge !leaf_sw q
-        (bitmap_opt_get !down_leaf q && bitmap_opt_get !tree_ports q))
-    g.Installed_config.receivers
+            if cross_pod then pod_assigned s cfg ~group e p else None);
+      if cross_pod then core p !core_covered
+    end;
+    let lp = l - (!pod * lpp) in
+    let spine_covered =
+      bitmap_opt_get !in_pod lp
+      && ((not cross_pod) || (!core_covered && bitmap_opt_get !down_spine lp))
+    in
+    spine !pod lp spine_covered;
+    (match enc with
+    | Some e when spine_covered ->
+        leaf l rcv base !lo hi
+          (leaf_assigned s cfg ~group e l)
+          (Tree.leaf_bitmap e.Encoding.tree l)
+    | Some _ | None -> leaf l rcv base !lo hi None None);
+    lo := hi
+  done
 
 let spec_pred ctx cfg ~group keep =
   current cfg;
@@ -133,8 +197,15 @@ let spec_pred ctx cfg ~group keep =
   | None -> Pred.of_pairs ctx []
   | Some g ->
       let acc = ref [] in
-      spec_walk cfg g (fun sw port covered ->
-          if keep covered then acc := (sw, port) :: !acc);
+      let add sw port covered = if keep covered then acc := (sw, port) :: !acc in
+      spec_walk (sites cfg.Installed_config.topo) cfg g
+        ~core:(fun p covered -> add Pred.Core p covered)
+        ~spine:(fun p lp covered -> add (Pred.Spine p) lp covered)
+        ~leaf:(fun l rcv base lo hi down ports ->
+          for i = lo to hi - 1 do
+            let q = rcv.(i) - base in
+            add (Pred.Leaf l) q (bitmap_opt_get down q && bitmap_opt_get ports q)
+          done);
       Pred.of_pairs ctx !acc
 
 let compile ctx cfg ~group = spec_pred ctx cfg ~group Fun.id
@@ -165,29 +236,24 @@ type route = {
   r_cfg : Installed_config.t;
   r_group : Installed_config.group_view;
   r_enc : Encoding.t;
-  r_assigned : (int, Bitmap.t option) Hashtbl.t;
-      (* [assigned] by [Srule_state.site_key], filled on first visit *)
+  r_sites : sites;  (* indexed for this group; valid until the next route *)
 }
 
-let route cfg (g : Installed_config.group_view) =
+let route s cfg (g : Installed_config.group_view) =
   Option.map
     (fun enc ->
-      { r_cfg = cfg; r_group = g; r_enc = enc; r_assigned = Hashtbl.create 16 })
+      index_group s enc;
+      { r_cfg = cfg; r_group = g; r_enc = enc; r_sites = s })
     g.Installed_config.enc
 
-let site_assigned r site =
-  let key = Srule_state.site_key site in
-  match Hashtbl.find_opt r.r_assigned key with
-  | Some a -> a
-  | None ->
-      let a =
-        assigned r.r_cfg ~group:r.r_group.Installed_config.gid ~site r.r_enc
-      in
-      Hashtbl.add r.r_assigned key a;
-      a
+let route_leaf r l =
+  leaf_assigned r.r_sites r.r_cfg ~group:r.r_group.Installed_config.gid r.r_enc l
+
+let route_pod r p =
+  pod_assigned r.r_sites r.r_cfg ~group:r.r_group.Installed_config.gid r.r_enc p
 
 let leaf_down r l add =
-  match site_assigned r (Srule_state.Leaf l) with
+  match route_leaf r l with
   | None -> ()
   | Some bm -> Bitmap.iter (fun q -> add (Pred.Leaf l) q) bm
 
@@ -232,7 +298,7 @@ let in_pod_part r ~sl ~plane add =
 (* A remote pod's spine on [plane] forwarding down: the pod's spine
    assignment, link-gated. *)
 let pod_down r ~pod ~plane add =
-  match site_assigned r (Srule_state.Pod pod) with
+  match route_pod r pod with
   | None -> ()
   | Some bm ->
       live_leaves r.r_cfg ~pod ~plane
@@ -304,7 +370,10 @@ let sender_planes r ~sender =
 
 let compile_sender ctx cfg ~group ~sender =
   current cfg;
-  match Option.bind (Installed_config.group cfg group) (route cfg) with
+  match
+    Option.bind (Installed_config.group cfg group)
+      (route (sites cfg.Installed_config.topo) cfg)
+  with
   | None -> None
   | Some r ->
       sender_planes r ~sender
@@ -330,13 +399,14 @@ let receiver_endpoints ctx cfg ~group ~sender =
   | None -> Pred.of_pairs ctx []
   | Some g ->
       let topo = cfg.Installed_config.topo in
-      g.Installed_config.receivers
-      |> List.filter_map (fun h ->
-             if h = sender then None
-             else
-               Some
-                 ( Pred.Leaf (Topology.leaf_of_host topo h),
-                   Topology.host_port_on_leaf topo h ))
+      Array.fold_right
+        (fun h acc ->
+          if h = sender then acc
+          else
+            ( Pred.Leaf (Topology.leaf_of_host topo h),
+              Topology.host_port_on_leaf topo h )
+            :: acc)
+        g.Installed_config.receivers []
       |> Pred.of_pairs ctx
 
 let header_pred ctx topo ~sender (h : Prule.header) =
@@ -457,21 +527,92 @@ let walk_groups cfg step =
 (* [compile = intent] for one group. [compile] is [intent] minus the
    uncovered spec edges, so the first edge on which they differ is the
    smallest uncovered one in [Pred]'s canonical order — the witness
-   [check_equiv] would give, found without building either predicate. *)
-let check_group cfg (g : Installed_config.group_view) =
-  let first = ref None in
-  spec_walk cfg g (fun sw port covered ->
-      if not covered then
-        match !first with
-        | Some e when Pred.compare_edge e (sw, port) <= 0 -> ()
-        | Some _ | None -> first := Some (sw, port));
-  match !first with
-  | None -> Ok ()
-  | Some e -> Error (witness ~group:g.Installed_config.gid e)
+   [check_equiv] would give, found without building either predicate.
+
+   The walk meets pods, leaves and ports in ascending order, so within
+   one layer the first uncovered edge it meets is the smallest, and
+   [Pred] sorts every core edge before every spine edge and every spine
+   edge before every leaf edge. The check keeps the first uncovered edge
+   of the topmost layer met so far. Once it holds one, no later leaf edge
+   can beat it, so no further run is tested; a later core or spine edge
+   still can. A run is tested as one bitmap: its ports are set in
+   [run], and it passes when they lie within both the leaf's installed
+   assignment and its tree bitmap. Only a failing run is scanned, for its
+   first host outside either. *)
+
+type state = {
+  sites : sites;
+  run : Bitmap.t;  (* one bit per host port of a leaf *)
+  mutable rank : int;
+      (* the layer of the witness so far: 0 core, 1 spine, 2 leaf, 3 none *)
+  mutable w_switch : Pred.switch;
+  mutable w_port : int;
+}
+
+(* One check's state and [spec_walk]'s callbacks over it, built once per
+   call and reused for every group. *)
+type scratch = {
+  st : state;
+  on_core : int -> bool -> unit;
+  on_spine : int -> int -> bool -> unit;
+  on_leaf :
+    int -> int array -> int -> int -> int -> Bitmap.t option -> Bitmap.t option -> unit;
+}
+
+let keep st layer sw port =
+  if layer < st.rank then begin
+    st.rank <- layer;
+    st.w_switch <- sw;
+    st.w_port <- port
+  end
+
+let on_core st p covered = if not covered then keep st 0 Pred.Core p
+let on_spine st p lp covered = if not covered then keep st 1 (Pred.Spine p) lp
+
+let on_leaf st l rcv base lo hi down ports =
+  if st.rank = 3 then
+    match (down, ports) with
+    | Some down, Some ports ->
+        let run = st.run in
+        Bitmap.reset run;
+        for i = lo to hi - 1 do
+          Bitmap.set run (rcv.(i) - base)
+        done;
+        if not (Bitmap.subset run down && Bitmap.subset run ports) then begin
+          let covered i =
+            let q = rcv.(i) - base in
+            Bitmap.get down q && Bitmap.get ports q
+          in
+          let i = ref lo in
+          while covered !i do
+            incr i
+          done;
+          keep st 2 (Pred.Leaf l) (rcv.(!i) - base)
+        end
+    | _ -> keep st 2 (Pred.Leaf l) (rcv.(lo) - base)
+
+let scratch topo =
+  let st =
+    {
+      sites = sites topo;
+      run = Bitmap.create (Topology.leaf_downstream_width topo);
+      rank = 3;
+      w_switch = Pred.Core;
+      w_port = 0;
+    }
+  in
+  { st; on_core = on_core st; on_spine = on_spine st; on_leaf = on_leaf st }
+
+let check_group sc cfg (g : Installed_config.group_view) =
+  let st = sc.st in
+  st.rank <- 3;
+  spec_walk st.sites cfg g ~core:sc.on_core ~spine:sc.on_spine ~leaf:sc.on_leaf;
+  if st.rank = 3 then Ok ()
+  else Error (witness ~group:g.Installed_config.gid (st.w_switch, st.w_port))
 
 let check_config cfg =
   current cfg;
-  walk_groups cfg (check_group cfg)
+  walk_groups cfg (check_group (scratch cfg.Installed_config.topo) cfg)
 
 (* {1 Zero-blackhole sweep}
 
@@ -500,6 +641,7 @@ let check_config cfg =
 let sender_blackholes cfg =
   current cfg;
   let topo = cfg.Installed_config.topo in
+  let s = sites topo in
   let leaves = Topology.num_leaves topo in
   let planes = topo.Topology.spines_per_pod in
   let slots = topo.Topology.pods * planes in
@@ -525,26 +667,22 @@ let sender_blackholes cfg =
   let cross_reach r ~sp ~plane =
     reached (slots + (sp * planes) + plane) (fun set ->
         cross_part r ~sp ~plane (fun _ _ -> ()) ~pod:(fun pod ->
-            Option.iter
-              (live_leaves cfg ~pod ~plane set)
-              (site_assigned r (Srule_state.Pod pod))))
+            Option.iter (live_leaves cfg ~pod ~plane set) (route_pod r pod)))
   in
   let first_uncovered r (g : Installed_config.group_view) ~sender ~sl =
     let local = Tree.leaf_bitmap r.r_enc.Encoding.tree sl in
-    List.find_opt
+    Array.find_opt
       (fun h ->
         let l = Topology.leaf_of_host topo h in
         let q = Topology.host_port_on_leaf topo h in
         h <> sender
         && not
              (if l = sl then bitmap_opt_get local q
-              else
-                Bitmap.get reach l
-                && bitmap_opt_get (site_assigned r (Srule_state.Leaf l)) q))
+              else Bitmap.get reach l && bitmap_opt_get (route_leaf r l) q))
       g.Installed_config.receivers
   in
   let check_group acc (g : Installed_config.group_view) =
-    match route cfg g with
+    match route s cfg g with
     | None -> acc
     | Some r ->
         incr group_no;
@@ -554,13 +692,13 @@ let sender_blackholes cfg =
         (* The bad leaves: how many, and the last one. *)
         let bad = ref 0 and bad_leaf = ref (-1) in
         let leaf = ref (-1) and down = ref None and ports = ref None in
-        List.iter
+        Array.iter
           (fun h ->
             let l = Topology.leaf_of_host topo h in
             if l <> !leaf then begin
               leaf := l;
               Bitmap.set want l;
-              down := site_assigned r (Srule_state.Leaf l);
+              down := route_leaf r l;
               ports := Tree.leaf_bitmap tree l
             end;
             let q = Topology.host_port_on_leaf topo h in
@@ -570,7 +708,7 @@ let sender_blackholes cfg =
             end;
             if not (bitmap_opt_get !ports q) then Bitmap.set local_bad l)
           g.Installed_config.receivers;
-        List.fold_left
+        Array.fold_left
           (fun acc sender ->
             match sender_planes r ~sender with
             | None -> acc
@@ -624,6 +762,10 @@ type cache = {
   mutable c_clean : bool;  (* the last call returned [Ok] *)
   mutable c_hits : int;
   mutable c_misses : int;
+  mutable c_scratch : scratch option;
+      (* the check's scratch, kept across calls: sized by the fabric, it
+         would otherwise cost every event an allocation in the major
+         heap *)
 }
 
 let create_cache () =
@@ -633,24 +775,40 @@ let create_cache () =
     c_clean = false;
     c_hits = 0;
     c_misses = 0;
+    c_scratch = None;
   }
+
+(* The cache's scratch, made again for a fabric of other dimensions. Its
+   stamps only grow, so what earlier calls recorded never reads as the
+   current group's. *)
+let cache_scratch cache topo =
+  match cache.c_scratch with
+  | Some sc
+    when Array.length sc.st.sites.leaf_ix.at = Topology.num_leaves topo
+         && Array.length sc.st.sites.pod_ix.at = topo.Topology.pods
+         && Bitmap.width sc.st.run = Topology.leaf_downstream_width topo ->
+      sc
+  | Some _ | None ->
+      let sc = scratch topo in
+      cache.c_scratch <- Some sc;
+      sc
 
 let is_cached cache gid = Hashtbl.mem cache.c_passed gid
 let cache_stats cache = (cache.c_hits, cache.c_misses)
 
-let recheck cache cfg g =
+let recheck cache sc cfg g =
   cache.c_misses <- cache.c_misses + 1;
-  let res = check_group cfg g in
+  let res = check_group sc cfg g in
   if Result.is_ok res then Hashtbl.replace cache.c_passed g.Installed_config.gid ();
   res
 
-let full_walk cache cfg =
+let full_walk cache sc cfg =
   walk_groups cfg (fun g ->
       if is_cached cache g.Installed_config.gid then begin
         cache.c_hits <- cache.c_hits + 1;
         Ok ()
       end
-      else recheck cache cfg g)
+      else recheck cache sc cfg g)
 
 let rec ascending = function
   | (a : int) :: (b :: _ as rest) -> a < b && ascending rest
@@ -659,14 +817,14 @@ let rec ascending = function
 (* Every group outside [slots] (ascending positions in the view) passed
    last time: re-check those in order, and count the rest as hits up to
    the first failure, as the full walk would. *)
-let dirty_walk cache cfg slots =
+let dirty_walk cache sc cfg slots =
   let n = Installed_config.count cfg in
   let rec go rechecked = function
     | [] ->
         cache.c_hits <- cache.c_hits + n - rechecked;
         Ok n
     | slot :: rest -> (
-        match recheck cache cfg (Installed_config.nth cfg slot) with
+        match recheck cache sc cfg (Installed_config.nth cfg slot) with
         | Ok () -> go (rechecked + 1) rest
         | Error _ as e ->
             cache.c_hits <- cache.c_hits + slot - rechecked;
@@ -677,6 +835,7 @@ let dirty_walk cache cfg slots =
 let check_config_cached cache cfg ~dirty =
   current cfg;
   let same_owner = cache.c_owner == cfg.Installed_config.generation in
+  let sc = cache_scratch cache cfg.Installed_config.topo in
   (* Dirty groups (including removed ones, which the view no longer
      lists) drop out of the cache before the walk; a cache last used on
      another controller's views knows none of this one's groups. *)
@@ -694,12 +853,12 @@ let check_config_cached cache cfg ~dirty =
     if
       same_owner && cache.c_clean
       && Hashtbl.length cache.c_passed + List.length slots = Installed_config.count cfg
-    then dirty_walk cache cfg slots
+    then dirty_walk cache sc cfg slots
     else begin
       (* The cache cannot vouch for every other group: a cold cache, a
          failure last time, or a passed set that does not match the view. *)
       if same_owner && cache.c_clean then Hashtbl.reset cache.c_passed;
-      full_walk cache cfg
+      full_walk cache sc cfg
     end
   in
   cache.c_owner <- cfg.Installed_config.generation;

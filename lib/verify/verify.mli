@@ -154,7 +154,18 @@ val check_config : Installed_config.t -> (int, witness) result
     that stops at the first [Error], but interns no predicate: {!compile}
     is {!intent} minus the spec edges the installed state does not cover,
     so one walk of each group's receivers (pod, then leaf, then port)
-    finds the canonically smallest uncovered edge. *)
+    finds the canonically smallest uncovered edge.
+
+    The walk costs one step per receiver leaf. A leaf's receivers are one
+    run of the ascending [receivers] array; their ports are set in a
+    scratch bitmap, and the run passes when they lie within both the
+    leaf's installed assignment and its tree bitmap. Only a failing run is
+    scanned for its first uncovered host. Core and spine edges sort before
+    leaf edges, so once an uncovered edge is found no later run is tested.
+    Each group's assignments are resolved through one index of its rule
+    records (the first p-rule naming each switch, else the first s-rule),
+    built from the records themselves and not from the encoding's slot
+    dispatch, with a fabric-sized scratch allocated once per call. *)
 
 val check_controller : Controller.t -> (int, witness) result
 (** {!check_config} on the controller's own {!Controller.installed_config}
@@ -226,7 +237,8 @@ val check_config_cached :
     accepting the cached ones: after a cold start or a witness last time
     the cached gids stand; for a view from another controller (a view
     built by hand included) or one the cached and dirty gids do not add
-    up to, they are dropped first. *)
+    up to, they are dropped first. The check's fabric-sized scratch is
+    kept in the cache across calls, so an event allocates no scratch. *)
 
 val check_controller_cached : cache -> Controller.t -> (int, witness) result
 (** [check_config_cached] on the controller's own view, draining the

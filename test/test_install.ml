@@ -255,10 +255,12 @@ let check_views what ctrl =
       let members = Controller.members ctrl ~group:v.Installed_config.gid in
       Alcotest.(check (list int))
         (Printf.sprintf "%s: group %d receivers" what v.Installed_config.gid)
-        (sorted_role receives members) v.Installed_config.receivers;
+        (sorted_role receives members)
+        (Array.to_list v.Installed_config.receivers);
       Alcotest.(check (list int))
         (Printf.sprintf "%s: group %d senders" what v.Installed_config.gid)
-        (sorted_role sends members) v.Installed_config.senders)
+        (sorted_role sends members)
+        (Array.to_list v.Installed_config.senders))
     (Installed_config.groups (Controller.installed_config ctrl))
 
 let test_host_scratch_stays_clear () =

@@ -98,8 +98,8 @@ let view ?spine_ok () =
   let g =
     {
       Installed_config.gid = 5;
-      receivers = members;
-      senders = [ 0 ];
+      receivers = Array.of_list members;
+      senders = [| 0 |];
       enc = Some enc;
       overrides = [];
     }

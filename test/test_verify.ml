@@ -185,12 +185,12 @@ let check_view_memo msg ctrl =
         |> List.sort_uniq Int.compare
       in
       same "receivers"
-        (List.equal Int.equal v.Installed_config.receivers
+        (List.equal Int.equal (Array.to_list v.Installed_config.receivers)
            (hosts (function
              | Controller.Receiver | Controller.Both -> true
              | Controller.Sender -> false)));
       same "senders"
-        (List.equal Int.equal v.Installed_config.senders
+        (List.equal Int.equal (Array.to_list v.Installed_config.senders)
            (hosts (function
              | Controller.Sender | Controller.Both -> true
              | Controller.Receiver -> false)));
@@ -1018,7 +1018,7 @@ let reference_blackholes cfg =
   Installed_config.group_ids cfg
   |> List.concat_map (fun group ->
          let g = Option.get (Installed_config.group cfg group) in
-         List.sort_uniq Int.compare g.Installed_config.senders
+         List.sort_uniq Int.compare (Array.to_list g.Installed_config.senders)
          |> List.filter_map (fun sender ->
                 match Verify.compile_sender ctx cfg ~group ~sender with
                 | None -> None
@@ -1551,6 +1551,319 @@ let prop_check_config_matches_reference =
     (QCheck.make ~print:print_sweep_case gen_sweep_case)
     (fun c -> ignore (check_agrees (sweep_case_view c)); true)
 
+(* {1 check_config vs. the per-receiver reference}
+
+   [Verify.check_config] walks each group's receivers in leaf runs, tests
+   a run as one bitmap and resolves a leaf's assignment through an index
+   of the group's rule records. The reference below is the walk it
+   replaced: one step per receiver, each pod's and leaf's assignment found
+   by scanning the layer's p-rules, then the stale table, then the
+   s-rules, then the default, and the smallest uncovered edge kept by
+   [Pred.compare_edge]. It shares no code with the check beyond the
+   view, so it also stands in for the [compile]/[intent] fold above,
+   which walks the same runs as the check. *)
+
+(* The switch parser's resolution, one scan per switch. *)
+let reference_assigned cfg ~group ~site (enc : Encoding.t) =
+  let layer, id =
+    match site with
+    | Srule_state.Leaf l -> (enc.Encoding.d_leaf, l)
+    | Srule_state.Pod p -> (enc.Encoding.d_spine, p)
+  in
+  match List.find_opt (fun r -> Prule.rule_mem r id) layer.Clustering.prules with
+  | Some r -> Some r.Prule.bitmap
+  | None -> (
+      if Installed_config.is_stale cfg ~group site then
+        match site with
+        | Srule_state.Leaf l -> Tree.leaf_bitmap enc.Encoding.tree l
+        | Srule_state.Pod p -> Tree.spine_bitmap enc.Encoding.tree p
+      else
+        match List.assoc_opt id layer.Clustering.srules with
+        | Some _ as bm -> bm
+        | None -> Option.map snd layer.Clustering.default)
+
+(* Every spec edge of the group with whether the installed state covers
+   it, one receiver at a time: per receiver pod its core edge (multi-pod
+   only), per receiver leaf its spine edge, per receiver its leaf edge,
+   each gated on its parent. *)
+let reference_spec_walk cfg (g : Installed_config.group_view) edge =
+  let topo = cfg.Installed_config.topo in
+  let cross_pod = topo.Topology.pods > 1 in
+  let group = g.Installed_config.gid and enc = g.Installed_config.enc in
+  let get bm i = match bm with Some bm -> Bitmap.get bm i | None -> false in
+  let site_assigned site =
+    Option.bind enc (reference_assigned cfg ~group ~site)
+  in
+  let tree = Option.map (fun (e : Encoding.t) -> e.Encoding.tree) enc in
+  let pod = ref (-1) and core_covered = ref false in
+  let in_pod = ref None and down_spine = ref None in
+  let leaf = ref (-1) and down_leaf = ref None and tree_ports = ref None in
+  Array.iter
+    (fun h ->
+      let l = Topology.leaf_of_host topo h in
+      if l <> !leaf then begin
+        let p = Topology.pod_of_leaf topo l in
+        if p <> !pod then begin
+          pod := p;
+          (core_covered :=
+             match tree with
+             | None -> false
+             | Some t -> (not cross_pod) || Bitmap.get t.Tree.core_bitmap p);
+          if cross_pod then edge Pred.Core p !core_covered;
+          in_pod := Option.bind tree (fun t -> Tree.spine_bitmap t p);
+          down_spine :=
+            if cross_pod then site_assigned (Srule_state.Pod p) else None
+        end;
+        leaf := l;
+        let lp = Topology.leaf_port_on_spine topo l in
+        let spine_covered =
+          get !in_pod lp
+          && ((not cross_pod) || (!core_covered && get !down_spine lp))
+        in
+        edge (Pred.Spine p) lp spine_covered;
+        down_leaf :=
+          if spine_covered then site_assigned (Srule_state.Leaf l) else None;
+        tree_ports :=
+          if spine_covered then Option.bind tree (fun t -> Tree.leaf_bitmap t l)
+          else None
+      end;
+      let q = Topology.host_port_on_leaf topo h in
+      edge (Pred.Leaf l) q (get !down_leaf q && get !tree_ports q))
+    g.Installed_config.receivers
+
+let reference_walk cfg =
+  let groups = Installed_config.groups cfg in
+  let rec go i =
+    if i = Array.length groups then Ok i
+    else begin
+      let g = groups.(i) in
+      let first = ref None in
+      reference_spec_walk cfg g (fun sw port covered ->
+          if not covered then
+            match !first with
+            | Some e when Pred.compare_edge e (sw, port) <= 0 -> ()
+            | Some _ | None -> first := Some (sw, port));
+      match !first with
+      | None -> go (i + 1)
+      | Some (sw, port) ->
+          Error
+            { Verify.w_group = g.Installed_config.gid; w_switch = sw; w_port = port }
+    end
+  in
+  go 0
+
+(* A case of the sweep generator, optionally with one group's members
+   folded into the pod of its first member (a single-pod tree on a
+   multi-pod fabric), and optionally with one layer of one group's
+   encoding naming a switch twice, in fresh records:
+
+   - [Second_prule (i, j)]: p-rule [j]'s first switch is also named by
+     p-rule [i] (both modulo the rule count);
+   - [Also_srule j]: p-rule [j]'s first switch also gets an empty s-rule;
+   - [Second_srule j]: s-rule [j]'s switch gets a second, empty s-rule
+     after the first.
+
+   The switch parser takes the first p-rule naming a switch, and an
+   s-rule only for a switch no p-rule names, the first one; a check that
+   resolved any other rule would differ from the reference. The
+   encoding's slot dispatch is left as it was. *)
+type twice = Second_prule of int * int | Also_srule of int | Second_srule of int
+
+type diff_case = {
+  base : sweep_case;
+  one_pod : int option;
+  named_twice : (int * bool * twice) option;  (* group, spine layer, how *)
+}
+
+let gen_diff_case =
+  QCheck.Gen.(
+    let twice =
+      oneof
+        [
+          map2 (fun i j -> Second_prule (i, j)) nat nat;
+          map (fun j -> Also_srule j) nat;
+          map (fun j -> Second_srule j) nat;
+        ]
+    in
+    map
+      (fun (base, one_pod, named_twice) -> { base; one_pod; named_twice })
+      (triple gen_sweep_case (opt nat) (opt (triple nat bool twice))))
+
+let print_diff_case d =
+  let twice = function
+    | Second_prule (i, j) -> Printf.sprintf "prule %d names prule %d's" i j
+    | Also_srule j -> Printf.sprintf "srule for prule %d's" j
+    | Second_srule j -> Printf.sprintf "second srule for srule %d's" j
+  in
+  Printf.sprintf "%s one_pod=%s named_twice=%s" (print_sweep_case d.base)
+    (Option.fold ~none:"-" ~some:string_of_int d.one_pod)
+    (Option.fold ~none:"-"
+       ~some:(fun (k, spine, t) -> Printf.sprintf "%d.%b.%s" k spine (twice t))
+       d.named_twice)
+
+let fold_into_one_pod c k =
+  let topo = sweep_topo ~single_pod:c.single_pod in
+  let per_pod = topo.Topology.leaves_per_pod * topo.Topology.hosts_per_leaf in
+  let k = k mod List.length c.scenarios in
+  let fold (ms, spines, links) =
+    match ms with
+    | [] -> (ms, spines, links)
+    | first :: _ ->
+        let base = first / per_pod * per_pod in
+        (List.map (fun h -> base + (h mod per_pod)) ms, spines, links)
+  in
+  { c with scenarios = List.mapi (fun i s -> if i = k then fold s else s) c.scenarios }
+
+(* The layer with a switch named twice, or [None] when it has too few
+   rules for the edit. *)
+let name_twice how (layer : Clustering.result) =
+  let prules = layer.Clustering.prules and srules = layer.Clustering.srules in
+  let nth l j = List.nth l (j mod List.length l) in
+  let empty_like bm = Bitmap.create (Bitmap.width bm) in
+  match how with
+  | Second_prule (i, j) -> (
+      let n = List.length prules in
+      if n < 2 then None
+      else
+        let i = i mod n in
+        match (nth prules j).Prule.switches with
+        | id :: _ when not (Prule.rule_mem (List.nth prules i) id) ->
+            let name x (r : Prule.prule) =
+              if x = i then { r with Prule.switches = id :: r.Prule.switches } else r
+            in
+            Some { layer with Clustering.prules = List.mapi name prules }
+        | _ -> None)
+  | Also_srule j -> (
+      match prules with
+      | [] -> None
+      | _ -> (
+          let r = nth prules j in
+          match r.Prule.switches with
+          | id :: _ ->
+              Some { layer with Clustering.srules = (id, empty_like r.Prule.bitmap) :: srules }
+          | [] -> None))
+  | Second_srule j -> (
+      match srules with
+      | [] -> None
+      | _ ->
+          let id, bm = nth srules j in
+          Some { layer with Clustering.srules = srules @ [ (id, empty_like bm) ] })
+
+let edit_named_twice (k, spine, how) cfg =
+  let groups = Array.copy (Installed_config.groups cfg) in
+  let k = k mod Array.length groups in
+  (match groups.(k).Installed_config.enc with
+  | None -> ()
+  | Some enc -> (
+      let layer = if spine then enc.Encoding.d_spine else enc.Encoding.d_leaf in
+      match name_twice how layer with
+      | None -> ()
+      | Some layer ->
+          let enc =
+            if spine then { enc with Encoding.d_spine = layer }
+            else { enc with Encoding.d_leaf = layer }
+          in
+          groups.(k) <- { (groups.(k)) with Installed_config.enc = Some enc }));
+  Installed_config.with_groups cfg groups
+
+let diff_case_view d =
+  let c =
+    match d.one_pod with Some k -> fold_into_one_pod d.base k | None -> d.base
+  in
+  let cfg = sweep_case_view c in
+  match d.named_twice with Some n -> edit_named_twice n cfg | None -> cfg
+
+(* [check_config], [check_config_cached] through a cold cache and then,
+   with every group dirty, through the same cache (its dirty-only walk
+   when the first call passed), and [sender_blackholes] against the
+   per-sender fold: verdicts and witnesses equal. *)
+let diff_agrees d =
+  let cfg = diff_case_view d in
+  let want = render_check (reference_walk cfg) in
+  let cache = Verify.create_cache () in
+  let all = Installed_config.group_ids cfg in
+  List.iter
+    (fun (what, got) ->
+      if render_check got <> want then
+        QCheck.Test.fail_reportf "%s %s vs per-receiver reference %s" what
+          (render_check got) want)
+    [
+      ("check_config", Verify.check_config cfg);
+      ("cold cache", Verify.check_config_cached cache cfg ~dirty:[]);
+      ("all dirty", Verify.check_config_cached cache cfg ~dirty:all);
+    ];
+  let sweep = render (Verify.sender_blackholes cfg)
+  and fold = render (reference_blackholes cfg) in
+  if sweep <> fold then
+    QCheck.Test.fail_reportf "sweep [%s] vs reference fold [%s]"
+      (String.concat "; " sweep) (String.concat "; " fold);
+  (cfg, want)
+
+let prop_check_matches_per_receiver_reference =
+  QCheck.Test.make
+    ~name:"check_config/cached/sweep == per-receiver reference, any view"
+    ~count:400
+    (QCheck.make ~print:print_diff_case gen_diff_case)
+    (fun d -> ignore (diff_agrees d); true)
+
+(* Over a fixed sample the differential property meets leaf, spine and
+   core witnesses, a view where a switch is named twice, and a witness
+   the double naming decides: the same view without it checks clean or
+   names another edge. *)
+let test_per_receiver_reference_not_vacuous () =
+  let rand = Random.State.make [| 23 |] in
+  let cases = QCheck.Gen.generate ~rand ~n:300 gen_diff_case in
+  let core = ref 0 and spine = ref 0 and leaf = ref 0 and twice = ref 0 in
+  let decided = ref 0 in
+  List.iter
+    (fun d ->
+      let _, want = diff_agrees d in
+      (match reference_walk (diff_case_view d) with
+      | Ok _ -> ()
+      | Error w ->
+          incr
+            (match w.Verify.w_switch with
+            | Pred.Core -> core
+            | Pred.Spine _ -> spine
+            | Pred.Leaf _ -> leaf));
+      if Option.is_some d.named_twice then begin
+        incr twice;
+        let _, plain = diff_agrees { d with named_twice = None } in
+        if plain <> want then incr decided
+      end)
+    cases;
+  let some what n = if n = 0 then Alcotest.failf "no sampled view has %s" what in
+  some "a core witness" !core;
+  some "a spine witness" !spine;
+  some "a leaf witness" !leaf;
+  some "a switch named twice" !twice;
+  some "a witness decided by the first naming rule" !decided
+
+(* A hand-built view must list its members as strictly ascending hosts
+   of the topology: [make] and [with_groups] refuse anything else. *)
+let test_hand_view_refuses_unsorted_members () =
+  let cfg = view [ (0, both [ 0; 1; h ]) ] in
+  let g = (Installed_config.groups cfg).(0) in
+  let n = Topology.num_hosts topo in
+  let refuses what (bad : Installed_config.group_view) =
+    (match Installed_config.make topo Params.default [ bad ] with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "make accepted %s" what);
+    match Installed_config.with_groups cfg [| bad |] with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "with_groups accepted %s" what
+  in
+  refuses "descending receivers" { g with Installed_config.receivers = [| h; 1; 0 |] };
+  refuses "a repeated receiver" { g with Installed_config.receivers = [| 0; 1; 1; h |] };
+  refuses "unsorted senders" { g with Installed_config.senders = [| 1; 0; h |] };
+  refuses "a host past the topology" { g with Installed_config.receivers = [| 0; n |] };
+  refuses "a negative host" { g with Installed_config.senders = [| -1; 0 |] };
+  let checked cfg = render_check (Verify.check_config cfg) in
+  Alcotest.(check string) "the sorted view checks clean" "ok 1"
+    (checked (Installed_config.make topo Params.default [ g ]));
+  Alcotest.(check string) "with_groups keeps it" "ok 1"
+    (checked (Installed_config.with_groups cfg [| g |]))
+
 (* The properties above are only as strong as the views they draw: over a
    fixed sample, some must report sweep witnesses, carry multi-plane or
    explicit-core overrides, degrade a sender to unicast and mark a stale
@@ -1586,7 +1899,8 @@ let test_sweep_oracle_not_vacuous () =
             | Pred.Leaf _ -> leaf);
           if c.single_pod then incr single_pod;
           match Installed_config.group cfg w.Verify.w_group with
-          | Some { Installed_config.enc = None; receivers = _ :: _; _ } ->
+          | Some { Installed_config.enc = None; receivers; _ }
+            when Array.length receivers > 0 ->
               incr dropped
           | Some _ | None -> ())
     cases;
@@ -1653,14 +1967,16 @@ let prop_view_lists =
               match Installed_config.group cfg group with
               | None -> QCheck.Test.fail_reportf "group %d has no view" group
               | Some g ->
-                  if g.Installed_config.receivers <> hosts receives members then
+                  let show a =
+                    String.concat "; " (List.map string_of_int (Array.to_list a))
+                  in
+                  if Array.to_list g.Installed_config.receivers <> hosts receives members
+                  then
                     QCheck.Test.fail_reportf "group %d: receivers [%s]" group
-                      (String.concat "; "
-                         (List.map string_of_int g.Installed_config.receivers));
-                  if g.Installed_config.senders <> hosts sends members then
+                      (show g.Installed_config.receivers);
+                  if Array.to_list g.Installed_config.senders <> hosts sends members then
                     QCheck.Test.fail_reportf "group %d: senders [%s]" group
-                      (String.concat "; "
-                         (List.map string_of_int g.Installed_config.senders)))
+                      (show g.Installed_config.senders))
             !live)
         steps;
       true)
@@ -1758,6 +2074,11 @@ let tests =
       test_sweep_multi_group_order;
     QCheck_alcotest.to_alcotest prop_sweep_matches_reference;
     QCheck_alcotest.to_alcotest prop_check_config_matches_reference;
+    QCheck_alcotest.to_alcotest prop_check_matches_per_receiver_reference;
+    Alcotest.test_case "per-receiver reference: not vacuous" `Quick
+      test_per_receiver_reference_not_vacuous;
+    Alcotest.test_case "hand-built views refuse unsorted members" `Quick
+      test_hand_view_refuses_unsorted_members;
     Alcotest.test_case "sweep: differential oracle is not vacuous" `Quick
       test_sweep_oracle_not_vacuous;
     Alcotest.test_case "header-only interpretation" `Quick

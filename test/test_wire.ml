@@ -293,7 +293,7 @@ let agrees_with_members ctrl =
   let pod_rules = Array.make topo.Topology.pods 0 in
   let count counts = List.iter (fun (id, _) -> counts.(id) <- counts.(id) + 1) in
   let group_ok (g : Installed_config.group_view) =
-    match (g.Installed_config.enc, g.Installed_config.receivers) with
+    match (g.Installed_config.enc, Array.to_list g.Installed_config.receivers) with
     | None, [] -> true
     | Some enc, (_ :: _ as receivers) ->
         count leaf_rules enc.Encoding.d_leaf.Clustering.srules;
