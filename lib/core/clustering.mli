@@ -42,13 +42,13 @@ val run :
   Bitmap.t array ->
   result
 (** [run ~r ~semantics ~hmax ~kmax ~has_srule_space ids bitmaps] never
-    fails: [bitmaps.(i)] is switch [ids.(i)]'s exact bitmap, and every
-    input switch lands in exactly one of the three outputs.
-    [has_srule_space id] is consulted once per spilled switch, in
-    ascending identifier order, so the caller can account capacity as it
-    is consumed. Neither array is mutated. An empty input yields the empty
-    result. Raises [Invalid_argument] on non-positive [hmax]/[kmax] or
-    negative [r]. *)
+    fails: [bitmaps.(i)] is switch [ids.(i)]'s exact bitmap, [ids]
+    ascend strictly (a tree layer's do), and every input switch lands in
+    exactly one of the three outputs. [has_srule_space id] is consulted
+    once per spilled switch, in ascending identifier order, so the caller
+    can account capacity as it is consumed. Neither array is mutated. An
+    empty input yields the empty result. Raises [Invalid_argument] on
+    non-positive [hmax]/[kmax] or negative [r]. *)
 
 val assigned_bitmap : result -> int -> Bitmap.t option
 (** The bitmap switch [id] will forward on under this result: its (shared)

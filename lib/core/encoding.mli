@@ -40,7 +40,8 @@ type t = {
     {!apply_delta} fast path: the rule dispatch of each of the tree's leaf
     slots (rebuilt by every from-scratch encode and by {!of_choices}) that
     makes steady-state delta application allocation-free — no list scans,
-    no option wrapping, no fresh bitmaps. The leaf ids and their exact
+    no option wrapping, no fresh bitmaps. {!Traffic.measure} reads a tree
+    leaf's rule bitmap from [idx_site_bm] too. The leaf ids and their exact
     bitmaps are the tree's own arrays. [down], [down_stale] and [upper]
     are {!header_for_sender}'s caches. Treat them all as private. *)
 

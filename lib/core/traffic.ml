@@ -21,29 +21,31 @@ let measure enc ~sender =
     transmissions := !transmissions + n;
     header_bytes := !header_bytes + (n * bytes hbits)
   in
-  (* Deliveries at leaf [l] forwarding on bitmap [fb]: split into members and
-     spurious using the exact tree bitmap. Headers towards hosts are stripped
-     by the leaf egress (§4.1). *)
-  let deliver_at_leaf l fb =
+  (* Deliveries at the leaf in tree slot [slot] (-1 off the tree)
+     forwarding on bitmap [fb]: split into members and spurious using the
+     exact tree bitmap. Headers towards hosts are stripped by the leaf
+     egress (§4.1). *)
+  let deliver_at_leaf slot fb =
     let n = Bitmap.popcount fb in
     hop n 0;
     let members =
-      match Tree.leaf_bitmap tree l with
-      | None -> 0
-      | Some exact -> Bitmap.popcount (Bitmap.inter fb exact)
+      if slot < 0 then 0
+      else Bitmap.popcount (Bitmap.inter fb tree.Tree.leaf_bms.(slot))
     in
     delivered := !delivered + members;
     spurious := !spurious + (n - members)
   in
+  (* Every tree leaf sits in exactly one rule, whose bitmap its slot's
+     dispatch holds. A leaf off the tree is addressed by no rule: the switch
+     falls back to the default p-rule if the header carries one, else
+     drops. *)
   let leaf_forward l =
-    match Clustering.assigned_bitmap enc.Encoding.d_leaf l with
-    | Some fb -> deliver_at_leaf l fb
-    | None -> (
-        (* Not addressed by any rule: the switch falls back to the default
-           p-rule if the header carries one, else drops. *)
-        match enc.Encoding.d_leaf.Clustering.default with
-        | Some (_, fb) -> deliver_at_leaf l fb
-        | None -> ())
+    let slot = Tree.leaf_slot tree l in
+    if slot >= 0 then deliver_at_leaf slot enc.Encoding.idx_site_bm.(slot)
+    else
+      match enc.Encoding.d_leaf.Clustering.default with
+      | Some (_, fb) -> deliver_at_leaf slot fb
+      | None -> ()
   in
   let sl = Topology.leaf_of_host topo sender in
   let sp = Topology.pod_of_leaf topo sl in

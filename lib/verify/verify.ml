@@ -42,6 +42,7 @@ type sites = {
   leaf_ix : layer_index;
   pod_ix : layer_index;
   mutable stamp : int;  (* even; 2 more for each group indexed *)
+  no_ports : Bitmap.t;  (* empty: the ports of a leaf the tree lacks *)
 }
 
 let layer_index n = { at = Array.make n (-1); first = Array.make n (Bitmap.create 0) }
@@ -51,6 +52,7 @@ let sites topo =
     leaf_ix = layer_index (Topology.num_leaves topo);
     pod_ix = layer_index topo.Topology.pods;
     stamp = 0;
+    no_ports = Bitmap.create (Topology.leaf_downstream_width topo);
   }
 
 (* Record [bm] at switch [id], stamped [mark], unless a rule of the group
@@ -127,16 +129,28 @@ let pod_assigned s cfg ~group (enc : Encoding.t) p =
    receivers, calling [leaf l receivers base lo hi down ports]. The run is
    [receivers.(lo) .. receivers.(hi - 1)], whose ports on [l] are the
    hosts minus [base]; [down] is the leaf's installed assignment and
-   [ports] its tree bitmap, both [None] when the spine edge is uncovered.
+   [ports] its tree bitmap. When the spine edge is uncovered [down] is
+   [None], and [ports] is empty then and when the tree lacks the leaf.
    A leaf edge is covered when its port is in both.
 
    The receivers ascend, so a leaf's receivers are one run: the first
    one's leaf gives the host range (one division per run, none per host),
-   and a binary search finds where the run ends. Each pod's and leaf's
-   installed state is looked up once.
+   and a binary search finds where the run ends. The runs' pods and
+   leaves ascend as the tree's pod and leaf slots do, so one cursor per
+   layer finds each in the tree. Each pod's and leaf's installed state is
+   looked up once.
    [compile] and [intent] expand each run into its leaf edges and keep the
    covered ones or all of them; [check_group] tests a run as one bitmap.
    None builds the spec [Tree.t]. *)
+
+(* The first slot at or after [i] of the ascending [ids] whose id is not
+   below [id]: where [id] is, if [ids] holds it, and where the search for
+   any greater id starts. *)
+let rec seek (ids : int array) id i =
+  if i < Array.length ids && ids.(i) < id then seek ids id (i + 1) else i
+
+let holds (ids : int array) id i = i < Array.length ids && ids.(i) = id
+
 let spec_walk s cfg (g : Installed_config.group_view) ~core ~spine ~leaf =
   let topo = cfg.Installed_config.topo in
   let hpl = topo.Topology.hosts_per_leaf and lpp = topo.Topology.leaves_per_pod in
@@ -150,10 +164,11 @@ let spec_walk s cfg (g : Installed_config.group_view) ~core ~spine ~leaf =
   let rcv = g.Installed_config.receivers in
   let last = Array.length rcv - 1 in
   (* The current pod: its id and first leaf past it, whether the core
-     forwards into it, its in-pod tree ports and its downstream spine
-     assignment. *)
+     forwards into it, its slot in the tree (-1 when the tree lacks it)
+     and its downstream spine assignment. *)
   let pod = ref (-1) and pod_end = ref 0 and core_covered = ref false in
-  let in_pod = ref None and down_spine = ref None in
+  let pod_slot = ref (-1) and down_spine = ref None in
+  let pod_cur = ref 0 and leaf_cur = ref 0 in
   let lo = ref 0 in
   while !lo <= last do
     let l = rcv.(!lo) / hpl in
@@ -166,28 +181,35 @@ let spec_walk s cfg (g : Installed_config.group_view) ~core ~spine ~leaf =
       (match enc with
       | None ->
           core_covered := false;
-          in_pod := None;
+          pod_slot := -1;
           down_spine := None
       | Some e ->
           let t = e.Encoding.tree in
           core_covered := (not cross_pod) || Bitmap.get t.Tree.core_bitmap p;
-          in_pod := Tree.spine_bitmap t p;
+          pod_cur := seek t.Tree.pod_ids p !pod_cur;
+          pod_slot := if holds t.Tree.pod_ids p !pod_cur then !pod_cur else -1;
           down_spine :=
             if cross_pod then pod_assigned s cfg ~group e p else None);
       if cross_pod then core p !core_covered
     end;
     let lp = l - (!pod * lpp) in
     let spine_covered =
-      bitmap_opt_get !in_pod lp
-      && ((not cross_pod) || (!core_covered && bitmap_opt_get !down_spine lp))
+      match enc with
+      | Some e when !pod_slot >= 0 ->
+          Bitmap.get e.Encoding.tree.Tree.spine_bms.(!pod_slot) lp
+          && ((not cross_pod) || (!core_covered && bitmap_opt_get !down_spine lp))
+      | Some _ | None -> false
     in
     spine !pod lp spine_covered;
     (match enc with
     | Some e when spine_covered ->
+        let t = e.Encoding.tree in
+        leaf_cur := seek t.Tree.leaf_ids l !leaf_cur;
         leaf l rcv base !lo hi
           (leaf_assigned s cfg ~group e l)
-          (Tree.leaf_bitmap e.Encoding.tree l)
-    | Some _ | None -> leaf l rcv base !lo hi None None);
+          (if holds t.Tree.leaf_ids l !leaf_cur then t.Tree.leaf_bms.(!leaf_cur)
+           else s.no_ports)
+    | Some _ | None -> leaf l rcv base !lo hi None s.no_ports);
     lo := hi
   done
 
@@ -204,7 +226,7 @@ let spec_pred ctx cfg ~group keep =
         ~leaf:(fun l rcv base lo hi down ports ->
           for i = lo to hi - 1 do
             let q = rcv.(i) - base in
-            add (Pred.Leaf l) q (bitmap_opt_get down q && bitmap_opt_get ports q)
+            add (Pred.Leaf l) q (bitmap_opt_get down q && Bitmap.get ports q)
           done);
       Pred.of_pairs ctx !acc
 
@@ -556,7 +578,7 @@ type scratch = {
   on_core : int -> bool -> unit;
   on_spine : int -> int -> bool -> unit;
   on_leaf :
-    int -> int array -> int -> int -> int -> Bitmap.t option -> Bitmap.t option -> unit;
+    int -> int array -> int -> int -> int -> Bitmap.t option -> Bitmap.t -> unit;
 }
 
 let keep st layer sw port =
@@ -571,8 +593,8 @@ let on_spine st p lp covered = if not covered then keep st 1 (Pred.Spine p) lp
 
 let on_leaf st l rcv base lo hi down ports =
   if st.rank = 3 then
-    match (down, ports) with
-    | Some down, Some ports ->
+    match down with
+    | Some down ->
         let run = st.run in
         Bitmap.reset run;
         for i = lo to hi - 1 do
@@ -589,7 +611,7 @@ let on_leaf st l rcv base lo hi down ports =
           done;
           keep st 2 (Pred.Leaf l) (rcv.(!i) - base)
         end
-    | _ -> keep st 2 (Pred.Leaf l) (rcv.(lo) - base)
+    | None -> keep st 2 (Pred.Leaf l) (rcv.(lo) - base)
 
 let scratch topo =
   let st =

@@ -1,34 +1,68 @@
 let bm w l = Bitmap.of_list w l
 
-(* {1 Min_k_union} *)
+(* {1 Greedy MIN-K-UNION (the reference)}
+
+   Algorithm 1's greedy approximation of MIN-K-UNION, one call per pick:
+   seed with the smallest bitmap, then repeatedly add the bitmap that
+   contributes the fewest new bits, ties toward the lowest index, every
+   candidate recomputed on every call. [Clustering.run] no longer calls
+   it; it is the reference its loop must match, and the approximation
+   bound below is proved about it. It returns the chosen indices into
+   [candidates] and the OR of their bitmaps; the [int] of each pair is an
+   opaque tag. *)
+
+let reference_choose ~k candidates =
+  let n = Array.length candidates in
+  let chosen = Array.make n false in
+  let seed = ref 0 in
+  let seed_count = ref max_int in
+  Array.iteri
+    (fun i (_, b) ->
+      let c = Bitmap.popcount b in
+      if c < !seed_count then begin
+        seed := i;
+        seed_count := c
+      end)
+    candidates;
+  chosen.(!seed) <- true;
+  let acc = Bitmap.copy (snd candidates.(!seed)) in
+  let picked = ref [ !seed ] in
+  for _ = 2 to k do
+    let best = ref (-1) in
+    let best_cost = ref max_int in
+    Array.iteri
+      (fun i (_, b) ->
+        if not chosen.(i) then begin
+          let cost = Bitmap.union_cost b acc in
+          if cost < !best_cost then begin
+            best := i;
+            best_cost := cost
+          end
+        end)
+      candidates;
+    chosen.(!best) <- true;
+    Bitmap.union_into ~dst:acc (snd candidates.(!best));
+    picked := !best :: !picked
+  done;
+  (List.rev !picked, acc)
 
 let test_mku_picks_overlapping_pair () =
   (* Bitmaps: {0,1}, {0,1}, {5,6,7}. The best 2-union is the identical pair. *)
   let cands = [| (10, bm 8 [ 0; 1 ]); (11, bm 8 [ 0; 1 ]); (12, bm 8 [ 5; 6; 7 ]) |] in
-  let indices, union = Min_k_union.choose ~k:2 cands in
+  let indices, union = reference_choose ~k:2 cands in
   Alcotest.(check (list int)) "indices" [ 0; 1 ] (List.sort compare indices);
   Alcotest.(check int) "union size" 2 (Bitmap.popcount union)
 
 let test_mku_k_equals_n () =
   let cands = [| (0, bm 4 [ 0 ]); (1, bm 4 [ 1 ]); (2, bm 4 [ 2 ]) |] in
-  let indices, union = Min_k_union.choose ~k:3 cands in
+  let indices, union = reference_choose ~k:3 cands in
   Alcotest.(check int) "all chosen" 3 (List.length indices);
   Alcotest.(check int) "union" 3 (Bitmap.popcount union)
 
 let test_mku_seed_is_smallest () =
   let cands = [| (0, bm 8 [ 0; 1; 2 ]); (1, bm 8 [ 5 ]) |] in
-  let indices, _ = Min_k_union.choose ~k:1 cands in
+  let indices, _ = reference_choose ~k:1 cands in
   Alcotest.(check (list int)) "smallest bitmap seeds" [ 1 ] indices
-
-let test_mku_invalid () =
-  let cands = [| (0, bm 4 [ 0 ]) |] in
-  Alcotest.check_raises "k=0" (Invalid_argument "Min_k_union.choose: k must be positive")
-    (fun () -> ignore (Min_k_union.choose ~k:0 cands));
-  Alcotest.check_raises "k>n"
-    (Invalid_argument "Min_k_union.choose: k exceeds candidate count") (fun () ->
-      ignore (Min_k_union.choose ~k:2 cands));
-  Alcotest.check_raises "empty" (Invalid_argument "Min_k_union.choose: no candidates")
-    (fun () -> ignore (Min_k_union.choose ~k:1 [||]))
 
 let prop_mku_union_correct =
   QCheck.Test.make ~name:"chosen union is the OR of chosen bitmaps" ~count:200
@@ -39,7 +73,7 @@ let prop_mku_union_correct =
     (fun (k, bitsets) ->
       QCheck.assume (k <= List.length bitsets);
       let cands = Array.of_list (List.mapi (fun i l -> (i, bm 16 l)) bitsets) in
-      let indices, union = Min_k_union.choose ~k cands in
+      let indices, union = reference_choose ~k cands in
       let expected = Bitmap.union_all 16 (List.map (fun i -> snd cands.(i)) indices) in
       List.length (List.sort_uniq compare indices) = k && Bitmap.equal union expected)
 
@@ -268,7 +302,6 @@ let tests =
       test_mku_picks_overlapping_pair;
     Alcotest.test_case "min-k-union k=n" `Quick test_mku_k_equals_n;
     Alcotest.test_case "min-k-union seeds smallest" `Quick test_mku_seed_is_smallest;
-    Alcotest.test_case "min-k-union invalid args" `Quick test_mku_invalid;
     QCheck_alcotest.to_alcotest prop_mku_union_correct;
     Alcotest.test_case "empty layer" `Quick test_empty_layer;
     Alcotest.test_case "fit-first exact singletons" `Quick test_fit_gives_exact_singletons;
@@ -325,7 +358,7 @@ let prop_mku_near_optimal =
     (fun (k, bitsets) ->
       QCheck.assume (k <= List.length bitsets);
       let cands = Array.of_list (List.mapi (fun i l -> (i, bm 12 l)) bitsets) in
-      let _, greedy_union = Min_k_union.choose ~k cands in
+      let _, greedy_union = reference_choose ~k cands in
       Bitmap.popcount greedy_union <= k * optimal_k_union ~k ~w:12 cands)
 
 (* The two shrunk instances on which the former "within 2x of optimal"
@@ -337,7 +370,7 @@ let test_mku_k_times_optimal () =
     (fun bitsets ->
       let k = 3 in
       let cands = Array.of_list (List.mapi (fun i l -> (i, bm 12 l)) bitsets) in
-      let _, greedy_union = Min_k_union.choose ~k cands in
+      let _, greedy_union = reference_choose ~k cands in
       Alcotest.(check int) "optimum" 1 (optimal_k_union ~k ~w:12 cands);
       Alcotest.(check int) "greedy reaches k * OPT" 3
         (Bitmap.popcount greedy_union))
@@ -361,41 +394,6 @@ let tests =
    rewritten loop must match exactly — picks, tie-breaks, budget
    rejections (which never restore [k]) and the order of the s-rule
    capacity probes. *)
-
-let reference_choose ~k candidates =
-  let n = Array.length candidates in
-  let chosen = Array.make n false in
-  let seed = ref 0 in
-  let seed_count = ref max_int in
-  Array.iteri
-    (fun i (_, b) ->
-      let c = Bitmap.popcount b in
-      if c < !seed_count then begin
-        seed := i;
-        seed_count := c
-      end)
-    candidates;
-  chosen.(!seed) <- true;
-  let acc = Bitmap.copy (snd candidates.(!seed)) in
-  let picked = ref [ !seed ] in
-  for _ = 2 to k do
-    let best = ref (-1) in
-    let best_cost = ref max_int in
-    Array.iteri
-      (fun i (_, b) ->
-        if not chosen.(i) then begin
-          let cost = Bitmap.union_cost b acc in
-          if cost < !best_cost then begin
-            best := i;
-            best_cost := cost
-          end
-        end)
-      candidates;
-    chosen.(!best) <- true;
-    Bitmap.union_into ~dst:acc (snd candidates.(!best));
-    picked := !best :: !picked
-  done;
-  (List.rev !picked, acc)
 
 let reference_run ~r ~semantics ~hmax ~kmax ~has_srule_space layer =
   match layer with
@@ -465,24 +463,31 @@ let same_result (a : Clustering.result) (b : Clustering.result) =
        a.srules b.srules
   && Clustering.equal_default a.default b.default
 
-(* A layer whose switches mostly draw their bitmaps from a small pool, so
-   equal bitmaps (ties at every greedy step) are common; Hmax mostly
-   below the layer size, so the greedy loop runs; the s-rule capacity an
-   arbitrary predicate on the switch id. *)
+(* A layer of 1-80 switches, so both n <= Hmax and n > 64 occur. Its
+   bitmaps mostly come from a small pool, so equal bitmaps (ties at every
+   greedy step) are common; or, one-hot-heavy, mostly single bits from a
+   pool of at most 4 ports, so many candidates cost 0 against a seed.
+   Hmax is mostly below the layer size, so the greedy loop runs; the
+   s-rule capacity is an arbitrary predicate on the switch. *)
 let arb_layer_case =
   let open QCheck.Gen in
   let gen =
     int_range 1 70 >>= fun w ->
     let bits = list_size (int_range 0 5) (int_range 0 (w - 1)) in
-    list_size (int_range 1 4) bits >>= fun pool ->
+    bool >>= fun one_hot ->
+    (if one_hot then list_size (int_range 1 4) (int_range 0 (w - 1) >|= fun p -> [ p ])
+     else list_size (int_range 1 4) bits)
+    >>= fun pool ->
     let npool = List.length pool in
-    int_range 1 20 >>= fun n ->
+    int_range 1 80 >>= fun n ->
     list_repeat n
       (frequency
-         [ (3, int_bound (npool - 1) >|= List.nth pool); (1, bits) ])
+         [ ((if one_hot then 4 else 3), int_bound (npool - 1) >|= List.nth pool);
+           (1, bits) ])
     >>= fun sets ->
-    int_range 1 (max 1 (n - 1)) >>= fun hmax ->
-    int_range 1 4 >>= fun kmax ->
+    frequency [ (3, int_range 1 (max 1 (n - 1))); (1, int_range n (n + 3)) ]
+    >>= fun hmax ->
+    int_range 1 8 >>= fun kmax ->
     int_range 0 6 >>= fun r ->
     bool >>= fun sum ->
     list_repeat n bool >|= fun space ->
@@ -496,23 +501,135 @@ let arb_layer_case =
         (QCheck.Print.(list (list int)) sets)
         (QCheck.Print.(list bool) space))
 
+(* Bitmap ownership: every p-rule of the greedy loop holds a fresh
+   bitmap, physically distinct from every input, and every singleton-path
+   p-rule holds its switch's input bitmap itself. *)
+let owns_fresh_bitmaps ~hmax layer (res : Clustering.result) =
+  if List.length layer <= hmax then
+    List.for_all2
+      (fun (_, b) (rule : Prule.prule) -> rule.bitmap == b)
+      layer res.prules
+  else
+    List.for_all
+      (fun (rule : Prule.prule) ->
+        List.for_all (fun (_, b) -> rule.bitmap != b) layer)
+      res.prules
+
+(* Runs both on one layer with one s-rule capacity predicate and compares
+   their results and the order of their capacity probes. *)
+let agrees_with_reference ~r ~semantics ~hmax ~kmax ~has_space layer =
+  let probe calls id =
+    calls := id :: !calls;
+    has_space id
+  in
+  let calls = ref [] and ref_calls = ref [] in
+  let got = run ~r ~semantics ~hmax ~kmax ~has_srule_space:(probe calls) layer in
+  let want =
+    reference_run ~r ~semantics ~hmax ~kmax ~has_srule_space:(probe ref_calls)
+      layer
+  in
+  same_result got want
+  && List.equal Int.equal !calls !ref_calls
+  && owns_fresh_bitmaps ~hmax layer got
+
 let prop_run_matches_reference =
   QCheck.Test.make ~name:"Clustering.run = reference greedy" ~count:1000
     arb_layer_case (fun (w, sets, hmax, kmax, r, sum, space) ->
       let layer = List.mapi (fun i l -> ((3 * i) + 1, bm w l)) sets in
       let semantics = if sum then Params.Sum else Params.Per_bitmap in
       let has_space = Array.of_list space in
-      let probe calls id =
-        calls := id :: !calls;
-        has_space.((id - 1) / 3)
-      in
-      let calls = ref [] and ref_calls = ref [] in
-      let got = run ~r ~semantics ~hmax ~kmax ~has_srule_space:(probe calls) layer in
-      let want =
-        reference_run ~r ~semantics ~hmax ~kmax
-          ~has_srule_space:(probe ref_calls) layer
-      in
-      same_result got want && List.equal Int.equal !calls !ref_calls)
+      agrees_with_reference ~r ~semantics ~hmax ~kmax
+        ~has_space:(fun id -> has_space.((id - 1) / 3))
+        layer)
+
+let test_bitmap_ownership () =
+  let layer = layer_of [ (1, [ 0 ]); (2, [ 0 ]); (3, [ 1 ]); (4, [ 5 ]) ] in
+  let fit = run ~hmax:4 layer in
+  List.iter2
+    (fun (_, b) (rule : Prule.prule) ->
+      Alcotest.(check bool) "singleton path aliases its input" true
+        (rule.bitmap == b))
+    layer fit.prules;
+  List.iter
+    (fun kmax ->
+      let res = run ~r:0 ~hmax:2 ~kmax layer in
+      Alcotest.(check int) "two p-rules" 2 (List.length res.prules);
+      List.iter
+        (fun (rule : Prule.prule) ->
+          List.iter
+            (fun (_, b) ->
+              Alcotest.(check bool) "greedy p-rule owns its bitmap" true
+                (rule.bitmap != b))
+            layer)
+        res.prules)
+    [ 1; 2 ]
+
+(* Every leaf and spine layer of a dispersed install: perfbench's
+   [dispersed] scenario (2,048-host Clos, tenants placed P=1, 2,000 WVE
+   groups), compared with the reference at Kmax 2 and 8, R 0 and 6. *)
+let dispersed_trees =
+  lazy
+    (let topo =
+       Topology.create ~pods:8 ~leaves_per_pod:8 ~spines_per_pod:4
+         ~hosts_per_leaf:32 ~cores_per_plane:4
+     in
+     let tenant_sizes = Vm_placement.default_tenant_sizes (Rng.create 42) 200 in
+     let placement =
+       Vm_placement.place (Rng.create 44) topo
+         ~strategy:(Vm_placement.Pack_up_to 1) ~host_capacity:20 ~tenant_sizes
+     in
+     let groups =
+       Workload.generate (Rng.create 43) placement ~kind:Group_dist.Wve
+         ~total_groups:2000
+     in
+     let ctrl = Controller.create topo (Params.create ~fmax:60 ()) in
+     ignore
+       (Controller.install_all ctrl
+          (Array.to_list
+             (Array.map
+                (fun (g : Workload.group) ->
+                  ( g.group_id,
+                    Array.to_list
+                      (Array.map (fun h -> (h, Controller.Both)) g.member_hosts) ))
+                groups)));
+     Array.map
+       (fun (g : Workload.group) ->
+         match Controller.encoding ctrl ~group:g.group_id with
+         | Some e -> e.Encoding.tree
+         | None -> Alcotest.fail "every group has receivers")
+       groups)
+
+let test_dispersed_layers_match_reference () =
+  let trees = Lazy.force dispersed_trees in
+  let defaults = Params.create () in
+  let greedy_layers = ref 0 in
+  List.iter
+    (fun (kmax, r) ->
+      Array.iter
+        (fun (t : Tree.t) ->
+          List.iter
+            (fun (ids, bms, hmax) ->
+              if Array.length ids > hmax then incr greedy_layers;
+              let layer = Array.to_list (Array.map2 (fun i b -> (i, b)) ids bms) in
+              if
+                not
+                  (agrees_with_reference ~r ~semantics:Params.Sum ~hmax ~kmax
+                     ~has_space:(fun id -> id mod 3 <> 0)
+                     layer)
+              then
+                Alcotest.failf "kmax %d r %d: a layer of %d switches differs"
+                  kmax r (Array.length ids))
+            [ (t.leaf_ids, t.leaf_bms, defaults.hmax_leaf);
+              (t.pod_ids, t.spine_bms, defaults.hmax_spine) ])
+        trees)
+    [ (2, 0); (2, 6); (8, 0); (8, 6) ];
+  Alcotest.(check bool) "the greedy loop ran" true (!greedy_layers > 0)
 
 let tests =
-  tests @ [ QCheck_alcotest.to_alcotest prop_run_matches_reference ]
+  tests
+  @ [
+      QCheck_alcotest.to_alcotest prop_run_matches_reference;
+      Alcotest.test_case "p-rule bitmap ownership" `Quick test_bitmap_ownership;
+      Alcotest.test_case "dispersed layers = reference greedy" `Quick
+        test_dispersed_layers_match_reference;
+    ]
