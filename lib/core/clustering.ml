@@ -135,7 +135,7 @@ let run ~r ~semantics ~hmax ~kmax ~has_srule_space layer_ids layer_bms =
     {
       prules =
         List.init n (fun i ->
-            { Prule.bitmap = layer_bms.(i); switches = [ layer_ids.(i) ] });
+            { Prule.bitmap = Bitmap.copy layer_bms.(i); switches = [ layer_ids.(i) ] });
       srules = [];
       default = None;
     }
@@ -150,7 +150,7 @@ let run ~r ~semantics ~hmax ~kmax ~has_srule_space layer_ids layer_bms =
     for i = 0 to n - 1 do
       if alive.(i) then begin
         let id = layer_ids.(i) and bm = layer_bms.(i) in
-        if has_srule_space id then srules := (id, bm) :: !srules
+        if has_srule_space id then srules := (id, Bitmap.copy bm) :: !srules
         else begin
           default_switches := id :: !default_switches;
           match !default_bm with

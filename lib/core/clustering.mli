@@ -46,8 +46,11 @@ val run :
     ascend strictly (a tree layer's do), and every input switch lands in
     exactly one of the three outputs. [has_srule_space id] is consulted
     once per spilled switch, in ascending identifier order, so the caller
-    can account capacity as it is consumed. Neither array is mutated. An
-    empty input yields the empty result. Raises [Invalid_argument] on
+    can account capacity as it is consumed. Neither array is mutated, and
+    every output owns its bitmap: no p-rule, s-rule or default bitmap is
+    an input bitmap, and a singleton (a p-rule of the singleton path, an
+    s-rule) holds a copy of its switch's. An empty input yields the empty
+    result. Raises [Invalid_argument] on
     non-positive [hmax]/[kmax] or negative [r]. *)
 
 val assigned_bitmap : result -> int -> Bitmap.t option

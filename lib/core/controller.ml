@@ -180,6 +180,12 @@ type t = {
       (* switches whose s-rule installs exhausted the retry budget; excluded
          from s-rule eligibility until the controller is rebuilt *)
   denied_pod : bool array;
+  mutable flags_copy :
+    (bool array * bool array * bool array * bool array * bool array) option;
+      (* [installed_config]'s copies of the five arrays above, shared by
+         every view taken until one of them changes ([recompute_health] and
+         [deny] drop it), so a view handed out never sees a later change
+         and an event that changes none copies none *)
   stale : (int, int * Srule_state.site) Hashtbl.t;
       (* fabric entries whose removal exhausted the retry budget, keyed by
          [stale_key] (a primitive int combining group and site); the value
@@ -245,6 +251,7 @@ let create ?fabric_hooks ?clock topo params =
     healthy = true;
     denied_leaf = Array.make (Topology.num_leaves topo) false;
     denied_pod = Array.make topo.Topology.pods false;
+    flags_copy = None;
     stale = Hashtbl.create 8;
     stale_stride =
       (2 * max (Topology.num_leaves topo) topo.Topology.pods) + 2;
@@ -627,6 +634,7 @@ let choose_upstream t ~tree ~sender =
       | Some _ | None -> Some unicast_override)
 
 let recompute_health t =
+  t.flags_copy <- None;
   t.healthy <-
     Array.for_all Fun.id t.spine_ok
     && Array.for_all Fun.id t.core_ok
@@ -727,6 +735,7 @@ let srule_ok_pod t p = not t.denied_pod.(p)
 (* Deny a switch whose install exhausted its retry budget. *)
 let deny t site =
   t.counters.degraded <- t.counters.degraded + 1;
+  t.flags_copy <- None;
   match site with
   | Srule_state.Leaf l -> t.denied_leaf.(l) <- true
   | Srule_state.Pod p -> t.denied_pod.(p) <- true
@@ -770,8 +779,9 @@ let rec install_with_degrade t ~group st =
           install_with_degrade t ~group st)
 
 (* The exact bitmap the group's current tree wants at [site] — what a
-   compensating overwrite of an unremovable entry must hold. Empty (correct
-   width) when the group is gone or no longer reaches the switch. *)
+   compensating overwrite of an unremovable entry must hold: the tree's
+   own, which the fabric copies on install. Empty (correct width) when the
+   group is gone or no longer reaches the switch. *)
 let truthful_bitmap t ~group site =
   let tree =
     match Hashtbl.find_opt t.groups group with
@@ -787,7 +797,7 @@ let truthful_bitmap t ~group site =
         ( Option.bind tree (fun tr -> Tree.spine_bitmap tr p),
           Topology.spine_downstream_width t.topo )
   in
-  match exact with Some bm -> Bitmap.copy bm | None -> Bitmap.create width
+  match exact with Some bm -> bm | None -> Bitmap.create width
 
 (* Reconcile stale fabric entries, called after every public mutation (the
    common case — no stale entries — is a single hash-table length test).
@@ -912,58 +922,29 @@ let reencode t ~group st ~changed_host =
   | None, _ | _, None -> ());
   let overridden = changed_overrides t ~group st in
   let new_tree = Option.map (fun e -> e.Encoding.tree) st.enc in
-  let tree_changed =
-    match (old_tree, new_tree) with
-    | None, None -> false
-    | Some a, Some b -> not (Tree.equal a b)
+  let common_changed =
+    match (old_enc, st.enc) with
+    | Some a, Some b ->
+        (not (clustering_equal a.Encoding.d_spine b.Encoding.d_spine))
+        || not (clustering_equal a.Encoding.d_leaf b.Encoding.d_leaf)
     | None, Some _ | Some _, None -> true
+    | None, None -> false
   in
-  if not tree_changed then
-    {
-      hypervisors = List.sort_uniq Int.compare (changed_host :: overridden);
-      leaves = [];
-      pods = [];
-    }
-  else begin
-    let common_changed =
-      match (old_enc, st.enc) with
-      | Some a, Some b ->
-          (not (clustering_equal a.Encoding.d_spine b.Encoding.d_spine))
-          || not (clustering_equal a.Encoding.d_leaf b.Encoding.d_leaf)
-      | None, Some _ | Some _, None -> true
-      | None, None -> false
-    in
-    let sender_hosts = senders st in
-    let hyp =
-      if common_changed then sender_hosts
-      else affected_senders t old_tree new_tree sender_hosts
-    in
-    let old_leaf_srules =
-      match old_enc with
-      | Some e -> e.Encoding.d_leaf.Clustering.srules
-      | None -> []
-    in
-    let new_leaf_srules =
-      match st.enc with
-      | Some e -> e.Encoding.d_leaf.Clustering.srules
-      | None -> []
-    in
-    let old_pod_srules =
-      match old_enc with
-      | Some e -> e.Encoding.d_spine.Clustering.srules
-      | None -> []
-    in
-    let new_pod_srules =
-      match st.enc with
-      | Some e -> e.Encoding.d_spine.Clustering.srules
-      | None -> []
-    in
-    {
-      hypervisors = List.sort_uniq Int.compare ((changed_host :: hyp) @ overridden);
-      leaves = srule_diff old_leaf_srules new_leaf_srules;
-      pods = srule_diff old_pod_srules new_pod_srules;
-    }
-  end
+  let sender_hosts = senders st in
+  let hyp =
+    if common_changed then sender_hosts
+    else affected_senders t old_tree new_tree sender_hosts
+  in
+  let srules layer = function
+    | Some e -> (layer e).Clustering.srules
+    | None -> []
+  in
+  let leaf_layer e = e.Encoding.d_leaf and spine_layer e = e.Encoding.d_spine in
+  {
+    hypervisors = List.sort_uniq Int.compare ((changed_host :: hyp) @ overridden);
+    leaves = srule_diff (srules leaf_layer old_enc) (srules leaf_layer st.enc);
+    pods = srule_diff (srules spine_layer old_enc) (srules spine_layer st.enc);
+  }
 
 (* {1 Incremental fast path} *)
 
@@ -993,11 +974,8 @@ let try_fast_delta t ~group st ~host ~joining =
           let mirror_ok =
             match (a.Encoding.site, t.hooks) with
             | Encoding.Site_srule, Some hooks -> (
-                (* The fabric usually already sees the mutation (it stores
-                   the bitmap by reference), but mirror it through the hook
-                   so installs stay explicit, verified and accounted. *)
                 let bm =
-                  Int_list.assoc dleaf enc.Encoding.d_leaf.Clustering.srules
+                  enc.Encoding.idx_site_bm.(Tree.leaf_slot enc.Encoding.tree dleaf)
                 in
                 match
                   reliable t hooks ~group (Op_install_leaf (dleaf, bm))
@@ -1466,13 +1444,22 @@ let refresh_index t =
     t.stale_slots;
   t.stale_slots <- []
 
+let flags_copy t =
+  match t.flags_copy with
+  | Some c -> c
+  | None ->
+      let c =
+        Array.(copy t.spine_ok, copy t.core_ok, copy t.link_ok,
+               copy t.denied_leaf, copy t.denied_pod)
+      in
+      t.flags_copy <- Some c;
+      c
+
 let installed_config t =
   if t.regroup then build_index t else refresh_index t;
-  Installed_config.of_index ~generation:t.generation
-    ~spine_ok:(Array.copy t.spine_ok)
-    ~core_ok:(Array.copy t.core_ok) ~link_ok:(Array.copy t.link_ok)
-    ~denied_leaf:(Array.copy t.denied_leaf)
-    ~denied_pod:(Array.copy t.denied_pod)
+  let spine_ok, core_ok, link_ok, denied_leaf, denied_pod = flags_copy t in
+  Installed_config.of_index ~generation:t.generation ~spine_ok ~core_ok
+    ~link_ok ~denied_leaf ~denied_pod
     ~stale_sites:(Hashtbl.fold (fun _ e acc -> e :: acc) t.stale [])
     t.topo t.params ~gids:t.gids t.index
 

@@ -265,7 +265,9 @@ val installed_config : t -> Installed_config.t
     group. One call rebuilds the marked slots' sorted member arrays and
     override lists and replaces them in the index, copying one O(log groups) path
     per slot, so a view already handed out never changes; beside that it
-    copies the health, denial and stale-site state. Nothing is paid per
+    lists the stale sites. The health and denial flags are one copy,
+    shared by the views taken while no flag changes: a failure, recovery
+    or denial makes the next call copy them afresh. Nothing is paid per
     clean group. After {!add_group}, {!remove_group}, {!install_all} or
     {!restore} the next call builds the index whole: one fold over the
     groups and one sort by gid, reusing the views of unchanged groups. *)

@@ -146,7 +146,8 @@ let with_legacy ~legacy ~reserve ids bms cluster =
     List.fold_left
       (fun acc s ->
         let id = ids.(s) and bm = bms.(s) in
-        if reserve id then { acc with Clustering.srules = (id, bm) :: acc.Clustering.srules }
+        if reserve id then
+          { acc with Clustering.srules = (id, Bitmap.copy bm) :: acc.Clustering.srules }
         else begin
           let default =
             match acc.Clustering.default with
@@ -357,10 +358,8 @@ let apply_event t joining host leaf port =
       in
       if not budget_ok then re_budget
       else begin
-        (* Commit. The tree mutation flips the leaf's exact bitmap in
-           place; rules aliasing that bitmap (the encoder's singleton
-           p-rules and s-rules; [of_choices] aliases none) are already up
-           to date — mutate the rest explicitly. *)
+        (* Commit: flip the member in the tree, then the same port in the
+           rule the leaf sits in. Every rule owns its bitmap. *)
         let applied =
           if joining then Tree.add_member t.tree host
           else Tree.remove_member t.tree host
@@ -371,44 +370,32 @@ let apply_event t joining host leaf port =
           raise (Internal_error "apply_delta: tree delta rejected");
         t.stale <- t.stale + 1;
         t.down_stale <- true;
-        if kind = kind_prule then begin
-          let site_bm = r.Prule.bitmap in
-          let aliased = site_bm == exact in
-          if joining then begin
-            let header_changed = aliased || not (Bitmap.get site_bm port) in
-            if not aliased then Bitmap.set site_bm port;
-            if header_changed then a_prule_changed else a_prule_quiet
-          end
-          else begin
-            (* Leaving: the shared bitmap may only drop bits no remaining
-               member needs — recompute the OR over the survivors. *)
-            let header_changed =
-              aliased || refresh_rule_bitmap t r.Prule.switches site_bm
-            in
-            if header_changed then a_prule_changed else a_prule_quiet
-          end
-        end
-        else if kind = kind_srule then begin
+        let bm = Array.unsafe_get t.idx_site_bm s in
+        if kind = kind_srule then begin
           (* s-rules are exact per-switch bitmaps. *)
-          let bm = Array.unsafe_get t.idx_site_bm s in
-          if not (bm == exact) then
-            if joining then Bitmap.set bm port else Bitmap.clear bm port;
+          if joining then Bitmap.set bm port else Bitmap.clear bm port;
           a_srule
         end
         else begin
-          let bm = Array.unsafe_get t.idx_site_bm s in
+          (* A shared rule may already carry a joining port, and may drop a
+             leaving one only when no other member needs it: recompute the
+             OR over the rule's switches. *)
           let header_changed =
             if joining then begin
               let fresh = not (Bitmap.get bm port) in
               if fresh then Bitmap.set bm port;
               fresh
             end
+            else if kind = kind_prule then refresh_rule_bitmap t r.Prule.switches bm
             else
               match t.d_leaf.Clustering.default with
               | Some (ids, _) -> refresh_rule_bitmap t ids bm
               | None -> refresh_rule_bitmap t [] bm
           in
-          if header_changed then a_default_changed else a_default_quiet
+          if kind = kind_prule then
+            if header_changed then a_prule_changed else a_prule_quiet
+          else if header_changed then a_default_changed
+          else a_default_quiet
         end
       end
     end

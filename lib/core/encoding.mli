@@ -13,7 +13,10 @@ type t = {
           leaf index ({!Tree.leaf_slot}) is the encoding's too *)
   params : Params.t;
   d_spine : Clustering.result;  (** logical-spine layer, ids are pod numbers *)
-  d_leaf : Clustering.result;  (** leaf layer, ids are global leaf numbers *)
+  d_leaf : Clustering.result;
+      (** leaf layer, ids are global leaf numbers. Every rule of both
+          layers owns its bitmap: none is a tree bitmap or another
+          rule's. *)
   mutable stale : int;
       (** fast-path mutations applied since the last from-scratch encode *)
   idx_kind : Bytes.t;
@@ -102,8 +105,9 @@ val encode :
     The delta fast path of the incremental encoding engine: a membership
     event whose host lands on a leaf the tree already spans flips one port
     bit in the rule that leaf already occupies (p-rule, s-rule, or default),
-    in place, without re-running Algorithm 1. The spine and core sections
-    are untouched (leaf and pod sets are unchanged) and the header size
+    in place, without re-running Algorithm 1: it flips the port in the
+    tree's leaf bitmap and in the rule's own bitmap. The spine and core
+    sections are untouched (leaf and pod sets are unchanged) and the header size
     cannot change (bitmap widths are fixed), so only the bit flip and — for
     shared rules — a redundancy-budget re-check are needed. Structural
     events fall back to {!encode}, the correctness oracle. *)
@@ -241,8 +245,9 @@ val choices_codec : Topology.t -> choices Byteio.Codec.t
 val of_choices : Params.t -> Tree.t -> choices -> t
 (** [of_choices params tree c] is the encoding of [tree] that makes the
     choices [c], with every rule bitmap a fresh OR of its switches' tree
-    bitmaps (an s-rule's a copy of its switch's), a fresh fast-path
-    dispatch over the tree's leaf slots, and no header caches. It takes [tree] as its own: pass a {!Tree.copy}
+    bitmaps (an s-rule's a copy of its switch's) — the form {!encode}
+    returns too — a fresh fast-path dispatch over the tree's leaf slots,
+    and no header caches. It takes [tree] as its own: pass a {!Tree.copy}
     for a private copy of a live encoding ([of_choices e.params (Tree.copy
     e.tree) (choices e)]). Raises {!Byteio.Reader.Corrupt} unless each
     layer names every switch of the tree exactly once — the leaf layer its

@@ -18,7 +18,9 @@
     counter, and the view carries the value it was taken at ([stamp]);
     {!is_current} compares the two, and every {!Verify} function that takes
     a view raises [Invalid_argument] on one that is no longer current. The
-    health, denial and stale-site arrays are copied for each view.
+    stale sites are listed for each view; the health and denial arrays are
+    a copy the controller makes after any of them changes, shared by the
+    views taken until the next change and never written.
 
     The group views sit in a persistent gid-ordered index ({!Pvec}): views
     from successive calls share the [group_view] record of every group

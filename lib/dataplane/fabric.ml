@@ -86,12 +86,15 @@ let create topo =
 let topology t = t.topo
 let set_telemetry t tel = t.telemetry <- tel
 
-let install_leaf_srule t ~leaf ~group bm = Hashtbl.replace t.leaf_tables.(leaf) group bm
+(* A switch's group table holds its own copy of every entry: nothing the
+   controller does to its bitmaps after an install reaches the fabric. *)
+let install_leaf_srule t ~leaf ~group bm =
+  Hashtbl.replace t.leaf_tables.(leaf) group (Bitmap.copy bm)
 let remove_leaf_srule t ~leaf ~group = Hashtbl.remove t.leaf_tables.(leaf) group
 
 let install_pod_srule t ~pod ~group bm =
   List.iter
-    (fun s -> Hashtbl.replace t.spine_tables.(s) group bm)
+    (fun s -> Hashtbl.replace t.spine_tables.(s) group (Bitmap.copy bm))
     (Topology.spines_of_pod t.topo pod)
 
 let remove_pod_srule t ~pod ~group =
@@ -133,31 +136,6 @@ let pod_srule t ~pod ~group =
             | None -> false
           in
           if List.for_all same rest then Some bm else None)
-
-(* Perfect (never-failing) controller hooks over this fabric; wrap them in
-   a fault schedule with [Fault.hooks] to exercise the reliable
-   installation path. *)
-let controller_hooks t =
-  {
-    Controller.install_leaf =
-      (fun ~leaf ~group bm ->
-        install_leaf_srule t ~leaf ~group bm;
-        Ok ());
-    remove_leaf =
-      (fun ~leaf ~group ->
-        remove_leaf_srule t ~leaf ~group;
-        Ok ());
-    install_pod =
-      (fun ~pod ~group bm ->
-        install_pod_srule t ~pod ~group bm;
-        Ok ());
-    remove_pod =
-      (fun ~pod ~group ->
-        remove_pod_srule t ~pod ~group;
-        Ok ());
-    read_leaf = (fun ~leaf ~group -> leaf_srule t ~leaf ~group);
-    read_pod = (fun ~pod ~group -> pod_srule t ~pod ~group);
-  }
 
 (* {1 Epoch fencing (failover)}
 
@@ -216,6 +194,11 @@ let controller_hooks_at t ~epoch =
     read_leaf = (fun ~leaf ~group -> leaf_srule t ~leaf ~group);
     read_pod = (fun ~pod ~group -> pod_srule t ~pod ~group);
   }
+
+(* Perfect (never-failing) controller hooks over this fabric: no fence
+   is ever above [max_int]. Wrap them in a fault schedule with
+   [Fault.hooks] to exercise the reliable installation path. *)
+let controller_hooks t = controller_hooks_at t ~epoch:max_int
 
 (* {1 Table enumeration (reconcile sweeps)} *)
 

@@ -21,10 +21,14 @@ val topology : t -> Topology.t
 (** {1 Group tables (s-rules)} *)
 
 val install_leaf_srule : t -> leaf:int -> group:int -> Bitmap.t -> unit
+(** Stores a copy of the bitmap: the fabric shares no bitmap with the
+    caller, so a later change to the caller's bitmap reaches the switch
+    only through another install. *)
+
 val remove_leaf_srule : t -> leaf:int -> group:int -> unit
 
 val install_pod_srule : t -> pod:int -> group:int -> Bitmap.t -> unit
-(** Installs on every physical spine of the pod. *)
+(** Installs a copy on every physical spine of the pod, one per spine. *)
 
 val remove_pod_srule : t -> pod:int -> group:int -> unit
 
@@ -38,8 +42,8 @@ val spine_table_size : t -> int -> int
 (** Physical spine's group-table occupancy. *)
 
 val leaf_srule : t -> leaf:int -> group:int -> Bitmap.t option
-(** Read-back of one leaf's group-table entry (the physical bitmap object,
-    not a copy). *)
+(** Read-back of one leaf's group-table entry: the fabric's own copy,
+    never a bitmap that was passed to an install. Do not mutate it. *)
 
 val pod_srule : t -> pod:int -> group:int -> Bitmap.t option
 (** [Some bm] only when {e every} physical spine of the pod holds an entry
@@ -50,6 +54,8 @@ val pod_srule : t -> pod:int -> group:int -> Bitmap.t option
 val controller_hooks : t -> Controller.fabric_hooks
 (** Perfect (never-failing) controller hooks over this fabric: installs and
     removals always succeed and the read-backs answer from the live tables.
+    It is {!controller_hooks_at} at epoch [max_int], which no fence is
+    above.
     Wrap the result in a fault schedule ([Fault.hooks], lib/fault) to
     exercise the controller's retry/degradation machinery. *)
 

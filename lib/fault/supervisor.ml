@@ -50,8 +50,7 @@ let reconcile_sweep fabric (hooks : Controller.fabric_hooks)
               | Some actual when Bitmap.equal actual bm -> ()
               | _ ->
                   count
-                    (hooks.Controller.install_leaf ~leaf ~group:gv.gid
-                       (Bitmap.copy bm)))
+                    (hooks.Controller.install_leaf ~leaf ~group:gv.gid bm))
             enc.Encoding.d_leaf.Clustering.srules;
           List.iter
             (fun (pod, bm) ->
@@ -61,8 +60,7 @@ let reconcile_sweep fabric (hooks : Controller.fabric_hooks)
               | Some actual when Bitmap.equal actual bm -> ()
               | _ ->
                   count
-                    (hooks.Controller.install_pod ~pod ~group:gv.gid
-                       (Bitmap.copy bm)))
+                    (hooks.Controller.install_pod ~pod ~group:gv.gid bm))
             enc.Encoding.d_spine.Clustering.srules)
     (Installed_config.groups cfg);
   Array.iter

@@ -11,8 +11,8 @@
     + rebuild the controller ({!Replica.of_wire}) with hooks stamped at
       the new epoch;
     + {e reconcile}: read back every s-rule site the recovered state
-      expects and reinstall divergent or missing entries (fresh bitmap
-      copies — fabric state never aliases controller state), keep
+      expects and reinstall divergent or missing entries (the fabric
+      stores its own copies, so its state never aliases the controller's), keep
       compensated stale entries (the verifier accounts for them — removal
       would be the unsound direction), and remove true orphans the
       recovered state knows nothing about;

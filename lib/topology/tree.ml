@@ -164,9 +164,9 @@ let copy t =
   }
 
 (* Incremental membership (the encoder's delta fast path). The leaf bitmap
-   and the members buffer are mutated IN PLACE — deliberately: singleton
-   p-rules and s-rules alias the tree's bitmaps, so an in-place flip
-   updates those rules for free, and the capacity-backed members buffer
+   and the members buffer are mutated IN PLACE: no rule shares the tree's
+   bitmaps (the encoder flips the same port in the leaf's rule itself),
+   and the capacity-backed members buffer
    makes the steady-state join/leave allocation-free (checked by the
    zero-alloc lint rule and the Gc.minor_words harness). Both return
    [false] when the change is structural (a new leaf appears / a leaf

@@ -108,7 +108,7 @@ val copy : t -> t
 val add_member : t -> int -> bool
 (** [add_member t h] is the membership-delta fast path: when [h]'s leaf
     already participates (found by {!leaf_slot}), sets the host's port bit
-    {e in place} (aliasing rule bitmaps see the flip too), splices the
+    {e in place} (no rule bitmap shares it), splices the
     host into the sorted members buffer without allocating (amortized —
     the capacity doubles on the cold overflow path) and returns [true]. [false] — with the tree
     untouched — when the host's leaf does not participate (structural

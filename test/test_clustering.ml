@@ -501,19 +501,22 @@ let arb_layer_case =
         (QCheck.Print.(list (list int)) sets)
         (QCheck.Print.(list bool) space))
 
-(* Bitmap ownership: every p-rule of the greedy loop holds a fresh
-   bitmap, physically distinct from every input, and every singleton-path
-   p-rule holds its switch's input bitmap itself. *)
+(* Bitmap ownership: no output bitmap (p-rule, s-rule or default) is an
+   input bitmap, and every singleton — a singleton-path p-rule, an s-rule —
+   equals its switch's input. *)
 let owns_fresh_bitmaps ~hmax layer (res : Clustering.result) =
-  if List.length layer <= hmax then
-    List.for_all2
-      (fun (_, b) (rule : Prule.prule) -> rule.bitmap == b)
-      layer res.prules
-  else
-    List.for_all
-      (fun (rule : Prule.prule) ->
-        List.for_all (fun (_, b) -> rule.bitmap != b) layer)
-      res.prules
+  let fresh out = List.for_all (fun (_, b) -> out != b) layer in
+  let outputs =
+    List.map (fun (rule : Prule.prule) -> rule.bitmap) res.prules
+    @ List.map snd res.srules
+    @ Option.to_list (Option.map snd res.default)
+  in
+  List.for_all fresh outputs
+  && List.for_all (fun (id, out) -> Bitmap.equal out (List.assoc id layer)) res.srules
+  && (List.length layer > hmax
+     || List.for_all2
+          (fun (_, b) (rule : Prule.prule) -> Bitmap.equal rule.bitmap b)
+          layer res.prules)
 
 (* Runs both on one layer with one s-rule capacity predicate and compares
    their results and the order of their capacity probes. *)
@@ -547,9 +550,13 @@ let test_bitmap_ownership () =
   let fit = run ~hmax:4 layer in
   List.iter2
     (fun (_, b) (rule : Prule.prule) ->
-      Alcotest.(check bool) "singleton path aliases its input" true
-        (rule.bitmap == b))
+      Alcotest.(check bool) "singleton path copies its input" true
+        (rule.bitmap != b && Bitmap.equal rule.bitmap b))
     layer fit.prules;
+  let spilled = run ~hmax:1 ~kmax:1 ~has_srule_space:all_srules layer in
+  Alcotest.(check int) "three s-rules" 3 (List.length spilled.srules);
+  Alcotest.(check bool) "s-rules copy their inputs" true
+    (owns_fresh_bitmaps ~hmax:1 layer spilled);
   List.iter
     (fun kmax ->
       let res = run ~r:0 ~hmax:2 ~kmax layer in

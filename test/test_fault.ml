@@ -126,9 +126,94 @@ let test_degraded_costs_more_traffic () =
   Alcotest.(check bool) "degraded encoding transmits at least as much" true
     (tx ctrl fabric >= tx clean_ctrl clean_fab)
 
-(* {1 Stale entries and compensation} *)
+(* {1 The fast path's s-rule mirror}
+
+   A receiver join on a leaf that holds one of the group's s-rules flips
+   the s-rule's bitmap on the fast path, then mirrors it to the leaf
+   through a verified install. The fabric keeps its own copy of every
+   entry, so the read-back sees the old one until the install lands. *)
+
+(* The group of [wide_hosts] installed through [schedule], the first leaf
+   holding one of its s-rules, and a host on that leaf that is not a
+   member. *)
+let srule_leaf_setup schedule =
+  let ctrl, fabric, fault = faulty_setup schedule in
+  ignore (Controller.add_group ctrl ~group:1 (members_both wide_hosts));
+  let leaf =
+    match Controller.encoding ctrl ~group:1 with
+    | Some { Encoding.d_leaf = { Clustering.srules = (l, _) :: _; _ }; _ } -> l
+    | Some _ | None -> Alcotest.fail "the group should hold a leaf s-rule"
+  in
+  (ctrl, fabric, fault, leaf, (leaf * h) + 2)
 
 let repeat n x = List.init n (fun _ -> x)
+
+(* Every sender's header as wire bytes ([None] when it has none). *)
+let header_bytes ctrl ~group =
+  List.map
+    (fun (sender, _) ->
+      ( sender,
+        Option.map (Header_codec.encode topo)
+          (Controller.header ctrl ~group ~sender) ))
+    (Controller.members ctrl ~group)
+
+let test_mirror_refused_degrades () =
+  let ctrl, fabric, fault, leaf, host = srule_leaf_setup Fault.Reliable in
+  let before = Controller.install_stats ctrl in
+  let reencodes = (Controller.churn_stats ctrl).Controller.reencoded in
+  let headers = header_bytes ctrl ~group:1 in
+  Fault.wedge_leaf fault leaf true;
+  let u = Controller.join ctrl ~group:1 ~host ~role:Controller.Both in
+  Alcotest.(check int) "one more degradation"
+    (before.Controller.degradations + 1)
+    (Controller.install_stats ctrl).Controller.degradations;
+  Alcotest.(check int) "the join fell back to a re-encode" (reencodes + 1)
+    (Controller.churn_stats ctrl).Controller.reencoded;
+  Alcotest.(check bool) "the leaf is in the update" true
+    (List.mem leaf u.Controller.leaves);
+  Alcotest.(check bool) "the leaf's entry is gone" true
+    (Option.is_none (Fabric.leaf_srule fabric ~leaf ~group:1));
+  let after = header_bytes ctrl ~group:1 in
+  List.iter
+    (fun (sender, old) ->
+      let changed =
+        not (Option.equal Bytes.equal old (List.assoc sender after))
+      in
+      if changed && not (List.mem sender u.Controller.hypervisors) then
+        Alcotest.failf "sender %d's header changed but the update misses it"
+          sender)
+    headers;
+  match Verify.check_controller ctrl with
+  | Ok _ -> ()
+  | Error w -> Alcotest.failf "check_controller: %a" Verify.pp_witness w
+
+let test_mirror_dropped_retried () =
+  let k, _ = clean_install_ops () in
+  let ctrl, fabric, _, leaf, host =
+    srule_leaf_setup (Fault.Scripted (repeat k Fault.Applied @ [ Fault.Dropped ]))
+  in
+  let before = Controller.install_stats ctrl in
+  let u = Controller.join ctrl ~group:1 ~host ~role:Controller.Both in
+  let after = Controller.install_stats ctrl in
+  Alcotest.(check int) "the dropped mirror cost one retry"
+    (before.Controller.retries + 1) after.Controller.retries;
+  Alcotest.(check int) "no degradation" before.Controller.degradations
+    after.Controller.degradations;
+  Alcotest.(check (list int)) "the leaf is the update's one switch" [ leaf ]
+    u.Controller.leaves;
+  let bm =
+    match Controller.encoding ctrl ~group:1 with
+    | Some enc -> List.assoc leaf enc.Encoding.d_leaf.Clustering.srules
+    | None -> Alcotest.fail "the group lost its encoding"
+  in
+  match Fabric.leaf_srule fabric ~leaf ~group:1 with
+  | Some entry ->
+      Alcotest.(check bool) "the fabric holds an equal copy" true
+        (Bitmap.equal entry bm && entry != bm)
+  | None -> Alcotest.fail "the mirrored entry is missing"
+
+(* {1 Stale entries and compensation} *)
+
 
 let test_failed_removal_marked_and_reconciled () =
   let k, _ = clean_install_ops () in
@@ -710,6 +795,10 @@ let tests =
       test_wedged_fabric_degrades_but_delivers;
     Alcotest.test_case "degradation costs traffic" `Quick
       test_degraded_costs_more_traffic;
+    Alcotest.test_case "fast-path mirror refused: degrade, re-encode" `Quick
+      test_mirror_refused_degrades;
+    Alcotest.test_case "fast-path mirror dropped: retried" `Quick
+      test_mirror_dropped_retried;
     Alcotest.test_case "failed removal marked, compensated, reconciled" `Quick
       test_failed_removal_marked_and_reconciled;
     Alcotest.test_case "crash recovery bit-identical at 100 points" `Slow

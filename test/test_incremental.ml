@@ -318,7 +318,8 @@ let test_delta_prule_join () =
   (match Encoding.apply_delta enc (join 2) with
   | Encoding.Applied a ->
       check_bool "site is a p-rule" (a.Encoding.site = Encoding.Site_prule);
-      check_bool "singleton rules alias the tree" a.Encoding.header_changed
+      check_bool "the singleton rule's own bitmap gained the port"
+        a.Encoding.header_changed
   | Encoding.Reencode _ -> Alcotest.fail "expected the fast path");
   Alcotest.(check (list int)) "member added" [ 0; 1; 2; h ] (members_of enc);
   Alcotest.(check int) "stale incremented" 1 enc.Encoding.stale;

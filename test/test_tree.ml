@@ -207,8 +207,8 @@ let prop_of_members_matches_reference (name, topo) =
           Tree.member_array t = Tree.member_array r
           && Tree.equal t r
           && Bitmap.equal t.Tree.core_bitmap r.Tree.core_bitmap
-          (* Encoding's fast path flips a leaf's bitmap in place through the
-             rules aliasing it, so no two leaves may share one. *)
+          (* Encoding's fast path flips a leaf's bitmap in place, so no two
+             leaves may share one. *)
           && distinct_bitmaps t.Tree.leaf_bms
       | _ -> false)
 

@@ -48,10 +48,11 @@ let check_clean name report =
 let warmup = 64
 let events = 512
 
-let test_prule_aliased () =
-  (* [0; 1; h]: singleton p-rules aliasing the tree bitmaps. *)
+let test_prule_singleton () =
+  (* [0; 1; h]: singleton p-rules, each owning a copy of its leaf's tree
+     bitmap. *)
   let enc = enc_of (params ()) [ 0; 1; h ] in
-  check_clean "aliased p-rule churn"
+  check_clean "singleton p-rule churn"
     (Allocs.probe ~warmup ~events (churn_fn enc 2))
 
 let test_prule_shared () =
@@ -97,7 +98,7 @@ let test_probe_detects_allocation () =
     (report.Allocs.per_event > 0.0)
 
 (* A block over [Max_young_wosize] words is allocated straight in the
-   major heap, where [Gc.minor_words] does not count it. The aliased
+   major heap, where [Gc.minor_words] does not count it. The singleton
    p-rule churn plus one 577-word array per event (about one packet
    report on perfbench's [clos]) over 1,024 events must read 578 words
    per event (the array and its header), pinned to the first event. *)
@@ -117,8 +118,8 @@ let test_probe_sees_major_allocation () =
 
 let tests =
   [
-    Alcotest.test_case "aliased p-rule churn is zero-alloc" `Quick
-      test_prule_aliased;
+    Alcotest.test_case "singleton p-rule churn is zero-alloc" `Quick
+      test_prule_singleton;
     Alcotest.test_case "shared p-rule churn is zero-alloc" `Quick
       test_prule_shared;
     Alcotest.test_case "default-rule churn is zero-alloc" `Quick
