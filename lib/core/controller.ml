@@ -35,6 +35,19 @@ type fabric_hooks = {
   read_pod : pod:int -> group:int -> Bitmap.t option;
 }
 
+let install_site hooks ~group site bm =
+  match site with
+  | Srule_state.Leaf leaf -> hooks.install_leaf ~leaf ~group bm
+  | Srule_state.Pod pod -> hooks.install_pod ~pod ~group bm
+
+let remove_site hooks ~group = function
+  | Srule_state.Leaf leaf -> hooks.remove_leaf ~leaf ~group
+  | Srule_state.Pod pod -> hooks.remove_pod ~pod ~group
+
+let read_site hooks ~group = function
+  | Srule_state.Leaf leaf -> hooks.read_leaf ~leaf ~group
+  | Srule_state.Pod pod -> hooks.read_pod ~pod ~group
+
 (* Failure-time replacement for the multipath flags of a sender pod's
    upstream rules: explicit spine ports at the leaf, explicit core ports at
    the spine (§3.3). [unicast = true] marks an uncoverable pod whose senders
@@ -188,9 +201,8 @@ type t = {
          and an event that changes none copies none *)
   stale : (int, int * Srule_state.site) Hashtbl.t;
       (* fabric entries whose removal exhausted the retry budget, keyed by
-         [stale_key] (a primitive int combining group and site); the value
-         is the (group, site) pair needed to reconcile the entry *)
-  stale_stride : int;
+         [Srule_state.group_site_key]; the value is the (group, site) pair
+         needed to reconcile the entry *)
   dirty : (int, unit) Hashtbl.t;
       (* groups whose installed view may have changed since the last
          [drain_dirty] — feeds the verify layer's predicate-cache
@@ -253,8 +265,6 @@ let create ?fabric_hooks ?clock topo params =
     denied_pod = Array.make topo.Topology.pods false;
     flags_copy = None;
     stale = Hashtbl.create 8;
-    stale_stride =
-      (2 * max (Topology.num_leaves topo) topo.Topology.pods) + 2;
     dirty = Hashtbl.create 64;
     generation = ref 0;
     gids = [||];
@@ -361,29 +371,18 @@ let memoized_views t = Array.length t.gids - List.length t.stale_slots
    success: an install that was refused because the entry is already
    correct counts as done. *)
 
-type fab_op =
-  | Op_install_leaf of int * Bitmap.t
-  | Op_remove_leaf of int
-  | Op_install_pod of int * Bitmap.t
-  | Op_remove_pod of int
+type fab_op = Install of Srule_state.site * Bitmap.t | Remove of Srule_state.site
 
 let perform hooks ~group = function
-  | Op_install_leaf (leaf, bm) -> hooks.install_leaf ~leaf ~group bm
-  | Op_remove_leaf leaf -> hooks.remove_leaf ~leaf ~group
-  | Op_install_pod (pod, bm) -> hooks.install_pod ~pod ~group bm
-  | Op_remove_pod pod -> hooks.remove_pod ~pod ~group
+  | Install (site, bm) -> install_site hooks ~group site bm
+  | Remove site -> remove_site hooks ~group site
 
 let verified hooks ~group = function
-  | Op_install_leaf (leaf, bm) -> (
-      match hooks.read_leaf ~leaf ~group with
+  | Install (site, bm) -> (
+      match read_site hooks ~group site with
       | Some cur -> Bitmap.equal cur bm
       | None -> false)
-  | Op_remove_leaf leaf -> Option.is_none (hooks.read_leaf ~leaf ~group)
-  | Op_install_pod (pod, bm) -> (
-      match hooks.read_pod ~pod ~group with
-      | Some cur -> Bitmap.equal cur bm
-      | None -> false)
-  | Op_remove_pod pod -> Option.is_none (hooks.read_pod ~pod ~group)
+  | Remove site -> Option.is_none (read_site hooks ~group site)
 
 (* Busy-wait on the controller's clock. On the default logical clock one
    read is one tick, so the wait is exactly [us] ticks — deterministic. *)
@@ -427,7 +426,7 @@ let reliable t hooks ~group op =
    never misdelivers: it is precisely what the default rule would have the
    switch forward, or empty when the group no longer reaches the switch). *)
 
-let stale_key t ~group site = (group * t.stale_stride) + Srule_state.site_key site
+let stale_key t ~group site = Srule_state.group_site_key t.topo ~group site
 let mark_stale t ~group site =
   Obs.incr "controller.stale_marked";
   mark_dirty t group;
@@ -438,55 +437,6 @@ let unmark_stale t ~group site =
     mark_dirty t group;
     Hashtbl.remove t.stale (stale_key t ~group site)
   end
-
-(* {1 Encoding lifecycle} *)
-
-let uninstall_enc t ~group enc =
-  Encoding.release t.srules enc;
-  match t.hooks with
-  | None -> ()
-  | Some hooks ->
-      List.iter
-        (fun (leaf, _) ->
-          match reliable t hooks ~group (Op_remove_leaf leaf) with
-          | Ok () -> unmark_stale t ~group (Srule_state.Leaf leaf)
-          | Error () -> mark_stale t ~group (Srule_state.Leaf leaf))
-        enc.Encoding.d_leaf.Clustering.srules;
-      List.iter
-        (fun (pod, _) ->
-          match reliable t hooks ~group (Op_remove_pod pod) with
-          | Ok () -> unmark_stale t ~group (Srule_state.Pod pod)
-          | Error () -> mark_stale t ~group (Srule_state.Pod pod))
-        enc.Encoding.d_spine.Clustering.srules
-
-(* Returns the first switch whose install exhausted its retry budget, if
-   any; a successful install at a site clears any stale marker there (the
-   fresh entry overwrote it). *)
-let install_enc t ~group enc =
-  match t.hooks with
-  | None -> Ok ()
-  | Some hooks ->
-      let rec leaves = function
-        | [] -> Ok ()
-        | (leaf, bm) :: rest -> (
-            match reliable t hooks ~group (Op_install_leaf (leaf, bm)) with
-            | Ok () ->
-                unmark_stale t ~group (Srule_state.Leaf leaf);
-                leaves rest
-            | Error () -> Error (Srule_state.Leaf leaf))
-      in
-      let rec pods = function
-        | [] -> Ok ()
-        | (pod, bm) :: rest -> (
-            match reliable t hooks ~group (Op_install_pod (pod, bm)) with
-            | Ok () ->
-                unmark_stale t ~group (Srule_state.Pod pod);
-                pods rest
-            | Error () -> Error (Srule_state.Pod pod))
-      in
-      (match leaves enc.Encoding.d_leaf.Clustering.srules with
-      | Ok () -> pods enc.Encoding.d_spine.Clustering.srules
-      | Error _ as e -> e)
 
 (* {1 Failure-recovery upstream assignment (§3.3)} *)
 
@@ -752,20 +702,101 @@ let encode_group t st =
            ~srule_ok_pod:(srule_ok_pod t) t.params t.srules tree)
   end
 
-(* Graceful degradation: install the encoding's s-rules; when a switch's
-   install permanently fails, mark it denied, re-encode the group with the
-   switch excluded from s-rule eligibility (its traffic folds into p-rules
-   or the default p-rule — extra transmissions, no dependence on the
-   unreachable switch) and start over. Terminates because each iteration
-   denies at least one more switch; with every switch denied the encoding
-   needs no fabric state at all. *)
-let rec install_with_degrade t ~group st =
-  match st.enc with
-  | None -> ()
-  | Some enc -> (
-      match install_enc t ~group enc with
-      | Ok () -> ()
-      | Error site ->
+(* {1 The s-rule diff}
+
+   An event changes a group's group-table entries at exactly the sites
+   where its new s-rules differ from what the fabric holds for it, and
+   that is the previous encoding's s-rules: an install that lands matches
+   its rule, one refused denies its switch (so the next encode holds no
+   s-rule there and the diff removes it), and a removal that fails leaves
+   a stale marker that [reconcile] owns. One diff therefore drives the
+   fabric and the event's report: an install at each site whose bitmap is
+   new or differs, in {!Encoding.fold_srules} order, then a removal at
+   each held site the new s-rules lack. Nothing else is touched. *)
+
+(* An encoding's s-rules as (site, bitmap) pairs, in fold order: what
+   the fabric holds for the group once the encoding is pushed. *)
+let srule_sites = function
+  | None -> []
+  | Some enc -> Encoding.fold_srules (fun site bm acc -> (site, bm) :: acc) enc []
+
+let rec site_bitmap site = function
+  | [] -> None
+  | (s, bm) :: rest ->
+      if Srule_state.site_key s = Srule_state.site_key site then Some bm
+      else site_bitmap site rest
+
+let has_srule enc site =
+  match (enc, site) with
+  | None, _ -> false
+  | Some e, Srule_state.Leaf l -> Int_list.mem_assoc l e.Encoding.d_leaf.Clustering.srules
+  | Some e, Srule_state.Pod p -> Int_list.mem_assoc p e.Encoding.d_spine.Clustering.srules
+
+(* The ops that take the fabric from [held] to [enc]'s s-rules. *)
+let site_diff held enc =
+  let removals =
+    List.filter_map
+      (fun (site, _) -> if has_srule enc site then None else Some (Remove site))
+      held
+  in
+  let install site bm ops =
+    match site_bitmap site held with
+    | Some old when Bitmap.equal old bm -> ops
+    | Some _ | None -> Install (site, bm) :: ops
+  in
+  match enc with None -> removals | Some e -> Encoding.fold_srules install e removals
+
+let op_site = function Install (site, _) | Remove site -> site
+
+(* The leaves and pods the ops mutate, each ascending once. *)
+let site_updates ~hypervisors ops =
+  let layer f = List.sort_uniq Int.compare (List.filter_map f ops) in
+  {
+    hypervisors;
+    leaves =
+      layer (fun op ->
+          match op_site op with Srule_state.Leaf l -> Some l | Srule_state.Pod _ -> None);
+    pods =
+      layer (fun op ->
+          match op_site op with Srule_state.Pod p -> Some p | Srule_state.Leaf _ -> None);
+  }
+
+(* Pushes [ops] in order; a removal that exhausts its budget leaves a
+   stale marker, a verified mutation clears the site's. An install that
+   exhausts its budget stops the push: its site, and the installs pushed
+   (that one included, most recent first). *)
+let rec push t hooks ~group pushed = function
+  | [] -> Ok ()
+  | (Install (site, bm) as op) :: rest -> (
+      match reliable t hooks ~group op with
+      | Ok () ->
+          unmark_stale t ~group site;
+          push t hooks ~group ((site, bm) :: pushed) rest
+      | Error () -> Error (site, (site, bm) :: pushed))
+  | (Remove site as op) :: rest ->
+      (match reliable t hooks ~group op with
+      | Ok () -> unmark_stale t ~group site
+      | Error () -> mark_stale t ~group site);
+      push t hooks ~group pushed rest
+
+(* Push the diff from [held], what the fabric holds for the group, to
+   its encoding's s-rules, and return the ops issued. Graceful
+   degradation: when a switch's install permanently fails, mark it
+   denied, re-encode the group with the switch excluded from s-rule
+   eligibility (its traffic folds into p-rules or the default p-rule —
+   extra transmissions, no dependence on the unreachable switch) and push
+   again from what the partial push left behind: its installs over
+   [held], since the removals come last. Terminates because each
+   iteration denies one more switch; with every switch denied the
+   encoding needs no fabric state at all. *)
+let rec push_diff t ~group st held =
+  let ops = site_diff held st.enc in
+  match t.hooks with
+  | None -> ops
+  | Some hooks -> (
+      match push t hooks ~group [] ops with
+      | Ok () -> ops
+      | Error (site, pushed) ->
           Log.info (fun m ->
               m "group %d: installs on %s keep failing; degrading it to the \
                  default p-rule"
@@ -774,9 +805,11 @@ let rec install_with_degrade t ~group st =
                 | Srule_state.Leaf l -> Printf.sprintf "leaf %d" l
                 | Srule_state.Pod p -> Printf.sprintf "pod %d" p));
           deny t site;
-          uninstall_enc t ~group enc;
+          Option.iter (Encoding.release t.srules) st.enc;
           encode_group t st;
-          install_with_degrade t ~group st)
+          let kept (s, _) = Option.is_none (site_bitmap s pushed) in
+          List.rev_map (fun (s, bm) -> Install (s, bm)) pushed
+          @ push_diff t ~group st (pushed @ List.filter kept held))
 
 (* The exact bitmap the group's current tree wants at [site] — what a
    compensating overwrite of an unremovable entry must hold: the tree's
@@ -816,32 +849,12 @@ let reconcile t =
         in
         List.iter
           (fun (_, (group, site)) ->
-            let remove_op =
-              match site with
-              | Srule_state.Leaf l -> Op_remove_leaf l
-              | Srule_state.Pod p -> Op_remove_pod p
-            in
-            match reliable t hooks ~group remove_op with
+            match reliable t hooks ~group (Remove site) with
             | Ok () -> unmark_stale t ~group site
             | Error () -> (
-                let truth = truthful_bitmap t ~group site in
-                let current =
-                  match site with
-                  | Srule_state.Leaf l -> hooks.read_leaf ~leaf:l ~group
-                  | Srule_state.Pod p -> hooks.read_pod ~pod:p ~group
-                in
-                let already_truthful =
-                  match current with
-                  | Some cur -> Bitmap.equal cur truth
-                  | None -> false
-                in
-                if not already_truthful then
-                  let install_op =
-                    match site with
-                    | Srule_state.Leaf l -> Op_install_leaf (l, truth)
-                    | Srule_state.Pod p -> Op_install_pod (p, truth)
-                  in
-                  match reliable t hooks ~group install_op with
+                let compensate = Install (site, truthful_bitmap t ~group site) in
+                if not (verified hooks ~group compensate) then
+                  match reliable t hooks ~group compensate with
                   | Ok () ->
                       t.counters.compensated <- t.counters.compensated + 1
                   | Error () ->
@@ -849,22 +862,6 @@ let reconcile t =
                          surfaced via [install_stats.stale_entries]. *)
                       Obs.incr "controller.reconcile_failed"))
           entries
-
-let srule_diff old_srules new_srules =
-  let changed =
-    List.filter
-      (fun (id, bm) ->
-        match Int_list.assoc_opt id old_srules with
-        | Some bm' -> not (Bitmap.equal bm bm')
-        | None -> true)
-      new_srules
-    |> List.map fst
-  in
-  let removed =
-    List.filter (fun (id, _) -> not (Int_list.mem_assoc id new_srules)) old_srules
-    |> List.map fst
-  in
-  List.sort_uniq compare (changed @ removed)
 
 let clustering_equal (a : Clustering.result) (b : Clustering.result) =
   List.equal Prule.equal a.Clustering.prules b.Clustering.prules
@@ -914,9 +911,10 @@ let reencode t ~group st ~changed_host =
   @@ fun () ->
   let old_enc = st.enc in
   let old_tree = Option.map (fun e -> e.Encoding.tree) old_enc in
-  (match old_enc with Some e -> uninstall_enc t ~group e | None -> ());
+  let held = srule_sites old_enc in
+  Option.iter (Encoding.release t.srules) old_enc;
   encode_group t st;
-  install_with_degrade t ~group st;
+  let ops = push_diff t ~group st held in
   (match (old_enc, st.enc) with
   | Some from, Some enc -> Encoding.inherit_caches ~from enc
   | None, _ | _, None -> ());
@@ -935,16 +933,9 @@ let reencode t ~group st ~changed_host =
     if common_changed then sender_hosts
     else affected_senders t old_tree new_tree sender_hosts
   in
-  let srules layer = function
-    | Some e -> (layer e).Clustering.srules
-    | None -> []
-  in
-  let leaf_layer e = e.Encoding.d_leaf and spine_layer e = e.Encoding.d_spine in
-  {
-    hypervisors = List.sort_uniq Int.compare ((changed_host :: hyp) @ overridden);
-    leaves = srule_diff (srules leaf_layer old_enc) (srules leaf_layer st.enc);
-    pods = srule_diff (srules spine_layer old_enc) (srules spine_layer st.enc);
-  }
+  site_updates
+    ~hypervisors:(List.sort_uniq Int.compare ((changed_host :: hyp) @ overridden))
+    ops
 
 (* {1 Incremental fast path} *)
 
@@ -978,7 +969,7 @@ let try_fast_delta t ~group st ~host ~joining =
                   enc.Encoding.idx_site_bm.(Tree.leaf_slot enc.Encoding.tree dleaf)
                 in
                 match
-                  reliable t hooks ~group (Op_install_leaf (dleaf, bm))
+                  reliable t hooks ~group (Install (Srule_state.Leaf dleaf, bm))
                 with
                 | Ok () ->
                     unmark_stale t ~group (Srule_state.Leaf dleaf);
@@ -1100,15 +1091,8 @@ let check_leave t ~group ~host =
   if not (Int_list.mem_assoc host (find_group t group).members) then
     raise Not_found
 
-let srule_sites st =
-  match st.enc with
-  | Some e ->
-      ( List.map fst e.Encoding.d_leaf.Clustering.srules,
-        List.map fst e.Encoding.d_spine.Clustering.srules )
-  | None -> ([], [])
-
-(* Installs a group whose guard has passed; [add_group] and [install_all]
-   share it. *)
+(* Installs a group whose guard has passed and returns the ops that
+   pushed its s-rules; [add_group] and [install_all] share it. *)
 let install_group t ~group members =
   Log.debug (fun m -> m "add_group %d with %d members" group (List.length members));
   Obs.with_span "controller.add_group" @@ fun () ->
@@ -1117,17 +1101,16 @@ let install_group t ~group members =
   t.regroup <- true;
   mark_dirty t group;
   encode_group t st;
-  install_with_degrade t ~group st;
+  let ops = push_diff t ~group st [] in
   if not (all_healthy t) then refresh_overrides t ~group st;
   reconcile t;
   check_invariants t ~op:"add_group";
-  st
+  ops
 
 let add_group t ~group members =
   check_new_group ~op:"Controller.add_group" t ~group members;
-  let st = install_group t ~group members in
-  let leaves, pods = srule_sites st in
-  { hypervisors = sorted_hosts t members any_role; leaves; pods }
+  let ops = install_group t ~group members in
+  site_updates ~hypervisors:(sorted_hosts t members any_role) ops
 
 let rec set_hosts bm = function
   | [] -> ()
@@ -1163,9 +1146,12 @@ let install_all t batch =
   let pods = Bitmap.create t.topo.Topology.pods in
   List.iter
     (fun (group, members) ->
-      let srule_leaves, srule_pods = srule_sites (install_group t ~group members) in
-      List.iter (Bitmap.set leaves) srule_leaves;
-      List.iter (Bitmap.set pods) srule_pods)
+      List.iter
+        (fun op ->
+          match op_site op with
+          | Srule_state.Leaf l -> Bitmap.set leaves l
+          | Srule_state.Pod p -> Bitmap.set pods p)
+        (install_group t ~group members))
     batch;
   {
     hypervisors = Bitmap.to_list hosts;
@@ -1179,18 +1165,16 @@ let batch_conflicts _ = 0
 
 let remove_group t ~group =
   let st = find_group t group in
-  (match st.enc with Some e -> uninstall_enc t ~group e | None -> ());
-  let srule_leaves, srule_pods = srule_sites st in
+  let held = srule_sites st.enc in
+  Option.iter (Encoding.release t.srules) st.enc;
+  st.enc <- None;
+  let ops = push_diff t ~group st held in
   Hashtbl.remove t.groups group;
   t.regroup <- true;
   mark_dirty t group;
   reconcile t;
   check_invariants t ~op:"remove_group";
-  {
-    hypervisors = sorted_hosts t st.members any_role;
-    leaves = srule_leaves;
-    pods = srule_pods;
-  }
+  site_updates ~hypervisors:(sorted_hosts t st.members any_role) ops
 
 (* A join or leave, once [st.members] has changed. A sender's tree is
    unchanged: only its own encap rule is (un)installed, and under a
@@ -1516,10 +1500,8 @@ type snapshot = {
    refuses a stored key that differs. *)
 let stale_codec ~topo =
   let open Byteio.Codec in
-  let stride = (2 * max (Topology.num_leaves topo) topo.Topology.pods) + 2 in
   where
-    (fun (key, (group, site)) ->
-      key = (group * stride) + Srule_state.site_key site)
+    (fun (key, (group, site)) -> key = Srule_state.group_site_key topo ~group site)
     (pair int (pair nat (site_codec ~topo)))
 
 (* A group's segment depends on the group alone, so it is encoded once

@@ -28,7 +28,14 @@ type updates = {
       (** pods whose spines had s-rule changes (one update per physical
           spine of the pod) *)
 }
-(** Core switches never appear: Elmo installs no core state. *)
+(** [leaves] and [pods] (each ascending) are exactly the group-table
+    entries the event changed: the sites where the group's new s-rules
+    differ from what the fabric held for it, which are also the fabric
+    mutations the event issues before retries and stale-entry
+    reconciliation (with fabric hooks, one verified install or removal per
+    site; an install that exhausts its retry budget adds the sites the
+    degraded re-encode then changes). Core switches never appear: Elmo
+    installs no core state. *)
 
 val no_updates : updates
 val merge_updates : updates -> updates -> updates
@@ -60,6 +67,17 @@ type fabric_hooks = {
     by the read-back verification of the reliable installation path. Build
     perfect hooks for a fabric with [Fabric.controller_hooks]; wrap them in
     a fault schedule with [Fault.hooks] (lib/fault). *)
+
+val install_site :
+  fabric_hooks -> group:int -> Srule_state.site -> Bitmap.t ->
+  (unit, install_error) result
+
+val remove_site :
+  fabric_hooks -> group:int -> Srule_state.site -> (unit, install_error) result
+
+val read_site : fabric_hooks -> group:int -> Srule_state.site -> Bitmap.t option
+(** The hook of the site's layer: every fabric operation the controller
+    (and the failover sweep) issues goes through these three. *)
 
 type t
 
@@ -182,11 +200,13 @@ val memoized_views : t -> int
     Every fabric mutation runs through a verify-and-retry loop: perform the
     hook, read the entry back, and retry with exponential backoff (initial
     [Params.install_backoff_us], doubling, at most [Params.install_retries]
-    retries) until the read-back matches the intended state. A switch whose
-    {e install} exhausts the budget is {e denied}: excluded from s-rule
-    eligibility for all future encodes, with affected groups re-encoded so
-    their traffic falls back to p-rules or the default p-rule — extra
-    transmissions, never a blackhole. An entry whose {e removal} exhausts
+    retries) until the read-back matches the intended state. An event
+    mutates only the sites of its s-rule diff (see {!updates}). A switch
+    whose {e install} exhausts the budget is {e denied}: excluded from
+    s-rule eligibility for all future encodes, with the group re-encoded so
+    its traffic falls back to p-rules or the default p-rule — extra
+    transmissions, never a blackhole — and the new diff pushed from what
+    the interrupted push left behind. An entry whose {e removal} exhausts
     the budget is tracked as stale and reconciled after every subsequent
     operation: retry the removal, else overwrite the entry with the exact
     bitmap of the group's current tree at that switch (a compensating entry

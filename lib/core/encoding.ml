@@ -437,13 +437,15 @@ let apply_delta t delta =
   end
   else apply_delta_impl t delta
 
-let release srules t =
-  List.iter (fun (l, _) -> Srule_state.release_leaf srules l) t.d_leaf.Clustering.srules;
-  List.iter (fun (p, _) -> Srule_state.release_pod srules p) t.d_spine.Clustering.srules
+let fold_srules f t acc =
+  let layer site rules acc =
+    List.fold_right (fun (id, bm) acc -> f (site id) bm acc) rules acc
+  in
+  layer (fun l -> Srule_state.Leaf l) t.d_leaf.Clustering.srules
+    (layer (fun p -> Srule_state.Pod p) t.d_spine.Clustering.srules acc)
 
-let reserve srules t =
-  List.iter (fun (l, _) -> Srule_state.reserve_leaf srules l) t.d_leaf.Clustering.srules;
-  List.iter (fun (p, _) -> Srule_state.reserve_pod srules p) t.d_spine.Clustering.srules
+let release srules t = fold_srules (fun site _ () -> Srule_state.release srules site) t ()
+let reserve srules t = fold_srules (fun site _ () -> Srule_state.reserve srules site) t ()
 
 (* Copies of [rules] for a down: a rule that still equals its copy in
    [prev] (the previous down's rules: position by position, the same

@@ -157,6 +157,14 @@ val apply_delta : t -> delta -> outcome
     Steady-state applications are allocation-free: checked statically by
     the [zero-alloc] lint rule and at runtime by the hot-path harness. *)
 
+val fold_srules : (Srule_state.site -> Bitmap.t -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold_srules f t acc] is [f s1 b1 (f s2 b2 (... (f sn bn acc)))] over
+    every s-rule of the encoding as a site and its bitmap, in the order
+    [s1 ... sn]: the leaf layer first, then the pods, each in its list
+    order (so consing onto [acc] lists them in that order). The one walk
+    the ledger ({!release}, {!reserve}), the controller's s-rule diff and
+    the fabric's whole-encoding install and removal share. *)
+
 val release : Srule_state.t -> t -> unit
 (** Returns the encoding's s-rule reservations (used on group removal or
     re-encoding during churn). *)

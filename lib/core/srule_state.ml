@@ -13,6 +13,10 @@ let () =
 
 let site_key = function Leaf l -> 2 * l | Pod p -> (2 * p) + 1
 
+let group_site_key topo ~group site =
+  (group * ((2 * max (Topology.num_leaves topo) topo.Topology.pods) + 2))
+  + site_key site
+
 type t = {
   topo : Topology.t;
   fmax : int;
@@ -41,13 +45,14 @@ let reserve_pod t p =
   if not (pod_has_space t p) then raise (Full (Pod p));
   t.pod_used.(p) <- t.pod_used.(p) + 1
 
-let release_leaf t l =
-  if t.leaf_used.(l) <= 0 then raise (Underflow (Leaf l));
-  t.leaf_used.(l) <- t.leaf_used.(l) - 1
+let reserve t = function Leaf l -> reserve_leaf t l | Pod p -> reserve_pod t p
 
-let release_pod t p =
-  if t.pod_used.(p) <= 0 then raise (Underflow (Pod p));
-  t.pod_used.(p) <- t.pod_used.(p) - 1
+let release t site =
+  let used, i =
+    match site with Leaf l -> (t.leaf_used, l) | Pod p -> (t.pod_used, p)
+  in
+  if used.(i) <= 0 then raise (Underflow site);
+  used.(i) <- used.(i) - 1
 
 let leaf_used t l = t.leaf_used.(l)
 let pod_used t p = t.pod_used.(p)

@@ -18,12 +18,19 @@ val site_key : site -> int
     odd), for callers that need to key hash tables by switch without leaning
     on polymorphic hashing of the variant. *)
 
+val group_site_key : Topology.t -> group:int -> site -> int
+(** Injective primitive-int key for a (group, site) pair on the topology:
+    [group * stride + site_key site], where the stride
+    [2 * max leaves pods + 2] exceeds every [site_key]. The controller keys
+    its stale markers by it, a checkpoint stores it beside each marker,
+    and the failover sweep keys the sites it expects by it. *)
+
 exception Full of site
-(** Raised by {!reserve_leaf} / {!reserve_pod} when the switch is full
-    (callers must check first). *)
+(** Raised by {!reserve_leaf} / {!reserve_pod} / {!reserve} when the
+    switch is full (callers must check first). *)
 
 exception Underflow of site
-(** Raised by {!release_leaf} / {!release_pod} on a zero counter. *)
+(** Raised by {!release} on a zero counter. *)
 
 type t
 
@@ -37,8 +44,12 @@ val pod_has_space : t -> int -> bool
 
 val reserve_leaf : t -> int -> unit
 val reserve_pod : t -> int -> unit
-val release_leaf : t -> int -> unit
-val release_pod : t -> int -> unit
+
+val reserve : t -> site -> unit
+(** {!reserve_leaf} or {!reserve_pod}, by the site's layer. *)
+
+val release : t -> site -> unit
+(** Returns one entry at the site's switch. *)
 
 val leaf_used : t -> int -> int
 (** Current s-rule count of one leaf. *)

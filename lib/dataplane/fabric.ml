@@ -103,20 +103,20 @@ let remove_pod_srule t ~pod ~group =
     (Topology.spines_of_pod t.topo pod)
 
 let install_encoding t ~group enc =
-  List.iter
-    (fun (leaf, bm) -> install_leaf_srule t ~leaf ~group bm)
-    enc.Encoding.d_leaf.Clustering.srules;
-  List.iter
-    (fun (pod, bm) -> install_pod_srule t ~pod ~group bm)
-    enc.Encoding.d_spine.Clustering.srules
+  Encoding.fold_srules
+    (fun site bm () ->
+      match site with
+      | Srule_state.Leaf leaf -> install_leaf_srule t ~leaf ~group bm
+      | Srule_state.Pod pod -> install_pod_srule t ~pod ~group bm)
+    enc ()
 
 let remove_encoding t ~group enc =
-  List.iter
-    (fun (leaf, _) -> remove_leaf_srule t ~leaf ~group)
-    enc.Encoding.d_leaf.Clustering.srules;
-  List.iter
-    (fun (pod, _) -> remove_pod_srule t ~pod ~group)
-    enc.Encoding.d_spine.Clustering.srules
+  Encoding.fold_srules
+    (fun site _ () ->
+      match site with
+      | Srule_state.Leaf leaf -> remove_leaf_srule t ~leaf ~group
+      | Srule_state.Pod pod -> remove_pod_srule t ~pod ~group)
+    enc ()
 
 let leaf_table_size t l = Hashtbl.length t.leaf_tables.(l)
 let spine_table_size t s = Hashtbl.length t.spine_tables.(s)

@@ -33,69 +33,41 @@ let reconcile_sweep fabric (hooks : Controller.fabric_hooks)
     | Error (_ : Controller.install_error) -> incr refused
   in
   let expected = Hashtbl.create 256 in
-  let stride =
-    (2 * max (Topology.num_leaves topo) topo.Topology.pods) + 2
-  in
-  let key group site = (group * stride) + Srule_state.site_key site in
+  let key group site = Srule_state.group_site_key topo ~group site in
   Array.iter
     (fun (gv : Installed_config.group_view) ->
-      match gv.Installed_config.enc with
-      | None -> ()
-      | Some enc ->
-          List.iter
-            (fun (leaf, bm) ->
-              incr checked;
-              Hashtbl.replace expected (key gv.gid (Srule_state.Leaf leaf)) ();
-              match Fabric.leaf_srule fabric ~leaf ~group:gv.gid with
-              | Some actual when Bitmap.equal actual bm -> ()
-              | _ ->
-                  count
-                    (hooks.Controller.install_leaf ~leaf ~group:gv.gid bm))
-            enc.Encoding.d_leaf.Clustering.srules;
-          List.iter
-            (fun (pod, bm) ->
-              incr checked;
-              Hashtbl.replace expected (key gv.gid (Srule_state.Pod pod)) ();
-              match Fabric.pod_srule fabric ~pod ~group:gv.gid with
-              | Some actual when Bitmap.equal actual bm -> ()
-              | _ ->
-                  count
-                    (hooks.Controller.install_pod ~pod ~group:gv.gid bm))
-            enc.Encoding.d_spine.Clustering.srules)
+      let group = gv.gid in
+      let check site bm () =
+        incr checked;
+        Hashtbl.replace expected (key group site) ();
+        match Controller.read_site hooks ~group site with
+        | Some actual when Bitmap.equal actual bm -> ()
+        | _ -> count (Controller.install_site hooks ~group site bm)
+      in
+      Option.iter
+        (fun enc -> Encoding.fold_srules check enc ())
+        gv.Installed_config.enc)
     (Installed_config.groups cfg);
   Array.iter
     (fun (group, site) ->
       Hashtbl.replace expected (key group site) ();
-      let present =
-        match site with
-        | Srule_state.Leaf leaf ->
-            Option.is_some (Fabric.leaf_srule fabric ~leaf ~group)
-        | Srule_state.Pod pod ->
-            Option.is_some (Fabric.pod_srule fabric ~pod ~group)
-      in
-      if present then incr stale_kept)
+      if Option.is_some (Controller.read_site hooks ~group site) then
+        incr stale_kept)
     cfg.Installed_config.stale_sites;
-  let sweep_orphan site remove group =
-    if not (Hashtbl.mem expected (key group site)) then
-      match remove () with
-      | Ok () -> incr orphans
-      | Error (_ : Controller.install_error) -> incr refused
+  let sweep_orphans site groups =
+    List.iter
+      (fun group ->
+        if not (Hashtbl.mem expected (key group site)) then
+          match Controller.remove_site hooks ~group site with
+          | Ok () -> incr orphans
+          | Error (_ : Controller.install_error) -> incr refused)
+      groups
   in
   for leaf = 0 to Topology.num_leaves topo - 1 do
-    List.iter
-      (fun group ->
-        sweep_orphan (Srule_state.Leaf leaf)
-          (fun () -> hooks.Controller.remove_leaf ~leaf ~group)
-          group)
-      (Fabric.leaf_groups fabric leaf)
+    sweep_orphans (Srule_state.Leaf leaf) (Fabric.leaf_groups fabric leaf)
   done;
   for pod = 0 to topo.Topology.pods - 1 do
-    List.iter
-      (fun group ->
-        sweep_orphan (Srule_state.Pod pod)
-          (fun () -> hooks.Controller.remove_pod ~pod ~group)
-          group)
-      (Fabric.pod_groups fabric pod)
+    sweep_orphans (Srule_state.Pod pod) (Fabric.pod_groups fabric pod)
   done;
   {
     sites_checked = !checked;

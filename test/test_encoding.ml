@@ -134,9 +134,9 @@ let test_srule_state_errors () =
   Alcotest.(check bool) "full" false (Srule_state.leaf_has_space s 0);
   Alcotest.check_raises "overflow" (Srule_state.Full (Srule_state.Leaf 0))
     (fun () -> Srule_state.reserve_leaf s 0);
-  Srule_state.release_leaf s 0;
+  Srule_state.release s (Srule_state.Leaf 0);
   Alcotest.check_raises "underflow" (Srule_state.Underflow (Srule_state.Leaf 0))
-    (fun () -> Srule_state.release_leaf s 0);
+    (fun () -> Srule_state.release s (Srule_state.Leaf 0));
   Alcotest.(check bool) "invariants hold" true (Srule_state.check s);
   Srule_state.reserve_pod s 1;
   Alcotest.(check int) "pod reserve counts on each spine"
@@ -330,10 +330,10 @@ let test_ledger_pod_capacity () =
   Alcotest.(check int) "pod counter" 2 (Srule_state.pod_used s 1);
   Alcotest.(check bool) "no leaf touched" true
     (Array.for_all (( = ) 0) (Srule_state.leaf_occupancy s));
-  Srule_state.release_pod s 1;
-  Srule_state.release_pod s 1;
+  Srule_state.release s (Srule_state.Pod 1);
+  Srule_state.release s (Srule_state.Pod 1);
   Alcotest.check_raises "underflow" (Srule_state.Underflow (Srule_state.Pod 1))
-    (fun () -> Srule_state.release_pod s 1);
+    (fun () -> Srule_state.release s (Srule_state.Pod 1));
   Alcotest.(check int) "empty again" 0 (Srule_state.total_srules s)
 
 let test_site_key_injective () =

@@ -212,6 +212,208 @@ let test_mirror_dropped_retried () =
         (Bitmap.equal entry bm && entry != bm)
   | None -> Alcotest.fail "the mirrored entry is missing"
 
+(* {1 One s-rule diff per event}
+
+   An event mutates the fabric at exactly the sites its update reports:
+   one verified install or removal per site whose entry changed, nothing
+   at a site whose s-rule is unchanged. *)
+
+(* Hooks over [base] that record the site of every install and removal,
+   most recent first. *)
+let recording_hooks (base : Controller.fabric_hooks) =
+  let log = ref [] in
+  let note site = log := site :: !log in
+  ( {
+      base with
+      Controller.install_leaf =
+        (fun ~leaf ~group bm ->
+          note (Srule_state.Leaf leaf);
+          base.install_leaf ~leaf ~group bm);
+      remove_leaf =
+        (fun ~leaf ~group ->
+          note (Srule_state.Leaf leaf);
+          base.remove_leaf ~leaf ~group);
+      install_pod =
+        (fun ~pod ~group bm ->
+          note (Srule_state.Pod pod);
+          base.install_pod ~pod ~group bm);
+      remove_pod =
+        (fun ~pod ~group ->
+          note (Srule_state.Pod pod);
+          base.remove_pod ~pod ~group);
+    },
+    log )
+
+let site_name = function
+  | Srule_state.Leaf l -> Printf.sprintf "leaf %d" l
+  | Srule_state.Pod p -> Printf.sprintf "pod %d" p
+
+(* The update's sites and the mutated ones must be the same list once
+   sorted: the reported sites are distinct, so each was mutated once. *)
+let check_exact_diff msg (u : Controller.updates) log =
+  let keys sites = List.sort Int.compare (List.map Srule_state.site_key sites) in
+  let reported =
+    List.map (fun l -> Srule_state.Leaf l) u.Controller.leaves
+    @ List.map (fun p -> Srule_state.Pod p) u.Controller.pods
+  in
+  if keys reported <> keys log then
+    Alcotest.failf "%s: mutated [%s], reported [%s]" msg
+      (String.concat "; " (List.map site_name (List.rev log)))
+      (String.concat "; " (List.map site_name reported))
+
+let diff_topo =
+  Topology.create ~pods:4 ~leaves_per_pod:4 ~spines_per_pod:2 ~hosts_per_leaf:16
+    ~cores_per_plane:2
+
+(* Tenant-local joins and leaves on the groups of a seeded placement at
+   [P] VMs per rack, each checked against what its hooks mutated, after
+   every group's install was checked the same way. Tight header budgets
+   put most leaves and pods behind s-rules, and [fmax] fills some tables,
+   so the stream mixes fast-path events, re-encodes that change s-rules
+   and default p-rules. *)
+let exact_diff_stream ~p ~fmax =
+  let placement =
+    Vm_placement.place (Rng.create 5) diff_topo
+      ~strategy:(Vm_placement.Pack_up_to p) ~host_capacity:4
+      ~tenant_sizes:[| 48; 32; 24; 40 |]
+  in
+  let groups =
+    Workload.generate (Rng.create 6) placement ~kind:Group_dist.Wve
+      ~total_groups:40
+  in
+  let hooks, log = recording_hooks (Fabric.controller_hooks (Fabric.create diff_topo)) in
+  let params = Params.create ~hmax_leaf:2 ~hmax_spine:1 ~header_budget:None ~fmax () in
+  let ctrl = Controller.create ~fabric_hooks:hooks diff_topo params in
+  let event msg f =
+    log := [];
+    let u = f () in
+    check_exact_diff (Printf.sprintf "P=%d %s" p msg) u !log
+  in
+  Array.iter
+    (fun (g : Workload.group) ->
+      event (Printf.sprintf "add %d" g.Workload.group_id) (fun () ->
+          Controller.add_group ctrl ~group:g.Workload.group_id
+            (members_both (Array.to_list g.Workload.member_hosts))))
+    groups;
+  let rng = Rng.create (100 + p) in
+  let srule_reencodes = ref 0 in
+  for ev = 1 to 800 do
+    let g = groups.(Rng.int rng (Array.length groups)) in
+    let group = g.Workload.group_id in
+    let vms = placement.Vm_placement.tenants.(g.Workload.tenant_id).Vm_placement.vm_hosts in
+    let members = Controller.members ctrl ~group in
+    let reencodes = (Controller.churn_stats ctrl).Controller.reencoded in
+    let host = vms.(Rng.int rng (Array.length vms)) in
+    let msg = Printf.sprintf "event %d (group %d, host %d)" ev group host in
+    if List.mem_assoc host members then begin
+      if List.length members > 1 then
+        event msg (fun () -> Controller.leave ctrl ~group ~host)
+    end
+    else event msg (fun () -> Controller.join ctrl ~group ~host ~role:Controller.Both);
+    if (Controller.churn_stats ctrl).Controller.reencoded > reencodes && !log <> []
+    then incr srule_reencodes
+  done;
+  let cs = Controller.churn_stats ctrl in
+  let some what n = if n = 0 then Alcotest.failf "P=%d: no %s" p what in
+  some "fast-path event" cs.Controller.fast_path;
+  some "re-encode" cs.Controller.reencoded;
+  some "re-encode that changed an s-rule" !srule_reencodes;
+  some "group on a default p-rule"
+    (Array.fold_left
+       (fun n (g : Workload.group) ->
+         match Controller.encoding ctrl ~group:g.Workload.group_id with
+         | Some enc when Encoding.uses_default enc -> n + 1
+         | Some _ | None -> n)
+       0 groups);
+  Array.iter
+    (fun (g : Workload.group) ->
+      event (Printf.sprintf "remove %d" g.Workload.group_id) (fun () ->
+          Controller.remove_group ctrl ~group:g.Workload.group_id))
+    groups
+
+let test_event_mutates_its_diff () =
+  exact_diff_stream ~p:12 ~fmax:6;
+  exact_diff_stream ~p:1 ~fmax:4
+
+(* A join on a leaf the group does not reach re-encodes it onto that
+   leaf; with the leaf wedged, its install fails in the middle of the
+   diff, after installs at other sites and before the rest. The degrade
+   loop denies the leaf and pushes the degraded encoding's diff from what
+   the partial push left behind, so the sites already pushed are not
+   pushed again, and the fabric ends holding exactly the group's s-rules
+   and nothing at the denied leaf. *)
+let test_degrade_mid_diff () =
+  (* One s-rule per switch, and one leaf and one spine p-rule per header,
+     each on the layer's smallest bitmap. The blocker's s-rules fill
+     leaves 1 and 2, so the group's encoding folds them into its default
+     p-rule; once the blocker is gone, a join on leaf 6 re-encodes the
+     group with s-rules at leaves 1, 2 and 6 and at pods 0 and 1. *)
+  let params =
+    Params.create ~hmax_leaf:1 ~hmax_spine:1 ~kmax:1 ~header_budget:None ~fmax:1 ()
+  in
+  let at l ports = List.map (fun p -> (l * h) + p) ports in
+  let blocker = at 1 [ 0; 1 ] @ at 2 [ 0; 1 ] @ at 5 [ 0 ] in
+  let members = at 0 [ 0 ] @ at 1 [ 2; 3 ] @ at 2 [ 2; 3 ] @ at 3 [ 2; 3 ] in
+  let leaf = 6 in
+  let run ~wedged =
+    let fabric = Fabric.create topo in
+    let fault = Fault.create fabric in
+    let hooks, log = recording_hooks (Fault.hooks fault) in
+    let ctrl = Controller.create ~fabric_hooks:hooks topo params in
+    ignore (Controller.add_group ctrl ~group:0 (members_both blocker));
+    ignore (Controller.add_group ctrl ~group:1 (members_both members));
+    ignore (Controller.remove_group ctrl ~group:0);
+    Fault.wedge_leaf fault leaf wedged;
+    log := [];
+    let u = Controller.join ctrl ~group:1 ~host:(leaf * h) ~role:Controller.Both in
+    (ctrl, fabric, u, List.rev_map site_name !log)
+  in
+  let _, _, _, clean = run ~wedged:false in
+  Alcotest.(check (list string)) "the clean join's diff"
+    [ "leaf 1"; "leaf 2"; "leaf 6"; "pod 0"; "pod 1" ]
+    clean;
+  let ctrl, fabric, u, ops = run ~wedged:true in
+  let times site = List.length (List.filter (String.equal site) ops) in
+  Alcotest.(check (list int)) "leaves 1 and 2 pushed once, before the wedge"
+    [ 1; 1 ] [ times "leaf 1"; times "leaf 2" ];
+  Alcotest.(check int) "one degradation" 1
+    (Controller.install_stats ctrl).Controller.degradations;
+  let view = Controller.installed_config ctrl in
+  Alcotest.(check bool) "the wedged leaf is denied" true
+    view.Installed_config.denied_leaf.(leaf);
+  Alcotest.(check bool) "the wedged leaf is in the update" true
+    (List.mem leaf u.Controller.leaves);
+  let srules =
+    match Controller.encoding ctrl ~group:1 with
+    | Some enc ->
+        Encoding.fold_srules
+          (fun site bm acc -> (Srule_state.site_key site, bm) :: acc)
+          enc []
+    | None -> []
+  in
+  let agrees site entry =
+    Installed_config.is_stale view ~group:1 site
+    ||
+    match (List.assoc_opt (Srule_state.site_key site) srules, entry) with
+    | None, None -> true
+    | Some bm, Some e -> Bitmap.equal bm e
+    | Some _, None | None, Some _ -> false
+  in
+  for l = 0 to Topology.num_leaves topo - 1 do
+    if not (agrees (Srule_state.Leaf l) (Fabric.leaf_srule fabric ~leaf:l ~group:1))
+    then Alcotest.failf "leaf %d: the fabric's entry is not the group's s-rule" l
+  done;
+  for p = 0 to topo.Topology.pods - 1 do
+    if not (agrees (Srule_state.Pod p) (Fabric.pod_srule fabric ~pod:p ~group:1))
+    then Alcotest.failf "pod %d: the fabric's entry is not the group's s-rule" p
+  done;
+  Alcotest.(check bool) "nothing left at the denied leaf" true
+    (Option.is_none (Fabric.leaf_srule fabric ~leaf ~group:1)
+    || Installed_config.is_stale view ~group:1 (Srule_state.Leaf leaf));
+  match Verify.check_controller ctrl with
+  | Ok _ -> ()
+  | Error w -> Alcotest.failf "check_controller: %a" Verify.pp_witness w
+
 (* {1 Stale entries and compensation} *)
 
 
@@ -799,6 +1001,10 @@ let tests =
       test_mirror_refused_degrades;
     Alcotest.test_case "fast-path mirror dropped: retried" `Quick
       test_mirror_dropped_retried;
+    Alcotest.test_case "an event mutates exactly the sites it reports" `Quick
+      test_event_mutates_its_diff;
+    Alcotest.test_case "degrade in the middle of a diff" `Quick
+      test_degrade_mid_diff;
     Alcotest.test_case "failed removal marked, compensated, reconciled" `Quick
       test_failed_removal_marked_and_reconciled;
     Alcotest.test_case "crash recovery bit-identical at 100 points" `Slow

@@ -1516,7 +1516,7 @@ let test_pinned_recovery_fixture () =
   check_pinned "recovery fixture"
     (Recovery_fixture.churn ~checkpoint_at:100 ~snapshot_every:1_000_000
        ~events:200 ~seed:7 ())
-    ~size:4_598 ~records:150 ~crc:2552486893
+    ~size:4_598 ~records:150 ~crc:4232284967
 
 (* A log whose snapshots carry nonzero install counters, degradations,
    stale entries and failure overrides: the scripted removal timeouts of
@@ -1527,12 +1527,12 @@ let test_pinned_recovery_fixture () =
    - group 1 at leaf 0: its removal timed out and the compensating
      install wrote the truthful (empty) entry;
    - group 0 at leaf 6: the last join's fast-path mirror install there
-     reads back as missing, exhausts its budget and denies the leaf; the
-     re-encode's removals of group 0's s-rules all time out, and the new
-     encoding holds none at the denied leaf;
-   - group 0 at leaf 4: likewise, denied when group 2 degraded. The new
-     encoding's s-rules at its other sites re-install equal bitmaps, which
-     read back as installed and clear their markers. *)
+     times out, exhausts its budget and denies the leaf; the re-encode's
+     diff removes the group's s-rules at the sites the new encoding
+     lacks, and those removals time out;
+   - group 0 at leaf 4: likewise, denied when group 2 degraded, so the
+     new encoding holds no s-rule there either. Its s-rules at the other
+     sites equal the old ones, so the diff leaves them alone. *)
 let test_pinned_faulty_log () =
   let second = [ 0; 1; h; h + 1; 2 * h ] in
   let twin = Controller.create topo tight_params in
@@ -1578,7 +1578,7 @@ let test_pinned_faulty_log () =
   Alcotest.(check int) "three stale entries" 3 st.Controller.stale_entries;
   check_pinned "faulty log"
     (Option.get (Replica.wire replica))
-    ~size:764 ~records:9 ~crc:3540073627
+    ~size:763 ~records:9 ~crc:273389968
 
 let tests =
   [
